@@ -14,6 +14,8 @@
 #   make persist — persistent segment store suite: codec round-trips,
 #                  crash-safety (torn/bit-flipped segments quarantined),
 #                  restart differential, daemon -data round-trip
+#   make benchbuild — vet + test the nested benchmark/ module against
+#                  the current API (root `go build ./...` skips it)
 #   make bench   — paper-table + concurrency benchmarks
 #   make qps     — serial vs parallel batch throughput report
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -28,7 +30,7 @@ FUZZTIME ?= 30s
 PROPSEED ?= 0xB10550
 PROPCASES ?= 2500
 
-.PHONY: build test vet race check stress chaos smoke bench qps fuzz proptest feedback persist
+.PHONY: build test vet race check stress chaos smoke bench qps fuzz proptest feedback persist benchbuild
 
 build:
 	$(GO) build ./...
@@ -46,7 +48,7 @@ race:
 # full suite under the race detector, which exercises the concurrent
 # Add+Eval stress tests against the snapshot engine, plus the
 # cancellation stress pass.
-check: vet race stress chaos smoke proptest feedback persist
+check: vet race stress chaos smoke proptest feedback persist benchbuild
 
 # Property-based differential harness: PROPCASES random documents, four
 # random queries each, every join strategy ± parallel ± warm plan cache
@@ -104,6 +106,13 @@ persist:
 		-run 'Restart|AttachStore|Persist|Feedback' .
 	$(GO) test -timeout 180s -count=1 \
 		-run 'TestLoadBasenameCollision|TestDataDirRestart' ./cmd/blossomd
+
+# benchmark/ is a module of its own, so the root ./... patterns never
+# compile it: an API removal the ruler depends on would otherwise only
+# surface when the benchmark next runs.
+benchbuild:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -10,6 +10,7 @@
 package blossomtree_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -472,7 +473,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := eng.QueryBatch(batch, blossomtree.Options{}, workers)
+				results, err := eng.QueryBatchContext(context.Background(), batch, blossomtree.Options{}, workers)
 				if err != nil {
 					b.Fatal(err)
 				}

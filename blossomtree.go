@@ -26,6 +26,11 @@
 //
 //	res, _ := e.Query(`//book[author/last="Knuth"]/title`)
 //	for _, n := range res.Nodes() { fmt.Println(n.Text()) }
+//
+// Each query family — single, batch, every document, gathered, prepared,
+// explain — has one context-first entry point (QueryWithContext,
+// QueryBatchContext, …); Query, QueryWith, Prepare and Explain are
+// one-statement wrappers over them.
 package blossomtree
 
 import (
@@ -40,7 +45,7 @@ import (
 	"blossomtree/internal/feedback"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
-	"blossomtree/internal/shard"
+	"blossomtree/internal/segstore"
 	"blossomtree/internal/storage"
 	"blossomtree/internal/xmltree"
 )
@@ -129,14 +134,16 @@ type Options struct {
 	// and GET /trace/{queryID}); empty means the engine generates one,
 	// readable afterwards via Result.QueryID.
 	QueryID string
-	// Shards bounds the scatter fan-out of QueryAllDocuments /
-	// QueryAllGathered on a sharded engine: at most Shards shard
+	// Shards bounds the scatter fan-out of QueryAllDocumentsContext /
+	// QueryAllGatheredContext on a sharded engine: at most Shards shard
 	// sub-queries run concurrently (0 = all shards at once). Ignored on
 	// unsharded engines.
 	Shards int
 }
 
-func (o Options) toPlan() (plan.Options, error) {
+// toPlan lowers the public options onto the planner's, binding the
+// evaluation to ctx.
+func (o Options) toPlan(ctx context.Context) (plan.Options, error) {
 	strat, err := o.Strategy.toPlan()
 	if err != nil {
 		return plan.Options{}, err
@@ -146,6 +153,7 @@ func (o Options) toPlan() (plan.Options, error) {
 		MergeScans:         o.MergeScans,
 		Parallel:           o.Parallel,
 		Analyze:            o.Analyze,
+		Ctx:                ctx,
 		Budget:             o.Budget.toGov(),
 		Logger:             o.Logger,
 		SlowQueryThreshold: o.SlowQueryThreshold,
@@ -159,23 +167,36 @@ func (o Options) toPlan() (plan.Options, error) {
 // current when it started, and documents are never mutated after
 // loading. Any number of goroutines may query while others load.
 type Engine struct {
-	inner *exec.Engine
-	// group is non-nil for sharded engines (NewEngineSharded): documents
-	// and queries route through the consistent-hash shard group instead
-	// of one inner engine, and inner is nil.
-	group *shard.Group
+	b backend
+}
+
+// backend is what the public API needs of an evaluation tier: one
+// executor (*exec.Engine) or the consistent-hash group of executors
+// behind NewEngineSharded (*shard.Group). Each query family has exactly
+// one entry.
+type backend interface {
+	Add(uri string, doc *xmltree.Document)
+	AttachStore(st *segstore.Store)
+	Document(uri string) (*xmltree.Document, bool)
+	Shards() int
+	ShardOf(uri string) (int, bool)
+	EvalOptions(src string, opts plan.Options) (*exec.Result, error)
+	EvalBatch(srcs []string, opts plan.Options, workers int) []exec.BatchResult
+	EvalAllDocs(src string, opts plan.Options, fanout, workers int) ([]exec.DocResult, *exec.DegradedInfo, error)
+	Explain(src string, opts plan.Options) (string, error)
+	Prepare(src string, opts plan.Options) (*exec.Prepared, error)
 }
 
 // NewEngine returns an engine with tag-index support enabled.
 func NewEngine() *Engine {
-	return &Engine{inner: exec.New()}
+	return &Engine{b: exec.New()}
 }
 
 // NewEngineNoIndexes returns an engine without tag indexes (the
 // streaming configuration: TwigStack unavailable, NoK scans always
 // sequential).
 func NewEngineNoIndexes() *Engine {
-	return &Engine{inner: exec.NewWithConfig(exec.Config{BuildIndexes: false})}
+	return &Engine{b: exec.NewWithConfig(exec.Config{BuildIndexes: false})}
 }
 
 // Load parses an XML document from r and registers it under uri (the
@@ -187,7 +208,7 @@ func (e *Engine) Load(uri string, r io.Reader) error {
 		return err
 	}
 	doc.Name = uri
-	e.add(uri, doc)
+	e.b.Add(uri, doc)
 	return nil
 }
 
@@ -198,7 +219,7 @@ func (e *Engine) LoadString(uri, xml string) error {
 		return err
 	}
 	doc.Name = uri
-	e.add(uri, doc)
+	e.b.Add(uri, doc)
 	return nil
 }
 
@@ -208,14 +229,14 @@ func (e *Engine) LoadFile(uri, path string) error {
 	if err != nil {
 		return err
 	}
-	e.add(uri, doc)
+	e.b.Add(uri, doc)
 	return nil
 }
 
 // LoadDocument registers an already-built document (e.g. from the
 // generator tooling).
 func (e *Engine) LoadDocument(uri string, doc *xmltree.Document) {
-	e.add(uri, doc)
+	e.b.Add(uri, doc)
 }
 
 // LoadSegment registers a document stored in the succinct binary
@@ -230,7 +251,7 @@ func (e *Engine) LoadSegment(uri string, data []byte) error {
 		return err
 	}
 	doc.Name = uri
-	e.add(uri, doc)
+	e.b.Add(uri, doc)
 	return nil
 }
 
@@ -264,7 +285,7 @@ func (e *Engine) Stats(uri string) (DocumentStats, error) {
 }
 
 func (e *Engine) resolve(uri string) (*xmltree.Document, error) {
-	if doc, ok := e.document(uri); ok {
+	if doc, ok := e.b.Document(uri); ok {
 		return doc, nil
 	}
 	return nil, fmt.Errorf("blossomtree: no document registered for %q", uri)
@@ -283,21 +304,26 @@ type DocumentStats struct {
 
 // Query evaluates a query with the Auto strategy.
 func (e *Engine) Query(src string) (*Result, error) {
-	return e.QueryWith(src, Options{})
+	return e.QueryWithContext(context.Background(), src, Options{})
 }
 
 // QueryWith evaluates a query with explicit options.
 func (e *Engine) QueryWith(src string, opts Options) (*Result, error) {
-	popts, err := opts.toPlan()
+	return e.QueryWithContext(context.Background(), src, opts)
+}
+
+// QueryWithContext evaluates a query with explicit options under a
+// context: cancellation or deadline expiry aborts the evaluation
+// mid-operator with ErrCanceled / ErrBudgetExceeded, and an
+// already-canceled context returns ErrCanceled before anything is
+// scanned. On a sharded engine the query routes to the shard owning its
+// document.
+func (e *Engine) QueryWithContext(ctx context.Context, src string, opts Options) (*Result, error) {
+	popts, err := opts.toPlan(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var res *exec.Result
-	if e.group != nil {
-		res, err = e.group.Eval(src, popts)
-	} else {
-		res, err = e.inner.EvalOptions(src, popts)
-	}
+	res, err := e.b.EvalOptions(src, popts)
 	if err != nil {
 		return nil, err
 	}
@@ -307,16 +333,12 @@ func (e *Engine) QueryWith(src string, opts Options) (*Result, error) {
 // Prepared is a parsed, compile-checked query bound to an engine — the
 // prepared-statement form of Query. Preparing parses once, surfaces
 // syntax and planning errors immediately, and warms the process-wide
-// compiled-plan cache; every Run then reuses the cached plan while the
-// document catalog is unchanged, and transparently recompiles after
-// any Load*. A Prepared is immutable and safe for concurrent Runs.
+// compiled-plan cache; every run then reuses the kept parse and the
+// cached plan while the document catalog is unchanged, and
+// transparently recompiles after any Load*. A Prepared is immutable and
+// safe for concurrent runs.
 type Prepared struct {
-	inner *exec.Prepared
-	// Sharded prepared queries route each Run through the group (the
-	// process-wide plan cache keeps repeated Runs warm); inner is nil.
-	group *shard.Group
-	src   string
-	opts  plan.Options
+	p *exec.Prepared
 }
 
 // Prepare parses and compile-checks a query for repeated execution
@@ -329,91 +351,52 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 // captured by the prepared query; per-run cancellation is supplied to
 // RunContext.
 func (e *Engine) PrepareWith(src string, opts Options) (*Prepared, error) {
-	popts, err := opts.toPlan()
+	popts, err := opts.toPlan(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	if e.group != nil {
-		// Routing + compiling the plan surfaces syntax and planning errors
-		// at prepare time, as on the unsharded path.
-		if _, err := e.group.Explain(src, popts); err != nil {
-			return nil, err
-		}
-		return &Prepared{group: e.group, src: src, opts: popts}, nil
-	}
-	p, err := e.inner.Prepare(src, popts)
+	p, err := e.b.Prepare(src, popts)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{inner: p}, nil
+	return &Prepared{p: p}, nil
 }
 
 // Source returns the prepared query's text.
-func (p *Prepared) Source() string {
-	if p.group != nil {
-		return p.src
-	}
-	return p.inner.Source()
-}
+func (p *Prepared) Source() string { return p.p.Source() }
 
-// Run evaluates the prepared query against the engine's current
-// document catalog.
-func (p *Prepared) Run() (*Result, error) {
-	if p.group != nil {
-		res, err := p.group.Eval(p.src, p.opts)
-		if err != nil {
-			return nil, err
-		}
-		return newResult(res), nil
-	}
-	res, err := p.inner.Run()
-	if err != nil {
-		return nil, err
-	}
-	return newResult(res), nil
-}
-
-// RunContext is Run under a context: the evaluation aborts with
-// ErrCanceled when ctx is canceled or its deadline passes.
+// RunContext evaluates the prepared query against the engine's current
+// document catalog; the evaluation aborts with ErrCanceled when ctx is
+// canceled or its deadline passes.
 func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
-	if p.group != nil {
-		opts := p.opts
-		opts.Ctx = ctx
-		res, err := p.group.Eval(p.src, opts)
-		if err != nil {
-			return nil, err
-		}
-		return newResult(res), nil
-	}
-	res, err := p.inner.RunContext(ctx)
+	res, err := p.p.RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return newResult(res), nil
 }
 
-// BatchResult pairs one query of a QueryBatch call with its outcome.
+// BatchResult pairs one query of a QueryBatchContext call with its
+// outcome.
 type BatchResult struct {
 	Query  string
 	Result *Result
 	Err    error
 }
 
-// QueryBatch evaluates a batch of queries concurrently across at most
-// workers goroutines (workers <= 0 means GOMAXPROCS), returning one
+// QueryBatchContext evaluates a batch of queries concurrently across at
+// most workers goroutines (workers <= 0 means GOMAXPROCS), returning one
 // result per query in input order. The whole batch sees the document
 // catalog as of the call, even while other goroutines load documents.
-func (e *Engine) QueryBatch(srcs []string, opts Options, workers int) ([]BatchResult, error) {
-	popts, err := opts.toPlan()
+// The context is shared by every query of the batch: canceling it
+// aborts the in-flight evaluations and makes the remaining ones return
+// ErrCanceled immediately. Each query gets its own Budget accounting.
+func (e *Engine) QueryBatchContext(ctx context.Context, srcs []string, opts Options, workers int) ([]BatchResult, error) {
+	popts, err := opts.toPlan(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var raw []exec.BatchResult
-	if e.group != nil {
-		raw = e.group.EvalBatch(srcs, popts, workers)
-	} else {
-		raw = e.inner.EvalBatch(srcs, popts, workers)
-	}
+	raw := e.b.EvalBatch(srcs, popts, workers)
 	out := make([]BatchResult, len(raw))
 	for i, r := range raw {
 		out[i] = BatchResult{Query: r.Query, Err: r.Err}
@@ -424,8 +407,8 @@ func (e *Engine) QueryBatch(srcs []string, opts Options, workers int) ([]BatchRe
 	return out, nil
 }
 
-// DocumentResult pairs one loaded document of a QueryAllDocuments call
-// with the query's outcome on it.
+// DocumentResult pairs one loaded document of a
+// QueryAllDocumentsContext call with the query's outcome on it.
 type DocumentResult struct {
 	URI    string
 	Result *Result
@@ -435,30 +418,42 @@ type DocumentResult struct {
 	Shard int
 }
 
-// QueryAllDocuments evaluates one query independently against every
-// loaded document in parallel (workers <= 0 means GOMAXPROCS). Inside
-// each per-document evaluation, every doc("…") URI and absolute path
-// resolves to that document — the fan-out form of the multi-document
-// queries the single-document planner rejects. Results are sorted by
-// URI.
-func (e *Engine) QueryAllDocuments(src string, opts Options, workers int) ([]DocumentResult, error) {
-	return e.QueryAllDocumentsContext(context.Background(), src, opts, workers)
-}
-
-// docResults converts executor per-document results into the public
-// form, annotating each with its owning shard on sharded engines.
-func (e *Engine) docResults(raw []exec.DocResult) []DocumentResult {
+// QueryAllDocumentsContext evaluates one query independently against
+// every loaded document in parallel (workers <= 0 means GOMAXPROCS),
+// under a context shared by every per-document evaluation. Inside each
+// evaluation, every doc("…") URI and absolute path resolves to that
+// document — the fan-out form of the multi-document queries the
+// single-document planner rejects. Results are sorted by URI.
+//
+// On a sharded engine the fan-out scatters across the shards
+// (Options.Shards bounds the concurrency); a shard lost after one retry
+// degrades out of the result list — the surviving documents are
+// returned and the failed shards' documents are omitted (use
+// QueryAllGatheredContext for the degradation record).
+func (e *Engine) QueryAllDocumentsContext(ctx context.Context, src string, opts Options, workers int) ([]DocumentResult, error) {
+	raw, _, err := e.evalAllDocs(ctx, src, opts, workers)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]DocumentResult, len(raw))
 	for i, r := range raw {
 		out[i] = DocumentResult{URI: r.URI, Err: r.Err}
 		if r.Result != nil {
 			out[i].Result = newResult(r.Result)
 		}
-		if e.group != nil {
-			out[i].Shard, _ = e.group.ShardOf(r.URI)
-		}
+		out[i].Shard, _ = e.b.ShardOf(r.URI)
 	}
-	return out
+	return out, nil
+}
+
+// evalAllDocs is the catalog-wide fan-out behind both all-documents
+// forms.
+func (e *Engine) evalAllDocs(ctx context.Context, src string, opts Options, workers int) ([]exec.DocResult, *exec.DegradedInfo, error) {
+	popts, err := opts.toPlan(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.b.EvalAllDocs(src, popts, opts.Shards, workers)
 }
 
 // Explain compiles a query and renders the physical plan the optimizer
@@ -466,41 +461,23 @@ func (e *Engine) docResults(raw []exec.DocResult) []DocumentResult {
 // crossing-edge placement, the cost model's strategy table, and the
 // annotated operator tree with per-operator cost estimates.
 func (e *Engine) Explain(src string) (string, error) {
-	return e.ExplainWith(src, Options{})
+	return e.ExplainWithContext(context.Background(), src, Options{})
 }
 
-// ExplainWith is Explain with explicit options (forced strategy,
-// parallelism). On a sharded engine the EXPLAIN routes to the shard
-// owning the query's document, like evaluation.
-func (e *Engine) ExplainWith(src string, opts Options) (string, error) {
-	popts, err := opts.toPlan()
+// ExplainWithContext is Explain with explicit options (forced strategy,
+// parallelism). With Options.Analyze it is the EXPLAIN ANALYZE of
+// relational engines: the query is evaluated under ctx — governed,
+// traced (Options.QueryID), logged and metered like any other
+// evaluation — and the operator tree shows the cost model's estimates
+// side by side with the counters and wall times the run recorded. On a
+// sharded engine it routes to the shard owning the query's document,
+// like evaluation.
+func (e *Engine) ExplainWithContext(ctx context.Context, src string, opts Options) (string, error) {
+	popts, err := opts.toPlan(ctx)
 	if err != nil {
 		return "", err
 	}
-	if e.group != nil {
-		return e.group.Explain(src, popts)
-	}
-	return e.inner.ExplainOptions(src, popts)
-}
-
-// ExplainAnalyze compiles and executes the query with per-operator
-// timing enabled, then renders the operator tree with the cost model's
-// estimates side by side with the counters and wall times the run
-// actually recorded — the EXPLAIN ANALYZE of relational engines.
-func (e *Engine) ExplainAnalyze(src string) (string, error) {
-	return e.ExplainAnalyzeWith(src, Options{})
-}
-
-// ExplainAnalyzeWith is ExplainAnalyze with explicit options.
-func (e *Engine) ExplainAnalyzeWith(src string, opts Options) (string, error) {
-	popts, err := opts.toPlan()
-	if err != nil {
-		return "", err
-	}
-	if e.group != nil {
-		return e.group.ExplainAnalyze(src, popts)
-	}
-	return e.inner.ExplainAnalyzeOptions(src, popts)
+	return e.b.Explain(src, popts)
 }
 
 // Metrics returns a snapshot of the process-wide metrics registry:

@@ -1,6 +1,7 @@
 package blossomtree
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -252,7 +253,7 @@ func TestQueryBatchViaFacade(t *testing.T) {
 		`not a query`,
 		`for $b in doc("bib.xml")//book where $b/price < 50 return <c>{ $b/title }</c>`,
 	}
-	results, err := e.QueryBatch(queries, Options{}, 4)
+	results, err := e.QueryBatchContext(context.Background(), queries, Options{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestQueryBatchViaFacade(t *testing.T) {
 			t.Errorf("result %d len = %d, want %d", i, r.Result.Len(), wantLens[i])
 		}
 	}
-	if _, err := e.QueryBatch(queries, Options{Strategy: "bogus"}, 2); err == nil {
+	if _, err := e.QueryBatchContext(context.Background(), queries, Options{Strategy: "bogus"}, 2); err == nil {
 		t.Error("bad strategy should fail the whole batch call")
 	}
 }
@@ -287,7 +288,7 @@ func TestQueryAllDocumentsViaFacade(t *testing.T) {
 	if err := e.LoadString("tiny.xml", `<bib><book><title>T</title></book></bib>`); err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.QueryAllDocuments(`//book/title`, Options{}, 2)
+	results, err := e.QueryAllDocumentsContext(context.Background(), `//book/title`, Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

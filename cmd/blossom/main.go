@@ -112,22 +112,17 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	if *explOnly {
-		s, err := eng.ExplainWith(query, opts)
+	if *explOnly || *explain {
+		opts.Analyze = *explain
+		s, err := eng.ExplainWithContext(ctx, query, opts)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(s)
-		return
-	}
-	if *explain {
-		s, err := eng.ExplainAnalyzeWith(query, opts)
-		if err != nil {
-			fatal(err)
+		if *explain {
+			printMetrics(*metrics)
+			printFeedback(*fb)
 		}
-		fmt.Print(s)
-		printMetrics(*metrics)
-		printFeedback(*fb)
 		return
 	}
 

@@ -1,5 +1,7 @@
 // Quickstart: load an XML document, run a path query and a FLWOR query,
-// and inspect the physical plan the optimizer picked.
+// and inspect the physical plan the optimizer picked. Query and Explain
+// are the no-options spellings of each family's one entry point,
+// QueryWithContext and ExplainWithContext (context first, then Options).
 package main
 
 import (

@@ -16,7 +16,7 @@ func TestPreparedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run()
+	res, err := p.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package blossomtree
 
 import (
-	"context"
 	"time"
 
-	"blossomtree/internal/exec"
 	"blossomtree/internal/gov"
 )
 
@@ -64,82 +62,4 @@ func AbortStats(err error) (string, bool) {
 		return "", false
 	}
 	return st.Render(true), true
-}
-
-// QueryContext evaluates a query with the Auto strategy under a
-// context: cancellation or deadline expiry aborts the evaluation
-// mid-operator with ErrCanceled / ErrBudgetExceeded. An already-canceled
-// context returns ErrCanceled before anything is scanned.
-func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) {
-	return e.QueryWithContext(ctx, src, Options{})
-}
-
-// QueryWithContext evaluates a query with explicit options under a
-// context.
-func (e *Engine) QueryWithContext(ctx context.Context, src string, opts Options) (*Result, error) {
-	popts, err := opts.toPlan()
-	if err != nil {
-		return nil, err
-	}
-	popts.Ctx = ctx
-	var res *exec.Result
-	if e.group != nil {
-		res, err = e.group.Eval(src, popts)
-	} else {
-		res, err = e.inner.EvalOptions(src, popts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return newResult(res), nil
-}
-
-// QueryBatchContext is QueryBatch under a context shared by every query
-// of the batch: canceling it aborts the in-flight evaluations and makes
-// the remaining ones return ErrCanceled immediately. Each query gets
-// its own Budget accounting.
-func (e *Engine) QueryBatchContext(ctx context.Context, srcs []string, opts Options, workers int) ([]BatchResult, error) {
-	popts, err := opts.toPlan()
-	if err != nil {
-		return nil, err
-	}
-	popts.Ctx = ctx
-	var raw []exec.BatchResult
-	if e.group != nil {
-		raw = e.group.EvalBatch(srcs, popts, workers)
-	} else {
-		raw = e.inner.EvalBatch(srcs, popts, workers)
-	}
-	out := make([]BatchResult, len(raw))
-	for i, r := range raw {
-		out[i] = BatchResult{Query: r.Query, Err: r.Err}
-		if r.Result != nil {
-			out[i].Result = newResult(r.Result)
-		}
-	}
-	return out, nil
-}
-
-// QueryAllDocumentsContext is QueryAllDocuments under a context shared
-// by every per-document evaluation. On a sharded engine the fan-out
-// scatters across the shards (Options.Shards bounds the concurrency);
-// a shard lost after one retry degrades out of the result list — the
-// surviving documents are returned and the failed shards' documents
-// are omitted (use QueryAllGathered for the degradation record).
-func (e *Engine) QueryAllDocumentsContext(ctx context.Context, src string, opts Options, workers int) ([]DocumentResult, error) {
-	popts, err := opts.toPlan()
-	if err != nil {
-		return nil, err
-	}
-	popts.Ctx = ctx
-	var raw []exec.DocResult
-	if e.group != nil {
-		raw, _, err = e.group.EvalAllDocs(src, popts, opts.Shards, workers)
-	} else {
-		raw, err = e.inner.EvalAllDocs(src, popts, workers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return e.docResults(raw), nil
 }

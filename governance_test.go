@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"blossomtree/internal/fault"
+	"blossomtree/internal/plan"
 )
 
 func newBigEngine(t *testing.T) *Engine {
@@ -22,7 +25,7 @@ func TestQueryContextCanceled(t *testing.T) {
 	e := newBigEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.QueryContext(ctx, `//a//c`); !errors.Is(err, ErrCanceled) {
+	if _, err := e.QueryWithContext(ctx, `//a//c`, Options{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("QueryContext = %v, want ErrCanceled", err)
 	}
 }
@@ -31,7 +34,7 @@ func TestQueryContextDeadline(t *testing.T) {
 	e := newBigEngine(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := e.QueryContext(ctx, `//a//c`); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := e.QueryWithContext(ctx, `//a//c`, Options{}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("QueryContext = %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -108,6 +111,52 @@ func TestQueryAllDocumentsContext(t *testing.T) {
 	for _, r := range results {
 		if r.Err != nil {
 			t.Errorf("doc %s: %v", r.URI, r.Err)
+		}
+	}
+}
+
+// TestExplainAnalyzeIsAnEvaluation: EXPLAIN ANALYZE runs through the
+// same governed, traced evaluation as a query, on both backends — an
+// operator panic becomes an error counted in query_panics_total instead
+// of crashing the process, a governed abort is classified in
+// query_aborts_total, and the run's trace is retrievable under the
+// pinned query ID.
+func TestExplainAnalyzeIsAnEvaluation(t *testing.T) {
+	const src = "<r>" + "<a><b><c/></b><b/><c/></a>" + "</r>"
+	for _, e := range []*Engine{NewEngine(), NewEngineSharded(3)} {
+		if err := e.LoadString("g.xml", src); err != nil {
+			t.Fatal(err)
+		}
+		panics := Metrics()["query_panics_total"]
+		inj := fault.New().PanicAt(fault.SiteNoKEmit, 1)
+		_, err := e.b.Explain(`//a//c`, plan.Options{Analyze: true, Strategy: plan.BoundedNL, Fault: inj})
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("%d shards: EXPLAIN ANALYZE under an injected panic = %v, want a recovered-panic error", e.ShardCount(), err)
+		}
+		if got := Metrics()["query_panics_total"]; got != panics+1 {
+			t.Errorf("%d shards: query_panics_total = %d, want %d", e.ShardCount(), got, panics+1)
+		}
+
+		aborts := Metrics()["query_aborts_total"]
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := e.ExplainWithContext(ctx, `//a//c`, Options{Analyze: true}); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%d shards: canceled EXPLAIN ANALYZE = %v, want ErrCanceled", e.ShardCount(), err)
+		}
+		if got := Metrics()["query_aborts_total"]; got != aborts+1 {
+			t.Errorf("%d shards: query_aborts_total = %d, want %d", e.ShardCount(), got, aborts+1)
+		}
+
+		id := NewQueryID()
+		out, err := e.ExplainWithContext(context.Background(), `//a//c`, Options{Analyze: true, QueryID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, " act=") {
+			t.Errorf("%d shards: EXPLAIN ANALYZE carries no actuals:\n%s", e.ShardCount(), out)
+		}
+		if tr, ok := TraceJSON(id); !ok || !strings.Contains(string(tr), id) {
+			t.Errorf("%d shards: no trace stored under the pinned query ID %s", e.ShardCount(), id)
 		}
 	}
 }

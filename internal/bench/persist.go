@@ -117,7 +117,7 @@ func RunPersistCompare(cfg PersistConfig, progress func(string)) ([]PersistRow, 
 			}
 			d.Name = uri
 			e.Add(uri, d)
-			if _, err := e.EvalDocOptions(uri, probe, plan.Options{}); err != nil {
+			if _, err := e.EvalOptions(probe, plan.Options{}); err != nil {
 				return nil, err
 			}
 			if el := time.Since(start); row.Cold == 0 || el < row.Cold {
@@ -136,7 +136,7 @@ func RunPersistCompare(cfg PersistConfig, progress func(string)) ([]PersistRow, 
 			opened := time.Since(start)
 			e := exec.New()
 			e.AttachStore(st)
-			if _, err := e.EvalDocOptions(uri, probe, plan.Options{}); err != nil {
+			if _, err := e.EvalOptions(probe, plan.Options{}); err != nil {
 				return nil, err
 			}
 			el := time.Since(start)

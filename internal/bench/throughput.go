@@ -211,7 +211,7 @@ func measureSharded(row *ThroughputRow, ds *Dataset, suite []Query, shards, work
 	// Warm-up plus correctness guard: both paths must agree before the
 	// timed passes (one scatter per suite query).
 	for _, q := range suite {
-		if _, err := flat.EvalAllDocs(q.Text, opts, workers); err != nil {
+		if _, _, err := flat.EvalAllDocs(q.Text, opts, 0, workers); err != nil {
 			return fmt.Errorf("bench: flat fan-out %s on %s: %w", q.ID, ds.ID, err)
 		}
 		if _, deg, err := grp.EvalAllDocs(q.Text, opts, 0, 1); err != nil || deg != nil {
@@ -222,7 +222,7 @@ func measureSharded(row *ThroughputRow, ds *Dataset, suite []Query, shards, work
 	start := time.Now()
 	for r := 0; r < scatterRounds; r++ {
 		for _, q := range suite {
-			if _, err := flat.EvalAllDocs(q.Text, opts, workers); err != nil {
+			if _, _, err := flat.EvalAllDocs(q.Text, opts, 0, workers); err != nil {
 				return err
 			}
 		}

@@ -59,7 +59,7 @@ func TestConcurrentAddEval(t *testing.T) {
 				if (g+i)%4 == 0 {
 					strat = plan.Navigational
 				}
-				res, err := e.EvalStrategy(src, strat)
+				res, err := e.EvalOptions(src, plan.Options{Strategy: strat})
 				if err != nil {
 					errs <- fmt.Errorf("eval %q: %w", src, err)
 					return
@@ -141,7 +141,7 @@ func TestEvalAllDocs(t *testing.T) {
 	d3, _ := xmltree.ParseString(`<bib><magazine/></bib>`)
 	e.Add("three.xml", d3)
 
-	results, err := e.EvalAllDocs(`doc("ignored.xml")//book/title`, plan.Options{}, 4)
+	results, _, err := e.EvalAllDocs(`doc("ignored.xml")//book/title`, plan.Options{}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestResolveUnknownURIMultiDoc(t *testing.T) {
 		t.Error("query naming an unknown URI with multiple documents should error")
 	}
 	for _, strat := range []plan.Strategy{plan.Auto, plan.Navigational} {
-		if _, err := e.EvalStrategy(`doc("bib.xml")//book`, strat); err != nil {
+		if _, err := e.EvalOptions(`doc("bib.xml")//book`, plan.Options{Strategy: strat}); err != nil {
 			t.Errorf("%s: known URI query failed: %v", strat, err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestOrderByNumericKeys(t *testing.T) {
 	}
 	e.Add("items.xml", doc)
 	for _, strat := range []plan.Strategy{plan.Auto, plan.Navigational} {
-		res, err := e.EvalStrategy(`for $i in doc("items.xml")//item order by $i/price return <n>{ $i/name }</n>`, strat)
+		res, err := e.EvalOptions(`for $i in doc("items.xml")//item order by $i/price return <n>{ $i/name }</n>`, plan.Options{Strategy: strat})
 		if err != nil {
 			t.Fatal(err)
 		}

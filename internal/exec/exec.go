@@ -58,19 +58,17 @@ type Engine struct {
 
 // snapshot is an immutable view of the registered documents and their
 // derived structures. Snapshots are never mutated after publication;
-// Add copies the maps and swaps the pointer.
+// Add copies the catalog map and swaps the pointer.
 type snapshot struct {
-	docs    map[string]*xmltree.Document
-	stats   map[string]xmltree.Stats
-	indexes map[string]*index.TagIndex
-	first   string
-	// store, when non-nil, serves the URIs in storeURIs lazily out of a
+	// docs is the catalog: one entry per resolvable URI, heap-registered
+	// or store-backed.
+	docs  map[string]entry
+	first string
+	// store, when non-nil, serves the catalog's lazy entries out of a
 	// persistent segment directory: a store-backed document is mmap'd
 	// and materialized on first resolution (and LRU-cached inside the
 	// store), so attaching a large catalog costs no parsing up front.
-	// Heap-registered documents (docs) shadow store URIs.
-	store     *segstore.Store
-	storeURIs map[string]struct{}
+	store *segstore.Store
 	// version identifies this catalog state; it is unique across every
 	// snapshot of the process (engines, Adds, pins), so it keys the plan
 	// cache without an engine identity: a cached plan is reusable exactly
@@ -81,9 +79,18 @@ type snapshot struct {
 	// pinned memoizes the derived single-document snapshots of pin, so
 	// repeated EvalAllDocs calls over the same catalog state share pin
 	// versions — and therefore cached plans. Lazily built under pinMu;
-	// the catalog maps above stay immutable.
+	// the catalog map above stays immutable.
 	pinMu  sync.Mutex
 	pinned map[string]*snapshot
+}
+
+// entry is one catalog document with the structures derived from it. A
+// nil doc marks a store-backed entry, materialized on demand by load;
+// a heap registration under the same URI replaces (shadows) it.
+type entry struct {
+	doc   *xmltree.Document
+	stats xmltree.Stats
+	index *index.TagIndex
 }
 
 // snapshotVersions hands out process-unique snapshot versions.
@@ -95,17 +102,27 @@ func New() *Engine { return NewWithConfig(Config{BuildIndexes: true}) }
 // NewWithConfig returns an engine with explicit configuration.
 func NewWithConfig(cfg Config) *Engine {
 	e := &Engine{cfg: cfg}
-	e.snap.Store(&snapshot{
-		docs:    map[string]*xmltree.Document{},
-		stats:   map[string]xmltree.Stats{},
-		indexes: map[string]*index.TagIndex{},
-		version: snapshotVersions.Add(1),
-	})
+	e.snap.Store(&snapshot{docs: map[string]entry{}, version: snapshotVersions.Add(1)})
 	return e
 }
 
 // snapshot returns the current immutable catalog view.
 func (e *Engine) snapshot() *snapshot { return e.snap.Load() }
+
+// clone copies the catalog under a fresh version, for a writer to edit
+// and publish.
+func (s *snapshot) clone() *snapshot {
+	next := &snapshot{
+		docs:    make(map[string]entry, len(s.docs)+1),
+		first:   s.first,
+		store:   s.store,
+		version: snapshotVersions.Add(1),
+	}
+	for k, v := range s.docs {
+		next.docs[k] = v
+	}
+	return next
+}
 
 // Add registers a document under a URI (the name queries use in
 // doc("…")). The first added document also serves absolute paths, so
@@ -116,38 +133,15 @@ func (e *Engine) snapshot() *snapshot { return e.snap.Load() }
 // copy-on-write, so in-flight evaluations keep their snapshot.
 func (e *Engine) Add(uri string, doc *xmltree.Document) {
 	obs.Default.Add(obs.MetricDocumentsAdded, 1)
-	st := xmltree.ComputeStats(doc)
-	var ix *index.TagIndex
+	ent := entry{doc: doc, stats: xmltree.ComputeStats(doc)}
 	if e.cfg.BuildIndexes {
-		ix = index.Build(doc)
+		ent.index = index.Build(doc)
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	old := e.snap.Load()
-	next := &snapshot{
-		docs:    make(map[string]*xmltree.Document, len(old.docs)+1),
-		stats:   make(map[string]xmltree.Stats, len(old.stats)+1),
-		indexes: make(map[string]*index.TagIndex, len(old.indexes)+1),
-		first:   old.first,
-		version: snapshotVersions.Add(1),
-	}
-	for k, v := range old.docs {
-		next.docs[k] = v
-	}
-	for k, v := range old.stats {
-		next.stats[k] = v
-	}
-	for k, v := range old.indexes {
-		next.indexes[k] = v
-	}
-	next.store = old.store
-	next.storeURIs = old.storeURIs
-	next.docs[uri] = doc
-	next.stats[uri] = st
-	if ix != nil {
-		next.indexes[uri] = ix
-	}
+	next := e.snap.Load().clone()
+	next.docs[uri] = ent
 	if next.first == "" {
 		next.first = uri
 	}
@@ -175,27 +169,21 @@ func (e *Engine) AttachStoreURIs(st *segstore.Store, uris []string) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	old := e.snap.Load()
-	next := &snapshot{
-		docs:    old.docs,
-		stats:   old.stats,
-		indexes: old.indexes,
-		first:   old.first,
-		store:   st,
-		version: snapshotVersions.Add(1),
-	}
-	next.storeURIs = make(map[string]struct{}, len(old.storeURIs)+len(uris))
-	if old.store != nil && old.store != st {
+	next := e.snap.Load().clone()
+	if next.store != nil && next.store != st {
 		// Replacing a store drops its URIs; attaching the same store again
 		// (e.g. after more Saves) refreshes the URI set below.
-		next.storeURIs = make(map[string]struct{}, len(uris))
-	} else {
-		for u := range old.storeURIs {
-			next.storeURIs[u] = struct{}{}
+		for u, ent := range next.docs {
+			if ent.doc == nil {
+				delete(next.docs, u)
+			}
 		}
 	}
+	next.store = st
 	for _, u := range uris {
-		next.storeURIs[u] = struct{}{}
+		if _, ok := next.docs[u]; !ok {
+			next.docs[u] = entry{}
+		}
 		if next.first == "" {
 			next.first = u
 		}
@@ -203,21 +191,12 @@ func (e *Engine) AttachStoreURIs(st *segstore.Store, uris []string) {
 	e.snap.Store(next)
 }
 
-// Store returns the attached segment store, or nil.
-func (e *Engine) Store() *segstore.Store { return e.snapshot().store }
-
-// URIs returns the sorted URIs of every resolvable document: heap
+// uris returns the sorted URIs of every resolvable document: heap
 // registrations plus store-backed documents.
-func (e *Engine) URIs() []string {
-	s := e.snapshot()
-	out := make([]string, 0, len(s.docs)+len(s.storeURIs))
+func (s *snapshot) uris() []string {
+	out := make([]string, 0, len(s.docs))
 	for u := range s.docs {
 		out = append(out, u)
-	}
-	for u := range s.storeURIs {
-		if _, ok := s.docs[u]; !ok {
-			out = append(out, u)
-		}
 	}
 	sort.Strings(out)
 	return out
@@ -227,92 +206,78 @@ func (e *Engine) URIs() []string {
 // fallback rules queries use) and whether any document could be
 // resolved.
 func (e *Engine) Document(uri string) (*xmltree.Document, bool) {
-	d, err := e.snapshot().resolve(uri)
+	d, err := e.resolve(uri)
 	return d, err == nil
 }
 
-// resolve maps a URI to a document against the current snapshot. It is
-// the engine-level entry point; evaluations resolve against the
-// snapshot they captured instead.
+// resolve maps a URI to a document against the current snapshot;
+// evaluations resolve against the snapshot they captured instead.
 func (e *Engine) resolve(uri string) (*xmltree.Document, error) {
 	return e.snapshot().resolve(uri)
 }
 
-// resolve maps a URI to a document. The empty URI (absolute paths)
-// resolves to the first registered document, and an engine holding a
-// single document serves it for any URI — but once several documents
-// are registered, an unknown doc("…") URI is an error rather than a
-// silent alias for the first document.
-func (s *snapshot) resolve(uri string) (*xmltree.Document, error) {
-	d, _, _, err := s.resolveFull(uri)
-	return d, err
+// Shards reports 1 and ShardOf reports shard 0 for every registered
+// URI: a single engine is its own only shard.
+func (e *Engine) Shards() int { return 1 }
+
+// ShardOf returns shard 0 and whether uri is registered (no fallback).
+func (e *Engine) ShardOf(uri string) (int, bool) {
+	_, ok := e.snapshot().docs[uri]
+	return 0, ok
 }
 
-// resolveFull is resolve carrying the resolved document's index and
+// ResolveURI is the catalog's URI-resolution rule, shared with the
+// shard router so both tiers resolve identically: a registered URI is
+// itself; otherwise the empty URI (absolute paths) resolves to the
+// first registered document, and a catalog holding a single document
+// serves it for any URI — but once several documents are registered, an
+// unknown doc("…") URI is an error rather than a silent alias for the
+// first document. n is the catalog's document count.
+func ResolveURI(uri string, registered bool, first string, n int) (string, error) {
+	switch {
+	case registered:
+		return uri, nil
+	case n == 0:
+		return "", fmt.Errorf("exec: no documents registered (resolving %q)", uri)
+	case uri == "" || n == 1:
+		return first, nil
+	}
+	return "", fmt.Errorf("exec: no document registered for %q (%d documents loaded; doc(\"…\") must name one of them)", uri, n)
+}
+
+// resolve maps a URI to a document under ResolveURI's rule.
+func (s *snapshot) resolve(uri string) (*xmltree.Document, error) {
+	ent, err := s.resolveEntry(uri)
+	return ent.doc, err
+}
+
+// resolveEntry is resolve carrying the resolved document's index and
 // statistics, so store-backed documents hand planContext the posting
 // lists and stats persisted in their segment instead of rebuilding
-// them. It applies the same fallback rules as resolve.
-func (s *snapshot) resolveFull(uri string) (*xmltree.Document, *index.TagIndex, xmltree.Stats, error) {
-	d, ix, st, ok, err := s.entryFor(uri)
+// them.
+func (s *snapshot) resolveEntry(uri string) (entry, error) {
+	_, ok := s.docs[uri]
+	target, err := ResolveURI(uri, ok, s.first, len(s.docs))
 	if err != nil {
-		return nil, nil, xmltree.Stats{}, err
+		return entry{}, err
 	}
-	if ok {
-		return d, ix, st, nil
-	}
-	if s.first == "" {
-		return nil, nil, xmltree.Stats{}, fmt.Errorf("exec: no document registered for %q", uri)
-	}
-	if uri == "" || s.docCount() == 1 {
-		d, ix, st, _, err := s.entryFor(s.first)
-		if err != nil {
-			return nil, nil, xmltree.Stats{}, err
-		}
-		return d, ix, st, nil
-	}
-	return nil, nil, xmltree.Stats{}, fmt.Errorf("exec: no document registered for %q (%d documents loaded; doc(\"…\") must name one of them)", uri, s.docCount())
+	return s.load(target)
 }
 
-// entryFor resolves uri strictly (no fallback): heap registrations
-// first, then the attached segment store, whose documents materialize
-// on demand. ok reports whether the catalog knows the URI at all; a
-// known-but-unreadable store document (quarantined after open) is
-// (ok, err) so the caller surfaces the corruption instead of silently
-// aliasing another document.
-func (s *snapshot) entryFor(uri string) (*xmltree.Document, *index.TagIndex, xmltree.Stats, bool, error) {
-	if d, ok := s.docs[uri]; ok {
-		return d, s.indexes[uri], s.stats[uri], true, nil
+// load returns the registered URI's entry, materializing a store-backed
+// document on demand. A known-but-unreadable store document
+// (quarantined after open) is an error, so the caller surfaces the
+// corruption instead of silently aliasing another document.
+func (s *snapshot) load(uri string) (entry, error) {
+	ent := s.docs[uri]
+	if ent.doc != nil {
+		return ent, nil
 	}
-	if s.store != nil {
-		if _, ok := s.storeURIs[uri]; ok {
-			od, err := s.store.Document(uri)
-			if err != nil {
-				return nil, nil, xmltree.Stats{}, true, fmt.Errorf("exec: store document %q: %w", uri, err)
-			}
-			return od.Doc, od.Index, od.Stats, true, nil
-		}
+	od, err := s.store.Document(uri)
+	if err != nil {
+		return entry{}, fmt.Errorf("exec: store document %q: %w", uri, err)
 	}
-	return nil, nil, xmltree.Stats{}, false, nil
-}
-
-// has reports whether the catalog can resolve uri without fallback.
-func (s *snapshot) has(uri string) bool {
-	if _, ok := s.docs[uri]; ok {
-		return true
-	}
-	_, ok := s.storeURIs[uri]
-	return ok
-}
-
-// docCount counts distinct resolvable documents (heap + store).
-func (s *snapshot) docCount() int {
-	n := len(s.docs)
-	for u := range s.storeURIs {
-		if _, ok := s.docs[u]; !ok {
-			n++
-		}
-	}
-	return n
+	return entry{doc: od.Doc, stats: od.Stats, index: od.Index}, nil
 }
 
 // Result is the outcome of a query evaluation.
@@ -368,49 +333,90 @@ type DegradedInfo struct {
 }
 
 // FallbackExplain renders the EXPLAIN form of a navigational-fallback
-// evaluation ("" for planned runs), mirroring Engine.ExplainOptions on
-// the same query.
+// evaluation ("" for planned runs), matching Engine.Explain on the same
+// query.
 func (r *Result) FallbackExplain() string {
 	if r.NavReason == "" {
 		return ""
 	}
-	return "plan strategy: XH\n  navigational fallback: " + r.NavReason + "\n"
+	return navExplain(r.NavReason)
 }
+
+// navExplain renders the EXPLAIN header of a navigational evaluation:
+// an explicitly requested XH strategy (reason ""), or a query outside
+// the BlossomTree fragment, which falls back with the reason named.
+func navExplain(reason string) string {
+	if reason == "" {
+		return "plan strategy: XH\n"
+	}
+	return "plan strategy: XH\n  navigational fallback: " + reason + "\n"
+}
+
+// Parsed is a query text parsed once: the form every evaluation body
+// takes, so a caller that must inspect the expression before choosing
+// where to run it (the shard router) parses, routes and evaluates
+// without a second parse.
+type Parsed struct {
+	Src  string
+	Expr flwor.Expr
+}
+
+// Parse parses a query text.
+func Parse(src string) (*Parsed, error) {
+	expr, err := flwor.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return &Parsed{Src: src, Expr: expr}, nil
+}
+
+// View is one immutable state of an engine's catalog — the handle the
+// shard tier evaluates already-parsed queries through.
+type View struct{ s *snapshot }
+
+// View returns the engine's current catalog.
+func (e *Engine) View() View { return View{e.snapshot()} }
+
+// Pin narrows the view to its registered document uri: every doc("…")
+// reference and absolute path then resolves to that document, which is
+// how the shard tier preserves the unsharded engine's resolution
+// semantics even when a shard's local catalog has a different first
+// document.
+func (v View) Pin(uri string) (View, error) {
+	if _, ok := v.s.docs[uri]; !ok {
+		return View{}, fmt.Errorf("exec: no document registered for %q", uri)
+	}
+	return View{v.s.pin(uri)}, nil
+}
+
+// Eval evaluates q against the view.
+func (v View) Eval(q *Parsed, opts plan.Options) (*Result, error) { return evalExpr(v.s, q, opts) }
+
+// EvalAllDocs evaluates q independently against every document of the
+// view (see Engine.EvalAllDocs).
+func (v View) EvalAllDocs(q *Parsed, opts plan.Options, workers int) []DocResult {
+	return evalAllDocs(v.s, q, opts, workers)
+}
+
+// Explain renders q's EXPLAIN (or EXPLAIN ANALYZE) against the view.
+func (v View) Explain(q *Parsed, opts plan.Options) (string, error) { return explain(v.s, q, opts) }
+
+// Check compile-checks q against the view (see Engine.Prepare).
+func (v View) Check(q *Parsed, opts plan.Options) error { return check(v.s, q, opts) }
 
 // Eval parses and evaluates a query with the Auto strategy.
 func (e *Engine) Eval(src string) (*Result, error) {
 	return e.EvalOptions(src, plan.Options{})
 }
 
-// EvalStrategy evaluates with a forced join strategy.
-func (e *Engine) EvalStrategy(src string, s plan.Strategy) (*Result, error) {
-	return e.EvalOptions(src, plan.Options{Strategy: s})
-}
-
-// EvalOptions evaluates with full planner control. It keeps the query
-// text alongside the parsed form, so the evaluation can hit the plan
-// cache under the text's hash (EvalExpr falls back to the printed
-// expression).
+// EvalOptions evaluates with full planner control; cancellation and
+// deadlines ride in opts.Ctx.
 func (e *Engine) EvalOptions(src string, opts plan.Options) (*Result, error) {
-	return evalSource(e.snapshot(), src, opts)
-}
-
-// EvalExpr evaluates a parsed query.
-func (e *Engine) EvalExpr(expr flwor.Expr, opts plan.Options) (*Result, error) {
-	return evalExpr(e.snapshot(), expr, opts, "")
-}
-
-// EvalDocOptions evaluates src against the single registered document
-// uri, pinning resolution so every doc("…") reference and absolute path
-// resolves to that document — the routing entry point of the shard
-// tier, which must preserve the unsharded engine's resolution semantics
-// even when a shard's local catalog has a different first document.
-func (e *Engine) EvalDocOptions(uri, src string, opts plan.Options) (*Result, error) {
-	snap := e.snapshot()
-	if !snap.has(uri) {
-		return nil, fmt.Errorf("exec: no document registered for %q", uri)
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
 	}
-	return evalSource(snap.pin(uri), src, opts)
+	return evalExpr(e.snapshot(), q, opts)
 }
 
 // evalExpr evaluates a parsed query against one immutable snapshot, so
@@ -424,19 +430,16 @@ func (e *Engine) EvalDocOptions(uri, src string, opts plan.Options) (*Result, er
 // counted, and any panic escaping an operator is recovered into an
 // error so one bad query cannot crash a batch worker.
 //
-// It is also the telemetry boundary (src is the query text when the
-// caller has it, "" to fall back on the printed expr): each evaluation
-// gets a query ID, observes the query-duration histogram, stores a
-// span trace, and — with Options.Logger — emits a structured log
-// record, on success and failure alike.
-func evalExpr(s *snapshot, expr flwor.Expr, opts plan.Options, src string) (res *Result, err error) {
+// It is also the telemetry boundary: each evaluation gets a query ID,
+// observes the query-duration histogram, stores a span trace, and —
+// with Options.Logger — emits a structured log record, on success and
+// failure alike.
+func evalExpr(s *snapshot, q *Parsed, opts plan.Options) (res *Result, err error) {
 	t0 := time.Now()
-	tel := &telemetry{queryID: opts.QueryID, src: src, start: t0}
+	expr := q.Expr
+	tel := &telemetry{queryID: opts.QueryID, src: q.Src, start: t0}
 	if tel.queryID == "" {
 		tel.queryID = NewQueryID()
-	}
-	if tel.src == "" {
-		tel.src = expr.String()
 	}
 	defer func() {
 		obs.Default.Add(obs.MetricQueries, 1)
@@ -474,7 +477,7 @@ func evalExpr(s *snapshot, expr flwor.Expr, opts plan.Options, src string) (res 
 		tel.strategy = "XH"
 		return evalNavigational(s, expr, g)
 	}
-	c, hit, err := compiledFor(s, expr, tel.src, opts)
+	c, hit, err := compiledFor(s, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -520,22 +523,22 @@ func evalExpr(s *snapshot, expr flwor.Expr, opts plan.Options, src string) (res 
 // index or statistics) bypass the cache entirely — the cache only
 // holds plans shaped by the snapshot itself. hit reports whether the
 // cache served the entry.
-func compiledFor(s *snapshot, expr flwor.Expr, src string, opts plan.Options) (*compiled, bool, error) {
+func compiledFor(s *snapshot, q *Parsed, opts plan.Options) (*compiled, bool, error) {
 	bypass := opts.Index != nil || opts.Stats.Nodes != 0
 	var key planKey
 	if !bypass {
-		key = planKey{version: s.version, hash: obs.QueryHash(src), fp: planFingerprint(opts)}
+		key = planKey{version: s.version, hash: obs.QueryHash(q.Src), fp: planFingerprint(opts)}
 		if c, ok := sharedPlanCache.get(key); ok {
 			// A hit is where the feedback loop closes: if observed history
 			// has drifted past the threshold, the template is recompiled
 			// with corrected cardinalities and re-cached under this key.
-			if c2 := maybeReplan(s, expr, key, c, opts); c2 != nil {
+			if c2 := maybeReplan(s, q.Expr, key, c, opts); c2 != nil {
 				return c2, true, nil
 			}
 			return c, true, nil
 		}
 	}
-	c, err := compileTemplate(s, expr, opts)
+	c, err := compileTemplate(s, q.Expr, opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -562,7 +565,7 @@ func compileTemplate(s *snapshot, expr flwor.Expr, opts plan.Options) (*compiled
 		}
 		return nil, err
 	}
-	doc, ix, stats, err := s.planContext(q)
+	ent, err := s.planContext(q)
 	if err != nil {
 		return nil, err
 	}
@@ -574,12 +577,12 @@ func compileTemplate(s *snapshot, expr flwor.Expr, opts plan.Options) (*compiled
 		CardHints:  opts.CardHints,
 	}
 	if popts.Index == nil {
-		popts.Index = ix
+		popts.Index = ent.index
 	}
 	if popts.Stats.Nodes == 0 {
-		popts.Stats = stats
+		popts.Stats = ent.stats
 	}
-	tmpl, err := plan.Build(q, doc, popts)
+	tmpl, err := plan.Build(q, ent.doc, popts)
 	if err != nil {
 		if errors.Is(err, core.ErrOutsideFragment) {
 			return &compiled{nav: true, navReason: err.Error()}, nil
@@ -591,107 +594,64 @@ func compileTemplate(s *snapshot, expr flwor.Expr, opts plan.Options) (*compiled
 
 // Explain compiles the query and renders its physical plan: the
 // decomposition, the cost model's strategy table, and the annotated
-// operator tree with per-operator estimates.
-func (e *Engine) Explain(src string) (string, error) {
-	return e.ExplainOptions(src, plan.Options{})
-}
-
-// ExplainOptions is Explain with planner control (forced strategy,
-// parallelism, …).
-func (e *Engine) ExplainOptions(src string, opts plan.Options) (string, error) {
-	return explainSnapshot(e.snapshot(), src, opts)
-}
-
-// ExplainDocOptions is ExplainOptions with resolution pinned to the
-// registered document uri (the shard tier's explain routing).
-func (e *Engine) ExplainDocOptions(uri, src string, opts plan.Options) (string, error) {
-	snap := e.snapshot()
-	if !snap.has(uri) {
-		return "", fmt.Errorf("exec: no document registered for %q", uri)
-	}
-	return explainSnapshot(snap.pin(uri), src, opts)
-}
-
-// explainSnapshot renders EXPLAIN against a fixed snapshot. The
-// feedback store is consulted the same way a cache hit would: a query
-// whose history armed a replan explains cost-based with hints, and a
-// hash with enough history gets a feedback header line.
-func explainSnapshot(s *snapshot, src string, opts plan.Options) (string, error) {
-	opts, fbLine := feedbackExplainOpts(src, opts)
-	pl, err := buildPlan(s, src, opts)
+// operator tree with per-operator estimates. With opts.Analyze it is
+// EXPLAIN ANALYZE: the query is evaluated (governed, traced, logged and
+// metered like any other evaluation) and the tree carries the counters
+// and wall times the run recorded next to the estimates.
+func (e *Engine) Explain(src string, opts plan.Options) (string, error) {
+	q, err := Parse(src)
 	if err != nil {
-		if errors.Is(err, core.ErrOutsideFragment) {
-			return navExplain(err), nil
-		}
 		return "", err
+	}
+	return explain(e.snapshot(), q, opts)
+}
+
+// explain renders EXPLAIN / EXPLAIN ANALYZE against a fixed snapshot.
+// The feedback store is consulted the same way a cache hit would: a
+// query whose history armed a replan explains cost-based with hints,
+// and a hash with enough history gets a feedback header line.
+func explain(s *snapshot, q *Parsed, opts plan.Options) (string, error) {
+	popts, fbLine := feedbackExplainOpts(q.Src, opts)
+	if opts.Analyze {
+		// The evaluation applies any armed replan itself on its cache hit,
+		// so it takes the caller's options, not the mirrored ones.
+		res, err := evalExpr(s, q, opts)
+		if err != nil {
+			return "", err
+		}
+		if res.Plan == nil {
+			// Navigational runs have no operator tree to instrument;
+			// report the row count.
+			return navExplain(res.NavReason) + fmt.Sprintf("  rows: %d\n", len(res.Envs)+len(res.Nodes)), nil
+		}
+		return res.Plan.Explain() + fbLine + res.Plan.ExplainCosts() + res.Plan.ExplainTree(true), nil
+	}
+	c, err := compileTemplate(s, q.Expr, popts)
+	if err != nil {
+		return "", err
+	}
+	if c.nav {
+		return navExplain(c.navReason), nil
 	}
 	// Building the operator tree records the access-method notes and
 	// creates the stats tree the estimate columns render from.
+	pl := c.tmpl.Fork(popts)
 	if _, err := pl.Operator(); err != nil {
 		return "", err
 	}
 	return pl.Explain() + fbLine + pl.ExplainCosts() + pl.ExplainTree(false), nil
 }
 
-// ExplainAnalyze compiles the query, executes it with per-operator
-// timing enabled, and renders the operator tree with the cost model's
-// estimates side by side with the counters the run actually recorded.
-func (e *Engine) ExplainAnalyze(src string) (string, error) {
-	return e.ExplainAnalyzeOptions(src, plan.Options{})
-}
-
-// ExplainAnalyzeOptions is ExplainAnalyze with planner control.
-func (e *Engine) ExplainAnalyzeOptions(src string, opts plan.Options) (string, error) {
-	return explainAnalyzeSnapshot(e.snapshot(), src, opts)
-}
-
-// ExplainAnalyzeDocOptions is ExplainAnalyzeOptions with resolution
-// pinned to the registered document uri.
-func (e *Engine) ExplainAnalyzeDocOptions(uri, src string, opts plan.Options) (string, error) {
-	snap := e.snapshot()
-	if !snap.has(uri) {
-		return "", fmt.Errorf("exec: no document registered for %q", uri)
+// check compile-checks q against s, surfacing planning errors before
+// the first run and seeding the plan cache. Navigational evaluation
+// never builds a physical plan, and a catalog without documents has
+// nothing to plan against yet — both defer compilation to the run.
+func check(s *snapshot, q *Parsed, opts plan.Options) error {
+	if opts.Strategy == plan.Navigational || len(s.docs) == 0 {
+		return nil
 	}
-	return explainAnalyzeSnapshot(snap.pin(uri), src, opts)
-}
-
-// explainAnalyzeSnapshot renders EXPLAIN ANALYZE against a fixed
-// snapshot.
-func explainAnalyzeSnapshot(s *snapshot, src string, opts plan.Options) (string, error) {
-	opts.Analyze = true
-	opts, fbLine := feedbackExplainOpts(src, opts)
-	pl, err := buildPlan(s, src, opts)
-	if err != nil {
-		if errors.Is(err, core.ErrOutsideFragment) {
-			// The fallback has no operator tree to instrument; run the
-			// query navigationally (metered by evalExpr's telemetry like
-			// any other evaluation) and report the row count.
-			res, rerr := evalSource(s, src, opts)
-			if rerr != nil {
-				return "", rerr
-			}
-			return navExplain(err) + fmt.Sprintf("  rows: %d\n", len(res.Envs)+len(res.Nodes)), nil
-		}
-		return "", err
-	}
-	t0 := time.Now()
-	if _, err := pl.Execute(); err != nil {
-		obs.Default.Add(obs.MetricQueries, 1)
-		obs.Default.Add(obs.MetricQueryErrors, 1)
-		obs.Default.Histogram(obs.HistQueryDuration, obs.LatencyBuckets).ObserveDuration(time.Since(t0))
-		return "", err
-	}
-	obs.Default.Add(obs.MetricQueries, 1)
-	obs.Default.Add(obs.MetricQueryNanos, time.Since(t0).Nanoseconds())
-	obs.Default.Histogram(obs.HistQueryDuration, obs.LatencyBuckets).ObserveDuration(time.Since(t0))
-	recordPlanMetrics(pl)
-	return pl.Explain() + fbLine + pl.ExplainCosts() + pl.ExplainTree(true), nil
-}
-
-// navExplain renders the EXPLAIN header for queries outside the
-// BlossomTree fragment, which evaluate via the navigational fallback.
-func navExplain(err error) string {
-	return "plan strategy: XH\n  navigational fallback: " + err.Error() + "\n"
+	_, _, err := compiledFor(s, q, opts)
+	return err
 }
 
 // recordPlanMetrics folds an executed plan's stats tree into the
@@ -705,30 +665,6 @@ func recordPlanMetrics(pl *plan.Plan) {
 	obs.Default.Add(obs.MetricInstancesOut, st.TotalEmitted())
 	obs.Default.Add(obs.MetricComparisons, st.TotalComparisons())
 	obs.Default.Add(obs.MetricOperatorCalls, st.TotalCalls())
-}
-
-// buildPlan compiles src against a fixed snapshot without running it,
-// filling the snapshot's index and statistics into opts.
-func buildPlan(s *snapshot, src string, opts plan.Options) (*plan.Plan, error) {
-	expr, err := flwor.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	q, _, _, err := compile(expr)
-	if err != nil {
-		return nil, err
-	}
-	doc, ix, stats, err := s.planContext(q)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Index == nil {
-		opts.Index = ix
-	}
-	if opts.Stats.Nodes == 0 {
-		opts.Stats = stats
-	}
-	return plan.Build(q, doc, opts)
 }
 
 // compile builds the BlossomTree query from a parsed expression. A
@@ -754,31 +690,29 @@ func compile(expr flwor.Expr) (*core.Query, bool, *xpath.Step, error) {
 // planContext picks the document all the query's pattern trees anchor at
 // (the engine evaluates single-document queries; the paper's fragment
 // likewise correlates paths over one input document).
-func (s *snapshot) planContext(q *core.Query) (*xmltree.Document, *index.TagIndex, xmltree.Stats, error) {
-	var doc *xmltree.Document
-	var ix *index.TagIndex
-	var st xmltree.Stats
+func (s *snapshot) planContext(q *core.Query) (entry, error) {
+	var ent entry
 	var uri string
 	for u := range q.Tree.Docs {
-		d, dix, dst, err := s.resolveFull(u)
+		e, err := s.resolveEntry(u)
 		if err != nil {
-			return nil, nil, xmltree.Stats{}, err
+			return entry{}, err
 		}
-		if doc != nil && d != doc {
-			return nil, nil, xmltree.Stats{}, fmt.Errorf("exec: query spans multiple documents (%q, %q); evaluate per document", uri, u)
+		if ent.doc != nil && e.doc != ent.doc {
+			return entry{}, fmt.Errorf("exec: query spans multiple documents (%q, %q); evaluate per document", uri, u)
 		}
-		doc, ix, st, uri = d, dix, dst, u
+		ent, uri = e, u
 	}
-	if doc == nil {
-		return nil, nil, xmltree.Stats{}, fmt.Errorf("exec: query references no document")
+	if ent.doc == nil {
+		return entry{}, fmt.Errorf("exec: query references no document")
 	}
-	// resolveFull hands back the index of the resolved entry itself
+	// resolveEntry hands back the index of the resolved entry itself
 	// (heap or store), so index and document always agree; the guard
-	// stays for the BuildIndexes=false case, where ix is nil anyway.
-	if ix != nil && ix.Document() != doc {
-		ix = nil
+	// stays for the BuildIndexes=false case, where the index is nil anyway.
+	if ent.index != nil && ent.index.Document() != ent.doc {
+		ent.index = nil
 	}
-	return doc, ix, st, nil
+	return ent, nil
 }
 
 // projectPathResult extracts the path query's node result: the "result"

@@ -50,7 +50,7 @@ func TestExample1EndToEnd(t *testing.T) {
 	for _, strat := range []plan.Strategy{plan.Auto, plan.Navigational} {
 		t.Run(strat.String(), func(t *testing.T) {
 			e := bibEngine(t)
-			res, err := e.EvalStrategy(example1, strat)
+			res, err := e.EvalOptions(example1, plan.Options{Strategy: strat})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestPathQueriesAllStrategies(t *testing.T) {
 				if s == plan.Twig && strings.Contains(q, "[2]") {
 					t.Skip("TwigStack does not support positional predicates")
 				}
-				res, err := e.EvalStrategy(q, s)
+				res, err := e.EvalOptions(q, plan.Options{Strategy: s})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,7 +216,7 @@ func TestEngineErrors(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	e := bibEngine(t)
-	s, err := e.Explain(`//book[author]//last`)
+	s, err := e.Explain(`//book[author]//last`, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestEvalWithoutIndexes(t *testing.T) {
 	if len(res.Nodes) != 2 {
 		t.Errorf("nodes = %d", len(res.Nodes))
 	}
-	if _, err := e.EvalStrategy(`//book/title`, plan.Twig); err == nil {
+	if _, err := e.EvalOptions(`//book/title`, plan.Options{Strategy: plan.Twig}); err == nil {
 		t.Error("forced TwigStack without index should fail")
 	}
 }
@@ -288,7 +288,7 @@ func TestQuickEngineEqualsOracle(t *testing.T) {
 			strategies = append(strategies, plan.Pipelined, plan.NaiveNL)
 		}
 		for _, s := range strategies {
-			res, err := e.EvalStrategy(q, s)
+			res, err := e.EvalOptions(q, plan.Options{Strategy: s})
 			if err != nil {
 				t.Logf("seed %d: %s via %s: %v", seed, q, s, err)
 				return false
@@ -337,7 +337,7 @@ func TestQuickFLWOREqualsNavigational(t *testing.T) {
 			t.Logf("seed %d: %s: %v", seed, q, err)
 			return false
 		}
-		nav, err := e.EvalStrategy(q, plan.Navigational)
+		nav, err := e.EvalOptions(q, plan.Options{Strategy: plan.Navigational})
 		if err != nil {
 			t.Logf("seed %d: nav %s: %v", seed, q, err)
 			return false
@@ -412,7 +412,7 @@ func TestConstructNestedCtors(t *testing.T) {
 
 func TestCostBasedStrategyEndToEnd(t *testing.T) {
 	e := bibEngine(t)
-	res, err := e.EvalStrategy(`//book[author]/title`, plan.CostBased)
+	res, err := e.EvalOptions(`//book[author]/title`, plan.Options{Strategy: plan.CostBased})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestCostBasedStrategyEndToEnd(t *testing.T) {
 
 func TestNavigationalPathWithAbsoluteSource(t *testing.T) {
 	e := bibEngine(t)
-	res, err := e.EvalStrategy(`/bib/book/title`, plan.Navigational)
+	res, err := e.EvalOptions(`/bib/book/title`, plan.Options{Strategy: plan.Navigational})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 
 	// EXPLAIN surfaces the history: the feedback header line with the
 	// replanned mark, and the cost model's hint note.
-	expl, err := e.ExplainOptions(q, plan.Options{Strategy: plan.Auto})
+	expl, err := e.Explain(q, plan.Options{Strategy: plan.Auto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFeedbackStressConcurrentReplans(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
 			feedback.Shared.Summaries()
-			if _, err := e.ExplainOptions(q, plan.Options{Strategy: plan.Auto}); err != nil {
+			if _, err := e.Explain(q, plan.Options{Strategy: plan.Auto}); err != nil {
 				t.Errorf("explain: %v", err)
 				return
 			}

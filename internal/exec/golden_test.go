@@ -64,7 +64,7 @@ func TestEngineExplainGolden(t *testing.T) {
 				}
 				got = res.Plan.Explain()
 			} else {
-				s, err := e.ExplainOptions(tc.query, tc.opts)
+				s, err := e.Explain(tc.query, tc.opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -86,7 +86,7 @@ func TestNavFallbackEvalAndCache(t *testing.T) {
 func TestNavFallbackExplain(t *testing.T) {
 	e := navFallbackEngine(t)
 	for _, q := range navFallbackQueries {
-		out, err := e.Explain(q)
+		out, err := e.Explain(q, plan.Options{})
 		if err != nil {
 			t.Fatalf("%q: explain: %v", q, err)
 		}
@@ -104,7 +104,7 @@ func TestNavFallbackExplain(t *testing.T) {
 // query and reports the row count.
 func TestNavFallbackExplainAnalyze(t *testing.T) {
 	e := navFallbackEngine(t)
-	out, err := e.ExplainAnalyze(`//book[contains(title, "Book")]`)
+	out, err := e.Explain(`//book[contains(title, "Book")]`, plan.Options{Analyze: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestNestedPositionalFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.EvalStrategy(q, plan.BoundedNL)
+	res, err := e.EvalOptions(q, plan.Options{Strategy: plan.BoundedNL})
 	if err != nil {
 		t.Fatalf("nested positional should fall back, not error: %v", err)
 	}

@@ -3,13 +3,9 @@ package exec
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
-	"blossomtree/internal/flwor"
-	"blossomtree/internal/index"
 	"blossomtree/internal/plan"
-	"blossomtree/internal/xmltree"
 )
 
 // BatchResult pairs one query of a batch with its outcome.
@@ -27,21 +23,26 @@ type BatchResult struct {
 // goroutines Add documents.
 func (e *Engine) EvalBatch(srcs []string, opts plan.Options, workers int) []BatchResult {
 	out := make([]BatchResult, len(srcs))
-	if len(srcs) == 0 {
-		return out
-	}
 	snap := e.snapshot()
-	run := func(i int) {
-		// Distinct query IDs per batch entry, as in EvalAllDocs.
-		qopts := opts
-		if qopts.QueryID != "" {
-			qopts.QueryID = fmt.Sprintf("%s-%d", qopts.QueryID, i)
+	ForEachIndex(len(srcs), workers, func(i int) {
+		out[i] = BatchResult{Query: srcs[i]}
+		q, err := Parse(srcs[i])
+		if err != nil {
+			out[i].Err = err
+			return
 		}
-		res, err := evalSource(snap, srcs[i], qopts)
-		out[i] = BatchResult{Query: srcs[i], Result: res, Err: err}
-	}
-	forEachIndex(len(srcs), workers, run)
+		out[i].Result, out[i].Err = evalExpr(snap, q, BatchOptions(opts, i))
+	})
 	return out
+}
+
+// BatchOptions derives the options of batch entry i: distinct query IDs
+// per entry even when the caller pinned one, as in EvalAllDocs.
+func BatchOptions(opts plan.Options, i int) plan.Options {
+	if opts.QueryID != "" {
+		opts.QueryID = fmt.Sprintf("%s-%d", opts.QueryID, i)
+	}
+	return opts
 }
 
 // DocResult pairs one registered document of an EvalAllDocs call with
@@ -59,24 +60,22 @@ type DocResult struct {
 // document under evaluation, which turns a single-document query into a
 // catalog-wide scan — the multi-document shape planContext otherwise
 // rejects. Results are keyed by URI and returned sorted by URI.
-func (e *Engine) EvalAllDocs(src string, opts plan.Options, workers int) ([]DocResult, error) {
-	expr, err := flwor.Parse(src)
+//
+// fanout bounds a shard group's scatter and the DegradedInfo reports
+// shards lost from it; a single engine has no shards, so it ignores the
+// former and always returns nil for the latter.
+func (e *Engine) EvalAllDocs(src string, opts plan.Options, fanout, workers int) ([]DocResult, *DegradedInfo, error) {
+	q, err := Parse(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	snap := e.snapshot()
-	uris := make([]string, 0, len(snap.docs)+len(snap.storeURIs))
-	for u := range snap.docs {
-		uris = append(uris, u)
-	}
-	for u := range snap.storeURIs {
-		if _, ok := snap.docs[u]; !ok {
-			uris = append(uris, u)
-		}
-	}
-	sort.Strings(uris)
+	return evalAllDocs(e.snapshot(), q, opts, workers), nil, nil
+}
+
+func evalAllDocs(snap *snapshot, q *Parsed, opts plan.Options, workers int) []DocResult {
+	uris := snap.uris()
 	out := make([]DocResult, len(uris))
-	run := func(i int) {
+	ForEachIndex(len(uris), workers, func(i int) {
 		// Per-document evaluations get distinct query IDs even when the
 		// caller pinned one: a shared ID would make the trace store and
 		// query log collapse the fan-out into one record.
@@ -84,20 +83,10 @@ func (e *Engine) EvalAllDocs(src string, opts plan.Options, workers int) ([]DocR
 		if docOpts.QueryID != "" {
 			docOpts.QueryID = fmt.Sprintf("%s-%s", docOpts.QueryID, uris[i])
 		}
-		res, evalErr := evalExpr(snap.pin(uris[i]), expr, docOpts, src)
-		out[i] = DocResult{URI: uris[i], Result: res, Err: evalErr}
-	}
-	forEachIndex(len(uris), workers, run)
-	return out, nil
-}
-
-// evalSource parses and evaluates one query against a fixed snapshot.
-func evalSource(s *snapshot, src string, opts plan.Options) (*Result, error) {
-	expr, err := flwor.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return evalExpr(s, expr, opts, src)
+		res, err := evalExpr(snap.pin(uris[i]), q, docOpts)
+		out[i] = DocResult{URI: uris[i], Result: res, Err: err}
+	})
+	return out
 }
 
 // pin derives a single-document snapshot: every URI resolves to the
@@ -106,6 +95,10 @@ func evalSource(s *snapshot, src string, opts plan.Options) (*Result, error) {
 // so repeated EvalAllDocs calls over one catalog reuse the same derived
 // snapshots — and therefore the same snapshot versions, which is what
 // lets the plan cache serve fan-out evaluations warm.
+//
+// A store-backed document pins lazily too: the derived snapshot carries
+// the store with just this URI visible, so the document only
+// materializes if the pinned evaluation actually runs.
 func (s *snapshot) pin(uri string) *snapshot {
 	s.pinMu.Lock()
 	defer s.pinMu.Unlock()
@@ -114,23 +107,9 @@ func (s *snapshot) pin(uri string) *snapshot {
 	}
 	p := &snapshot{
 		version: snapshotVersions.Add(1),
-		docs:    map[string]*xmltree.Document{},
-		stats:   map[string]xmltree.Stats{},
-		indexes: map[string]*index.TagIndex{},
+		docs:    map[string]entry{uri: s.docs[uri]},
 		first:   uri,
-	}
-	if d, ok := s.docs[uri]; ok {
-		p.docs[uri] = d
-		p.stats[uri] = s.stats[uri]
-		if ix, ok := s.indexes[uri]; ok {
-			p.indexes[uri] = ix
-		}
-	} else if s.store != nil {
-		// A store-backed document pins lazily too: the derived snapshot
-		// carries the store with just this URI visible, so the document
-		// only materializes if the pinned evaluation actually runs.
-		p.store = s.store
-		p.storeURIs = map[string]struct{}{uri: {}}
+		store:   s.store,
 	}
 	if s.pinned == nil {
 		s.pinned = make(map[string]*snapshot)
@@ -139,10 +118,10 @@ func (s *snapshot) pin(uri string) *snapshot {
 	return p
 }
 
-// forEachIndex runs fn(0..n-1) across a pool of at most workers
-// goroutines and waits for completion. fn must write only to its own
-// index's slot.
-func forEachIndex(n, workers int, fn func(int)) {
+// ForEachIndex runs fn(0..n-1) across a pool of at most workers
+// goroutines (workers <= 0 means GOMAXPROCS) and waits for completion.
+// fn must write only to its own index's slot.
+func ForEachIndex(n, workers int, fn func(int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -4,8 +4,8 @@ package exec
 // NoK decomposition → physical plan) is deterministic in the query
 // text, the planning options and the catalog snapshot, so its output is
 // cached process-wide and shared by every evaluation path — Eval*,
-// EvalBatch workers, EvalAllDocs pins, Prepared.Run and the daemon's
-// POST /query all reach it through evalExpr.
+// EvalBatch workers, EvalAllDocs pins, Prepared.RunContext, EXPLAIN
+// ANALYZE and the daemon's POST /query all reach it through evalExpr.
 //
 // Keying by snapshot version makes invalidation free: Add publishes a
 // new version, so entries compiled against the old catalog simply stop

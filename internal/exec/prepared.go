@@ -3,63 +3,59 @@ package exec
 import (
 	"context"
 
-	"blossomtree/internal/flwor"
 	"blossomtree/internal/plan"
 )
 
-// Prepared is a parsed, compile-checked query bound to an engine — the
+// Prepared is a parsed, compile-checked query bound to a catalog — the
 // prepared-statement shape of the serving API. Preparation parses once
-// and eagerly compiles against the engine's current catalog snapshot,
-// so syntax and planning errors surface at Prepare time and the
-// compiled plan is seeded into the shared plan cache; each Run then
-// evaluates against the snapshot current at that moment, hitting the
-// cache while the catalog is unchanged and transparently recompiling
-// (through the same cache) after any Add.
+// and eagerly compiles against the current catalog snapshot, so syntax
+// and planning errors surface at Prepare time and the compiled plan is
+// seeded into the shared plan cache; each run then evaluates the kept
+// parse against the snapshot current at that moment, hitting the cache
+// while the catalog is unchanged and transparently recompiling (through
+// the same cache) after any Add.
 //
-// A Prepared is immutable and safe for concurrent use: concurrent Runs
+// A Prepared is immutable and safe for concurrent use: concurrent runs
 // share the cached plan template and each Forks private per-run state.
 type Prepared struct {
-	e    *Engine
-	src  string
-	expr flwor.Expr
+	q    *Parsed
 	opts plan.Options
+	run  func(*Parsed, plan.Options) (*Result, error)
+}
+
+// NewPrepared binds a parsed query and its captured options to the
+// evaluation it runs through: an engine's current catalog, or the shard
+// group's router.
+func NewPrepared(q *Parsed, opts plan.Options, run func(*Parsed, plan.Options) (*Result, error)) *Prepared {
+	return &Prepared{q: q, opts: opts, run: run}
 }
 
 // Prepare parses and compile-checks a query for repeated execution
 // with the given options. The options are captured; per-run control
 // (a context) is supplied to RunContext.
 func (e *Engine) Prepare(src string, opts plan.Options) (*Prepared, error) {
-	expr, err := flwor.Parse(src)
+	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	// Eager compile: surfaces planning errors now and warms the cache.
-	// Navigational evaluation never builds a physical plan, and a
-	// catalog without documents has nothing to plan against yet — both
-	// defer compilation to Run.
-	if opts.Strategy != plan.Navigational && e.snapshot().docCount() > 0 {
-		if _, _, err := compiledFor(e.snapshot(), expr, src, opts); err != nil {
-			return nil, err
-		}
+	if err := check(e.snapshot(), q, opts); err != nil {
+		return nil, err
 	}
-	return &Prepared{e: e, src: src, expr: expr, opts: opts}, nil
+	return NewPrepared(q, opts, func(q *Parsed, opts plan.Options) (*Result, error) {
+		return evalExpr(e.snapshot(), q, opts)
+	}), nil
 }
 
 // Source returns the prepared query's text.
-func (p *Prepared) Source() string { return p.src }
+func (p *Prepared) Source() string { return p.q.Src }
 
-// Run evaluates the prepared query against the engine's current
-// catalog snapshot.
-func (p *Prepared) Run() (*Result, error) {
-	return evalExpr(p.e.snapshot(), p.expr, p.opts, p.src)
-}
-
-// RunContext evaluates the prepared query under a context: the run is
-// canceled when ctx is. The prepared options are not mutated, so
-// concurrent RunContext calls with different contexts are safe.
+// RunContext evaluates the prepared query against the current catalog
+// under a context: the run is canceled when ctx is. The prepared
+// options are not mutated, so concurrent RunContext calls with
+// different contexts are safe.
 func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
 	opts := p.opts
 	opts.Ctx = ctx
 	opts.Gov = nil // force a fresh governor bound to this run's context
-	return evalExpr(p.e.snapshot(), p.expr, opts, p.src)
+	return p.run(p.q, opts)
 }

@@ -85,14 +85,14 @@ func TestPlanCacheKeyedByStrategy(t *testing.T) {
 	e := bibEngine(t)
 	const q = `//book//last`
 	for _, strat := range []plan.Strategy{plan.BoundedNL, plan.NaiveNL, plan.Twig} {
-		res1, err := e.EvalStrategy(q, strat)
+		res1, err := e.EvalOptions(q, plan.Options{Strategy: strat})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
 		if res1.Cached {
 			t.Errorf("%v: first evaluation reported a cache hit", strat)
 		}
-		res2, err := e.EvalStrategy(q, strat)
+		res2, err := e.EvalOptions(q, plan.Options{Strategy: strat})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -167,7 +167,7 @@ func TestPreparedLifecycle(t *testing.T) {
 	}
 
 	// Prepare compiled eagerly, so the very first Run is already warm.
-	res, err := p.Run()
+	res, err := p.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestPreparedLifecycle(t *testing.T) {
 	// A load invalidates; the next Run recompiles against the new
 	// catalog and sees its content.
 	e.Add("bib.xml", mustParseDoc(t, `<bib><book><author><last>Knuth</last></author><title>Only</title></book></bib>`))
-	res, err = p.Run()
+	res, err = p.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestPreparedOnEmptyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare on empty engine: %v", err)
 	}
-	if _, err := p.Run(); err == nil {
+	if _, err := p.RunContext(context.Background()); err == nil {
 		t.Error("Run on empty engine succeeded")
 	}
 	e.Add("bib.xml", mustParseDoc(t, bibXML))
-	res, err := p.Run()
+	res, err := p.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 				t.Fatalf("variant %s, query %q: Prepare: %v", v.name, q, err)
 			}
 			for run := 0; run < 2; run++ {
-				got, err := p.Run()
+				got, err := p.RunContext(context.Background())
 				if err != nil {
 					t.Fatalf("variant %s, query %q, run %d: %v", v.name, q, run, err)
 				}
@@ -296,7 +296,7 @@ func TestEvalAllDocsWarmCache(t *testing.T) {
 	e.Add("one.xml", mustParseDoc(t, `<r><a/><a/></r>`))
 	e.Add("two.xml", mustParseDoc(t, `<r><a/></r>`))
 	for call := 0; call < 2; call++ {
-		results, err := e.EvalAllDocs(`//a`, plan.Options{}, 2)
+		results, _, err := e.EvalAllDocs(`//a`, plan.Options{}, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func TestPreparedRaceWithLoad(t *testing.T) {
 			defer wg.Done()
 			for published.Load() < maxItems {
 				lo := published.Load()
-				res, err := p.Run()
+				res, err := p.RunContext(context.Background())
 				if err != nil {
 					t.Errorf("Run during load: %v", err)
 					return

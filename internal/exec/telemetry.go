@@ -36,7 +36,7 @@ func NewQueryID() string {
 // its defer, on success, error and abort paths alike.
 type telemetry struct {
 	queryID  string
-	src      string // query text when known ("" for pre-parsed exprs)
+	src      string // query text
 	strategy string // preset for navigational ("XH"); else read from plan
 	plan     *plan.Plan
 	gov      *gov.Governor

@@ -320,12 +320,3 @@ func Verdict(err error) string {
 		return "error"
 	}
 }
-
-// StopFunc adapts the governor to the legacy Stop-polling interface
-// (bench DNF cutoffs): it reports true once any violation is recorded.
-func (g *Governor) StopFunc() func() bool {
-	if g == nil {
-		return nil
-	}
-	return func() bool { return g.CheckNow() != nil }
-}

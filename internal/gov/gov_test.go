@@ -40,9 +40,6 @@ func TestNilGovernorIsNoOp(t *testing.T) {
 	if g.NodesScanned() != 0 || g.Outputs() != 0 {
 		t.Fatal("nil governor counted work")
 	}
-	if g.StopFunc() != nil {
-		t.Fatal("nil governor should adapt to a nil Stop func")
-	}
 }
 
 func TestAlreadyCanceledContext(t *testing.T) {
@@ -181,15 +178,14 @@ func TestWithStatsAndStatsOf(t *testing.T) {
 	}
 }
 
-func TestStopFuncAdapter(t *testing.T) {
+func TestCancelAfterCreation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := New(ctx, Budget{}, nil)
-	stop := g.StopFunc()
-	if stop() {
-		t.Fatal("stop true before cancellation")
+	if err := g.CheckNow(); err != nil {
+		t.Fatalf("CheckNow before cancellation = %v", err)
 	}
 	cancel()
-	if !stop() {
-		t.Fatal("stop false after cancellation")
+	if err := g.CheckNow(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("CheckNow after cancellation = %v, want ErrCanceled", err)
 	}
 }

@@ -23,9 +23,6 @@ type BoundedNLJoin struct {
 	PerPair   bool
 	Optional  bool
 
-	// Stop, when non-nil, is polled per outer instance; returning true
-	// ends the stream early.
-	Stop func() bool
 	// Gov, when non-nil, governs the inner bounded scans (their node
 	// visits charge the query's node budget through the inner iterators)
 	// and fires emission faults; a violation sets Err and ends the
@@ -62,10 +59,6 @@ func (j *BoundedNLJoin) GetNext() *nestedlist.List {
 		if j.done {
 			return nil
 		}
-		if j.Stop != nil && j.Stop() {
-			j.done = true
-			return nil
-		}
 		m := j.Outer.GetNext()
 		if m == nil {
 			j.done = true
@@ -92,7 +85,6 @@ func (j *BoundedNLJoin) joinOne(m *nestedlist.List) {
 	seen := map[[2]int]bool{}
 	for _, a := range outerNodes {
 		it := nok.NewSubtreeIterator(j.Inner, a)
-		it.Stop = j.Stop
 		it.Gov = j.Gov
 		local := map[int]int{}
 		for n := it.GetNext(); n != nil; n = it.GetNext() {

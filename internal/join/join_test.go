@@ -1,12 +1,15 @@
 package join
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"blossomtree/internal/core"
 	"blossomtree/internal/flwor"
+	"blossomtree/internal/gov"
 	"blossomtree/internal/index"
 	"blossomtree/internal/naveval"
 	"blossomtree/internal/nestedlist"
@@ -733,20 +736,36 @@ func TestCrossingPredicateDirect(t *testing.T) {
 	}
 }
 
-func TestNestedLoopStop(t *testing.T) {
+// canceledGov returns a governor over an already-canceled context with
+// the violation made sticky, as the plan's entry check leaves it.
+func canceledGov(t *testing.T) *gov.Governor {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := gov.New(ctx, gov.Budget{}, nil)
+	if err := g.CheckNow(); !errors.Is(err, gov.ErrCanceled) {
+		t.Fatalf("CheckNow on canceled ctx = %v", err)
+	}
+	return g
+}
+
+func TestNestedLoopCanceled(t *testing.T) {
 	doc := parse(t, sampleDoc)
 	p := buildTwoNoK(t, doc, `//a//b`)
 	j := &NestedLoopJoin{
 		Outer: p.outerIt, Inner: p.innerIt,
 		Pred: DescPredicate(p.outerSlot, p.innerSlot),
-		Stop: func() bool { return true },
+		Gov:  canceledGov(t),
 	}
 	if got := Drain(j); len(got) != 0 {
-		t.Errorf("stopped NLJ produced %d", len(got))
+		t.Errorf("canceled NLJ produced %d", len(got))
+	}
+	if !errors.Is(j.Err, gov.ErrCanceled) {
+		t.Errorf("canceled NLJ Err = %v, want ErrCanceled", j.Err)
 	}
 }
 
-func TestTwigStackStop(t *testing.T) {
+func TestTwigStackCanceled(t *testing.T) {
 	doc := parse(t, sampleDoc)
 	ix := index.Build(doc)
 	_, root := twigRoot(t, `//a//b`)
@@ -754,9 +773,9 @@ func TestTwigStackStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.Stop = func() bool { return true }
-	if _, err := ts.Run(); err == nil {
-		t.Error("stopped twig run should report ErrStopped")
+	ts.Gov = canceledGov(t)
+	if _, err := ts.Run(); !errors.Is(err, gov.ErrCanceled) {
+		t.Errorf("canceled twig run = %v, want ErrCanceled", err)
 	}
 }
 

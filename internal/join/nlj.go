@@ -39,9 +39,6 @@ func DescPredicate(outerSlot, innerSlot int) Predicate {
 type NestedLoopJoin struct {
 	Outer, Inner Operator
 	Pred         Predicate
-	// Stop, when non-nil, is polled per outer row; returning true ends
-	// the stream early.
-	Stop func() bool
 	// Gov, when non-nil, polls cancellation per pair test and fires
 	// emission faults; a violation sets Err and ends the stream.
 	Gov *gov.Governor
@@ -68,9 +65,6 @@ func (j *NestedLoopJoin) GetNext() *nestedlist.List {
 		j.init = true
 	}
 	for ; j.oi < len(j.outer); j.oi++ {
-		if j.Stop != nil && j.Stop() {
-			return nil
-		}
 		for j.ii < len(j.inner) {
 			m, n := j.outer[j.oi], j.inner[j.ii]
 			j.ii++

@@ -43,12 +43,9 @@ type TwigStack struct {
 	// Stats, when non-nil, receives stream-element scans, merge-phase
 	// pair tests, and per-vertex stack depths for EXPLAIN ANALYZE.
 	Stats *obs.OpStats
-	// Stop, when non-nil, is polled periodically; returning true aborts
-	// the run with ErrStopped.
-	Stop func() bool
 	// Gov, when non-nil, charges stream advances against the query's
 	// node budget (through the per-vertex index streams), polls
-	// cancellation alongside Stop, and fires a fault per emitted path
+	// cancellation, and fires a fault per emitted path
 	// solution; a violation aborts Run with the typed error.
 	Gov *gov.Governor
 	// Keep lists the vertices whose bindings the caller needs (returning
@@ -60,9 +57,6 @@ type TwigStack struct {
 	// twig-match enumeration).
 	Keep []*core.Vertex
 }
-
-// ErrStopped reports a cancelled TwigStack run.
-var ErrStopped = fmt.Errorf("join: twig join stopped by deadline")
 
 // TwigMatch assigns a matched node to every pattern vertex (keyed by
 // vertex ID).
@@ -170,12 +164,7 @@ func (ts *TwigStack) pathStack(path []*core.Vertex) ([]pathSolution, error) {
 		}
 	}
 
-	steps := 0
 	for !streams[leaf].EOF() {
-		steps++
-		if ts.Stop != nil && steps%1024 == 0 && ts.Stop() {
-			return nil, ErrStopped
-		}
 		if err := ts.Gov.Poll(); err != nil {
 			return nil, err
 		}
@@ -239,9 +228,6 @@ func (ts *TwigStack) Run() ([]TwigMatch, error) {
 		raw, err := ts.pathStack(p)
 		if err != nil {
 			return nil, err
-		}
-		if ts.Stop != nil && ts.Stop() {
-			return nil, ErrStopped
 		}
 		kept := raw[:0]
 		for _, sol := range raw {
@@ -332,10 +318,7 @@ func (ts *TwigStack) Run() ([]TwigMatch, error) {
 			idx[k] = append(idx[k], sol)
 		}
 		var next []TwigMatch
-		for mi, m := range matches {
-			if ts.Stop != nil && mi%1024 == 0 && ts.Stop() {
-				return nil, ErrStopped
-			}
+		for _, m := range matches {
 			if err := ts.Gov.Poll(); err != nil {
 				return nil, err
 			}

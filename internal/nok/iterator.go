@@ -29,9 +29,6 @@ type Iterator struct {
 	// Stats, when non-nil, mirrors ScannedNodes and counts pattern-match
 	// attempts (MatchAt calls) as comparisons for EXPLAIN ANALYZE.
 	Stats *obs.OpStats
-	// Stop, when non-nil, is polled periodically; returning true ends
-	// the stream early (deadline enforcement for DNF experiment cells).
-	Stop func() bool
 	// Gov, when non-nil, charges every anchor scan against the query's
 	// node budget and polls cancellation/faults; a violation sets Err
 	// and ends the stream.
@@ -87,9 +84,6 @@ func (it *Iterator) GetNext() *nestedlist.List {
 		it.Stats.AddScanned(1)
 		if err := it.Gov.Scanned(fault.SiteNoKScan, 1); err != nil {
 			it.Err = err
-			return nil
-		}
-		if it.Stop != nil && it.ScannedNodes%1024 == 0 && it.Stop() {
 			return nil
 		}
 		if x.Kind == xmltree.ElementNode && !it.m.NoK.Root.MatchesTag(x.Tag) && !it.m.NoK.Root.IsDocRoot() {

@@ -6,7 +6,7 @@
 //
 // Everything here is safe under the engine's concurrency model: the
 // registry and all OpStats counters are plain atomics, so concurrent
-// QueryBatch evaluations — and the planner's parallel NoK pre-scan,
+// batch evaluations — and the planner's parallel NoK pre-scan,
 // which drains sibling operators from several goroutines — may bump
 // them without locks. Stats collection is near-zero-cost when
 // disabled: every mutator is a nil-safe method on *OpStats, so

@@ -159,7 +159,6 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 			Outer: fromC.op,
 			Inner: toC.op,
 			Pred:  join.CrossingPredicate(c, fromSlot, toSlot),
-			Stop:  p.opts.Stop,
 			Gov:   p.gov,
 			Stats: st,
 		}
@@ -178,7 +177,7 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 		p.note("cartesian product of disconnected components")
 		st := obs.NewOpStats("NestedLoopJoin", "cartesian product")
 		st.Adopt(a.stats, b.stats)
-		nl := &join.NestedLoopJoin{Outer: a.op, Inner: b.op, Stop: p.opts.Stop, Gov: p.gov, Stats: st,
+		nl := &join.NestedLoopJoin{Outer: a.op, Inner: b.op, Gov: p.gov, Stats: st,
 			Pred: func(_, _ *nestedlist.List) (bool, error) { return true, nil }}
 		p.watch(func() error { return nl.Err })
 		a.op = join.Instrument(nl, st)
@@ -225,7 +224,7 @@ func (p *Plan) combine(a, b *component, _ *core.Crossing, l core.Link) {
 	}
 	st := obs.NewOpStats("NestedLoopJoin", fmt.Sprintf("%s-join of for-clauses", l.Mode))
 	st.Adopt(a.stats, b.stats)
-	nl := &join.NestedLoopJoin{Outer: a.op, Inner: b.op, Pred: pred, Stop: p.opts.Stop, Gov: p.gov, Stats: st}
+	nl := &join.NestedLoopJoin{Outer: a.op, Inner: b.op, Pred: pred, Gov: p.gov, Stats: st}
 	p.watch(func() error { return nl.Err })
 	a.op = join.Instrument(nl, st)
 	a.stats = st
@@ -269,7 +268,6 @@ func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
 			m.NoK.Index, m.RootTest(), p.opts.Index.Count(m.RootTest()))
 		st := scanStats(fmt.Sprintf("index(%s)", m.RootTest()))
 		it := nok.NewIndexIterator(m, p.opts.Index.Nodes(m.RootTest()))
-		it.Stop = p.opts.Stop
 		it.Gov = p.gov
 		it.Stats = st
 		p.watch(func() error { return it.Err })
@@ -278,7 +276,6 @@ func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
 	p.note("NoK%d anchors via sequential scan", m.NoK.Index)
 	st := scanStats("seq")
 	it := nok.NewIterator(m, p.doc)
-	it.Stop = p.opts.Stop
 	it.Gov = p.gov
 	it.Stats = st
 	p.watch(func() error { return it.Err })
@@ -309,7 +306,7 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 			Outer: outer, OuterSlot: outerSlot,
 			Inner: inner, InnerSlot: innerSlot,
 			PerPair: perPair, Optional: optional,
-			Stop: p.opts.Stop, Gov: p.gov, Stats: st,
+			Gov: p.gov, Stats: st,
 		}
 		p.watch(func() error { return bn.Err })
 		return join.Instrument(bn, st), st, nil
@@ -349,7 +346,7 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 		nl := &join.NestedLoopJoin{
 			Outer: outer, Inner: innerOp,
 			Pred: join.DescPredicate(outerSlot, innerSlot),
-			Stop: p.opts.Stop, Gov: p.gov, Stats: st,
+			Gov:  p.gov, Stats: st,
 		}
 		p.watch(func() error { return nl.Err })
 		return join.Instrument(nl, st), st, nil
@@ -370,7 +367,6 @@ func (p *Plan) buildTwig() (join.Operator, *obs.OpStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ts.Stop = p.opts.Stop
 	ts.Gov = p.gov
 	st := obs.NewOpStats("TwigStack", fmt.Sprintf("twig rooted at %s", start.Label()))
 	// The operator emits one instance per distinct kept-variable

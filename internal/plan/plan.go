@@ -99,11 +99,6 @@ type Options struct {
 	// and indexes are immutable during evaluation; it takes precedence
 	// over MergeScans, which shares a single serial traversal instead.
 	Parallel int
-	// Stop, when non-nil, is polled by the plan's operators; returning
-	// true ends execution early (the DNF timeout of the experiments).
-	// Unlike Ctx/Budget governance it ends streams silently — new code
-	// should prefer Ctx and Budget, which return typed errors.
-	Stop func() bool
 	// Analyze enables per-operator wall-clock timing on the plan's stats
 	// tree (EXPLAIN ANALYZE). Counters are collected regardless; only
 	// timing is gated, because it costs two clock reads per GetNext.

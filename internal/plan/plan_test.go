@@ -1,12 +1,14 @@
 package plan
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"blossomtree/internal/core"
 	"blossomtree/internal/flwor"
+	"blossomtree/internal/gov"
 	"blossomtree/internal/index"
 	"blossomtree/internal/naveval"
 	"blossomtree/internal/xmltree"
@@ -299,21 +301,22 @@ func TestNaiveNLFallsBackForExistentialLinks(t *testing.T) {
 	}
 }
 
-func TestStopCancelsExecution(t *testing.T) {
+func TestCanceledContextEndsExecution(t *testing.T) {
 	doc := parse(t, sample)
-	stopped := true
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	p, err := Build(compilePath(t, `//a//c`), doc, Options{
 		Strategy: BoundedNL,
-		Stop:     func() bool { return stopped },
+		Ctx:      ctx,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ls, err := p.Execute()
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, gov.ErrCanceled) {
+		t.Fatalf("canceled plan = %v, want ErrCanceled", err)
 	}
 	if len(ls) != 0 {
-		t.Errorf("stopped plan produced %d instances", len(ls))
+		t.Errorf("canceled plan produced %d instances", len(ls))
 	}
 }

@@ -6,14 +6,12 @@ import (
 )
 
 // docRefs is the set of document references a query reaches: every
-// doc("…") URI appearing in any path of the expression, plus whether
-// any absolute (/, //) path appears — absolute paths resolve to the
-// catalog's first registered document, so the router must treat them as
+// doc("…") URI appearing in any path of the expression, plus "" when any
+// absolute (/, //) path appears — absolute paths resolve to the
+// catalog's first registered document, which is how the engine's
+// resolution rule reads the empty URI, so the router must treat them as
 // a reference to it.
-type docRefs struct {
-	uris map[string]bool
-	root bool
-}
+type docRefs map[string]bool
 
 // collectDocRefs walks a parsed expression and gathers its document
 // references. The walk must reach every position a path can occupy —
@@ -22,12 +20,12 @@ type docRefs struct {
 // constructor content — or the router could send a query to a shard
 // missing one of its documents.
 func collectDocRefs(e flwor.Expr) docRefs {
-	r := docRefs{uris: map[string]bool{}}
+	r := docRefs{}
 	r.expr(e)
 	return r
 }
 
-func (r *docRefs) expr(e flwor.Expr) {
+func (r docRefs) expr(e flwor.Expr) {
 	switch t := e.(type) {
 	case *flwor.PathExpr:
 		r.path(t.Path)
@@ -50,7 +48,7 @@ func (r *docRefs) expr(e flwor.Expr) {
 	}
 }
 
-func (r *docRefs) cond(c flwor.Cond) {
+func (r docRefs) cond(c flwor.Cond) {
 	switch t := c.(type) {
 	case nil:
 	case flwor.CondAnd:
@@ -77,15 +75,15 @@ func (r *docRefs) cond(c flwor.Cond) {
 	}
 }
 
-func (r *docRefs) path(p *xpath.Path) {
+func (r docRefs) path(p *xpath.Path) {
 	if p == nil {
 		return
 	}
 	switch p.Source.Kind {
 	case xpath.SourceDoc:
-		r.uris[p.Source.Doc] = true
+		r[p.Source.Doc] = true
 	case xpath.SourceRoot:
-		r.root = true
+		r[""] = true
 	}
 	for _, st := range p.Steps {
 		for _, pred := range st.Preds {
@@ -94,7 +92,7 @@ func (r *docRefs) path(p *xpath.Path) {
 	}
 }
 
-func (r *docRefs) pred(e xpath.Expr) {
+func (r docRefs) pred(e xpath.Expr) {
 	switch t := e.(type) {
 	case nil:
 	case xpath.Exists:
@@ -116,7 +114,7 @@ func (r *docRefs) pred(e xpath.Expr) {
 	}
 }
 
-func (r *docRefs) operand(o xpath.Operand) {
+func (r docRefs) operand(o xpath.Operand) {
 	switch o.Kind {
 	case xpath.OperandPath:
 		r.path(o.Path)
@@ -125,7 +123,7 @@ func (r *docRefs) operand(o xpath.Operand) {
 	}
 }
 
-func (r *docRefs) funcCall(f *xpath.FuncCall) {
+func (r docRefs) funcCall(f *xpath.FuncCall) {
 	if f == nil {
 		return
 	}

@@ -9,7 +9,6 @@ import (
 
 	"blossomtree/internal/exec"
 	"blossomtree/internal/fault"
-	"blossomtree/internal/flwor"
 	"blossomtree/internal/gov"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
@@ -78,22 +77,6 @@ func New(cfg Config) *Group {
 // Shards returns the number of shards in the group.
 func (g *Group) Shards() int { return len(g.shards) }
 
-// Docs returns the number of registered documents.
-func (g *Group) Docs() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.order)
-}
-
-// URIs returns the registered URIs sorted ascending.
-func (g *Group) URIs() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := append([]string(nil), g.order...)
-	sort.Strings(out)
-	return out
-}
-
 // ShardOf returns the shard index owning uri and whether uri is
 // registered.
 func (g *Group) ShardOf(uri string) (int, bool) {
@@ -103,10 +86,10 @@ func (g *Group) ShardOf(uri string) (int, bool) {
 	return s, ok
 }
 
-// Add registers a document, routing it to its ring-assigned shard, and
-// returns the shard index. Re-adding a URI replaces the document on the
-// shard that already owns it.
-func (g *Group) Add(uri string, doc *xmltree.Document) int {
+// Add registers a document, routing it to its ring-assigned shard.
+// Re-adding a URI replaces the document on the shard that already owns
+// it.
+func (g *Group) Add(uri string, doc *xmltree.Document) {
 	g.mu.Lock()
 	si, ok := g.uris[uri]
 	if !ok {
@@ -116,7 +99,6 @@ func (g *Group) Add(uri string, doc *xmltree.Document) int {
 	}
 	g.mu.Unlock()
 	g.shards[si].Add(uri, doc)
-	return si
 }
 
 // AttachStore routes every servable document of a persistent segment
@@ -150,131 +132,130 @@ func (g *Group) AttachStore(st *segstore.Store) {
 // same fallback rules as the unsharded engine (empty URI or a
 // single-document catalog resolve to the first registered document).
 func (g *Group) Document(uri string) (*xmltree.Document, bool) {
-	target, _, err := g.route(docRefsFor(uri))
+	target, si, err := g.route(docRefs{uri: true})
 	if err != nil {
 		return nil, false
 	}
-	return g.shards[g.owner(target)].Document(target)
-}
-
-// docRefsFor builds the reference set of a single literal URI ("" means
-// an absolute path).
-func docRefsFor(uri string) docRefs {
-	r := docRefs{uris: map[string]bool{}}
-	if uri == "" {
-		r.root = true
-	} else {
-		r.uris[uri] = true
-	}
-	return r
-}
-
-// owner returns the shard owning uri (which must be registered).
-func (g *Group) owner(uri string) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.uris[uri]
+	return g.shards[si].Document(target)
 }
 
 // route resolves a query's document references to the single document
-// it evaluates against, mirroring the unsharded engine's resolution
-// rules: absolute paths anchor at the first registered document, a
-// single-document catalog serves any URI, an unknown URI in a
-// multi-document catalog is an error, and a query naming several
-// distinct documents is rejected (evaluate per document).
+// it evaluates against and the shard owning it. Each reference resolves
+// under the engine's own rule (exec.ResolveURI) against the group-wide
+// catalog — absolute paths anchor at the first registered document —
+// and a query naming several distinct documents is rejected (evaluate
+// per document).
 func (g *Group) route(refs docRefs) (string, int, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if len(g.order) == 0 {
-		return "", 0, fmt.Errorf("shard: no documents registered")
+	if len(refs) == 0 {
+		refs = docRefs{"": true}
 	}
-	first := g.order[0]
+	first := ""
+	if len(g.order) > 0 {
+		first = g.order[0]
+	}
 	targets := map[string]bool{}
-	for u := range refs.uris {
-		if _, ok := g.uris[u]; ok {
-			targets[u] = true
-			continue
+	for u := range refs {
+		_, ok := g.uris[u]
+		t, err := exec.ResolveURI(u, ok, first, len(g.order))
+		if err != nil {
+			return "", 0, err
 		}
-		if u == "" || len(g.order) == 1 {
-			targets[first] = true
-			continue
-		}
-		return "", 0, fmt.Errorf("shard: no document registered for %q (%d documents loaded; doc(\"…\") must name one of them)", u, len(g.order))
+		targets[t] = true
 	}
-	if refs.root || len(targets) == 0 {
-		targets[first] = true
+	us := make([]string, 0, len(targets))
+	for u := range targets {
+		us = append(us, u)
 	}
-	if len(targets) > 1 {
-		us := make([]string, 0, len(targets))
-		for u := range targets {
-			us = append(us, u)
-		}
+	if len(us) > 1 {
 		sort.Strings(us)
 		return "", 0, fmt.Errorf("shard: query spans multiple documents (%q, %q); evaluate per document", us[0], us[1])
 	}
-	var uri string
-	for u := range targets {
-		uri = u
-	}
-	return uri, g.uris[uri], nil
+	return us[0], g.uris[us[0]], nil
 }
 
-// Eval routes a single-document query to the shard owning its document
-// and evaluates it there with resolution pinned to that document, so
-// sharded evaluation preserves the unsharded engine's semantics
-// regardless of which other documents share the shard.
-func (g *Group) Eval(src string, opts plan.Options) (*exec.Result, error) {
-	expr, err := flwor.Parse(src)
+// view routes an already-parsed query to the shard owning its document
+// and returns that shard's catalog pinned to the document, so sharded
+// evaluation preserves the unsharded engine's semantics regardless of
+// which other documents share the shard.
+func (g *Group) view(refs docRefs) (exec.View, int, error) {
+	uri, si, err := g.route(refs)
 	if err != nil {
-		return nil, err
+		return exec.View{}, 0, err
 	}
-	uri, si, err := g.route(collectDocRefs(expr))
+	v, err := g.shards[si].View().Pin(uri)
+	return v, si, err
+}
+
+// eval is the routed single-document evaluation behind EvalOptions,
+// EvalBatch and prepared runs.
+func (g *Group) eval(refs docRefs, q *exec.Parsed, opts plan.Options) (*exec.Result, error) {
+	v, si, err := g.view(refs)
 	if err != nil {
 		return nil, err
 	}
 	obs.Default.Add(obs.MetricShardQueries, 1)
 	t0 := time.Now()
-	res, err := g.shards[si].EvalDocOptions(uri, src, opts)
+	res, err := v.Eval(q, opts)
 	g.hists[si].ObserveDuration(time.Since(t0))
 	return res, err
 }
 
-// Explain routes EXPLAIN like Eval.
-func (g *Group) Explain(src string, opts plan.Options) (string, error) {
-	expr, err := flwor.Parse(src)
+// EvalOptions routes a single-document query to the shard owning its
+// document and evaluates it there.
+func (g *Group) EvalOptions(src string, opts plan.Options) (*exec.Result, error) {
+	q, err := exec.Parse(src)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	uri, si, err := g.route(collectDocRefs(expr))
-	if err != nil {
-		return "", err
-	}
-	return g.shards[si].ExplainDocOptions(uri, src, opts)
+	return g.eval(collectDocRefs(q.Expr), q, opts)
 }
 
-// ExplainAnalyze routes EXPLAIN ANALYZE like Eval.
-func (g *Group) ExplainAnalyze(src string, opts plan.Options) (string, error) {
-	expr, err := flwor.Parse(src)
+// Explain routes EXPLAIN (EXPLAIN ANALYZE with opts.Analyze) like
+// EvalOptions.
+func (g *Group) Explain(src string, opts plan.Options) (string, error) {
+	q, err := exec.Parse(src)
 	if err != nil {
 		return "", err
 	}
-	uri, si, err := g.route(collectDocRefs(expr))
+	v, _, err := g.view(collectDocRefs(q.Expr))
 	if err != nil {
 		return "", err
 	}
-	return g.shards[si].ExplainAnalyzeDocOptions(uri, src, opts)
+	return v.Explain(q, opts)
+}
+
+// Prepare parses once and compile-checks on the owning shard; every run
+// re-routes the kept parse against the catalog current at that moment.
+// An empty catalog has nothing to route to yet and defers the check to
+// the first run, like the unsharded engine.
+func (g *Group) Prepare(src string, opts plan.Options) (*exec.Prepared, error) {
+	q, err := exec.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	refs := collectDocRefs(q.Expr)
+	if len(g.populatedShards()) > 0 {
+		v, _, err := g.view(refs)
+		if err != nil {
+			return nil, err
+		}
+		if err := v.Check(q, opts); err != nil {
+			return nil, err
+		}
+	}
+	return exec.NewPrepared(q, opts, func(q *exec.Parsed, opts plan.Options) (*exec.Result, error) {
+		return g.eval(refs, q, opts)
+	}), nil
 }
 
 // EvalBatch evaluates a batch of routed queries across the group with
 // at most workers concurrent evaluations.
 func (g *Group) EvalBatch(srcs []string, opts plan.Options, workers int) []exec.BatchResult {
 	out := make([]exec.BatchResult, len(srcs))
-	forEach(len(srcs), workers, func(i int) {
-		qopts := opts
-		if qopts.QueryID != "" {
-			qopts.QueryID = fmt.Sprintf("%s-%d", qopts.QueryID, i)
-		}
-		res, err := g.Eval(srcs[i], qopts)
+	exec.ForEachIndex(len(srcs), workers, func(i int) {
+		res, err := g.EvalOptions(srcs[i], exec.BatchOptions(opts, i))
 		out[i] = exec.BatchResult{Query: srcs[i], Result: res, Err: err}
 	})
 	return out
@@ -311,7 +292,8 @@ type shardOutcome struct {
 // including the failed shards' partial abort stats. Only when every
 // participating shard fails does EvalAllDocs return an error.
 func (g *Group) EvalAllDocs(src string, opts plan.Options, fanout, workersPerShard int) ([]exec.DocResult, *exec.DegradedInfo, error) {
-	if _, err := flwor.Parse(src); err != nil {
+	q, err := exec.Parse(src)
+	if err != nil {
 		return nil, nil, err
 	}
 	participants := g.populatedShards()
@@ -327,8 +309,11 @@ func (g *Group) EvalAllDocs(src string, opts plan.Options, fanout, workersPerSha
 	}
 	inj := opts.Fault
 	outcomes := make([]shardOutcome, len(participants))
-	forEach(len(participants), fanout, func(i int) {
-		outcomes[i] = g.evalShard(participants[i], src, opts, deadline, len(participants), workersPerShard, inj)
+	if fanout <= 0 {
+		fanout = len(participants)
+	}
+	exec.ForEachIndex(len(participants), fanout, func(i int) {
+		outcomes[i] = g.evalShard(participants[i], q, opts, deadline, len(participants), workersPerShard, inj)
 	})
 	return g.gather(outcomes, inj)
 }
@@ -370,12 +355,12 @@ func shardBudget(b gov.Budget, n int, deadline time.Time) gov.Budget {
 }
 
 // evalShard runs one shard's sub-query, retrying once on failure.
-func (g *Group) evalShard(si int, src string, opts plan.Options, deadline time.Time, n, workers int, inj *fault.Injector) shardOutcome {
+func (g *Group) evalShard(si int, q *exec.Parsed, opts plan.Options, deadline time.Time, n, workers int, inj *fault.Injector) shardOutcome {
 	out := shardOutcome{shard: si}
 	for attempt := 0; attempt < 2; attempt++ {
 		out.attempts++
 		obs.Default.Add(obs.MetricShardQueries, 1)
-		rs, sg, err := g.attemptShard(si, src, opts, deadline, n, workers, inj)
+		rs, sg, err := g.attemptShard(si, q, opts, deadline, n, workers, inj)
 		st := obs.NewOpStats(fmt.Sprintf("shard[%d]", si), fmt.Sprintf("attempt %d", out.attempts))
 		if sg != nil {
 			st.AddScanned(sg.NodesScanned())
@@ -410,7 +395,7 @@ func (g *Group) evalShard(si int, src string, opts plan.Options, deadline time.T
 // attemptShard is one dispatch of a shard sub-query: a scatter fault
 // hit, a fresh per-shard governor, the shard-local all-documents
 // evaluation, and the shard's latency observation.
-func (g *Group) attemptShard(si int, src string, opts plan.Options, deadline time.Time, n, workers int, inj *fault.Injector) ([]exec.DocResult, *gov.Governor, error) {
+func (g *Group) attemptShard(si int, q *exec.Parsed, opts plan.Options, deadline time.Time, n, workers int, inj *fault.Injector) ([]exec.DocResult, *gov.Governor, error) {
 	if err := inj.Hit(fault.SiteShardScatter); err != nil {
 		return nil, nil, err
 	}
@@ -421,11 +406,8 @@ func (g *Group) attemptShard(si int, src string, opts plan.Options, deadline tim
 		sopts.QueryID = fmt.Sprintf("%s-s%d", opts.QueryID, si)
 	}
 	t0 := time.Now()
-	rs, err := g.shards[si].EvalAllDocs(src, sopts, workers)
+	rs := g.shards[si].View().EvalAllDocs(q, sopts, workers)
 	g.hists[si].ObserveDuration(time.Since(t0))
-	if err != nil {
-		return nil, sopts.Gov, err
-	}
 	if serr := sopts.Gov.Err(); serr != nil {
 		return rs, sopts.Gov, serr
 	}
@@ -535,38 +517,4 @@ func (g *Group) LatencyHistogram() *obs.Histogram {
 		merged.Merge(h)
 	}
 	return merged
-}
-
-// forEach runs fn(0..n-1) across at most workers goroutines (0 or
-// negative means n) and waits for completion — the group-local version
-// of the executor's worker-pool helper.
-func forEach(n, workers int, fn func(int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 || workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }

@@ -47,7 +47,9 @@ func loadFixture(t *testing.T, g *Group, ref *exec.Engine) []string {
 		}
 		uri := fmt.Sprintf("doc-%d.xml", i)
 		doc := testDoc(t, i)
-		populated[g.Add(uri, doc)] = true
+		g.Add(uri, doc)
+		si, _ := g.ShardOf(uri)
+		populated[si] = true
 		if ref != nil {
 			ref.Add(uri, doc)
 		}
@@ -75,7 +77,7 @@ func TestEvalAllDocsDifferential(t *testing.T) {
 			g := New(Config{Shards: n, BuildIndexes: true})
 			loadFixture(t, g, ref)
 			for _, q := range differentialQueries {
-				want, err := ref.EvalAllDocs(q, plan.Options{}, 0)
+				want, _, err := ref.EvalAllDocs(q, plan.Options{}, 0, 0)
 				if err != nil {
 					t.Fatalf("unsharded %q: %v", q, err)
 				}
@@ -136,7 +138,7 @@ func TestEvalRoutesLikeUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unsharded %q: %v", q, err)
 		}
-		got, err := g.Eval(q, plan.Options{})
+		got, err := g.EvalOptions(q, plan.Options{})
 		if err != nil {
 			t.Fatalf("sharded %q: %v", q, err)
 		}
@@ -150,23 +152,23 @@ func TestEvalRoutesLikeUnsharded(t *testing.T) {
 // with actionable messages.
 func TestRouteErrors(t *testing.T) {
 	g := New(Config{Shards: 2, BuildIndexes: true})
-	if _, err := g.Eval(`//book`, plan.Options{}); err == nil || !strings.Contains(err.Error(), "no documents registered") {
+	if _, err := g.EvalOptions(`//book`, plan.Options{}); err == nil || !strings.Contains(err.Error(), "no documents registered") {
 		t.Errorf("empty catalog: err = %v", err)
 	}
 
 	loadFixture(t, g, nil)
-	if _, err := g.Eval(`doc("nope.xml")//book`, plan.Options{}); err == nil || !strings.Contains(err.Error(), "no document registered") {
+	if _, err := g.EvalOptions(`doc("nope.xml")//book`, plan.Options{}); err == nil || !strings.Contains(err.Error(), "no document registered") {
 		t.Errorf("unknown URI: err = %v", err)
 	}
 	q := `for $x in doc("doc-0.xml")//book, $y in doc("doc-1.xml")//book return $x`
-	if _, err := g.Eval(q, plan.Options{}); err == nil || !strings.Contains(err.Error(), "spans multiple documents") {
+	if _, err := g.EvalOptions(q, plan.Options{}); err == nil || !strings.Contains(err.Error(), "spans multiple documents") {
 		t.Errorf("multi-doc query: err = %v", err)
 	}
 
 	// A single-document catalog serves any URI (the engine's fallback).
 	g1 := New(Config{Shards: 2, BuildIndexes: true})
 	g1.Add("only.xml", testDoc(t, 0))
-	if _, err := g1.Eval(`doc("whatever.xml")//book`, plan.Options{}); err != nil {
+	if _, err := g1.EvalOptions(`doc("whatever.xml")//book`, plan.Options{}); err != nil {
 		t.Errorf("single-doc fallback: %v", err)
 	}
 }

@@ -3,16 +3,14 @@ package blossomtree
 import (
 	"context"
 
-	"blossomtree/internal/exec"
 	"blossomtree/internal/shard"
-	"blossomtree/internal/xmltree"
 )
 
 // Sharded serving: NewEngineSharded splits the document catalog across
 // N in-process engine shards behind a consistent-hash router. Loading
 // assigns each document to its ring-owned shard; single-document
-// queries route to the owning shard; QueryAllDocuments and
-// QueryAllGathered scatter across every populated shard under
+// queries route to the owning shard; QueryAllDocumentsContext and
+// QueryAllGatheredContext scatter across every populated shard under
 // per-shard governors derived from the request budget and gather the
 // per-shard results through an ordered merge. A shard whose sub-query
 // fails is retried once with jittered backoff and then degraded out of
@@ -23,48 +21,15 @@ import (
 // consistent-hash shards (n < 1 is clamped to 1). Tag indexes are
 // enabled, as in NewEngine.
 func NewEngineSharded(n int) *Engine {
-	return &Engine{group: shard.New(shard.Config{Shards: n, BuildIndexes: true})}
+	return &Engine{b: shard.New(shard.Config{Shards: n, BuildIndexes: true})}
 }
-
-// Sharded reports whether the engine routes through a shard group.
-func (e *Engine) Sharded() bool { return e.group != nil }
 
 // ShardCount returns the number of shards (1 for unsharded engines).
-func (e *Engine) ShardCount() int {
-	if e.group == nil {
-		return 1
-	}
-	return e.group.Shards()
-}
+func (e *Engine) ShardCount() int { return e.b.Shards() }
 
 // DocumentShard returns the shard index owning uri (0 on unsharded
 // engines) and whether the URI is registered.
-func (e *Engine) DocumentShard(uri string) (int, bool) {
-	if e.group == nil {
-		_, ok := e.inner.Document(uri)
-		return 0, ok
-	}
-	return e.group.ShardOf(uri)
-}
-
-// add registers a document on the unsharded engine or routes it to its
-// owning shard.
-func (e *Engine) add(uri string, doc *xmltree.Document) {
-	if e.group != nil {
-		e.group.Add(uri, doc)
-		return
-	}
-	e.inner.Add(uri, doc)
-}
-
-// document resolves a URI with the engine's fallback rules on either
-// path.
-func (e *Engine) document(uri string) (*xmltree.Document, bool) {
-	if e.group != nil {
-		return e.group.Document(uri)
-	}
-	return e.inner.Document(uri)
-}
+func (e *Engine) DocumentShard(uri string) (int, bool) { return e.b.ShardOf(uri) }
 
 // Degraded describes a partial scatter-gather result: the shards whose
 // sub-queries failed even after the retry, and their errors.
@@ -78,7 +43,7 @@ type Degraded struct {
 
 // Degraded reports whether this result is a partial scatter-gather
 // view: nil for complete results, otherwise the failed shard list. Only
-// results of QueryAllGathered on a sharded engine can degrade.
+// results of QueryAllGatheredContext on a sharded engine can degrade.
 func (r *Result) Degraded() *Degraded {
 	d := r.inner.Degraded
 	if d == nil {
@@ -90,36 +55,21 @@ func (r *Result) Degraded() *Degraded {
 	}
 }
 
-// QueryAllGathered evaluates one query against every loaded document
-// and gathers the per-document node and row results into a single
-// Result in URI order — the merged form of QueryAllDocuments.
-// Constructed outputs stay per-document, so the merged Result carries
-// rows and nodes but no constructed XML document. Documents whose
-// evaluation failed are omitted from the merge.
+// QueryAllGatheredContext evaluates one query against every loaded
+// document, under a context shared by every shard sub-query and
+// per-document evaluation, and gathers the per-document node and row
+// results into a single Result in URI order — the merged form of
+// QueryAllDocumentsContext. Constructed outputs stay per-document, so
+// the merged Result carries rows and nodes but no constructed XML
+// document. Documents whose evaluation failed are omitted from the
+// merge.
 //
 // On a sharded engine the evaluation scatters across the shards
 // (Options.Shards bounds the fan-out; workers bounds each shard's
 // internal per-document fan-out); a shard lost after one retry degrades
 // the result instead of failing it — check Result.Degraded.
-func (e *Engine) QueryAllGathered(src string, opts Options, workers int) (*Result, error) {
-	return e.QueryAllGatheredContext(context.Background(), src, opts, workers)
-}
-
-// QueryAllGatheredContext is QueryAllGathered under a context shared by
-// every shard sub-query and per-document evaluation.
 func (e *Engine) QueryAllGatheredContext(ctx context.Context, src string, opts Options, workers int) (*Result, error) {
-	popts, err := opts.toPlan()
-	if err != nil {
-		return nil, err
-	}
-	popts.Ctx = ctx
-	var docs []exec.DocResult
-	var deg *exec.DegradedInfo
-	if e.group != nil {
-		docs, deg, err = e.group.EvalAllDocs(src, popts, opts.Shards, workers)
-	} else {
-		docs, err = e.inner.EvalAllDocs(src, popts, workers)
-	}
+	docs, deg, err := e.evalAllDocs(ctx, src, opts, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,6 @@
 package blossomtree
 
 import (
-	"fmt"
-
 	"blossomtree/internal/feedback"
 	"blossomtree/internal/segstore"
 	"blossomtree/internal/xmltree"
@@ -107,13 +105,7 @@ func (s *SegmentStore) RestoreFeedback() error {
 // sharded engine each document routes to its ring-owned shard, exactly
 // as Load would have placed it. Documents already loaded under the same
 // URI shadow the store's copy.
-func (e *Engine) AttachStore(s *SegmentStore) {
-	if e.group != nil {
-		e.group.AttachStore(s.st)
-		return
-	}
-	e.inner.AttachStore(s.st)
-}
+func (e *Engine) AttachStore(s *SegmentStore) { e.b.AttachStore(s.st) }
 
 // PersistDocument saves the loaded document uri into the store as a
 // segment file (crash-safe: temp file + fsync + atomic rename), bumping
@@ -134,9 +126,9 @@ func (e *Engine) PersistFile(s *SegmentStore, uri, path string) error {
 }
 
 func (e *Engine) persist(s *SegmentStore, uri string, info *segstore.SourceInfo) error {
-	doc, ok := e.document(uri)
-	if !ok {
-		return fmt.Errorf("blossomtree: no document registered for %q", uri)
+	doc, err := e.resolve(uri)
+	if err != nil {
+		return err
 	}
 	return s.st.Save(uri, doc, xmltree.ComputeStats(doc), info)
 }
