@@ -52,22 +52,26 @@ check: vet race stress chaos smoke proptest feedback persist benchbuild
 
 # Property-based differential harness: PROPCASES random documents, four
 # random queries each, every join strategy ± parallel ± warm plan cache
-# compared byte-for-byte against the navigational oracle. The default
-# seed is fixed so `make check` is deterministic; CI also runs a
-# randomized-seed job (see .github/workflows/ci.yml) that logs the seed
-# on failure.
+# compared byte-for-byte against the navigational oracle; then the
+# forced-pipelined leg, PROPCASES non-recursive documents against a fixed
+# query list covering every emission mode of the pipelined join (random
+# tags almost never give a non-recursive document). The default seed is
+# fixed so `make check` is deterministic; CI also runs a randomized-seed
+# job (see .github/workflows/ci.yml) that logs the seed on failure.
 proptest:
-	$(GO) test ./internal/proptest -run TestRandomizedDifferential \
+	$(GO) test ./internal/proptest \
+		-run 'TestRandomizedDifferential|TestPipelinedOnNonRecursiveDocuments' \
 		-proptest.seed $(PROPSEED) -proptest.cases $(PROPCASES) -v
 
 # Cancellation/fault-injection stress: mid-flight cancellation of batch
 # and multi-document evaluation, scripted operator panics, and budget
 # aborts, repeated under the race detector so governor state and worker
-# draining are exercised across interleavings.
+# draining are exercised across interleavings. The pipelined join's
+# linearity, allocation, skip and governor-parity tests ride along.
 stress:
 	$(GO) test -race -timeout 120s -count=3 \
-		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Vectorized|Feedback' \
-		./internal/exec ./internal/plan ./internal/join ./internal/gov ./internal/fault ./internal/vexec .
+		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Vectorized|Feedback|Pipelined|SkipTo' \
+		./internal/exec ./internal/plan ./internal/join ./internal/nok ./internal/gov ./internal/fault ./internal/vexec .
 
 # Shard-tier chaos: deterministic fault injection at the scatter,
 # gather, and admission sites under the race detector. Proves the three
@@ -87,12 +91,14 @@ smoke:
 
 # Feedback-driven planning: the estimate→actual store's unit
 # invariants, the end-to-end divergence → replan → win regression
-# (EXPLAIN shows the replan, strategy flips from the cold plan), and
-# the static-vs-feedback harness, which asserts feedback wins ≥ losses
-# on the pinned skewed corpus.
+# (EXPLAIN shows the replan, strategy flips from the cold plan), the
+# skipping-scan regression (a pipelined join that skips most of its
+# inner's postings must not read as drift), and the static-vs-feedback
+# harness, which asserts feedback wins ≥ losses on the pinned skewed
+# corpus.
 feedback:
 	$(GO) test -race -timeout 120s ./internal/feedback
-	$(GO) test -race -timeout 120s -count=1 -run 'Feedback' \
+	$(GO) test -race -timeout 120s -count=1 -run 'Feedback|SkippingScan' \
 		./internal/exec ./internal/bench
 
 # Persistent segment store: the codec round-trip / crash-safety /

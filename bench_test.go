@@ -276,6 +276,49 @@ func BenchmarkVectorizedJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelinedJoin measures the pipelined //-join with index
+// anchors — the plan Auto builds on non-recursive documents — on the
+// three input shapes its cost depends on: one outer instance carrying a
+// wide group that every inner is tested against (wide-outer), a rare
+// outer over a frequent inner where most postings are skipped
+// (sparse-outer), and an inner that lies almost wholly inside the outers
+// so there is nothing to skip (dense). It reports allocs/op (-benchmem)
+// and the scanned nodes per operation, skipped postings included.
+func BenchmarkPipelinedJoin(b *testing.B) {
+	for _, c := range []struct{ name, ds, query string }{
+		{"wide-outer", "d2", `//addresses//street_address//name_of_state`},
+		{"sparse-outer", "d5", `//phdthesis//author`},
+		{"dense", "d3", `//author//mailing_address//street_address`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ds := dataset(b, c.ds)
+			q, err := core.FromPath(xpath.MustParse(c.query))
+			if err != nil {
+				b.Fatal(err)
+			}
+			tmpl, err := plan.Build(q, ds.Doc, plan.Options{Strategy: plan.Pipelined, Index: ds.Index, Stats: ds.Stats})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var scanned int64
+			for i := 0; i < b.N; i++ {
+				p := tmpl.Fork(plan.Options{})
+				ls, err := p.Execute()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(ls) == 0 {
+					b.Fatal("no rows")
+				}
+				scanned += p.StatsTree().TotalScanned()
+			}
+			b.ReportMetric(float64(scanned)/float64(b.N), "scanned/op")
+		})
+	}
+}
+
 // BenchmarkVectorizedColdVsWarm measures the vectorized strategy end to
 // end through the engine: cold empties the shared plan cache before
 // every query (compile + execute), warm hits the cached prepared plan

@@ -158,6 +158,12 @@ type Vertex struct {
 	// instances instead of being grouped, per the for/let distinction of
 	// §3.1.
 	ForBound bool
+	// Implicit marks a vertex that is returning only because Finalize
+	// needed a Dewey ID for a //-join endpoint: it binds no variable, no
+	// clause projects it and no crossing compares it, so an instance may
+	// keep just the one match a join pairs with instead of the whole
+	// group.
+	Implicit bool
 	Dewey    Dewey // assigned to returning vertices by Finalize
 
 	// Tree structure. The edge from Parent to this vertex carries

@@ -11,6 +11,11 @@ type ReturnNode struct {
 	Slot     int // dense index into ReturnTree.Nodes; 0 is the super-root
 	Parent   *ReturnNode
 	Children []*ReturnNode
+	// Path is the chain of child ordinals from the super-root down to
+	// this node (empty for the super-root): the route every NestedList
+	// operator walks to reach the slot's items. Finalize computes it once
+	// per returning tree; it is shared and must not be modified.
+	Path []int
 }
 
 // ChildOrdinal returns this node's 0-based position among its parent's
@@ -19,12 +24,7 @@ func (n *ReturnNode) ChildOrdinal() int {
 	if n.Parent == nil {
 		return 0
 	}
-	for i, c := range n.Parent.Children {
-		if c == n {
-			return i
-		}
-	}
-	return -1
+	return n.Path[len(n.Path)-1]
 }
 
 // ReturnTree is the returning tree with its Dewey numbering. It is the
@@ -66,18 +66,24 @@ func (rt *ReturnTree) ByVar(name string) (*ReturnNode, bool) {
 // the artificial super-root. It returns the resulting returning tree and
 // memoizes it on the BlossomTree.
 func (bt *BlossomTree) Finalize() *ReturnTree {
-	// Join endpoints must be addressable by Dewey ID.
+	// Join endpoints must be addressable by Dewey ID. One that nothing
+	// else made returning is Implicit: no clause reads its matches.
+	implicit := func(v *Vertex) {
+		if !v.Returning {
+			v.Returning, v.Implicit = true, true
+		}
+	}
 	for _, v := range bt.Vertices {
 		if v.Parent != nil && v.ParentRel == RelDescendant {
-			v.Returning = true
+			implicit(v)
 			if !v.Parent.IsDocRoot() {
-				v.Parent.Returning = true
+				implicit(v.Parent)
 			}
 		}
 	}
 	for _, c := range bt.Crossings {
-		c.From.Returning = true
-		c.To.Returning = true
+		c.From.Returning, c.From.Implicit = true, false
+		c.To.Returning, c.To.Implicit = true, false
 	}
 
 	rt := &ReturnTree{
@@ -97,6 +103,7 @@ func (bt *BlossomTree) Finalize() *ReturnTree {
 				Parent: parent,
 				Slot:   len(rt.Nodes),
 				Dewey:  parent.Dewey.Child(len(parent.Children) + 1),
+				Path:   append(parent.Path[:len(parent.Path):len(parent.Path)], len(parent.Children)),
 			}
 			parent.Children = append(parent.Children, n)
 			rt.Nodes = append(rt.Nodes, n)

@@ -725,32 +725,46 @@ func projectPathResult(q *core.Query, ls []*nestedlist.List, textTail *xpath.Ste
 	if !ok {
 		return nil
 	}
-	seen := map[*xmltree.Node]bool{}
+	// The pipelined join and TwigStack's sorted instances deliver the
+	// result nodes already distinct and in document order; only when an
+	// append breaks the strictly increasing run is the output sorted and
+	// adjacent duplicates dropped.
 	var out []*xmltree.Node
-	add := func(n *xmltree.Node) {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+	ordered := true
+	add := func(n *xmltree.Node) bool {
+		if len(out) > 0 && n.Start <= out[len(out)-1].Start {
+			ordered = false
+		}
+		out = append(out, n)
+		return true
+	}
+	visit := add
+	if textTail != nil {
+		texts := xmltree.TextChildren
+		if textTail.Axis == xpath.Descendant {
+			texts = xmltree.TextDescendants
+		}
+		visit = func(n *xmltree.Node) bool {
+			for _, t := range texts(n) {
+				add(t)
+			}
+			return true
 		}
 	}
 	for _, l := range ls {
-		for _, n := range l.ProjectSlot(rn.Slot) {
-			switch {
-			case textTail == nil:
-				add(n)
-			case textTail.Axis == xpath.Descendant:
-				for _, t := range xmltree.TextDescendants(n) {
-					add(t)
-				}
-			default:
-				for _, t := range xmltree.TextChildren(n) {
-					add(t)
-				}
-			}
-		}
+		l.VisitSlot(rn.Slot, visit)
+	}
+	if ordered {
+		return out
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	distinct := out[:1]
+	for _, n := range out[1:] {
+		if n != distinct[len(distinct)-1] {
+			distinct = append(distinct, n)
+		}
+	}
+	return distinct
 }
 
 // finishFLWOR turns instances into environment rows, applies residual

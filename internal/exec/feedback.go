@@ -56,7 +56,11 @@ func feedbackOps(st *obs.OpStats) []feedback.OpObservation {
 			if s.EstNodes >= 0 {
 				o.EstNodes = math.Max(o.EstNodes, 0) + s.EstNodes
 			}
-			o.Emitted += s.Emitted()
+			// A skipped candidate counts as a would-be match: the
+			// observation tracks the vertex's cardinality — the thing
+			// EstOut estimates and a hint replaces — not how much of it
+			// the consuming join happened to pull.
+			o.Emitted += s.Emitted() + s.Skipped()
 			o.Scanned += s.Scanned()
 		}
 		for _, c := range s.Children {

@@ -147,6 +147,107 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 	}
 }
 
+// rareFrequentDoc builds a non-recursive corpus for //rare//f: every
+// rare region holds inside f's, flagged ones carrying a <flag/> child,
+// and is followed by outside f's that no rare contains. A last rare
+// closes the document so the inner scan is consumed to its end.
+func rareFrequentDoc(t *testing.T, rares, inside, flagged, outside int) *xmltree.Document {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("<lib>")
+	for i := 0; i < rares; i++ {
+		sb.WriteString("<rare><shelf>")
+		for j := 0; j < inside; j++ {
+			if j < flagged {
+				sb.WriteString("<f><flag/></f>")
+			} else {
+				sb.WriteString("<f/>")
+			}
+		}
+		sb.WriteString("</shelf></rare>")
+		if i < rares-1 {
+			sb.WriteString(strings.Repeat("<f/>", outside))
+		}
+	}
+	sb.WriteString("</lib>")
+	doc, err := xmltree.ParseString(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestSkippingScanDoesNotArmReplan: the pipelined join skips the inner
+// scan over postings no outer contains, so the scan emits far fewer
+// instances than its vertex has matches. That is a property of the
+// join, not a misestimate of the vertex: the feedback observation stays
+// the vertex's cardinality (emitted + skipped), the drift stays under
+// the threshold and the plan is never replaced. A vertex that really
+// is misestimated — few of the f's a rare holds carry the flag the
+// query asks for — still drifts and still replans, skipping or not.
+func TestSkippingScanDoesNotArmReplan(t *testing.T) {
+	cfg := feedback.Config{DriftThreshold: 2, MinSamples: 8, RingSize: 3}
+	withFeedbackConfig(t, cfg)
+	runs := 3 * int(cfg.MinSamples)
+
+	const q = "//rare//f"
+	e := New()
+	e.Add("lib", rareFrequentDoc(t, 4, 3, 0, 200))
+	for i := 0; i < runs; i++ {
+		res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if len(res.Nodes) != 12 {
+			t.Fatalf("run %d: %d nodes, want 12", i, len(res.Nodes))
+		}
+		if res.Replanned || res.Plan.Strategy != plan.Pipelined {
+			t.Fatalf("run %d: replanned=%v strategy=%s; a skipping scan must leave the PL plan alone",
+				i, res.Replanned, res.Plan.Strategy)
+		}
+		if i == 0 {
+			var skipped int64
+			for st := []*obs.OpStats{res.Plan.StatsTree()}; len(st) > 0; st = append(st[1:], st[0].Children...) {
+				skipped += st[0].Skipped()
+			}
+			if skipped < 500 {
+				t.Fatalf("the plan skipped %d postings; the fixture should be skip-heavy", skipped)
+			}
+		}
+	}
+	sum, ok := feedback.Shared.Lookup(obs.QueryHash(q))
+	if !ok || sum.N != int64(runs) || sum.Replanned {
+		t.Fatalf("history: ok=%v %+v", ok, sum)
+	}
+	for _, op := range sum.Ops {
+		if op.Drift >= cfg.DriftThreshold {
+			t.Errorf("op %s: drift %.2fx (est %.0f, observed %.1f) reaches the replan threshold",
+				op.Key, op.Drift, op.EstOut, op.ActOut)
+		}
+	}
+
+	// Same shape, inner vertex genuinely misestimated: 1 f in 30 inside
+	// a rare has the flag, the estimate is the tag count.
+	const qFlag = "//rare//f[flag]"
+	e = New()
+	e.Add("lib", rareFrequentDoc(t, 6, 30, 1, 4))
+	replanned := false
+	for i := 0; i < runs && !replanned; i++ {
+		res, err := e.EvalOptions(qFlag, plan.Options{Strategy: plan.Auto})
+		if err != nil {
+			t.Fatalf("misestimated run %d: %v", i, err)
+		}
+		if len(res.Nodes) != 6 {
+			t.Fatalf("misestimated run %d: %d nodes, want 6", i, len(res.Nodes))
+		}
+		replanned = res.Replanned
+	}
+	if !replanned {
+		sum, _ := feedback.Shared.Lookup(obs.QueryHash(qFlag))
+		t.Errorf("a misestimated inner vertex never replanned: %+v", sum)
+	}
+}
+
 // TestFeedbackForcedStrategyObservesButNeverReplans: forced strategies
 // contribute history but the replan trigger only fires for Auto and
 // cost-based evaluations.

@@ -75,6 +75,27 @@ func (w *Instrumented) GetNext() *nestedlist.List {
 // Unwrap returns the underlying operator.
 func (w *Instrumented) Unwrap() Operator { return w.Op }
 
+// Skipper is an Operator over a document-ordered candidate list that can
+// jump ahead: SkipTo(start) drops, unmatched, every pending candidate
+// whose node starts before start. It never moves backwards, it charges
+// the candidates it drops as scanned, and an operator that cannot skip
+// at the moment treats the call as a no-op — skipping is an
+// optimization, so a caller must still test what GetNext returns next.
+// The index-anchored nok.Iterator is the one implementation.
+type Skipper interface {
+	Operator
+	SkipTo(start int)
+}
+
+// SkipTo forwards to the wrapped operator when it can skip, so
+// instrumenting a scan does not hide its Skipper side. The wrapper's own
+// counters do not move: the skipped candidates are the scan's work.
+func (w *Instrumented) SkipTo(start int) {
+	if s, ok := w.Op.(Skipper); ok {
+		s.SkipTo(start)
+	}
+}
+
 // Drain collects all remaining instances of an operator.
 func Drain(op Operator) []*nestedlist.List {
 	var out []*nestedlist.List
@@ -142,26 +163,6 @@ func (s *SliceOperator) GetNext() *nestedlist.List {
 	l := s.ls[s.pos]
 	s.pos++
 	return l
-}
-
-// region returns the covering label interval of an instance's slot
-// projection, and whether the slot has any nodes.
-func region(l *nestedlist.List, slot int) (lo, hi int, ok bool) {
-	ns := l.ProjectSlot(slot)
-	if len(ns) == 0 {
-		return 0, 0, false
-	}
-	lo = ns[0].Start
-	hi = ns[0].End
-	for _, n := range ns[1:] {
-		if n.Start < lo {
-			lo = n.Start
-		}
-		if n.End > hi {
-			hi = n.End
-		}
-	}
-	return lo, hi, true
 }
 
 // pruneWitnessless removes outer-slot items that contain none of the

@@ -8,11 +8,36 @@ import (
 	"blossomtree/internal/xmltree"
 )
 
-// PipelinedDescJoin is the pipelined //-join of §4.2: a merge-join over
+// PipelinedDescJoin is the pipelined //-join of §4.2: a merge join over
 // two instance streams whose slot projections are in document order
 // (Theorem 1 guarantees this for NoK outputs; Theorem 2 makes the
-// composition sound on non-recursive documents). Each GetNext pulls from
-// the two input iterators without materializing either side.
+// composition sound on non-recursive documents). Neither side is
+// materialized, and the whole join costs
+//
+//	O(outer nodes + inner instances pulled + output)
+//
+// because every input is visited once:
+//
+//   - the outer slot is flattened once per outer instance (a
+//     nestedlist.SlotView), never per inner;
+//   - containment is decided by a stack of the outer nodes still open at
+//     the inner's position. Inners arrive in document order, so the
+//     stack only moves forward: each outer node is pushed and popped
+//     once. On the non-recursive inputs the join is planned for the
+//     nodes of one slot are disjoint and the stack holds at most one
+//     entry — a monotone cursor; nested nodes (a wildcard outer) stack
+//     up and the innermost one takes the match;
+//   - an emission fills the inner in below the stack's top item by
+//     position (SlotView.Graft / Absorb), not by searching the group;
+//   - an inner that lies before the next outer node cannot match
+//     anything, so an Inner that is a Skipper is told to skip there,
+//     and no inner is pulled once the outer stream has ended;
+//   - consecutive outer instances that carry the same join nodes (the
+//     duplicate keys of a merge join: two for-bound matches under one
+//     ancestor, each its own instance) pair with the same inners, which
+//     the stream has passed by then — so the inners one outer paired
+//     with are kept until an outer with different nodes arrives, and
+//     re-delivered to each duplicate.
 //
 // OuterSlot is the Dewey slot of the link's outer (ancestor) endpoint;
 // InnerSlot is the inner NoK's root slot, which holds exactly one node
@@ -22,9 +47,10 @@ import (
 // (outer, inner) pair — the for-bound case, where each inner match is its
 // own iteration; false groups all inner matches inside one outer
 // instance into a single merged instance — the existential case
-// (predicate subtrees, let-bound regions). Optional keeps outer
-// instances with no inner match (the "l" link mode), emitting them with
-// the inner region left empty.
+// (predicate subtrees, let-bound regions), keeping only the outer items
+// that have a witness below them. Optional keeps outer instances with no
+// inner match (the "l" link mode), emitting them with the inner region
+// left empty, and keeps witnessless items.
 type PipelinedDescJoin struct {
 	Outer, Inner Operator
 	OuterSlot    int
@@ -32,17 +58,32 @@ type PipelinedDescJoin struct {
 	PerPair      bool
 	Optional     bool
 
-	// Stats, when non-nil, accumulates containment-test counts for
-	// EXPLAIN ANALYZE (the merge's comparison work).
+	// Stats, when non-nil, accumulates the merge's comparison work for
+	// EXPLAIN ANALYZE: one per inner tested plus one per outer node the
+	// cursor passes.
 	Stats *obs.OpStats
 	// Gov, when non-nil, polls cancellation as the merge advances and
 	// fires emission faults; a violation sets Err and ends the stream.
 	Gov *gov.Governor
 
-	m       *nestedlist.List // current outer instance
-	mHi     int              // max end of the outer slot's region
-	n       *nestedlist.List // current inner instance
-	matched bool             // current outer produced at least one pair
+	skip    Skipper             // Inner, when it can skip; nil otherwise
+	m       *nestedlist.List    // current outer instance
+	view    nestedlist.SlotView // m's outer slot
+	open    []int               // view entries containing the merge position, outermost first
+	next    int                 // first view entry the merge position has not passed
+	n       *nestedlist.List    // current inner instance
+	nn      *xmltree.Node       // n's join node
+	matched bool                // current outer paired with at least one inner
+
+	// Duplicate-key state: the inners the nodes in runOf paired with, in
+	// order. While an outer instance with those same nodes re-reads them,
+	// replay < len(run) and the stream's lookahead waits in ahead.
+	run    []*nestedlist.List
+	runOf  []*xmltree.Node
+	replay int
+	parked bool
+	ahead  *nestedlist.List
+
 	started bool
 	done    bool
 	// Err records a merge failure (malformed composition); the stream
@@ -57,8 +98,11 @@ func (j *PipelinedDescJoin) GetNext() *nestedlist.List {
 	}
 	if !j.started {
 		j.started = true
+		j.skip, _ = j.Inner.(Skipper)
 		j.advanceOuter()
-		j.n = j.Inner.GetNext()
+		if j.m != nil {
+			j.seekInner()
+		}
 	}
 	for {
 		if err := j.Gov.Poll(); err != nil {
@@ -69,151 +113,167 @@ func (j *PipelinedDescJoin) GetNext() *nestedlist.List {
 			j.done = true
 			return nil
 		}
-		if j.n == nil {
-			// Inner exhausted: flush remaining outers (optional mode).
-			out := j.flushOuter()
-			if out != nil {
-				return out
-			}
-			if j.m == nil {
-				j.done = true
-				return nil
-			}
-			continue
-		}
-		inner := j.n.ProjectSlot(j.InnerSlot)
-		if len(inner) == 0 {
-			j.n = j.Inner.GetNext()
-			continue
-		}
-		nn := inner[0]
-		if j.mHi < nn.Start {
-			// Outer region ends before the inner node: this outer can
-			// never match later inners either.
-			out := j.flushOuter()
-			if out != nil {
+		if j.n == nil || j.nn.Start > j.view.Hi() {
+			// The outer region ends before the inner node (or the inner
+			// stream has): no later inner can match this outer either.
+			if out := j.finishOuter(); out != nil || j.done {
 				return out
 			}
 			continue
 		}
-		outerNodes := j.m.ProjectSlot(j.OuterSlot)
-		j.Stats.AddComparisons(1)
-		if !containsAny(outerNodes, nn) {
-			// Inner node precedes the outer region or sits in a gap.
-			j.n = j.Inner.GetNext()
+		top := j.container()
+		if top < 0 {
+			// The inner node precedes the outer region or sits in a gap.
+			j.seekInner()
 			continue
+		}
+		j.matched = true
+		if !j.parked {
+			j.run = append(j.run, j.n)
+			j.replay = len(j.run)
 		}
 		if j.PerPair {
-			merged, err := nestedlist.Merge(j.m, j.n)
+			merged, err := j.view.Graft(top, j.n)
 			if err != nil {
 				j.fail(err)
 				return nil
 			}
-			j.matched = true
-			j.n = j.Inner.GetNext()
+			j.pullInner()
 			if err := j.Gov.Emitted(fault.SitePipelined); err != nil {
 				j.fail(err)
 				return nil
 			}
 			return merged
 		}
-		// Existential grouping: absorb every inner whose node falls in
-		// this outer's region (they are consecutive: inners arrive in
-		// document order and the region is one interval on non-recursive
-		// inputs).
-		acc := j.m
-		var anchors []*xmltree.Node
-		var batch []*nestedlist.List
-		single := len(outerNodes) == 1
-		for j.n != nil {
-			in := j.n.ProjectSlot(j.InnerSlot)
-			if len(in) == 0 {
-				j.n = j.Inner.GetNext()
-				continue
-			}
-			j.Stats.AddComparisons(1)
-			if in[0].Start > j.mHi || !containsAny(outerNodes, in[0]) {
-				break
-			}
-			if single {
-				// Batch the inners and merge balanced below: absorbing k
-				// instances one by one re-copies the accumulator k times.
-				batch = append(batch, j.n)
-			} else {
-				// Grouped outer slots need per-inner attachment so each
-				// witness lands under its own containing item.
-				merged, err := nestedlist.Merge(acc, j.n)
-				if err != nil {
-					j.fail(err)
-					return nil
-				}
-				acc = merged
-			}
-			anchors = append(anchors, in[0])
-			j.n = j.Inner.GetNext()
-		}
-		if len(batch) > 0 {
-			inner, err := nestedlist.MergeBalanced(batch)
-			if err == nil {
-				acc, err = nestedlist.Merge(acc, inner)
-			}
-			if err != nil {
-				j.fail(err)
-				return nil
-			}
-		}
-		j.advanceOuter()
-		if !j.Optional {
-			pruned, ok := pruneWitnessless(acc, j.OuterSlot, anchors)
-			if !ok {
-				continue
-			}
-			acc = pruned
-		}
-		if err := j.Gov.Emitted(fault.SitePipelined); err != nil {
+		// Existential grouping: the inner joins the outer's accumulating
+		// copy, and every open item has gained a witness. An item below
+		// a marked one on the stack was marked with it, so the walk
+		// stops at the first marked item.
+		if err := j.view.Absorb(top, j.n); err != nil {
 			j.fail(err)
 			return nil
 		}
-		return acc
+		for s := len(j.open) - 1; s >= 0 && j.view.Mark(j.open[s]); s-- {
+		}
+		j.pullInner()
 	}
 }
 
-// flushOuter finishes the current outer instance: in optional mode an
-// unmatched outer is emitted with its inner region empty; then the next
-// outer is loaded. It returns the instance to emit, or nil.
-func (j *PipelinedDescJoin) flushOuter() *nestedlist.List {
-	m, wasMatched := j.m, j.matched
+// container moves the merge position to the inner node and returns the
+// innermost outer entry containing it, or -1.
+func (j *PipelinedDescJoin) container() int {
+	at := j.nn.Start
+	for len(j.open) > 0 && j.view.Node(j.open[len(j.open)-1]).End < at {
+		j.open = j.open[:len(j.open)-1]
+	}
+	passed := j.next
+	for ; j.next < j.view.Len() && j.view.Node(j.next).Start < at; j.next++ {
+		if j.view.Node(j.next).End >= at {
+			j.open = append(j.open, j.next)
+		}
+	}
+	j.Stats.AddComparisons(int64(1 + j.next - passed))
+	if len(j.open) == 0 {
+		return -1
+	}
+	return j.open[len(j.open)-1]
+}
+
+// seekInner loads the next inner instance, first skipping the inner
+// stream to the next outer node when no open node could contain what
+// lies before it.
+func (j *PipelinedDescJoin) seekInner() {
+	if j.skip != nil && len(j.open) == 0 && j.next < j.view.Len() {
+		j.skip.SkipTo(j.view.Node(j.next).Start + 1)
+	}
+	j.pullInner()
+}
+
+// pullInner loads the next inner instance that has a join node: from
+// the run a duplicate outer is re-reading, then from the stream.
+func (j *PipelinedDescJoin) pullInner() {
+	switch {
+	case j.replay < len(j.run):
+		j.n = j.run[j.replay]
+		j.replay++
+	case j.parked:
+		j.parked, j.n, j.ahead = false, j.ahead, nil
+	default:
+		j.n = j.Inner.GetNext()
+	}
+	for j.n != nil {
+		if j.nn = j.n.FirstNode(j.InnerSlot); j.nn != nil {
+			return
+		}
+		j.n = j.Inner.GetNext()
+	}
+	j.nn = nil
+}
+
+// finishOuter ends the current outer instance and loads the next one.
+// It returns the instance to emit, if any: the grouped accumulation of a
+// matched outer, or in optional mode an unmatched outer with its inner
+// region empty.
+func (j *PipelinedDescJoin) finishOuter() *nestedlist.List {
+	var out *nestedlist.List
+	switch {
+	case j.matched && !j.PerPair:
+		if res, ok := j.view.Result(!j.Optional); ok {
+			out = res
+		}
+	case !j.matched && j.Optional:
+		out = j.m
+	}
 	j.advanceOuter()
-	if m != nil && !wasMatched && j.Optional {
+	if out != nil {
 		if err := j.Gov.Emitted(fault.SitePipelined); err != nil {
 			j.fail(err)
 			return nil
 		}
-		return m
 	}
-	return nil
+	return out
 }
 
+// advanceOuter loads the next outer instance and views its join slot.
+// An instance whose slot is empty can never match: it is dropped, or in
+// optional mode kept with a region that precedes every inner, so the
+// next step passes it through. An instance with the previous one's join
+// nodes starts over on the inners those paired with.
 func (j *PipelinedDescJoin) advanceOuter() {
-	j.m = j.Outer.GetNext()
-	j.matched = false
-	for j.m != nil {
-		if _, hi, ok := region(j.m, j.OuterSlot); ok {
-			j.mHi = hi
+	j.matched, j.open, j.next = false, j.open[:0], 0
+	for {
+		if j.m = j.Outer.GetNext(); j.m == nil {
 			return
 		}
-		// Outer instance with an empty join slot can never match.
-		if j.Optional {
-			// Still emit it downstream? An empty mandatory-side slot means
-			// the outer kept an optional region empty; it joins nothing,
-			// and optional mode passes it through via flushOuter on the
-			// next cycle. Mark as matched=false with an empty region that
-			// precedes everything.
-			j.mHi = -1
-			return
+		j.view.Reset(j.m, j.OuterSlot)
+		if j.view.Len() > 0 || j.Optional {
+			break
 		}
-		j.m = j.Outer.GetNext()
 	}
+	if j.sameNodesAsRun() {
+		if len(j.run) > 0 {
+			// The outer before this one ended on the stream's lookahead.
+			j.parked, j.ahead, j.replay = true, j.n, 0
+			j.pullInner()
+		}
+		return
+	}
+	j.run, j.runOf, j.replay = j.run[:0], j.runOf[:0], 0
+	for i := 0; i < j.view.Len(); i++ {
+		j.runOf = append(j.runOf, j.view.Node(i))
+	}
+}
+
+func (j *PipelinedDescJoin) sameNodesAsRun() bool {
+	if j.view.Len() != len(j.runOf) {
+		return false
+	}
+	for i, n := range j.runOf {
+		if j.view.Node(i) != n {
+			return false
+		}
+	}
+	return true
 }
 
 func (j *PipelinedDescJoin) fail(err error) {

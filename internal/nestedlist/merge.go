@@ -46,7 +46,7 @@ func mergeItems(x, y *Item) (*Item, error) {
 	if len(y.Groups) > n {
 		n = len(y.Groups)
 	}
-	out := &Item{Node: node, Groups: make([][]*Item, n)}
+	out := NewItem(node, n)
 	for i := 0; i < n; i++ {
 		var gx, gy []*Item
 		if i < len(x.Groups) {
@@ -238,8 +238,7 @@ func Unnest(l *List, slot int) []*List {
 		}
 		for _, c := range it.Groups[ord] {
 			rec(c, depth+1, func(repl *Item) *List {
-				cp := &Item{Node: it.Node, Groups: make([][]*Item, len(it.Groups))}
-				copy(cp.Groups, it.Groups)
+				cp := it.shallowCopy()
 				cp.Groups[ord] = []*Item{repl}
 				return rebuild(cp)
 			})

@@ -37,11 +37,52 @@ type Item struct {
 }
 
 // NewItem allocates an item for a shape node with the given child count.
+// Returning-tree nodes have a few children at most, so the group
+// headers of a small item are allocated with it, at their exact size:
+// items are what the matcher and the joins allocate most, and one
+// object instead of two halves that.
 func NewItem(n *xmltree.Node, numChildren int) *Item {
-	if numChildren == 0 {
+	switch numChildren {
+	case 0:
 		return &Item{Node: n}
+	case 1:
+		b := &struct {
+			Item
+			g [1][]*Item
+		}{}
+		b.Node, b.Groups = n, b.g[:]
+		return &b.Item
+	case 2:
+		b := &struct {
+			Item
+			g [2][]*Item
+		}{}
+		b.Node, b.Groups = n, b.g[:]
+		return &b.Item
+	case 3:
+		b := &struct {
+			Item
+			g [3][]*Item
+		}{}
+		b.Node, b.Groups = n, b.g[:]
+		return &b.Item
+	case 4:
+		b := &struct {
+			Item
+			g [4][]*Item
+		}{}
+		b.Node, b.Groups = n, b.g[:]
+		return &b.Item
 	}
 	return &Item{Node: n, Groups: make([][]*Item, numChildren)}
+}
+
+// shallowCopy returns a new item with the same node and group headers; the
+// groups themselves stay shared.
+func (it *Item) shallowCopy() *Item {
+	cp := NewItem(it.Node, len(it.Groups))
+	copy(cp.Groups, it.Groups)
+	return cp
 }
 
 // anchor returns the item's own node, or the first real node in its
@@ -119,23 +160,15 @@ func NewInstance(shape *core.ReturnTree) *List {
 // SetFilled marks a slot as carried by this instance.
 func (l *List) SetFilled(slot int) { l.filled.set(slot, len(l.Shape.Nodes)) }
 
+// SetFilledLike marks every slot o carries as carried by l too.
+func (l *List) SetFilledLike(o *List) { l.filled = l.filled.or(o.filled, len(l.Shape.Nodes)) }
+
 // IsFilled reports whether the slot is carried by this instance.
 func (l *List) IsFilled(slot int) bool { return l.filled.get(slot) }
 
 // slotPath returns the chain of child ordinals from the super-root down
-// to the slot's shape node.
-func (l *List) slotPath(slot int) []int {
-	n := l.Shape.Nodes[slot]
-	var rev []int
-	for n.Parent != nil {
-		rev = append(rev, n.ChildOrdinal())
-		n = n.Parent
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
+// to the slot's shape node (computed once per returning tree).
+func (l *List) slotPath(slot int) []int { return l.Shape.Nodes[slot].Path }
 
 // Items returns the items of the given slot across the whole instance,
 // in insertion (document) order.
@@ -153,6 +186,50 @@ func (l *List) Items(slot int) []*Item {
 	return frontier
 }
 
+// VisitSlot calls fn on the slot's matched nodes in document order —
+// the sequence ProjectSlot returns, without building it — until fn
+// returns false. It reports whether the visit ran to the end.
+func (l *List) VisitSlot(slot int, fn func(*xmltree.Node) bool) bool {
+	return visitSlot(l.Root, l.slotPath(slot), fn)
+}
+
+func visitSlot(it *Item, path []int, fn func(*xmltree.Node) bool) bool {
+	if len(path) == 0 {
+		return it.Node == nil || fn(it.Node)
+	}
+	if path[0] >= len(it.Groups) {
+		return true
+	}
+	for _, c := range it.Groups[path[0]] {
+		if !visitSlot(c, path[1:], fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// FirstNode returns the first matched node of the slot in document
+// order, or nil when the slot is empty (ProjectSlot(slot)[0] without
+// the projection).
+func (l *List) FirstNode(slot int) *xmltree.Node {
+	return firstNode(l.Root, l.slotPath(slot))
+}
+
+func firstNode(it *Item, path []int) *xmltree.Node {
+	if len(path) == 0 {
+		return it.Node
+	}
+	if path[0] >= len(it.Groups) {
+		return nil
+	}
+	for _, c := range it.Groups[path[0]] {
+		if n := firstNode(c, path[1:]); n != nil {
+			return n
+		}
+	}
+	return nil
+}
+
 // Project implements π(ID): unnest along the Dewey ID and return the
 // concatenated matched nodes. Placeholder items project to nothing. By
 // Theorem 1 the result is in document order when the instance was built
@@ -167,13 +244,11 @@ func (l *List) Project(d core.Dewey) ([]*xmltree.Node, error) {
 
 // ProjectSlot is Project by slot index.
 func (l *List) ProjectSlot(slot int) []*xmltree.Node {
-	items := l.Items(slot)
-	out := make([]*xmltree.Node, 0, len(items))
-	for _, it := range items {
-		if it.Node != nil {
-			out = append(out, it.Node)
-		}
-	}
+	var out []*xmltree.Node
+	l.VisitSlot(slot, func(n *xmltree.Node) bool {
+		out = append(out, n)
+		return true
+	})
 	return out
 }
 
@@ -227,7 +302,7 @@ func (l *List) SelectSlot(slot int, pred func(n *xmltree.Node, pos int) bool) (*
 	// itself must be removed (its mandatory group emptied).
 	var filter func(it *Item, depth int) *Item
 	filter = func(it *Item, depth int) *Item {
-		cp := &Item{Node: it.Node, Groups: make([][]*Item, len(it.Groups))}
+		cp := NewItem(it.Node, len(it.Groups))
 		ord := path[depth]
 		for gi, g := range it.Groups {
 			if gi != ord {

@@ -3,6 +3,7 @@ package nok
 import (
 	"blossomtree/internal/fault"
 	"blossomtree/internal/gov"
+	"blossomtree/internal/index"
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/xmltree"
@@ -15,12 +16,13 @@ import (
 type Iterator struct {
 	m *Matcher
 
-	// Exactly one anchor source is active.
-	cur   *xmltree.Node // preorder cursor (sequential / subtree scans)
-	stop  *xmltree.Node // subtree bound; nil for whole-document scans
-	nodes []*xmltree.Node
-	pos   int
-	byIdx bool
+	// Exactly one anchor source is active: the preorder cursor of a
+	// sequential or subtree scan, or the posting stream of an
+	// index-anchored one. The stream is bare — the iterator charges its
+	// own Stats and Gov for what the stream passes.
+	cur      *xmltree.Node // preorder cursor
+	stop     *xmltree.Node // subtree bound; nil for whole-document scans
+	postings *index.Stream // nil for preorder scans
 
 	queue []*nestedlist.List // expanded instances pending delivery
 	// ScannedNodes counts anchor candidates inspected, the I/O proxy the
@@ -43,7 +45,7 @@ type Iterator struct {
 // scan of the XML tree against the blossom tree").
 func NewIterator(m *Matcher, doc *xmltree.Document) *Iterator {
 	if m.NoK.Root.IsDocRoot() {
-		return &Iterator{m: m, byIdx: true, nodes: []*xmltree.Node{doc.Root}}
+		return NewIndexIterator(m, []*xmltree.Node{doc.Root})
 	}
 	return &Iterator{m: m, cur: doc.DocumentElement()}
 }
@@ -58,7 +60,7 @@ func NewSubtreeIterator(m *Matcher, top *xmltree.Node) *Iterator {
 // NewIndexIterator anchors only at the given candidate nodes, which must
 // be in document order (typically a tag index inverted list).
 func NewIndexIterator(m *Matcher, nodes []*xmltree.Node) *Iterator {
-	return &Iterator{m: m, byIdx: true, nodes: nodes}
+	return &Iterator{m: m, postings: index.NewStream(nodes)}
 }
 
 // GetNext returns the next instance, or nil when exhausted.
@@ -80,36 +82,77 @@ func (it *Iterator) GetNext() *nestedlist.List {
 		if x == nil {
 			return nil
 		}
-		it.ScannedNodes++
-		it.Stats.AddScanned(1)
-		if err := it.Gov.Scanned(fault.SiteNoKScan, 1); err != nil {
-			it.Err = err
+		if !it.charge(1) {
 			return nil
 		}
-		if x.Kind == xmltree.ElementNode && !it.m.NoK.Root.MatchesTag(x.Tag) && !it.m.NoK.Root.IsDocRoot() {
+		// Only a node of the root's kind and tag is worth building an
+		// instance for (text nodes are half of a sequential scan).
+		if root := it.m.NoK.Root; root.IsDocRoot() {
+			if x.Kind != xmltree.DocumentNode {
+				continue
+			}
+		} else if x.Kind != xmltree.ElementNode || !root.MatchesTag(x.Tag) {
 			continue
 		}
 		it.Stats.AddComparisons(1)
 		if l := it.m.MatchAt(x); l != nil {
-			it.queue = it.m.Expand(l)
+			if len(it.m.forSlots) > 0 {
+				it.queue = it.m.Expand(l)
+				continue
+			}
+			// Nothing to unnest: the match is the one instance.
+			if err := it.Gov.Emitted(fault.SiteNoKEmit); err != nil {
+				it.Err = err
+				return nil
+			}
+			return l
 		}
 	}
 }
 
 func (it *Iterator) nextAnchor() *xmltree.Node {
-	if it.byIdx {
-		if it.pos >= len(it.nodes) {
-			return nil
-		}
-		n := it.nodes[it.pos]
-		it.pos++
-		return n
+	if it.postings != nil {
+		return it.postings.Next()
 	}
 	n := it.cur
 	if n != nil {
 		it.cur = xmltree.NextPreorder(n, it.stop)
 	}
 	return n
+}
+
+// charge counts n anchor candidates as scanned — visited or skipped
+// alike — against the stats and the governor's node budget, and reports
+// whether the scan may go on.
+func (it *Iterator) charge(n int) bool {
+	it.ScannedNodes += n
+	it.Stats.AddScanned(int64(n))
+	if err := it.Gov.Scanned(fault.SiteNoKScan, int64(n)); err != nil {
+		it.Err = err
+		return false
+	}
+	return true
+}
+
+// SkipTo drops, unmatched, the pending anchor candidates that start
+// before start (join.Skipper): a merge join calls it when nothing before
+// start can join. It never moves backwards. The dropped candidates are
+// charged as scanned, exactly like visited ones, and are also counted
+// as skipped so that the scan's feedback observation — emitted plus
+// skipped — stays an estimate of the vertex's cardinality rather than
+// of what one join happened to need. It is a no-op for preorder scans,
+// which have no sorted candidate list to search, and while expanded
+// instances of an earlier anchor are still queued.
+func (it *Iterator) SkipTo(start int) {
+	if it.postings == nil || len(it.queue) > 0 || it.Err != nil {
+		return
+	}
+	before := it.postings.Len()
+	it.postings.SkipTo(start)
+	if skipped := before - it.postings.Len(); skipped > 0 {
+		it.Stats.AddSkipped(int64(skipped))
+		it.charge(skipped)
+	}
 }
 
 // Drain collects all remaining instances.

@@ -41,6 +41,12 @@ type Matcher struct {
 	// shape order, used to unnest grouped matches into per-iteration
 	// instances.
 	forSlots []int
+	// byVertex is the shape node of each returning vertex of the NoK,
+	// indexed by Vertex.ID (nil elsewhere), and filled an instance with
+	// exactly their slots marked: what every successful match carries,
+	// resolved once instead of per match.
+	byVertex []*core.ReturnNode
+	filled   *nestedlist.List
 }
 
 // NewMatcher prepares a matcher for one NoK of the decomposition.
@@ -59,11 +65,19 @@ func NewMatcher(nok *core.NoK, shape *core.ReturnTree) (*Matcher, error) {
 	} else {
 		m.sinkShape = shape.Root
 	}
+	m.filled = nestedlist.NewInstance(shape)
 	for _, v := range nok.ReturningVertices() {
+		sn, ok := shape.ByVertex(v)
+		if !ok {
+			continue
+		}
+		for len(m.byVertex) <= v.ID {
+			m.byVertex = append(m.byVertex, nil)
+		}
+		m.byVertex[v.ID] = sn
+		m.filled.SetFilled(sn.Slot)
 		if v.ForBound && v != root {
-			if sn, ok := shape.ByVertex(v); ok {
-				m.forSlots = append(m.forSlots, sn.Slot)
-			}
+			m.forSlots = append(m.forSlots, sn.Slot)
 		}
 	}
 	return m, nil
@@ -90,11 +104,7 @@ func (m *Matcher) MatchAt(x *xmltree.Node) *nestedlist.List {
 	if !m.match(m.NoK.Root, x, sink, m.sinkShape) {
 		return nil
 	}
-	for _, v := range m.NoK.ReturningVertices() {
-		if sn, ok := m.Shape.ByVertex(v); ok {
-			l.SetFilled(sn.Slot)
-		}
-	}
+	l.SetFilledLike(m.filled)
 	return l
 }
 
@@ -114,11 +124,10 @@ func (m *Matcher) match(v *core.Vertex, x *xmltree.Node, sink *nestedlist.Item, 
 	var it *nestedlist.Item
 	var sn *core.ReturnNode
 	if v.Returning {
-		var ok bool
-		sn, ok = m.Shape.ByVertex(v)
-		if !ok {
+		if v.ID >= len(m.byVertex) || m.byVertex[v.ID] == nil {
 			return false
 		}
+		sn = m.byVertex[v.ID]
 		it = nestedlist.NewItem(x, len(sn.Children))
 		childSink, childShape = it, sn
 	} else {

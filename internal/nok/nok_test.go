@@ -8,8 +8,10 @@ import (
 
 	"blossomtree/internal/core"
 	"blossomtree/internal/flwor"
+	"blossomtree/internal/index"
 	"blossomtree/internal/naveval"
 	"blossomtree/internal/nestedlist"
+	"blossomtree/internal/obs"
 	"blossomtree/internal/xmlgen"
 	"blossomtree/internal/xmltree"
 	"blossomtree/internal/xpath"
@@ -242,6 +244,67 @@ func TestIndexIterator(t *testing.T) {
 	}
 	if it.ScannedNodes != len(books) {
 		t.Errorf("index scan visited %d anchors, want %d", it.ScannedNodes, len(books))
+	}
+}
+
+// TestIteratorSkipTo pins the SkipTo contract of the index-anchored
+// scan: candidates before the target are dropped unmatched but charged
+// as scanned (and counted as skipped), the cursor never moves backwards,
+// and the call costs no allocation.
+func TestIteratorSkipTo(t *testing.T) {
+	doc := parse(t, bib)
+	cq, m := singleNoKMatcher(t, `//book/title`)
+	books := index.Build(doc).Nodes("book")
+	it := NewIndexIterator(m, books)
+	it.Stats = obs.NewOpStats("NoKScan", "book")
+	rn, _ := cq.Return.ByVar("result")
+
+	it.SkipTo(books[2].Start)
+	if it.ScannedNodes != 2 || it.Stats.Scanned() != 2 || it.Stats.Skipped() != 2 {
+		t.Fatalf("after skipping two books: scanned %d/%d, skipped %d; want 2/2, 2",
+			it.ScannedNodes, it.Stats.Scanned(), it.Stats.Skipped())
+	}
+	it.SkipTo(books[0].Start) // backwards: ignored
+	l := it.GetNext()
+	if l == nil || l.FirstNode(rn.Slot).Parent != books[2] {
+		t.Fatalf("GetNext after SkipTo = %v, want the third book's title", l)
+	}
+	it.SkipTo(books[3].End + 1) // past the end
+	if it.GetNext() != nil || it.ScannedNodes != len(books) || it.Stats.Skipped() != 3 {
+		t.Errorf("after skipping to the end: scanned %d, skipped %d; want %d, 3",
+			it.ScannedNodes, it.Stats.Skipped(), len(books))
+	}
+
+	it = NewIndexIterator(m, books)
+	at := 0
+	if allocs := testing.AllocsPerRun(len(books), func() {
+		it.SkipTo(books[at%len(books)].Start + 1)
+		at++
+	}); allocs != 0 {
+		t.Errorf("SkipTo allocated %.0f times per call, want 0", allocs)
+	}
+}
+
+// TestIteratorSkipToNoOps: a preorder scan has no sorted candidate list
+// to search, and instances already expanded from an earlier anchor are
+// not dropped.
+func TestIteratorSkipToNoOps(t *testing.T) {
+	doc := parse(t, `<r><b><t>1</t><t>2</t></b><b><t>3</t></b></r>`)
+	_, m := singleNoKMatcher(t, `//b/t`)
+
+	seq := NewIterator(m, doc)
+	seq.SkipTo(1 << 30)
+	if seq.ScannedNodes != 0 || len(seq.Drain()) != 3 {
+		t.Error("SkipTo moved a sequential scan")
+	}
+
+	ix := NewIndexIterator(m, index.Build(doc).Nodes("b"))
+	if ix.GetNext() == nil {
+		t.Fatal("no first instance")
+	}
+	ix.SkipTo(1 << 30) // the first b's second t is still queued
+	if ix.ScannedNodes != 1 || len(ix.Drain()) != 2 {
+		t.Error("SkipTo dropped queued instances or moved past them")
 	}
 }
 

@@ -182,4 +182,11 @@ func TestRenderShape(t *testing.T) {
 	if !strings.Contains(analyzed, "scanned est=20 act=19") {
 		t.Errorf("child row should show scan counters:\n%s", analyzed)
 	}
+	if strings.Contains(analyzed, "skipped=") {
+		t.Errorf("a scan that skipped nothing should not show the column:\n%s", analyzed)
+	}
+	child.AddSkipped(7)
+	if analyzed = root.Render(true); !strings.Contains(analyzed, "act=19 · skipped=7") || child.Skipped() != 7 {
+		t.Errorf("skipped candidates should follow the scan counters:\n%s", analyzed)
+	}
 }

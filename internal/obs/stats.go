@@ -47,6 +47,7 @@ type OpStats struct {
 
 	calls       atomic.Int64 // GetNext invocations
 	scanned     atomic.Int64 // document/index nodes inspected
+	skipped     atomic.Int64 // scanned candidates a join skipped over unmatched
 	emitted     atomic.Int64 // instances produced
 	comparisons atomic.Int64 // structural/value predicate evaluations
 	maxStack    atomic.Int64 // deepest operator stack observed
@@ -99,6 +100,17 @@ func (s *OpStats) AddCall() {
 func (s *OpStats) AddScanned(n int64) {
 	if s != nil && n != 0 {
 		s.scanned.Add(n)
+	}
+}
+
+// AddSkipped counts candidates a scan dropped unmatched because the
+// join consuming it could rule them out by position. They are part of
+// scanned as well; the separate count is what lets the feedback loop
+// tell "this vertex has fewer matches than estimated" from "this join
+// did not need them" (see exec.feedbackOps).
+func (s *OpStats) AddSkipped(n int64) {
+	if s != nil && n != 0 {
+		s.skipped.Add(n)
 	}
 }
 
@@ -176,6 +188,14 @@ func (s *OpStats) Scanned() int64 {
 		return 0
 	}
 	return s.scanned.Load()
+}
+
+// Skipped returns the candidates skipped over unmatched.
+func (s *OpStats) Skipped() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.skipped.Load()
 }
 
 // Emitted returns the instances this operator produced.
@@ -312,6 +332,9 @@ func (s *OpStats) columns(analyze bool) string {
 			"out est="+est(s.EstOut)+" act="+fmt.Sprintf("%d", s.Emitted()),
 			"scanned est="+est(s.EstNodes)+" act="+fmt.Sprintf("%d", s.Scanned()),
 		)
+		if k := s.Skipped(); k > 0 {
+			cols = append(cols, fmt.Sprintf("skipped=%d", k))
+		}
 		if c := s.Comparisons(); c > 0 {
 			cols = append(cols, fmt.Sprintf("cmp=%d", c))
 		}

@@ -87,6 +87,9 @@ func appendSpans(t *Trace, s *OpStats, ts, dur float64) {
 	if c := s.Comparisons(); c > 0 {
 		ev.Args["comparisons"] = c
 	}
+	if k := s.Skipped(); k > 0 {
+		ev.Args["skipped"] = k
+	}
 	t.TraceEvents = append(t.TraceEvents, ev)
 	cursor := ts
 	for _, c := range s.Children {

@@ -442,13 +442,12 @@ func (p *Plan) matchToInstance(m join.TwigMatch) *nestedlist.List {
 
 func instanceKeyLess(a, b *nestedlist.List, rt *core.ReturnTree) bool {
 	for slot := 1; slot < len(rt.Nodes); slot++ {
-		an := a.ProjectSlot(slot)
-		bn := b.ProjectSlot(slot)
-		if len(an) == 0 || len(bn) == 0 {
+		an, bn := a.FirstNode(slot), b.FirstNode(slot)
+		if an == nil || bn == nil {
 			continue
 		}
-		if an[0].Start != bn[0].Start {
-			return an[0].Start < bn[0].Start
+		if an.Start != bn.Start {
+			return an.Start < bn.Start
 		}
 	}
 	return false
