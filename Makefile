@@ -9,15 +9,17 @@
 #                  admission faults under -race (retry, degrade, shed)
 #   make smoke   — boot blossomd, query it over HTTP, scrape /metrics
 #   make feedback — feedback-driven planning suite: store invariants,
-#                  divergence→replan→win regression, static-vs-feedback
-#                  comparison (asserts wins ≥ losses)
+#                  divergence→replan→win regression with its
+#                  well-estimated control
 #   make persist — persistent segment store suite: codec round-trips,
 #                  crash-safety (torn/bit-flipped segments quarantined),
 #                  restart differential, daemon -data round-trip
 #   make benchbuild — vet + test the nested benchmark/ module against
 #                  the current API (root `go build ./...` skips it)
-#   make bench   — paper-table + concurrency benchmarks
-#   make qps     — serial vs parallel batch throughput report
+#   make lint-refs — fail if a file still points at the retired second
+#                  benchmark harness
+#   make bench   — micro, ablation and concurrency benchmarks (the
+#                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
 #   make proptest — randomized differential harness (PROPSEED,
 #                  PROPCASES control the base seed and case count)
@@ -30,7 +32,7 @@ FUZZTIME ?= 30s
 PROPSEED ?= 0xB10550
 PROPCASES ?= 2500
 
-.PHONY: build test vet race check stress chaos smoke bench qps fuzz proptest feedback persist benchbuild
+.PHONY: build test vet race check stress chaos smoke bench fuzz proptest feedback persist benchbuild lint-refs
 
 build:
 	$(GO) build ./...
@@ -48,7 +50,7 @@ race:
 # full suite under the race detector, which exercises the concurrent
 # Add+Eval stress tests against the snapshot engine, plus the
 # cancellation stress pass.
-check: vet race stress chaos smoke proptest feedback persist benchbuild
+check: vet lint-refs race stress chaos smoke proptest feedback persist benchbuild
 
 # Property-based differential harness: PROPCASES random documents, four
 # random queries each, every join strategy ± parallel ± warm plan cache
@@ -91,15 +93,14 @@ smoke:
 
 # Feedback-driven planning: the estimate→actual store's unit
 # invariants, the end-to-end divergence → replan → win regression
-# (EXPLAIN shows the replan, strategy flips from the cold plan), the
+# (EXPLAIN shows the replan, strategy flips from the cold plan, the
+# well-estimated control on the same corpus does not replan), and the
 # skipping-scan regression (a pipelined join that skips most of its
-# inner's postings must not read as drift), and the static-vs-feedback
-# harness, which asserts feedback wins ≥ losses on the pinned skewed
-# corpus.
+# inner's postings must not read as drift).
 feedback:
 	$(GO) test -race -timeout 120s ./internal/feedback
 	$(GO) test -race -timeout 120s -count=1 -run 'Feedback|SkippingScan' \
-		./internal/exec ./internal/bench
+		./internal/exec
 
 # Persistent segment store: the codec round-trip / crash-safety /
 # eviction unit suite, the hardened storage decode, the restart
@@ -123,8 +124,14 @@ benchbuild:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-qps:
-	$(GO) run ./cmd/blossombench -qps -workers 4
+# The repository has one benchmark (benchmark/, BENCHMARK.json). The
+# second harness was retired; only the change log, the roadmap's history
+# and the benchmark's own README may still name it. (The bracketed last
+# letters keep this rule from matching itself.)
+lint-refs:
+	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
+		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
+		echo "lint-refs: stale reference to the retired benchmark harness"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; the compact NestedList form must

@@ -1,99 +1,66 @@
-// Benchmarks regenerating the paper's evaluation tables (§5) plus
-// ablations of the design choices DESIGN.md calls out. Run with:
+// Micro-benchmarks of single operators and ablations of the design
+// choices DESIGN.md calls out. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// BenchmarkTable1 measures dataset generation + statistics (the Table 1
-// inputs); BenchmarkTable3 measures every (dataset × system × query)
-// cell of Table 3 at benchmark scale. cmd/blossombench prints the same
-// grids in the paper's row/column format and at configurable scale.
+// The paper's Table 3 grid and every end-to-end number are measured by
+// the repository's benchmark (bash benchmark/run.sh), not here.
 package blossomtree_test
 
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"blossomtree"
-	"blossomtree/internal/bench"
 	"blossomtree/internal/core"
 	"blossomtree/internal/exec"
+	"blossomtree/internal/index"
 	"blossomtree/internal/join"
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/nok"
+	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 	"blossomtree/internal/storage"
+	"blossomtree/internal/vexec"
 	"blossomtree/internal/xmlgen"
 	"blossomtree/internal/xmltree"
 	"blossomtree/internal/xpath"
 )
 
 // benchNodes is the per-dataset element count used by the benchmarks:
-// small enough that the full grid runs in minutes, large enough that the
-// asymptotic differences between the join algorithms show.
+// large enough that the asymptotic differences between the join
+// algorithms show.
 const benchNodes = 20000
 
+// benchDataset is a generated document with its index and statistics.
+type benchDataset struct {
+	Doc   *xmltree.Document
+	Index *index.TagIndex
+	Stats xmltree.Stats
+}
+
 var (
-	dsCache   = map[string]*bench.Dataset{}
+	dsCache   = map[string]*benchDataset{}
 	dsCacheMu sync.Mutex
 )
 
-func dataset(b *testing.B, id string) *bench.Dataset {
+func dataset(b *testing.B, id string) *benchDataset {
 	b.Helper()
 	dsCacheMu.Lock()
 	defer dsCacheMu.Unlock()
 	if ds, ok := dsCache[id]; ok {
 		return ds
 	}
-	ds, err := bench.LoadDataset(id, benchNodes, 1)
+	doc, err := xmlgen.Generate(id, xmlgen.Config{Seed: 1, TargetNodes: benchNodes})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ds := &benchDataset{Doc: doc, Index: index.Build(doc), Stats: xmltree.ComputeStats(doc)}
 	dsCache[id] = ds
 	return ds
-}
-
-// BenchmarkTable1 regenerates each dataset and computes its Table 1
-// statistics.
-func BenchmarkTable1(b *testing.B) {
-	for _, id := range bench.Datasets() {
-		b.Run(id, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				doc := xmlgen.MustGenerate(id, xmlgen.Config{Seed: int64(i), TargetNodes: benchNodes})
-				s := xmltree.ComputeStats(doc)
-				if s.Elements == 0 {
-					b.Fatal("empty dataset")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable3 measures every cell of Table 3: the running time of
-// the navigational baseline (XH), TwigStack (TS), the pipelined join
-// (PL, non-recursive datasets) and the bounded nested-loop join (NL,
-// recursive datasets) on the six Appendix-A queries of each dataset.
-func BenchmarkTable3(b *testing.B) {
-	for _, id := range bench.Datasets() {
-		ds := dataset(b, id)
-		for _, sys := range bench.Systems() {
-			if !bench.Applicable(sys, ds.Stats.Recursive) {
-				continue
-			}
-			for _, q := range bench.Suite(id) {
-				b.Run(fmt.Sprintf("%s/%s/%s", id, sys, q.ID), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						cell := bench.RunCell(ds, q, sys, time.Hour)
-						if cell.Err != nil {
-							b.Fatal(cell.Err)
-						}
-					}
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkAblationMergedScans compares evaluating a multi-NoK query
@@ -226,51 +193,41 @@ func BenchmarkMicroTwigStack(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroStackJoin measures the binary structural join on the two
-// largest inverted lists of d4.
-func BenchmarkMicroStackJoin(b *testing.B) {
-	ds := dataset(b, "d4")
-	ancs := ds.Index.Nodes("VP")
-	descs := ds.Index.Nodes("NN")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := join.StackJoin(ancs, descs); len(got) == 0 {
-			b.Fatal("no pairs")
-		}
-	}
-}
-
-// BenchmarkVectorizedJoin compares the two execution models on the
-// descendant-heavy chain queries of the Appendix-A suites: the
-// tuple-at-a-time cascade of binary stack semi-joins over node-pointer
-// lists vs the batch-at-a-time columnar pipeline over flat uint32
-// region columns. Both read the same inverted lists, so the delta is
-// the execution model alone.
+// BenchmarkVectorizedJoin measures the batch-at-a-time columnar
+// pipeline alone (vexec.Run over flat uint32 region columns, no
+// planning) on the descendant-heavy pure-chain queries of the
+// Appendix-A suites — the fragment the columnar executor accepts
+// natively.
 func BenchmarkVectorizedJoin(b *testing.B) {
-	for _, vq := range bench.VectorizedSuite() {
-		ds := dataset(b, vq.Dataset)
-		tags := bench.ChainTags(vq.Text)
-		// Warm the columnar projections so neither arm pays the lazy
-		// ColumnSet build.
-		if _, err := bench.ColumnarChainJoin(ds.Index, tags); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("%s/%s/tuple", vq.Dataset, vq.ID), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got := bench.TupleChainJoin(ds.Index, tags); len(got) == 0 {
-					b.Fatal("no rows")
-				}
+	for _, c := range []struct {
+		ds string
+		q  int // index into the dataset's suite
+	}{{"d1", 0}, {"d2", 0}, {"d2", 2}, {"d3", 2}, {"d3", 4}} {
+		ds := dataset(b, c.ds)
+		q := xmlgen.Suite(c.ds)[c.q]
+		tags := strings.Split(strings.TrimPrefix(q.Text, "//"), "//")
+		stages := make([]vexec.Stage, len(tags))
+		for i, tag := range tags {
+			// Columns builds the tag's projection on first use, so the
+			// timed loop never pays the lazy ColumnSet build.
+			stages[i] = vexec.Stage{
+				Cols:      ds.Index.Columns(tag),
+				Edge:      vexec.EdgeDescendant,
+				ScanStats: obs.NewOpStats("VecScan", tag),
+				JoinStats: obs.NewOpStats("VecSemiJoin", tag),
 			}
-		})
-		b.Run(fmt.Sprintf("%s/%s/vectorized", vq.Dataset, vq.ID), func(b *testing.B) {
+		}
+		b.Run(fmt.Sprintf("%s/%s/vectorized", c.ds, q.ID), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				got, err := bench.ColumnarChainJoin(ds.Index, tags)
+				a := vexec.NewArena()
+				ords, err := vexec.Run(stages, nil, a)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(got) == 0 {
+				if len(ords) == 0 {
 					b.Fatal("no rows")
 				}
+				a.Release()
 			}
 		})
 	}
@@ -505,7 +462,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	eng.LoadDocument("d3", ds.Doc)
 	var batch []string
 	for r := 0; r < 4; r++ {
-		for _, q := range bench.Suite("d3") {
+		for _, q := range xmlgen.Suite("d3") {
 			batch = append(batch, q.Text)
 		}
 	}

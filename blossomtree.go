@@ -123,7 +123,7 @@ type Options struct {
 	// Logger, when non-nil, receives one structured record per
 	// evaluation: query ID, query-text hash, executed strategy,
 	// governance verdict, nodes scanned, rows out, and latency. The
-	// CLI, bench harness, and blossomd daemon all log through this one
+	// CLI, the benchmark and the blossomd daemon all log through this one
 	// hook.
 	Logger *slog.Logger
 	// SlowQueryThreshold promotes evaluations at or past the threshold

@@ -8,12 +8,14 @@
 //	xmlgen -dataset d2 -o address.xml                 # default 1/40 scale
 //	xmlgen -dataset d4 -scale 1.0 -o treebank.xml     # paper-scale node count
 //	xmlgen -dataset d5 -nodes 100000 -seed 7 -o dblp.xml
-//	xmlgen -list                                      # describe the catalog
+//	xmlgen -dataset d2 -stats -o /dev/null            # one row of Table 1
+//	xmlgen -list                                      # the catalog, Table 2 and the Appendix-A suites
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"blossomtree/internal/storage"
@@ -22,54 +24,62 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams injected; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xmlgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataset = flag.String("dataset", "", "dataset ID: d1..d5")
-		out     = flag.String("o", "", "output file (default stdout)")
-		nodes   = flag.Int("nodes", 0, "approximate element count (overrides -scale)")
-		scale   = flag.Float64("scale", 0, "fraction of the paper's node count (default 1/40)")
-		seed    = flag.Int64("seed", 1, "generator seed")
-		list    = flag.Bool("list", false, "list the dataset catalog and exit")
-		stats   = flag.Bool("stats", false, "print Table 1 statistics of the generated document to stderr")
-		indent  = flag.Bool("indent", false, "pretty-print the output")
-		binary  = flag.Bool("binary", false, "emit the succinct binary segment format instead of XML")
+		dataset = fs.String("dataset", "", "dataset ID: d1..d5")
+		out     = fs.String("o", "", "output file (default stdout)")
+		nodes   = fs.Int("nodes", 0, "approximate element count (overrides -scale)")
+		scale   = fs.Float64("scale", 0, "fraction of the paper's node count (default 1/40)")
+		seed    = fs.Int64("seed", 1, "generator seed")
+		list    = fs.Bool("list", false, "list the dataset catalog with each dataset's Appendix-A suite and the Table 2 categories, and exit")
+		stats   = fs.Bool("stats", false, "print Table 1 statistics of the generated document to stderr")
+		indent  = fs.Bool("indent", false, "pretty-print the output")
+		binary  = fs.Bool("binary", false, "emit the succinct binary segment format instead of XML")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "xmlgen:", err)
+		return 1
+	}
 
 	if *list {
-		for _, in := range xmlgen.Catalog {
-			fmt.Printf("%-3s %-14s %-9s recursive=%-5v paper: %s, %d nodes, avg dep %d, max dep %d, %d tags\n    %s\n",
-				in.ID, in.Name, in.Category, in.Recursive,
-				in.PaperSize, in.PaperNodes, in.PaperAvgDep, in.PaperMaxDep, in.PaperTags,
-				in.Description)
-		}
-		return
+		printCatalog(stdout)
+		return 0
 	}
 	if *dataset == "" {
-		fmt.Fprintln(os.Stderr, "xmlgen: -dataset is required (or -list)")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "xmlgen: -dataset is required (or -list)")
+		fs.Usage()
+		return 2
 	}
 	target := *nodes
 	if target == 0 && *scale > 0 {
 		info, ok := xmlgen.LookupInfo(*dataset)
 		if !ok {
-			fatal(fmt.Errorf("unknown dataset %q", *dataset))
+			return fail(fmt.Errorf("unknown dataset %q", *dataset))
 		}
 		target = int(float64(info.PaperNodes) * *scale)
 	}
 	doc, err := xmlgen.Generate(*dataset, xmlgen.Config{Seed: *seed, TargetNodes: target})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *stats {
-		fmt.Fprintln(os.Stderr, xmltree.ComputeStats(doc).String())
+		fmt.Fprintln(stderr, xmltree.ComputeStats(doc).String())
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		w = f
@@ -77,19 +87,34 @@ func main() {
 	if *binary {
 		data, err := storage.Encode(doc).MarshalBinary()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if _, err := w.Write(data); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if err := xmltree.Write(w, doc.Root, xmltree.WriteOptions{Indent: *indent}); err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xmlgen:", err)
-	os.Exit(1)
+// printCatalog prints the paper's Table 1 reference figures and
+// Appendix-A suite per dataset, then the Table 2 categories the suites'
+// classes refer to.
+func printCatalog(w io.Writer) {
+	for _, in := range xmlgen.Catalog {
+		fmt.Fprintf(w, "%-3s %-14s %-9s recursive=%-5v paper: %s, %d nodes, avg dep %d, max dep %d, %d tags\n    %s\n",
+			in.ID, in.Name, in.Category, in.Recursive,
+			in.PaperSize, in.PaperNodes, in.PaperAvgDep, in.PaperMaxDep, in.PaperTags,
+			in.Description)
+		for _, q := range xmlgen.Suite(in.ID) {
+			fmt.Fprintf(w, "    %s (%s): %s\n", q.ID, q.Category, q.Text)
+		}
+	}
+	fmt.Fprintf(w, "\n%-9s %-38s %s\n", "category", "meaning", "example query")
+	for _, r := range xmlgen.Table2 {
+		fmt.Fprintf(w, "%-9s %-38s %s\n", r.Category, r.Meaning, r.Example)
+	}
 }

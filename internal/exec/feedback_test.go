@@ -57,9 +57,10 @@ func withFeedbackConfig(t *testing.T, cfg feedback.Config) {
 // TestFeedbackReplanFromHistory pins the whole loop end to end:
 // estimates drift from observed actuals, a cache hit replans onto a
 // different strategy with history-corrected cardinalities, the result
-// and EXPLAIN surface the replan, and the replan is judged a win.
+// and EXPLAIN surface the replan, and the replan is judged a win. The
+// well-estimated control on the same corpus — every part matches — must
+// run the same number of times without replanning.
 func TestFeedbackReplanFromHistory(t *testing.T) {
-	const q = "//part[bolt]//subpart"
 	// MinSamples well past RingSize so the first replan's judgement
 	// completes before the re-arm guard can open again, and the run
 	// count below stays under 2×MinSamples so exactly one replan fires.
@@ -68,82 +69,102 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 	e := New()
 	e.Add("skew", skewedDoc(t, 1000, 200))
 
-	cold, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Plan == nil {
-		t.Fatal("cold run routed to navigational fallback")
-	}
-	coldStrategy := cold.Plan.Strategy
-	if cold.Replanned {
-		t.Fatal("cold run claims to be replanned")
-	}
-	want := cold.Nodes
-
-	before := obs.Default.Snapshot()[obs.MetricFeedbackReplans]
-
-	// Warm the history past MinSamples, then keep running: the first
-	// cache hit at n >= MinSamples must replan, and every post-replan
-	// run must return the identical result.
-	var replanRun = -1
-	var last *Result
-	for i := 0; i < 13; i++ {
-		res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
+	for _, c := range []struct {
+		q          string
+		wantReplan bool
+	}{
+		{"//part[bolt]//subpart", true},
+		{"//part//subpart", false},
+	} {
+		q := c.q
+		cold, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
 		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if len(res.Nodes) != len(want) {
-			t.Fatalf("run %d: %d nodes, want %d", i, len(res.Nodes), len(want))
+		if cold.Plan == nil {
+			t.Fatal("cold run routed to navigational fallback")
 		}
-		if res.Replanned && replanRun < 0 {
-			replanRun = i
-			if res.FeedbackDrift < 2 {
-				t.Errorf("replan drift = %v, want >= threshold 2", res.FeedbackDrift)
+		coldStrategy := cold.Plan.Strategy
+		if cold.Replanned {
+			t.Fatal("cold run claims to be replanned")
+		}
+		want := cold.Nodes
+
+		before := obs.Default.Snapshot()[obs.MetricFeedbackReplans]
+
+		// Warm the history past MinSamples, then keep running: the first
+		// cache hit at n >= MinSamples must replan, and every post-replan
+		// run must return the identical result.
+		var replanRun = -1
+		var last *Result
+		for i := 0; i < 13; i++ {
+			res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
+			if err != nil {
+				t.Fatalf("%s run %d: %v", q, i, err)
 			}
+			if len(res.Nodes) != len(want) {
+				t.Fatalf("%s run %d: %d nodes, want %d", q, i, len(res.Nodes), len(want))
+			}
+			if res.Replanned && replanRun < 0 {
+				replanRun = i
+				if res.FeedbackDrift < 2 {
+					t.Errorf("replan drift = %v, want >= threshold 2", res.FeedbackDrift)
+				}
+			}
+			last = res
 		}
-		last = res
-	}
-	if replanRun < 0 {
-		t.Fatal("no run executed a replanned template")
-	}
-	if last.Plan.Strategy == coldStrategy {
-		t.Errorf("warm strategy %s did not flip from cold %s", last.Plan.Strategy, coldStrategy)
-	}
-	if !last.Replanned {
-		t.Error("post-replan runs lost the replanned mark")
-	}
+		after := obs.Default.Snapshot()[obs.MetricFeedbackReplans]
 
-	after := obs.Default.Snapshot()[obs.MetricFeedbackReplans]
-	if after <= before {
-		t.Errorf("feedback_replans_total did not move (%d -> %d)", before, after)
-	}
+		if !c.wantReplan {
+			if replanRun >= 0 || after != before {
+				t.Errorf("control %s replanned on run %d (drift %.2f); its estimates match its actuals",
+					q, replanRun, last.FeedbackDrift)
+			}
+			if last.Plan.Strategy != coldStrategy {
+				t.Errorf("control %s moved from %s to %s", q, coldStrategy, last.Plan.Strategy)
+			}
+			continue
+		}
 
-	// EXPLAIN surfaces the history: the feedback header line with the
-	// replanned mark, and the cost model's hint note.
-	expl, err := e.Explain(q, plan.Options{Strategy: plan.Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(expl, "feedback: n=") || !strings.Contains(expl, "replanned") {
-		t.Errorf("EXPLAIN lacks the feedback header:\n%s", expl)
-	}
-	if !strings.Contains(expl, "cardinality hints applied to the cost model") {
-		t.Errorf("EXPLAIN lacks the hint note:\n%s", expl)
-	}
+		if replanRun < 0 {
+			t.Fatal("no run executed a replanned template")
+		}
+		if last.Plan.Strategy == coldStrategy {
+			t.Errorf("warm strategy %s did not flip from cold %s", last.Plan.Strategy, coldStrategy)
+		}
+		if !last.Replanned {
+			t.Error("post-replan runs lost the replanned mark")
+		}
+		if after <= before {
+			t.Errorf("feedback_replans_total did not move (%d -> %d)", before, after)
+		}
 
-	// The store judged the replan against the pre-replan latency EWMA;
-	// the corrected plan scans a fraction of the twig's streams, so it
-	// must win.
-	sum, ok := feedback.Shared.Lookup(obs.QueryHash(q))
-	if !ok {
-		t.Fatal("hash missing from feedback store")
-	}
-	if !sum.Judged {
-		t.Fatalf("replan not judged after %d post-replan runs: %+v", 13-replanRun, sum)
-	}
-	if !sum.Won {
-		t.Errorf("replan judged a loss: %+v", sum)
+		// EXPLAIN surfaces the history: the feedback header line with the
+		// replanned mark, and the cost model's hint note.
+		expl, err := e.Explain(q, plan.Options{Strategy: plan.Auto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(expl, "feedback: n=") || !strings.Contains(expl, "replanned") {
+			t.Errorf("EXPLAIN lacks the feedback header:\n%s", expl)
+		}
+		if !strings.Contains(expl, "cardinality hints applied to the cost model") {
+			t.Errorf("EXPLAIN lacks the hint note:\n%s", expl)
+		}
+
+		// The store judged the replan against the pre-replan latency EWMA;
+		// the corrected plan scans a fraction of the twig's streams, so it
+		// must win.
+		sum, ok := feedback.Shared.Lookup(obs.QueryHash(q))
+		if !ok {
+			t.Fatal("hash missing from feedback store")
+		}
+		if !sum.Judged {
+			t.Fatalf("replan not judged after %d post-replan runs: %+v", 13-replanRun, sum)
+		}
+		if !sum.Won {
+			t.Errorf("replan judged a loss: %+v", sum)
+		}
 	}
 }
 

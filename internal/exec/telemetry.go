@@ -2,7 +2,7 @@ package exec
 
 // Query-stream telemetry: every evaluation — Eval, EvalBatch workers,
 // EvalAllDocs fan-out — flows through evalExpr, so the hooks here give
-// the CLI, the bench harness and the blossomd daemon one shared
+// the CLI, the benchmark and the blossomd daemon one shared
 // pipeline: a latency observation into the process-wide
 // query-duration histogram, a span-tree trace derived from the plan's
 // OpStats into the trace store, and (when a logger is configured) a

@@ -29,7 +29,6 @@ const (
 	SitePipelined   Site = "join.pipelined"  // PipelinedDescJoin emissions
 	SiteBoundedNL   Site = "join.bounded-nl" // BoundedNLJoin emissions
 	SiteNestedLoop  Site = "join.nested-loop"
-	SiteStackJoin   Site = "join.stack"
 	SiteTwigStack   Site = "join.twigstack"
 	SiteIndexStream Site = "index.stream" // index.Stream cursor advances
 	SiteNavStep     Site = "naveval.step" // navigational per-context-node steps

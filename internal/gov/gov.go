@@ -91,15 +91,20 @@ func (e *AbortError) Error() string {
 // Unwrap exposes the sentinel cause to errors.Is.
 func (e *AbortError) Unwrap() error { return e.Cause }
 
-// WithStats attaches a partial stats tree to a governed abort, leaving
-// any other error untouched. It is idempotent: an abort that already
-// carries stats keeps them.
+// WithStats returns a governed abort carrying the partial stats tree,
+// leaving any other error untouched. The stats go on a copy: the
+// governor's sticky abort is shared by every evaluation running under
+// it (concurrent shard sub-queries, batch workers), each with a tree of
+// its own. It is idempotent: an abort that already carries stats is
+// returned as is.
 func WithStats(err error, st *obs.OpStats) error {
 	var ae *AbortError
-	if errors.As(err, &ae) && ae.Stats == nil {
-		ae.Stats = st
+	if !errors.As(err, &ae) || ae.Stats != nil {
+		return err
 	}
-	return err
+	cp := *ae
+	cp.Stats = st
+	return &cp
 }
 
 // StatsOf returns the partial stats tree carried by a governed abort.

@@ -3,6 +3,7 @@ package gov
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -175,6 +176,36 @@ func TestWithStatsAndStatsOf(t *testing.T) {
 	plain := errors.New("plain")
 	if WithStats(plain, st) != plain {
 		t.Fatal("WithStats altered a non-abort error")
+	}
+}
+
+// TestWithStatsConcurrentOnStickyAbort: evaluations sharing one
+// governor all receive its one sticky abort and attach their own stats
+// tree to it concurrently; each must get its own tree back and the
+// shared abort must stay untouched (run under -race).
+func TestWithStatsConcurrentOnStickyAbort(t *testing.T) {
+	g := New(nil, Budget{MaxNodes: 1}, nil)
+	if g.Scanned(fault.SiteNoKScan, 2) == nil {
+		t.Fatal("expected violation")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := &obs.OpStats{}
+			err := WithStats(g.Err(), st)
+			if got, _ := StatsOf(err); got != st {
+				t.Errorf("StatsOf = %p, want this goroutine's tree %p", got, st)
+			}
+			if !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("copy lost its cause: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, ok := StatsOf(g.Err()); ok {
+		t.Error("WithStats wrote to the governor's shared abort")
 	}
 }
 

@@ -353,58 +353,6 @@ func TestQuickBNLJOnRecursiveDocs(t *testing.T) {
 	}
 }
 
-func TestStackJoin(t *testing.T) {
-	doc := parse(t, `<r><a><a><b/></a><b/></a><b/><a/></r>`)
-	ix := index.Build(doc)
-	pairs := StackJoin(ix.Nodes("a"), ix.Nodes("b"))
-	// a1 contains b1,b2; a2 contains b1 → 3 pairs.
-	if len(pairs) != 3 {
-		t.Fatalf("pairs = %d, want 3: %v", len(pairs), pairs)
-	}
-	for _, p := range pairs {
-		if !p.Anc.IsAncestorOf(p.Desc) {
-			t.Errorf("non-containment pair %v", p)
-		}
-	}
-	ancs := StackJoinAnc(ix.Nodes("a"), ix.Nodes("b"))
-	if len(ancs) != 2 {
-		t.Errorf("semi-join ancestors = %d, want 2", len(ancs))
-	}
-	for i := 1; i < len(ancs); i++ {
-		if !ancs[i-1].Before(ancs[i]) {
-			t.Error("semi-join not in document order")
-		}
-	}
-}
-
-// TestQuickStackJoinEqualsBruteForce cross-checks StackJoin on random
-// recursive documents against the quadratic definition.
-func TestQuickStackJoinEqualsBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b"}, MaxNodes: 60, MaxDepth: 10, TextProb: -1})
-		ix := index.Build(doc)
-		ancs, descs := ix.Nodes("a"), ix.Nodes("b")
-		got := StackJoin(ancs, descs)
-		want := 0
-		for _, a := range ancs {
-			for _, d := range descs {
-				if a.IsAncestorOf(d) {
-					want++
-				}
-			}
-		}
-		if len(got) != want {
-			t.Logf("seed %d: StackJoin %d vs brute %d", seed, len(got), want)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // twigRoot extracts the non-docroot pattern root of a compiled path
 // query.
 func twigRoot(t *testing.T, query string) (*core.Query, *core.Vertex) {
@@ -586,21 +534,6 @@ func TestPositionFilter(t *testing.T) {
 	as := xmltree.Descendants(doc.DocumentElement(), "a")
 	if got := out[0].ProjectSlot(p.slot); len(got) != 1 || got[0] != as[1] {
 		t.Errorf("position filter selected %v, want second a", got)
-	}
-}
-
-func TestSelectFilter(t *testing.T) {
-	doc := parse(t, `<r><a>keep</a><a>drop</a></r>`)
-	p := buildSingle(t, doc, `//a`)
-	f := &SelectFilter{Input: p.op, Dewey: core.Dewey{1, 1}, Pred: func(n *xmltree.Node, pos int) bool {
-		return xmltree.StringValue(n) == "keep"
-	}}
-	out := Drain(f)
-	if f.Err != nil {
-		t.Fatal(f.Err)
-	}
-	if len(out) != 1 {
-		t.Errorf("SelectFilter kept %d instances, want 1", len(out))
 	}
 }
 

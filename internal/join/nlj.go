@@ -6,7 +6,6 @@ import (
 	"blossomtree/internal/gov"
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/obs"
-	"blossomtree/internal/xmltree"
 )
 
 // Predicate evaluates a join condition between two instances.
@@ -154,36 +153,6 @@ func (f *PositionFilter) GetNext() *nestedlist.List {
 		if f.seen == f.Pos {
 			f.done = true
 			return l
-		}
-	}
-}
-
-// SelectFilter applies a node-level selection σ_ϕ(ID) to each instance,
-// dropping instances the selection invalidates.
-type SelectFilter struct {
-	Input Operator
-	Dewey core.Dewey
-	Pred  func(n *xmltree.Node, pos int) bool
-	Err   error
-}
-
-// GetNext returns the next valid filtered instance or nil.
-func (f *SelectFilter) GetNext() *nestedlist.List {
-	if f.Err != nil {
-		return nil
-	}
-	for {
-		l := f.Input.GetNext()
-		if l == nil {
-			return nil
-		}
-		out, ok, err := l.Select(f.Dewey, f.Pred)
-		if err != nil {
-			f.Err = err
-			return nil
-		}
-		if ok {
-			return out
 		}
 	}
 }

@@ -10,8 +10,6 @@
 //     are not order-preserving (<<, value joins, deep-equal);
 //   - CrossingFilter — the selection form of a crossing predicate whose
 //     endpoints already live in one instance;
-//   - StackJoin — the stack-based binary structural join of [2]
-//     (Al-Khalifa et al.), used node-level;
 //   - TwigStack — the holistic twig join of [7] (Bruno et al.), the
 //     "TS" baseline of Table 3.
 package join

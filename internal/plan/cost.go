@@ -110,7 +110,6 @@ func (p *Plan) scanCost(n *core.NoK) float64 {
 // last).
 func (p *Plan) EstimateCosts() []CostEstimate {
 	d := p.Decomp
-	recursive := p.opts.Stats.Recursive
 
 	// Base scans feed every NoK-based strategy.
 	var base float64
@@ -129,7 +128,7 @@ func (p *Plan) EstimateCosts() []CostEstimate {
 	var out []CostEstimate
 
 	// Pipelined merge joins: each link consumes both streams once.
-	pl := CostEstimate{Strategy: Pipelined, Sound: !recursive}
+	pl := CostEstimate{Strategy: Pipelined, Sound: p.pipelinedSound()}
 	pl.Cost = base + crossCost
 	for _, l := range d.Links {
 		if !l.IsScan() {
@@ -137,7 +136,7 @@ func (p *Plan) EstimateCosts() []CostEstimate {
 		}
 	}
 	if !pl.Sound {
-		pl.Detail = "unsound: recursive input breaks order preservation (Theorem 2)"
+		pl.Detail = "unsound: recursive input or a wildcard //-join outer breaks order preservation (Theorem 2)"
 	} else {
 		pl.Detail = fmt.Sprintf("scans %.0f + merge %.0f", base, pl.Cost-base)
 	}

@@ -227,11 +227,7 @@ func Build(q *core.Query, doc *xmltree.Document, opts Options) (*Plan, error) {
 				return nil, err
 			}
 			p.note("TwigStack incompatible (%v); falling back", err)
-			if opts.Stats.Recursive {
-				p.Strategy = BoundedNL
-			} else {
-				p.Strategy = Pipelined
-			}
+			p.Strategy = p.nokStrategy()
 		}
 	}
 	if p.Strategy == Vectorized {
@@ -241,12 +237,16 @@ func Build(q *core.Query, doc *xmltree.Document, opts Options) (*Plan, error) {
 			// path is an optimization over a fragment, and the harness
 			// runs it as a blanket strategy axis over every query.
 			p.note("vectorized executor incompatible (%v); falling back", err)
-			if opts.Stats.Recursive {
-				p.Strategy = BoundedNL
-			} else {
-				p.Strategy = Pipelined
-			}
+			p.Strategy = p.nokStrategy()
 		}
+	}
+	if p.Strategy == Pipelined && p.wildcardOuter() {
+		// Like Vectorized, an explicit Pipelined request falls back
+		// rather than answer wrong. (Recursion alone does not trigger
+		// this: a caller forcing PL on a recursive document vouches for
+		// its input.)
+		p.note("pipelined join unsound (a wildcard //-join outer matches nested elements); falling back")
+		p.Strategy = BoundedNL
 	}
 	if len(opts.CardHints) > 0 {
 		p.note("feedback: %d cardinality hints applied to the cost model", len(opts.CardHints))
@@ -269,14 +269,38 @@ func (p *Plan) chooseStrategy() Strategy {
 	if p.opts.Strategy != Auto {
 		return p.opts.Strategy
 	}
-	switch {
-	case p.opts.Stats.Recursive && p.opts.Index != nil:
+	if !p.pipelinedSound() && p.opts.Index != nil {
 		return Twig
-	case p.opts.Stats.Recursive:
-		return BoundedNL
-	default:
+	}
+	return p.nokStrategy()
+}
+
+// wildcardOuter reports whether some //-join's outer vertex is a
+// wildcard. Its matches nest even when no tag of the document is
+// recursive, so the join's outer items are not pairwise disjoint.
+func (p *Plan) wildcardOuter() bool {
+	for _, l := range p.Decomp.Links {
+		if !l.IsScan() && l.Parent.Test == "*" {
+			return true
+		}
+	}
+	return false
+}
+
+// pipelinedSound reports whether the pipelined join's precondition
+// holds for this plan (Theorem 2: the outer items of every //-join are
+// pairwise disjoint, so its inputs are order-preserving).
+func (p *Plan) pipelinedSound() bool {
+	return !p.opts.Stats.Recursive && !p.wildcardOuter()
+}
+
+// nokStrategy is the NoK-join strategy of the Auto rules, and what an
+// inapplicable TwigStack or vectorized plan falls back to.
+func (p *Plan) nokStrategy() Strategy {
+	if p.pipelinedSound() {
 		return Pipelined
 	}
+	return BoundedNL
 }
 
 // twigCompatible reports whether the whole query can run as one holistic
@@ -288,6 +312,15 @@ func (p *Plan) twigCompatible() error {
 	}
 	if len(p.Query.Tree.Roots) != 1 || len(p.Query.Tree.Crossings) > 0 || len(p.Query.Residual) > 0 {
 		return fmt.Errorf("plan: TwigStack handles single pattern trees without crossings")
+	}
+	// The twig emits one match per combination of variable bindings, so
+	// a let variable would get one row per witness instead of one group.
+	// Its edge is normally optional (rejected below); a where-clause over
+	// the same path makes it mandatory, which must not let it through.
+	for _, v := range p.Query.Vars {
+		if !v.ForBound && !v.IsDocRoot() {
+			return fmt.Errorf("plan: TwigStack cannot group the matches of let-bound %s", v.Label())
+		}
 	}
 	root := p.Query.Tree.Roots[0]
 	if root.IsDocRoot() && len(root.Children) != 1 {

@@ -81,6 +81,63 @@ func TestAutoRules(t *testing.T) {
 	}
 }
 
+// TestWildcardOuterIsNotPipelined: `*` matches nest even on a
+// non-recursive document, so a //-join whose outer vertex is a wildcard
+// fails the pipelined join's disjoint-outer precondition. Auto and the
+// cost model must not pick PL, an explicit request falls back with a
+// note, and every strategy returns the navigational row count.
+func TestWildcardOuterIsNotPipelined(t *testing.T) {
+	doc := parse(t, `<r><a><c><b/></c><b/></a><d><b/></d></r>`)
+	ix := index.Build(doc)
+	stats := xmltree.ComputeStats(doc)
+	if stats.Recursive {
+		t.Fatal("fixture must be non-recursive")
+	}
+	q, err := core.FromFLWOR(flwor.MustParse(
+		`for $x in doc("d")//*, $y in $x//b return <p>{$x}{$y}</p>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+		want Strategy
+	}{
+		{"auto", Options{}, BoundedNL},
+		{"auto with index", Options{Index: ix}, Twig},
+		{"forced pipelined", Options{Strategy: Pipelined, Index: ix}, BoundedNL},
+		{"vectorized fallback", Options{Strategy: Vectorized, Index: ix}, BoundedNL},
+		{"cost", Options{Strategy: CostBased, Index: ix}, Twig},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.opts.Stats = stats
+			p, err := Build(q, doc, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Strategy != c.want {
+				t.Errorf("strategy = %v, want %v\n%s", p.Strategy, c.want, p.Explain())
+			}
+			if c.opts.Strategy == Pipelined && !strings.Contains(p.Explain(), "pipelined join unsound") {
+				t.Errorf("EXPLAIN lacks the fallback note:\n%s", p.Explain())
+			}
+			for _, e := range p.EstimateCosts() {
+				if e.Strategy == Pipelined && e.Sound {
+					t.Errorf("cost model prices PL as sound: %+v", e)
+				}
+			}
+			ls, err := p.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// r, a, c and d contain 3, 2, 1 and 1 b elements.
+			if len(ls) != 7 {
+				t.Errorf("%d rows, want 7", len(ls))
+			}
+		})
+	}
+}
+
 func TestAutoTwigFallback(t *testing.T) {
 	doc := parse(t, sample)
 	ix := index.Build(doc)

@@ -4,7 +4,7 @@
 // exposition (GET /metrics), per-query trace export
 // (GET /trace/{queryID}), and the standard pprof endpoints
 // (GET /debug/pprof/*). Every evaluation flows through the same
-// telemetry pipeline as the CLI and bench harness: query-duration
+// telemetry pipeline as the CLI and the benchmark: query-duration
 // histogram, trace store, structured query log.
 package server
 

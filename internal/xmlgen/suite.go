@@ -1,9 +1,9 @@
-// Package bench holds the experiment harness that regenerates the
-// paper's evaluation: the Table 2 query categories, the Appendix-A query
-// suites for the five datasets of Table 1, and the per-cell runner that
-// produces the Table 3 grid (running time of XH / TS / PL / NL per
-// dataset × query, with DNF timeout handling).
-package bench
+package xmlgen
+
+// The paper's query side of the evaluation: the Table 2 query
+// categories and the Appendix-A query suite of each Table 1 dataset.
+// They live next to the generators because the suites are adapted to
+// the generators' vocabularies; cmd/xmlgen -list prints them.
 
 // Category is one of the six selectivity × topology classes of Table 2.
 type Category string
@@ -91,6 +91,3 @@ var suites = map[string][]Query{
 
 // Suite returns the six Appendix-A queries of a dataset.
 func Suite(dataset string) []Query { return suites[dataset] }
-
-// Datasets lists the dataset IDs in paper order.
-func Datasets() []string { return []string{"d1", "d2", "d3", "d4", "d5"} }
