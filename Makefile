@@ -17,7 +17,8 @@
 #   make benchbuild — vet + test the nested benchmark/ module against
 #                  the current API (root `go build ./...` skips it)
 #   make lint-refs — fail if a file still points at the retired second
-#                  benchmark harness
+#                  benchmark harness, or names one of the process-wide
+#                  globals the engines' own state replaced
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -127,11 +128,18 @@ bench:
 # The repository has one benchmark (benchmark/, BENCHMARK.json). The
 # second harness was retired; only the change log, the roadmap's history
 # and the benchmark's own README may still name it. (The bracketed last
-# letters keep this rule from matching itself.)
+# letters keep this rule from matching itself.) Likewise the plan cache,
+# the feedback history, the trace ring and the snapshot-version counter
+# belong to an engine: the package variables they used to be, and the
+# reset hooks tests needed because of them, must not come back.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
 		echo "lint-refs: stale reference to the retired benchmark harness"; exit 1; fi
+	@if git grep -n -e 'sharedPlanCach[e]' -e 'feedback\.Share[d]' -e 'DefaultTrace[s]' \
+		-e 'ResetPlanCach[e]' -e 'ResetFeedbac[k]' -e 'snapshotVersion[s]' -- \
+		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
+		echo "lint-refs: reference to a process-wide global that engine-owned state replaced"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; the compact NestedList form must

@@ -16,7 +16,6 @@ import (
 
 	"blossomtree"
 	"blossomtree/internal/core"
-	"blossomtree/internal/exec"
 	"blossomtree/internal/index"
 	"blossomtree/internal/join"
 	"blossomtree/internal/nestedlist"
@@ -277,9 +276,9 @@ func BenchmarkPipelinedJoin(b *testing.B) {
 }
 
 // BenchmarkVectorizedColdVsWarm measures the vectorized strategy end to
-// end through the engine: cold empties the shared plan cache before
-// every query (compile + execute), warm hits the cached prepared plan
-// and pays execution alone.
+// end through the engine: cold runs every query on a fresh engine, whose
+// plan cache is empty (compile + execute), warm hits the cached prepared
+// plan and pays execution alone.
 func BenchmarkVectorizedColdVsWarm(b *testing.B) {
 	ds := dataset(b, "d2")
 	eng := blossomtree.NewEngine()
@@ -288,8 +287,11 @@ func BenchmarkVectorizedColdVsWarm(b *testing.B) {
 	opts := blossomtree.Options{Strategy: blossomtree.StrategyVectorized}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			exec.ResetPlanCache()
-			if _, err := eng.QueryWith(q, opts); err != nil {
+			b.StopTimer()
+			cold := blossomtree.NewEngine()
+			cold.LoadDocument("d2", ds.Doc)
+			b.StartTimer()
+			if _, err := cold.QueryWith(q, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -185,6 +185,8 @@ type backend interface {
 	EvalAllDocs(src string, opts plan.Options, fanout, workers int) ([]exec.DocResult, *exec.DegradedInfo, error)
 	Explain(src string, opts plan.Options) (string, error)
 	Prepare(src string, opts plan.Options) (*exec.Prepared, error)
+	// State is the engine's own (for a group, its shards' shared) state.
+	State() *exec.State
 }
 
 // NewEngine returns an engine with tag-index support enabled.
@@ -332,7 +334,7 @@ func (e *Engine) QueryWithContext(ctx context.Context, src string, opts Options)
 
 // Prepared is a parsed, compile-checked query bound to an engine — the
 // prepared-statement form of Query. Preparing parses once, surfaces
-// syntax and planning errors immediately, and warms the process-wide
+// syntax and planning errors immediately, and warms the engine's
 // compiled-plan cache; every run then reuses the kept parse and the
 // cached plan while the document catalog is unchanged, and
 // transparently recompiles after any Load*. A Prepared is immutable and
@@ -493,15 +495,19 @@ func FormatMetrics(m map[string]int64) string {
 	return obs.Format(m)
 }
 
-// FeedbackReport renders the process-wide feedback store — the
-// estimate→actual history the planner replans cached templates from —
-// as text: one block per query hash (most observed first) with its
-// strategy, sample count, latency EWMA, drift and replan state, then
-// one line per tracked operator comparing estimated and observed
-// cardinalities. Safe to call concurrently with evaluations.
-func FeedbackReport() string {
+// FeedbackSummaries returns the engine's feedback store — the
+// estimate→actual history of its own evaluations, which its planner
+// replans cached templates from — one summary per query hash, most
+// observed first. Safe to call concurrently with evaluations.
+func (e *Engine) FeedbackSummaries() []feedback.Summary { return e.b.State().Feedback.Summaries() }
+
+// FeedbackReport renders FeedbackSummaries as text: one block per query
+// hash with its strategy, sample count, latency EWMA, drift and replan
+// state, then one line per tracked operator comparing estimated and
+// observed cardinalities.
+func (e *Engine) FeedbackReport() string {
 	var sb strings.Builder
-	for _, q := range feedback.Shared.Summaries() {
+	for _, q := range e.FeedbackSummaries() {
 		fmt.Fprintf(&sb, "%s strategy=%s n=%d lat_ewma=%.3fms drift=%.2fx",
 			q.Hash, q.Strategy, q.N, q.LatencyMS, q.Drift)
 		if q.Replanned {
@@ -523,6 +529,14 @@ func FeedbackReport() string {
 	return sb.String()
 }
 
+// SetFeedbackTrigger tunes when a plan-cache hit replans from feedback
+// history: at est/act drift driftThreshold or worse, once the query hash
+// has minSamples observations (and as many since its last replan). Zero
+// means the default (2.0, 32); history already gathered is kept.
+func (e *Engine) SetFeedbackTrigger(driftThreshold float64, minSamples int64) {
+	e.b.State().Feedback.SetConfig(feedback.Config{DriftThreshold: driftThreshold, MinSamples: minSamples})
+}
+
 // WritePrometheus renders the process-wide metrics registry — counters
 // and the query-latency histogram — in Prometheus text exposition
 // format (the payload of blossomd's GET /metrics). Safe to call
@@ -536,13 +550,14 @@ func WritePrometheus(w io.Writer) error {
 // runs so failures remain attributable.
 func NewQueryID() string { return exec.NewQueryID() }
 
-// TraceJSON returns the Chrome trace-event JSON of a recently executed
-// query (by Result.QueryID): one span per physical operator, nested
-// like the EXPLAIN ANALYZE tree, with real durations when the query
-// ran with Options.Analyze. The store retains the most recent ~512
-// queries; older traces report false.
-func TraceJSON(queryID string) ([]byte, bool) {
-	t, ok := obs.DefaultTraces.Get(queryID)
+// TraceJSON returns the Chrome trace-event JSON of a query this engine
+// recently executed (by Result.QueryID): one span per physical
+// operator, nested like the EXPLAIN ANALYZE tree, with real durations
+// when the query ran with Options.Analyze. The engine retains its most
+// recent ~512 queries; older traces, and other engines' queries, report
+// false.
+func (e *Engine) TraceJSON(queryID string) ([]byte, bool) {
+	t, ok := e.b.State().Traces.Get(queryID)
 	if !ok {
 		return nil, false
 	}

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -27,35 +28,53 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams injected; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("blossom", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		file      = flag.String("file", "", "XML document to query (required)")
-		strategy  = flag.String("strategy", "auto", "join strategy: auto, pipelined, bounded-nl, twigstack, navigational, cost, vectorized")
-		explain   = flag.Bool("explain", false, "execute the query and print the annotated plan tree (cost estimates next to actual counters and timings)")
-		explOnly  = flag.Bool("explain-only", false, "print the plan with estimates only, without executing")
-		metrics   = flag.Bool("metrics", false, "print the engine metrics registry after the run")
-		fb        = flag.Bool("feedback", false, "print the feedback store (observed est/act cardinality history per query hash) after the run; most useful with -repeat")
-		noIndex   = flag.Bool("no-indexes", false, "disable tag indexes (streaming configuration)")
-		parallel  = flag.Int("parallel", 0, "fan independent NoK scans out across N workers (-1 = all cores)")
-		indent    = flag.Bool("indent", false, "pretty-print XML output")
-		quiet     = flag.Bool("count", false, "print only the result count")
-		timeout   = flag.Duration("timeout", 0, "abort the query after this wall-clock duration (0 = no limit)")
-		maxNodes  = flag.Int64("max-nodes", 0, "abort after scanning this many document/index nodes (0 = no limit)")
-		maxOutput = flag.Int64("max-output", 0, "abort after producing this many result tuples (0 = no limit)")
-		repeat    = flag.Int("repeat", 1, "prepare the query once and run it N times (the prepared-statement path; repeated runs hit the plan cache)")
-		logQuery  = flag.Bool("log", false, "emit the structured query-log record (the daemon's pipeline) to stderr")
-		slow      = flag.Duration("slow-query", 0, "log the query at Warn with its EXPLAIN ANALYZE tree when at/past this latency (implies -log; 0 = off)")
-		dataDir   = flag.String("data", "", "persistent segment store directory: the file persists here and unchanged files are served mmap'd without re-parsing; usable alone to query an existing store")
+		file      = fs.String("file", "", "XML document to query (required)")
+		strategy  = fs.String("strategy", "auto", "join strategy: auto, pipelined, bounded-nl, twigstack, navigational, cost, vectorized")
+		explain   = fs.Bool("explain", false, "execute the query and print the annotated plan tree (cost estimates next to actual counters and timings)")
+		explOnly  = fs.Bool("explain-only", false, "print the plan with estimates only, without executing")
+		metrics   = fs.Bool("metrics", false, "print the engine metrics registry after the run")
+		fb        = fs.Bool("feedback", false, "print the feedback store (observed est/act cardinality history per query hash) after the run; most useful with -repeat")
+		noIndex   = fs.Bool("no-indexes", false, "disable tag indexes (streaming configuration)")
+		parallel  = fs.Int("parallel", 0, "fan independent NoK scans out across N workers (-1 = all cores)")
+		indent    = fs.Bool("indent", false, "pretty-print XML output")
+		quiet     = fs.Bool("count", false, "print only the result count")
+		timeout   = fs.Duration("timeout", 0, "abort the query after this wall-clock duration (0 = no limit)")
+		maxNodes  = fs.Int64("max-nodes", 0, "abort after scanning this many document/index nodes (0 = no limit)")
+		maxOutput = fs.Int64("max-output", 0, "abort after producing this many result tuples (0 = no limit)")
+		repeat    = fs.Int("repeat", 1, "prepare the query once and run it N times (the prepared-statement path; repeated runs hit the plan cache)")
+		logQuery  = fs.Bool("log", false, "emit the structured query-log record (the daemon's pipeline) to stderr")
+		slow      = fs.Duration("slow-query", 0, "log the query at Warn with its EXPLAIN ANALYZE tree when at/past this latency (implies -log; 0 = off)")
+		dataDir   = fs.String("data", "", "persistent segment store directory: the file persists here and unchanged files are served mmap'd without re-parsing; usable alone to query an existing store")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: blossom -file doc.xml [flags] 'query'\n\n")
-		flag.PrintDefaults()
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: blossom -file doc.xml [flags] 'query'\n\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if (*file == "" && *dataDir == "") || flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	query := flag.Arg(0)
+	if (*file == "" && *dataDir == "") || fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	query := fs.Arg(0)
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "blossom:", err)
+		// A governed abort (timeout, budget, Ctrl-C) carries the partial
+		// EXPLAIN ANALYZE tree recorded up to the abort point.
+		if st, ok := blossomtree.AbortStats(err); ok {
+			fmt.Fprint(stderr, "-- partial plan statistics at abort --\n"+st)
+		}
+		return 1
+	}
 
 	eng := blossomtree.NewEngine()
 	if *noIndex {
@@ -65,11 +84,11 @@ func main() {
 	if *dataDir != "" {
 		st, err := blossomtree.OpenStore(*dataDir)
 		if err != nil {
-			fatal(fmt.Errorf("-data %s: %v", *dataDir, err))
+			return fatal(fmt.Errorf("-data %s: %v", *dataDir, err))
 		}
 		store = st
 		for _, w := range store.Warnings() {
-			fmt.Fprintln(os.Stderr, "blossom: segment store:", w)
+			fmt.Fprintln(stderr, "blossom: segment store:", w)
 		}
 	}
 	switch {
@@ -80,11 +99,11 @@ func main() {
 		// Unchanged since it was persisted: served out of the store.
 	default:
 		if err := eng.LoadFile(*file, *file); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if store != nil {
 			if err := eng.PersistFile(store, *file, *file); err != nil {
-				fatal(fmt.Errorf("persist %q: %v", *file, err))
+				return fatal(fmt.Errorf("persist %q: %v", *file, err))
 			}
 		}
 	}
@@ -102,7 +121,7 @@ func main() {
 		},
 	}
 	if *logQuery || *slow > 0 {
-		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+		opts.Logger = slog.New(slog.NewTextHandler(stderr, nil))
 		opts.SlowQueryThreshold = *slow
 	}
 
@@ -112,18 +131,27 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
+	// report prints what -metrics and -feedback ask for: the process's
+	// counters, and the history of the engine that ran the query.
+	report := func() {
+		if *metrics {
+			fmt.Fprint(stdout, "-- metrics --\n"+blossomtree.FormatMetrics(blossomtree.Metrics()))
+		}
+		if *fb {
+			fmt.Fprint(stdout, "-- feedback --\n"+eng.FeedbackReport())
+		}
+	}
 	if *explOnly || *explain {
 		opts.Analyze = *explain
 		s, err := eng.ExplainWithContext(ctx, query, opts)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Print(s)
+		fmt.Fprint(stdout, s)
 		if *explain {
-			printMetrics(*metrics)
-			printFeedback(*fb)
+			report()
 		}
-		return
+		return 0
 	}
 
 	var res *blossomtree.Result
@@ -131,35 +159,34 @@ func main() {
 	if *repeat > 1 {
 		p, perr := eng.PrepareWith(query, opts)
 		if perr != nil {
-			fatal(perr)
+			return fatal(perr)
 		}
 		for i := 0; i < *repeat; i++ {
 			if res, err = p.RunContext(ctx); err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 		}
 	} else {
 		res, err = eng.QueryWithContext(ctx, query, opts)
 	}
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	defer printFeedback(*fb)
-	defer printMetrics(*metrics)
+	defer report()
 	if *quiet {
-		fmt.Println(res.Len())
-		return
+		fmt.Fprintln(stdout, res.Len())
+		return 0
 	}
 	switch {
 	case len(res.Nodes()) > 0:
 		for _, n := range res.Nodes() {
-			fmt.Println(n.XML())
+			fmt.Fprintln(stdout, n.XML())
 		}
 	case res.XML() != "":
 		if *indent {
-			fmt.Println(res.XMLIndent())
+			fmt.Fprintln(stdout, res.XMLIndent())
 		} else {
-			fmt.Println(res.XML())
+			fmt.Fprintln(stdout, res.XML())
 		}
 	default:
 		for i, row := range res.Rows() {
@@ -176,31 +203,8 @@ func main() {
 				}
 				parts = append(parts, fmt.Sprintf("$%s=%s", v, strings.Join(vals, ",")))
 			}
-			fmt.Printf("row %d: %s\n", i+1, strings.Join(parts, " "))
+			fmt.Fprintf(stdout, "row %d: %s\n", i+1, strings.Join(parts, " "))
 		}
 	}
-}
-
-func printMetrics(enabled bool) {
-	if !enabled {
-		return
-	}
-	fmt.Print("-- metrics --\n" + blossomtree.FormatMetrics(blossomtree.Metrics()))
-}
-
-func printFeedback(enabled bool) {
-	if !enabled {
-		return
-	}
-	fmt.Print("-- feedback --\n" + blossomtree.FeedbackReport())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "blossom:", err)
-	// A governed abort (timeout, budget, Ctrl-C) carries the partial
-	// EXPLAIN ANALYZE tree recorded up to the abort point.
-	if st, ok := blossomtree.AbortStats(err); ok {
-		fmt.Fprint(os.Stderr, "-- partial plan statistics at abort --\n"+st)
-	}
-	os.Exit(1)
+	return 0
 }

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"blossomtree"
-	"blossomtree/internal/feedback"
 	"blossomtree/internal/server"
 	"blossomtree/internal/shard"
 	"blossomtree/internal/xmlgen"
@@ -104,15 +103,6 @@ func main() {
 	}
 	logger := slog.New(handler)
 
-	if *fbDrift > 0 || *fbSamples > 0 {
-		feedback.Shared.SetConfig(feedback.Config{
-			DriftThreshold: *fbDrift,
-			MinSamples:     *fbSamples,
-		})
-		cfg := feedback.Shared.ConfigSnapshot()
-		logger.Info("feedback trigger tuned", "drift_threshold", cfg.DriftThreshold, "min_samples", cfg.MinSamples)
-	}
-
 	eng := blossomtree.NewEngine()
 	switch {
 	case *shards > 0:
@@ -122,6 +112,10 @@ func main() {
 		}
 	case *noIndex:
 		eng = blossomtree.NewEngineNoIndexes()
+	}
+	if *fbDrift > 0 || *fbSamples > 0 {
+		eng.SetFeedbackTrigger(*fbDrift, *fbSamples)
+		logger.Info("feedback trigger tuned (0 = default)", "drift_threshold", *fbDrift, "min_samples", *fbSamples)
 	}
 	var store *blossomtree.SegmentStore
 	if *dataDir != "" {
@@ -133,7 +127,7 @@ func main() {
 		for _, w := range store.Warnings() {
 			logger.Warn("segment store", "warning", w)
 		}
-		if err := store.RestoreFeedback(); err != nil {
+		if err := eng.RestoreFeedback(store); err != nil {
 			logger.Warn("segment store", "warning", fmt.Sprintf("feedback restore: %v", err))
 		}
 		logger.Info("segment store opened", "dir", *dataDir, "catalog", store.String())
@@ -233,7 +227,7 @@ func main() {
 		}
 	}
 	if store != nil {
-		if err := store.PersistFeedback(); err != nil {
+		if err := eng.PersistFeedback(store); err != nil {
 			logger.Warn("segment store", "warning", fmt.Sprintf("feedback persist: %v", err))
 		} else {
 			logger.Info("feedback persisted", "dir", *dataDir)

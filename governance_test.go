@@ -155,7 +155,7 @@ func TestExplainAnalyzeIsAnEvaluation(t *testing.T) {
 		if !strings.Contains(out, " act=") {
 			t.Errorf("%d shards: EXPLAIN ANALYZE carries no actuals:\n%s", e.ShardCount(), out)
 		}
-		if tr, ok := TraceJSON(id); !ok || !strings.Contains(string(tr), id) {
+		if tr, ok := e.TraceJSON(id); !ok || !strings.Contains(string(tr), id) {
 			t.Errorf("%d shards: no trace stored under the pinned query ID %s", e.ShardCount(), id)
 		}
 	}

@@ -173,6 +173,7 @@ func (b *builder) pathEndpoint(p *xpath.Path, mode Mode, reuse bool) (*Vertex, e
 // vertex. It returns the endpoint vertex.
 func (b *builder) extend(anchor *Vertex, steps []xpath.Step, mode Mode, reuse bool) (*Vertex, error) {
 	cur := anchor
+	fresh := false // cur was created by this call: nothing else is bound to it
 	for i, st := range steps {
 		if st.TextTest {
 			// Pattern-tree vertices match elements; text() selection is a
@@ -194,7 +195,7 @@ func (b *builder) extend(anchor *Vertex, steps []xpath.Step, mode Mode, reuse bo
 				// Static rewrite: the /-edge pins this vertex's match as a
 				// child of the parent vertex's match, so ".." lands exactly
 				// there — the step costs no new edge and stays planned.
-				cur = cur.Parent
+				cur, fresh = cur.Parent, false
 				continue
 			}
 			rel := RelParent
@@ -206,7 +207,7 @@ func (b *builder) extend(anchor *Vertex, steps []xpath.Step, mode Mode, reuse bo
 			if err := b.predicates(next, st.Preds, mode); err != nil {
 				return nil, err
 			}
-			cur = next
+			cur, fresh = next, true
 			continue
 		case xpath.Attribute:
 			if i != len(steps)-1 {
@@ -215,7 +216,12 @@ func (b *builder) extend(anchor *Vertex, steps []xpath.Step, mode Mode, reuse bo
 			if len(st.Preds) > 0 {
 				return nil, fmt.Errorf("predicates on attribute steps are %w", ErrOutsideFragment)
 			}
-			cur.Constraints = append(cur.Constraints, Constraint{Kind: CAttrExists, Attr: st.Test})
+			// On an optional edge the existence test may only narrow a vertex
+			// of this path's own: a return-clause $x/@id must not drop the $x
+			// rows lacking the attribute (constructors read it navigationally).
+			if mode == Mandatory || fresh {
+				cur.Constraints = append(cur.Constraints, Constraint{Kind: CAttrExists, Attr: st.Test})
+			}
 			return cur, nil
 		}
 		rel := RelChild
@@ -225,11 +231,15 @@ func (b *builder) extend(anchor *Vertex, steps []xpath.Step, mode Mode, reuse bo
 		case xpath.FollowingSibling:
 			rel = RelFollowingSibling
 		}
+		// A trailing attribute step's carrier is never reused: the existence
+		// test would narrow whatever else the reused vertex binds.
+		carriesAttr := i == len(steps)-2 && steps[i+1].Axis == xpath.Attribute
 		var next *Vertex
-		if reuse {
+		if reuse && !carriesAttr {
 			next = b.reuseChild(cur, st, rel)
 		}
-		if next == nil {
+		fresh = next == nil
+		if fresh {
 			next = b.bt.NewVertex(st.Test)
 			b.bt.AddChild(cur, next, rel, mode)
 			if err := b.predicates(next, st.Preds, mode); err != nil {

@@ -12,6 +12,7 @@
 package exec
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"blossomtree/internal/core"
+	"blossomtree/internal/feedback"
 	"blossomtree/internal/flwor"
 	"blossomtree/internal/gov"
 	"blossomtree/internal/index"
@@ -56,6 +58,18 @@ type Engine struct {
 	snap atomic.Pointer[snapshot]
 }
 
+// State is what an engine owns beside its catalog. Every snapshot points
+// at it, so an evaluation reaches its engine's state through the snapshot
+// it already holds, and dropping an engine drops the plans it cached —
+// and with them the documents. The shards of one shard.Group share one
+// State (see Peer). Nothing is allocated by capacity up front.
+type State struct {
+	Feedback *feedback.Store // estimate→actual history the cache replans from
+	Traces   *obs.TraceStore // recent queries, for scrape-and-inspect
+	plans    planCache
+	versions atomic.Uint64 // hands out snapshot versions
+}
+
 // snapshot is an immutable view of the registered documents and their
 // derived structures. Snapshots are never mutated after publication;
 // Add copies the catalog map and swaps the pointer.
@@ -69,10 +83,11 @@ type snapshot struct {
 	// and materialized on first resolution (and LRU-cached inside the
 	// store), so attaching a large catalog costs no parsing up front.
 	store *segstore.Store
+	state *State // the owning engine's (or shard group's)
 	// version identifies this catalog state; it is unique across every
-	// snapshot of the process (engines, Adds, pins), so it keys the plan
-	// cache without an engine identity: a cached plan is reusable exactly
-	// while the snapshot it was compiled against is the current one, and
+	// snapshot sharing state (a group's shards, Adds, pins), so it keys
+	// the plan cache without a shard identity: a cached plan is reusable
+	// exactly while the snapshot it was compiled against is current, and
 	// any Add publishes a new version, invalidating without locking.
 	version uint64
 
@@ -93,18 +108,34 @@ type entry struct {
 	index *index.TagIndex
 }
 
-// snapshotVersions hands out process-unique snapshot versions.
-var snapshotVersions atomic.Uint64
-
 // New returns an engine with index building enabled.
 func New() *Engine { return NewWithConfig(Config{BuildIndexes: true}) }
 
 // NewWithConfig returns an engine with explicit configuration.
 func NewWithConfig(cfg Config) *Engine {
+	// The exposition carries all three names from the first scrape.
+	obs.Default.Counter(obs.MetricPlanCacheHits)
+	obs.Default.Counter(obs.MetricPlanCacheMisses)
+	obs.Default.Counter(obs.MetricPlanCacheEvictions)
+	return newEngine(cfg, &State{
+		Feedback: feedback.NewStore(feedback.Config{}, nil),
+		Traces:   obs.NewTraceStore(512),
+		plans:    planCache{m: make(map[planKey]*list.Element)},
+	})
+}
+
+// Peer returns a new, empty engine configured like e that shares e's
+// State: how a shard.Group makes its N shards one engine to their owner.
+func (e *Engine) Peer() *Engine { return newEngine(e.cfg, e.State()) }
+
+func newEngine(cfg Config, st *State) *Engine {
 	e := &Engine{cfg: cfg}
-	e.snap.Store(&snapshot{docs: map[string]entry{}, version: snapshotVersions.Add(1)})
+	e.snap.Store(&snapshot{docs: map[string]entry{}, state: st, version: st.versions.Add(1)})
 	return e
 }
+
+// State returns the state the engine owns (or shares with its peers).
+func (e *Engine) State() *State { return e.snapshot().state }
 
 // snapshot returns the current immutable catalog view.
 func (e *Engine) snapshot() *snapshot { return e.snap.Load() }
@@ -116,7 +147,8 @@ func (s *snapshot) clone() *snapshot {
 		docs:    make(map[string]entry, len(s.docs)+1),
 		first:   s.first,
 		store:   s.store,
-		version: snapshotVersions.Add(1),
+		state:   s.state,
+		version: s.state.versions.Add(1),
 	}
 	for k, v := range s.docs {
 		next.docs[k] = v
@@ -298,7 +330,7 @@ type Result struct {
 	// constructors; nil otherwise.
 	Output *xmltree.Document
 	// Cached reports whether the evaluation reused a compiled plan from
-	// the process-wide plan cache instead of compiling from scratch.
+	// the engine's plan cache instead of compiling from scratch.
 	Cached bool
 	// NavReason carries the routing reason when a query outside the
 	// BlossomTree fragment fell back to the navigational evaluator
@@ -437,7 +469,7 @@ func (e *Engine) EvalOptions(src string, opts plan.Options) (*Result, error) {
 func evalExpr(s *snapshot, q *Parsed, opts plan.Options) (res *Result, err error) {
 	t0 := time.Now()
 	expr := q.Expr
-	tel := &telemetry{queryID: opts.QueryID, src: q.Src, start: t0}
+	tel := &telemetry{state: s.state, queryID: opts.QueryID, src: q.Src, start: t0}
 	if tel.queryID == "" {
 		tel.queryID = NewQueryID()
 	}
@@ -518,7 +550,7 @@ func evalExpr(s *snapshot, q *Parsed, opts plan.Options) (res *Result, err error
 }
 
 // compiledFor resolves the query's compiled form against snapshot s:
-// served from the shared plan cache when possible, compiled (and
+// served from the engine's plan cache when possible, compiled (and
 // cached) otherwise. Caller-supplied planning inputs (an explicit
 // index or statistics) bypass the cache entirely — the cache only
 // holds plans shaped by the snapshot itself. hit reports whether the
@@ -528,7 +560,7 @@ func compiledFor(s *snapshot, q *Parsed, opts plan.Options) (*compiled, bool, er
 	var key planKey
 	if !bypass {
 		key = planKey{version: s.version, hash: obs.QueryHash(q.Src), fp: planFingerprint(opts)}
-		if c, ok := sharedPlanCache.get(key); ok {
+		if c, ok := s.state.plans.get(key); ok {
 			// A hit is where the feedback loop closes: if observed history
 			// has drifted past the threshold, the template is recompiled
 			// with corrected cardinalities and re-cached under this key.
@@ -543,7 +575,7 @@ func compiledFor(s *snapshot, q *Parsed, opts plan.Options) (*compiled, bool, er
 		return nil, false, err
 	}
 	if !bypass {
-		sharedPlanCache.put(key, c)
+		s.state.plans.put(key, c)
 	}
 	return c, false, nil
 }
@@ -611,7 +643,7 @@ func (e *Engine) Explain(src string, opts plan.Options) (string, error) {
 // query whose history armed a replan explains cost-based with hints,
 // and a hash with enough history gets a feedback header line.
 func explain(s *snapshot, q *Parsed, opts plan.Options) (string, error) {
-	popts, fbLine := feedbackExplainOpts(q.Src, opts)
+	popts, fbLine := feedbackExplainOpts(s.state.Feedback, q.Src, opts)
 	if opts.Analyze {
 		// The evaluation applies any armed replan itself on its cache hit,
 		// so it takes the caller's options, not the mirrored ones.

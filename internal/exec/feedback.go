@@ -1,12 +1,13 @@
 package exec
 
-// The executor's side of the feedback loop (ROADMAP item 5). Two hooks
-// close the estimate→actual circle:
+// The executor's side of the feedback loop (ROADMAP item 3). Two hooks
+// close the estimate→actual circle, both on the evaluating engine's own
+// store (State.Feedback):
 //
 //   - telemetry.emit records every successful planned evaluation's
-//     per-operator est/act counters into feedback.Shared, keyed by the
-//     query-text hash (not the snapshot version — history is a workload
-//     property and survives Add churn);
+//     per-operator est/act counters into it, keyed by the query-text
+//     hash (not the snapshot version — history is a property of the
+//     engine's workload and survives Add churn);
 //   - compiledFor, on a plan-cache hit, asks the store whether the
 //     cached template's estimates have drifted past the threshold and,
 //     if so, recompiles it cost-based with the observed cardinalities
@@ -25,11 +26,6 @@ import (
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 )
-
-// ResetFeedback drops the process-wide feedback history. Benchmarks and
-// tests use it (usually next to ResetPlanCache) to measure cold
-// behaviour on a warm process; serving code has no reason to call it.
-func ResetFeedback() { feedback.Shared.Reset() }
 
 // feedbackOps walks a stats tree and aggregates the est/act counters of
 // every operator carrying a FeedbackKey, one observation per key (two
@@ -87,7 +83,7 @@ func maybeReplan(s *snapshot, expr flwor.Expr, key planKey, c *compiled, opts pl
 	if c.nav || (opts.Strategy != plan.Auto && opts.Strategy != plan.CostBased) {
 		return nil
 	}
-	hints, drift, ok := feedback.Shared.BeginReplan(key.hash)
+	hints, drift, ok := s.state.Feedback.BeginReplan(key.hash)
 	if !ok {
 		return nil
 	}
@@ -102,7 +98,7 @@ func maybeReplan(s *snapshot, expr flwor.Expr, key planKey, c *compiled, opts pl
 	}
 	c2.replanned = true
 	c2.fbDrift = drift
-	sharedPlanCache.put(key, c2)
+	s.state.plans.put(key, c2)
 	return c2
 }
 
@@ -112,8 +108,8 @@ func maybeReplan(s *snapshot, expr flwor.Expr, key planKey, c *compiled, opts pl
 // It also renders the feedback header line, "" when the hash has too
 // little history to be worth a line (below MinSamples and never
 // replanned) so sparse test fixtures keep their golden output.
-func feedbackExplainOpts(src string, opts plan.Options) (plan.Options, string) {
-	sum, ok := feedback.Shared.Lookup(obs.QueryHash(src))
+func feedbackExplainOpts(fb *feedback.Store, src string, opts plan.Options) (plan.Options, string) {
+	sum, ok := fb.Lookup(obs.QueryHash(src))
 	if !ok {
 		return opts, ""
 	}
@@ -125,7 +121,7 @@ func feedbackExplainOpts(src string, opts plan.Options) (plan.Options, string) {
 		opts.Strategy = plan.CostBased
 		opts.CardHints = hints
 	}
-	cfg := feedback.Shared.ConfigSnapshot()
+	cfg := fb.ConfigSnapshot()
 	if sum.N < cfg.MinSamples && !sum.Replanned {
 		return opts, ""
 	}

@@ -39,19 +39,12 @@ func skewedDoc(t *testing.T, parts, skewEvery int) *xmltree.Document {
 	return doc
 }
 
-// withFeedbackConfig tightens the shared store's trigger for the test
-// and restores defaults (plus a clean store and plan cache) after.
-func withFeedbackConfig(t *testing.T, cfg feedback.Config) {
-	t.Helper()
-	prev := feedback.Shared.ConfigSnapshot()
-	feedback.Shared.SetConfig(cfg)
-	ResetFeedback()
-	ResetPlanCache()
-	t.Cleanup(func() {
-		feedback.Shared.SetConfig(prev)
-		ResetFeedback()
-		ResetPlanCache()
-	})
+// feedbackEngine returns an engine whose own feedback store runs with
+// the test's tightened trigger.
+func feedbackEngine(cfg feedback.Config) *Engine {
+	e := New()
+	e.State().Feedback.SetConfig(cfg)
+	return e
 }
 
 // TestFeedbackReplanFromHistory pins the whole loop end to end:
@@ -64,9 +57,7 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 	// MinSamples well past RingSize so the first replan's judgement
 	// completes before the re-arm guard can open again, and the run
 	// count below stays under 2×MinSamples so exactly one replan fires.
-	withFeedbackConfig(t, feedback.Config{DriftThreshold: 2, MinSamples: 8, RingSize: 3})
-
-	e := New()
+	e := feedbackEngine(feedback.Config{DriftThreshold: 2, MinSamples: 8, RingSize: 3})
 	e.Add("skew", skewedDoc(t, 1000, 200))
 
 	for _, c := range []struct {
@@ -155,7 +146,7 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 		// The store judged the replan against the pre-replan latency EWMA;
 		// the corrected plan scans a fraction of the twig's streams, so it
 		// must win.
-		sum, ok := feedback.Shared.Lookup(obs.QueryHash(q))
+		sum, ok := e.State().Feedback.Lookup(obs.QueryHash(q))
 		if !ok {
 			t.Fatal("hash missing from feedback store")
 		}
@@ -208,11 +199,10 @@ func rareFrequentDoc(t *testing.T, rares, inside, flagged, outside int) *xmltree
 // query asks for — still drifts and still replans, skipping or not.
 func TestSkippingScanDoesNotArmReplan(t *testing.T) {
 	cfg := feedback.Config{DriftThreshold: 2, MinSamples: 8, RingSize: 3}
-	withFeedbackConfig(t, cfg)
 	runs := 3 * int(cfg.MinSamples)
 
 	const q = "//rare//f"
-	e := New()
+	e := feedbackEngine(cfg)
 	e.Add("lib", rareFrequentDoc(t, 4, 3, 0, 200))
 	for i := 0; i < runs; i++ {
 		res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
@@ -236,7 +226,7 @@ func TestSkippingScanDoesNotArmReplan(t *testing.T) {
 			}
 		}
 	}
-	sum, ok := feedback.Shared.Lookup(obs.QueryHash(q))
+	sum, ok := e.State().Feedback.Lookup(obs.QueryHash(q))
 	if !ok || sum.N != int64(runs) || sum.Replanned {
 		t.Fatalf("history: ok=%v %+v", ok, sum)
 	}
@@ -250,7 +240,7 @@ func TestSkippingScanDoesNotArmReplan(t *testing.T) {
 	// Same shape, inner vertex genuinely misestimated: 1 f in 30 inside
 	// a rare has the flag, the estimate is the tag count.
 	const qFlag = "//rare//f[flag]"
-	e = New()
+	e = feedbackEngine(cfg)
 	e.Add("lib", rareFrequentDoc(t, 6, 30, 1, 4))
 	replanned := false
 	for i := 0; i < runs && !replanned; i++ {
@@ -264,7 +254,7 @@ func TestSkippingScanDoesNotArmReplan(t *testing.T) {
 		replanned = res.Replanned
 	}
 	if !replanned {
-		sum, _ := feedback.Shared.Lookup(obs.QueryHash(qFlag))
+		sum, _ := e.State().Feedback.Lookup(obs.QueryHash(qFlag))
 		t.Errorf("a misestimated inner vertex never replanned: %+v", sum)
 	}
 }
@@ -274,9 +264,7 @@ func TestSkippingScanDoesNotArmReplan(t *testing.T) {
 // cost-based evaluations.
 func TestFeedbackForcedStrategyObservesButNeverReplans(t *testing.T) {
 	const q = "//part[bolt]//subpart"
-	withFeedbackConfig(t, feedback.Config{DriftThreshold: 2, MinSamples: 2, RingSize: 2})
-
-	e := New()
+	e := feedbackEngine(feedback.Config{DriftThreshold: 2, MinSamples: 2, RingSize: 2})
 	e.Add("skew", skewedDoc(t, 200, 40))
 
 	for i := 0; i < 6; i++ {
@@ -288,7 +276,7 @@ func TestFeedbackForcedStrategyObservesButNeverReplans(t *testing.T) {
 			t.Fatalf("run %d: forced Twig evaluation replanned", i)
 		}
 	}
-	sum, ok := feedback.Shared.Lookup(obs.QueryHash(q))
+	sum, ok := e.State().Feedback.Lookup(obs.QueryHash(q))
 	if !ok || sum.N != 6 {
 		t.Fatalf("forced runs did not observe history: ok=%v sum=%+v", ok, sum)
 	}
@@ -301,12 +289,10 @@ func TestFeedbackForcedStrategyObservesButNeverReplans(t *testing.T) {
 // the race detector: concurrent queriers (whose cache hits race to arm
 // the same replan), catalog writers bumping the engine snapshot, and
 // readers walking summaries and EXPLAIN — the interleavings the
-// process-wide store and plan cache must survive.
+// engine's store and plan cache must survive.
 func TestFeedbackStressConcurrentReplans(t *testing.T) {
 	const q = "//part[bolt]//subpart"
-	withFeedbackConfig(t, feedback.Config{DriftThreshold: 2, MinSamples: 2, RingSize: 2})
-
-	e := New()
+	e := feedbackEngine(feedback.Config{DriftThreshold: 2, MinSamples: 2, RingSize: 2})
 	e.Add("skew", skewedDoc(t, 120, 24))
 
 	// Establish the expected count before the racers start (the count
@@ -351,7 +337,7 @@ func TestFeedbackStressConcurrentReplans(t *testing.T) {
 	go func() { // readers: summaries and EXPLAIN race the writers
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			feedback.Shared.Summaries()
+			e.State().Feedback.Summaries()
 			if _, err := e.Explain(q, plan.Options{Strategy: plan.Auto}); err != nil {
 				t.Errorf("explain: %v", err)
 				return

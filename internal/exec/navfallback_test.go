@@ -49,7 +49,6 @@ var navFallbackQueries = []string{
 // evaluation.
 func TestNavFallbackEvalAndCache(t *testing.T) {
 	for _, q := range navFallbackQueries {
-		ResetPlanCache()
 		e := navFallbackEngine(t)
 		oracle, err := e.EvalOptions(q, plan.Options{Strategy: plan.Navigational})
 		if err != nil {

@@ -106,7 +106,8 @@ func (s *snapshot) pin(uri string) *snapshot {
 		return p
 	}
 	p := &snapshot{
-		version: snapshotVersions.Add(1),
+		state:   s.state,
+		version: s.state.versions.Add(1),
 		docs:    map[string]entry{uri: s.docs[uri]},
 		first:   uri,
 		store:   s.store,

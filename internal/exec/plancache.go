@@ -3,7 +3,7 @@ package exec
 // The compiled-plan cache: the compile pipeline (FLWOR → BlossomTree →
 // NoK decomposition → physical plan) is deterministic in the query
 // text, the planning options and the catalog snapshot, so its output is
-// cached process-wide and shared by every evaluation path — Eval*,
+// cached per engine (State) and shared by every evaluation path — Eval*,
 // EvalBatch workers, EvalAllDocs pins, Prepared.RunContext, EXPLAIN
 // ANALYZE and the daemon's POST /query all reach it through evalExpr.
 //
@@ -26,7 +26,7 @@ import (
 	"blossomtree/internal/xpath"
 )
 
-// planCacheCapacity bounds the shared cache. Entries are plan skeletons
+// planCacheCapacity bounds an engine's cache. Entries are plan skeletons
 // (query, decomposition, explain notes) — small next to documents — so
 // the bound guards against unbounded distinct-query streams, not
 // memory pressure from normal serving.
@@ -84,30 +84,13 @@ type compiled struct {
 // wins — harmless, and cheaper than holding the lock across planning.
 type planCache struct {
 	mu  sync.Mutex
-	cap int
-	lru *list.List // front = most recently used; values are *planCacheEntry
+	lru list.List // front = most recently used; values are *planCacheEntry
 	m   map[planKey]*list.Element
 }
 
 type planCacheEntry struct {
 	key planKey
 	c   *compiled
-}
-
-// sharedPlanCache is the process-wide cache behind every engine.
-var sharedPlanCache = newPlanCache(planCacheCapacity)
-
-func newPlanCache(capacity int) *planCache {
-	// Pre-register the counters so the Prometheus exposition carries all
-	// three names from the first scrape, hit or not.
-	obs.Default.Counter(obs.MetricPlanCacheHits)
-	obs.Default.Counter(obs.MetricPlanCacheMisses)
-	obs.Default.Counter(obs.MetricPlanCacheEvictions)
-	return &planCache{
-		cap: capacity,
-		lru: list.New(),
-		m:   make(map[planKey]*list.Element),
-	}
 }
 
 // get returns the cached compilation for the key, counting the hit or
@@ -136,32 +119,10 @@ func (pc *planCache) put(k planKey, c *compiled) {
 		return
 	}
 	pc.m[k] = pc.lru.PushFront(&planCacheEntry{key: k, c: c})
-	for pc.lru.Len() > pc.cap {
+	for pc.lru.Len() > planCacheCapacity {
 		el := pc.lru.Back()
 		pc.lru.Remove(el)
 		delete(pc.m, el.Value.(*planCacheEntry).key)
 		obs.Default.Add(obs.MetricPlanCacheEvictions, 1)
 	}
 }
-
-// len reports the current entry count.
-func (pc *planCache) len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.lru.Len()
-}
-
-// reset drops every entry; the hit/miss/eviction counters are
-// monotonic and stay untouched.
-func (pc *planCache) reset() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.lru.Init()
-	pc.m = make(map[planKey]*list.Element)
-}
-
-// ResetPlanCache empties the process-wide plan cache. The benchmark
-// harness uses it to re-measure cold compilation on an otherwise warm
-// process; serving code has no reason to call it — invalidation is the
-// snapshot version's job.
-func ResetPlanCache() { sharedPlanCache.reset() }

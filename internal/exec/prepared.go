@@ -10,7 +10,7 @@ import (
 // prepared-statement shape of the serving API. Preparation parses once
 // and eagerly compiles against the current catalog snapshot, so syntax
 // and planning errors surface at Prepare time and the compiled plan is
-// seeded into the shared plan cache; each run then evaluates the kept
+// seeded into the engine's plan cache; each run then evaluates the kept
 // parse against the snapshot current at that moment, hitting the cache
 // while the catalog is unchanged and transparently recompiling (through
 // the same cache) after any Add.

@@ -107,7 +107,7 @@ func TestPlanCacheKeyedByStrategy(t *testing.T) {
 
 // TestPlanCacheBypassOnExplicitInputs checks that caller-supplied
 // planning inputs (index, statistics) keep the evaluation out of the
-// shared cache: such plans are shaped by caller state the key cannot
+// plan cache: such plans are shaped by caller state the key cannot
 // see.
 func TestPlanCacheBypassOnExplicitInputs(t *testing.T) {
 	e := bibEngine(t)
@@ -124,19 +124,21 @@ func TestPlanCacheBypassOnExplicitInputs(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRUEviction exercises the LRU bound directly on a small
-// cache.
+// TestPlanCacheLRUEviction exercises the LRU bound directly on a fresh
+// engine's cache.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	pc := newPlanCache(2)
+	pc := &New().State().plans
 	k := func(i int) planKey { return planKey{version: 1, hash: fmt.Sprintf("h%d", i)} }
-	pc.put(k(1), &compiled{})
-	pc.put(k(2), &compiled{})
+	for i := 1; i <= planCacheCapacity; i++ {
+		pc.put(k(i), &compiled{})
+	}
 	if _, ok := pc.get(k(1)); !ok { // touch 1 so 2 is the LRU victim
 		t.Fatal("entry 1 missing before eviction")
 	}
-	pc.put(k(3), &compiled{})
-	if pc.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", pc.len())
+	const newest = planCacheCapacity + 1
+	pc.put(k(newest), &compiled{})
+	if pc.lru.Len() != planCacheCapacity {
+		t.Fatalf("cache holds %d entries, want %d", pc.lru.Len(), planCacheCapacity)
 	}
 	if _, ok := pc.get(k(2)); ok {
 		t.Error("least-recently-used entry survived eviction")
@@ -144,7 +146,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if _, ok := pc.get(k(1)); !ok {
 		t.Error("recently-touched entry was evicted")
 	}
-	if _, ok := pc.get(k(3)); !ok {
+	if _, ok := pc.get(k(newest)); !ok {
 		t.Error("newest entry was evicted")
 	}
 }

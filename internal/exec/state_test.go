@@ -1,0 +1,128 @@
+package exec
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"blossomtree/internal/obs"
+	"blossomtree/internal/xmltree"
+)
+
+// nestedDoc parses <r> holding n <a><b/></a> pairs.
+func nestedDoc(t *testing.T, n int) *xmltree.Document {
+	t.Helper()
+	return mustParseDoc(t, "<r>"+strings.Repeat("<a><b/></a>", n)+"</r>")
+}
+
+// TestEnginesAreIndependent: two engines serving different documents
+// under one URI run the same query text. Each keeps its own plan cache,
+// feedback history and trace ring, and an engine nobody references any
+// more releases its documents — the plan cache used to be a process
+// global that pinned every document a cached plan was compiled against.
+func TestEnginesAreIndependent(t *testing.T) {
+	const q, runs = `//a//b`, 40
+
+	// run evaluates q runs times and returns the first result's query ID.
+	run := func(e *Engine, want int) string {
+		t.Helper()
+		var firstID string
+		for i := 0; i < runs; i++ {
+			res, err := e.Eval(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Nodes) != want {
+				t.Fatalf("run %d: %d nodes, want %d", i, len(res.Nodes), want)
+			}
+			if res.Cached != (i > 0) {
+				t.Fatalf("run %d on a fresh engine: Cached = %v", i, res.Cached)
+			}
+			if i == 0 {
+				firstID = res.QueryID
+			}
+		}
+		return firstID
+	}
+
+	// The first engine lives only inside this function: once it returns,
+	// nothing but a process-wide structure could still reach its document.
+	collected := make(chan struct{})
+	firstID := func() string {
+		doc := nestedDoc(t, 5)
+		// The finalizer sits on the Document, not on its root node: nodes
+		// point at their parents, and the runtime finalizes no object that
+		// is reachable from itself.
+		runtime.SetFinalizer(doc, func(*xmltree.Document) { close(collected) })
+		e1 := New()
+		e1.Add("d", doc)
+		id := run(e1, 5)
+		if _, ok := e1.State().Traces.Get(id); !ok {
+			t.Fatalf("engine 1 does not know its own query %s", id)
+		}
+		return id
+	}()
+
+	e2 := New()
+	e2.Add("d", nestedDoc(t, 9))
+	run(e2, 9)
+
+	sum, ok := e2.State().Feedback.Lookup(obs.QueryHash(q))
+	if !ok || sum.N != runs {
+		t.Fatalf("engine 2's history counts %d executions (found=%v), want its own %d", sum.N, ok, runs)
+	}
+	for _, op := range sum.Ops {
+		// Both of the query's vertices match 9 nodes in engine 2's
+		// document and 5 in engine 1's.
+		if op.ActOut != 9 {
+			t.Errorf("engine 2's history for %s observed %.1f instances, want its own document's 9", op.Key, op.ActOut)
+		}
+	}
+	if len(sum.Ops) == 0 {
+		t.Error("engine 2's history tracks no operator")
+	}
+	if _, ok := e2.State().Traces.Get(firstID); ok {
+		t.Errorf("engine 2 serves the trace of engine 1's query %s", firstID)
+	}
+
+	// Two cycles: the first moves what sync.Pools hold (vexec's slab pool
+	// is per process) to their victim caches, the second drops it.
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Error("engine 1's document is still reachable after the engine was dropped")
+	}
+	runtime.KeepAlive(e2)
+}
+
+// TestPeersShareState: the shards of one group are peers — one plan
+// cache keyed around each other by the shared version counter, one
+// feedback history, one trace ring.
+func TestPeersShareState(t *testing.T) {
+	const q = `//a//b`
+	e1 := New()
+	e2 := e1.Peer()
+	e1.Add("d", nestedDoc(t, 2))
+	e2.Add("d", nestedDoc(t, 3))
+	if e1.State() != e2.State() {
+		t.Fatal("peers do not share their state")
+	}
+	for i, e := range []*Engine{e1, e2} {
+		res, err := e.Eval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached || len(res.Nodes) != 2+i {
+			t.Errorf("peer %d: cached=%v with %d nodes; a peer must not be served another peer's plan", i, res.Cached, len(res.Nodes))
+		}
+		if _, ok := e1.State().Traces.Get(res.QueryID); !ok {
+			t.Errorf("peer %d's query %s is not in the shared trace ring", i, res.QueryID)
+		}
+	}
+	if sum, _ := e1.State().Feedback.Lookup(obs.QueryHash(q)); sum.N != 2 {
+		t.Errorf("the shared history counts %d executions, want both peers' 2", sum.N)
+	}
+}

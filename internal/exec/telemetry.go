@@ -5,7 +5,7 @@ package exec
 // the CLI, the benchmark and the blossomd daemon one shared
 // pipeline: a latency observation into the process-wide
 // query-duration histogram, a span-tree trace derived from the plan's
-// OpStats into the trace store, and (when a logger is configured) a
+// OpStats into the engine's trace ring, and (given a logger) a
 // structured query-log record with slow-query EXPLAIN ANALYZE capture.
 
 import (
@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blossomtree/internal/feedback"
 	"blossomtree/internal/gov"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
@@ -35,6 +34,7 @@ func NewQueryID() string {
 // fills the fields in as the evaluation progresses and emit runs in
 // its defer, on success, error and abort paths alike.
 type telemetry struct {
+	state    *State // the evaluating engine's trace ring and feedback store
 	queryID  string
 	src      string // query text
 	strategy string // preset for navigational ("XH"); else read from plan
@@ -58,15 +58,15 @@ func (t *telemetry) emit(opts plan.Options, res *Result, err error) {
 	obs.Default.Histogram(obs.HistQueryDuration, obs.LatencyBuckets).ObserveDuration(elapsed)
 
 	st := t.statsTree(err)
-	obs.DefaultTraces.Put(t.queryID, obs.NewTrace(t.queryID, st, elapsed))
+	t.state.Traces.Put(t.queryID, obs.NewTrace(t.queryID, st, elapsed))
 
 	// Feed the estimate→actual loop: every successful planned evaluation
-	// records its per-operator est/act counters into the shared feedback
+	// records its per-operator est/act counters into the engine's feedback
 	// store, keyed by query hash (batch, all-docs and sharded paths all
 	// reach this boundary, so they all contribute history).
 	if err == nil && t.plan != nil {
 		if ops := feedbackOps(t.plan.StatsTree()); len(ops) > 0 {
-			feedback.Shared.Observe(obs.QueryHash(t.src), t.plan.Strategy.String(), elapsed.Seconds(), ops)
+			t.state.Feedback.Observe(obs.QueryHash(t.src), t.plan.Strategy.String(), elapsed.Seconds(), ops)
 		}
 	}
 

@@ -1,5 +1,5 @@
 // Package feedback closes the estimate→actual loop of the cost model
-// (ROADMAP item 5): a concurrency-safe, bounded store of observed
+// (ROADMAP item 3): a concurrency-safe, bounded store of observed
 // per-operator cardinalities and scan counts, keyed by (query hash,
 // operator path). The telemetry boundary records every successful
 // evaluation's actuals here; on a plan-cache hit the executor compares
@@ -8,10 +8,11 @@
 // with history-corrected cardinalities (plan.Options.CardHints) and
 // re-caches it — so cached plans get better as traffic repeats.
 //
-// The store is keyed by query hash only, deliberately ignoring the
-// snapshot version that keys the plan cache: observed cardinalities are
-// a property of the workload, not of one catalog snapshot, so history
-// survives Engine.Add churn and warms replans across snapshot bumps.
+// Each engine owns one store (a group's shards share theirs), so a
+// history describes that engine's documents only. It is keyed by query
+// hash alone, not by the snapshot version that keys the plan cache:
+// observed cardinalities are a property of the engine's workload, so
+// history survives Engine.Add churn and warms replans across versions.
 //
 // Each replan is judged exactly once: the pre-replan latency EWMA is
 // snapshotted when the replan is armed, and after RingSize post-replan
@@ -189,10 +190,6 @@ func NewStore(cfg Config, reg *obs.Registry) *Store {
 	return s
 }
 
-// Shared is the process-wide store the engine's telemetry boundary and
-// plan cache use, mirroring the process-wide plan cache.
-var Shared = NewStore(Config{}, nil)
-
 // SetConfig replaces the store's configuration (zero fields take
 // defaults). Existing history is kept; only future decisions use the
 // new thresholds.
@@ -207,15 +204,6 @@ func (s *Store) ConfigSnapshot() Config {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cfg
-}
-
-// Reset drops all history (tests and benchmarks use this to isolate
-// runs). Counters are process-lifetime and are not reset.
-func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries = make(map[string]*history)
-	s.order = list.New()
 }
 
 // Observe records one successful evaluation: per-operator est/act

@@ -145,11 +145,6 @@ func NewTraceStore(capacity int) *TraceStore {
 	return &TraceStore{cap: capacity, byID: make(map[string]*Trace)}
 }
 
-// DefaultTraces is the process-wide trace store the executor records
-// into (sized for a scrape-and-inspect workflow, not long-term
-// retention).
-var DefaultTraces = NewTraceStore(512)
-
 // Put stores a trace under its query ID, evicting the oldest entry at
 // capacity.
 func (ts *TraceStore) Put(queryID string, t *Trace) {

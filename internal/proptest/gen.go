@@ -270,9 +270,10 @@ func (g *Gen) cond(two, pos, hasLet bool) string {
 	}
 }
 
-// ret generates the return clause.
+// ret generates the return clause. Cases 4 and 5 end in an attribute
+// step (on a variable; below a child step), which must never cost the row.
 func (g *Gen) ret(two bool) string {
-	switch g.r.Intn(5) {
+	switch g.r.Intn(7) {
 	case 0:
 		return "$x"
 	case 1:
@@ -284,6 +285,10 @@ func (g *Gen) ret(two bool) string {
 			return fmt.Sprintf("<r>{ $x/%s }{ $y }</r>", g.tag())
 		}
 		return fmt.Sprintf("<r>{ $x/%s/text() }</r>", g.tag())
+	case 4:
+		return fmt.Sprintf("<r>{ %s/@%s }</r>", g.v(two, false), g.attr())
+	case 5:
+		return fmt.Sprintf("<r>{ $x }{ $x%s%s/@%s }</r>", g.sep(), g.tag(), g.attr())
 	default:
 		if two {
 			return "<r>{ $x }{ $y }</r>"

@@ -30,6 +30,27 @@ var regressions = []struct {
 		`<c><a id="1"/><b><a id="2"><a/></a></b></c>`,
 		`for $x in doc("d")/c let $l := $x//a where exists($x//a) return <r>{ $x }</r>`,
 	},
+	// A path ending in an attribute step compiles to an existence
+	// constraint on the element carrying the attribute. It used to land
+	// on whatever vertex the path reached — the variable's own vertex, or
+	// a child vertex another clause had bound — and filter that binding:
+	// the planned strategies dropped rows (or bindings) the oracle keeps.
+	// The generator emitted no attribute tails in return clauses then.
+	{
+		"attr-tail/return-on-variable",
+		`<r><x id="1"><y/></x><x><y/></x><x id="3"><y/></x></r>`,
+		`for $x in doc("d")//x return <o>{ $x/@id }</o>`,
+	},
+	{
+		"attr-tail/return-below-where-bound-child",
+		`<r><x id="1"><y id="a"/></x><x><y/></x><x id="3"><y/><y id="b"/></x></r>`,
+		`for $x in doc("d")//x where $x/y return <o>{ $x/y/@id }</o>`,
+	},
+	{
+		"attr-tail/where-below-for-bound-child",
+		`<r><x id="1"><y id="a"/></x><x><y/></x><x id="3"><y/><y id="b"/></x></r>`,
+		`for $x in doc("d")//x, $y in $x/y where $x/y/@id return <o>{ $y }</o>`,
+	},
 }
 
 func TestRegressions(t *testing.T) {

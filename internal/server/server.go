@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"blossomtree"
-	"blossomtree/internal/feedback"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/shard"
 )
@@ -321,24 +320,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleFeedback exposes the feedback store: one JSON object per
-// tracked query hash with its observation count, latency EWMA, per-
-// operator est/act history, drift and replan state — the serving-side
-// view of the estimate→actual loop.
+// handleFeedback exposes the engine's feedback store: one JSON object
+// per tracked query hash with its observation count, latency EWMA,
+// per-operator est/act history, drift and replan state — the
+// serving-side view of the estimate→actual loop.
 func (s *Server) handleFeedback(w http.ResponseWriter, _ *http.Request) {
-	type feedbackResponse struct {
-		Queries []feedback.Summary `json:"queries"`
-	}
-	sums := feedback.Shared.Summaries()
-	if sums == nil {
-		sums = []feedback.Summary{}
-	}
-	writeJSON(w, http.StatusOK, feedbackResponse{Queries: sums})
+	writeJSON(w, http.StatusOK, map[string]any{"queries": s.cfg.Engine.FeedbackSummaries()})
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("queryID")
-	b, ok := blossomtree.TraceJSON(id)
+	b, ok := s.cfg.Engine.TraceJSON(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("no trace for query %q (traces are retained for recent queries only)", id)})
 		return

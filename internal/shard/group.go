@@ -67,12 +67,19 @@ func New(cfg Config) *Group {
 		hists:  make([]*obs.Histogram, cfg.Shards),
 		uris:   map[string]int{},
 	}
+	// The shards share shard 0's state: one engine to the group's owner.
+	g.shards[0] = exec.NewWithConfig(exec.Config{BuildIndexes: cfg.BuildIndexes})
 	for i := range g.shards {
-		g.shards[i] = exec.NewWithConfig(exec.Config{BuildIndexes: cfg.BuildIndexes})
+		if i > 0 {
+			g.shards[i] = g.shards[0].Peer()
+		}
 		g.hists[i] = obs.Default.Histogram(fmt.Sprintf("shard_%d_query_duration_seconds", i), obs.LatencyBuckets)
 	}
 	return g
 }
+
+// State returns the state the group's shards share.
+func (g *Group) State() *exec.State { return g.shards[0].State() }
 
 // Shards returns the number of shards in the group.
 func (g *Group) Shards() int { return len(g.shards) }

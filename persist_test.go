@@ -268,7 +268,8 @@ func TestPersistFileUpToDate(t *testing.T) {
 }
 
 // TestFeedbackPersistRoundTrip drives queries to build feedback
-// history, persists it, and verifies a restore reproduces the report.
+// history, persists it, and verifies a restore into a second engine —
+// which starts with none — reproduces the report.
 func TestFeedbackPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e := loadFreshEngine(t, 0)
@@ -277,7 +278,7 @@ func TestFeedbackPersistRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := blossomtree.FeedbackReport()
+	before := e.FeedbackReport()
 	if before == "" {
 		t.Fatal("no feedback accumulated")
 	}
@@ -285,7 +286,7 @@ func TestFeedbackPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PersistFeedback(); err != nil {
+	if err := e.PersistFeedback(st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -293,11 +294,14 @@ func TestFeedbackPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st2.RestoreFeedback(); err != nil {
+	e2 := loadFreshEngine(t, 0)
+	if report := e2.FeedbackReport(); report != "" {
+		t.Fatalf("a fresh engine already has feedback history:\n%s", report)
+	}
+	if err := e2.RestoreFeedback(st2); err != nil {
 		t.Fatal(err)
 	}
-	after := blossomtree.FeedbackReport()
-	if after != before {
+	if after := e2.FeedbackReport(); after != before {
 		t.Fatalf("feedback report changed across persist/restore:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }

@@ -115,13 +115,13 @@ func newResult(r *exec.Result) *Result {
 	return res
 }
 
-// QueryID identifies this evaluation in the structured query log and
-// the trace store (TraceJSON, blossomd's GET /trace/{queryID}).
+// QueryID identifies this evaluation in the structured query log and the
+// engine's trace ring (Engine.TraceJSON, blossomd's GET /trace/{queryID}).
 func (r *Result) QueryID() string { return r.inner.QueryID }
 
 // Cached reports whether the evaluation's physical plan was served
-// from the process-wide compiled-plan cache rather than compiled for
-// this run.
+// from the engine's compiled-plan cache rather than compiled for this
+// run.
 func (r *Result) Cached() bool { return r.inner.Cached }
 
 // NavReason says why the query routed to the navigational fallback

@@ -1,7 +1,6 @@
 package blossomtree
 
 import (
-	"blossomtree/internal/feedback"
 	"blossomtree/internal/segstore"
 	"blossomtree/internal/xmltree"
 )
@@ -77,28 +76,6 @@ func (s *SegmentStore) Close() error { return s.st.Close() }
 // String summarizes the catalog.
 func (s *SegmentStore) String() string { return s.st.String() }
 
-// PersistFeedback writes the process-wide feedback store — the
-// estimate→actual history cached-plan replanning feeds on — into the
-// store directory (feedback.json, atomically), so a restarted daemon
-// resumes the loop instead of relearning from scratch.
-func (s *SegmentStore) PersistFeedback() error {
-	data, err := feedback.Shared.Export()
-	if err != nil {
-		return err
-	}
-	return s.st.SaveFeedback(data)
-}
-
-// RestoreFeedback loads previously persisted feedback history into the
-// process-wide store. A store with no feedback file is a no-op.
-func (s *SegmentStore) RestoreFeedback() error {
-	data, err := s.st.LoadFeedback()
-	if err != nil || data == nil {
-		return err
-	}
-	return feedback.Shared.Import(data)
-}
-
 // AttachStore registers every servable document of the store with the
 // engine. Nothing is parsed or decoded up front: documents materialize
 // (mmap + decode, LRU-cached) when a query first resolves them. On a
@@ -123,6 +100,29 @@ func (e *Engine) PersistFile(s *SegmentStore, uri, path string) error {
 		return err
 	}
 	return e.persist(s, uri, &info)
+}
+
+// PersistFeedback writes the engine's feedback store — the
+// estimate→actual history cached-plan replanning feeds on — into the
+// store directory (feedback.json, atomically), so a restarted daemon
+// resumes the loop instead of relearning from scratch.
+func (e *Engine) PersistFeedback(s *SegmentStore) error {
+	data, err := e.b.State().Feedback.Export()
+	if err != nil {
+		return err
+	}
+	return s.st.SaveFeedback(data)
+}
+
+// RestoreFeedback replaces the engine's feedback history with the one
+// previously persisted into the store directory. A store with no
+// feedback file is a no-op.
+func (e *Engine) RestoreFeedback(s *SegmentStore) error {
+	data, err := s.st.LoadFeedback()
+	if err != nil || data == nil {
+		return err
+	}
+	return e.b.State().Feedback.Import(data)
 }
 
 func (e *Engine) persist(s *SegmentStore, uri string, info *segstore.SourceInfo) error {

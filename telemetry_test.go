@@ -144,7 +144,7 @@ func TestTraceMatchesExplainAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := TraceJSON(res.QueryID())
+	b, ok := e.TraceJSON(res.QueryID())
 	if !ok {
 		t.Fatalf("no trace stored for %q", res.QueryID())
 	}
@@ -193,7 +193,7 @@ func TestQueryIDsUniqueAndPinnable(t *testing.T) {
 	if res.QueryID() != "pinned-1" {
 		t.Errorf("QueryID = %q, want the pinned ID", res.QueryID())
 	}
-	if _, ok := TraceJSON("pinned-1"); !ok {
+	if _, ok := e.TraceJSON("pinned-1"); !ok {
 		t.Error("trace should be stored under the pinned ID")
 	}
 }
