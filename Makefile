@@ -17,8 +17,9 @@
 #   make benchbuild — vet + test the nested benchmark/ module against
 #                  the current API (root `go build ./...` skips it)
 #   make lint-refs — fail if a file still points at the retired second
-#                  benchmark harness, or names one of the process-wide
-#                  globals the engines' own state replaced
+#                  benchmark harness, names one of the process-wide
+#                  globals the engines' own state replaced, or brings
+#                  back unsafe, a finalizer or the mapped-column names
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -131,7 +132,10 @@ bench:
 # letters keep this rule from matching itself.) Likewise the plan cache,
 # the feedback history, the trace ring and the snapshot-version counter
 # belong to an engine: the package variables they used to be, and the
-# reset hooks tests needed because of them, must not come back.
+# reset hooks tests needed because of them, must not come back. Nor may
+# what left with the mapped segment columns: no non-test Go file imports
+# unsafe or sets a finalizer, and the constructors that wrapped mapped
+# arrays stay gone.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -140,15 +144,23 @@ lint-refs:
 		-e 'ResetPlanCach[e]' -e 'ResetFeedbac[k]' -e 'snapshotVersion[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
 		echo "lint-refs: reference to a process-wide global that engine-owned state replaced"; exit 1; fi
+	@if git grep -n -e '^[[:space:]]*"unsaf[e]"$$' -e 'import "unsaf[e]"' -e 'runtime\.SetFinalize[r]' -- '*.go' ':!*_test.go'; then \
+		echo "lint-refs: non-test Go imports unsafe or sets a finalizer"; exit 1; fi
+	@if git grep -n -e 'mmapFil[e]' -e 'NewColumnSe[t]' -e 'FromColumn[s]' -- \
+		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
+		echo "lint-refs: reference to the mapped segment columns a stored document no longer has"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; the compact NestedList form must
 # round-trip losslessly against the pointer form; the segment bytecode
 # decoder must reject arbitrary corruption with ErrCorrupt, never a
-# panic, and re-encode accepted inputs byte-identically. Seed corpora
-# live under each package's testdata/fuzz directory.
+# panic, and re-encode accepted inputs byte-identically; the segment
+# file reader must do the same for whole file images, with and without
+# a matching checksum. Seed corpora live under each package's
+# testdata/fuzz directory.
 fuzz:
 	$(GO) test ./internal/xpath -run '^$$' -fuzz FuzzXPathParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flwor -run '^$$' -fuzz FuzzFLWORParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nestedlist -run '^$$' -fuzz FuzzCompactRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzSegmentRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/segstore -run '^$$' -fuzz FuzzSegmentFile -fuzztime $(FUZZTIME)

@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		repeat    = fs.Int("repeat", 1, "prepare the query once and run it N times (the prepared-statement path; repeated runs hit the plan cache)")
 		logQuery  = fs.Bool("log", false, "emit the structured query-log record (the daemon's pipeline) to stderr")
 		slow      = fs.Duration("slow-query", 0, "log the query at Warn with its EXPLAIN ANALYZE tree when at/past this latency (implies -log; 0 = off)")
-		dataDir   = fs.String("data", "", "persistent segment store directory: the file persists here and unchanged files are served mmap'd without re-parsing; usable alone to query an existing store")
+		dataDir   = fs.String("data", "", "persistent segment store directory: the file persists here and unchanged files are served from their segments without re-parsing; usable alone to query an existing store")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: blossom -file doc.xml [flags] 'query'\n\n")

@@ -71,7 +71,7 @@ func main() {
 		tenantQPS  = flag.Float64("tenant-qps", 0, "admission control: per-tenant token-bucket rate, tenant = X-Tenant header (0 = off)")
 		fbDrift    = flag.Float64("feedback-drift-threshold", 0, "feedback loop: est/act drift ratio at which cached plans replan from history (0 = default 2.0)")
 		fbSamples  = flag.Int64("feedback-min-samples", 0, "feedback loop: observations required before a hash may replan (0 = default 32)")
-		dataDir    = flag.String("data", "", "persistent segment store directory: documents persist here on load and are served mmap'd on restart without re-parsing")
+		dataDir    = flag.String("data", "", "persistent segment store directory: documents persist here on load and are served from their segments on restart without re-parsing")
 	)
 	flag.Var(&files, "load", "XML file to serve, registered under its basename as doc(\"…\") URI (repeatable)")
 	flag.Var(&gens, "gen", "synthetic dataset to serve, as id or id:nodes, e.g. d2:5000 (repeatable)")

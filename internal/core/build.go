@@ -81,6 +81,14 @@ func FromFLWOR(e flwor.Expr) (*Query, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s $%s: %w", cl.Kind, cl.Var, err)
 		}
+		if cl.Kind == flwor.LetClause && path.Source.Kind == xpath.SourceVar && end == b.vars[path.Source.Var] {
+			// The path ($x/@id, $x/self::x, $x) took no step off $x's
+			// vertex. A vertex carries one variable's binding, and $x/@id
+			// is $x only where the attribute exists: narrowing the shared
+			// vertex would drop $x rows.
+			return nil, fmt.Errorf("core: let $%s := %s: a let path ending on the vertex of its own variable $%s is %w",
+				cl.Var, cl.Path, path.Source.Var, ErrOutsideFragment)
+		}
 		if end.Blossom == "" {
 			end.Blossom = cl.Var
 		}

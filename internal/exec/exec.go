@@ -79,7 +79,7 @@ type snapshot struct {
 	docs  map[string]entry
 	first string
 	// store, when non-nil, serves the catalog's lazy entries out of a
-	// persistent segment directory: a store-backed document is mmap'd
+	// persistent segment directory: a store-backed document is read
 	// and materialized on first resolution (and LRU-cached inside the
 	// store), so attaching a large catalog costs no parsing up front.
 	store *segstore.Store
@@ -182,7 +182,7 @@ func (e *Engine) Add(uri string, doc *xmltree.Document) {
 
 // AttachStore registers every servable document of a persistent segment
 // store with the engine. Documents are not parsed or decoded here: they
-// materialize lazily (mmap + decode, LRU-cached by the store) on first
+// materialize lazily (read + decode, LRU-cached by the store) on first
 // resolution. Like Add, AttachStore publishes one new snapshot version,
 // so cached plans compiled against the previous catalog invalidate —
 // and the feedback store, keyed by query hash alone, carries over.
@@ -284,9 +284,9 @@ func (s *snapshot) resolve(uri string) (*xmltree.Document, error) {
 }
 
 // resolveEntry is resolve carrying the resolved document's index and
-// statistics, so store-backed documents hand planContext the posting
-// lists and stats persisted in their segment instead of rebuilding
-// them.
+// statistics, so store-backed documents hand planContext the index the
+// store built when it decoded them and the stats persisted in their
+// segment instead of recomputing them.
 func (s *snapshot) resolveEntry(uri string) (entry, error) {
 	_, ok := s.docs[uri]
 	target, err := ResolveURI(uri, ok, s.first, len(s.docs))

@@ -42,24 +42,6 @@ type TagIndex struct {
 type ColumnSet struct {
 	Start, End, Level []uint32
 	Nodes             []*xmltree.Node
-
-	// backing pins whatever memory the columns alias — the segment
-	// store's mmap'd file region. The columns of a set built from an
-	// in-heap document are ordinary GC-managed slices and backing is
-	// nil; a set served zero-copy off a mapped segment holds the
-	// mapping here so the file stays mapped for the set's lifetime
-	// (mapped memory is invisible to the garbage collector, so the
-	// slices alone would not keep it alive).
-	backing any
-}
-
-// NewColumnSet wraps pre-built columns (for the segment store's
-// zero-copy open path). backing, when non-nil, is retained for the
-// set's lifetime to keep memory the columns alias (an mmap'd segment)
-// valid. The columns must be parallel, in document order, and aligned
-// with nodes.
-func NewColumnSet(start, end, level []uint32, nodes []*xmltree.Node, backing any) *ColumnSet {
-	return &ColumnSet{Start: start, End: end, Level: level, Nodes: nodes, backing: backing}
 }
 
 // Len returns the number of rows in the column set.
@@ -107,18 +89,6 @@ func Build(doc *xmltree.Document) *TagIndex {
 		ix.elements = append(ix.elements, n)
 	})
 	return ix
-}
-
-// FromColumns constructs a TagIndex from pre-built inverted lists and
-// columnar projections — the segment store's open path, which serves
-// the per-tag posting lists recorded in a segment file instead of
-// re-walking the document. lists must hold every tag's elements in
-// document order and elements the all-elements list (the "*" wildcard);
-// cols may pre-populate any subset of tags (including "*"), typically
-// with mmap-backed column sets — tags without a pre-built set fall back
-// to the usual lazy heap build.
-func FromColumns(doc *xmltree.Document, elements []*xmltree.Node, lists map[string][]*xmltree.Node, cols map[string]*ColumnSet) *TagIndex {
-	return &TagIndex{doc: doc, lists: lists, elements: elements, cols: cols}
 }
 
 // Document returns the indexed document.

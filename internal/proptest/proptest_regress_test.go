@@ -51,6 +51,28 @@ var regressions = []struct {
 		`<r><x id="1"><y id="a"/></x><x><y/></x><x id="3"><y/><y id="b"/></x></r>`,
 		`for $x in doc("d")//x, $y in $x/y where $x/y/@id return <o>{ $y }</o>`,
 	},
+	// A let whose path takes no step off its variable's vertex — an
+	// attribute step directly on the variable, or the variable alone —
+	// would share that vertex, which carries one binding and cannot be
+	// $x and "$x where it has the attribute" at once: every planned
+	// strategy failed with "no returning node for variable $a". It now
+	// routes to the navigational evaluator. The generator draws let paths
+	// with at least one element step, so it never produced this shape.
+	{
+		"let-attr-on-variable/bare",
+		`<r><x id="1"><y id="a"/></x><x id="2"/><x/></r>`,
+		`for $x in doc("d")//x let $a := $x/@id return $a`,
+	},
+	{
+		"let-attr-on-variable/constructor",
+		`<r><x id="1"><y id="a"/></x><x id="2"/><x/></r>`,
+		`for $x in doc("d")//x let $a := $x/@id return <o>{ $a }</o>`,
+	},
+	{
+		"let-attr-on-variable/alias",
+		`<r><x id="1"><y id="a"/></x><x id="2"/><x/></r>`,
+		`for $x in doc("d")//x let $a := $x return <o>{ $a }</o>`,
+	},
 }
 
 func TestRegressions(t *testing.T) {

@@ -6,37 +6,29 @@
 //	[12,16)  u32 section count
 //	[16,…)   section directory: count × { u32 id, u32 reserved,
 //	         u64 offset, u64 length } (24 bytes each)
-//	…        section payloads, each padded to 8-byte alignment so the
-//	         u32 column arrays inside are naturally aligned when the
-//	         file is memory-mapped
+//	…        section payloads
 //	[EOF-16) footer: "BSGE", u32 crc32c(file[0 : size-16]), u64 size
 //
 // Sections:
 //
 //	meta (1)     JSON: URI, segment generation, document statistics
-//	             (the planner's inputs, available without materializing)
 //	topo (2)     the succinct topology bytecode — a verbatim
 //	             storage.Segment (dedup tag table + preorder
 //	             open/text/close bytecode)
-//	elem (3)     u32 count, u32 pad, then start[count], end[count],
-//	             level[count] as u32 arrays: the region labels of every
-//	             element in document order (the "*" wildcard ColumnSet,
-//	             served zero-copy off the mapping)
-//	csr (4)      u32 count, u32 nChildren, offsets[count+1],
-//	             children[nChildren]: the Figure-6 CSR child-offset
-//	             layout over element ordinals — element i's child
-//	             elements are children[offsets[i]:offsets[i+1]], used as
-//	             a structural integrity check on open and shareable by
-//	             future out-of-process readers
-//	post (5)     u32 nLists, then per list: u32 tagID (into the topo
-//	             tag table), u32 count, ordinals[count], start[count],
-//	             end[count], level[count]: the per-tag posting lists as
-//	             region-label triples in document order — directly
-//	             servable as index.ColumnSet backing without copying
 //
-// The whole-file crc32c (Castagnoli) in the footer is what OpenDir
-// verifies before a segment is ever served, so a torn or bit-flipped
-// write is quarantined instead of decoded.
+// A file stores the document once. Region labels, the tag index and the
+// column sets are computed from the decoded tree by the code every
+// parsed document goes through (xmltree's builder, index.Build), so
+// there is nothing in a file that could disagree with the topology. The
+// directory is self-describing and the reader takes the two sections it
+// knows by id: files that carry further sections (ids 3–5 held derived
+// label columns, child offsets and postings) open unchanged.
+//
+// The whole-file crc32c (Castagnoli) in the footer is verified twice:
+// streamed off disk by OpenDir before a segment is admitted, and over
+// the bytes actually decoded when a document is first touched, so a
+// torn, bit-flipped, truncated or rewritten file is quarantined instead
+// of decoded.
 package segstore
 
 import (
@@ -45,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"unsafe"
 
 	"blossomtree/internal/index"
 	"blossomtree/internal/storage"
@@ -74,9 +65,6 @@ const (
 
 	secMeta = 1
 	secTopo = 2
-	secElem = 3
-	secCSR  = 4
-	secPost = 5
 )
 
 // castagnoli is the CRC-32C table used for every file checksum.
@@ -90,176 +78,65 @@ type segMeta struct {
 	Stats      xmltree.Stats `json:"stats"`
 }
 
-// sectionWriter accumulates aligned sections and assembles the final
-// file image.
-type sectionWriter struct {
-	ids      []uint32
-	payloads [][]byte
+// section is one directory entry and its payload.
+type section struct {
+	id      uint32
+	payload []byte
 }
 
-func (w *sectionWriter) add(id uint32, payload []byte) {
-	w.ids = append(w.ids, id)
-	w.payloads = append(w.payloads, payload)
-}
-
-func pad8(n int) int { return (8 - n%8) % 8 }
-
-func (w *sectionWriter) finish() []byte {
-	off := headerSize + dirEntSize*len(w.ids)
-	off += pad8(off)
-	size := off
-	offsets := make([]int, len(w.payloads))
-	for i, p := range w.payloads {
+// assemble lays the sections out behind a header and a directory and
+// seals the image with the footer.
+func assemble(secs ...section) []byte {
+	size := headerSize + dirEntSize*len(secs)
+	offsets := make([]int, len(secs))
+	for i, sec := range secs {
 		offsets[i] = size
-		size += len(p) + pad8(len(p))
+		size += len(sec.payload)
 	}
 	size += footerSize
 
 	out := make([]byte, size)
 	copy(out, fileMagic)
 	binary.LittleEndian.PutUint32(out[8:], formatVersion)
-	binary.LittleEndian.PutUint32(out[12:], uint32(len(w.ids)))
-	for i := range w.ids {
+	binary.LittleEndian.PutUint32(out[12:], uint32(len(secs)))
+	for i, sec := range secs {
 		d := out[headerSize+i*dirEntSize:]
-		binary.LittleEndian.PutUint32(d, w.ids[i])
+		binary.LittleEndian.PutUint32(d, sec.id)
 		binary.LittleEndian.PutUint64(d[8:], uint64(offsets[i]))
-		binary.LittleEndian.PutUint64(d[16:], uint64(len(w.payloads[i])))
+		binary.LittleEndian.PutUint64(d[16:], uint64(len(sec.payload)))
+		copy(out[offsets[i]:], sec.payload)
 	}
-	for i, p := range w.payloads {
-		copy(out[offsets[i]:], p)
-	}
-	foot := out[size-footerSize:]
-	copy(foot, footerMagic)
-	binary.LittleEndian.PutUint32(foot[4:], crc32.Checksum(out[:size-footerSize], castagnoli))
-	binary.LittleEndian.PutUint64(foot[8:], uint64(size))
+	seal(out)
 	return out
 }
 
-// u32Writer appends little-endian u32 values to a byte slice.
-func appendU32(b []byte, vs ...uint32) []byte {
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return b
-}
-
-func appendU32Slice(b []byte, vs []uint32) []byte {
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return b
+// seal writes the footer — magic, checksum of everything before it,
+// total size — into the last footerSize bytes of img.
+func seal(img []byte) {
+	foot := img[len(img)-footerSize:]
+	copy(foot, footerMagic)
+	binary.LittleEndian.PutUint32(foot[4:], crc32.Checksum(img[:len(img)-footerSize], castagnoli))
+	binary.LittleEndian.PutUint64(foot[8:], uint64(len(img)))
 }
 
 // encodeSegmentFile renders one document as a self-contained segment
-// file image: meta + topology bytecode + element region columns + CSR
-// child offsets + per-tag posting triples, checksummed.
+// file image: meta + topology bytecode, checksummed.
 func encodeSegmentFile(uri string, generation uint64, doc *xmltree.Document, stats xmltree.Stats) ([]byte, error) {
-	topo := storage.Encode(doc)
-	topoBytes, err := topo.MarshalBinary()
+	topo, err := storage.Encode(doc).MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-
 	meta, err := json.Marshal(segMeta{URI: uri, Generation: generation, Stats: stats})
 	if err != nil {
 		return nil, err
 	}
-
-	// Element columns + ordinals in document order.
-	var elements []*xmltree.Node
-	ordinal := make(map[*xmltree.Node]int)
-	xmltree.Elements(doc.Root, func(n *xmltree.Node) {
-		ordinal[n] = len(elements)
-		elements = append(elements, n)
-	})
-	n := len(elements)
-	elem := make([]byte, 0, 8+12*n)
-	elem = appendU32(elem, uint32(n), 0)
-	for _, e := range elements {
-		elem = appendU32(elem, uint32(e.Start))
-	}
-	for _, e := range elements {
-		elem = appendU32(elem, uint32(e.End))
-	}
-	for _, e := range elements {
-		elem = appendU32(elem, uint32(e.Level))
-	}
-
-	// CSR child offsets over element ordinals.
-	offsets := make([]uint32, n+1)
-	var children []uint32
-	for i, e := range elements {
-		offsets[i] = uint32(len(children))
-		for c := e.FirstChild; c != nil; c = c.NextSibling {
-			if c.Kind == xmltree.ElementNode {
-				children = append(children, uint32(ordinal[c]))
-			}
-		}
-		_ = i
-	}
-	offsets[n] = uint32(len(children))
-	csr := make([]byte, 0, 8+4*(n+1)+4*len(children))
-	csr = appendU32(csr, uint32(n), uint32(len(children)))
-	csr = appendU32Slice(csr, offsets)
-	csr = appendU32Slice(csr, children)
-
-	// Per-tag posting lists, in tag-table order (deterministic output).
-	tagID := make(map[string]uint32, len(topo.Tags()))
-	for id, t := range topo.Tags() {
-		if _, ok := tagID[t]; !ok {
-			tagID[t] = uint32(id)
-		}
-	}
-	perTag := make(map[string][]uint32)
-	for i, e := range elements {
-		perTag[e.Tag] = append(perTag[e.Tag], uint32(i))
-	}
-	post := appendU32(nil, 0) // list count, patched below
-	lists := 0
-	for id, t := range topo.Tags() {
-		ords, ok := perTag[t]
-		if !ok || tagID[t] != uint32(id) {
-			// Attribute-only names have no postings; a duplicate table
-			// entry (cannot happen with the current interner, but cheap to
-			// guard) is emitted once under its first id.
-			continue
-		}
-		lists++
-		post = appendU32(post, uint32(id), uint32(len(ords)))
-		post = appendU32Slice(post, ords)
-		for _, o := range ords {
-			post = appendU32(post, uint32(elements[o].Start))
-		}
-		for _, o := range ords {
-			post = appendU32(post, uint32(elements[o].End))
-		}
-		for _, o := range ords {
-			post = appendU32(post, uint32(elements[o].Level))
-		}
-	}
-	binary.LittleEndian.PutUint32(post, uint32(lists))
-
-	var w sectionWriter
-	w.add(secMeta, meta)
-	w.add(secTopo, topoBytes)
-	w.add(secElem, elem)
-	w.add(secCSR, csr)
-	w.add(secPost, post)
-	return w.finish(), nil
+	return assemble(section{secMeta, meta}, section{secTopo, topo}), nil
 }
 
-// segFile is a structurally validated view over a segment file's bytes
-// (typically an mmap'd region).
-type segFile struct {
-	data     []byte
-	sections map[uint32][]byte
-}
-
-// openSegFile validates the framing of data — magic, version, footer
-// size field, directory bounds — and indexes the sections. It does NOT
-// verify the checksum (that would fault in every page); OpenDir streams
-// the CRC from disk before a segment is ever admitted.
-func openSegFile(data []byte) (*segFile, error) {
+// readSections validates the framing of data — magic, version, footer
+// magic and size field, directory bounds — and returns the sections by
+// id. It does not verify the checksum; see verifyChecksum.
+func readSections(data []byte) (map[uint32][]byte, error) {
 	if len(data) < headerSize+footerSize || string(data[:8]) != string(fileMagic) {
 		return nil, corruptf("bad magic or truncated header")
 	}
@@ -277,7 +154,7 @@ func openSegFile(data []byte) (*segFile, error) {
 	if uint64(count) > uint64(len(data)-headerSize-footerSize)/dirEntSize {
 		return nil, corruptf("section count %d exceeds file", count)
 	}
-	f := &segFile{data: data, sections: make(map[uint32][]byte, count)}
+	sections := make(map[uint32][]byte, count)
 	for i := 0; i < int(count); i++ {
 		d := data[headerSize+i*dirEntSize:]
 		id := binary.LittleEndian.Uint32(d)
@@ -286,14 +163,14 @@ func openSegFile(data []byte) (*segFile, error) {
 		if off > uint64(len(data)-footerSize) || length > uint64(len(data)-footerSize)-off {
 			return nil, corruptf("section %d out of bounds", id)
 		}
-		f.sections[id] = data[off : off+length : off+length]
+		sections[id] = data[off : off+length : off+length]
 	}
-	return f, nil
+	return sections, nil
 }
 
-// verifyChecksum recomputes the footer CRC over data. Used by tests and
-// by callers holding the full image in memory; OpenDir uses the
-// streaming equivalent so it never materializes a segment to verify it.
+// verifyChecksum recomputes the footer CRC over data, the whole file
+// image. OpenDir uses the streaming equivalent so it never holds a
+// segment in memory to verify it.
 func verifyChecksum(data []byte) error {
 	if len(data) < footerSize {
 		return corruptf("file shorter than footer")
@@ -306,78 +183,28 @@ func verifyChecksum(data []byte) error {
 	return nil
 }
 
-func (f *segFile) section(id uint32) ([]byte, error) {
-	s, ok := f.sections[id]
-	if !ok {
-		return nil, corruptf("missing section %d", id)
-	}
-	return s, nil
-}
-
-// hostLittleEndian reports whether u32 arrays can be aliased in place.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// u32view returns n uint32 values starting at byte offset off of b —
-// zero-copy on little-endian hosts when the offset is 4-aligned, a
-// decoded copy otherwise. The bool reports whether the result aliases b.
-func u32view(b []byte, off, n int) ([]uint32, bool, error) {
-	if n == 0 {
-		return nil, false, nil
-	}
-	if off < 0 || n < 0 || off+4*n > len(b) || off+4*n < off {
-		return nil, false, corruptf("u32 array [%d,+%d) out of bounds", off, n)
-	}
-	if hostLittleEndian && (off%4 == 0) && uintptr(unsafe.Pointer(&b[off]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[off])), n), true, nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[off+4*i:])
-	}
-	return out, false, nil
-}
-
-// decodeMeta parses the meta section.
-func (f *segFile) decodeMeta() (segMeta, error) {
-	sec, err := f.section(secMeta)
-	if err != nil {
-		return segMeta{}, err
-	}
-	var m segMeta
-	if err := json.Unmarshal(sec, &m); err != nil {
-		return segMeta{}, corruptf("meta: %v", err)
-	}
-	return m, nil
-}
-
-// materialized is a fully opened segment: the decoded labeled tree, the
-// tag index wired to the segment's posting lists, and the statistics
-// saved at encode time.
-type materialized struct {
-	doc   *xmltree.Document
-	ix    *index.TagIndex
-	stats xmltree.Stats
-	// backing pins the mapped region every zero-copy column aliases.
-	backing *mapping
-}
-
-// materializeSegFile decodes the tree from the topology bytecode,
-// cross-checks it against the element columns and the CSR child
-// offsets, and wires the posting lists into a TagIndex whose ColumnSets
-// alias the mapping without copying.
-func materializeSegFile(f *segFile, backing *mapping) (*materialized, error) {
-	meta, err := f.decodeMeta()
+// decodeSegmentFile turns a whole file image into an open document the
+// way a parsed document becomes one: the topology is replayed through
+// the tree builder, which assigns the region labels, and index.Build
+// derives the tag index. Nothing of data is referenced afterwards.
+func decodeSegmentFile(data []byte) (*OpenDoc, error) {
+	sections, err := readSections(data)
 	if err != nil {
 		return nil, err
 	}
-	topoSec, err := f.section(secTopo)
-	if err != nil {
+	if err := verifyChecksum(data); err != nil {
 		return nil, err
 	}
-	topo, err := storage.View(topoSec)
+	for _, id := range []uint32{secMeta, secTopo} {
+		if _, ok := sections[id]; !ok {
+			return nil, corruptf("missing section %d", id)
+		}
+	}
+	var meta segMeta
+	if err := json.Unmarshal(sections[secMeta], &meta); err != nil {
+		return nil, corruptf("meta: %v", err)
+	}
+	topo, err := storage.View(sections[secTopo])
 	if err != nil {
 		return nil, corruptf("topology: %v", err)
 	}
@@ -389,171 +216,9 @@ func materializeSegFile(f *segFile, backing *mapping) (*materialized, error) {
 	if meta.Stats.Bytes > 0 {
 		doc.Bytes = meta.Stats.Bytes
 	}
-
-	// Element columns: the decoded tree must reproduce them exactly —
-	// labels are deterministic, so any disagreement means the sections
-	// are inconsistent with each other.
-	elemSec, err := f.section(secElem)
-	if err != nil {
-		return nil, err
-	}
-	if len(elemSec) < 8 {
-		return nil, corruptf("elem section truncated")
-	}
-	nElem := int(binary.LittleEndian.Uint32(elemSec))
-	starts, _, err := u32view(elemSec, 8, nElem)
-	if err != nil {
-		return nil, err
-	}
-	ends, _, err := u32view(elemSec, 8+4*nElem, nElem)
-	if err != nil {
-		return nil, err
-	}
-	levels, _, err := u32view(elemSec, 8+8*nElem, nElem)
-	if err != nil {
-		return nil, err
-	}
-	var elements []*xmltree.Node
-	xmltree.Elements(doc.Root, func(n *xmltree.Node) { elements = append(elements, n) })
-	if len(elements) != nElem {
-		return nil, corruptf("element count %d, columns say %d", len(elements), nElem)
-	}
-	for i, e := range elements {
-		if uint32(e.Start) != starts[i] || uint32(e.End) != ends[i] || uint32(e.Level) != levels[i] {
-			return nil, corruptf("element column %d disagrees with decoded tree", i)
-		}
-	}
-
-	// CSR structural check: element i's child elements, by ordinal.
-	csrSec, err := f.section(secCSR)
-	if err != nil {
-		return nil, err
-	}
-	if len(csrSec) < 8 {
-		return nil, corruptf("csr section truncated")
-	}
-	if int(binary.LittleEndian.Uint32(csrSec)) != nElem {
-		return nil, corruptf("csr element count mismatch")
-	}
-	nChildren := int(binary.LittleEndian.Uint32(csrSec[4:]))
-	offsets, _, err := u32view(csrSec, 8, nElem+1)
-	if err != nil {
-		return nil, err
-	}
-	children, _, err := u32view(csrSec, 8+4*(nElem+1), nChildren)
-	if err != nil {
-		return nil, err
-	}
-	ordinal := make(map[*xmltree.Node]uint32, nElem)
-	for i, e := range elements {
-		ordinal[e] = uint32(i)
-	}
-	for i, e := range elements {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo > hi || int(hi) > nChildren {
-			return nil, corruptf("csr offsets of element %d out of range", i)
-		}
-		k := lo
-		for c := e.FirstChild; c != nil; c = c.NextSibling {
-			if c.Kind != xmltree.ElementNode {
-				continue
-			}
-			if k >= hi || children[k] != ordinal[c] {
-				return nil, corruptf("csr children of element %d disagree with tree", i)
-			}
-			k++
-		}
-		if k != hi {
-			return nil, corruptf("csr group of element %d has %d extra entries", i, hi-k)
-		}
-	}
-
-	// Posting lists → inverted lists + zero-copy ColumnSets.
-	postSec, err := f.section(secPost)
-	if err != nil {
-		return nil, err
-	}
-	if len(postSec) < 4 {
-		return nil, corruptf("post section truncated")
-	}
-	nLists := int(binary.LittleEndian.Uint32(postSec))
-	tags := topo.Tags()
-	lists := make(map[string][]*xmltree.Node, nLists)
-	cols := make(map[string]*ColumnSetRaw, nLists)
-	pos := 4
-	for li := 0; li < nLists; li++ {
-		if pos+8 > len(postSec) {
-			return nil, corruptf("posting list %d truncated", li)
-		}
-		tagID := binary.LittleEndian.Uint32(postSec[pos:])
-		count := int(binary.LittleEndian.Uint32(postSec[pos+4:]))
-		pos += 8
-		if tagID >= uint32(len(tags)) {
-			return nil, corruptf("posting list %d names tag %d of %d", li, tagID, len(tags))
-		}
-		ords, _, err := u32view(postSec, pos, count)
-		if err != nil {
-			return nil, err
-		}
-		pos += 4 * count
-		pStart, _, err := u32view(postSec, pos, count)
-		if err != nil {
-			return nil, err
-		}
-		pos += 4 * count
-		pEnd, _, err := u32view(postSec, pos, count)
-		if err != nil {
-			return nil, err
-		}
-		pos += 4 * count
-		pLevel, _, err := u32view(postSec, pos, count)
-		if err != nil {
-			return nil, err
-		}
-		pos += 4 * count
-		tag := tags[tagID]
-		nodes := make([]*xmltree.Node, count)
-		for i, o := range ords {
-			if int(o) >= nElem {
-				return nil, corruptf("posting for %q references element %d of %d", tag, o, nElem)
-			}
-			n := elements[o]
-			if n.Tag != tag || uint32(n.Start) != pStart[i] {
-				return nil, corruptf("posting for %q row %d disagrees with tree", tag, i)
-			}
-			nodes[i] = n
-		}
-		lists[tag] = nodes
-		cols[tag] = &ColumnSetRaw{Start: pStart, End: pEnd, Level: pLevel, Nodes: nodes}
-	}
-	if len(lists) != countTags(elements) {
-		return nil, corruptf("%d posting lists for %d element tags", len(lists), countTags(elements))
-	}
-
-	ixCols := make(map[string]*index.ColumnSet, len(cols)+1)
-	for tag, c := range cols {
-		ixCols[tag] = index.NewColumnSet(c.Start, c.End, c.Level, c.Nodes, backing)
-	}
-	ixCols["*"] = index.NewColumnSet(starts, ends, levels, elements, backing)
-	ix := index.FromColumns(doc, elements, lists, ixCols)
-
 	stats := meta.Stats
 	if stats.TagCounts == nil {
 		stats.TagCounts = map[string]int{}
 	}
-	return &materialized{doc: doc, ix: ix, stats: stats, backing: backing}, nil
-}
-
-// ColumnSetRaw is an intermediate posting-list view during materialize.
-type ColumnSetRaw struct {
-	Start, End, Level []uint32
-	Nodes             []*xmltree.Node
-}
-
-func countTags(elements []*xmltree.Node) int {
-	seen := make(map[string]struct{})
-	for _, e := range elements {
-		seen[e.Tag] = struct{}{}
-	}
-	return len(seen)
+	return &OpenDoc{Doc: doc, Index: index.Build(doc), Stats: stats}, nil
 }

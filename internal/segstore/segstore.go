@@ -1,6 +1,6 @@
-// Package segstore implements the persistent, memory-mapped document
-// store: one self-contained segment file per document (see format.go
-// for the layout) plus a manifest recording URIs, checksums, source
+// Package segstore implements the persistent document store: one
+// self-contained segment file per document (see format.go for the
+// layout) plus a manifest recording URIs, checksums, source
 // fingerprints, and a monotonically increasing generation.
 //
 // The write path is crash-safe: segment files and the manifest are
@@ -14,11 +14,11 @@
 //
 // The read path is lazy: OpenDir restores the catalog (URIs, stats,
 // generation) without touching document bytes beyond the checksum
-// stream; a document is mmap'd and materialized on first use, its
-// posting lists served zero-copy out of the mapping, and evicted LRU
-// when the resident-byte budget is exceeded. Eviction drops the
-// store's reference — the mapping is unmapped by a finalizer once the
-// last ColumnSet aliasing it is collected, so the budget bounds what
+// stream; a document is read, checksummed again, decoded and indexed on
+// first use — by the code a parsed document goes through — and evicted
+// LRU when the resident-byte budget is exceeded. Nothing of the file
+// stays referenced after the decode, and eviction only drops the
+// store's reference to the decoded document, so the budget bounds what
 // the store keeps warm, not what in-flight queries pin.
 package segstore
 
@@ -34,7 +34,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -47,8 +46,8 @@ const (
 	manifestName = "manifest.json"
 	feedbackName = "feedback.json"
 
-	// DefaultByteBudget bounds the resident (materialized) set: segment
-	// bytes plus an estimate of the decoded tree's heap footprint.
+	// DefaultByteBudget bounds the resident (materialized) set: an
+	// estimate of the decoded trees' heap footprint.
 	DefaultByteBudget = 256 << 20
 
 	// nodeHeapCost approximates the heap bytes one decoded tree node
@@ -102,30 +101,12 @@ type manifest struct {
 
 const manifestVersion = 1
 
-// OpenDoc is one materialized document: the decoded labeled tree, a tag
-// index whose posting lists are served off the segment file, and the
-// statistics recorded at save time.
+// OpenDoc is one materialized document: the decoded labeled tree, its
+// tag index, and the statistics recorded at save time.
 type OpenDoc struct {
 	Doc   *xmltree.Document
 	Index *index.TagIndex
 	Stats xmltree.Stats
-}
-
-// mapping owns one mmap'd segment region. ColumnSets built over the
-// region hold the mapping as their backing, so the finalizer — mapped
-// memory is invisible to the GC, making a finalizer the only safe
-// unmap trigger — runs only after the last aliasing slice is gone.
-type mapping struct {
-	data   []byte
-	mapped bool
-}
-
-func newMapping(data []byte, mapped bool) *mapping {
-	m := &mapping{data: data, mapped: mapped}
-	if mapped {
-		runtime.SetFinalizer(m, func(m *mapping) { _ = munmap(m.data) })
-	}
-	return m
 }
 
 // entry is one catalog slot.
@@ -136,7 +117,7 @@ type entry struct {
 	// matMu serializes materialization of this entry; the store lock is
 	// not held while decoding, so two URIs can materialize in parallel.
 	matMu sync.Mutex
-	mat   *materialized
+	mat   *OpenDoc
 
 	lruEl *list.Element // position in Store.lru when materialized
 	cost  int64
@@ -434,11 +415,9 @@ func (st *Store) UpToDate(uri, path string) bool {
 	return src.Path == now.Path && src.Size == now.Size && src.ModTime == now.ModTime
 }
 
-// Document materializes uri: mmaps the segment on first use, decodes
-// the tree, and wires the posting lists into a zero-copy TagIndex. The
-// result stays resident (LRU) until the byte budget evicts it; the
-// returned OpenDoc remains valid regardless — its column sets pin the
-// mapping.
+// Document materializes uri: reads and decodes the segment on first
+// use. The result stays resident (LRU) until the byte budget evicts it;
+// the returned OpenDoc remains valid regardless.
 func (st *Store) Document(uri string) (OpenDoc, error) {
 	st.mu.Lock()
 	e := st.entries[uri]
@@ -454,7 +433,7 @@ func (st *Store) Document(uri string) (OpenDoc, error) {
 		st.touchLocked(e)
 		mat := e.mat
 		st.mu.Unlock()
-		return OpenDoc{Doc: mat.doc, Index: mat.ix, Stats: mat.stats}, nil
+		return *mat, nil
 	}
 	st.mu.Unlock()
 
@@ -466,15 +445,15 @@ func (st *Store) Document(uri string) (OpenDoc, error) {
 		st.touchLocked(e)
 		mat := e.mat
 		st.mu.Unlock()
-		return OpenDoc{Doc: mat.doc, Index: mat.ix, Stats: mat.stats}, nil
+		return *mat, nil
 	}
 	st.mu.Unlock()
 
 	mat, err := st.materialize(e)
 	if err != nil {
-		// Late-detected corruption (structural, after the checksum
-		// passed — e.g. an inconsistency between sections) quarantines
-		// the segment like an open-time failure would.
+		// Late-detected corruption (the file was truncated or rewritten
+		// after OpenDir admitted it, or its checksummed bytes do not
+		// decode) quarantines the segment like an open-time failure would.
 		st.mu.Lock()
 		e.corrupt = err.Error()
 		st.warnings = append(st.warnings,
@@ -485,36 +464,22 @@ func (st *Store) Document(uri string) (OpenDoc, error) {
 
 	st.mu.Lock()
 	e.mat = mat
-	e.cost = e.man.Size + int64(e.man.Stats.Nodes)*nodeHeapCost
+	e.cost = int64(e.man.Stats.Nodes) * nodeHeapCost
 	st.resident += e.cost
 	st.touchLocked(e)
 	st.evictLocked(e)
 	st.mu.Unlock()
-	return OpenDoc{Doc: mat.doc, Index: mat.ix, Stats: mat.stats}, nil
+	return *mat, nil
 }
 
-// materialize mmaps and decodes one segment. Called without st.mu held.
-func (st *Store) materialize(e *entry) (*materialized, error) {
-	path := filepath.Join(st.dir, e.man.File)
-	f, err := os.Open(path)
+// materialize reads one segment file and decodes the bytes it read.
+// Called without st.mu held.
+func (st *Store) materialize(e *entry) (*OpenDoc, error) {
+	data, err := os.ReadFile(filepath.Join(st.dir, e.man.File))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	data, mapped, err := mmapFile(f, int(fi.Size()))
-	if err != nil {
-		return nil, err
-	}
-	backing := newMapping(data, mapped)
-	sf, err := openSegFile(data)
-	if err != nil {
-		return nil, err
-	}
-	return materializeSegFile(sf, backing)
+	return decodeSegmentFile(data)
 }
 
 // touchLocked moves e to the LRU front. Caller holds mu.
@@ -528,8 +493,8 @@ func (st *Store) touchLocked(e *entry) {
 
 // evictLocked drops least-recently-used materialized entries until the
 // resident estimate fits the budget, never evicting keep. Dropping only
-// removes the store's reference: mappings unmap via finalizer once all
-// column sets aliasing them are collected. Caller holds mu.
+// removes the store's reference; queries holding the document keep it
+// alive. Caller holds mu.
 func (st *Store) evictLocked(keep *entry) {
 	if st.budget < 0 {
 		return
@@ -573,8 +538,8 @@ func (st *Store) Resident() int64 {
 // Dir returns the store's root directory.
 func (st *Store) Dir() string { return st.dir }
 
-// Close drops all materializations. Mapped regions unmap once their
-// last user is collected; the store must not be used afterwards.
+// Close drops all materializations; the store must not be used
+// afterwards.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()

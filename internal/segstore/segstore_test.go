@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"blossomtree/internal/index"
+	"blossomtree/internal/storage"
 	"blossomtree/internal/xmlgen"
 	"blossomtree/internal/xmltree"
 )
@@ -393,39 +395,118 @@ func TestEncodeDecodeFileImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verifyChecksum(img); err != nil {
-		t.Fatalf("fresh image fails checksum: %v", err)
-	}
-	sf, err := openSegFile(img)
+	sections, err := readSections(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := sf.decodeMeta()
-	if err != nil {
+	if len(sections) != 2 || sections[secMeta] == nil || sections[secTopo] == nil {
+		t.Fatalf("image has %d sections, want exactly meta and topo", len(sections))
+	}
+	var meta segMeta
+	if err := json.Unmarshal(sections[secMeta], &meta); err != nil {
 		t.Fatal(err)
 	}
 	if meta.URI != "bib.xml" || meta.Generation != 42 {
 		t.Fatalf("meta %+v", meta)
 	}
-	mat, err := materializeSegFile(sf, newMapping(img, false))
+	od, err := decodeSegmentFile(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mat.doc.Name != "bib.xml" {
-		t.Fatalf("doc name %q", mat.doc.Name)
+	if od.Doc.Name != "bib.xml" {
+		t.Fatalf("doc name %q", od.Doc.Name)
 	}
-	sameIndex(t, mat.ix, index.Build(doc))
+	sameDocument(t, od, doc)
+}
 
-	// Every truncation of the image must fail structural validation or
-	// checksum, never panic.
-	for n := 0; n < len(img); n += 7 {
-		trunc := img[:n]
-		if err := verifyChecksum(trunc); err == nil {
-			if sf, err := openSegFile(trunc); err == nil {
-				if _, err := materializeSegFile(sf, newMapping(trunc, false)); err == nil {
-					t.Fatalf("truncation to %d bytes accepted", n)
-				}
+// sameDocument verifies a decoded segment against the document it was
+// encoded from: same serialization, same index.
+func sameDocument(t *testing.T, od *OpenDoc, want *xmltree.Document) {
+	t.Helper()
+	if xmltree.Serialize(od.Doc.Root, xmltree.WriteOptions{}) != xmltree.Serialize(want.Root, xmltree.WriteOptions{}) {
+		t.Fatal("decoded document serializes differently from the original")
+	}
+	sameIndex(t, od.Index, index.Build(want))
+}
+
+// A file written before the derived sections were retired carries
+// section ids 3–5 after meta and topo. The reader takes sections by id,
+// so such a file opens to the same document and index.
+func TestRetiredSectionsIgnored(t *testing.T) {
+	doc := mustParse(t, bibXML)
+	topo, err := storage.Encode(doc).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(segMeta{URI: "bib.xml", Generation: 1, Stats: xmltree.ComputeStats(doc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := []section{{secMeta, meta}, {secTopo, topo}}
+	for id := uint32(3); id <= 5; id++ {
+		secs = append(secs, section{id, []byte("not read: derived columns, child offsets, postings")})
+	}
+	od, err := decodeSegmentFile(assemble(secs...))
+	if err != nil {
+		t.Fatalf("image with retired sections rejected: %v", err)
+	}
+	sameDocument(t, od, doc)
+}
+
+// The store reads a segment again when a document is first touched, so
+// a file that changed after OpenDir verified it must be caught there: a
+// typed error and a quarantine, whichever way it changed.
+func TestFileChangedAfterOpenDir(t *testing.T) {
+	damage := map[string]func([]byte) []byte{
+		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
+		"emptied":   func(b []byte) []byte { return nil },
+		"rewritten": func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b },
+	}
+	for name, change := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _ := OpenDir(dir, Options{})
+			saveDoc(t, st, "bib.xml", bibXML)
+			saveDoc(t, st, "ok.xml", `<ok><v>1</v></ok>`)
+			st2, err := OpenDir(dir, Options{})
+			if err != nil || len(st2.Warnings()) != 0 {
+				t.Fatalf("reopen: %v %v", err, st2.Warnings())
 			}
+			path := filepath.Join(dir, segmentFileName("bib.xml"))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, change(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st2.Document("bib.xml"); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Document on a %s file: %v, want ErrCorrupt", name, err)
+			}
+			if st2.Has("bib.xml") || st2.Corrupt()["bib.xml"] == "" {
+				t.Fatalf("%s file not quarantined: %v", name, st2.Corrupt())
+			}
+			if _, err := st2.Document("ok.xml"); err != nil {
+				t.Fatalf("intact neighbour: %v", err)
+			}
+		})
+	}
+}
+
+// A segment holds the topology once, in a form the storage package
+// documents as smaller than the XML it encodes; the file adds only the
+// statistics and 80 bytes of framing.
+func TestSegmentNoLargerThanXML(t *testing.T) {
+	for _, in := range xmlgen.Catalog {
+		doc := xmlgen.MustGenerate(in.ID, xmlgen.Config{Seed: 1, TargetNodes: 5000})
+		img, err := encodeSegmentFile(in.ID+".xml", 1, doc, xmltree.ComputeStats(doc))
+		if err != nil {
+			t.Fatal(err)
 		}
+		xml := xmltree.Serialize(doc.Root, xmltree.WriteOptions{})
+		if len(img) > len(xml) {
+			t.Errorf("%s: segment %d bytes, serialized XML %d bytes", in.ID, len(img), len(xml))
+		}
+		t.Logf("%s: segment/XML = %.2f", in.ID, float64(len(img))/float64(len(xml)))
 	}
 }

@@ -14,7 +14,7 @@ import (
 // (if it succeeds) re-encodes and re-decodes to the identical document.
 // No input may panic or drive an allocation past the input's own size —
 // the varint-coded counts and lengths are attacker-controlled and the
-// segment store hands this decoder mmap'd file contents.
+// segment store hands this decoder file contents.
 func FuzzSegmentRoundTrip(f *testing.F) {
 	seedDocs := []string{
 		`<a/>`,

@@ -16,7 +16,7 @@
 // The decoder trusts nothing: every varint-coded length and id is
 // bounds-checked against the remaining input in uint64 space before any
 // allocation or slice, so corrupt or adversarial segments (including the
-// persistent segment-store files that arrive via mmap) fail with an
+// persistent segment-store files read back from disk) fail with an
 // error wrapping ErrCorrupt instead of over-allocating or panicking.
 // FuzzSegmentRoundTrip exercises exactly this contract.
 package storage
@@ -270,8 +270,8 @@ func (s *Segment) UnmarshalBinary(data []byte) error {
 // View parses a marshaled segment without copying: the returned
 // segment's bytecode aliases data, so data must stay valid (and
 // unmodified) for the segment's lifetime. This is the segment store's
-// mmap read path — the topology bytecode is scanned straight out of the
-// mapped file. Decode errors wrap ErrCorrupt.
+// read path — the topology bytecode is scanned straight out of the file
+// image. Decode errors wrap ErrCorrupt.
 func View(data []byte) (*Segment, error) {
 	s := &Segment{}
 	if err := s.view(data); err != nil {

@@ -6,16 +6,18 @@ import (
 )
 
 // Persistent segment store: OpenStore opens (or creates) a directory of
-// mmap-able segment files — one self-contained, checksummed file per
-// document, holding the succinct topology bytecode, the compact
-// region-label columns, and per-tag posting lists servable without
-// copying — plus a manifest with a monotonically increasing generation.
-// AttachStore registers the store's documents with an engine lazily:
-// reopening a catalog costs milliseconds (manifest read + checksum
-// streams), and a document is only decoded when a query first touches
-// it. Writes are crash-safe (temp file + fsync + atomic rename); a torn
-// or bit-flipped segment is detected by checksum on open and the store
-// quarantines it, so callers fall back to re-parsing the source.
+// segment files — one self-contained, checksummed file per document,
+// holding its statistics and its succinct topology bytecode, the
+// document stored once — plus a manifest with a monotonically
+// increasing generation. AttachStore registers the store's documents
+// with an engine lazily: reopening a catalog costs milliseconds
+// (manifest read + checksum streams), and a document is only read,
+// decoded and indexed — by the code a parsed document goes through —
+// when a query first touches it. Writes are crash-safe (temp file +
+// fsync + atomic rename); a torn or bit-flipped segment is detected by
+// checksum on open, and again over the bytes decoded on first touch,
+// and the store quarantines it, so callers fall back to re-parsing the
+// source.
 
 // StoreOptions configures OpenStoreOptions.
 type StoreOptions struct {
@@ -69,8 +71,8 @@ func (s *SegmentStore) Corrupt() map[string]string { return s.st.Corrupt() }
 // re-parsing exactly when this is true.
 func (s *SegmentStore) UpToDate(uri, path string) bool { return s.st.UpToDate(uri, path) }
 
-// Close releases resident documents. In-flight queries keep their
-// mapped segments alive until they finish.
+// Close releases resident documents. In-flight queries keep the
+// documents they resolved.
 func (s *SegmentStore) Close() error { return s.st.Close() }
 
 // String summarizes the catalog.
@@ -78,7 +80,7 @@ func (s *SegmentStore) String() string { return s.st.String() }
 
 // AttachStore registers every servable document of the store with the
 // engine. Nothing is parsed or decoded up front: documents materialize
-// (mmap + decode, LRU-cached) when a query first resolves them. On a
+// (read + decode, LRU-cached) when a query first resolves them. On a
 // sharded engine each document routes to its ring-owned shard, exactly
 // as Load would have placed it. Documents already loaded under the same
 // URI shadow the store's copy.
