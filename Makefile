@@ -4,9 +4,8 @@
 #   make test    — tier-1 verify: build + full test suite
 #   make check   — tier-2 verify: go vet + race-detector test run
 #                  (includes the cancellation stress pass)
-#   make stress  — cancellation/fault-injection stress under -race
-#   make chaos   — shard-tier chaos suite: deterministic scatter/gather/
-#                  admission faults under -race (retry, degrade, shed)
+#   make stress  — cancellation/fault-injection stress under -race,
+#                  incl. admission control (shed, 429, client cancel)
 #   make smoke   — boot blossomd, query it over HTTP, scrape /metrics
 #   make feedback — feedback-driven planning suite: store invariants,
 #                  divergence→replan→win regression with its
@@ -18,8 +17,9 @@
 #                  the current API (root `go build ./...` skips it)
 #   make lint-refs — fail if a file still points at the retired second
 #                  benchmark harness, names one of the process-wide
-#                  globals the engines' own state replaced, or brings
-#                  back unsafe, a finalizer or the mapped-column names
+#                  globals the engines' own state replaced, the retired
+#                  shard tier, or brings back unsafe, a finalizer or the
+#                  mapped-column names
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -34,7 +34,7 @@ FUZZTIME ?= 30s
 PROPSEED ?= 0xB10550
 PROPCASES ?= 2500
 
-.PHONY: build test vet race check stress chaos smoke bench fuzz proptest feedback persist benchbuild lint-refs
+.PHONY: build test vet race check stress smoke bench fuzz proptest feedback persist benchbuild lint-refs
 
 build:
 	$(GO) build ./...
@@ -52,10 +52,10 @@ race:
 # full suite under the race detector, which exercises the concurrent
 # Add+Eval stress tests against the snapshot engine, plus the
 # cancellation stress pass.
-check: vet lint-refs race stress chaos smoke proptest feedback persist benchbuild
+check: vet lint-refs race stress smoke proptest feedback persist benchbuild
 
 # Property-based differential harness: PROPCASES random documents, four
-# random queries each, every join strategy ± parallel ± warm plan cache
+# random queries each, every join strategy ± warm plan cache
 # compared byte-for-byte against the navigational oracle; then the
 # forced-pipelined leg, PROPCASES non-recursive documents against a fixed
 # query list covering every emission mode of the pipelined join (random
@@ -71,21 +71,13 @@ proptest:
 # and multi-document evaluation, scripted operator panics, and budget
 # aborts, repeated under the race detector so governor state and worker
 # draining are exercised across interleavings. The pipelined join's
-# linearity, allocation, skip and governor-parity tests ride along.
+# linearity, allocation, skip and governor-parity tests ride along, and
+# so does admission control: token bucket, weighted-fair queue, injected
+# and quota sheds (429/Retry-After) and client cancels (499).
 stress:
 	$(GO) test -race -timeout 120s -count=3 \
-		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Vectorized|Feedback|Pipelined|SkipTo' \
-		./internal/exec ./internal/plan ./internal/join ./internal/nok ./internal/gov ./internal/fault ./internal/vexec .
-
-# Shard-tier chaos: deterministic fault injection at the scatter,
-# gather, and admission sites under the race detector. Proves the three
-# robustness paths — transient failure absorbed by the retry, persistent
-# failure degraded out of the gather with a correct partial result, and
-# overload shed with 429/Retry-After — across interleavings.
-chaos:
-	$(GO) test -race -timeout 120s -count=2 \
-		-run 'Chaos|Admission|Shed|Degrad|Scatter|Gather|FailTimes|FailFrom|Differential|ClientCanceled' \
-		./internal/shard ./internal/fault ./internal/server .
+		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Vectorized|Feedback|Pipelined|SkipTo|Admission|Shed|ClientCanceled' \
+		./internal/exec ./internal/plan ./internal/join ./internal/nok ./internal/gov ./internal/fault ./internal/vexec ./internal/server .
 
 # Daemon smoke: build blossomd, boot it on a random port, POST one
 # query, assert the /metrics latency histogram recorded it and the
@@ -106,8 +98,8 @@ feedback:
 
 # Persistent segment store: the codec round-trip / crash-safety /
 # eviction unit suite, the hardened storage decode, the restart
-# differential (every strategy, sharded 0..4, byte-identical results
-# across a persist→reopen cycle), and the daemon's -data round-trip
+# differential (every strategy, byte-identical results across a
+# persist→reopen cycle), and the daemon's -data round-trip
 # (collision refusal, persist on load, serve-from-store on restart).
 persist:
 	$(GO) test -race -timeout 180s ./internal/segstore ./internal/storage
@@ -135,7 +127,8 @@ bench:
 # reset hooks tests needed because of them, must not come back. Nor may
 # what left with the mapped segment columns: no non-test Go file imports
 # unsafe or sets a finalizer, and the constructors that wrapped mapped
-# arrays stay gone.
+# arrays stay gone. One process serves one engine: the in-process shard
+# tier and the names only it needed do not come back.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -149,6 +142,10 @@ lint-refs:
 	@if git grep -n -e 'mmapFil[e]' -e 'NewColumnSe[t]' -e 'FromColumn[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
 		echo "lint-refs: reference to the mapped segment columns a stored document no longer has"; exit 1; fi
+	@if git grep -n -e 'internal/shar[d]' -e 'NewEngineShar[d]ed' -e 'ShardCoun[t]' -e 'DocumentShar[d]' \
+		-e 'DegradedInf[o]' -e 'shard\.Grou[p]' -e 'DrainAl[l]' -- \
+		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
+		echo "lint-refs: reference to the retired in-process shard tier"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; the compact NestedList form must

@@ -488,26 +488,3 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkParallelPreScan measures the intra-query fan-out: one
-// multi-NoK query executed with serial base scans vs pre-scanned in
-// parallel.
-func BenchmarkParallelPreScan(b *testing.B) {
-	ds := dataset(b, "d3")
-	eng := blossomtree.NewEngineNoIndexes()
-	eng.LoadDocument("d3", ds.Doc)
-	const q = `//author[date_of_birth][//last_name]//street_address`
-	for _, par := range []int{0, -1} {
-		name := "serial"
-		if par != 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.QueryWith(q, blossomtree.Options{Parallel: par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

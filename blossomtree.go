@@ -45,7 +45,6 @@ import (
 	"blossomtree/internal/feedback"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
-	"blossomtree/internal/segstore"
 	"blossomtree/internal/storage"
 	"blossomtree/internal/xmltree"
 )
@@ -108,10 +107,6 @@ type Options struct {
 	// MergeScans evaluates all sequentially-scanned NoK pattern trees in
 	// a single shared document traversal (the merged-NoK optimization).
 	MergeScans bool
-	// Parallel fans the plan's independent NoK base scans out across at
-	// most Parallel worker goroutines (0 or 1 = serial; negative =
-	// GOMAXPROCS). Takes precedence over MergeScans.
-	Parallel int
 	// Analyze enables per-operator wall-clock timing, making
 	// Result.ExplainAnalyze include actual-time columns. Counters
 	// (nodes scanned, instances emitted, comparisons) are collected
@@ -134,11 +129,6 @@ type Options struct {
 	// and GET /trace/{queryID}); empty means the engine generates one,
 	// readable afterwards via Result.QueryID.
 	QueryID string
-	// Shards bounds the scatter fan-out of QueryAllDocumentsContext /
-	// QueryAllGatheredContext on a sharded engine: at most Shards shard
-	// sub-queries run concurrently (0 = all shards at once). Ignored on
-	// unsharded engines.
-	Shards int
 }
 
 // toPlan lowers the public options onto the planner's, binding the
@@ -151,7 +141,6 @@ func (o Options) toPlan(ctx context.Context) (plan.Options, error) {
 	return plan.Options{
 		Strategy:           strat,
 		MergeScans:         o.MergeScans,
-		Parallel:           o.Parallel,
 		Analyze:            o.Analyze,
 		Ctx:                ctx,
 		Budget:             o.Budget.toGov(),
@@ -167,38 +156,19 @@ func (o Options) toPlan(ctx context.Context) (plan.Options, error) {
 // current when it started, and documents are never mutated after
 // loading. Any number of goroutines may query while others load.
 type Engine struct {
-	b backend
-}
-
-// backend is what the public API needs of an evaluation tier: one
-// executor (*exec.Engine) or the consistent-hash group of executors
-// behind NewEngineSharded (*shard.Group). Each query family has exactly
-// one entry.
-type backend interface {
-	Add(uri string, doc *xmltree.Document)
-	AttachStore(st *segstore.Store)
-	Document(uri string) (*xmltree.Document, bool)
-	Shards() int
-	ShardOf(uri string) (int, bool)
-	EvalOptions(src string, opts plan.Options) (*exec.Result, error)
-	EvalBatch(srcs []string, opts plan.Options, workers int) []exec.BatchResult
-	EvalAllDocs(src string, opts plan.Options, fanout, workers int) ([]exec.DocResult, *exec.DegradedInfo, error)
-	Explain(src string, opts plan.Options) (string, error)
-	Prepare(src string, opts plan.Options) (*exec.Prepared, error)
-	// State is the engine's own (for a group, its shards' shared) state.
-	State() *exec.State
+	x *exec.Engine
 }
 
 // NewEngine returns an engine with tag-index support enabled.
 func NewEngine() *Engine {
-	return &Engine{b: exec.New()}
+	return &Engine{x: exec.New()}
 }
 
 // NewEngineNoIndexes returns an engine without tag indexes (the
 // streaming configuration: TwigStack unavailable, NoK scans always
 // sequential).
 func NewEngineNoIndexes() *Engine {
-	return &Engine{b: exec.NewWithConfig(exec.Config{BuildIndexes: false})}
+	return &Engine{x: exec.NewWithConfig(exec.Config{BuildIndexes: false})}
 }
 
 // Load parses an XML document from r and registers it under uri (the
@@ -210,7 +180,7 @@ func (e *Engine) Load(uri string, r io.Reader) error {
 		return err
 	}
 	doc.Name = uri
-	e.b.Add(uri, doc)
+	e.x.Add(uri, doc)
 	return nil
 }
 
@@ -221,7 +191,7 @@ func (e *Engine) LoadString(uri, xml string) error {
 		return err
 	}
 	doc.Name = uri
-	e.b.Add(uri, doc)
+	e.x.Add(uri, doc)
 	return nil
 }
 
@@ -231,14 +201,14 @@ func (e *Engine) LoadFile(uri, path string) error {
 	if err != nil {
 		return err
 	}
-	e.b.Add(uri, doc)
+	e.x.Add(uri, doc)
 	return nil
 }
 
 // LoadDocument registers an already-built document (e.g. from the
 // generator tooling).
 func (e *Engine) LoadDocument(uri string, doc *xmltree.Document) {
-	e.b.Add(uri, doc)
+	e.x.Add(uri, doc)
 }
 
 // LoadSegment registers a document stored in the succinct binary
@@ -253,7 +223,7 @@ func (e *Engine) LoadSegment(uri string, data []byte) error {
 		return err
 	}
 	doc.Name = uri
-	e.b.Add(uri, doc)
+	e.x.Add(uri, doc)
 	return nil
 }
 
@@ -287,7 +257,7 @@ func (e *Engine) Stats(uri string) (DocumentStats, error) {
 }
 
 func (e *Engine) resolve(uri string) (*xmltree.Document, error) {
-	if doc, ok := e.b.Document(uri); ok {
+	if doc, ok := e.x.Document(uri); ok {
 		return doc, nil
 	}
 	return nil, fmt.Errorf("blossomtree: no document registered for %q", uri)
@@ -318,14 +288,13 @@ func (e *Engine) QueryWith(src string, opts Options) (*Result, error) {
 // context: cancellation or deadline expiry aborts the evaluation
 // mid-operator with ErrCanceled / ErrBudgetExceeded, and an
 // already-canceled context returns ErrCanceled before anything is
-// scanned. On a sharded engine the query routes to the shard owning its
-// document.
+// scanned.
 func (e *Engine) QueryWithContext(ctx context.Context, src string, opts Options) (*Result, error) {
 	popts, err := opts.toPlan(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.b.EvalOptions(src, popts)
+	res, err := e.x.EvalOptions(src, popts)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +326,7 @@ func (e *Engine) PrepareWith(src string, opts Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.b.Prepare(src, popts)
+	p, err := e.x.Prepare(src, popts)
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +367,7 @@ func (e *Engine) QueryBatchContext(ctx context.Context, srcs []string, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	raw := e.b.EvalBatch(srcs, popts, workers)
+	raw := e.x.EvalBatch(srcs, popts, workers)
 	out := make([]BatchResult, len(raw))
 	for i, r := range raw {
 		out[i] = BatchResult{Query: r.Query, Err: r.Err}
@@ -415,9 +384,6 @@ type DocumentResult struct {
 	URI    string
 	Result *Result
 	Err    error
-	// Shard is the shard that evaluated the document on a sharded
-	// engine; 0 otherwise.
-	Shard int
 }
 
 // QueryAllDocumentsContext evaluates one query independently against
@@ -426,14 +392,8 @@ type DocumentResult struct {
 // evaluation, every doc("…") URI and absolute path resolves to that
 // document — the fan-out form of the multi-document queries the
 // single-document planner rejects. Results are sorted by URI.
-//
-// On a sharded engine the fan-out scatters across the shards
-// (Options.Shards bounds the concurrency); a shard lost after one retry
-// degrades out of the result list — the surviving documents are
-// returned and the failed shards' documents are omitted (use
-// QueryAllGatheredContext for the degradation record).
 func (e *Engine) QueryAllDocumentsContext(ctx context.Context, src string, opts Options, workers int) ([]DocumentResult, error) {
-	raw, _, err := e.evalAllDocs(ctx, src, opts, workers)
+	raw, err := e.evalAllDocs(ctx, src, opts, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -443,19 +403,43 @@ func (e *Engine) QueryAllDocumentsContext(ctx context.Context, src string, opts 
 		if r.Result != nil {
 			out[i].Result = newResult(r.Result)
 		}
-		out[i].Shard, _ = e.b.ShardOf(r.URI)
 	}
 	return out, nil
 }
 
+// QueryAllGatheredContext evaluates one query against every loaded
+// document, like QueryAllDocumentsContext, and gathers the per-document
+// node and row results into a single Result in URI order. Constructed
+// outputs stay per-document, so the merged Result carries rows and nodes
+// but no constructed XML document. A gathered result is all or nothing:
+// if any document's evaluation fails, the call returns the first failing
+// document's error (in URI order), naming the document and wrapping the
+// cause, so Verdict and errors.Is classify it like a single-document
+// failure.
+func (e *Engine) QueryAllGatheredContext(ctx context.Context, src string, opts Options, workers int) (*Result, error) {
+	docs, err := e.evalAllDocs(ctx, src, opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	merged := &exec.Result{}
+	for _, dr := range docs {
+		if dr.Err != nil {
+			return nil, fmt.Errorf("blossomtree: document %q: %w", dr.URI, dr.Err)
+		}
+		merged.Nodes = append(merged.Nodes, dr.Result.Nodes...)
+		merged.Envs = append(merged.Envs, dr.Result.Envs...)
+	}
+	return newResult(merged), nil
+}
+
 // evalAllDocs is the catalog-wide fan-out behind both all-documents
 // forms.
-func (e *Engine) evalAllDocs(ctx context.Context, src string, opts Options, workers int) ([]exec.DocResult, *exec.DegradedInfo, error) {
+func (e *Engine) evalAllDocs(ctx context.Context, src string, opts Options, workers int) ([]exec.DocResult, error) {
 	popts, err := opts.toPlan(ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return e.b.EvalAllDocs(src, popts, opts.Shards, workers)
+	return e.x.EvalAllDocs(src, popts, workers)
 }
 
 // Explain compiles a query and renders the physical plan the optimizer
@@ -467,19 +451,17 @@ func (e *Engine) Explain(src string) (string, error) {
 }
 
 // ExplainWithContext is Explain with explicit options (forced strategy,
-// parallelism). With Options.Analyze it is the EXPLAIN ANALYZE of
+// merged scans). With Options.Analyze it is the EXPLAIN ANALYZE of
 // relational engines: the query is evaluated under ctx — governed,
 // traced (Options.QueryID), logged and metered like any other
 // evaluation — and the operator tree shows the cost model's estimates
-// side by side with the counters and wall times the run recorded. On a
-// sharded engine it routes to the shard owning the query's document,
-// like evaluation.
+// side by side with the counters and wall times the run recorded.
 func (e *Engine) ExplainWithContext(ctx context.Context, src string, opts Options) (string, error) {
 	popts, err := opts.toPlan(ctx)
 	if err != nil {
 		return "", err
 	}
-	return e.b.Explain(src, popts)
+	return e.x.Explain(src, popts)
 }
 
 // Metrics returns a snapshot of the process-wide metrics registry:
@@ -499,7 +481,7 @@ func FormatMetrics(m map[string]int64) string {
 // estimate→actual history of its own evaluations, which its planner
 // replans cached templates from — one summary per query hash, most
 // observed first. Safe to call concurrently with evaluations.
-func (e *Engine) FeedbackSummaries() []feedback.Summary { return e.b.State().Feedback.Summaries() }
+func (e *Engine) FeedbackSummaries() []feedback.Summary { return e.x.State().Feedback.Summaries() }
 
 // FeedbackReport renders FeedbackSummaries as text: one block per query
 // hash with its strategy, sample count, latency EWMA, drift and replan
@@ -534,7 +516,7 @@ func (e *Engine) FeedbackReport() string {
 // has minSamples observations (and as many since its last replan). Zero
 // means the default (2.0, 32); history already gathered is kept.
 func (e *Engine) SetFeedbackTrigger(driftThreshold float64, minSamples int64) {
-	e.b.State().Feedback.SetConfig(feedback.Config{DriftThreshold: driftThreshold, MinSamples: minSamples})
+	e.x.State().Feedback.SetConfig(feedback.Config{DriftThreshold: driftThreshold, MinSamples: minSamples})
 }
 
 // WritePrometheus renders the process-wide metrics registry — counters
@@ -557,7 +539,7 @@ func NewQueryID() string { return exec.NewQueryID() }
 // recent ~512 queries; older traces, and other engines' queries, report
 // false.
 func (e *Engine) TraceJSON(queryID string) ([]byte, bool) {
-	t, ok := e.b.State().Traces.Get(queryID)
+	t, ok := e.x.State().Traces.Get(queryID)
 	if !ok {
 		return nil, false
 	}

@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metrics   = fs.Bool("metrics", false, "print the engine metrics registry after the run")
 		fb        = fs.Bool("feedback", false, "print the feedback store (observed est/act cardinality history per query hash) after the run; most useful with -repeat")
 		noIndex   = fs.Bool("no-indexes", false, "disable tag indexes (streaming configuration)")
-		parallel  = fs.Int("parallel", 0, "fan independent NoK scans out across N workers (-1 = all cores)")
 		indent    = fs.Bool("indent", false, "pretty-print XML output")
 		quiet     = fs.Bool("count", false, "print only the result count")
 		timeout   = fs.Duration("timeout", 0, "abort the query after this wall-clock duration (0 = no limit)")
@@ -113,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := blossomtree.Options{
 		Strategy: blossomtree.Strategy(*strategy),
-		Parallel: *parallel,
 		Budget: blossomtree.Budget{
 			MaxNodes:  *maxNodes,
 			MaxOutput: *maxOutput,

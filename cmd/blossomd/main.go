@@ -4,23 +4,22 @@
 //
 //	blossomd -addr :8080 -load bib.xml -load dblp.xml
 //	blossomd -addr 127.0.0.1:0 -gen d2:5000 -slow-query 250ms
-//	blossomd -gen d2:5000 -shards 4 -max-inflight 64 -tenant-qps 100
+//	blossomd -gen d2:5000 -max-inflight 64 -tenant-qps 100
 //
 // Endpoints:
 //
 //	POST /query            {"query": "//book[price<50]/title", "timeout_ms": 1000}
-//	                       {"query": "//title", "all_documents": true}  (catalog-wide scatter)
+//	                       {"query": "//title", "all_documents": true}  (every document, gathered)
 //	GET  /metrics          Prometheus text exposition (counters + latency histogram)
 //	GET  /trace/{queryID}  Chrome trace-event JSON of a recent query
 //	GET  /debug/pprof/*    standard Go profiling endpoints
 //
-// -shards N splits the catalog across N consistent-hash engine shards;
-// catalog-wide queries scatter across the shards under per-shard
-// governors and gather ordered results (a persistently failing shard
-// degrades the response instead of killing it — see the "degraded"
-// response field). -max-inflight and -tenant-qps enable admission
-// control: overloaded or over-quota requests are shed with HTTP 429 and
-// a Retry-After header, client-canceled requests map to 499, exhausted
+// One process serves one engine. An all_documents request evaluates the
+// query against every loaded document on the engine's worker pool and
+// gathers the results in URI order; a document that fails fails the
+// request. -max-inflight and -tenant-qps enable admission control:
+// overloaded or over-quota requests are shed with HTTP 429 and a
+// Retry-After header, client-canceled requests map to 499, exhausted
 // budgets to 408.
 //
 // The daemon prints "blossomd listening on <host:port>" once the
@@ -46,7 +45,6 @@ import (
 
 	"blossomtree"
 	"blossomtree/internal/server"
-	"blossomtree/internal/shard"
 	"blossomtree/internal/xmlgen"
 )
 
@@ -66,7 +64,6 @@ func main() {
 		noIndex    = flag.Bool("no-indexes", false, "disable tag indexes (streaming configuration)")
 		seed       = flag.Int64("seed", 1, "generator seed for -gen datasets")
 		logJSON    = flag.Bool("log-json", false, "emit the query log as JSON instead of text")
-		shards     = flag.Int("shards", 0, "split the catalog across N consistent-hash engine shards (0 = unsharded)")
 		inflight   = flag.Int("max-inflight", 0, "admission control: cap concurrently evaluating queries, queueing up to 2N more (0 = off)")
 		tenantQPS  = flag.Float64("tenant-qps", 0, "admission control: per-tenant token-bucket rate, tenant = X-Tenant header (0 = off)")
 		fbDrift    = flag.Float64("feedback-drift-threshold", 0, "feedback loop: est/act drift ratio at which cached plans replan from history (0 = default 2.0)")
@@ -104,13 +101,7 @@ func main() {
 	logger := slog.New(handler)
 
 	eng := blossomtree.NewEngine()
-	switch {
-	case *shards > 0:
-		eng = blossomtree.NewEngineSharded(*shards)
-		if *noIndex {
-			fatal(errors.New("-no-indexes is not supported with -shards"))
-		}
-	case *noIndex:
+	if *noIndex {
 		eng = blossomtree.NewEngineNoIndexes()
 	}
 	if *fbDrift > 0 || *fbSamples > 0 {
@@ -181,9 +172,9 @@ func main() {
 		eng.AttachStore(store)
 	}
 
-	var adm *shard.Admission
+	var adm *server.Admission
 	if *inflight > 0 || *tenantQPS > 0 {
-		adm = shard.NewAdmission(shard.AdmissionConfig{
+		adm = server.NewAdmission(server.AdmissionConfig{
 			MaxInflight: *inflight,
 			TenantQPS:   *tenantQPS,
 		})

@@ -131,57 +131,6 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestShardedFlagServes: a daemon started with -shards serves queries
-// and the scatter-gather all-documents form.
-func TestShardedFlagServes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the daemon binary")
-	}
-	bin := buildDaemon(t)
-
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-shards", "3",
-		"-gen", "d1:500", "-gen", "d2:500", "-gen", "d3:500",
-		"-max-inflight", "8")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = io.Discard
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cmd.Process.Signal(syscall.SIGTERM)
-		cmd.Wait()
-	}()
-
-	var addr string
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), "blossomd listening on "); ok {
-			addr = rest
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatalf("no listening line from daemon: %v", sc.Err())
-	}
-
-	res, err := http.Post("http://"+addr+"/query", "application/json",
-		strings.NewReader(`{"query": "//*", "all_documents": true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	b, _ := io.ReadAll(res.Body)
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("all-documents status = %d, body %s", res.StatusCode, b)
-	}
-	if !strings.Contains(string(b), `"verdict":"ok"`) {
-		t.Errorf("unexpected body: %s", b)
-	}
-}
-
 // startDaemon launches the built binary, scrapes the announced address,
 // and returns the command, address, and a buffer accumulating stderr.
 func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string, *syncBuffer) {

@@ -116,47 +116,44 @@ func TestQueryAllDocumentsContext(t *testing.T) {
 }
 
 // TestExplainAnalyzeIsAnEvaluation: EXPLAIN ANALYZE runs through the
-// same governed, traced evaluation as a query, on both backends — an
-// operator panic becomes an error counted in query_panics_total instead
-// of crashing the process, a governed abort is classified in
-// query_aborts_total, and the run's trace is retrievable under the
-// pinned query ID.
+// same governed, traced evaluation as a query — an operator panic
+// becomes an error counted in query_panics_total instead of crashing the
+// process, a governed abort is classified in query_aborts_total, and the
+// run's trace is retrievable under the pinned query ID.
 func TestExplainAnalyzeIsAnEvaluation(t *testing.T) {
-	const src = "<r>" + "<a><b><c/></b><b/><c/></a>" + "</r>"
-	for _, e := range []*Engine{NewEngine(), NewEngineSharded(3)} {
-		if err := e.LoadString("g.xml", src); err != nil {
-			t.Fatal(err)
-		}
-		panics := Metrics()["query_panics_total"]
-		inj := fault.New().PanicAt(fault.SiteNoKEmit, 1)
-		_, err := e.b.Explain(`//a//c`, plan.Options{Analyze: true, Strategy: plan.BoundedNL, Fault: inj})
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("%d shards: EXPLAIN ANALYZE under an injected panic = %v, want a recovered-panic error", e.ShardCount(), err)
-		}
-		if got := Metrics()["query_panics_total"]; got != panics+1 {
-			t.Errorf("%d shards: query_panics_total = %d, want %d", e.ShardCount(), got, panics+1)
-		}
+	e := NewEngine()
+	if err := e.LoadString("g.xml", "<r><a><b><c/></b><b/><c/></a></r>"); err != nil {
+		t.Fatal(err)
+	}
+	panics := Metrics()["query_panics_total"]
+	inj := fault.New().PanicAt(fault.SiteNoKEmit, 1)
+	_, err := e.x.Explain(`//a//c`, plan.Options{Analyze: true, Strategy: plan.BoundedNL, Fault: inj})
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("EXPLAIN ANALYZE under an injected panic = %v, want a recovered-panic error", err)
+	}
+	if got := Metrics()["query_panics_total"]; got != panics+1 {
+		t.Errorf("query_panics_total = %d, want %d", got, panics+1)
+	}
 
-		aborts := Metrics()["query_aborts_total"]
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := e.ExplainWithContext(ctx, `//a//c`, Options{Analyze: true}); !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%d shards: canceled EXPLAIN ANALYZE = %v, want ErrCanceled", e.ShardCount(), err)
-		}
-		if got := Metrics()["query_aborts_total"]; got != aborts+1 {
-			t.Errorf("%d shards: query_aborts_total = %d, want %d", e.ShardCount(), got, aborts+1)
-		}
+	aborts := Metrics()["query_aborts_total"]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.ExplainWithContext(ctx, `//a//c`, Options{Analyze: true}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled EXPLAIN ANALYZE = %v, want ErrCanceled", err)
+	}
+	if got := Metrics()["query_aborts_total"]; got != aborts+1 {
+		t.Errorf("query_aborts_total = %d, want %d", got, aborts+1)
+	}
 
-		id := NewQueryID()
-		out, err := e.ExplainWithContext(context.Background(), `//a//c`, Options{Analyze: true, QueryID: id})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(out, " act=") {
-			t.Errorf("%d shards: EXPLAIN ANALYZE carries no actuals:\n%s", e.ShardCount(), out)
-		}
-		if tr, ok := e.TraceJSON(id); !ok || !strings.Contains(string(tr), id) {
-			t.Errorf("%d shards: no trace stored under the pinned query ID %s", e.ShardCount(), id)
-		}
+	id := NewQueryID()
+	out, err := e.ExplainWithContext(context.Background(), `//a//c`, Options{Analyze: true, QueryID: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, " act=") {
+		t.Errorf("EXPLAIN ANALYZE carries no actuals:\n%s", out)
+	}
+	if tr, ok := e.TraceJSON(id); !ok || !strings.Contains(string(tr), id) {
+		t.Errorf("no trace stored under the pinned query ID %s", id)
 	}
 }

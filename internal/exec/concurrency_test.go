@@ -141,7 +141,7 @@ func TestEvalAllDocs(t *testing.T) {
 	d3, _ := xmltree.ParseString(`<bib><magazine/></bib>`)
 	e.Add("three.xml", d3)
 
-	results, _, err := e.EvalAllDocs(`doc("ignored.xml")//book/title`, plan.Options{}, 0, 4)
+	results, err := e.EvalAllDocs(`doc("ignored.xml")//book/title`, plan.Options{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,64 +159,6 @@ func TestEvalAllDocs(t *testing.T) {
 		if i > 0 && results[i-1].URI > r.URI {
 			t.Error("results not sorted by URI")
 		}
-	}
-}
-
-// TestParallelPlanMatchesSerial checks the intra-plan fan-out: plans
-// executed with parallel NoK pre-scans produce the same results as
-// serial execution under every join strategy.
-func TestParallelPlanMatchesSerial(t *testing.T) {
-	e := bibEngine(t)
-	queries := []string{
-		`doc("bib.xml")//book/title`,
-		`//book[author/last="Knuth"]/title`,
-		`//book//last`,
-		`//bib[//author]//title`,
-		example1,
-	}
-	strategies := []plan.Strategy{plan.Auto, plan.Pipelined, plan.BoundedNL, plan.NaiveNL}
-	for _, strat := range strategies {
-		for _, q := range queries {
-			serial, err1 := e.EvalOptions(q, plan.Options{Strategy: strat})
-			par, err2 := e.EvalOptions(q, plan.Options{Strategy: strat, Parallel: 4})
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%s %q: serial err=%v parallel err=%v", strat, q, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if len(serial.Nodes) != len(par.Nodes) || len(serial.Envs) != len(par.Envs) {
-				t.Errorf("%s %q: serial (%d nodes, %d envs) != parallel (%d nodes, %d envs)",
-					strat, q, len(serial.Nodes), len(serial.Envs), len(par.Nodes), len(par.Envs))
-				continue
-			}
-			for i := range serial.Nodes {
-				if serial.Nodes[i] != par.Nodes[i] {
-					t.Errorf("%s %q: node %d differs", strat, q, i)
-					break
-				}
-			}
-		}
-	}
-}
-
-// TestParallelWithMergeScans checks the precedence rule: a parallel
-// pre-scan materializes the lists first and MergeScans must not
-// overwrite them.
-func TestParallelWithMergeScans(t *testing.T) {
-	e := NewWithConfig(Config{BuildIndexes: false})
-	doc, _ := xmltree.ParseString(bibXML)
-	e.Add("bib.xml", doc)
-	serial, err := e.Eval(`//book[author]//last`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := e.EvalOptions(`//book[author]//last`, plan.Options{MergeScans: true, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Nodes) != len(par.Nodes) {
-		t.Errorf("merge+parallel: %d nodes, want %d", len(par.Nodes), len(serial.Nodes))
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 )
 
 // The differential harness: every (document, query) pair is evaluated
-// under every join strategy, with and without parallel pre-scans, and
-// against the navigational evaluator; all runs must produce
+// under every join strategy and against the navigational evaluator; all runs must produce
 // byte-identical canonical results. Documents are randomized (seeded,
 // so failures reproduce) and include recursive shapes, which exercise
 // the strategies' soundness preconditions.
@@ -117,9 +116,7 @@ func strategyVariants(recursive bool) []struct {
 		opts plan.Options
 	}{
 		{"auto", plan.Options{}},
-		{"auto-parallel", plan.Options{Parallel: -1}},
 		{"bounded-nl", plan.Options{Strategy: plan.BoundedNL}},
-		{"bounded-nl-parallel", plan.Options{Strategy: plan.BoundedNL, Parallel: -1}},
 		{"naive-nl", plan.Options{Strategy: plan.NaiveNL}},
 		{"twigstack", plan.Options{Strategy: plan.Twig}},
 		{"cost-based", plan.Options{Strategy: plan.CostBased}},
@@ -129,16 +126,10 @@ func strategyVariants(recursive bool) []struct {
 		{"vectorized", plan.Options{Strategy: plan.Vectorized}},
 	}
 	if !recursive {
-		vs = append(vs,
-			struct {
-				name string
-				opts plan.Options
-			}{"pipelined", plan.Options{Strategy: plan.Pipelined}},
-			struct {
-				name string
-				opts plan.Options
-			}{"pipelined-parallel", plan.Options{Strategy: plan.Pipelined, Parallel: -1}},
-		)
+		vs = append(vs, struct {
+			name string
+			opts plan.Options
+		}{"pipelined", plan.Options{Strategy: plan.Pipelined}})
 	}
 	return vs
 }

@@ -61,8 +61,7 @@ type Engine struct {
 // State is what an engine owns beside its catalog. Every snapshot points
 // at it, so an evaluation reaches its engine's state through the snapshot
 // it already holds, and dropping an engine drops the plans it cached —
-// and with them the documents. The shards of one shard.Group share one
-// State (see Peer). Nothing is allocated by capacity up front.
+// and with them the documents. Nothing is allocated by capacity up front.
 type State struct {
 	Feedback *feedback.Store // estimate→actual history the cache replans from
 	Traces   *obs.TraceStore // recent queries, for scrape-and-inspect
@@ -83,12 +82,12 @@ type snapshot struct {
 	// and materialized on first resolution (and LRU-cached inside the
 	// store), so attaching a large catalog costs no parsing up front.
 	store *segstore.Store
-	state *State // the owning engine's (or shard group's)
+	state *State // the owning engine's
 	// version identifies this catalog state; it is unique across every
-	// snapshot sharing state (a group's shards, Adds, pins), so it keys
-	// the plan cache without a shard identity: a cached plan is reusable
-	// exactly while the snapshot it was compiled against is current, and
-	// any Add publishes a new version, invalidating without locking.
+	// snapshot sharing state (Adds, pins), so it keys the plan cache: a
+	// cached plan is reusable exactly while the snapshot it was compiled
+	// against is current, and any Add publishes a new version,
+	// invalidating without locking.
 	version uint64
 
 	// pinned memoizes the derived single-document snapshots of pin, so
@@ -117,24 +116,17 @@ func NewWithConfig(cfg Config) *Engine {
 	obs.Default.Counter(obs.MetricPlanCacheHits)
 	obs.Default.Counter(obs.MetricPlanCacheMisses)
 	obs.Default.Counter(obs.MetricPlanCacheEvictions)
-	return newEngine(cfg, &State{
+	st := &State{
 		Feedback: feedback.NewStore(feedback.Config{}, nil),
 		Traces:   obs.NewTraceStore(512),
 		plans:    planCache{m: make(map[planKey]*list.Element)},
-	})
-}
-
-// Peer returns a new, empty engine configured like e that shares e's
-// State: how a shard.Group makes its N shards one engine to their owner.
-func (e *Engine) Peer() *Engine { return newEngine(e.cfg, e.State()) }
-
-func newEngine(cfg Config, st *State) *Engine {
+	}
 	e := &Engine{cfg: cfg}
 	e.snap.Store(&snapshot{docs: map[string]entry{}, state: st, version: st.versions.Add(1)})
 	return e
 }
 
-// State returns the state the engine owns (or shares with its peers).
+// State returns the state the engine owns.
 func (e *Engine) State() *State { return e.snapshot().state }
 
 // snapshot returns the current immutable catalog view.
@@ -190,13 +182,7 @@ func (e *Engine) Add(uri string, doc *xmltree.Document) {
 // Heap documents registered under the same URI (before or after) shadow
 // the store's copy.
 func (e *Engine) AttachStore(st *segstore.Store) {
-	e.AttachStoreURIs(st, st.URIs())
-}
-
-// AttachStoreURIs is AttachStore restricted to a subset of the store's
-// URIs — the shard tier attaches one store to every shard, each shard
-// seeing only the URIs the hash ring routed to it.
-func (e *Engine) AttachStoreURIs(st *segstore.Store, uris []string) {
+	uris := st.URIs()
 	obs.Default.Add(obs.MetricDocumentsAdded, int64(len(uris)))
 
 	e.mu.Lock()
@@ -248,52 +234,34 @@ func (e *Engine) resolve(uri string) (*xmltree.Document, error) {
 	return e.snapshot().resolve(uri)
 }
 
-// Shards reports 1 and ShardOf reports shard 0 for every registered
-// URI: a single engine is its own only shard.
-func (e *Engine) Shards() int { return 1 }
-
-// ShardOf returns shard 0 and whether uri is registered (no fallback).
-func (e *Engine) ShardOf(uri string) (int, bool) {
-	_, ok := e.snapshot().docs[uri]
-	return 0, ok
-}
-
-// ResolveURI is the catalog's URI-resolution rule, shared with the
-// shard router so both tiers resolve identically: a registered URI is
-// itself; otherwise the empty URI (absolute paths) resolves to the
-// first registered document, and a catalog holding a single document
-// serves it for any URI — but once several documents are registered, an
-// unknown doc("…") URI is an error rather than a silent alias for the
-// first document. n is the catalog's document count.
-func ResolveURI(uri string, registered bool, first string, n int) (string, error) {
-	switch {
-	case registered:
-		return uri, nil
-	case n == 0:
-		return "", fmt.Errorf("exec: no documents registered (resolving %q)", uri)
-	case uri == "" || n == 1:
-		return first, nil
-	}
-	return "", fmt.Errorf("exec: no document registered for %q (%d documents loaded; doc(\"…\") must name one of them)", uri, n)
-}
-
-// resolve maps a URI to a document under ResolveURI's rule.
+// resolve maps a URI to a document under the catalog's resolution rule
+// (see resolveEntry).
 func (s *snapshot) resolve(uri string) (*xmltree.Document, error) {
 	ent, err := s.resolveEntry(uri)
 	return ent.doc, err
 }
 
-// resolveEntry is resolve carrying the resolved document's index and
+// resolveEntry maps a URI to its catalog entry: a registered URI is
+// itself; otherwise the empty URI (absolute paths) resolves to the first
+// registered document, and a catalog holding a single document serves it
+// for any URI — but once several documents are registered, an unknown
+// doc("…") URI is an error rather than a silent alias for the first
+// document. The entry carries the resolved document's index and
 // statistics, so store-backed documents hand planContext the index the
 // store built when it decoded them and the stats persisted in their
 // segment instead of recomputing them.
 func (s *snapshot) resolveEntry(uri string) (entry, error) {
-	_, ok := s.docs[uri]
-	target, err := ResolveURI(uri, ok, s.first, len(s.docs))
-	if err != nil {
-		return entry{}, err
+	if _, ok := s.docs[uri]; ok {
+		return s.load(uri)
 	}
-	return s.load(target)
+	switch n := len(s.docs); {
+	case n == 0:
+		return entry{}, fmt.Errorf("exec: no documents registered (resolving %q)", uri)
+	case uri == "" || n == 1:
+		return s.load(s.first)
+	default:
+		return entry{}, fmt.Errorf("exec: no document registered for %q (%d documents loaded; doc(\"…\") must name one of them)", uri, n)
+	}
 }
 
 // load returns the registered URI's entry, materializing a store-backed
@@ -344,24 +312,6 @@ type Result struct {
 	// threshold).
 	Replanned     bool
 	FeedbackDrift float64
-	// Degraded is non-nil when this result came from a scatter-gather
-	// whose fan-out lost one or more shards after retry: the result is a
-	// correct but partial view covering only the surviving shards.
-	Degraded *DegradedInfo
-}
-
-// DegradedInfo describes a partial scatter-gather result.
-type DegradedInfo struct {
-	// FailedShards lists the shard indexes whose sub-queries failed even
-	// after the retry, in ascending order.
-	FailedShards []int
-	// Errors holds one message per failed shard, aligned with
-	// FailedShards.
-	Errors []string
-	// Stats is a synthetic gather-level stats tree: one child per shard
-	// attempt, including the partial abort stats of the shards that
-	// failed (what they had scanned before dying).
-	Stats *obs.OpStats
 }
 
 // FallbackExplain renders the EXPLAIN form of a navigational-fallback
@@ -384,57 +334,21 @@ func navExplain(reason string) string {
 	return "plan strategy: XH\n  navigational fallback: " + reason + "\n"
 }
 
-// Parsed is a query text parsed once: the form every evaluation body
-// takes, so a caller that must inspect the expression before choosing
-// where to run it (the shard router) parses, routes and evaluates
-// without a second parse.
-type Parsed struct {
-	Src  string
-	Expr flwor.Expr
+// parsed is a query text parsed once: what a prepared query keeps and
+// what every evaluation body takes.
+type parsed struct {
+	src  string
+	expr flwor.Expr
 }
 
-// Parse parses a query text.
-func Parse(src string) (*Parsed, error) {
+// parse parses a query text.
+func parse(src string) (*parsed, error) {
 	expr, err := flwor.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return &Parsed{Src: src, Expr: expr}, nil
+	return &parsed{src: src, expr: expr}, nil
 }
-
-// View is one immutable state of an engine's catalog — the handle the
-// shard tier evaluates already-parsed queries through.
-type View struct{ s *snapshot }
-
-// View returns the engine's current catalog.
-func (e *Engine) View() View { return View{e.snapshot()} }
-
-// Pin narrows the view to its registered document uri: every doc("…")
-// reference and absolute path then resolves to that document, which is
-// how the shard tier preserves the unsharded engine's resolution
-// semantics even when a shard's local catalog has a different first
-// document.
-func (v View) Pin(uri string) (View, error) {
-	if _, ok := v.s.docs[uri]; !ok {
-		return View{}, fmt.Errorf("exec: no document registered for %q", uri)
-	}
-	return View{v.s.pin(uri)}, nil
-}
-
-// Eval evaluates q against the view.
-func (v View) Eval(q *Parsed, opts plan.Options) (*Result, error) { return evalExpr(v.s, q, opts) }
-
-// EvalAllDocs evaluates q independently against every document of the
-// view (see Engine.EvalAllDocs).
-func (v View) EvalAllDocs(q *Parsed, opts plan.Options, workers int) []DocResult {
-	return evalAllDocs(v.s, q, opts, workers)
-}
-
-// Explain renders q's EXPLAIN (or EXPLAIN ANALYZE) against the view.
-func (v View) Explain(q *Parsed, opts plan.Options) (string, error) { return explain(v.s, q, opts) }
-
-// Check compile-checks q against the view (see Engine.Prepare).
-func (v View) Check(q *Parsed, opts plan.Options) error { return check(v.s, q, opts) }
 
 // Eval parses and evaluates a query with the Auto strategy.
 func (e *Engine) Eval(src string) (*Result, error) {
@@ -444,7 +358,7 @@ func (e *Engine) Eval(src string) (*Result, error) {
 // EvalOptions evaluates with full planner control; cancellation and
 // deadlines ride in opts.Ctx.
 func (e *Engine) EvalOptions(src string, opts plan.Options) (*Result, error) {
-	q, err := Parse(src)
+	q, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
@@ -466,10 +380,10 @@ func (e *Engine) EvalOptions(src string, opts plan.Options) (*Result, error) {
 // observes the query-duration histogram, stores a span trace, and —
 // with Options.Logger — emits a structured log record, on success and
 // failure alike.
-func evalExpr(s *snapshot, q *Parsed, opts plan.Options) (res *Result, err error) {
+func evalExpr(s *snapshot, q *parsed, opts plan.Options) (res *Result, err error) {
 	t0 := time.Now()
-	expr := q.Expr
-	tel := &telemetry{state: s.state, queryID: opts.QueryID, src: q.Src, start: t0}
+	expr := q.expr
+	tel := &telemetry{state: s.state, queryID: opts.QueryID, src: q.src, start: t0}
 	if tel.queryID == "" {
 		tel.queryID = NewQueryID()
 	}
@@ -555,22 +469,22 @@ func evalExpr(s *snapshot, q *Parsed, opts plan.Options) (res *Result, err error
 // index or statistics) bypass the cache entirely — the cache only
 // holds plans shaped by the snapshot itself. hit reports whether the
 // cache served the entry.
-func compiledFor(s *snapshot, q *Parsed, opts plan.Options) (*compiled, bool, error) {
+func compiledFor(s *snapshot, q *parsed, opts plan.Options) (*compiled, bool, error) {
 	bypass := opts.Index != nil || opts.Stats.Nodes != 0
 	var key planKey
 	if !bypass {
-		key = planKey{version: s.version, hash: obs.QueryHash(q.Src), fp: planFingerprint(opts)}
+		key = planKey{version: s.version, hash: obs.QueryHash(q.src), fp: planFingerprint(opts)}
 		if c, ok := s.state.plans.get(key); ok {
 			// A hit is where the feedback loop closes: if observed history
 			// has drifted past the threshold, the template is recompiled
 			// with corrected cardinalities and re-cached under this key.
-			if c2 := maybeReplan(s, q.Expr, key, c, opts); c2 != nil {
+			if c2 := maybeReplan(s, q.expr, key, c, opts); c2 != nil {
 				return c2, true, nil
 			}
 			return c, true, nil
 		}
 	}
-	c, err := compileTemplate(s, q.Expr, opts)
+	c, err := compileTemplate(s, q.expr, opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -631,7 +545,7 @@ func compileTemplate(s *snapshot, expr flwor.Expr, opts plan.Options) (*compiled
 // metered like any other evaluation) and the tree carries the counters
 // and wall times the run recorded next to the estimates.
 func (e *Engine) Explain(src string, opts plan.Options) (string, error) {
-	q, err := Parse(src)
+	q, err := parse(src)
 	if err != nil {
 		return "", err
 	}
@@ -642,8 +556,8 @@ func (e *Engine) Explain(src string, opts plan.Options) (string, error) {
 // The feedback store is consulted the same way a cache hit would: a
 // query whose history armed a replan explains cost-based with hints,
 // and a hash with enough history gets a feedback header line.
-func explain(s *snapshot, q *Parsed, opts plan.Options) (string, error) {
-	popts, fbLine := feedbackExplainOpts(s.state.Feedback, q.Src, opts)
+func explain(s *snapshot, q *parsed, opts plan.Options) (string, error) {
+	popts, fbLine := feedbackExplainOpts(s.state.Feedback, q.src, opts)
 	if opts.Analyze {
 		// The evaluation applies any armed replan itself on its cache hit,
 		// so it takes the caller's options, not the mirrored ones.
@@ -658,7 +572,7 @@ func explain(s *snapshot, q *Parsed, opts plan.Options) (string, error) {
 		}
 		return res.Plan.Explain() + fbLine + res.Plan.ExplainCosts() + res.Plan.ExplainTree(true), nil
 	}
-	c, err := compileTemplate(s, q.Expr, popts)
+	c, err := compileTemplate(s, q.expr, popts)
 	if err != nil {
 		return "", err
 	}
@@ -678,7 +592,7 @@ func explain(s *snapshot, q *Parsed, opts plan.Options) (string, error) {
 // the first run and seeding the plan cache. Navigational evaluation
 // never builds a physical plan, and a catalog without documents has
 // nothing to plan against yet — both defer compilation to the run.
-func check(s *snapshot, q *Parsed, opts plan.Options) error {
+func check(s *snapshot, q *parsed, opts plan.Options) error {
 	if opts.Strategy == plan.Navigational || len(s.docs) == 0 {
 		return nil
 	}

@@ -226,7 +226,7 @@ func TestEvalAllDocsMidFlightCancellation(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		cancel()
 	}()
-	results, _, err := e.EvalAllDocs(`//a//c`, plan.Options{Ctx: ctx}, 0, 4)
+	results, err := e.EvalAllDocs(`//a//c`, plan.Options{Ctx: ctx}, 4)
 	cancel()
 	if err != nil {
 		t.Fatal(err)

@@ -24,25 +24,22 @@ type BatchResult struct {
 func (e *Engine) EvalBatch(srcs []string, opts plan.Options, workers int) []BatchResult {
 	out := make([]BatchResult, len(srcs))
 	snap := e.snapshot()
-	ForEachIndex(len(srcs), workers, func(i int) {
+	forEachIndex(len(srcs), workers, func(i int) {
 		out[i] = BatchResult{Query: srcs[i]}
-		q, err := Parse(srcs[i])
+		q, err := parse(srcs[i])
 		if err != nil {
 			out[i].Err = err
 			return
 		}
-		out[i].Result, out[i].Err = evalExpr(snap, q, BatchOptions(opts, i))
+		// Distinct query IDs per entry even when the caller pinned one, as
+		// in EvalAllDocs.
+		qopts := opts
+		if qopts.QueryID != "" {
+			qopts.QueryID = fmt.Sprintf("%s-%d", qopts.QueryID, i)
+		}
+		out[i].Result, out[i].Err = evalExpr(snap, q, qopts)
 	})
 	return out
-}
-
-// BatchOptions derives the options of batch entry i: distinct query IDs
-// per entry even when the caller pinned one, as in EvalAllDocs.
-func BatchOptions(opts plan.Options, i int) plan.Options {
-	if opts.QueryID != "" {
-		opts.QueryID = fmt.Sprintf("%s-%d", opts.QueryID, i)
-	}
-	return opts
 }
 
 // DocResult pairs one registered document of an EvalAllDocs call with
@@ -60,22 +57,15 @@ type DocResult struct {
 // document under evaluation, which turns a single-document query into a
 // catalog-wide scan — the multi-document shape planContext otherwise
 // rejects. Results are keyed by URI and returned sorted by URI.
-//
-// fanout bounds a shard group's scatter and the DegradedInfo reports
-// shards lost from it; a single engine has no shards, so it ignores the
-// former and always returns nil for the latter.
-func (e *Engine) EvalAllDocs(src string, opts plan.Options, fanout, workers int) ([]DocResult, *DegradedInfo, error) {
-	q, err := Parse(src)
+func (e *Engine) EvalAllDocs(src string, opts plan.Options, workers int) ([]DocResult, error) {
+	q, err := parse(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return evalAllDocs(e.snapshot(), q, opts, workers), nil, nil
-}
-
-func evalAllDocs(snap *snapshot, q *Parsed, opts plan.Options, workers int) []DocResult {
+	snap := e.snapshot()
 	uris := snap.uris()
 	out := make([]DocResult, len(uris))
-	ForEachIndex(len(uris), workers, func(i int) {
+	forEachIndex(len(uris), workers, func(i int) {
 		// Per-document evaluations get distinct query IDs even when the
 		// caller pinned one: a shared ID would make the trace store and
 		// query log collapse the fan-out into one record.
@@ -86,7 +76,7 @@ func evalAllDocs(snap *snapshot, q *Parsed, opts plan.Options, workers int) []Do
 		res, err := evalExpr(snap.pin(uris[i]), q, docOpts)
 		out[i] = DocResult{URI: uris[i], Result: res, Err: err}
 	})
-	return out
+	return out, nil
 }
 
 // pin derives a single-document snapshot: every URI resolves to the
@@ -119,10 +109,11 @@ func (s *snapshot) pin(uri string) *snapshot {
 	return p
 }
 
-// ForEachIndex runs fn(0..n-1) across a pool of at most workers
+// forEachIndex runs fn(0..n-1) across a pool of at most workers
 // goroutines (workers <= 0 means GOMAXPROCS) and waits for completion.
-// fn must write only to its own index's slot.
-func ForEachIndex(n, workers int, fn func(int)) {
+// fn must write only to its own index's slot. It is the engine's one
+// worker pool: batches and all-documents fan-outs both run on it.
+func forEachIndex(n, workers int, fn func(int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

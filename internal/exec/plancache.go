@@ -40,7 +40,7 @@ type planKey struct {
 	// (obs.QueryHash), so cache keys and query-log records correlate.
 	hash string
 	// fp fingerprints the planning-time options (strategy, merged
-	// scans); per-run options (parallelism, budgets, analyze, telemetry)
+	// scans); per-run options (budgets, analyze, telemetry)
 	// do not shape the template and stay out of the key.
 	fp string
 }

@@ -18,36 +18,27 @@ import (
 // A Prepared is immutable and safe for concurrent use: concurrent runs
 // share the cached plan template and each Forks private per-run state.
 type Prepared struct {
-	q    *Parsed
+	e    *Engine
+	q    *parsed
 	opts plan.Options
-	run  func(*Parsed, plan.Options) (*Result, error)
-}
-
-// NewPrepared binds a parsed query and its captured options to the
-// evaluation it runs through: an engine's current catalog, or the shard
-// group's router.
-func NewPrepared(q *Parsed, opts plan.Options, run func(*Parsed, plan.Options) (*Result, error)) *Prepared {
-	return &Prepared{q: q, opts: opts, run: run}
 }
 
 // Prepare parses and compile-checks a query for repeated execution
 // with the given options. The options are captured; per-run control
 // (a context) is supplied to RunContext.
 func (e *Engine) Prepare(src string, opts plan.Options) (*Prepared, error) {
-	q, err := Parse(src)
+	q, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
 	if err := check(e.snapshot(), q, opts); err != nil {
 		return nil, err
 	}
-	return NewPrepared(q, opts, func(q *Parsed, opts plan.Options) (*Result, error) {
-		return evalExpr(e.snapshot(), q, opts)
-	}), nil
+	return &Prepared{e: e, q: q, opts: opts}, nil
 }
 
 // Source returns the prepared query's text.
-func (p *Prepared) Source() string { return p.q.Src }
+func (p *Prepared) Source() string { return p.q.src }
 
 // RunContext evaluates the prepared query against the current catalog
 // under a context: the run is canceled when ctx is. The prepared
@@ -57,5 +48,5 @@ func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
 	opts := p.opts
 	opts.Ctx = ctx
 	opts.Gov = nil // force a fresh governor bound to this run's context
-	return p.run(p.q, opts)
+	return evalExpr(p.e.snapshot(), p.q, opts)
 }

@@ -298,7 +298,7 @@ func TestEvalAllDocsWarmCache(t *testing.T) {
 	e.Add("one.xml", mustParseDoc(t, `<r><a/><a/></r>`))
 	e.Add("two.xml", mustParseDoc(t, `<r><a/></r>`))
 	for call := 0; call < 2; call++ {
-		results, _, err := e.EvalAllDocs(`//a`, plan.Options{}, 0, 2)
+		results, err := e.EvalAllDocs(`//a`, plan.Options{}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

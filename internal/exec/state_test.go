@@ -97,32 +97,3 @@ func TestEnginesAreIndependent(t *testing.T) {
 	}
 	runtime.KeepAlive(e2)
 }
-
-// TestPeersShareState: the shards of one group are peers — one plan
-// cache keyed around each other by the shared version counter, one
-// feedback history, one trace ring.
-func TestPeersShareState(t *testing.T) {
-	const q = `//a//b`
-	e1 := New()
-	e2 := e1.Peer()
-	e1.Add("d", nestedDoc(t, 2))
-	e2.Add("d", nestedDoc(t, 3))
-	if e1.State() != e2.State() {
-		t.Fatal("peers do not share their state")
-	}
-	for i, e := range []*Engine{e1, e2} {
-		res, err := e.Eval(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cached || len(res.Nodes) != 2+i {
-			t.Errorf("peer %d: cached=%v with %d nodes; a peer must not be served another peer's plan", i, res.Cached, len(res.Nodes))
-		}
-		if _, ok := e1.State().Traces.Get(res.QueryID); !ok {
-			t.Errorf("peer %d's query %s is not in the shared trace ring", i, res.QueryID)
-		}
-	}
-	if sum, _ := e1.State().Feedback.Lookup(obs.QueryHash(q)); sum.N != 2 {
-		t.Errorf("the shared history counts %d executions, want both peers' 2", sum.N)
-	}
-}

@@ -62,7 +62,7 @@ func (t *telemetry) emit(opts plan.Options, res *Result, err error) {
 
 	// Feed the estimate→actual loop: every successful planned evaluation
 	// records its per-operator est/act counters into the engine's feedback
-	// store, keyed by query hash (batch, all-docs and sharded paths all
+	// store, keyed by query hash (single, batch and all-docs paths all
 	// reach this boundary, so they all contribute history).
 	if err == nil && t.plan != nil {
 		if ops := feedbackOps(t.plan.StatsTree()); len(ops) > 0 {

@@ -34,28 +34,19 @@ const (
 	SiteNavStep     Site = "naveval.step" // navigational per-context-node steps
 	SiteOutput      Site = "exec.output"  // root-level result emissions
 	SiteVexec       Site = "vexec.batch"  // vectorized executor, hit once per batch
-
-	// Shard-tier sites (internal/shard): hit once per shard dispatch,
-	// per gather merge step, and per admission decision. They let the
-	// chaos suite kill the k-th shard sub-query deterministically and
-	// prove the retry, degrade, and shed paths under -race.
-	SiteShardScatter   Site = "shard.scatter"
-	SiteShardGather    Site = "shard.gather"
-	SiteShardAdmission Site = "shard.admission"
+	SiteAdmission   Site = "admission"    // daemon admission control, hit once per decision
 )
 
-// rule is one armed fault: fire on hits k..k+n-1 of the site (n <= 0
-// means every hit from the k-th on).
+// rule is one armed fault: fire on the k-th hit of the site.
 type rule struct {
 	k     int64
-	n     int64
 	err   error
 	panik bool
 }
 
 // Injector fires scripted faults at named sites. Safe for concurrent
-// use: batch workers and the planner's parallel pre-scan hit sites from
-// several goroutines.
+// use: batch workers and concurrent HTTP requests hit sites from several
+// goroutines.
 type Injector struct {
 	mu    sync.Mutex
 	hits  map[Site]int64
@@ -76,35 +67,7 @@ func (in *Injector) FailAt(site Site, k int64, err error) *Injector {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.rules[site] = &rule{k: k, n: 1, err: err}
-	return in
-}
-
-// FailFrom arms site to return err on every hit from the k-th on
-// (1-based) — a persistent failure, unlike FailAt's single firing. The
-// shard chaos suite uses it to keep a shard down across the retry so
-// the gather must degrade.
-func (in *Injector) FailFrom(site Site, k int64, err error) *Injector {
-	if err == nil {
-		err = fmt.Errorf("fault: injected persistent failure at %s from hit %d", site, k)
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.rules[site] = &rule{k: k, err: err}
-	return in
-}
-
-// FailTimes arms site to return err on hits k..k+n-1 (1-based) — a
-// failure that persists for exactly n hits and then clears. The shard
-// chaos suite uses n=2 to keep one shard down across its attempt and
-// retry while the shards dispatched after it stay healthy.
-func (in *Injector) FailTimes(site Site, k, n int64, err error) *Injector {
-	if err == nil {
-		err = fmt.Errorf("fault: injected failure at %s for hits %d..%d", site, k, k+n-1)
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.rules[site] = &rule{k: k, n: n, err: err}
 	return in
 }
 
@@ -113,7 +76,7 @@ func (in *Injector) FailTimes(site Site, k, n int64, err error) *Injector {
 func (in *Injector) PanicAt(site Site, k int64) *Injector {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.rules[site] = &rule{k: k, n: 1, panik: true}
+	in.rules[site] = &rule{k: k, panik: true}
 	return in
 }
 
@@ -127,7 +90,7 @@ func (in *Injector) Hit(site Site) error {
 	in.hits[site]++
 	h := in.hits[site]
 	r := in.rules[site]
-	fire := r != nil && h >= r.k && (r.n <= 0 || h < r.k+r.n)
+	fire := r != nil && h == r.k
 	in.mu.Unlock()
 	if !fire {
 		return nil

@@ -101,28 +101,3 @@ func TestConcurrentHits(t *testing.T) {
 		t.Fatalf("Hits = %d, want %d", got, workers*per)
 	}
 }
-
-// TestFailFromIsPersistent: a FailFrom rule fires on every hit at or
-// past k — the "shard stays down" mode of the chaos suite.
-func TestFailFromIsPersistent(t *testing.T) {
-	in := New().FailFrom(SiteShardScatter, 3, nil)
-	for i := 1; i <= 6; i++ {
-		err := in.Hit(SiteShardScatter)
-		if (i >= 3) != (err != nil) {
-			t.Fatalf("hit %d: err = %v", i, err)
-		}
-	}
-}
-
-// TestFailTimesWindow: a FailTimes rule fires on exactly hits
-// k..k+n-1 and then clears — one shard down across its retry, the rest
-// healthy.
-func TestFailTimesWindow(t *testing.T) {
-	in := New().FailTimes(SiteShardScatter, 2, 2, nil)
-	for i := 1; i <= 5; i++ {
-		err := in.Hit(SiteShardScatter)
-		if want := i == 2 || i == 3; want != (err != nil) {
-			t.Fatalf("hit %d: err = %v, want fire=%v", i, err, want)
-		}
-	}
-}

@@ -8,7 +8,7 @@
 // with history-corrected cardinalities (plan.Options.CardHints) and
 // re-caches it — so cached plans get better as traffic repeats.
 //
-// Each engine owns one store (a group's shards share theirs), so a
+// Each engine owns one store, so a
 // history describes that engine's documents only. It is keyed by query
 // hash alone, not by the snapshot version that keys the plan cache:
 // observed cardinalities are a property of the engine's workload, so

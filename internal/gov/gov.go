@@ -94,9 +94,9 @@ func (e *AbortError) Unwrap() error { return e.Cause }
 // WithStats returns a governed abort carrying the partial stats tree,
 // leaving any other error untouched. The stats go on a copy: the
 // governor's sticky abort is shared by every evaluation running under
-// it (concurrent shard sub-queries, batch workers), each with a tree of
-// its own. It is idempotent: an abort that already carries stats is
-// returned as is.
+// it (a batch handed one governor through plan.Options.Gov), each with a
+// tree of its own. It is idempotent: an abort that already carries stats
+// is returned as is.
 func WithStats(err error, st *obs.OpStats) error {
 	var ae *AbortError
 	if !errors.As(err, &ae) || ae.Stats != nil {
@@ -122,7 +122,7 @@ func StatsOf(err error) (*obs.OpStats, bool) {
 const checkInterval = 1024
 
 // Governor enforces one query's governance. All counters are atomics:
-// the planner's parallel pre-scan and batch workers hit one governor
+// the workers of a batch sharing one governor (plan.Options.Gov) hit it
 // from several goroutines.
 type Governor struct {
 	ctx      context.Context

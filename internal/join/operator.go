@@ -15,9 +15,6 @@
 package join
 
 import (
-	"runtime"
-	"sync"
-
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/xmltree"
@@ -29,8 +26,7 @@ import (
 //
 // Operators are single-consumer: one operator must not be pulled from
 // two goroutines. Distinct operator trees over the same (immutable)
-// document are independent and may be drained concurrently — that is
-// the fan-out DrainAll and the planner's parallel pre-scan exploit.
+// document are independent and may run concurrently.
 type Operator interface {
 	GetNext() *nestedlist.List
 }
@@ -100,47 +96,6 @@ func Drain(op Operator) []*nestedlist.List {
 	for l := op.GetNext(); l != nil; l = op.GetNext() {
 		out = append(out, l)
 	}
-	return out
-}
-
-// DrainAll drains several independent operators concurrently across at
-// most workers goroutines (workers <= 0 means GOMAXPROCS) and returns
-// each operator's instances at its input position. Every operator must
-// be exclusively owned by the call: DrainAll distributes operators, not
-// GetNext calls, so the single-consumer contract holds.
-func DrainAll(ops []Operator, workers int) [][]*nestedlist.List {
-	out := make([][]*nestedlist.List, len(ops))
-	if len(ops) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ops) {
-		workers = len(ops)
-	}
-	if workers == 1 {
-		for i, op := range ops {
-			out[i] = Drain(op)
-		}
-		return out
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = Drain(ops[i])
-			}
-		}()
-	}
-	for i := range ops {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	return out
 }
 

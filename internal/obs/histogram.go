@@ -166,31 +166,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.bounds[len(h.bounds)-1]
 }
-
-// Merge adds o's observations into h. The histograms must share
-// identical bounds (Merge is how per-run bench histograms fold into an
-// aggregate); mismatched shapes are ignored rather than corrupting the
-// buckets.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil || len(h.bounds) != len(o.bounds) {
-		return
-	}
-	for i, b := range h.bounds {
-		if b != o.bounds[i] {
-			return
-		}
-	}
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + o.Sum())
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}

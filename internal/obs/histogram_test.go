@@ -67,36 +67,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram("a", []float64{1, 2})
-	b := NewHistogram("b", []float64{1, 2})
-	a.Observe(0.5)
-	b.Observe(1.5)
-	b.Observe(9)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Errorf("merged Count = %d, want 3", a.Count())
-	}
-	if diff := math.Abs(a.Sum() - 11); diff > 1e-9 {
-		t.Errorf("merged Sum = %g, want 11", a.Sum())
-	}
-	want := []int64{1, 1, 1}
-	for i, c := range a.Counts() {
-		if c != want[i] {
-			t.Errorf("merged counts = %v, want %v", a.Counts(), want)
-			break
-		}
-	}
-	// Mismatched bounds must be ignored, not corrupt the buckets.
-	c := NewHistogram("c", []float64{1, 2, 3})
-	a.Merge(c)
-	c.Observe(1)
-	c.Merge(a)
-	if a.Count() != 3 || c.Count() != 1 {
-		t.Errorf("mismatched merge changed counts: a=%d c=%d", a.Count(), c.Count())
-	}
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
 	h := NewHistogram("h", LatencyBuckets)
 	const workers, per = 8, 1000
@@ -133,7 +103,6 @@ func TestHistogramNilSafety(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	h.Merge(NewHistogram("x", nil))
 	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("nil histogram accessors should read zero")
 	}

@@ -6,9 +6,7 @@
 //
 // Everything here is safe under the engine's concurrency model: the
 // registry and all OpStats counters are plain atomics, so concurrent
-// batch evaluations — and the planner's parallel NoK pre-scan,
-// which drains sibling operators from several goroutines — may bump
-// them without locks. Stats collection is near-zero-cost when
+// batch and all-documents evaluations may bump them without locks. Stats collection is near-zero-cost when
 // disabled: every mutator is a nil-safe method on *OpStats, so
 // uninstrumented operators pay one predictable branch, and wall-clock
 // timing (the only expensive probe) is off unless explicitly enabled
@@ -299,16 +297,9 @@ const (
 	MetricPlanCacheHits      = "plan_cache_hits"
 	MetricPlanCacheMisses    = "plan_cache_misses"
 	MetricPlanCacheEvictions = "plan_cache_evictions"
-	// Shard-tier counters (internal/shard). Sheds are admission-control
-	// refusals (429 at the HTTP edge); retries count shard sub-queries
-	// re-dispatched after a first failure; failures count shard attempts
-	// that failed (including the ones a retry later recovered); degraded
-	// counts gathers that returned a partial result.
-	MetricQueriesShed   = "queries_shed_total"
-	MetricShardQueries  = "shard_queries_total"
-	MetricShardRetries  = "shard_retries_total"
-	MetricShardFailures = "shard_failures_total"
-	MetricShardDegraded = "shard_degraded_total"
+	// MetricQueriesShed counts admission-control refusals (429 at the
+	// HTTP edge, internal/server).
+	MetricQueriesShed = "queries_shed_total"
 	// Feedback-loop counters (internal/feedback). Replans count cached
 	// templates recompiled with history-corrected cardinalities after
 	// their estimates drifted past the threshold; wins/losses judge each

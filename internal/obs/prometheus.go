@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,12 +41,6 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// shardHistName matches the per-shard histogram naming convention
-// (shard_<i>_<rest>) so the exposition can regroup N per-shard
-// histograms into one family with a shard label, the shape Prometheus
-// aggregation functions expect.
-var shardHistName = regexp.MustCompile(`^shard_([0-9]+)_(.+)$`)
-
 // WritePrometheus renders the registry — counters and histograms — in
 // Prometheus text exposition format, families sorted by name. Safe to
 // call concurrently with evaluations; each value is a point-in-time
@@ -55,9 +48,7 @@ var shardHistName = regexp.MustCompile(`^shard_([0-9]+)_(.+)$`)
 //
 // A labeled counter family sharing a plain counter's name renders its
 // series right after the unlabeled aggregate line, inside the same
-// family. Histograms named shard_<i>_<rest> are regrouped into a
-// single family blossomtree_shard_<rest> with a shard="<i>" label
-// instead of one family per shard.
+// family.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	labeled := r.labeledSnapshot()
 	for _, name := range sortedCounterNames(r) {
@@ -83,19 +74,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	shardFamilies := make(map[string][]*Histogram)
 	for _, h := range r.Histograms() {
-		if m := shardHistName.FindStringSubmatch(h.Name()); m != nil {
-			rest := m[2]
-			shardFamilies[rest] = append(shardFamilies[rest], h)
-			continue
-		}
 		if err := writePromHistogram(w, h); err != nil {
-			return err
-		}
-	}
-	for _, rest := range sortedKeys(shardFamilies) {
-		if err := writePromShardFamily(w, rest, shardFamilies[rest]); err != nil {
 			return err
 		}
 	}
@@ -109,15 +89,6 @@ func sortedLabeledNames(labeled map[string]*LabeledCounter) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func sortedKeys(m map[string][]*Histogram) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // writePromLabeled renders one labeled counter family's series, sorted
@@ -140,47 +111,6 @@ func writePromLabeled(w io.Writer, pn string, lc *LabeledCounter) error {
 		}
 	}
 	return nil
-}
-
-// writePromShardFamily renders N per-shard histograms as one family
-// with a shard label, shards in numeric order.
-func writePromShardFamily(w io.Writer, rest string, hists []*Histogram) error {
-	sort.Slice(hists, func(i, j int) bool {
-		return shardIndex(hists[i].Name()) < shardIndex(hists[j].Name())
-	})
-	pn := promName("shard_" + rest)
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
-		return err
-	}
-	for _, h := range hists {
-		shard := strconv.Itoa(shardIndex(h.Name()))
-		bounds := h.Bounds()
-		counts := h.Counts()
-		var cum int64
-		for i, b := range bounds {
-			cum += counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{shard=%q,le=%q} %d\n", pn, shard, promFloat(b), cum); err != nil {
-				return err
-			}
-		}
-		cum += counts[len(counts)-1]
-		if _, err := fmt.Fprintf(w, "%s_bucket{shard=%q,le=\"+Inf\"} %d\n", pn, shard, cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum{shard=%q} %s\n%s_count{shard=%q} %d\n", pn, shard, promFloat(h.Sum()), pn, shard, cum); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func shardIndex(name string) int {
-	m := shardHistName.FindStringSubmatch(name)
-	if m == nil {
-		return -1
-	}
-	i, _ := strconv.Atoi(m[1])
-	return i
 }
 
 func sortedCounterNames(r *Registry) []string {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,14 +35,6 @@ func TestPrometheusGolden(t *testing.T) {
 	r.AddLabeled(MetricQueriesShed, "tenant", "", 1) // empty value folds into "other"
 	// A labeled family with no unlabeled counterpart renders standalone.
 	r.AddLabeled("replica_lag_total", "replica", "r1", 2)
-
-	// Per-shard histograms regroup at render time: shard_<i>_<rest>
-	// becomes one blossomtree_shard_<rest> family with {shard="i"}
-	// labels, shards in numeric order.
-	for i, obsv := range []float64{0.002, 0.05} {
-		sh := r.Histogram(fmt.Sprintf("shard_%d_query_duration_seconds", i), []float64{0.01, 0.1})
-		sh.Observe(obsv)
-	}
 
 	got := r.PrometheusText()
 	path := filepath.Join("testdata", "prometheus.golden")

@@ -11,9 +11,8 @@ import (
 // planner builds one OpStats per physical operator, records its
 // cost-model estimates, and hands the node to the operator; the
 // operator bumps the actual-work counters while it runs. All counters
-// are atomics because sibling operators may be drained concurrently
-// (the parallel NoK pre-scan) and EXPLAIN may render while a Stop
-// deadline is still draining.
+// are atomics because EXPLAIN and the trace store may render a tree
+// while its operators still run (a Stop deadline draining).
 //
 // Every mutator is nil-safe, so operators can be built without stats at
 // zero cost beyond a nil check.

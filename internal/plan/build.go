@@ -36,10 +36,8 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 	}
 
 	// Merged-NoK optimization (§4.2): evaluate every sequentially-scanned
-	// NoK in one shared document traversal instead of one scan each. A
-	// parallel pre-scan (preScanParallel) has already materialized these
-	// lists when preScanned is non-nil.
-	if p.opts.MergeScans && p.preScanned == nil && p.opts.Index == nil && p.Strategy != BoundedNL {
+	// NoK in one shared document traversal instead of one scan each.
+	if p.opts.MergeScans && p.opts.Index == nil && p.Strategy != BoundedNL {
 		var ms []*nok.Matcher
 		for _, n := range d.NoKs {
 			if !trivialNoK(n) {
@@ -258,9 +256,6 @@ func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
 	}
 	if ls, ok := p.preScanned[m.NoK]; ok {
 		st := scanStats("replay")
-		// The pre-scan already visited the nodes; attribute them here so
-		// the tree's scan totals match a serial run of the same plan.
-		st.AddScanned(p.preScanScanned[m.NoK])
 		return join.Instrument(join.NewSliceOperator(ls), st), st
 	}
 	if p.opts.Index != nil && !m.NoK.Root.IsDocRoot() && m.RootTest() != "*" && len(m.NoK.Root.Constraints) == 0 {

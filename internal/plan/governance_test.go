@@ -154,20 +154,3 @@ func TestDeadlineAbort(t *testing.T) {
 		t.Fatalf("Execute = %v, want ErrBudgetExceeded", err)
 	}
 }
-
-// TestParallelPreScanAborts checks that a governance violation inside
-// the parallel NoK fan-out surfaces from Execute instead of the plan
-// replaying truncated lists as a silently-wrong result.
-func TestParallelPreScanAborts(t *testing.T) {
-	doc := govDoc(t)
-	boom := errors.New("fan-out failure")
-	inj := fault.New().FailAt(fault.SiteNoKScan, 10, boom)
-	p, err := Build(compilePath(t, `//a//c`), doc,
-		Options{Strategy: Pipelined, Parallel: 4, Fault: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Execute(); !errors.Is(err, boom) {
-		t.Fatalf("Execute = %v, want the injected fan-out error", err)
-	}
-}

@@ -93,12 +93,6 @@ type Options struct {
 	// cardinality() only; avgRegion() keeps the static figures, because
 	// a region size is a document property, not a workload one.
 	CardHints map[string]float64
-	// Parallel fans the plan's independent NoK base scans out across at
-	// most Parallel worker goroutines before the operator tree runs
-	// (0 or 1 = serial; negative = GOMAXPROCS). Sound because documents
-	// and indexes are immutable during evaluation; it takes precedence
-	// over MergeScans, which shares a single serial traversal instead.
-	Parallel int
 	// Analyze enables per-operator wall-clock timing on the plan's stats
 	// tree (EXPLAIN ANALYZE). Counters are collected regardless; only
 	// timing is gated, because it costs two clock reads per GetNext.
@@ -161,10 +155,6 @@ type Plan struct {
 	usedCrossings map[*core.Crossing]bool
 	errChecks     []func() error
 	preScanned    map[*core.NoK][]*nestedlist.List
-	// preScanScanned carries the node-visit counts of a parallel
-	// pre-scan into the stats tree the next Operator build creates (the
-	// replayed SliceOperators did the scanning up front).
-	preScanScanned map[*core.NoK]int64
 	// stats is the root of the per-operator statistics tree of the most
 	// recent Operator build; rebuilt fresh on every build so a plan
 	// explained and then executed does not double-count.
@@ -338,7 +328,7 @@ func (p *Plan) twigCompatible() error {
 // immutable skeleton is shared; planning-time inputs (strategy, index,
 // statistics, merged scans) come from the template so a cached plan
 // cannot be re-shaped by run options, while everything per-run —
-// context, budget, fault injector, parallelism, analyze, telemetry
+// context, budget, fault injector, analyze, telemetry
 // identity and the governor — comes from opts. The explain notes are
 // copied, not aliased: Operator builds append access-method notes, and
 // concurrent forks must not race on the template's slice.
@@ -383,11 +373,6 @@ func (p *Plan) Explain() string {
 func (p *Plan) Execute() ([]*nestedlist.List, error) {
 	if err := p.gov.CheckNow(); err != nil {
 		return nil, gov.WithStats(err, p.stats)
-	}
-	if p.opts.Parallel != 0 && p.opts.Parallel != 1 {
-		if err := p.preScanParallel(p.opts.Parallel); err != nil {
-			return nil, gov.WithStats(err, p.stats)
-		}
 	}
 	op, err := p.Operator()
 	if err != nil {

@@ -1,10 +1,9 @@
 // Package proptest is the randomized differential harness: it generates
 // random documents (internal/xmlgen) and random XPath/FLWOR queries over
 // each document's actual tag and attribute alphabet, then evaluates every
-// (document, query) pair under every join strategy — with and without
-// parallel pre-scans, cold and warm against the plan cache — and requires
-// byte-identical canonical results (exec.Canonical) against the
-// navigational oracle.
+// (document, query) pair under every join strategy — cold and warm
+// against the plan cache — and requires byte-identical canonical results
+// (exec.Canonical) against the navigational oracle.
 //
 // Generation is deterministic in a base seed: case i derives its own
 // seed (base + i·GoldenGamma), and one *rand.Rand per case drives both

@@ -92,8 +92,8 @@ const wildcardOuterQuery = `for $x in doc("d")//*, $y in $x//d return <p>{ $x }{
 // harness: the randomized leg draws its tags at random, so its documents
 // are almost always recursive and skip the pipelined variants. Every
 // query here must agree byte for byte with the navigational oracle under
-// the pipelined strategy, serial and with parallel pre-scans, cold and
-// from the plan cache, and must actually have run pipelined
+// the pipelined strategy, cold and from the plan cache, and must actually
+// have run pipelined
 // (wildcardOuterQuery: must have fallen back).
 func TestPipelinedOnNonRecursiveDocuments(t *testing.T) {
 	cases := *flagCases
@@ -116,30 +116,25 @@ func TestPipelinedOnNonRecursiveDocuments(t *testing.T) {
 			if q == wildcardOuterQuery {
 				wantStrategy = plan.BoundedNL
 			}
-			for _, opts := range []plan.Options{
-				{Strategy: plan.Pipelined},
-				{Strategy: plan.Pipelined, Parallel: -1},
-			} {
-				for _, temp := range []string{"cold", "warm"} {
-					res, err := e.EvalOptions(q, opts)
-					if err == nil && res.Plan == nil {
-						err = fmt.Errorf("fell back to navigation: %s", res.NavReason)
+			for _, temp := range []string{"cold", "warm"} {
+				res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Pipelined})
+				if err == nil && res.Plan == nil {
+					err = fmt.Errorf("fell back to navigation: %s", res.NavReason)
+				}
+				if err == nil && res.Plan.Strategy != wantStrategy {
+					err = fmt.Errorf("planned %s", res.Plan.Strategy)
+				}
+				if err == nil && exec.Canonical(res) != want {
+					err = fmt.Errorf("disagrees with the oracle\n--- pipelined ---\n%s--- oracle ---\n%s",
+						exec.Canonical(res), want)
+				}
+				if err != nil {
+					t.Errorf("seed %#x: query %q (%s): %v\ndocument:\n%s", caseSeed, q,
+						temp, err, xmltree.Serialize(doc.Root, xmltree.WriteOptions{}))
+					if failures++; failures >= 5 {
+						t.Fatalf("stopping after %d failures", failures)
 					}
-					if err == nil && res.Plan.Strategy != wantStrategy {
-						err = fmt.Errorf("planned %s", res.Plan.Strategy)
-					}
-					if err == nil && exec.Canonical(res) != want {
-						err = fmt.Errorf("disagrees with the oracle\n--- pipelined ---\n%s--- oracle ---\n%s",
-							exec.Canonical(res), want)
-					}
-					if err != nil {
-						t.Errorf("seed %#x: query %q (parallel=%d, %s): %v\ndocument:\n%s", caseSeed, q,
-							opts.Parallel, temp, err, xmltree.Serialize(doc.Root, xmltree.WriteOptions{}))
-						if failures++; failures >= 5 {
-							t.Fatalf("stopping after %d failures", failures)
-						}
-						break
-					}
+					break
 				}
 			}
 		}

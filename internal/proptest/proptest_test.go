@@ -23,9 +23,9 @@ var (
 )
 
 // variants lists the evaluation configurations compared against the
-// navigational oracle — every join strategy, with and without parallel
-// pre-scans. The pipelined join is only sound on non-recursive documents
-// (Theorem 2), so it is gated on the document's statistics.
+// navigational oracle — every join strategy. The pipelined join is only
+// sound on non-recursive documents (Theorem 2), so it is gated on the
+// document's statistics.
 func variants(recursive bool) []struct {
 	name string
 	opts plan.Options
@@ -35,9 +35,7 @@ func variants(recursive bool) []struct {
 		opts plan.Options
 	}{
 		{"auto", plan.Options{}},
-		{"auto-parallel", plan.Options{Parallel: -1}},
 		{"bounded-nl", plan.Options{Strategy: plan.BoundedNL}},
-		{"bounded-nl-parallel", plan.Options{Strategy: plan.BoundedNL, Parallel: -1}},
 		{"naive-nl", plan.Options{Strategy: plan.NaiveNL}},
 		{"twigstack", plan.Options{Strategy: plan.Twig}},
 		{"cost-based", plan.Options{Strategy: plan.CostBased}},
@@ -48,16 +46,10 @@ func variants(recursive bool) []struct {
 		{"vectorized", plan.Options{Strategy: plan.Vectorized}},
 	}
 	if !recursive {
-		vs = append(vs,
-			struct {
-				name string
-				opts plan.Options
-			}{"pipelined", plan.Options{Strategy: plan.Pipelined}},
-			struct {
-				name string
-				opts plan.Options
-			}{"pipelined-parallel", plan.Options{Strategy: plan.Pipelined, Parallel: -1}},
-		)
+		vs = append(vs, struct {
+			name string
+			opts plan.Options
+		}{"pipelined", plan.Options{Strategy: plan.Pipelined}})
 	}
 	return vs
 }

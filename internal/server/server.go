@@ -3,9 +3,10 @@
 // (POST /query, honoring a per-request budget), Prometheus metrics
 // exposition (GET /metrics), per-query trace export
 // (GET /trace/{queryID}), and the standard pprof endpoints
-// (GET /debug/pprof/*). Every evaluation flows through the same
-// telemetry pipeline as the CLI and the benchmark: query-duration
-// histogram, trace store, structured query log.
+// (GET /debug/pprof/*), with admission control (Admission) in front of
+// evaluation. Every evaluation flows through the same telemetry pipeline
+// as the CLI and the benchmark: query-duration histogram, trace store,
+// structured query log.
 package server
 
 import (
@@ -22,7 +23,6 @@ import (
 
 	"blossomtree"
 	"blossomtree/internal/obs"
-	"blossomtree/internal/shard"
 )
 
 // Config configures a Server.
@@ -45,7 +45,7 @@ type Config struct {
 	// weighted-fair inflight queue (tenant = X-Tenant header, "default"
 	// when absent). A shed request answers 429 with a Retry-After hint
 	// and a "shed" verdict in the query log. Nil admits everything.
-	Admission *shard.Admission
+	Admission *Admission
 }
 
 // Server handles the daemon's HTTP API.
@@ -95,18 +95,10 @@ type QueryRequest struct {
 	// response.
 	Explain bool `json:"explain,omitempty"`
 	// AllDocuments evaluates the query against every loaded document and
-	// gathers the per-document results into one ordered response (the
-	// scatter-gather path on a sharded daemon). A shard lost after its
-	// retry degrades the response instead of failing it — see Degraded.
+	// gathers the per-document results into one ordered response. If any
+	// document fails, the request fails with that document's error and
+	// status (408 for a budget abort), never a partial 200.
 	AllDocuments bool `json:"all_documents,omitempty"`
-}
-
-// DegradedInfo reports a partial scatter-gather response: which shards
-// failed (after the retry) and why. Present only when AllDocuments ran
-// on a sharded daemon and at least one shard was lost.
-type DegradedInfo struct {
-	FailedShards []int    `json:"failed_shards"`
-	Errors       []string `json:"errors"`
 }
 
 // QueryResponse is the POST /query reply.
@@ -133,9 +125,6 @@ type QueryResponse struct {
 	// template (estimates drifted from observed history by Drift×).
 	Replanned bool    `json:"replanned,omitempty"`
 	Drift     float64 `json:"drift,omitempty"`
-	// Degraded marks a partial scatter-gather result (some shards lost
-	// after their retry); nil/absent for complete results.
-	Degraded *DegradedInfo `json:"degraded,omitempty"`
 	// RetryAfterMS echoes the Retry-After hint of a shed (429) response
 	// in milliseconds, for clients that prefer the body to the header.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
@@ -223,9 +212,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.Strategy = "XH" // navigational evaluation has no plan
 		}
 	}
-	if d := res.Degraded(); d != nil {
-		resp.Degraded = &DegradedInfo{FailedShards: d.FailedShards, Errors: d.Errors}
-	}
 	resp.NavReason = res.NavReason()
 	resp.Replanned = res.Replanned()
 	resp.Drift = res.Drift()
@@ -258,7 +244,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // the client went away (not a server fault), 408 = the server aborted
 // the query on its budget or deadline, 422 = the query itself is bad.
 func errorStatus(w http.ResponseWriter, r *http.Request, err error) int {
-	var sh *shard.ShedError
+	var sh *ShedError
 	switch {
 	case errors.As(err, &sh):
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(sh)))
@@ -278,7 +264,7 @@ func errorStatus(w http.ResponseWriter, r *http.Request, err error) int {
 }
 
 // retryAfterSeconds renders a shed's hint as whole seconds, ≥ 1.
-func retryAfterSeconds(sh *shard.ShedError) int {
+func retryAfterSeconds(sh *ShedError) int {
 	secs := int(math.Ceil(sh.RetryAfter.Seconds()))
 	if secs < 1 {
 		secs = 1
@@ -297,7 +283,7 @@ func (s *Server) writeAdmissionError(w http.ResponseWriter, r *http.Request, qid
 		Verdict:   blossomtree.Verdict(err),
 		Error:     err.Error(),
 	}
-	var sh *shard.ShedError
+	var sh *ShedError
 	if errors.As(err, &sh) {
 		resp.RetryAfterMS = sh.RetryAfter.Milliseconds()
 	}

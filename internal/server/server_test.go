@@ -15,7 +15,6 @@ import (
 	"blossomtree/internal/fault"
 	"blossomtree/internal/feedback"
 	"blossomtree/internal/obs"
-	"blossomtree/internal/shard"
 )
 
 const bib = `<bib>
@@ -137,7 +136,7 @@ func TestQueryEndpointShed(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(Config{
 		Engine:    e,
-		Admission: shard.NewAdmission(shard.AdmissionConfig{TenantQPS: 0.001, TenantBurst: 1}),
+		Admission: NewAdmission(AdmissionConfig{TenantQPS: 0.001, TenantBurst: 1}),
 	}))
 	defer ts.Close()
 
@@ -169,17 +168,17 @@ func TestQueryEndpointShed(t *testing.T) {
 	}
 }
 
-// TestQueryEndpointInjectedShed: a deterministic shard.admission fault
-// sheds exactly the k-th admission decision.
+// TestQueryEndpointInjectedShed: a deterministic admission fault sheds
+// exactly the k-th admission decision.
 func TestQueryEndpointInjectedShed(t *testing.T) {
 	e := blossomtree.NewEngine()
 	if err := e.LoadString("bib.xml", bib); err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.New().FailAt(fault.SiteShardAdmission, 2, nil)
+	inj := fault.New().FailAt(fault.SiteAdmission, 2, nil)
 	ts := httptest.NewServer(New(Config{
 		Engine:    e,
-		Admission: shard.NewAdmission(shard.AdmissionConfig{Fault: inj}),
+		Admission: NewAdmission(AdmissionConfig{Fault: inj}),
 	}))
 	defer ts.Close()
 
@@ -224,10 +223,10 @@ func TestQueryEndpointClientCanceled(t *testing.T) {
 	}
 }
 
-// TestQueryEndpointAllDocuments: the scatter-gather form returns the
-// merged per-document results of a sharded daemon in URI order.
+// TestQueryEndpointAllDocuments: the all-documents form returns the
+// merged per-document results in URI order.
 func TestQueryEndpointAllDocuments(t *testing.T) {
-	e := blossomtree.NewEngineSharded(3)
+	e := blossomtree.NewEngine()
 	for uri, doc := range map[string]string{
 		"a.xml": `<bib><book><title>A</title><price>10</price></book></bib>`,
 		"b.xml": `<bib><book><title>B</title><price>20</price></book></bib>`,
@@ -253,11 +252,32 @@ func TestQueryEndpointAllDocuments(t *testing.T) {
 			t.Errorf("nodes[%d] = %q, want %q", i, res.Nodes[i], want)
 		}
 	}
-	if res.Degraded != nil {
-		t.Errorf("healthy gather reported degraded: %+v", res.Degraded)
-	}
 	if res.Strategy != "scatter" {
 		t.Errorf("strategy = %q, want scatter", res.Strategy)
+	}
+}
+
+// TestQueryEndpointAllDocumentsBudget: an all-documents request in which
+// one document exceeds the node budget is a budget abort — 408 with the
+// budget verdict and the document named — not a 200 over the documents
+// that fit.
+func TestQueryEndpointAllDocumentsBudget(t *testing.T) {
+	e := blossomtree.NewEngine()
+	if err := e.LoadString("big.xml", "<r>"+strings.Repeat("<a><b/></a>", 200)+"</r>"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadString("small.xml", `<r><a><b/></a></r>`); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{Engine: e}))
+	defer ts.Close()
+
+	status, res := postQuery(t, ts, QueryRequest{Query: `//a/b`, MaxNodes: 20, AllDocuments: true})
+	if status != http.StatusRequestTimeout || res.Verdict != "budget_exceeded" {
+		t.Fatalf("status = %d, verdict = %q, want 408 budget_exceeded; body %+v", status, res.Verdict, res)
+	}
+	if !strings.Contains(res.Error, "big.xml") {
+		t.Errorf("error %q does not name the failing document", res.Error)
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // The restart round-trip differential: every query, under every
 // strategy, must produce byte-identical output whether the document was
 // freshly parsed (the "before crash/restart" engine) or served lazily
-// out of a reopened segment store (the "after restart" engine) — on the
-// unsharded engine and on sharded groups of 1..4 shards.
+// out of a reopened segment store (the "after restart" engine).
 
 const persistBibXML = `<bib>
   <book year="1994"><title>TCP/IP Illustrated</title><author><last>Stevens</last><first>W.</first></author><publisher>Addison-Wesley</publisher><price>65.95</price></book>
@@ -70,14 +69,9 @@ var persistStrategies = []blossomtree.Strategy{
 const persistExtraXML = `<dir><entry id="1"><name>alpha</name></entry><entry id="2"><name>beta</name></entry></dir>`
 
 // loadFreshEngine builds the pre-restart engine by parsing XML text.
-func loadFreshEngine(t *testing.T, shards int) *blossomtree.Engine {
+func loadFreshEngine(t *testing.T) *blossomtree.Engine {
 	t.Helper()
-	var e *blossomtree.Engine
-	if shards > 0 {
-		e = blossomtree.NewEngineSharded(shards)
-	} else {
-		e = blossomtree.NewEngine()
-	}
+	e := blossomtree.NewEngine()
 	if err := e.LoadString("bib.xml", persistBibXML); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +85,7 @@ func TestRestartDifferential(t *testing.T) {
 	dir := t.TempDir()
 
 	// Persist from a fresh engine, as a daemon would on load.
-	writer := loadFreshEngine(t, 0)
+	writer := loadFreshEngine(t)
 	st, err := blossomtree.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -105,35 +99,26 @@ func TestRestartDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shardCounts := []int{0, 1, 2, 3, 4} // 0 = unsharded
-	for _, shards := range shardCounts {
-		fresh := loadFreshEngine(t, shards)
+	fresh := loadFreshEngine(t)
 
-		// "Restart": a brand-new engine over a reopened store — no parsing.
-		reopened, err := blossomtree.OpenStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w := reopened.Warnings(); len(w) != 0 {
-			t.Fatalf("reopen warnings: %v", w)
-		}
-		var restarted *blossomtree.Engine
-		if shards > 0 {
-			restarted = blossomtree.NewEngineSharded(shards)
-		} else {
-			restarted = blossomtree.NewEngine()
-		}
-		restarted.AttachStore(reopened)
+	// "Restart": a brand-new engine over a reopened store — no parsing.
+	reopened, err := blossomtree.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := reopened.Warnings(); len(w) != 0 {
+		t.Fatalf("reopen warnings: %v", w)
+	}
+	restarted := blossomtree.NewEngine()
+	restarted.AttachStore(reopened)
 
-		for _, strat := range persistStrategies {
-			opts := blossomtree.Options{Strategy: strat}
-			for _, q := range persistQueries {
-				want := resultFingerprint(fresh.QueryWith(q, opts))
-				got := resultFingerprint(restarted.QueryWith(q, opts))
-				if got != want {
-					t.Errorf("shards=%d strategy=%s query %q:\n fresh:     %s\n restarted: %s",
-						shards, strat, q, want, got)
-				}
+	for _, strat := range persistStrategies {
+		opts := blossomtree.Options{Strategy: strat}
+		for _, q := range persistQueries {
+			want := resultFingerprint(fresh.QueryWith(q, opts))
+			got := resultFingerprint(restarted.QueryWith(q, opts))
+			if got != want {
+				t.Errorf("strategy=%s query %q:\n fresh:     %s\n restarted: %s", strat, q, want, got)
 			}
 		}
 	}
@@ -185,7 +170,7 @@ func TestRestartDifferentialRandom(t *testing.T) {
 // catalog (some URIs re-parsed, some store-served) resolves correctly.
 func TestAttachStoreLazy(t *testing.T) {
 	dir := t.TempDir()
-	writer := loadFreshEngine(t, 0)
+	writer := loadFreshEngine(t)
 	st, err := blossomtree.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +257,7 @@ func TestPersistFileUpToDate(t *testing.T) {
 // which starts with none — reproduces the report.
 func TestFeedbackPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e := loadFreshEngine(t, 0)
+	e := loadFreshEngine(t)
 	for i := 0; i < 6; i++ {
 		if _, err := e.Query(`//book[price < 60]/title`); err != nil {
 			t.Fatal(err)
@@ -294,7 +279,7 @@ func TestFeedbackPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := loadFreshEngine(t, 0)
+	e2 := loadFreshEngine(t)
 	if report := e2.FeedbackReport(); report != "" {
 		t.Fatalf("a fresh engine already has feedback history:\n%s", report)
 	}

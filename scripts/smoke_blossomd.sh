@@ -133,7 +133,7 @@ echo "smoke: clean shutdown"
 # 429 + Retry-After, and the shed counter appears in /metrics.
 out2="$workdir/stdout2"
 log2="$workdir/stderr2"
-"$bin" -addr 127.0.0.1:0 -gen d2:2000 -shards 2 -max-inflight 4 -tenant-qps 0.001 >"$out2" 2>"$log2" &
+"$bin" -addr 127.0.0.1:0 -gen d2:2000 -max-inflight 4 -tenant-qps 0.001 >"$out2" 2>"$log2" &
 pid=$!
 addr=
 for _ in $(seq 1 50); do
@@ -200,16 +200,7 @@ printf '%s\n' "$metrics" | grep -q '^blossomtree_queries_shed_total{tenant="defa
     printf '%s\n' "$metrics" | grep queries_shed >&2 || true
     exit 1
 }
-# The sharded daemon exposes per-shard latency histograms as one family
-# with shard labels.
-for sh in 0 1; do
-    printf '%s\n' "$metrics" | grep -q "^blossomtree_shard_query_duration_seconds_bucket{shard=\"$sh\"," || {
-        echo "smoke: shard $sh latency histogram missing from exposition:" >&2
-        printf '%s\n' "$metrics" | grep shard_query >&2 || true
-        exit 1
-    }
-done
-echo "smoke: shed counter OK (queries_shed_total=$shed, tenant+shard series present)"
+echo "smoke: shed counter OK (queries_shed_total=$shed, tenant series present)"
 
 kill -TERM "$pid"
 status=0

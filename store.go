@@ -80,11 +80,9 @@ func (s *SegmentStore) String() string { return s.st.String() }
 
 // AttachStore registers every servable document of the store with the
 // engine. Nothing is parsed or decoded up front: documents materialize
-// (read + decode, LRU-cached) when a query first resolves them. On a
-// sharded engine each document routes to its ring-owned shard, exactly
-// as Load would have placed it. Documents already loaded under the same
-// URI shadow the store's copy.
-func (e *Engine) AttachStore(s *SegmentStore) { e.b.AttachStore(s.st) }
+// (read + decode, LRU-cached) when a query first resolves them.
+// Documents already loaded under the same URI shadow the store's copy.
+func (e *Engine) AttachStore(s *SegmentStore) { e.x.AttachStore(s.st) }
 
 // PersistDocument saves the loaded document uri into the store as a
 // segment file (crash-safe: temp file + fsync + atomic rename), bumping
@@ -109,7 +107,7 @@ func (e *Engine) PersistFile(s *SegmentStore, uri, path string) error {
 // store directory (feedback.json, atomically), so a restarted daemon
 // resumes the loop instead of relearning from scratch.
 func (e *Engine) PersistFeedback(s *SegmentStore) error {
-	data, err := e.b.State().Feedback.Export()
+	data, err := e.x.State().Feedback.Export()
 	if err != nil {
 		return err
 	}
@@ -124,7 +122,7 @@ func (e *Engine) RestoreFeedback(s *SegmentStore) error {
 	if err != nil || data == nil {
 		return err
 	}
-	return e.b.State().Feedback.Import(data)
+	return e.x.State().Feedback.Import(data)
 }
 
 func (e *Engine) persist(s *SegmentStore, uri string, info *segstore.SourceInfo) error {
