@@ -7,9 +7,6 @@
 #   make stress  — cancellation/fault-injection stress under -race,
 #                  incl. admission control (shed, 429, client cancel)
 #   make smoke   — boot blossomd, query it over HTTP, scrape /metrics
-#   make feedback — feedback-driven planning suite: store invariants,
-#                  divergence→replan→win regression with its
-#                  well-estimated control
 #   make persist — persistent segment store suite: codec round-trips,
 #                  crash-safety (torn/bit-flipped segments quarantined),
 #                  restart differential, daemon -data round-trip
@@ -18,8 +15,8 @@
 #   make lint-refs — fail if a file still points at the retired second
 #                  benchmark harness, names one of the process-wide
 #                  globals the engines' own state replaced, the retired
-#                  shard tier, or brings back unsafe, a finalizer or the
-#                  mapped-column names
+#                  shard tier or feedback store, or brings back unsafe, a
+#                  finalizer or the mapped-column names
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -34,7 +31,7 @@ FUZZTIME ?= 30s
 PROPSEED ?= 0xB10550
 PROPCASES ?= 2500
 
-.PHONY: build test vet race check stress smoke bench fuzz proptest feedback persist benchbuild lint-refs
+.PHONY: build test vet race check stress smoke bench fuzz proptest persist benchbuild lint-refs
 
 build:
 	$(GO) build ./...
@@ -52,7 +49,7 @@ race:
 # full suite under the race detector, which exercises the concurrent
 # Add+Eval stress tests against the snapshot engine, plus the
 # cancellation stress pass.
-check: vet lint-refs race stress smoke proptest feedback persist benchbuild
+check: vet lint-refs race stress smoke proptest persist benchbuild
 
 # Property-based differential harness: PROPCASES random documents, four
 # random queries each, every join strategy ± warm plan cache
@@ -73,10 +70,13 @@ proptest:
 # draining are exercised across interleavings. The pipelined join's
 # linearity, allocation, skip and governor-parity tests ride along, and
 # so does admission control: token bucket, weighted-fair queue, injected
-# and quota sheds (429/Retry-After) and client cancels (499).
+# and quota sheds (429/Retry-After) and client cancels (499). So does the
+# feedback loop: replan at the first cache hit, once per template, per
+# pinned document, never for forced strategies, under concurrent hits,
+# and never for a skipping scan.
 stress:
 	$(GO) test -race -timeout 120s -count=3 \
-		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Vectorized|Feedback|Pipelined|SkipTo|Admission|Shed|ClientCanceled' \
+		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Vectorized|Feedback|SkippingScan|Pipelined|SkipTo|Admission|Shed|ClientCanceled' \
 		./internal/exec ./internal/plan ./internal/join ./internal/nok ./internal/gov ./internal/fault ./internal/vexec ./internal/server .
 
 # Daemon smoke: build blossomd, boot it on a random port, POST one
@@ -85,26 +85,16 @@ stress:
 smoke:
 	sh scripts/smoke_blossomd.sh
 
-# Feedback-driven planning: the estimate→actual store's unit
-# invariants, the end-to-end divergence → replan → win regression
-# (EXPLAIN shows the replan, strategy flips from the cold plan, the
-# well-estimated control on the same corpus does not replan), and the
-# skipping-scan regression (a pipelined join that skips most of its
-# inner's postings must not read as drift).
-feedback:
-	$(GO) test -race -timeout 120s ./internal/feedback
-	$(GO) test -race -timeout 120s -count=1 -run 'Feedback|SkippingScan' \
-		./internal/exec
-
 # Persistent segment store: the codec round-trip / crash-safety /
 # eviction unit suite, the hardened storage decode, the restart
 # differential (every strategy, byte-identical results across a
-# persist→reopen cycle), and the daemon's -data round-trip
-# (collision refusal, persist on load, serve-from-store on restart).
+# persist→reopen cycle, and a store the previous release wrote), and the
+# daemon's -data round-trip (collision refusal, persist on load,
+# serve-from-store on restart).
 persist:
 	$(GO) test -race -timeout 180s ./internal/segstore ./internal/storage
 	$(GO) test -race -timeout 180s -count=1 \
-		-run 'Restart|AttachStore|Persist|Feedback' .
+		-run 'Restart|AttachStore|Persist' .
 	$(GO) test -timeout 180s -count=1 \
 		-run 'TestLoadBasenameCollision|TestDataDirRestart' ./cmd/blossomd
 
@@ -128,7 +118,8 @@ bench:
 # what left with the mapped segment columns: no non-test Go file imports
 # unsafe or sets a finalizer, and the constructors that wrapped mapped
 # arrays stay gone. One process serves one engine: the in-process shard
-# tier and the names only it needed do not come back.
+# tier and the names only it needed do not come back, and neither does
+# the hash-keyed feedback store the plan cache replaced.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -146,6 +137,11 @@ lint-refs:
 		-e 'DegradedInf[o]' -e 'shard\.Grou[p]' -e 'DrainAl[l]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
 		echo "lint-refs: reference to the retired in-process shard tier"; exit 1; fi
+	@if git grep -n -e 'internal/feedbac[k]' -e 'SetFeedbackTrigge[r]' -e 'PersistFeedbac[k]' \
+		-e 'RestoreFeedbac[k]' -e 'FeedbackSummarie[s]' -e 'feedback-drift-threshol[d]' \
+		-e 'feedback-min-sample[s]' -- \
+		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
+		echo "lint-refs: reference to the retired feedback store"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; the compact NestedList form must

@@ -38,11 +38,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 	"time"
 
 	"blossomtree/internal/exec"
-	"blossomtree/internal/feedback"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 	"blossomtree/internal/storage"
@@ -475,48 +473,6 @@ func Metrics() map[string]int64 {
 // FormatMetrics renders a metrics snapshot as sorted "name value" lines.
 func FormatMetrics(m map[string]int64) string {
 	return obs.Format(m)
-}
-
-// FeedbackSummaries returns the engine's feedback store — the
-// estimate→actual history of its own evaluations, which its planner
-// replans cached templates from — one summary per query hash, most
-// observed first. Safe to call concurrently with evaluations.
-func (e *Engine) FeedbackSummaries() []feedback.Summary { return e.x.State().Feedback.Summaries() }
-
-// FeedbackReport renders FeedbackSummaries as text: one block per query
-// hash with its strategy, sample count, latency EWMA, drift and replan
-// state, then one line per tracked operator comparing estimated and
-// observed cardinalities.
-func (e *Engine) FeedbackReport() string {
-	var sb strings.Builder
-	for _, q := range e.FeedbackSummaries() {
-		fmt.Fprintf(&sb, "%s strategy=%s n=%d lat_ewma=%.3fms drift=%.2fx",
-			q.Hash, q.Strategy, q.N, q.LatencyMS, q.Drift)
-		if q.Replanned {
-			fmt.Fprintf(&sb, " replans=%d", q.Replans)
-			if q.Judged {
-				verdict := "loss"
-				if q.Won {
-					verdict = "win"
-				}
-				sb.WriteString(" verdict=" + verdict)
-			}
-		}
-		sb.WriteByte('\n')
-		for _, op := range q.Ops {
-			fmt.Fprintf(&sb, "  op %s: est_out=%.0f act_out=%.1f act_scan=%.1f drift=%.2fx n=%d\n",
-				op.Key, op.EstOut, op.ActOut, op.ActScan, op.Drift, op.N)
-		}
-	}
-	return sb.String()
-}
-
-// SetFeedbackTrigger tunes when a plan-cache hit replans from feedback
-// history: at est/act drift driftThreshold or worse, once the query hash
-// has minSamples observations (and as many since its last replan). Zero
-// means the default (2.0, 32); history already gathered is kept.
-func (e *Engine) SetFeedbackTrigger(driftThreshold float64, minSamples int64) {
-	e.x.State().Feedback.SetConfig(feedback.Config{DriftThreshold: driftThreshold, MinSamples: minSamples})
 }
 
 // WritePrometheus renders the process-wide metrics registry — counters

@@ -41,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		explain   = fs.Bool("explain", false, "execute the query and print the annotated plan tree (cost estimates next to actual counters and timings)")
 		explOnly  = fs.Bool("explain-only", false, "print the plan with estimates only, without executing")
 		metrics   = fs.Bool("metrics", false, "print the engine metrics registry after the run")
-		fb        = fs.Bool("feedback", false, "print the feedback store (observed est/act cardinality history per query hash) after the run; most useful with -repeat")
 		noIndex   = fs.Bool("no-indexes", false, "disable tag indexes (streaming configuration)")
 		indent    = fs.Bool("indent", false, "pretty-print XML output")
 		quiet     = fs.Bool("count", false, "print only the result count")
@@ -129,14 +128,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	// report prints what -metrics and -feedback ask for: the process's
-	// counters, and the history of the engine that ran the query.
+	// report prints what -metrics asks for: the process's counters.
 	report := func() {
 		if *metrics {
 			fmt.Fprint(stdout, "-- metrics --\n"+blossomtree.FormatMetrics(blossomtree.Metrics()))
-		}
-		if *fb {
-			fmt.Fprint(stdout, "-- feedback --\n"+eng.FeedbackReport())
 		}
 	}
 	if *explOnly || *explain {

@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 // volatile matches what differs from run to run in the CLI's output:
 // clock readings and the process-unique query ID.
-var volatile = regexp.MustCompile(`\b(time|query_id|latency|lat_ewma)=\S+`)
+var volatile = regexp.MustCompile(`\b(time|query_id|latency)=\S+`)
 
 // golden compares got, with the volatile fields blanked, against
 // testdata/name.
@@ -64,20 +64,12 @@ func TestExplainOnly(t *testing.T) {
 
 // TestRepeat pins the prepared-statement path: the query is compiled
 // once, at Prepare, into the engine's own plan cache, and each of the
-// three runs logs a record served from it.
+// three runs logs a record served from it. The first run observes 2 of
+// the 4 books it estimated, so the second run replans once (drift 2)
+// and the third runs the replanned template.
 func TestRepeat(t *testing.T) {
 	stdout, stderr := blossom(t, "-repeat", "3", "-log", byStevens)
 	golden(t, "repeat.golden", append(stdout, stderr...))
-}
-
-// TestFeedback pins -feedback. Run twice in one process on purpose: the
-// report is the history of the engine that ran the query, so the second
-// invocation counts its own three executions again, not six.
-func TestFeedback(t *testing.T) {
-	for i := 0; i < 2; i++ {
-		stdout, _ := blossom(t, "-repeat", "3", "-count", "-feedback", byStevens)
-		golden(t, "feedback.golden", stdout)
-	}
 }
 
 func TestUsageErrors(t *testing.T) {

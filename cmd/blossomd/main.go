@@ -66,8 +66,6 @@ func main() {
 		logJSON    = flag.Bool("log-json", false, "emit the query log as JSON instead of text")
 		inflight   = flag.Int("max-inflight", 0, "admission control: cap concurrently evaluating queries, queueing up to 2N more (0 = off)")
 		tenantQPS  = flag.Float64("tenant-qps", 0, "admission control: per-tenant token-bucket rate, tenant = X-Tenant header (0 = off)")
-		fbDrift    = flag.Float64("feedback-drift-threshold", 0, "feedback loop: est/act drift ratio at which cached plans replan from history (0 = default 2.0)")
-		fbSamples  = flag.Int64("feedback-min-samples", 0, "feedback loop: observations required before a hash may replan (0 = default 32)")
 		dataDir    = flag.String("data", "", "persistent segment store directory: documents persist here on load and are served from their segments on restart without re-parsing")
 	)
 	flag.Var(&files, "load", "XML file to serve, registered under its basename as doc(\"…\") URI (repeatable)")
@@ -104,10 +102,6 @@ func main() {
 	if *noIndex {
 		eng = blossomtree.NewEngineNoIndexes()
 	}
-	if *fbDrift > 0 || *fbSamples > 0 {
-		eng.SetFeedbackTrigger(*fbDrift, *fbSamples)
-		logger.Info("feedback trigger tuned (0 = default)", "drift_threshold", *fbDrift, "min_samples", *fbSamples)
-	}
 	var store *blossomtree.SegmentStore
 	if *dataDir != "" {
 		st, err := blossomtree.OpenStore(*dataDir)
@@ -117,9 +111,6 @@ func main() {
 		store = st
 		for _, w := range store.Warnings() {
 			logger.Warn("segment store", "warning", w)
-		}
-		if err := eng.RestoreFeedback(store); err != nil {
-			logger.Warn("segment store", "warning", fmt.Sprintf("feedback restore: %v", err))
 		}
 		logger.Info("segment store opened", "dir", *dataDir, "catalog", store.String())
 	}
@@ -215,13 +206,6 @@ func main() {
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 			fatal(err)
-		}
-	}
-	if store != nil {
-		if err := eng.PersistFeedback(store); err != nil {
-			logger.Warn("segment store", "warning", fmt.Sprintf("feedback persist: %v", err))
-		} else {
-			logger.Info("feedback persisted", "dir", *dataDir)
 		}
 	}
 	logger.Info("bye")

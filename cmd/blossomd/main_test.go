@@ -220,7 +220,7 @@ func TestLoadBasenameCollision(t *testing.T) {
 // TestDataDirRestart: first run persists -load documents into -data;
 // the second run serves them from the segment store without re-parsing
 // (observable via the "served from segment store" log line) and answers
-// the same query identically. Graceful shutdown also persists feedback.
+// the same query identically.
 func TestDataDirRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
@@ -288,8 +288,8 @@ func TestDataDirRestart(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dataDir, "manifest.json")); err != nil {
 		t.Fatalf("no manifest after first run: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dataDir, "feedback.json")); err != nil {
-		t.Errorf("no feedback file after graceful shutdown: %v", err)
+	if _, err := os.Stat(filepath.Join(dataDir, "feedback.json")); !os.IsNotExist(err) {
+		t.Errorf("shutdown wrote a feedback file (stat: %v); plans learn per process", err)
 	}
 
 	// Restart: same flags, served from the store.

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"blossomtree/internal/core"
-	"blossomtree/internal/feedback"
 	"blossomtree/internal/flwor"
 	"blossomtree/internal/gov"
 	"blossomtree/internal/index"
@@ -63,10 +62,9 @@ type Engine struct {
 // it already holds, and dropping an engine drops the plans it cached —
 // and with them the documents. Nothing is allocated by capacity up front.
 type State struct {
-	Feedback *feedback.Store // estimate→actual history the cache replans from
 	Traces   *obs.TraceStore // recent queries, for scrape-and-inspect
-	plans    planCache
-	versions atomic.Uint64 // hands out snapshot versions
+	plans    planCache       // compiled templates, and what their first runs observed
+	versions atomic.Uint64   // hands out snapshot versions
 }
 
 // snapshot is an immutable view of the registered documents and their
@@ -112,14 +110,14 @@ func New() *Engine { return NewWithConfig(Config{BuildIndexes: true}) }
 
 // NewWithConfig returns an engine with explicit configuration.
 func NewWithConfig(cfg Config) *Engine {
-	// The exposition carries all three names from the first scrape.
+	// The exposition carries the cache's names from the first scrape.
 	obs.Default.Counter(obs.MetricPlanCacheHits)
 	obs.Default.Counter(obs.MetricPlanCacheMisses)
 	obs.Default.Counter(obs.MetricPlanCacheEvictions)
+	obs.Default.Counter(obs.MetricFeedbackReplans)
 	st := &State{
-		Feedback: feedback.NewStore(feedback.Config{}, nil),
-		Traces:   obs.NewTraceStore(512),
-		plans:    planCache{m: make(map[planKey]*list.Element)},
+		Traces: obs.NewTraceStore(512),
+		plans:  planCache{m: make(map[planKey]*list.Element)},
 	}
 	e := &Engine{cfg: cfg}
 	e.snap.Store(&snapshot{docs: map[string]entry{}, state: st, version: st.versions.Add(1)})
@@ -176,8 +174,8 @@ func (e *Engine) Add(uri string, doc *xmltree.Document) {
 // store with the engine. Documents are not parsed or decoded here: they
 // materialize lazily (read + decode, LRU-cached by the store) on first
 // resolution. Like Add, AttachStore publishes one new snapshot version,
-// so cached plans compiled against the previous catalog invalidate —
-// and the feedback store, keyed by query hash alone, carries over.
+// so cached plans compiled against the previous catalog invalidate, and
+// their successors learn from their own first runs.
 //
 // Heap documents registered under the same URI (before or after) shadow
 // the store's copy.
@@ -306,10 +304,9 @@ type Result struct {
 	// strategy).
 	NavReason string
 	// Replanned reports that the cached plan template was recompiled
-	// with history-corrected cardinalities before this evaluation,
-	// because its estimates had drifted from the feedback store's
-	// observed actuals by FeedbackDrift× (the ratio that crossed the
-	// threshold).
+	// with observed cardinalities before this evaluation, because its
+	// estimates had drifted from what its first run observed by
+	// FeedbackDrift× (the ratio that crossed the threshold).
 	Replanned     bool
 	FeedbackDrift float64
 }
@@ -455,11 +452,10 @@ func evalExpr(s *snapshot, q *parsed, opts plan.Options) (res *Result, err error
 		Replanned: c.replanned, FeedbackDrift: c.fbDrift}
 	if c.isPath {
 		res.Nodes = projectPathResult(c.q, instances, c.textTail)
-		return res, nil
-	}
-	if err := finishFLWOR(s, expr, c.q, res, g); err != nil {
+	} else if err := finishFLWOR(s, expr, c.q, res, g); err != nil {
 		return nil, err
 	}
+	c.record(pl.StatsTree())
 	return res, nil
 }
 
@@ -470,14 +466,12 @@ func evalExpr(s *snapshot, q *parsed, opts plan.Options) (res *Result, err error
 // holds plans shaped by the snapshot itself. hit reports whether the
 // cache served the entry.
 func compiledFor(s *snapshot, q *parsed, opts plan.Options) (*compiled, bool, error) {
-	bypass := opts.Index != nil || opts.Stats.Nodes != 0
-	var key planKey
-	if !bypass {
-		key = planKey{version: s.version, hash: obs.QueryHash(q.src), fp: planFingerprint(opts)}
+	key, cacheable := cacheKey(s, q, opts)
+	if cacheable {
 		if c, ok := s.state.plans.get(key); ok {
-			// A hit is where the feedback loop closes: if observed history
-			// has drifted past the threshold, the template is recompiled
-			// with corrected cardinalities and re-cached under this key.
+			// A hit is where the feedback loop closes: if the template's
+			// first run drifted from its estimates, it is recompiled with
+			// the observed cardinalities and re-cached under this key.
 			if c2 := maybeReplan(s, q.expr, key, c, opts); c2 != nil {
 				return c2, true, nil
 			}
@@ -488,10 +482,20 @@ func compiledFor(s *snapshot, q *parsed, opts plan.Options) (*compiled, bool, er
 	if err != nil {
 		return nil, false, err
 	}
-	if !bypass {
+	if cacheable {
+		c.learns = opts.Strategy == plan.Auto || opts.Strategy == plan.CostBased
 		s.state.plans.put(key, c)
 	}
 	return c, false, nil
+}
+
+// cacheKey returns the plan-cache key of q under opts, and false when
+// caller-supplied planning inputs make the compilation uncacheable.
+func cacheKey(s *snapshot, q *parsed, opts plan.Options) (planKey, bool) {
+	if opts.Index != nil || opts.Stats.Nodes != 0 {
+		return planKey{}, false
+	}
+	return planKey{version: s.version, hash: obs.QueryHash(q.src), fp: planFingerprint(opts)}, true
 }
 
 // compileTemplate runs the full compile pipeline and builds the
@@ -552,15 +556,11 @@ func (e *Engine) Explain(src string, opts plan.Options) (string, error) {
 	return explain(e.snapshot(), q, opts)
 }
 
-// explain renders EXPLAIN / EXPLAIN ANALYZE against a fixed snapshot.
-// The feedback store is consulted the same way a cache hit would: a
-// query whose history armed a replan explains cost-based with hints,
-// and a hash with enough history gets a feedback header line.
+// explain renders EXPLAIN / EXPLAIN ANALYZE against a fixed snapshot;
+// plain EXPLAIN renders the template the next run would execute.
 func explain(s *snapshot, q *parsed, opts plan.Options) (string, error) {
-	popts, fbLine := feedbackExplainOpts(s.state.Feedback, q.src, opts)
 	if opts.Analyze {
-		// The evaluation applies any armed replan itself on its cache hit,
-		// so it takes the caller's options, not the mirrored ones.
+		// The evaluation takes any pending replan itself on its cache hit.
 		res, err := evalExpr(s, q, opts)
 		if err != nil {
 			return "", err
@@ -570,9 +570,9 @@ func explain(s *snapshot, q *parsed, opts plan.Options) (string, error) {
 			// report the row count.
 			return navExplain(res.NavReason) + fmt.Sprintf("  rows: %d\n", len(res.Envs)+len(res.Nodes)), nil
 		}
-		return res.Plan.Explain() + fbLine + res.Plan.ExplainCosts() + res.Plan.ExplainTree(true), nil
+		return res.Plan.Explain() + res.Plan.ExplainCosts() + res.Plan.ExplainTree(true), nil
 	}
-	c, err := compileTemplate(s, q.expr, popts)
+	c, err := nextTemplate(s, q, opts)
 	if err != nil {
 		return "", err
 	}
@@ -581,11 +581,28 @@ func explain(s *snapshot, q *parsed, opts plan.Options) (string, error) {
 	}
 	// Building the operator tree records the access-method notes and
 	// creates the stats tree the estimate columns render from.
-	pl := c.tmpl.Fork(popts)
+	pl := c.tmpl.Fork(opts)
 	if _, err := pl.Operator(); err != nil {
 		return "", err
 	}
-	return pl.Explain() + fbLine + pl.ExplainCosts() + pl.ExplainTree(false), nil
+	return pl.Explain() + pl.ExplainCosts() + pl.ExplainTree(false), nil
+}
+
+// nextTemplate returns, without touching the cache's counters or order,
+// the template the next evaluation of q would execute: the cached one,
+// unless its next hit will replan it.
+func nextTemplate(s *snapshot, q *parsed, opts plan.Options) (*compiled, error) {
+	if key, ok := cacheKey(s, q, opts); ok {
+		if c, ok := s.state.plans.peek(key); ok {
+			hints, _, pending := c.replanHints()
+			if !pending || c.decided.Load() {
+				return c, nil
+			}
+			opts.Strategy = plan.CostBased
+			opts.CardHints = hints
+		}
+	}
+	return compileTemplate(s, q.expr, opts)
 }
 
 // check compile-checks q against s, surfacing planning errors before

@@ -1,96 +1,109 @@
 package exec
 
-// The executor's side of the feedback loop (ROADMAP item 3). Two hooks
-// close the estimate→actual circle, both on the evaluating engine's own
-// store (State.Feedback):
+// The feedback loop lives in the plan cache. A cached template the
+// planner chose (Auto or cost-based) records its first successful run's
+// per-vertex cardinalities; the next cache hit compares them with the
+// template's own estimates and, when they drift by replanDrift or more,
+// recompiles the template cost-based with the observations injected as
+// plan.Options.CardHints and re-caches it under the same key. The
+// replacement is marked replanned and never replans again.
 //
-//   - telemetry.emit records every successful planned evaluation's
-//     per-operator est/act counters into it, keyed by the query-text
-//     hash (not the snapshot version — history is a property of the
-//     engine's workload and survives Add churn);
-//   - compiledFor, on a plan-cache hit, asks the store whether the
-//     cached template's estimates have drifted past the threshold and,
-//     if so, recompiles it cost-based with the observed cardinalities
-//     injected as plan.Options.CardHints and re-caches it under the
-//     same key.
-//
-// Forced strategies still observe (their actuals warm the store) but
-// never replan — a user who pinned a strategy gets that strategy.
+// One observation is exact, not a sample: a template is compiled against
+// one immutable snapshot, so its cardinalities are the same on every run.
+// An Add publishes a new snapshot version, hence a new template and one
+// new decision; an all-documents fan-out pins each document to its own
+// version, so every document decides on its own observations. Forced
+// strategies never replan — a user who pinned a strategy gets that
+// strategy.
 
 import (
-	"fmt"
 	"math"
 
-	"blossomtree/internal/feedback"
 	"blossomtree/internal/flwor"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 )
 
-// feedbackOps walks a stats tree and aggregates the est/act counters of
-// every operator carrying a FeedbackKey, one observation per key (two
-// NoKs may share a root label; their counters sum, matching how a hint
-// on that label prices both).
-func feedbackOps(st *obs.OpStats) []feedback.OpObservation {
-	agg := make(map[string]*feedback.OpObservation)
-	var order []string
+// replanDrift is the est/act ratio (the larger of the over- and
+// under-estimate directions) at or past which a cache hit replans.
+const replanDrift = 2.0
+
+// observation is one feedback key's estimated and actual cardinality in a
+// template's first successful run.
+type observation struct{ est, act float64 }
+
+// observe walks a stats tree and aggregates the est/act counters of every
+// operator carrying a FeedbackKey, one observation per key (two NoKs may
+// share a root label; their counters sum, matching how a hint on that
+// label prices both).
+func observe(st *obs.OpStats) map[string]observation {
+	out := make(map[string]observation)
 	var walk func(*obs.OpStats)
 	walk = func(s *obs.OpStats) {
-		if s == nil {
-			return
-		}
 		if s.FeedbackKey != "" {
-			o, ok := agg[s.FeedbackKey]
-			if !ok {
-				o = &feedback.OpObservation{Key: s.FeedbackKey, EstOut: -1, EstNodes: -1}
-				agg[s.FeedbackKey] = o
-				order = append(order, s.FeedbackKey)
-			}
-			if s.EstOut >= 0 {
-				o.EstOut = math.Max(o.EstOut, 0) + s.EstOut
-			}
-			if s.EstNodes >= 0 {
-				o.EstNodes = math.Max(o.EstNodes, 0) + s.EstNodes
-			}
+			o := out[s.FeedbackKey]
+			o.est += math.Max(s.EstOut, 0)
 			// A skipped candidate counts as a would-be match: the
 			// observation tracks the vertex's cardinality — the thing
 			// EstOut estimates and a hint replaces — not how much of it
 			// the consuming join happened to pull.
-			o.Emitted += s.Emitted() + s.Skipped()
-			o.Scanned += s.Scanned()
+			o.act += float64(s.Emitted() + s.Skipped())
+			out[s.FeedbackKey] = o
 		}
 		for _, c := range s.Children {
 			walk(c)
 		}
 	}
 	walk(st)
-	out := make([]feedback.OpObservation, 0, len(order))
-	for _, k := range order {
-		out = append(out, *agg[k])
-	}
 	return out
 }
 
-// maybeReplan recompiles a cache-hit template with history-corrected
-// cardinalities when the feedback store reports drift past the
-// threshold, re-caching the result under the original key so later hits
-// get the corrected template directly. Returns nil when nothing
-// replans (the common case). Only strategy-choosing requests replan:
-// forced strategies and navigational-fallback entries pass through
-// untouched. The store's BeginReplan is an atomic check-and-arm, so
-// concurrent hits on the same hash arm at most one replan.
+// record keeps the first successful run's observations of a template that
+// learns; later runs leave them alone.
+func (c *compiled) record(st *obs.OpStats) {
+	if !c.learns || c.first.Load() != nil {
+		return
+	}
+	o := observe(st)
+	c.first.CompareAndSwap(nil, &o)
+}
+
+// replanHints returns the cardinality hints and the drift of a template
+// whose first run drifted from its estimates by replanDrift or more; ok
+// is false before the first run and for a well-estimated template. Both
+// sides are floored at 1 so empty results do not divide by zero.
+func (c *compiled) replanHints() (hints map[string]float64, drift float64, ok bool) {
+	first := c.first.Load()
+	if first == nil {
+		return nil, 0, false
+	}
+	drift = 1
+	hints = make(map[string]float64, len(*first))
+	for key, o := range *first {
+		est, act := math.Max(o.est, 1), math.Max(o.act, 1)
+		drift = math.Max(drift, math.Max(est/act, act/est))
+		hints[key] = act
+	}
+	return hints, drift, drift >= replanDrift
+}
+
+// maybeReplan takes a cache-hit template's one replan decision: the first
+// hit after its first run recompiles it cost-based with the observed
+// cardinalities when they drifted, re-caching the result under the
+// original key so later hits get it directly. Returns nil when nothing
+// replans (the common case). The decision is a compare-and-swap, so
+// concurrent hits on one template replan it at most once.
 func maybeReplan(s *snapshot, expr flwor.Expr, key planKey, c *compiled, opts plan.Options) *compiled {
-	if c.nav || (opts.Strategy != plan.Auto && opts.Strategy != plan.CostBased) {
+	if c.first.Load() == nil || !c.decided.CompareAndSwap(false, true) {
 		return nil
 	}
-	hints, drift, ok := s.state.Feedback.BeginReplan(key.hash)
+	hints, drift, ok := c.replanHints()
 	if !ok {
 		return nil
 	}
-	ropts := opts
-	ropts.Strategy = plan.CostBased
-	ropts.CardHints = hints
-	c2, err := compileTemplate(s, expr, ropts)
+	opts.Strategy = plan.CostBased
+	opts.CardHints = hints
+	c2, err := compileTemplate(s, expr, opts)
 	if err != nil || c2.nav {
 		// A query that compiled before compiles again; treat any surprise
 		// as "keep the working template" rather than failing the request.
@@ -99,35 +112,6 @@ func maybeReplan(s *snapshot, expr flwor.Expr, key planKey, c *compiled, opts pl
 	c2.replanned = true
 	c2.fbDrift = drift
 	s.state.plans.put(key, c2)
+	obs.Default.Add(obs.MetricFeedbackReplans, 1)
 	return c2
-}
-
-// feedbackExplainOpts mirrors the cache-hit replan on the explain
-// paths: when the query's history has armed a replan, EXPLAIN prices
-// the plan the way the executor now runs it (cost-based with hints).
-// It also renders the feedback header line, "" when the hash has too
-// little history to be worth a line (below MinSamples and never
-// replanned) so sparse test fixtures keep their golden output.
-func feedbackExplainOpts(fb *feedback.Store, src string, opts plan.Options) (plan.Options, string) {
-	sum, ok := fb.Lookup(obs.QueryHash(src))
-	if !ok {
-		return opts, ""
-	}
-	if sum.Replanned && (opts.Strategy == plan.Auto || opts.Strategy == plan.CostBased) {
-		hints := make(map[string]float64, len(sum.Ops))
-		for _, o := range sum.Ops {
-			hints[o.Key] = math.Max(o.ActOut, 1)
-		}
-		opts.Strategy = plan.CostBased
-		opts.CardHints = hints
-	}
-	cfg := fb.ConfigSnapshot()
-	if sum.N < cfg.MinSamples && !sum.Replanned {
-		return opts, ""
-	}
-	line := fmt.Sprintf("  feedback: n=%d, est/act drift=%.2fx", sum.N, sum.Drift)
-	if sum.Replanned {
-		line += ", replanned"
-	}
-	return opts, line + "\n"
 }

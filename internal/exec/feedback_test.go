@@ -1,12 +1,13 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
-	"blossomtree/internal/feedback"
+	"blossomtree/internal/gov"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 	"blossomtree/internal/xmltree"
@@ -39,25 +40,17 @@ func skewedDoc(t *testing.T, parts, skewEvery int) *xmltree.Document {
 	return doc
 }
 
-// feedbackEngine returns an engine whose own feedback store runs with
-// the test's tightened trigger.
-func feedbackEngine(cfg feedback.Config) *Engine {
-	e := New()
-	e.State().Feedback.SetConfig(cfg)
-	return e
-}
+// replans reads the process-wide replan counter.
+func replans() int64 { return obs.Default.Snapshot()[obs.MetricFeedbackReplans] }
 
-// TestFeedbackReplanFromHistory pins the whole loop end to end:
-// estimates drift from observed actuals, a cache hit replans onto a
-// different strategy with history-corrected cardinalities, the result
-// and EXPLAIN surface the replan, and the replan is judged a win. The
+// TestFeedbackReplanFromHistory pins the whole loop end to end: the
+// cold run's observations drift from the template's estimates, the
+// first cache hit replans onto a different strategy with the observed
+// cardinalities, and the result and EXPLAIN surface the replan. The
 // well-estimated control on the same corpus — every part matches — must
 // run the same number of times without replanning.
 func TestFeedbackReplanFromHistory(t *testing.T) {
-	// MinSamples well past RingSize so the first replan's judgement
-	// completes before the re-arm guard can open again, and the run
-	// count below stays under 2×MinSamples so exactly one replan fires.
-	e := feedbackEngine(feedback.Config{DriftThreshold: 2, MinSamples: 8, RingSize: 3})
+	e := New()
 	e.Add("skew", skewedDoc(t, 1000, 200))
 
 	for _, c := range []struct {
@@ -81,14 +74,10 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 		}
 		want := cold.Nodes
 
-		before := obs.Default.Snapshot()[obs.MetricFeedbackReplans]
-
-		// Warm the history past MinSamples, then keep running: the first
-		// cache hit at n >= MinSamples must replan, and every post-replan
-		// run must return the identical result.
-		var replanRun = -1
+		before := replans()
+		replanRun := -1
 		var last *Result
-		for i := 0; i < 13; i++ {
+		for i := 0; i < 12; i++ {
 			res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
 			if err != nil {
 				t.Fatalf("%s run %d: %v", q, i, err)
@@ -98,13 +87,13 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 			}
 			if res.Replanned && replanRun < 0 {
 				replanRun = i
-				if res.FeedbackDrift < 2 {
-					t.Errorf("replan drift = %v, want >= threshold 2", res.FeedbackDrift)
+				if res.FeedbackDrift < replanDrift {
+					t.Errorf("replan drift = %v, want >= %v", res.FeedbackDrift, replanDrift)
 				}
 			}
 			last = res
 		}
-		after := obs.Default.Snapshot()[obs.MetricFeedbackReplans]
+		after := replans()
 
 		if !c.wantReplan {
 			if replanRun >= 0 || after != before {
@@ -117,8 +106,8 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 			continue
 		}
 
-		if replanRun < 0 {
-			t.Fatal("no run executed a replanned template")
+		if replanRun != 0 {
+			t.Fatalf("first replanned run = %d, want the first cache hit (0)", replanRun)
 		}
 		if last.Plan.Strategy == coldStrategy {
 			t.Errorf("warm strategy %s did not flip from cold %s", last.Plan.Strategy, coldStrategy)
@@ -126,35 +115,112 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 		if !last.Replanned {
 			t.Error("post-replan runs lost the replanned mark")
 		}
-		if after <= before {
-			t.Errorf("feedback_replans_total did not move (%d -> %d)", before, after)
+		if after != before+1 {
+			t.Errorf("feedback_replans_total moved %d -> %d, want exactly one replan", before, after)
 		}
 
-		// EXPLAIN surfaces the history: the feedback header line with the
-		// replanned mark, and the cost model's hint note.
+		// EXPLAIN renders the template the next run executes: the
+		// replanned one, with the cost model's hint note.
 		expl, err := e.Explain(q, plan.Options{Strategy: plan.Auto})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(expl, "feedback: n=") || !strings.Contains(expl, "replanned") {
-			t.Errorf("EXPLAIN lacks the feedback header:\n%s", expl)
+		if !strings.Contains(expl, "cardinality hints applied to the cost model") ||
+			!strings.HasPrefix(expl, "plan strategy: "+last.Plan.Strategy.String()+"\n") {
+			t.Errorf("EXPLAIN does not render the replanned %s template:\n%s", last.Plan.Strategy, expl)
 		}
-		if !strings.Contains(expl, "cardinality hints applied to the cost model") {
-			t.Errorf("EXPLAIN lacks the hint note:\n%s", expl)
-		}
+	}
+}
 
-		// The store judged the replan against the pre-replan latency EWMA;
-		// the corrected plan scans a fraction of the twig's streams, so it
-		// must win.
-		sum, ok := e.State().Feedback.Lookup(obs.QueryHash(q))
-		if !ok {
-			t.Fatal("hash missing from feedback store")
+// TestFeedbackConverges: a misestimated query replans once, at its first
+// cache hit, and never again on the same snapshot; an Add gives a new
+// snapshot version, a new template and exactly one new decision. The
+// well-estimated control never replans.
+func TestFeedbackConverges(t *testing.T) {
+	const runs = 100
+	e := New()
+	e.Add("skew", skewedDoc(t, 200, 40))
+
+	// drive runs q runs times on the current snapshot and returns how far
+	// the replan counter moved. Run 0 compiles; every later run is a
+	// cache hit and must report Replanned exactly when wantReplan.
+	drive := func(q string, wantReplan bool) int64 {
+		t.Helper()
+		before := replans()
+		for i := 0; i < runs; i++ {
+			res, err := e.Eval(q)
+			if err != nil {
+				t.Fatalf("%s run %d: %v", q, i, err)
+			}
+			if res.Cached != (i > 0) {
+				t.Fatalf("%s run %d: Cached = %v", q, i, res.Cached)
+			}
+			if want := wantReplan && i > 0; res.Replanned != want {
+				t.Fatalf("%s run %d: Replanned = %v, want %v", q, i, res.Replanned, want)
+			}
 		}
-		if !sum.Judged {
-			t.Fatalf("replan not judged after %d post-replan runs: %+v", 13-replanRun, sum)
+		return replans() - before
+	}
+
+	const misestimated, control = "//part[bolt]//subpart", "//part//subpart"
+	if d := drive(misestimated, true); d != 1 {
+		t.Errorf("%d runs moved feedback_replans_total by %d, want 1", runs, d)
+	}
+	if d := drive(control, false); d != 0 {
+		t.Errorf("the well-estimated control moved feedback_replans_total by %d", d)
+	}
+
+	e.Add("other", mustParseDoc(t, "<other/>"))
+	if d := drive(misestimated, true); d != 1 {
+		t.Errorf("after an Add, %d runs moved feedback_replans_total by %d, want 1", runs, d)
+	}
+}
+
+// TestFeedbackFanOutDecidesPerDocument: an all-documents fan-out pins
+// each document to its own snapshot version, so each document's
+// template learns from its own first run. On the skewed document the
+// probe flips the twig plan; on the flat one — every part carries a
+// bolt — it is well estimated and must never replan, however many
+// evaluations of the same query text the other document contributes.
+// One worker keeps the order of evaluations fixed: when history was
+// keyed by query text, that order decided which document replanned.
+func TestFeedbackFanOutDecidesPerDocument(t *testing.T) {
+	const q = "//part[bolt]//subpart"
+	e := New()
+	e.Add("skew", skewedDoc(t, 1000, 200))
+	e.Add("flat", skewedDoc(t, 1000, 1))
+
+	var cold map[string]plan.Strategy
+	var last []DocResult
+	for call := 0; call < 40; call++ {
+		results, err := e.EvalAllDocs(q, plan.Options{}, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !sum.Won {
-			t.Errorf("replan judged a loss: %+v", sum)
+		for _, r := range results {
+			if r.Err != nil {
+				t.Fatalf("call %d, %s: %v", call, r.URI, r.Err)
+			}
+		}
+		if call == 0 {
+			cold = map[string]plan.Strategy{}
+			for _, r := range results {
+				cold[r.URI] = r.Result.Plan.Strategy
+			}
+		}
+		last = results
+	}
+	for _, r := range last {
+		switch r.URI {
+		case "skew":
+			if !r.Result.Replanned || r.Result.Plan.Strategy == cold["skew"] {
+				t.Errorf("skew: replanned=%v strategy %s (cold %s); its own first run calls for a flip",
+					r.Result.Replanned, r.Result.Plan.Strategy, cold["skew"])
+			}
+		case "flat":
+			if r.Result.Replanned {
+				t.Errorf("flat replanned (drift %.2f) although its own estimates hold", r.Result.FeedbackDrift)
+			}
 		}
 	}
 }
@@ -192,17 +258,16 @@ func rareFrequentDoc(t *testing.T, rares, inside, flagged, outside int) *xmltree
 // TestSkippingScanDoesNotArmReplan: the pipelined join skips the inner
 // scan over postings no outer contains, so the scan emits far fewer
 // instances than its vertex has matches. That is a property of the
-// join, not a misestimate of the vertex: the feedback observation stays
-// the vertex's cardinality (emitted + skipped), the drift stays under
-// the threshold and the plan is never replaced. A vertex that really
-// is misestimated — few of the f's a rare holds carry the flag the
-// query asks for — still drifts and still replans, skipping or not.
+// join, not a misestimate of the vertex: the observation stays the
+// vertex's cardinality (emitted + skipped), the drift stays under the
+// threshold and the plan is never replaced. A vertex that really is
+// misestimated — few of the f's a rare holds carry the flag the query
+// asks for — still drifts and still replans, skipping or not.
 func TestSkippingScanDoesNotArmReplan(t *testing.T) {
-	cfg := feedback.Config{DriftThreshold: 2, MinSamples: 8, RingSize: 3}
-	runs := 3 * int(cfg.MinSamples)
+	const runs = 24
 
 	const q = "//rare//f"
-	e := feedbackEngine(cfg)
+	e := New()
 	e.Add("lib", rareFrequentDoc(t, 4, 3, 0, 200))
 	for i := 0; i < runs; i++ {
 		res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
@@ -226,21 +291,11 @@ func TestSkippingScanDoesNotArmReplan(t *testing.T) {
 			}
 		}
 	}
-	sum, ok := e.State().Feedback.Lookup(obs.QueryHash(q))
-	if !ok || sum.N != int64(runs) || sum.Replanned {
-		t.Fatalf("history: ok=%v %+v", ok, sum)
-	}
-	for _, op := range sum.Ops {
-		if op.Drift >= cfg.DriftThreshold {
-			t.Errorf("op %s: drift %.2fx (est %.0f, observed %.1f) reaches the replan threshold",
-				op.Key, op.Drift, op.EstOut, op.ActOut)
-		}
-	}
 
 	// Same shape, inner vertex genuinely misestimated: 1 f in 30 inside
 	// a rare has the flag, the estimate is the tag count.
 	const qFlag = "//rare//f[flag]"
-	e = feedbackEngine(cfg)
+	e = New()
 	e.Add("lib", rareFrequentDoc(t, 6, 30, 1, 4))
 	replanned := false
 	for i := 0; i < runs && !replanned; i++ {
@@ -254,45 +309,41 @@ func TestSkippingScanDoesNotArmReplan(t *testing.T) {
 		replanned = res.Replanned
 	}
 	if !replanned {
-		sum, _ := e.State().Feedback.Lookup(obs.QueryHash(qFlag))
-		t.Errorf("a misestimated inner vertex never replanned: %+v", sum)
+		t.Error("a misestimated inner vertex never replanned")
 	}
 }
 
-// TestFeedbackForcedStrategyObservesButNeverReplans: forced strategies
-// contribute history but the replan trigger only fires for Auto and
-// cost-based evaluations.
+// TestFeedbackForcedStrategyObservesButNeverReplans: the replan
+// decision is only taken for Auto and cost-based evaluations — a
+// forced strategy keeps its plan however far its estimates drift.
 func TestFeedbackForcedStrategyObservesButNeverReplans(t *testing.T) {
 	const q = "//part[bolt]//subpart"
-	e := feedbackEngine(feedback.Config{DriftThreshold: 2, MinSamples: 2, RingSize: 2})
+	e := New()
 	e.Add("skew", skewedDoc(t, 200, 40))
 
+	before := replans()
 	for i := 0; i < 6; i++ {
 		res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Twig})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Replanned {
-			t.Fatalf("run %d: forced Twig evaluation replanned", i)
+		if res.Replanned || res.Plan.Strategy != plan.Twig {
+			t.Fatalf("run %d: forced Twig evaluation replanned=%v strategy=%s", i, res.Replanned, res.Plan.Strategy)
 		}
 	}
-	sum, ok := e.State().Feedback.Lookup(obs.QueryHash(q))
-	if !ok || sum.N != 6 {
-		t.Fatalf("forced runs did not observe history: ok=%v sum=%+v", ok, sum)
-	}
-	if sum.Replanned {
-		t.Error("forced runs armed a replan")
+	if after := replans(); after != before {
+		t.Errorf("forced runs moved feedback_replans_total %d -> %d", before, after)
 	}
 }
 
 // TestFeedbackStressConcurrentReplans hammers the feedback loop under
-// the race detector: concurrent queriers (whose cache hits race to arm
-// the same replan), catalog writers bumping the engine snapshot, and
-// readers walking summaries and EXPLAIN — the interleavings the
-// engine's store and plan cache must survive.
+// the race detector: concurrent queriers (whose cache hits race to take
+// the same template's replan decision), catalog writers bumping the
+// engine snapshot, and EXPLAIN readers peeking at the cache — the
+// interleavings the engine's plan cache must survive.
 func TestFeedbackStressConcurrentReplans(t *testing.T) {
 	const q = "//part[bolt]//subpart"
-	e := feedbackEngine(feedback.Config{DriftThreshold: 2, MinSamples: 2, RingSize: 2})
+	e := New()
 	e.Add("skew", skewedDoc(t, 120, 24))
 
 	// Establish the expected count before the racers start (the count
@@ -334,10 +385,9 @@ func TestFeedbackStressConcurrentReplans(t *testing.T) {
 			e.Add(fmt.Sprintf("extra-%d", i), doc)
 		}
 	}()
-	go func() { // readers: summaries and EXPLAIN race the writers
+	go func() { // readers: EXPLAIN races the writers and the replans
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			e.State().Feedback.Summaries()
 			if _, err := e.Explain(q, plan.Options{Strategy: plan.Auto}); err != nil {
 				t.Errorf("explain: %v", err)
 				return
@@ -345,4 +395,32 @@ func TestFeedbackStressConcurrentReplans(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestMergedScanBudget: the merged NoK scan is charged like the scans
+// it replaces — each visited element against the node budget — so a
+// budget that aborts the per-NoK scans aborts the merged one too, with
+// the replay scan reporting what the traversal scanned.
+func TestMergedScanBudget(t *testing.T) {
+	e := NewWithConfig(Config{})
+	e.Add("lib", mustParseDoc(t, "<lib>"+strings.Repeat("<book><author><last/></author></book>", 500)+"</lib>"))
+	const q = "//book[author]//last"
+
+	for _, merge := range []bool{false, true} {
+		opts := plan.Options{Strategy: plan.Pipelined, MergeScans: merge}
+		res, err := e.EvalOptions(q, opts)
+		if err != nil || len(res.Nodes) != 500 {
+			t.Fatalf("merge=%v unbudgeted: err %v", merge, err)
+		}
+
+		opts.Budget = gov.Budget{MaxNodes: 50}
+		_, err = e.EvalOptions(q, opts)
+		if !errors.Is(err, gov.ErrBudgetExceeded) || !strings.Contains(err.Error(), "scanned 51 nodes (budget 50)") {
+			t.Fatalf("merge=%v: err = %v, want the node budget to abort at 51 nodes", merge, err)
+		}
+		st, ok := gov.StatsOf(err)
+		if !ok || st.TotalScanned() != 51 {
+			t.Errorf("merge=%v: partial stats scanned %d nodes (ok=%v), want 51", merge, st.TotalScanned(), ok)
+		}
+	}
 }

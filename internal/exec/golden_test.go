@@ -29,6 +29,9 @@ func TestEngineExplainGolden(t *testing.T) {
 		{name: "order_by_ascending", query: `for $b in doc("bib.xml")//book order by $b/title ascending return $b`},
 		{name: "text_tail_path", query: `//book/title/text()`},
 		{name: "text_tail_descendant", query: `//book//text()`, opts: plan.Options{Strategy: plan.BoundedNL}},
+		// The warm run is the first cache hit after a run that saw 2 of
+		// the 4 books it estimated: it executes the replanned template,
+		// hint note and cost table included.
 		{name: "plan_cache_hit", query: `//book[author]/title`, warm: true},
 		// The vectorized strategy through the engine: the chain plan's
 		// EXPLAIN, and a warm repeat pinning that the columnar plan

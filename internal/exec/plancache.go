@@ -19,6 +19,7 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"blossomtree/internal/core"
 	"blossomtree/internal/obs"
@@ -50,7 +51,7 @@ func planFingerprint(opts plan.Options) string {
 	return fmt.Sprintf("%d|%t", opts.Strategy, opts.MergeScans)
 }
 
-// compiled is one immutable cache entry.
+// compiled is one cache entry, immutable but for its feedback fields.
 type compiled struct {
 	q      *core.Query
 	isPath bool
@@ -70,8 +71,15 @@ type compiled struct {
 	// navReason is the fragment violation that forced the fallback,
 	// surfaced by EXPLAIN.
 	navReason string
-	// replanned marks a template recompiled from feedback history after
-	// its estimates drifted from observed actuals; fbDrift is the
+	// learns marks a cached template the planner chose: first holds its
+	// first successful run's observations, and decided its one replan
+	// decision (feedback.go). These are the only fields written after the
+	// entry is cached.
+	learns  bool
+	first   atomic.Pointer[map[string]observation]
+	decided atomic.Bool
+	// replanned marks a template recompiled from its predecessor's
+	// observations after its estimates drifted from them; fbDrift is the
 	// est/act ratio that triggered it. Both flow into the query log and
 	// the Result so callers can see the loop act.
 	replanned bool
@@ -105,6 +113,18 @@ func (pc *planCache) get(k planKey) (*compiled, bool) {
 	}
 	pc.lru.MoveToFront(el)
 	obs.Default.Add(obs.MetricPlanCacheHits, 1)
+	return el.Value.(*planCacheEntry).c, true
+}
+
+// peek returns the cached compilation without counting a lookup or
+// touching the LRU order: EXPLAIN reads the cache, it does not use it.
+func (pc *planCache) peek(k planKey) (*compiled, bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	el, ok := pc.m[k]
+	if !ok {
+		return nil, false
+	}
 	return el.Value.(*planCacheEntry).c, true
 }
 

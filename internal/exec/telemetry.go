@@ -34,7 +34,7 @@ func NewQueryID() string {
 // fills the fields in as the evaluation progresses and emit runs in
 // its defer, on success, error and abort paths alike.
 type telemetry struct {
-	state    *State // the evaluating engine's trace ring and feedback store
+	state    *State // the evaluating engine's, for its trace ring
 	queryID  string
 	src      string // query text
 	strategy string // preset for navigational ("XH"); else read from plan
@@ -45,8 +45,8 @@ type telemetry struct {
 	// navReason carries the fragment violation that routed the query to
 	// the navigational fallback ("" for planned runs).
 	navReason string
-	// replanned/drift mark an evaluation running a feedback-replanned
-	// template (estimates drifted from observed history by drift×).
+	// replanned/drift mark an evaluation running a replanned template
+	// (estimates drifted from its predecessor's first run by drift×).
 	replanned bool
 	drift     float64
 }
@@ -59,16 +59,6 @@ func (t *telemetry) emit(opts plan.Options, res *Result, err error) {
 
 	st := t.statsTree(err)
 	t.state.Traces.Put(t.queryID, obs.NewTrace(t.queryID, st, elapsed))
-
-	// Feed the estimate→actual loop: every successful planned evaluation
-	// records its per-operator est/act counters into the engine's feedback
-	// store, keyed by query hash (single, batch and all-docs paths all
-	// reach this boundary, so they all contribute history).
-	if err == nil && t.plan != nil {
-		if ops := feedbackOps(t.plan.StatsTree()); len(ops) > 0 {
-			t.state.Feedback.Observe(obs.QueryHash(t.src), t.plan.Strategy.String(), elapsed.Seconds(), ops)
-		}
-	}
 
 	if opts.Logger == nil {
 		return

@@ -174,8 +174,11 @@ func Scan(m *Matcher, doc *xmltree.Document) []*nestedlist.List {
 // new XML tree node arrives, it is matched to both sets of frontier
 // nodes"), returning each matcher's instance sequence. The traversal
 // visits every node once; per-matcher match attempts are made at each
-// node, so total I/O is one scan regardless of the number of NoKs.
-func MultiScan(ms []*Matcher, doc *xmltree.Document) [][]*nestedlist.List {
+// node, so total I/O is one scan regardless of the number of NoKs. Like
+// a sequential scan, it charges each visited element to st and to g's
+// node budget at fault.SiteNoKScan, and the first violation ends it with
+// that error.
+func MultiScan(ms []*Matcher, doc *xmltree.Document, g *gov.Governor, st *obs.OpStats) ([][]*nestedlist.List, error) {
 	out := make([][]*nestedlist.List, len(ms))
 	for i, m := range ms {
 		if m.NoK.Root.IsDocRoot() {
@@ -188,14 +191,19 @@ func MultiScan(ms []*Matcher, doc *xmltree.Document) [][]*nestedlist.List {
 		if n.Kind != xmltree.ElementNode {
 			continue
 		}
+		st.AddScanned(1)
+		if err := g.Scanned(fault.SiteNoKScan, 1); err != nil {
+			return nil, err
+		}
 		for i, m := range ms {
 			if m.NoK.Root.IsDocRoot() || !m.NoK.Root.MatchesTag(n.Tag) {
 				continue
 			}
+			st.AddComparisons(1)
 			if l := m.MatchAt(n); l != nil {
 				out[i] = append(out[i], m.Expand(l)...)
 			}
 		}
 	}
-	return out
+	return out, nil
 }

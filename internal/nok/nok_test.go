@@ -310,13 +310,15 @@ func TestIteratorSkipToNoOps(t *testing.T) {
 
 func TestMultiScanMatchesIndividualScans(t *testing.T) {
 	doc := parse(t, bib)
-	cq1, m1 := singleNoKMatcher(t, `//book[author]`)
-	cq2, m2 := singleNoKMatcher(t, `//title`)
-	_ = cq1
-	_ = cq2
-	merged := MultiScan([]*Matcher{m1, m2}, doc)
-	if len(merged) != 2 {
-		t.Fatal("MultiScan shape wrong")
+	_, m1 := singleNoKMatcher(t, `//book[author]`)
+	_, m2 := singleNoKMatcher(t, `//title`)
+	st := obs.NewOpStats("NoKScan", "merged")
+	merged, err := MultiScan([]*Matcher{m1, m2}, doc, nil, st)
+	if err != nil || len(merged) != 2 {
+		t.Fatalf("MultiScan shape wrong (err %v)", err)
+	}
+	if got, want := st.Scanned(), int64(xmltree.ComputeStats(doc).Elements); got != want {
+		t.Errorf("merged scan charged %d nodes, want one per element (%d)", got, want)
 	}
 	if got, want := len(merged[0]), len(Scan(m1, doc)); got != want {
 		t.Errorf("NoK1 via MultiScan = %d, solo = %d", got, want)
@@ -329,8 +331,8 @@ func TestMultiScanMatchesIndividualScans(t *testing.T) {
 func TestMultiScanDocRootNoK(t *testing.T) {
 	doc := parse(t, bib)
 	_, m := singleNoKMatcher(t, `/bib/book`)
-	merged := MultiScan([]*Matcher{m}, doc)
-	if len(merged[0]) != 4 {
+	merged, err := MultiScan([]*Matcher{m}, doc, nil, nil)
+	if err != nil || len(merged[0]) != 4 {
 		t.Errorf("doc-root NoK via MultiScan = %d instances, want 4", len(merged[0]))
 	}
 }

@@ -300,14 +300,10 @@ const (
 	// MetricQueriesShed counts admission-control refusals (429 at the
 	// HTTP edge, internal/server).
 	MetricQueriesShed = "queries_shed_total"
-	// Feedback-loop counters (internal/feedback). Replans count cached
-	// templates recompiled with history-corrected cardinalities after
-	// their estimates drifted past the threshold; wins/losses judge each
-	// replan once enough post-replan latency samples accumulate, against
-	// the pre-replan latency EWMA.
+	// MetricFeedbackReplans counts cached templates recompiled with the
+	// cardinalities their first run observed, after those drifted from
+	// the template's estimates (at most once per template).
 	MetricFeedbackReplans = "feedback_replans_total"
-	MetricFeedbackWins    = "feedback_wins_total"
-	MetricFeedbackLosses  = "feedback_losses_total"
 )
 
 // HistQueryDuration is the registry name of the query-latency histogram

@@ -32,11 +32,11 @@ type OpStats struct {
 	EstOut float64
 
 	// FeedbackKey, when non-empty, names this operator for the feedback
-	// store: the telemetry boundary records the operator's est/act
-	// counters under (query hash, FeedbackKey) so later plan-cache hits
-	// can compare cached estimates against observed history. Planners set
-	// it to the stable label of the NoK/twig root the operator produces
-	// (the same label the cost model's CardHints are keyed by).
+	// loop: a cached template's first run records the operator's est/act
+	// counters under FeedbackKey, so its next plan-cache hit can compare
+	// the template's estimates against what happened. Planners set it to
+	// the stable label of the NoK/twig root the operator produces (the
+	// same label the cost model's CardHints are keyed by).
 	FeedbackKey string
 
 	// Children are the stats of the operator's input operators.
@@ -106,7 +106,7 @@ func (s *OpStats) AddScanned(n int64) {
 // join consuming it could rule them out by position. They are part of
 // scanned as well; the separate count is what lets the feedback loop
 // tell "this vertex has fewer matches than estimated" from "this join
-// did not need them" (see exec.feedbackOps).
+// did not need them" (see exec.observe).
 func (s *OpStats) AddSkipped(n int64) {
 	if s != nil && n != 0 {
 		s.skipped.Add(n)

@@ -36,7 +36,9 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 	}
 
 	// Merged-NoK optimization (§4.2): evaluate every sequentially-scanned
-	// NoK in one shared document traversal instead of one scan each.
+	// NoK in one shared document traversal instead of one scan each. The
+	// traversal is charged to the first replay's stats, so the plan's
+	// scanned total is the one traversal it made.
 	if p.opts.MergeScans && p.opts.Index == nil && p.Strategy != BoundedNL {
 		var ms []*nok.Matcher
 		for _, n := range d.NoKs {
@@ -44,10 +46,21 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 				ms = append(ms, matchers[n])
 			}
 		}
-		results := nok.MultiScan(ms, p.doc)
-		p.preScanned = make(map[*core.NoK][]*nestedlist.List, len(ms))
+		var first *obs.OpStats
+		if len(ms) > 0 {
+			first = p.scanStats(ms[0], "replay")
+		}
+		results, err := nok.MultiScan(ms, p.doc, p.gov, first)
+		if err != nil {
+			return nil, first, err
+		}
+		p.preScanned = make(map[*core.NoK]replay, len(ms))
 		for i, m := range ms {
-			p.preScanned[m.NoK] = results[i]
+			st := first
+			if i > 0 {
+				st = p.scanStats(m, "replay")
+			}
+			p.preScanned[m.NoK] = replay{ls: results[i], st: st}
 		}
 		p.note("merged %d NoK scans into one traversal", len(ms))
 	}
@@ -240,28 +253,36 @@ func (p *Plan) markCrossingUsed(c *core.Crossing) {
 	p.usedCrossings[c] = true
 }
 
-// baseScan picks the access method for a NoK's anchors: tag-index scan
-// when an index exists and the root has a selective name test,
-// sequential scan otherwise. The returned stats node carries the cost
+// replay is a NoK's share of the merged scan: its instances, and the
+// stats node its replaying base scan reports under.
+type replay struct {
+	ls []*nestedlist.List
+	st *obs.OpStats
+}
+
+// scanStats is the stats node of a NoK's base scan: it carries the cost
 // model's scan estimate and receives the scan's actual counters.
+func (p *Plan) scanStats(m *nok.Matcher, kind string) *obs.OpStats {
+	st := obs.NewOpStats("NoKScan", fmt.Sprintf("NoK%d %s", m.NoK.Index, kind))
+	st.EstNodes = p.scanCost(m.NoK)
+	st.EstOut = p.cardinality(m.NoK.Root)
+	// A cached template's first run records this scan's est/act counters
+	// under the root label — the key CardHints resolve on a replan.
+	st.FeedbackKey = m.NoK.Root.Label()
+	return st
+}
+
+// baseScan picks the access method for a NoK's anchors: a replay of the
+// merged scan, tag-index scan when an index exists and the root has a
+// selective name test, sequential scan otherwise.
 func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
-	scanStats := func(kind string) *obs.OpStats {
-		st := obs.NewOpStats("NoKScan", fmt.Sprintf("NoK%d %s", m.NoK.Index, kind))
-		st.EstNodes = p.scanCost(m.NoK)
-		st.EstOut = p.cardinality(m.NoK.Root)
-		// The telemetry boundary records this scan's est/act counters
-		// under the root label — the key CardHints resolve on a replan.
-		st.FeedbackKey = m.NoK.Root.Label()
-		return st
-	}
-	if ls, ok := p.preScanned[m.NoK]; ok {
-		st := scanStats("replay")
-		return join.Instrument(join.NewSliceOperator(ls), st), st
+	if r, ok := p.preScanned[m.NoK]; ok {
+		return join.Instrument(join.NewSliceOperator(r.ls), r.st), r.st
 	}
 	if p.opts.Index != nil && !m.NoK.Root.IsDocRoot() && m.RootTest() != "*" && len(m.NoK.Root.Constraints) == 0 {
 		p.note("NoK%d anchors via tag index %q (%d candidates)",
 			m.NoK.Index, m.RootTest(), p.opts.Index.Count(m.RootTest()))
-		st := scanStats(fmt.Sprintf("index(%s)", m.RootTest()))
+		st := p.scanStats(m, fmt.Sprintf("index(%s)", m.RootTest()))
 		it := nok.NewIndexIterator(m, p.opts.Index.Nodes(m.RootTest()))
 		it.Gov = p.gov
 		it.Stats = st
@@ -269,7 +290,7 @@ func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
 		return join.Instrument(it, st), st
 	}
 	p.note("NoK%d anchors via sequential scan", m.NoK.Index)
-	st := scanStats("seq")
+	st := p.scanStats(m, "seq")
 	it := nok.NewIterator(m, p.doc)
 	it.Gov = p.gov
 	it.Stats = st

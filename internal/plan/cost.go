@@ -30,8 +30,8 @@ type CostEstimate struct {
 }
 
 // cardinality estimates how many elements match a vertex, preferring —
-// in order — feedback hints (observed output history injected by a
-// replan), exact index counts, and statistics. Hints are keyed by
+// in order — feedback hints (a cached template's observed output counts,
+// injected by its replan), exact index counts, and statistics. Hints are keyed by
 // Vertex.Label() so a hint targets the constrained vertex ("part[bolt]")
 // rather than every vertex sharing its tag.
 func (p *Plan) cardinality(v *core.Vertex) float64 {

@@ -87,8 +87,8 @@ type Options struct {
 	MergeScans bool
 	// CardHints overrides the cost model's cardinality synopsis for
 	// specific vertices, keyed by core.Vertex.Label(). The feedback loop
-	// injects observed output EWMAs here when a cached template's
-	// estimates drift from history, so a replan prices strategies with
+	// injects a cached template's first-run output counts here when they
+	// drift from its estimates, so the replan prices strategies with
 	// what actually happened instead of the static synopsis. Hints feed
 	// cardinality() only; avgRegion() keeps the static figures, because
 	// a region size is a document property, not a workload one.
@@ -154,7 +154,7 @@ type Plan struct {
 
 	usedCrossings map[*core.Crossing]bool
 	errChecks     []func() error
-	preScanned    map[*core.NoK][]*nestedlist.List
+	preScanned    map[*core.NoK]replay
 	// stats is the root of the per-operator statistics tree of the most
 	// recent Operator build; rebuilt fresh on every build so a plan
 	// explained and then executed does not double-count.

@@ -35,7 +35,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"blossomtree/internal/index"
@@ -44,7 +43,6 @@ import (
 
 const (
 	manifestName = "manifest.json"
-	feedbackName = "feedback.json"
 
 	// DefaultByteBudget bounds the resident (materialized) set: an
 	// estimate of the decoded trees' heap footprint.
@@ -568,26 +566,4 @@ func (st *Store) String() string {
 		s += fmt.Sprintf(", %d quarantined", bad)
 	}
 	return s
-}
-
-// SaveFeedback persists opaque feedback-store bytes (JSON) alongside
-// the segments, atomically.
-func (st *Store) SaveFeedback(data []byte) error {
-	return atomicWrite(st.dir, feedbackName, data)
-}
-
-// LoadFeedback returns the persisted feedback bytes, or (nil, nil) when
-// none have been saved.
-func (st *Store) LoadFeedback() ([]byte, error) {
-	raw, err := os.ReadFile(filepath.Join(st.dir, feedbackName))
-	if isNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !strings.HasPrefix(strings.TrimSpace(string(raw)), "{") {
-		return nil, fmt.Errorf("segstore: feedback file is not JSON")
-	}
-	return raw, nil
 }

@@ -354,23 +354,6 @@ func TestUpToDate(t *testing.T) {
 	}
 }
 
-func TestFeedbackFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := OpenDir(dir, Options{})
-	if data, err := st.LoadFeedback(); err != nil || data != nil {
-		t.Fatalf("fresh store feedback: %v %v", data, err)
-	}
-	payload := []byte(`{"version":1,"entries":[]}`)
-	if err := st.SaveFeedback(payload); err != nil {
-		t.Fatal(err)
-	}
-	st2, _ := OpenDir(dir, Options{})
-	got, err := st2.LoadFeedback()
-	if err != nil || string(got) != string(payload) {
-		t.Fatalf("feedback round trip: %q %v", got, err)
-	}
-}
-
 func TestDocStats(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := OpenDir(dir, Options{})

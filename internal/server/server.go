@@ -62,7 +62,6 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /feedback", s.handleFeedback)
 	s.mux.HandleFunc("GET /trace/{queryID}", s.handleTrace)
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -121,8 +120,8 @@ type QueryResponse struct {
 	// NavReason says why the query routed to the navigational fallback
 	// instead of a BlossomTree plan; absent for planned queries.
 	NavReason string `json:"nav_reason,omitempty"`
-	// Replanned marks an evaluation that ran a feedback-replanned plan
-	// template (estimates drifted from observed history by Drift×).
+	// Replanned marks an evaluation that ran a replanned plan template
+	// (its estimates drifted from its first run's observations by Drift×).
 	Replanned bool    `json:"replanned,omitempty"`
 	Drift     float64 `json:"drift,omitempty"`
 	// RetryAfterMS echoes the Retry-After hint of a shed (429) response
@@ -304,14 +303,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if err := blossomtree.WritePrometheus(w); err != nil && s.cfg.Logger != nil {
 		s.cfg.Logger.Warn("metrics exposition failed", "error", err)
 	}
-}
-
-// handleFeedback exposes the engine's feedback store: one JSON object
-// per tracked query hash with its observation count, latency EWMA,
-// per-operator est/act history, drift and replan state — the
-// serving-side view of the estimate→actual loop.
-func (s *Server) handleFeedback(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"queries": s.cfg.Engine.FeedbackSummaries()})
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

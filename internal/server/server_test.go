@@ -13,7 +13,6 @@ import (
 
 	"blossomtree"
 	"blossomtree/internal/fault"
-	"blossomtree/internal/feedback"
 	"blossomtree/internal/obs"
 )
 
@@ -531,42 +530,51 @@ func TestQueryEndpointNavReason(t *testing.T) {
 	}
 }
 
-// TestFeedbackEndpoint: repeated queries must show up in GET /feedback
-// with their observation counts.
-func TestFeedbackEndpoint(t *testing.T) {
-	ts := newTestServer(t)
-	const q = `//book[year>1900]/title`
+// TestReplanOnSecondPost: the second identical POST of a misestimated
+// query hits the template its first run taught — the reply says
+// "replanned":true with the drift, and feedback_replans_total moves.
+func TestReplanOnSecondPost(t *testing.T) {
+	// Parts nested in parts, one in fifty carrying the <bolt/> the query
+	// asks for: the twig root is estimated at every part.
+	var sb strings.Builder
+	sb.WriteString("<assembly>")
+	for i := 0; i < 500; i++ {
+		sb.WriteString("<part>")
+		if i%50 == 0 {
+			sb.WriteString("<bolt/>")
+		}
+		sb.WriteString("<subpart/><subpart/><part><subpart/></part></part>")
+	}
+	sb.WriteString("</assembly>")
+	e := blossomtree.NewEngine()
+	if err := e.LoadString("skew.xml", sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{Engine: e, MaxRequestTimeout: 5 * time.Second}))
+	t.Cleanup(ts.Close)
+
+	const q = `//part[bolt]//subpart`
+	before := blossomtree.Metrics()[obs.MetricFeedbackReplans]
+	var replies []QueryResponse
 	for i := 0; i < 3; i++ {
-		if status, res := postQuery(t, ts, QueryRequest{Query: q}); status != http.StatusOK || res.Verdict != "ok" {
+		status, res := postQuery(t, ts, QueryRequest{Query: q})
+		if status != http.StatusOK || res.Verdict != "ok" {
 			t.Fatalf("post %d: status = %d, verdict = %q", i, status, res.Verdict)
 		}
+		replies = append(replies, res)
 	}
-	httpRes, err := http.Get(ts.URL + "/feedback")
-	if err != nil {
-		t.Fatal(err)
+	if replies[0].Replanned {
+		t.Error("the first POST claims a replan")
 	}
-	defer httpRes.Body.Close()
-	if httpRes.StatusCode != http.StatusOK {
-		t.Fatalf("GET /feedback status = %d", httpRes.StatusCode)
-	}
-	var fb struct {
-		Queries []feedback.Summary `json:"queries"`
-	}
-	if err := json.NewDecoder(httpRes.Body).Decode(&fb); err != nil {
-		t.Fatal(err)
-	}
-	hash := obs.QueryHash(q)
-	for _, sum := range fb.Queries {
-		if sum.Hash != hash {
-			continue
+	for i, res := range replies[1:] {
+		if !res.Replanned || res.Drift < 2 || !res.Cached {
+			t.Errorf("post %d: replanned=%v drift=%v cached=%v, want a cached replan", i+1, res.Replanned, res.Drift, res.Cached)
 		}
-		if sum.N < 3 {
-			t.Errorf("repeated query has n = %d, want >= 3", sum.N)
+		if res.Count != replies[0].Count {
+			t.Errorf("post %d: count %d, want %d", i+1, res.Count, replies[0].Count)
 		}
-		if len(sum.Ops) == 0 {
-			t.Error("history has no per-operator cells")
-		}
-		return
 	}
-	t.Fatalf("hash %s missing from /feedback (%d entries)", hash, len(fb.Queries))
+	if after := blossomtree.Metrics()[obs.MetricFeedbackReplans]; after != before+1 {
+		t.Errorf("feedback_replans_total moved %d -> %d, want one replan", before, after)
+	}
 }

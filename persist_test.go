@@ -252,41 +252,59 @@ func TestPersistFileUpToDate(t *testing.T) {
 	}
 }
 
-// TestFeedbackPersistRoundTrip drives queries to build feedback
-// history, persists it, and verifies a restore into a second engine —
-// which starts with none — reproduces the report.
-func TestFeedbackPersistRoundTrip(t *testing.T) {
+// TestRestartFromParentDataDir: a -data directory written by the
+// previous release — a daemon that ran d2's Appendix-A suite and, on
+// shutdown, persisted its feedback history as feedback.json — still opens
+// and answers identically to a freshly generated document. Nothing
+// reads feedback.json any more; the file is left as it was.
+func TestRestartFromParentDataDir(t *testing.T) {
 	dir := t.TempDir()
-	e := loadFreshEngine(t)
-	for i := 0; i < 6; i++ {
-		if _, err := e.Query(`//book[price < 60]/title`); err != nil {
+	src := filepath.Join("testdata", "parent_data")
+	names, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		b, err := os.ReadFile(filepath.Join(src, n.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, n.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := e.FeedbackReport()
-	if before == "" {
-		t.Fatal("no feedback accumulated")
+	fbBefore, err := os.ReadFile(filepath.Join(dir, "feedback.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
+
 	st, err := blossomtree.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.PersistFeedback(st); err != nil {
-		t.Fatal(err)
+	if w := st.Warnings(); len(w) != 0 || !st.Has("d2") {
+		t.Fatalf("parent store: warnings %v, has d2 = %v", w, st.Has("d2"))
 	}
+	restarted := blossomtree.NewEngine()
+	restarted.AttachStore(st)
 
-	st2, err := blossomtree.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	// The daemon generated d2 with its default seed from -gen d2:300.
+	fresh := blossomtree.NewEngine()
+	fresh.LoadDocument("d2", xmlgen.MustGenerate("d2", xmlgen.Config{Seed: 1, TargetNodes: 300}))
+
+	for _, strat := range persistStrategies {
+		opts := blossomtree.Options{Strategy: strat}
+		for _, q := range xmlgen.Suite("d2") {
+			for run := 0; run < 3; run++ {
+				want := resultFingerprint(fresh.QueryWith(q.Text, opts))
+				got := resultFingerprint(restarted.QueryWith(q.Text, opts))
+				if got != want {
+					t.Fatalf("strategy=%s %s run %d:\n fresh:     %s\n restarted: %s", strat, q.ID, run, want, got)
+				}
+			}
+		}
 	}
-	e2 := loadFreshEngine(t)
-	if report := e2.FeedbackReport(); report != "" {
-		t.Fatalf("a fresh engine already has feedback history:\n%s", report)
-	}
-	if err := e2.RestoreFeedback(st2); err != nil {
-		t.Fatal(err)
-	}
-	if after := e2.FeedbackReport(); after != before {
-		t.Fatalf("feedback report changed across persist/restore:\nbefore:\n%s\nafter:\n%s", before, after)
+	if fbAfter, err := os.ReadFile(filepath.Join(dir, "feedback.json")); err != nil || string(fbAfter) != string(fbBefore) {
+		t.Errorf("feedback.json changed or vanished (err %v)", err)
 	}
 }

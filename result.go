@@ -130,8 +130,8 @@ func (r *Result) Cached() bool { return r.inner.Cached }
 func (r *Result) NavReason() string { return r.inner.NavReason }
 
 // Replanned reports whether the evaluation ran a plan template the
-// feedback loop had recompiled with history-corrected cardinalities,
-// after the cached template's estimates drifted from observed actuals.
+// feedback loop had recompiled with observed cardinalities, after the
+// cached template's estimates drifted from what its first run observed.
 func (r *Result) Replanned() bool { return r.inner.Replanned }
 
 // Drift returns the est/act ratio that triggered the replan (0 when

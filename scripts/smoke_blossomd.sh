@@ -213,78 +213,6 @@ if [ "$status" -ne 0 ]; then
 fi
 echo "smoke: clean shutdown (admission daemon)"
 
-# --- Feedback loop: a third daemon with a forced-drift trigger. -------
-# -feedback-drift-threshold 1.0 means any drift (the floor is exactly
-# 1.0) qualifies, and -feedback-min-samples 2 arms after two
-# observations — so the third identical query must replan: the response
-# carries "replanned":true, GET /feedback shows the hash with n >= 2,
-# and feedback_replans_total moves in /metrics.
-out3="$workdir/stdout3"
-log3="$workdir/stderr3"
-"$bin" -addr 127.0.0.1:0 -gen d2:2000 -feedback-drift-threshold 1.0 -feedback-min-samples 2 >"$out3" 2>"$log3" &
-pid=$!
-addr=
-for _ in $(seq 1 50); do
-    if ! kill -0 "$pid" 2>/dev/null; then
-        echo "smoke: feedback daemon died during startup" >&2
-        cat "$log3" >&2
-        exit 1
-    fi
-    addr=$(sed -n 's/^blossomd listening on //p' "$out3")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "smoke: feedback daemon never announced its address" >&2; exit 1; }
-echo "smoke: feedback daemon up at $addr (drift-threshold 1.0, min-samples 2)"
-
-resp=
-for i in 1 2 3; do
-    resp=$(curl -sS -X POST "http://$addr/query" \
-        -H 'Content-Type: application/json' \
-        -d '{"query": "//addresses//street_address"}')
-    case $resp in
-    *'"verdict":"ok"'*) ;;
-    *)
-        echo "smoke: feedback query $i did not succeed: $resp" >&2
-        exit 1
-        ;;
-    esac
-done
-case $resp in
-*'"replanned":true'*) ;;
-*)
-    echo "smoke: third identical query did not report a replan: $resp" >&2
-    exit 1
-    ;;
-esac
-echo "smoke: replan OK (third query reports replanned:true)"
-
-fb=$(curl -sS "http://$addr/feedback")
-n=$(printf %s "$fb" | sed -n 's/.*"n":\([0-9]*\).*/\1/p' | head -1)
-if [ -z "$n" ] || [ "$n" -lt 2 ]; then
-    echo "smoke: /feedback does not show the repeated hash with n >= 2: $fb" >&2
-    exit 1
-fi
-echo "smoke: /feedback OK (repeated query hash has n=$n)"
-
-replans=$(curl -sS "http://$addr/metrics" | sed -n 's/^blossomtree_feedback_replans_total //p')
-if [ -z "$replans" ] || [ "$replans" -lt 1 ]; then
-    echo "smoke: feedback_replans_total missing or zero after a forced-drift replan" >&2
-    exit 1
-fi
-echo "smoke: feedback counter OK (feedback_replans_total=$replans)"
-
-kill -TERM "$pid"
-status=0
-wait "$pid" || status=$?
-pid=
-if [ "$status" -ne 0 ]; then
-    echo "smoke: feedback daemon exited $status on SIGTERM" >&2
-    cat "$log3" >&2
-    exit 1
-fi
-echo "smoke: clean shutdown (feedback daemon)"
-
 # --- Persistent segment store: load-persist-restart round-trip. -------
 # The first run parses the XML file and persists it into -data; the
 # restart must announce "document served from segment store" (no
@@ -295,25 +223,25 @@ cat >"$xmlfile" <<'XML'
 <bib><book><title>TCP/IP Illustrated</title><price>65.95</price></book><book><title>Data on the Web</title><price>39.95</price></book></bib>
 XML
 
-out4="$workdir/stdout4"
-log4="$workdir/stderr4"
-"$bin" -addr 127.0.0.1:0 -data "$datadir" -load "$xmlfile" >"$out4" 2>"$log4" &
+out3="$workdir/stdout3"
+log3="$workdir/stderr3"
+"$bin" -addr 127.0.0.1:0 -data "$datadir" -load "$xmlfile" >"$out3" 2>"$log3" &
 pid=$!
 addr=
 for _ in $(seq 1 50); do
     if ! kill -0 "$pid" 2>/dev/null; then
         echo "smoke: persist daemon died during startup" >&2
-        cat "$log4" >&2
+        cat "$log3" >&2
         exit 1
     fi
-    addr=$(sed -n 's/^blossomd listening on //p' "$out4")
+    addr=$(sed -n 's/^blossomd listening on //p' "$out3")
     [ -n "$addr" ] && break
     sleep 0.1
 done
 [ -n "$addr" ] || { echo "smoke: persist daemon never announced its address" >&2; exit 1; }
-grep -q "document persisted" "$log4" || {
+grep -q "document persisted" "$log3" || {
     echo "smoke: first -data run did not persist the document:" >&2
-    cat "$log4" >&2
+    cat "$log3" >&2
     exit 1
 }
 resp=$(curl -sS -X POST "http://$addr/query" \
@@ -330,33 +258,32 @@ kill -TERM "$pid"
 status=0
 wait "$pid" || status=$?
 pid=
-[ "$status" -eq 0 ] || { echo "smoke: persist daemon exited $status on SIGTERM" >&2; cat "$log4" >&2; exit 1; }
+[ "$status" -eq 0 ] || { echo "smoke: persist daemon exited $status on SIGTERM" >&2; cat "$log3" >&2; exit 1; }
 [ -f "$datadir/manifest.json" ] || { echo "smoke: no manifest in $datadir after shutdown" >&2; exit 1; }
-[ -f "$datadir/feedback.json" ] || { echo "smoke: no feedback file in $datadir after graceful shutdown" >&2; exit 1; }
-echo "smoke: segment store persisted (manifest + feedback present)"
+echo "smoke: segment store persisted (manifest present)"
 
 # Restart against the same store: served from segments, ready fast.
-out5="$workdir/stdout5"
-log5="$workdir/stderr5"
+out4="$workdir/stdout4"
+log4="$workdir/stderr4"
 start_ns=$(date +%s%N)
-"$bin" -addr 127.0.0.1:0 -data "$datadir" -load "$xmlfile" >"$out5" 2>"$log5" &
+"$bin" -addr 127.0.0.1:0 -data "$datadir" -load "$xmlfile" >"$out4" 2>"$log4" &
 pid=$!
 addr=
 for _ in $(seq 1 50); do
     if ! kill -0 "$pid" 2>/dev/null; then
         echo "smoke: restarted daemon died during startup" >&2
-        cat "$log5" >&2
+        cat "$log4" >&2
         exit 1
     fi
-    addr=$(sed -n 's/^blossomd listening on //p' "$out5")
+    addr=$(sed -n 's/^blossomd listening on //p' "$out4")
     [ -n "$addr" ] && break
     sleep 0.1
 done
 [ -n "$addr" ] || { echo "smoke: restarted daemon never announced its address" >&2; exit 1; }
 ready_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
-grep -q "document served from segment store" "$log5" || {
+grep -q "document served from segment store" "$log4" || {
     echo "smoke: restart re-parsed instead of serving from the segment store:" >&2
-    cat "$log5" >&2
+    cat "$log4" >&2
     exit 1
 }
 if [ "$ready_ms" -ge 1000 ]; then
@@ -377,6 +304,6 @@ kill -TERM "$pid"
 status=0
 wait "$pid" || status=$?
 pid=
-[ "$status" -eq 0 ] || { echo "smoke: restarted daemon exited $status on SIGTERM" >&2; cat "$log5" >&2; exit 1; }
+[ "$status" -eq 0 ] || { echo "smoke: restarted daemon exited $status on SIGTERM" >&2; cat "$log4" >&2; exit 1; }
 echo "smoke: segment store restart OK (served from store, ready in ${ready_ms}ms)"
 echo "smoke: PASS"

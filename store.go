@@ -102,29 +102,6 @@ func (e *Engine) PersistFile(s *SegmentStore, uri, path string) error {
 	return e.persist(s, uri, &info)
 }
 
-// PersistFeedback writes the engine's feedback store — the
-// estimate→actual history cached-plan replanning feeds on — into the
-// store directory (feedback.json, atomically), so a restarted daemon
-// resumes the loop instead of relearning from scratch.
-func (e *Engine) PersistFeedback(s *SegmentStore) error {
-	data, err := e.x.State().Feedback.Export()
-	if err != nil {
-		return err
-	}
-	return s.st.SaveFeedback(data)
-}
-
-// RestoreFeedback replaces the engine's feedback history with the one
-// previously persisted into the store directory. A store with no
-// feedback file is a no-op.
-func (e *Engine) RestoreFeedback(s *SegmentStore) error {
-	data, err := s.st.LoadFeedback()
-	if err != nil || data == nil {
-		return err
-	}
-	return e.x.State().Feedback.Import(data)
-}
-
 func (e *Engine) persist(s *SegmentStore, uri string, info *segstore.SourceInfo) error {
 	doc, err := e.resolve(uri)
 	if err != nil {
