@@ -15,8 +15,9 @@
 #   make lint-refs — fail if a file still points at the retired second
 #                  benchmark harness, names one of the process-wide
 #                  globals the engines' own state replaced, the retired
-#                  shard tier or feedback store, or brings back unsafe, a
-#                  finalizer or the mapped-column names
+#                  shard tier or feedback store, TwigStack's path
+#                  solutions or string-keyed matches, or brings back
+#                  unsafe, a finalizer or the mapped-column names
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -119,7 +120,9 @@ bench:
 # unsafe or sets a finalizer, and the constructors that wrapped mapped
 # arrays stay gone. One process serves one engine: the in-process shard
 # tier and the names only it needed do not come back, and neither does
-# the hash-keyed feedback store the plan cache replaced.
+# the hash-keyed feedback store the plan cache replaced. TwigStack runs in
+# one pass over per-vertex lists: its path solutions and the string-keyed
+# matches and merge keys built from them stay gone.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -142,6 +145,9 @@ lint-refs:
 		-e 'feedback-min-sample[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
 		echo "lint-refs: reference to the retired feedback store"; exit 1; fi
+	@if git grep -n -e 'TwigMatc[h]' -e 'twigKe[y]' -e 'prefixKe[y]' -e 'pathStac[k]' -- \
+		'*.go' ':!benchmark/'; then \
+		echo "lint-refs: reference to TwigStack's retired path solutions or string-keyed matches"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; the compact NestedList form must

@@ -16,6 +16,7 @@ import (
 
 	"blossomtree"
 	"blossomtree/internal/core"
+	"blossomtree/internal/flwor"
 	"blossomtree/internal/index"
 	"blossomtree/internal/join"
 	"blossomtree/internal/nestedlist"
@@ -172,23 +173,39 @@ func BenchmarkMicroNoKMatch(b *testing.B) {
 }
 
 // BenchmarkMicroTwigStack measures the holistic join alone on a
-// three-level twig over d4.
+// three-level twig over d4, keeping one for-variable (the path's
+// result) and keeping two (an outer and an inner binding).
 func BenchmarkMicroTwigStack(b *testing.B) {
 	ds := dataset(b, "d4")
-	q, err := core.FromPath(xpath.MustParse(`//VP[//NP]//JJ`))
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := q.Tree.Roots[0].Children[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts, err := join.NewTwigStack(root, ds.Index)
+	for _, c := range []struct {
+		name, query string
+		vars        []string
+	}{
+		{"one-var", `for $j in doc("d4")//VP[//NP]//JJ return $j`, []string{"j"}},
+		{"two-var", `for $v in doc("d4")//VP[//NP], $j in $v//JJ return $j`, []string{"v", "j"}},
+	} {
+		q, err := core.FromFLWOR(flwor.MustParse(c.query))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ts.Run(); err != nil {
-			b.Fatal(err)
+		root := q.Tree.Roots[0].Children[0]
+		var keep []*core.Vertex
+		for _, v := range c.vars {
+			keep = append(keep, q.Vars[v])
 		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ts, err := join.NewTwigStack(root, ds.Index)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ts.Keep = keep
+				if rows, err := ts.Run(); err != nil || len(rows) == 0 {
+					b.Fatalf("%d rows, err %v", len(rows), err)
+				}
+			}
+		})
 	}
 }
 

@@ -262,17 +262,33 @@ func (b *builder) extend(anchor *Vertex, steps []xpath.Step, mode Mode, reuse bo
 }
 
 // reuseChild finds an existing equivalent child vertex for a
-// predicate-free name-test step.
+// predicate-free name-test step. A vertex on a for-variable's path is
+// not equivalent: it binds one match per iteration, while the
+// existential path ranges over all of them ($x/b in a where-clause is
+// every b child of $x, not the one $y in $x/b binds).
 func (b *builder) reuseChild(parent *Vertex, st xpath.Step, rel Rel) *Vertex {
 	if len(st.Preds) > 0 {
 		return nil
 	}
 	for _, c := range parent.Children {
-		if c.Test == st.Test && c.ParentRel == rel && len(c.Constraints) == 0 {
+		if c.Test == st.Test && c.ParentRel == rel && len(c.Constraints) == 0 && !bindsFor(c) {
 			return c
 		}
 	}
 	return nil
+}
+
+// bindsFor reports whether a for-variable binds v or a vertex below it.
+func bindsFor(v *Vertex) bool {
+	if v.ForBound {
+		return true
+	}
+	for _, c := range v.Children {
+		if bindsFor(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // predicates compiles a step's predicate list onto vertex v. Predicates

@@ -111,11 +111,16 @@ func hasConstructor(x flwor.Expr) bool {
 }
 
 // copyInto deep-copies a result subtree into the output document under
-// construction.
+// construction. A document node is replaced by its children (XQuery 1.0
+// §3.7.1.3).
 func copyInto(b *xmltree.Builder, n *xmltree.Node) {
 	switch n.Kind {
 	case xmltree.TextNode:
 		b.Text(n.Text)
+	case xmltree.DocumentNode:
+		for c := n.FirstChild; c != nil; c = c.NextSibling {
+			copyInto(b, c)
+		}
 	case xmltree.ElementNode:
 		attrs := make([]xmltree.Attr, len(n.Attrs))
 		copy(attrs, n.Attrs)

@@ -72,6 +72,11 @@ var differentialQueries = []string{
 	// Multi-clause iteration over the wider surface.
 	`for $x in doc("d")//a let $l := $x/b where exists($l//c) return $l`,
 	`for $x in doc("d")//a let $l := $x//b where $l/@id != "1" return <r>{ $x }</r>`,
+	// Dependent for-clauses: one twig keeping two variables, and a
+	// document variable above the twig.
+	`for $x in doc("d")//a, $y in $x//b return <r>{ $x }{ $y }</r>`,
+	`for $x in doc("d")//a[c], $y in $x/b return $y`,
+	`for $d in doc("d"), $x in $d//b[c] return $x`,
 }
 
 // differentialDocs generates the randomized document population: small

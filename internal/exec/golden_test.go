@@ -4,9 +4,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"blossomtree/internal/plan"
+	"blossomtree/internal/xmltree"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -74,23 +76,76 @@ func TestEngineExplainGolden(t *testing.T) {
 				got = s
 			}
 
-			path := filepath.Join("testdata", tc.name+".golden")
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run `go test ./internal/exec -run TestEngineExplainGolden -update`): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("EXPLAIN output drifted from %s.\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
+			checkGolden(t, tc.name, got)
 		})
+	}
+}
+
+// TestEngineResultGolden pins canonical answers every strategy must
+// agree on, including the navigational oracle: a wrong answer they all
+// share, or one only the planner's pick gives, shows as drift. The file
+// also names the strategy Auto chose.
+func TestEngineResultGolden(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a><b/><a><b/><c/></a><c/></a><a><c/></a><b><a><b><c/></b></a></b></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New()
+	e.Add("d", doc)
+	cases := []struct{ name, query string }{
+		// Auto plans TwigStack, whose twig starts below $d's vertex.
+		{name: "doc_var_twig", query: `for $d in doc("d"), $a in $d//a return $d`},
+		// A document node in element content is replaced by its children
+		// (XQuery 1.0 §3.7.1.3).
+		{name: "doc_node_content", query: `for $d in doc("d") return <x>{ $d }</x>`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			auto, err := e.Eval(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := Canonical(auto)
+			variants := append(strategyVariants(true), struct {
+				name string
+				opts plan.Options
+			}{"navigational", plan.Options{Strategy: plan.Navigational}})
+			for _, v := range variants {
+				res, err := e.EvalOptions(tc.query, v.opts)
+				if err != nil {
+					if v.opts.Strategy == plan.Twig && strings.Contains(err.Error(), "TwigStack") {
+						continue
+					}
+					t.Fatalf("%s: %v", v.name, err)
+				}
+				if s := Canonical(res); s != got {
+					t.Errorf("%s disagrees with auto:\n%s--- auto ---\n%s", v.name, s, got)
+				}
+			}
+			checkGolden(t, tc.name, auto.Plan.ExplainTree(false)+got)
+		})
+	}
+}
+
+// checkGolden compares got with testdata/<name>.golden, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test ./internal/exec -run Golden -update`): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s.\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }

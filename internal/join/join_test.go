@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,7 @@ import (
 	"blossomtree/internal/naveval"
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/nok"
+	"blossomtree/internal/obs"
 	"blossomtree/internal/xmlgen"
 	"blossomtree/internal/xmltree"
 	"blossomtree/internal/xpath"
@@ -132,7 +134,7 @@ func projectResults(ls []*nestedlist.List, slot int) []*xmltree.Node {
 			}
 		}
 	}
-	sortNodes(out)
+	slices.SortFunc(out, func(a, b *xmltree.Node) int { return a.Start - b.Start })
 	return out
 }
 
@@ -371,22 +373,94 @@ func twigRoot(t *testing.T, query string) (*core.Query, *core.Vertex) {
 	return q, root.Children[0]
 }
 
-func TestTwigStackSimple(t *testing.T) {
-	doc := parse(t, sampleDoc)
-	ix := index.Build(doc)
-	q, root := twigRoot(t, `//a//b`)
+// runTwig runs the twig rooted at root, keeping the given vertices, and
+// returns its rows.
+func runTwig(t *testing.T, root *core.Vertex, ix *index.TagIndex, keep ...*core.Vertex) ([][]*xmltree.Node, *TwigStack) {
+	t.Helper()
 	ts, err := NewTwigStack(root, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := ts.Run()
+	ts.Keep = keep
+	rows, err := ts.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resV := q.Vars["result"]
-	got := Project(matches, resV)
+	return rows, ts
+}
+
+// column returns one column of the rows.
+func column(rows [][]*xmltree.Node, i int) []*xmltree.Node {
+	out := make([]*xmltree.Node, len(rows))
+	for k, row := range rows {
+		out[k] = row[i]
+	}
+	return out
+}
+
+// bruteTwig is the twig oracle: it assigns every twig vertex (pre-order,
+// so a parent is bound before its children) to every document node its
+// edge admits, and returns the distinct combinations of keep's bindings
+// in document order of the columns.
+func bruteTwig(doc *xmltree.Document, root *core.Vertex, keep []*core.Vertex) [][]*xmltree.Node {
+	var order []*core.Vertex
+	var walk func(v *core.Vertex)
+	walk = func(v *core.Vertex) {
+		order = append(order, v)
+		for _, c := range v.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	var elems []*xmltree.Node
+	xmltree.Elements(doc.Root, func(n *xmltree.Node) { elems = append(elems, n) })
+	bound := map[*core.Vertex]*xmltree.Node{}
+	var rows [][]*xmltree.Node
+	var assign func(i int)
+	assign = func(i int) {
+		if i == len(order) {
+			row := make([]*xmltree.Node, len(keep))
+			for k, v := range keep {
+				row[k] = bound[v]
+				if v.IsDocRoot() {
+					row[k] = doc.Root
+				}
+			}
+			rows = append(rows, row)
+			return
+		}
+		v := order[i]
+		for _, n := range elems {
+			if !v.MatchesNode(n) {
+				continue
+			}
+			if v == root {
+				if v.Parent != nil && v.Parent.IsDocRoot() && v.ParentRel == core.RelChild && n.Level != 1 {
+					continue
+				}
+			} else if !v.ParentRel.Holds(bound[v.Parent], n) {
+				continue
+			}
+			bound[v] = n
+			assign(i + 1)
+		}
+	}
+	assign(0)
+	slices.SortFunc(rows, compareRows)
+	return slices.CompactFunc(rows, func(a, b []*xmltree.Node) bool { return compareRows(a, b) == 0 })
+}
+
+func sameRows(a, b [][]*xmltree.Node) bool {
+	return slices.EqualFunc(a, b, func(x, y []*xmltree.Node) bool { return slices.Equal(x, y) })
+}
+
+func TestTwigStackSimple(t *testing.T) {
+	doc := parse(t, sampleDoc)
+	ix := index.Build(doc)
+	q, root := twigRoot(t, `//a//b`)
+	rows, ts := runTwig(t, root, ix, q.Vars["result"])
 	want := oracle(t, doc, `//a//b`)
-	if !sameNodes(got, want) {
+	if got := column(rows, 0); !sameNodes(got, want) {
 		t.Errorf("TS //a//b: %v vs %v", got, want)
 	}
 	if ts.PushCount == 0 {
@@ -412,17 +486,9 @@ func TestTwigStackAppendixQueries(t *testing.T) {
 		for _, query := range queries[id] {
 			t.Run(id+"/"+query, func(t *testing.T) {
 				q, root := twigRoot(t, query)
-				ts, err := NewTwigStack(root, ix)
-				if err != nil {
-					t.Fatal(err)
-				}
-				matches, err := ts.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := Project(matches, q.Vars["result"])
+				rows, _ := runTwig(t, root, ix, q.Vars["result"])
 				want := oracle(t, doc, query)
-				if !sameNodes(got, want) {
+				if got := column(rows, 0); !sameNodes(got, want) {
 					t.Errorf("TS %s: %d nodes vs oracle %d", query, len(got), len(want))
 				}
 			})
@@ -430,13 +496,16 @@ func TestTwigStackAppendixQueries(t *testing.T) {
 	}
 }
 
-// TestQuickTwigStackEqualsOracle: random recursive docs × random twigs.
+var quickTwigQueries = []string{`//a//b`, `//a//b//c`, `//a[//b]//c`, `//a[//b][//c]`, `//a//a`,
+	`//b[//a//c]`, `//a/b`, `//a/b//c`, `/a//b`, `//a[b/c]//a`, `//*[a]/b`}
+
+// TestQuickTwigStackEqualsOracle: random recursive docs × random twigs,
+// the result vertex kept alone.
 func TestQuickTwigStackEqualsOracle(t *testing.T) {
-	queries := []string{`//a//b`, `//a//b//c`, `//a[//b]//c`, `//a[//b][//c]`, `//a//a`, `//b[//a//c]`, `//a/b`, `//a/b//c`}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b", "c"}, MaxNodes: 50, MaxDepth: 8, TextProb: -1})
-		query := queries[r.Intn(len(queries))]
+		query := quickTwigQueries[r.Intn(len(quickTwigQueries))]
 		ix := index.Build(doc)
 		q, err := core.FromPath(xpath.MustParse(query))
 		if err != nil {
@@ -448,19 +517,65 @@ func TestQuickTwigStackEqualsOracle(t *testing.T) {
 			t.Logf("NewTwigStack: %v", err)
 			return false
 		}
-		matches, err := ts.Run()
+		ts.Keep = []*core.Vertex{q.Vars["result"]}
+		rows, err := ts.Run()
 		if err != nil {
 			t.Logf("Run: %v", err)
 			return false
 		}
-		got := Project(matches, q.Vars["result"])
 		want, err := naveval.EvalPath(doc, xpath.MustParse(query))
 		if err != nil {
 			return false
 		}
-		if !sameNodes(got, want) {
+		if got := column(rows, 0); !sameNodes(got, want) {
 			t.Logf("TS %s: %d vs %d (seed %d)", query, len(got), len(want), seed)
 			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickTwigStackKeepEqualsBruteForce: several kept vertices — every
+// vertex, the document root with the result, and a random pair — give
+// exactly the brute-force enumeration's distinct combinations, in order.
+func TestQuickTwigStackKeepEqualsBruteForce(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b", "c"}, MaxNodes: 40, MaxDepth: 7, TextProb: -1})
+		query := quickTwigQueries[r.Intn(len(quickTwigQueries))]
+		ix := index.Build(doc)
+		q, err := core.FromPath(xpath.MustParse(query))
+		if err != nil {
+			return false
+		}
+		docRoot := q.Tree.Roots[0]
+		root := docRoot.Children[0]
+		var twig []*core.Vertex
+		for _, v := range q.Tree.Vertices {
+			if v != docRoot {
+				twig = append(twig, v)
+			}
+		}
+		pair := []*core.Vertex{twig[r.Intn(len(twig))], twig[r.Intn(len(twig))]}
+		for _, keep := range [][]*core.Vertex{twig, {docRoot, q.Vars["result"]}, pair} {
+			ts, err := NewTwigStack(root, ix)
+			if err != nil {
+				t.Logf("NewTwigStack: %v", err)
+				return false
+			}
+			ts.Keep = keep
+			got, err := ts.Run()
+			if err != nil {
+				t.Logf("Run: %v", err)
+				return false
+			}
+			if want := bruteTwig(doc, root, keep); !sameRows(got, want) {
+				t.Logf("TS %s keeping %d vertices: %d rows vs %d (seed %d)", query, len(keep), len(got), len(want), seed)
+				return false
+			}
 		}
 		return true
 	}
@@ -484,17 +599,8 @@ func TestTwigStackValueConstraint(t *testing.T) {
 	doc := parse(t, `<r><a><b>x</b></a><a><b>y</b></a></r>`)
 	ix := index.Build(doc)
 	q, root := twigRoot(t, `//a[//b="x"]`)
-	ts, err := NewTwigStack(root, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches, err := ts.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Project(matches, q.Vars["result"])
-	if len(got) != 1 {
-		t.Errorf("value-constrained twig = %d matches", len(got))
+	if rows, _ := runTwig(t, root, ix, q.Vars["result"]); len(rows) != 1 {
+		t.Errorf("value-constrained twig = %d matches", len(rows))
 	}
 }
 
@@ -701,11 +807,12 @@ func TestNestedLoopCanceled(t *testing.T) {
 func TestTwigStackCanceled(t *testing.T) {
 	doc := parse(t, sampleDoc)
 	ix := index.Build(doc)
-	_, root := twigRoot(t, `//a//b`)
+	q, root := twigRoot(t, `//a//b`)
 	ts, err := NewTwigStack(root, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts.Keep = []*core.Vertex{q.Vars["result"]}
 	ts.Gov = canceledGov(t)
 	if _, err := ts.Run(); !errors.Is(err, gov.ErrCanceled) {
 		t.Errorf("canceled twig run = %v, want ErrCanceled", err)
@@ -718,30 +825,58 @@ func TestTwigStackKeepReduces(t *testing.T) {
 	doc := parse(t, `<r><a><b/><b/><b/><c/><c/></a></r>`)
 	ix := index.Build(doc)
 	q, root := twigRoot(t, `//a[//b][//c]`)
-	full, err := NewTwigStack(root, ix)
-	if err != nil {
-		t.Fatal(err)
+	all := []*core.Vertex{root, root.Children[0], root.Children[1]}
+	if full, _ := runTwig(t, root, ix, all...); len(full) != 6 { // 3 b's × 2 c's
+		t.Errorf("full enumeration = %d, want 6", len(full))
 	}
-	fullMatches, err := full.Run()
-	if err != nil {
-		t.Fatal(err)
+	reduced, _ := runTwig(t, root, ix, q.Vars["result"])
+	if len(reduced) != 1 {
+		t.Errorf("reduced matches = %d, want 1", len(reduced))
 	}
-	if len(fullMatches) != 6 { // 3 b's × 2 c's
-		t.Errorf("full enumeration = %d, want 6", len(fullMatches))
+}
+
+// TestTwigStackKeepsDocumentRoot: a kept document-root vertex, the
+// twig's anchor, binds the document node in every row.
+func TestTwigStackKeepsDocumentRoot(t *testing.T) {
+	doc := parse(t, `<r><a><b/><a><b/><c/></a><c/></a><a><c/></a><b><a><b><c/></b></a></b></r>`)
+	ix := index.Build(doc)
+	q, root := twigRoot(t, `//a`)
+	rows, _ := runTwig(t, root, ix, q.Tree.Roots[0], root)
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want one per a (4)", len(rows))
 	}
-	reduced, err := NewTwigStack(root, ix)
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range rows {
+		if row[0] != doc.Root {
+			t.Errorf("document column bound to %v, want the document node", row[0])
+		}
 	}
-	reduced.Keep = []*core.Vertex{q.Vars["result"]}
-	redMatches, err := reduced.Run()
-	if err != nil {
-		t.Fatal(err)
+	if only, _ := runTwig(t, root, ix, q.Tree.Roots[0]); len(only) != 1 || only[0][0] != doc.Root {
+		t.Errorf("document root alone = %v, want one row binding the document node", only)
 	}
-	if len(redMatches) != 1 {
-		t.Errorf("reduced matches = %d, want 1", len(redMatches))
-	}
-	if got := Project(redMatches, q.Vars["result"]); len(got) != 1 {
-		t.Errorf("projection = %d", len(got))
+}
+
+// TestTwigStackScansEachStreamOnce: the one pass reads every vertex's
+// stream exactly once, so scanned equals the streams' total.
+func TestTwigStackScansEachStreamOnce(t *testing.T) {
+	doc := xmlgen.MustGenerate("d1", xmlgen.Config{Seed: 5, TargetNodes: 1500})
+	ix := index.Build(doc)
+	for _, query := range []string{`//a[//b2][//b1]//b3`, `//b1//c2[//c3]//b1`, `//a//c2/b1/c2/b1//c3`} {
+		q, root := twigRoot(t, query)
+		ts, err := NewTwigStack(root, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.Keep = []*core.Vertex{q.Vars["result"]}
+		ts.Stats = obs.NewOpStats("TwigStack", query)
+		if _, err := ts.Run(); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, v := range ts.vertices {
+			total += ix.Count(v.Test)
+		}
+		if got := ts.Stats.Scanned(); got != int64(total) {
+			t.Errorf("%s scanned %d, want the streams' total %d", query, got, total)
+		}
 	}
 }

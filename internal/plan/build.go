@@ -2,13 +2,14 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"time"
 
 	"blossomtree/internal/core"
 	"blossomtree/internal/join"
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/nok"
 	"blossomtree/internal/obs"
+	"blossomtree/internal/xmltree"
 )
 
 // component is a connected part of the join graph under construction:
@@ -304,7 +305,13 @@ func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
 func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok.Matcher, l core.Link) (join.Operator, *obs.OpStats, error) {
 	outerSlot := p.slotOf(l.Parent)
 	innerSlot := p.slotOf(l.Child.Root)
-	perPair := l.Child.Root.ForBound
+	// Per pair when the inner NoK binds a for-variable anywhere, not only
+	// at its root: the matcher unnests one instance per binding ($y in
+	// $x//b/a), and grouping them under one outer match would merge rows.
+	perPair := false
+	for v := range l.Child.Members {
+		perPair = perPair || v.ForBound
+	}
 	optional := l.Mode == core.Optional
 	detail := fmt.Sprintf("%s//NoK%d", l.Parent.Label(), l.Child.Index)
 	// Output-cardinality estimate: per-pair joins emit about one instance
@@ -371,7 +378,7 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 	}
 }
 
-// buildTwig runs the holistic TwigStack and adapts its matches to the
+// buildTwig runs the holistic TwigStack and adapts its rows to the
 // instance stream interface.
 func (p *Plan) buildTwig() (join.Operator, *obs.OpStats, error) {
 	root := p.Query.Tree.Roots[0]
@@ -407,66 +414,63 @@ func (p *Plan) buildTwig() (join.Operator, *obs.OpStats, error) {
 		}
 	}
 	ts.Stats = st
-	// Keep only the variables' bindings: the executor needs distinct
-	// variable combinations, not every existential witness.
+	// Keep only the variables' bindings, in returning-slot order: the
+	// executor needs distinct variable combinations, not every
+	// existential witness, and rows in column order are instances in
+	// document order of their returning slots. col maps a slot to its
+	// row column, -1 for a slot no variable binds.
+	vars := make(map[*core.Vertex]bool, len(p.Query.Vars))
 	for _, v := range p.Query.Vars {
-		ts.Keep = append(ts.Keep, v)
+		vars[v] = true
 	}
-	matches, err := ts.Run()
+	rt := p.Query.Return
+	col := make([]int, len(rt.Nodes))
+	for slot, rn := range rt.Nodes {
+		col[slot] = -1
+		if rn.Vertex != nil && vars[rn.Vertex] {
+			col[slot] = len(ts.Keep)
+			ts.Keep = append(ts.Keep, rn.Vertex)
+		}
+	}
+	// The twig runs here, at build time, not in the returned operator's
+	// GetNext: charge its time to the operator under EXPLAIN ANALYZE.
+	if p.opts.Analyze {
+		t0 := time.Now()
+		defer func() { st.AddElapsed(time.Since(t0)) }()
+	}
+	rows, err := ts.Run()
 	if err != nil {
-		// The twig runs at build time, so a governed abort here must
-		// still hand back the stats recorded up to the abort.
+		// A governed abort must still hand back the stats recorded up to
+		// the abort.
 		return nil, st, err
 	}
-	p.note("TwigStack produced %d matches (%d stack pushes)", len(matches), ts.PushCount)
-	ls := make([]*nestedlist.List, 0, len(matches))
-	for _, m := range matches {
-		ls = append(ls, p.matchToInstance(m))
+	p.note("TwigStack produced %d matches (%d stack pushes)", len(rows), ts.PushCount)
+	ls := make([]*nestedlist.List, len(rows))
+	for i, row := range rows {
+		l := nestedlist.NewInstance(rt)
+		// Every returning node gets one item (a placeholder where col is
+		// -1); their one-item groups share one backing array.
+		groups := make([]*nestedlist.Item, len(rt.Nodes))
+		rowItems(l, l.Root, rt.Root, row, col, groups)
+		ls[i] = l
 	}
-	// Twig matches arrive merge-grouped; order instances by their
-	// returning-slot nodes so downstream consumers see document order.
-	sort.SliceStable(ls, func(i, j int) bool {
-		return instanceKeyLess(ls[i], ls[j], p.Query.Return)
-	})
 	return join.Instrument(join.NewSliceOperator(ls), st), st, nil
 }
 
-// matchToInstance converts one TwigMatch into a NestedList instance:
-// each returning vertex contributes a single item, nested per the
-// returning tree.
-func (p *Plan) matchToInstance(m join.TwigMatch) *nestedlist.List {
-	rt := p.Query.Return
-	l := nestedlist.NewInstance(rt)
-	var build func(rn *core.ReturnNode, parent *nestedlist.Item)
-	build = func(rn *core.ReturnNode, parent *nestedlist.Item) {
-		node, bound := m[rn.Vertex.ID]
-		it := nestedlist.NewItem(node, len(rn.Children))
-		ord := rn.ChildOrdinal()
-		parent.Groups[ord] = append(parent.Groups[ord], it)
-		if bound {
-			l.SetFilled(rn.Slot)
+// rowItems adds the items of rn's children under parent: each returning
+// node's item holds its row column's node, nested per the returning
+// tree, and marks its slot filled when a column binds it.
+func rowItems(l *nestedlist.List, parent *nestedlist.Item, rn *core.ReturnNode, row []*xmltree.Node, col []int, groups []*nestedlist.Item) {
+	for ord, c := range rn.Children {
+		var node *xmltree.Node
+		if k := col[c.Slot]; k >= 0 {
+			node = row[k]
+			l.SetFilled(c.Slot)
 		}
-		for _, c := range rn.Children {
-			build(c, it)
-		}
+		groups[c.Slot] = nestedlist.NewItem(node, len(c.Children))
+		parent.Groups[ord] = groups[c.Slot : c.Slot+1 : c.Slot+1]
+		rowItems(l, groups[c.Slot], c, row, col, groups)
 	}
-	for _, c := range rt.Root.Children {
-		build(c, l.Root)
-	}
-	return l
-}
-
-func instanceKeyLess(a, b *nestedlist.List, rt *core.ReturnTree) bool {
-	for slot := 1; slot < len(rt.Nodes); slot++ {
-		an, bn := a.FirstNode(slot), b.FirstNode(slot)
-		if an == nil || bn == nil {
-			continue
-		}
-		if an.Start != bn.Start {
-			return an.Start < bn.Start
-		}
-	}
-	return false
 }
 
 // noKOfVertex resolves the NoK containing a vertex.
@@ -483,8 +487,9 @@ func (p *Plan) slotOf(v *core.Vertex) int {
 	return 0
 }
 
-// trivialNoK reports whether the NoK is a bare document-root vertex with
-// no returning members (it contributes nothing to instances).
+// trivialNoK reports whether the NoK is a bare document-root vertex no
+// variable binds: it contributes nothing to instances. A bound one scans
+// to the one document node its variable takes.
 func trivialNoK(n *core.NoK) bool {
-	return n.Root.IsDocRoot() && n.Size() == 1
+	return n.Root.IsDocRoot() && n.Size() == 1 && !n.Root.Returning
 }

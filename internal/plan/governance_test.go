@@ -10,6 +10,7 @@ import (
 	"blossomtree/internal/fault"
 	"blossomtree/internal/gov"
 	"blossomtree/internal/index"
+	"blossomtree/internal/xmlgen"
 	"blossomtree/internal/xmltree"
 )
 
@@ -101,6 +102,36 @@ func TestBudgetAbortCarriesPartialStats(t *testing.T) {
 				t.Fatal("partial stats render empty")
 			}
 		})
+	}
+}
+
+// TestTwigBudgetIsStreamTotal pins TwigStack's node charge to one pass
+// over its vertices' streams: on d1 at the benchmark's size (seed 1,
+// 2.5 % of Table 1) the branching //a[//b2][//b1]//b3 reads 15 355
+// stream elements, the cost model's estimate, so that budget suffices
+// and one node less aborts.
+func TestTwigBudgetIsStreamTotal(t *testing.T) {
+	doc := xmlgen.MustGenerate("d1", xmlgen.Config{Seed: 1, TargetNodes: 1_212_548 / 40})
+	ix := index.Build(doc)
+	run := func(maxNodes int64) (*Plan, error) {
+		p, err := Build(compilePath(t, `//a[//b2][//b1]//b3`), doc,
+			Options{Strategy: Twig, Index: ix, Budget: gov.Budget{MaxNodes: maxNodes}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.Execute()
+		return p, err
+	}
+	const total = 15_355
+	p, err := run(total)
+	if err != nil {
+		t.Fatalf("budget %d: %v", total, err)
+	}
+	if st := p.StatsTree(); st.Scanned() != total || st.EstNodes != total {
+		t.Errorf("scanned %d, estimated %.0f; want both %d", st.Scanned(), st.EstNodes, total)
+	}
+	if _, err := run(total - 1); !errors.Is(err, gov.ErrBudgetExceeded) {
+		t.Errorf("budget %d: Execute = %v, want ErrBudgetExceeded", total-1, err)
 	}
 }
 

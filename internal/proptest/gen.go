@@ -163,9 +163,10 @@ func (g *Gen) relSteps() string {
 	return sb.String()
 }
 
-// flworQuery generates a FLWOR expression: one or two for-clauses
-// (optionally with a positional variable), an optional let, an optional
-// where over the bound variables, optional order by, and a return.
+// flworQuery generates a FLWOR expression: one or two for-clauses (the
+// first optionally with a positional variable, the second over the
+// document or below $x), an optional let, an optional where over the
+// bound variables, optional order by, and a return.
 func (g *Gen) flworQuery() string {
 	two := g.pct(45)
 	pos := g.pct(20)
@@ -178,7 +179,14 @@ func (g *Gen) flworQuery() string {
 	}
 	fmt.Fprintf(&sb, `in doc("d")%s`, g.relSteps())
 	if two {
-		fmt.Fprintf(&sb, `, $y in doc("d")%s`, g.relSteps())
+		// Half the second clauses depend on $x, so both variables bind in
+		// one pattern tree (the shape TwigStack plans with two kept
+		// vertices); the other half start a second tree at the document.
+		src := `doc("d")`
+		if g.pct(50) {
+			src = "$x"
+		}
+		fmt.Fprintf(&sb, ", $y in %s%s", src, g.relSteps())
 	}
 	if hasLet {
 		fmt.Fprintf(&sb, " let $l := $x%s%s", g.sep(), g.tag())

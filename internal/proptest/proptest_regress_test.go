@@ -73,6 +73,22 @@ var regressions = []struct {
 		`<r><x id="1"><y id="a"/></x><x id="2"/><x/></r>`,
 		`for $x in doc("d")//x let $a := $x return <o>{ $a }</o>`,
 	},
+	// The generator's dependent second for-clause ($y in $x…) found two
+	// ways the planned strategies merged or dropped $y rows. A //-join
+	// whose inner NoK binds $y below its root grouped the inner matches
+	// under one outer match, putting every a in one row; and a where path
+	// equal to $y's ($x/b) reused $y's vertex, so the comparison read $y
+	// instead of ranging over all b children of $x.
+	{
+		"dependent-for/bound-below-inner-root",
+		`<r><c><b><a/><a/></b></c></r>`,
+		`for $x in doc("d")//c, $y in $x//b/a return <o>{ $y }</o>`,
+	},
+	{
+		"dependent-for/where-path-of-for-variable",
+		`<r><b><b><c>1</c></b><b><c>2</c></b></b></r>`,
+		`for $x in doc("d")/r/b, $y in $x/b where $x/b != $y/c return $y`,
+	},
 }
 
 func TestRegressions(t *testing.T) {
