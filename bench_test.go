@@ -255,13 +255,17 @@ func BenchmarkVectorizedJoin(b *testing.B) {
 // wide group that every inner is tested against (wide-outer), a rare
 // outer over a frequent inner where most postings are skipped
 // (sparse-outer), and an inner that lies almost wholly inside the outers
-// so there is nothing to skip (dense). It reports allocs/op (-benchmem)
-// and the scanned nodes per operation, skipped postings included.
+// so there is nothing to skip (dense), and predicates whose inners
+// nothing reads, which run as semi-joins: one witness per outer item, the
+// rest of the item skipped (existential). It reports allocs/op
+// (-benchmem) and the scanned nodes per operation, skipped postings
+// included.
 func BenchmarkPipelinedJoin(b *testing.B) {
 	for _, c := range []struct{ name, ds, query string }{
 		{"wide-outer", "d2", `//addresses//street_address//name_of_state`},
 		{"sparse-outer", "d5", `//phdthesis//author`},
 		{"dense", "d3", `//author//mailing_address//street_address`},
+		{"existential", "d2", `//address[//street_address][//zip_code][//name_of_city]`},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ds := dataset(b, c.ds)

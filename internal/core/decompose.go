@@ -104,6 +104,25 @@ func (d *Decomposition) NoKOf(v *Vertex) (*NoK, bool) {
 	return n, ok
 }
 
+// Unread reports whether nothing reads a NoK's matches beyond whether
+// they exist: no link leaves it, and every returning vertex in it is
+// Implicit, so no variable, projection or crossing reaches into it. A
+// grouping, mandatory link to such a NoK only decides which outer items
+// qualify — the plan runs it as a semi-join.
+func (d *Decomposition) Unread(n *NoK) bool {
+	for _, l := range d.Links {
+		if n.Contains(l.Parent) {
+			return false
+		}
+	}
+	for _, v := range n.ReturningVertices() {
+		if !v.Implicit {
+			return false
+		}
+	}
+	return true
+}
+
 // Decompose implements Algorithm 1: depth-first edge-cutting of the
 // (finalized) BlossomTree into interconnected NoK pattern trees. The set
 // S of pending NoK roots is initialized with the pattern-tree roots;

@@ -90,6 +90,59 @@ func (w *Instrumented) SkipTo(start int) {
 	}
 }
 
+// Witnesser is a stream of join nodes alone: NextWitness returns, in
+// document order, the node each instance of the stream would carry in
+// its join slot, or nil when exhausted, without building the instances.
+// It is what a semi-join reads from an inner that nothing else reads.
+// The nok.Iterator is the one implementation; slotWitnesses adapts any
+// other Operator.
+type Witnesser interface {
+	NextWitness() *xmltree.Node
+}
+
+// NextWitness forwards to the wrapped operator, recording the call and
+// the witness as GetNext records a call and an instance. The wrapped
+// operator must be a Witnesser (witnesses checks).
+func (w *Instrumented) NextWitness() *xmltree.Node {
+	start := w.Stats.Start()
+	n := w.Op.(Witnesser).NextWitness()
+	w.Stats.Stop(start)
+	w.Stats.AddCall()
+	if n != nil {
+		w.Stats.AddEmitted(1)
+	}
+	return n
+}
+
+// witnesses reports whether op produces witnesses of its own: it, or
+// the operator it instruments, is a Witnesser. Any other operator's
+// witnesses are read through a slotWitnesses adapter.
+func witnesses(op Operator) bool {
+	if w, ok := op.(*Instrumented); ok {
+		op = w.Op
+	}
+	_, ok := op.(Witnesser)
+	return ok
+}
+
+// slotWitnesses is the witness stream of any operator: each instance's
+// first node of slot, instances without one passed over. last is the
+// instance the latest witness came from.
+type slotWitnesses struct {
+	op   Operator
+	slot int
+	last *nestedlist.List
+}
+
+func (s *slotWitnesses) NextWitness() *xmltree.Node {
+	for s.last = s.op.GetNext(); s.last != nil; s.last = s.op.GetNext() {
+		if n := s.last.FirstNode(s.slot); n != nil {
+			return n
+		}
+	}
+	return nil
+}
+
 // Drain collects all remaining instances of an operator.
 func Drain(op Operator) []*nestedlist.List {
 	var out []*nestedlist.List

@@ -43,19 +43,32 @@ import (
 // InnerSlot is the inner NoK's root slot, which holds exactly one node
 // per instance.
 //
-// PerPair controls the emission mode: true emits one merged instance per
-// (outer, inner) pair — the for-bound case, where each inner match is its
-// own iteration; false groups all inner matches inside one outer
-// instance into a single merged instance — the existential case
-// (predicate subtrees, let-bound regions), keeping only the outer items
-// that have a witness below them. Optional keeps outer instances with no
-// inner match (the "l" link mode), emitting them with the inner region
-// left empty, and keeps witnessless items.
+// The join runs in one of three emission modes:
+//
+//   - per pair (PerPair): one merged instance per (outer, inner) pair —
+//     the for-bound case, where each inner match is its own iteration;
+//   - grouping (the default): all inner matches inside one outer
+//     instance are absorbed into a single merged instance, and only the
+//     outer items with a witness below them are kept — the existential
+//     case whose inner something reads (let-bound regions, predicate
+//     subtrees that a later join or a crossing reaches into);
+//   - semi (Semi, with PerPair false): the existential case whose inner
+//     nothing reads. The join reads the inner's join nodes alone
+//     (Witnesser; an operator that cannot produce them is adapted), marks
+//     every open outer item containing a witness, and skips the inner
+//     stream past them to the next item not yet reached: one witness per
+//     item is enough, and no inner instance is built or absorbed. The
+//     outer instance comes out as it came in, witnessless items pruned.
+//
+// Optional keeps outer instances with no inner match (the "l" link
+// mode), emitting them with the inner region left empty, and keeps
+// witnessless items.
 type PipelinedDescJoin struct {
 	Outer, Inner Operator
 	OuterSlot    int
 	InnerSlot    int
 	PerPair      bool
+	Semi         bool
 	Optional     bool
 
 	// Stats, when non-nil, accumulates the merge's comparison work for
@@ -67,28 +80,36 @@ type PipelinedDescJoin struct {
 	Gov *gov.Governor
 
 	skip    Skipper             // Inner, when it can skip; nil otherwise
+	src     Witnesser           // the inner's join nodes: Inner itself in semi mode when it can, &insts otherwise
+	insts   slotWitnesses       // Inner read instance by instance
 	m       *nestedlist.List    // current outer instance
 	view    nestedlist.SlotView // m's outer slot
 	open    []int               // view entries containing the merge position, outermost first
 	next    int                 // first view entry the merge position has not passed
-	n       *nestedlist.List    // current inner instance
-	nn      *xmltree.Node       // n's join node
+	cur     innerMatch          // current inner
 	matched bool                // current outer paired with at least one inner
 
 	// Duplicate-key state: the inners the nodes in runOf paired with, in
 	// order. While an outer instance with those same nodes re-reads them,
 	// replay < len(run) and the stream's lookahead waits in ahead.
-	run    []*nestedlist.List
+	run    []innerMatch
 	runOf  []*xmltree.Node
 	replay int
 	parked bool
-	ahead  *nestedlist.List
+	ahead  innerMatch
 
 	started bool
 	done    bool
 	// Err records a merge failure (malformed composition); the stream
 	// ends when it is set.
 	Err error
+}
+
+// innerMatch is one inner the merge holds: its join node, and outside
+// semi mode the instance carrying it.
+type innerMatch struct {
+	l *nestedlist.List
+	n *xmltree.Node
 }
 
 // GetNext returns the next joined instance or nil.
@@ -99,6 +120,11 @@ func (j *PipelinedDescJoin) GetNext() *nestedlist.List {
 	if !j.started {
 		j.started = true
 		j.skip, _ = j.Inner.(Skipper)
+		j.insts = slotWitnesses{op: j.Inner, slot: j.InnerSlot}
+		j.src = &j.insts
+		if j.Semi && !j.PerPair && witnesses(j.Inner) {
+			j.src = j.Inner.(Witnesser)
+		}
 		j.advanceOuter()
 		if j.m != nil {
 			j.seekInner()
@@ -113,7 +139,7 @@ func (j *PipelinedDescJoin) GetNext() *nestedlist.List {
 			j.done = true
 			return nil
 		}
-		if j.n == nil || j.nn.Start > j.view.Hi() {
+		if j.cur.n == nil || j.cur.n.Start > j.view.Hi() {
 			// The outer region ends before the inner node (or the inner
 			// stream has): no later inner can match this outer either.
 			if out := j.finishOuter(); out != nil || j.done {
@@ -129,11 +155,11 @@ func (j *PipelinedDescJoin) GetNext() *nestedlist.List {
 		}
 		j.matched = true
 		if !j.parked {
-			j.run = append(j.run, j.n)
+			j.run = append(j.run, j.cur)
 			j.replay = len(j.run)
 		}
 		if j.PerPair {
-			merged, err := j.view.Graft(top, j.n)
+			merged, err := j.view.Graft(top, j.cur.l)
 			if err != nil {
 				j.fail(err)
 				return nil
@@ -145,24 +171,40 @@ func (j *PipelinedDescJoin) GetNext() *nestedlist.List {
 			}
 			return merged
 		}
-		// Existential grouping: the inner joins the outer's accumulating
-		// copy, and every open item has gained a witness. An item below
-		// a marked one on the stack was marked with it, so the walk
-		// stops at the first marked item.
-		if err := j.view.Absorb(top, j.n); err != nil {
-			j.fail(err)
-			return nil
+		// Existential: every open item has gained a witness, and in
+		// grouping mode the inner joins the outer's accumulating copy. An
+		// item below a marked one on the stack was marked with it, so the
+		// walk stops at the first marked item.
+		if !j.Semi {
+			if err := j.view.Absorb(top, j.cur.l); err != nil {
+				j.fail(err)
+				return nil
+			}
 		}
 		for s := len(j.open) - 1; s >= 0 && j.view.Mark(j.open[s]); s-- {
+		}
+		if j.Semi && j.skip != nil {
+			j.skip.SkipTo(j.witnessedTo())
 		}
 		j.pullInner()
 	}
 }
 
+// witnessedTo returns where the inner stream may skip to once every open
+// entry holds a witness: no inner before the next unpassed entry's start
+// can mark another item, and when every entry has been passed, none
+// before the end of the outermost open one.
+func (j *PipelinedDescJoin) witnessedTo() int {
+	if j.next < j.view.Len() {
+		return j.view.Node(j.next).Start + 1
+	}
+	return j.view.Node(j.open[0]).End + 1
+}
+
 // container moves the merge position to the inner node and returns the
 // innermost outer entry containing it, or -1.
 func (j *PipelinedDescJoin) container() int {
-	at := j.nn.Start
+	at := j.cur.n.Start
 	for len(j.open) > 0 && j.view.Node(j.open[len(j.open)-1]).End < at {
 		j.open = j.open[:len(j.open)-1]
 	}
@@ -179,9 +221,8 @@ func (j *PipelinedDescJoin) container() int {
 	return j.open[len(j.open)-1]
 }
 
-// seekInner loads the next inner instance, first skipping the inner
-// stream to the next outer node when no open node could contain what
-// lies before it.
+// seekInner loads the next inner, first skipping the inner stream to the
+// next outer node when no open node could contain what lies before it.
 func (j *PipelinedDescJoin) seekInner() {
 	if j.skip != nil && len(j.open) == 0 && j.next < j.view.Len() {
 		j.skip.SkipTo(j.view.Node(j.next).Start + 1)
@@ -189,25 +230,19 @@ func (j *PipelinedDescJoin) seekInner() {
 	j.pullInner()
 }
 
-// pullInner loads the next inner instance that has a join node: from
-// the run a duplicate outer is re-reading, then from the stream.
+// pullInner loads the next inner that has a join node: from the run a
+// duplicate outer is re-reading, then from the stream.
 func (j *PipelinedDescJoin) pullInner() {
 	switch {
 	case j.replay < len(j.run):
-		j.n = j.run[j.replay]
+		j.cur = j.run[j.replay]
 		j.replay++
 	case j.parked:
-		j.parked, j.n, j.ahead = false, j.ahead, nil
+		j.parked, j.cur, j.ahead = false, j.ahead, innerMatch{}
 	default:
-		j.n = j.Inner.GetNext()
+		n := j.src.NextWitness()
+		j.cur = innerMatch{l: j.insts.last, n: n}
 	}
-	for j.n != nil {
-		if j.nn = j.n.FirstNode(j.InnerSlot); j.nn != nil {
-			return
-		}
-		j.n = j.Inner.GetNext()
-	}
-	j.nn = nil
 }
 
 // finishOuter ends the current outer instance and loads the next one.
@@ -253,7 +288,7 @@ func (j *PipelinedDescJoin) advanceOuter() {
 	if j.sameNodesAsRun() {
 		if len(j.run) > 0 {
 			// The outer before this one ended on the stream's lookahead.
-			j.parked, j.ahead, j.replay = true, j.n, 0
+			j.parked, j.ahead, j.replay = true, j.cur, 0
 			j.pullInner()
 		}
 		return

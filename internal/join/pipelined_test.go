@@ -3,8 +3,10 @@ package join
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"blossomtree/internal/core"
 	"blossomtree/internal/flwor"
@@ -24,6 +26,9 @@ type plQuery struct {
 	q  *core.Query
 	d  *core.Decomposition
 	ix *index.TagIndex
+	// semi runs the grouping joins over unread inners as semi-joins, as
+	// the planner does.
+	semi bool
 }
 
 func compilePL(t testing.TB, doc *xmltree.Document, query string) *plQuery {
@@ -89,6 +94,7 @@ func (pq *plQuery) chain(t testing.TB, g *gov.Governor, wrap func(Operator) Oper
 			PerPair: l.Child.Root.ForBound, Optional: l.Mode == core.Optional,
 			Gov: g, Stats: obs.NewOpStats("PipelinedDescJoin", l.Parent.Label()),
 		}
+		j.Semi = pq.semi && !j.PerPair && !j.Optional && pq.d.Unread(l.Child)
 		c.top, c.joins, c.inners = j, append(c.joins, j), append(c.inners, it)
 	}
 	return c
@@ -278,6 +284,34 @@ func TestPipelinedGovernorParity(t *testing.T) {
 			}
 		}
 	}
+
+	// The semi-join takes one witness per a and skips the rest of it, and
+	// is charged what the grouping join is.
+	pq := compilePL(t, doc, `//a[.//b]`)
+	grouped := func(maxNodes int64, semi bool) (int64, int, error) {
+		g := gov.New(nil, gov.Budget{MaxNodes: maxNodes}, nil)
+		pq.semi = semi
+		c := pq.chain(t, g, nil)
+		if c.joins[0].Semi != semi {
+			t.Fatalf("semi=%v: the join has Semi=%v", semi, c.joins[0].Semi)
+		}
+		n := len(Drain(c.top))
+		return g.NodesScanned(), n, c.err()
+	}
+	groupFull, as, err := grouped(1<<30, false)
+	if err != nil || as != 4 {
+		t.Fatalf("grouping run: %d a's, err %v", as, err)
+	}
+	semiFull, semiAs, err := grouped(1<<30, true)
+	if err != nil || semiAs != as || semiFull != groupFull {
+		t.Fatalf("semi run: %d a's charged %d (err %v), grouping %d a's charged %d", semiAs, semiFull, err, as, groupFull)
+	}
+	if _, _, err := grouped(semiFull, true); err != nil {
+		t.Errorf("semi with budget %d = its total: %v", semiFull, err)
+	}
+	if _, _, err := grouped(semiFull-1, true); !errors.Is(err, gov.ErrBudgetExceeded) {
+		t.Errorf("semi with budget %d, one under its total: err = %v, want abort", semiFull-1, err)
+	}
 }
 
 // TestPipelinedGroupingKeepsAbsorbingPastGaps: with several outer nodes
@@ -406,4 +440,202 @@ func TestInstrumentedForwardsSkipTo(t *testing.T) {
 		t.Errorf("scanned %d skipped %d, want 4 and 3", it.ScannedNodes, it.Stats.Skipped())
 	}
 	Instrument(NewSliceOperator(nil), obs.NewOpStats("x", "")).(Skipper).SkipTo(5)
+}
+
+// outerItems renders, per emitted instance, the nodes of every join's
+// outer slot: what a semi-join and a grouping join over the same inputs
+// must agree on.
+func outerItems(c *plChain, ls []*nestedlist.List) string {
+	var sb strings.Builder
+	for _, l := range ls {
+		for _, j := range c.joins {
+			l.VisitSlot(j.OuterSlot, func(n *xmltree.Node) bool {
+				fmt.Fprintf(&sb, "%d,", n.Start)
+				return true
+			})
+			sb.WriteByte('|')
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestQuickSemiKeepsGroupingItems: on random non-recursive documents, the
+// semi-join keeps exactly the outer items the grouping join keeps — over
+// a skipping index scan and over an inner that can neither skip nor
+// produce witnesses (read through the adapter) — and charges the same
+// scan.
+func TestQuickSemiKeepsGroupingItems(t *testing.T) {
+	queries := []string{`//a[.//c]`, `//a[.//b/d]`, `//a[.//b[d]][.//e]`, `//r[.//b//d]//c`,
+		`//b[.//d][.//e]`, `//a[.//c]/b`, `//a[.//*[.//d]]`}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		doc := randomNonRecursive(r, 40+r.Intn(80))
+		query := queries[r.Intn(len(queries))]
+		pq := compilePL(t, doc, query)
+		run := func(semi bool, wrap func(Operator) Operator) (string, int64, bool) {
+			pq.semi = semi
+			g := gov.New(nil, gov.Budget{}, nil)
+			c := pq.chain(t, g, wrap)
+			out := outerItems(c, Drain(c.top))
+			any := false
+			for _, j := range c.joins {
+				any = any || j.Semi
+			}
+			if err := c.err(); err != nil {
+				t.Logf("%s (semi=%v): %v", query, semi, err)
+			}
+			return out, g.NodesScanned(), any
+		}
+		want, wantScanned, _ := run(false, nil)
+		got, scanned, semi := run(true, nil)
+		hidden, hiddenScanned, _ := run(true, func(op Operator) Operator { return hideSkip{op} })
+		if !semi {
+			t.Logf("%s: no join ran as a semi-join", query)
+			return false
+		}
+		if got != want || hidden != want {
+			t.Logf("%s (seed %d): semi kept\n%s\nadapted semi kept\n%s\ngrouping kept\n%s", query, seed, got, hidden, want)
+			return false
+		}
+		if scanned != wantScanned || hiddenScanned != wantScanned {
+			t.Logf("%s (seed %d): scanned %d / %d, grouping %d", query, seed, scanned, hiddenScanned, wantScanned)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPipelinedSemiManyItemsPerInstance: in //r[.//b//d] one r instance
+// carries every b in the b//d join's outer slot. The semi-join keeps the
+// b's that hold a d and takes one witness per such b, skipping from it to
+// the next b: only the d after b 2, which has no witness of its own to
+// skip from, is pulled besides.
+func TestPipelinedSemiManyItemsPerInstance(t *testing.T) {
+	doc := parse(t, `<r><d/><b id="1"><d/><x><d/></x><d/></b><b id="2"/><d/><b id="3"><d/></b><b id="4"><x/><d/><d/></b></r>`)
+	pq := compilePL(t, doc, `//r[.//b//d]`)
+	pq.semi = true
+	var st *obs.OpStats
+	c := pq.chain(t, nil, func(op Operator) Operator {
+		st = obs.NewOpStats("NoKScan", "")
+		return Instrument(op, st)
+	})
+	j := c.joins[len(c.joins)-1]
+	if !j.Semi {
+		t.Fatal("the b//d join is not a semi-join")
+	}
+	ls := Drain(c.top)
+	if err := c.err(); err != nil || len(ls) != 1 {
+		t.Fatalf("%d instances, err %v; want 1", len(ls), err)
+	}
+	var ids []string
+	ls[0].VisitSlot(j.OuterSlot, func(n *xmltree.Node) bool {
+		id, _ := n.Attr("id")
+		ids = append(ids, id)
+		return true
+	})
+	if got := strings.Join(ids, ","); got != "1,3,4" {
+		t.Errorf("kept b's = %s, want 1,3,4", got)
+	}
+	scan := c.inners[len(c.inners)-1].Stats
+	if st.Emitted() != 4 || scan.Skipped() != 4 || scan.Scanned() != 8 {
+		t.Errorf("d scan: emitted %d skipped %d scanned %d, want 4 witnesses, 4 skipped, all 8 charged",
+			st.Emitted(), scan.Skipped(), scan.Scanned())
+	}
+}
+
+// TestPipelinedSemiDuplicateOuterNodes: the per-pair join on b feeds the
+// semi-join on the same a once per b, so consecutive outer instances
+// carry the same a. The second one re-reads the witness from the run,
+// although the inner stream has been skipped past the a: the c scan
+// yields the witnesses in a 1 and a 3 and the c's the skips past them
+// land on, and skips the c's before a 1 and inside it.
+func TestPipelinedSemiDuplicateOuterNodes(t *testing.T) {
+	doc := parse(t, `<r><c/><a><b id="1"/><c/><b id="2"/><c/></a><c/><a><b id="3"/></a><a><c/><b id="4"/></a><c/></r>`)
+	pq := compilePL(t, doc, `for $x in doc("d")//a, $y in $x//b where exists($x//c) return $y`)
+	ySlot, _ := pq.q.Return.ByVar("y")
+	for _, semi := range []bool{false, true} {
+		pq.semi = semi
+		var st *obs.OpStats
+		c := pq.chain(t, nil, func(op Operator) Operator {
+			st = obs.NewOpStats("NoKScan", "")
+			return Instrument(op, st)
+		})
+		top := c.joins[len(c.joins)-1]
+		if top.Semi != semi {
+			t.Fatalf("semi=%v: the exists join has Semi=%v", semi, top.Semi)
+		}
+		var got []string
+		for l := c.top.GetNext(); l != nil; l = c.top.GetNext() {
+			id, _ := l.FirstNode(ySlot.Slot).Attr("id")
+			got = append(got, id)
+			// Grouping absorbs the c's; the semi-join builds none.
+			if absorbed := len(l.ProjectSlot(top.InnerSlot)) > 0; absorbed == semi {
+				t.Errorf("semi=%v: $y %s carries c's = %v", semi, id, absorbed)
+			}
+		}
+		if err := c.err(); err != nil || strings.Join(got, " ") != "1 2 4" {
+			t.Errorf("semi=%v: got %v (err %v), want 1 2 4", semi, got, err)
+		}
+		if scan := c.inners[len(c.inners)-1].Stats; semi && (st.Emitted() != 4 || scan.Skipped() != 2) {
+			t.Errorf("semi: c scan emitted %d skipped %d, want 4 and 2", st.Emitted(), scan.Skipped())
+		}
+	}
+}
+
+// TestPipelinedSemiNestedOuterItems: wildcard outer items nest even on a
+// non-recursive document. After the first c marks x, the skip must stop
+// at y, which starts inside x and holds the second c; skipping past x
+// would leave y without its witness.
+func TestPipelinedSemiNestedOuterItems(t *testing.T) {
+	doc := parse(t, `<r><x id="x"><c id="1"/><y id="y"><c id="2"/></y></x><z id="z"/></r>`)
+	pq := compilePL(t, doc, `//r[.//*[.//c]]`)
+	for _, semi := range []bool{false, true} {
+		pq.semi = semi
+		c := pq.chain(t, nil, nil)
+		j := c.joins[len(c.joins)-1]
+		if j.Semi != semi {
+			t.Fatalf("semi=%v: the *//c join has Semi=%v", semi, j.Semi)
+		}
+		ls := Drain(c.top)
+		if err := c.err(); err != nil || len(ls) != 1 {
+			t.Fatalf("semi=%v: %d instances, err %v; want 1", semi, len(ls), err)
+		}
+		var ids []string
+		ls[0].VisitSlot(j.OuterSlot, func(n *xmltree.Node) bool {
+			id, _ := n.Attr("id")
+			ids = append(ids, id)
+			return true
+		})
+		if got := strings.Join(ids, ","); got != "x,y" {
+			t.Errorf("semi=%v: kept items %s, want x,y", semi, got)
+		}
+	}
+}
+
+// TestInstrumentedForwardsNextWitness: an instrumented scan still yields
+// witnesses, counted as calls and emissions like instances are; an
+// instrumented replay does not, and the join reads it through the
+// adapter.
+func TestInstrumentedForwardsNextWitness(t *testing.T) {
+	doc := parse(t, `<r><b/><a><b/></a></r>`)
+	c := buildPLChain(t, doc, `//a//b`, nil, nil)
+	st := obs.NewOpStats("NoKScan", "b")
+	w := Instrument(c.inners[0], st)
+	if !witnesses(w) {
+		t.Fatal("an instrumented index scan yields no witnesses")
+	}
+	var got []*xmltree.Node
+	for n := w.(Witnesser).NextWitness(); n != nil; n = w.(Witnesser).NextWitness() {
+		got = append(got, n)
+	}
+	if len(got) != 2 || st.Emitted() != 2 || st.Calls() != 3 {
+		t.Errorf("%d witnesses, emitted %d in %d calls; want 2 in 3", len(got), st.Emitted(), st.Calls())
+	}
+	if witnesses(Instrument(NewSliceOperator(nil), obs.NewOpStats("x", ""))) {
+		t.Error("an instrumented replay claims to yield witnesses")
+	}
 }

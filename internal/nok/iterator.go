@@ -72,22 +72,66 @@ func (it *Iterator) GetNext() *nestedlist.List {
 		if len(it.queue) > 0 {
 			l := it.queue[0]
 			it.queue = it.queue[1:]
-			if err := it.Gov.Emitted(fault.SiteNoKEmit); err != nil {
-				it.Err = err
+			if !it.emitted() {
 				return nil
 			}
 			return l
 		}
-		x := it.nextAnchor()
+		x := it.candidate()
 		if x == nil {
 			return nil
 		}
-		if !it.charge(1) {
+		if l := it.m.MatchAt(x); l != nil {
+			if len(it.m.forSlots) > 0 {
+				it.queue = it.m.Expand(l)
+				continue
+			}
+			// Nothing to unnest: the match is the one instance.
+			if !it.emitted() {
+				return nil
+			}
+			return l
+		}
+	}
+}
+
+// NextWitness returns the anchor of the next match, or nil when
+// exhausted, building no instance: the stream a semi-join reads when it
+// only needs to know where the matches are. It charges exactly what
+// GetNext does — every candidate scanned, every match attempt compared,
+// every witness emitted — and is meant for NoKs without for-bound slots
+// below the root, where one match is one instance.
+func (it *Iterator) NextWitness() *xmltree.Node {
+	if it.Err != nil {
+		return nil
+	}
+	for {
+		x := it.candidate()
+		if x == nil {
 			return nil
 		}
-		// Only a node of the root's kind and tag is worth building an
-		// instance for (text nodes are half of a sequential scan).
-		if root := it.m.NoK.Root; root.IsDocRoot() {
+		if it.m.Matches(x) {
+			if !it.emitted() {
+				return nil
+			}
+			return x
+		}
+	}
+}
+
+// candidate returns the next anchor candidate of the root's kind and tag
+// — the only nodes worth matching (text nodes are half of a sequential
+// scan) — charging every candidate passed on the way and counting the
+// returned one as a match attempt. It returns nil when the anchors are
+// exhausted or the scan was stopped.
+func (it *Iterator) candidate() *xmltree.Node {
+	root := it.m.NoK.Root
+	for {
+		x := it.nextAnchor()
+		if x == nil || !it.charge(1) {
+			return nil
+		}
+		if root.IsDocRoot() {
 			if x.Kind != xmltree.DocumentNode {
 				continue
 			}
@@ -95,19 +139,18 @@ func (it *Iterator) GetNext() *nestedlist.List {
 			continue
 		}
 		it.Stats.AddComparisons(1)
-		if l := it.m.MatchAt(x); l != nil {
-			if len(it.m.forSlots) > 0 {
-				it.queue = it.m.Expand(l)
-				continue
-			}
-			// Nothing to unnest: the match is the one instance.
-			if err := it.Gov.Emitted(fault.SiteNoKEmit); err != nil {
-				it.Err = err
-				return nil
-			}
-			return l
-		}
+		return x
 	}
+}
+
+// emitted charges one delivered match to the governor and reports
+// whether the scan may go on.
+func (it *Iterator) emitted() bool {
+	if err := it.Gov.Emitted(fault.SiteNoKEmit); err != nil {
+		it.Err = err
+		return false
+	}
+	return true
 }
 
 func (it *Iterator) nextAnchor() *xmltree.Node {

@@ -108,13 +108,20 @@ func (m *Matcher) MatchAt(x *xmltree.Node) *nestedlist.List {
 	return l
 }
 
+// Matches reports whether the NoK pattern tree matches anchored at x,
+// building nothing: the existence test of a join that only needs to know
+// that a witness exists, not what it matched.
+func (m *Matcher) Matches(x *xmltree.Node) bool { return m.match(m.NoK.Root, x, nil, nil) }
+
 // match implements the recursive core of Algorithm 2: x has already been
 // chosen as the candidate for v; the function checks v's constraints,
 // recursively matches v's local children against x's children (and v's
 // following-sibling pattern children against x's following siblings),
 // honors mandatory/optional edge modes, and appends matched items to
 // sink in document order. Partial results of failed subtrees are
-// discarded, mirroring lines 21–23 of the paper's pseudo-code.
+// discarded, mirroring lines 21–23 of the paper's pseudo-code. A nil
+// sink only tests for a match: no item is built, and a sibling chain
+// stops at its first matching member.
 func (m *Matcher) match(v *core.Vertex, x *xmltree.Node, sink *nestedlist.Item, sinkShape *core.ReturnNode) bool {
 	if !v.MatchesNode(x) {
 		return false
@@ -128,9 +135,11 @@ func (m *Matcher) match(v *core.Vertex, x *xmltree.Node, sink *nestedlist.Item, 
 			return false
 		}
 		sn = m.byVertex[v.ID]
-		it = nestedlist.NewItem(x, len(sn.Children))
-		childSink, childShape = it, sn
-	} else {
+		if sink != nil {
+			it = nestedlist.NewItem(x, len(sn.Children))
+			childSink, childShape = it, sn
+		}
+	} else if sink != nil {
 		// Accumulate into a temporary so a failed sibling subtree cannot
 		// leave partial matches behind.
 		it = nestedlist.NewItem(nil, len(sinkShape.Children))
@@ -152,10 +161,12 @@ func (m *Matcher) match(v *core.Vertex, x *xmltree.Node, sink *nestedlist.Item, 
 		}
 	}
 
-	if v.Returning {
+	switch {
+	case sink == nil:
+	case v.Returning:
 		ord := sn.ChildOrdinal()
 		sink.Groups[ord] = append(sink.Groups[ord], it)
-	} else {
+	default:
 		for i, g := range it.Groups {
 			sink.Groups[i] = append(sink.Groups[i], g...)
 		}
@@ -180,6 +191,9 @@ func (m *Matcher) matchAgainst(c *core.Vertex, first *xmltree.Node, sink *nested
 			continue
 		}
 		if m.match(c, y, sink, sinkShape) {
+			if sink == nil {
+				return true
+			}
 			matched = true
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 
 	"blossomtree/internal/core"
+	"blossomtree/internal/fault"
 	"blossomtree/internal/flwor"
+	"blossomtree/internal/gov"
 	"blossomtree/internal/index"
 	"blossomtree/internal/naveval"
 	"blossomtree/internal/nestedlist"
@@ -573,4 +575,58 @@ func TestMultipleForBoundSlotsExpand(t *testing.T) {
 func TestFollowingSiblingInsideNoK(t *testing.T) {
 	doc := parse(t, `<r><a/><b><c/></b><a/><b/><x/><b><c/></b></r>`)
 	checkAgainstNaveval(t, doc, `//a/following-sibling::b[c]`)
+}
+
+// TestIteratorNextWitness: the witness stream yields the anchors of the
+// instances GetNext would build, in the same order, and charges exactly
+// what GetNext charges — candidates scanned, match attempts compared,
+// witnesses emitted — over a preorder and an index-anchored scan alike.
+// Matches agrees with MatchAt on every element.
+func TestIteratorNextWitness(t *testing.T) {
+	doc := parse(t, bib)
+	ix := index.Build(doc)
+	for _, q := range []string{`//book[author/last]`, `//book[author[first]][price]`, `//author[last="Knuth"]`, `//author[*[2]]`} {
+		cq, m := singleNoKMatcher(t, q)
+		rn, _ := cq.Return.ByVertex(m.NoK.Root)
+		xmltree.Elements(doc.Root, func(n *xmltree.Node) {
+			if m.Matches(n) != (m.MatchAt(n) != nil) {
+				t.Errorf("%s at <%s %d>: Matches = %v, MatchAt disagrees", q, n.Tag, n.Start, m.Matches(n))
+			}
+		})
+		type run struct {
+			nodes                     []*xmltree.Node
+			scanned, cmp, scans, emit int64
+		}
+		drain := func(indexed, witnesses bool) run {
+			it := NewIterator(m, doc)
+			if indexed {
+				it = NewIndexIterator(m, ix.Nodes(m.RootTest()))
+			}
+			inj := fault.New()
+			it.Gov = gov.New(nil, gov.Budget{}, inj)
+			it.Stats = obs.NewOpStats("NoKScan", q)
+			var r run
+			if witnesses {
+				for n := it.NextWitness(); n != nil; n = it.NextWitness() {
+					r.nodes = append(r.nodes, n)
+				}
+			} else {
+				for l := it.GetNext(); l != nil; l = it.GetNext() {
+					r.nodes = append(r.nodes, l.FirstNode(rn.Slot))
+				}
+			}
+			r.scanned, r.cmp = it.Stats.Scanned(), it.Stats.Comparisons()
+			r.scans, r.emit = inj.Hits(fault.SiteNoKScan), inj.Hits(fault.SiteNoKEmit)
+			return r
+		}
+		for _, indexed := range []bool{false, true} {
+			want, got := drain(indexed, false), drain(indexed, true)
+			if len(want.nodes) == 0 {
+				t.Fatalf("%s: fixture matches nothing", q)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s (indexed=%v): witnesses %+v, GetNext %+v", q, indexed, got, want)
+			}
+		}
+	}
 }

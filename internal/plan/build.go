@@ -336,7 +336,13 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 	}
 	switch p.Strategy {
 	case Pipelined:
-		p.note("link %s//NoK%d: pipelined merge join", l.Parent.Label(), l.Child.Index)
+		semi := !perPair && !optional && p.Decomp.Unread(l.Child)
+		if semi {
+			detail += " semi"
+			p.note("link %s//NoK%d: pipelined semi-join (inner unread: one witness per outer item)", l.Parent.Label(), l.Child.Index)
+		} else {
+			p.note("link %s//NoK%d: pipelined merge join", l.Parent.Label(), l.Child.Index)
+		}
 		innerOp, innerStats := p.baseScan(inner)
 		st := obs.NewOpStats("PipelinedDescJoin", detail)
 		st.EstNodes = p.cardinality(l.Parent) + p.cardinality(l.Child.Root)
@@ -345,7 +351,7 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 		pl := &join.PipelinedDescJoin{
 			Outer: outer, Inner: innerOp,
 			OuterSlot: outerSlot, InnerSlot: innerSlot,
-			PerPair: perPair, Optional: optional,
+			PerPair: perPair, Semi: semi, Optional: optional,
 			Gov:   p.gov,
 			Stats: st,
 		}

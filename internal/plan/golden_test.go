@@ -22,7 +22,20 @@ type goldenCase struct {
 	strategy Strategy
 	indexed  bool
 	analyze  bool
+	doc      string // the document queried; sample when empty
 }
+
+// addressesDoc is shaped like the d2 address document: one addresses
+// element holding every address, each with its zip_code and country_id,
+// so that the first witness of d2.Q2's predicates marks the only outer
+// item and the rest of each inner scan is skipped.
+const addressesDoc = `<root><addresses>
+  <address><zip_code/><country_id/></address>
+  <address><zip_code/><country_id/></address>
+  <address><zip_code/><country_id/></address>
+  <address><zip_code/><country_id/></address>
+  <address><zip_code/><country_id/></address>
+</addresses></root>`
 
 func goldenCases() []goldenCase {
 	return []goldenCase{
@@ -41,15 +54,24 @@ func goldenCases() []goldenCase {
 		// The analyze rendering carries the per-stage batch counters
 		// (batches=N) the tuple operators never show.
 		{name: "vectorized_analyze", query: "//a//b//c", strategy: Vectorized, indexed: true, analyze: true},
+		// d2.Q2's shape: both predicate inners are unread, so each runs as
+		// a semi-join that takes one witness and skips its scan past the
+		// addresses element — out act=1, the other postings skipped.
+		{name: "pipelined_semi_analyze", query: "//addresses[//zip_code][//country_id]", strategy: Pipelined,
+			indexed: true, analyze: true, doc: addressesDoc},
 	}
 }
 
 func TestExplainGolden(t *testing.T) {
-	doc := parse(t, sample)
-	ix := index.Build(doc)
-	stats := xmltree.ComputeStats(doc)
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			text := tc.doc
+			if text == "" {
+				text = sample
+			}
+			doc := parse(t, text)
+			ix := index.Build(doc)
+			stats := xmltree.ComputeStats(doc)
 			opts := Options{Strategy: tc.strategy, Stats: stats}
 			if tc.indexed || tc.strategy == Twig {
 				opts.Index = ix
