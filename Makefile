@@ -16,8 +16,9 @@
 #                  benchmark harness, names one of the process-wide
 #                  globals the engines' own state replaced, the retired
 #                  shard tier or feedback store, TwigStack's path
-#                  solutions or string-keyed matches, or brings back
-#                  unsafe, a finalizer or the mapped-column names
+#                  solutions or string-keyed matches, the vectorized
+#                  executor, or brings back unsafe, a finalizer or the
+#                  mapped-column names
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -77,8 +78,8 @@ proptest:
 # and never for a skipping scan.
 stress:
 	$(GO) test -race -timeout 120s -count=3 \
-		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Vectorized|Feedback|SkippingScan|Pipelined|SkipTo|Admission|Shed|ClientCanceled' \
-		./internal/exec ./internal/plan ./internal/join ./internal/nok ./internal/gov ./internal/fault ./internal/vexec ./internal/server .
+		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Feedback|SkippingScan|Pipelined|SkipTo|Admission|Shed|ClientCanceled' \
+		./internal/exec ./internal/plan ./internal/join ./internal/nok ./internal/gov ./internal/fault ./internal/server .
 
 # Daemon smoke: build blossomd, boot it on a random port, POST one
 # query, assert the /metrics latency histogram recorded it and the
@@ -122,7 +123,9 @@ bench:
 # tier and the names only it needed do not come back, and neither does
 # the hash-keyed feedback store the plan cache replaced. TwigStack runs in
 # one pass over per-vertex lists: its path solutions and the string-keyed
-# matches and merge keys built from them stay gone.
+# matches and merge keys built from them stay gone. So does the
+# vectorized executor, with its column projections, batch counter, fault
+# site and plan strategy.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -148,6 +151,10 @@ lint-refs:
 	@if git grep -n -e 'TwigMatc[h]' -e 'twigKe[y]' -e 'prefixKe[y]' -e 'pathStac[k]' -- \
 		'*.go' ':!benchmark/'; then \
 		echo "lint-refs: reference to TwigStack's retired path solutions or string-keyed matches"; exit 1; fi
+	@if git grep -n -e 'internal/vexe[c]' -e 'ColumnSe[t]' -e 'SiteVexe[c]' -e 'AddBatche[s]' \
+		-e 'buildVectorize[d]' -e 'plan\.Vectorize[d]' -- \
+		':!*.md' ':!benchmark/'; then \
+		echo "lint-refs: reference to the retired vectorized executor"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; the compact NestedList form must

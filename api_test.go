@@ -223,6 +223,39 @@ func TestPreparedEntryPoints(t *testing.T) {
 	}
 }
 
+// TestStrategyVectorizedRunsAuto: the deprecated strategy name is an
+// alias of Auto, with Auto's answer and Auto's plan, on a chain and on a
+// branching query, with and without tag indexes.
+func TestStrategyVectorizedRunsAuto(t *testing.T) {
+	const doc = `<bib><book><title>A</title><author><last>Knuth</last></author></book>` +
+		`<book><title>B</title></book><book><title>C</title><author><last>Date</last></author></book></bib>`
+	ctx := context.Background()
+	for _, eng := range []struct {
+		name string
+		e    *Engine
+	}{{"indexed", NewEngine()}, {"no-indexes", NewEngineNoIndexes()}} {
+		if err := eng.e.LoadString("bib.xml", doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{`//book//last`, `//book[author]/title`} {
+			label := eng.name + " " + q
+			want, wantErr := eng.e.QueryWith(q, Options{Strategy: StrategyAuto})
+			got, err := eng.e.QueryWith(q, Options{Strategy: StrategyVectorized})
+			sameOutcome(t, label, want, wantErr, got, err)
+			headline := func(s Strategy) string {
+				x, err := eng.e.ExplainWithContext(ctx, q, Options{Strategy: s})
+				if err != nil {
+					t.Fatalf("%s: explain %s: %v", label, s, err)
+				}
+				return strings.SplitN(x, "\n", 2)[0]
+			}
+			if a, v := headline(StrategyAuto), headline(StrategyVectorized); a != v {
+				t.Errorf("%s: vectorized headline %q, auto %q", label, v, a)
+			}
+		}
+	}
+}
+
 // TestBatchAndExplainEntryPoints: each batch entry agrees with Query on
 // its own (a parse error stays per entry), and EXPLAIN ANALYZE renders
 // the operator counters.

@@ -9,8 +9,6 @@ package blossomtree_test
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -21,10 +19,8 @@ import (
 	"blossomtree/internal/join"
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/nok"
-	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 	"blossomtree/internal/storage"
-	"blossomtree/internal/vexec"
 	"blossomtree/internal/xmlgen"
 	"blossomtree/internal/xmltree"
 	"blossomtree/internal/xpath"
@@ -209,46 +205,6 @@ func BenchmarkMicroTwigStack(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorizedJoin measures the batch-at-a-time columnar
-// pipeline alone (vexec.Run over flat uint32 region columns, no
-// planning) on the descendant-heavy pure-chain queries of the
-// Appendix-A suites — the fragment the columnar executor accepts
-// natively.
-func BenchmarkVectorizedJoin(b *testing.B) {
-	for _, c := range []struct {
-		ds string
-		q  int // index into the dataset's suite
-	}{{"d1", 0}, {"d2", 0}, {"d2", 2}, {"d3", 2}, {"d3", 4}} {
-		ds := dataset(b, c.ds)
-		q := xmlgen.Suite(c.ds)[c.q]
-		tags := strings.Split(strings.TrimPrefix(q.Text, "//"), "//")
-		stages := make([]vexec.Stage, len(tags))
-		for i, tag := range tags {
-			// Columns builds the tag's projection on first use, so the
-			// timed loop never pays the lazy ColumnSet build.
-			stages[i] = vexec.Stage{
-				Cols:      ds.Index.Columns(tag),
-				Edge:      vexec.EdgeDescendant,
-				ScanStats: obs.NewOpStats("VecScan", tag),
-				JoinStats: obs.NewOpStats("VecSemiJoin", tag),
-			}
-		}
-		b.Run(fmt.Sprintf("%s/%s/vectorized", c.ds, q.ID), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				a := vexec.NewArena()
-				ords, err := vexec.Run(stages, nil, a)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ords) == 0 {
-					b.Fatal("no rows")
-				}
-				a.Release()
-			}
-		})
-	}
-}
-
 // BenchmarkPipelinedJoin measures the pipelined //-join with index
 // anchors — the plan Auto builds on non-recursive documents — on the
 // three input shapes its cost depends on: one outer instance carrying a
@@ -294,40 +250,6 @@ func BenchmarkPipelinedJoin(b *testing.B) {
 			b.ReportMetric(float64(scanned)/float64(b.N), "scanned/op")
 		})
 	}
-}
-
-// BenchmarkVectorizedColdVsWarm measures the vectorized strategy end to
-// end through the engine: cold runs every query on a fresh engine, whose
-// plan cache is empty (compile + execute), warm hits the cached prepared
-// plan and pays execution alone.
-func BenchmarkVectorizedColdVsWarm(b *testing.B) {
-	ds := dataset(b, "d2")
-	eng := blossomtree.NewEngine()
-	eng.LoadDocument("d2", ds.Doc)
-	const q = `//addresses//street_address//name_of_state`
-	opts := blossomtree.Options{Strategy: blossomtree.StrategyVectorized}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			cold := blossomtree.NewEngine()
-			cold.LoadDocument("d2", ds.Doc)
-			b.StartTimer()
-			if _, err := cold.QueryWith(q, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		if _, err := eng.QueryWith(q, opts); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.QueryWith(q, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkMicroParse measures XML parsing throughput (bytes reported

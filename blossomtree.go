@@ -71,15 +71,16 @@ const (
 	// StrategyCostBased picks the cheapest sound strategy from the cost
 	// model (the paper's future-work optimizer, implemented here).
 	StrategyCostBased Strategy = "cost"
-	// StrategyVectorized runs chain queries batch-at-a-time over flat
-	// region-label columns (VEC). Requires tag indexes; queries outside
-	// the chain fragment fall back to the standard strategies.
+	// StrategyVectorized runs the same plan as StrategyAuto.
+	//
+	// Deprecated: the vectorized executor it selected is gone; use
+	// StrategyAuto.
 	StrategyVectorized Strategy = "vectorized"
 )
 
 func (s Strategy) toPlan() (plan.Strategy, error) {
 	switch s {
-	case StrategyAuto, "":
+	case StrategyAuto, StrategyVectorized, "":
 		return plan.Auto, nil
 	case StrategyPipelined:
 		return plan.Pipelined, nil
@@ -91,8 +92,6 @@ func (s Strategy) toPlan() (plan.Strategy, error) {
 		return plan.Navigational, nil
 	case StrategyCostBased:
 		return plan.CostBased, nil
-	case StrategyVectorized:
-		return plan.Vectorized, nil
 	default:
 		return plan.Auto, fmt.Errorf("blossomtree: unknown strategy %q", s)
 	}

@@ -35,11 +35,6 @@ func TestEngineExplainGolden(t *testing.T) {
 		// the 4 books it estimated: it executes the replanned template,
 		// hint note and cost table included.
 		{name: "plan_cache_hit", query: `//book[author]/title`, warm: true},
-		// The vectorized strategy through the engine: the chain plan's
-		// EXPLAIN, and a warm repeat pinning that the columnar plan
-		// round-trips the plan cache with the cache-hit header.
-		{name: "vectorized_chain", query: `//book//last`, opts: plan.Options{Strategy: plan.Vectorized}},
-		{name: "vectorized_cache_hit", query: `//book//title`, opts: plan.Options{Strategy: plan.Vectorized}, warm: true},
 		// New query surface: function predicates, positional variables
 		// and non-rewritable upward axes run through the navigational
 		// fallback; its EXPLAIN names the routing reason.

@@ -71,8 +71,9 @@ func TestEnginesAreIndependent(t *testing.T) {
 		t.Errorf("engine 2 serves the trace of engine 1's query %s", firstID)
 	}
 
-	// Two cycles: the first moves what sync.Pools hold (vexec's slab pool
-	// is per process) to their victim caches, the second drops it.
+	// The engine keeps no sync.Pool, so no process-wide cache may hold
+	// the document. Two cycles still drain any standard-library pool: the
+	// first moves what it holds to its victim cache, the second drops it.
 	runtime.GC()
 	runtime.GC()
 	select {

@@ -115,8 +115,10 @@ func (t *telemetry) strategyName() string {
 	return t.strategy
 }
 
-// rowsOut counts the evaluation's result rows: binding rows for FLWOR
-// queries, result nodes for path queries.
+// rowsOut counts the evaluation's result rows by the public Result.Len
+// rule: binding rows for FLWOR and constructed output, otherwise result
+// nodes. A FLWOR whose where clause keeps no row counts 0, however many
+// instances the plan produced.
 func rowsOut(res *Result) int64 {
 	if res == nil {
 		return 0
@@ -124,8 +126,5 @@ func rowsOut(res *Result) int64 {
 	if len(res.Envs) > 0 || res.Output != nil {
 		return int64(len(res.Envs))
 	}
-	if len(res.Nodes) > 0 {
-		return int64(len(res.Nodes))
-	}
-	return int64(len(res.Instances))
+	return int64(len(res.Nodes))
 }

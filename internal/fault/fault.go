@@ -33,7 +33,6 @@ const (
 	SiteIndexStream Site = "index.stream" // index.Stream cursor advances
 	SiteNavStep     Site = "naveval.step" // navigational per-context-node steps
 	SiteOutput      Site = "exec.output"  // root-level result emissions
-	SiteVexec       Site = "vexec.batch"  // vectorized executor, hit once per batch
 	SiteAdmission   Site = "admission"    // daemon admission control, hit once per decision
 )
 

@@ -1,13 +1,12 @@
 // Package index implements the tag-name indexes the join-based operators
 // depend on: per-tag inverted lists of element nodes in document order,
 // plus stream cursors over them. In the paper's terms these are the input
-// streams of TwigStack and of the stack-based binary structural join, and
-// the source of tag-frequency selectivity estimates for the optimizer.
+// streams of TwigStack and the posting lists of index-driven NoK scans,
+// and the source of tag-frequency selectivity estimates for the optimizer.
 package index
 
 import (
 	"sort"
-	"sync"
 
 	"blossomtree/internal/fault"
 	"blossomtree/internal/gov"
@@ -20,62 +19,6 @@ type TagIndex struct {
 	doc      *xmltree.Document
 	lists    map[string][]*xmltree.Node
 	elements []*xmltree.Node // all elements in document order
-
-	// Columnar projections of the inverted lists, built lazily per tag
-	// and cached for the index's lifetime (documents are immutable once
-	// indexed). colMu only guards cache population; a cached ColumnSet
-	// itself is immutable and shared.
-	colMu sync.Mutex
-	cols  map[string]*ColumnSet
-}
-
-// ColumnSet is the flat columnar form of one inverted list: the region
-// labels (start, end, level) of the tag's elements as parallel []uint32
-// columns in document order, plus the node pointers for materializing
-// results. This is the Figure-6 compact layout projected per tag — the
-// input format of the vectorized executor, which streams fixed-size
-// batches of these triples through branch-light column loops.
-//
-// The uint32 narrowing is safe: region labels are preorder ranks,
-// non-negative for every element (only the artificial document node
-// carries Start -1, and it never appears in an inverted list).
-type ColumnSet struct {
-	Start, End, Level []uint32
-	Nodes             []*xmltree.Node
-}
-
-// Len returns the number of rows in the column set.
-func (cs *ColumnSet) Len() int { return len(cs.Start) }
-
-// Columns returns the cached columnar projection of the tag's inverted
-// list, building it on first use. The wildcard "*" (or "") projects all
-// elements. Safe for concurrent use; the returned set is immutable.
-func (ix *TagIndex) Columns(tag string) *ColumnSet {
-	if tag == "" {
-		tag = "*"
-	}
-	ix.colMu.Lock()
-	defer ix.colMu.Unlock()
-	if cs, ok := ix.cols[tag]; ok {
-		return cs
-	}
-	nodes := ix.Nodes(tag)
-	cs := &ColumnSet{
-		Start: make([]uint32, len(nodes)),
-		End:   make([]uint32, len(nodes)),
-		Level: make([]uint32, len(nodes)),
-		Nodes: nodes,
-	}
-	for i, n := range nodes {
-		cs.Start[i] = uint32(n.Start)
-		cs.End[i] = uint32(n.End)
-		cs.Level[i] = uint32(n.Level)
-	}
-	if ix.cols == nil {
-		ix.cols = make(map[string]*ColumnSet)
-	}
-	ix.cols[tag] = cs
-	return cs
 }
 
 // Build scans the document once and constructs the index.

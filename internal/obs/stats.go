@@ -50,7 +50,6 @@ type OpStats struct {
 	emitted     atomic.Int64 // instances produced
 	comparisons atomic.Int64 // structural/value predicate evaluations
 	maxStack    atomic.Int64 // deepest operator stack observed
-	batches     atomic.Int64 // vectorized batches exchanged (0 for tuple-at-a-time operators)
 	elapsed     atomic.Int64 // cumulative wall time, nanoseconds (inclusive of children)
 }
 
@@ -141,13 +140,6 @@ func (s *OpStats) ObserveStackDepth(depth int) {
 	}
 }
 
-// AddBatches counts batches exchanged by a vectorized operator.
-func (s *OpStats) AddBatches(n int64) {
-	if s != nil && n != 0 {
-		s.batches.Add(n)
-	}
-}
-
 // AddElapsed accumulates wall time.
 func (s *OpStats) AddElapsed(d time.Duration) {
 	if s != nil && d > 0 {
@@ -211,15 +203,6 @@ func (s *OpStats) Comparisons() int64 {
 		return 0
 	}
 	return s.comparisons.Load()
-}
-
-// Batches returns the vectorized batches exchanged (0 for
-// tuple-at-a-time operators, which never touch the counter).
-func (s *OpStats) Batches() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.batches.Load()
 }
 
 // MaxStackDepth returns the deepest operator stack observed.
@@ -339,9 +322,6 @@ func (s *OpStats) columns(analyze bool) string {
 		}
 		if d := s.MaxStackDepth(); d > 0 {
 			cols = append(cols, fmt.Sprintf("stack=%d", d))
-		}
-		if b := s.Batches(); b > 0 {
-			cols = append(cols, fmt.Sprintf("batches=%d", b))
 		}
 		cols = append(cols, fmt.Sprintf("calls=%d", s.Calls()))
 		if s.timed {

@@ -44,16 +44,9 @@ func goldenCases() []goldenCase {
 		{name: "naive_nl_explain", query: "//a//c", strategy: NaiveNL, indexed: true},
 		{name: "twig_explain", query: "//a[b]//c", strategy: Twig, indexed: true},
 		{name: "cost_based_explain", query: "//a//b//c", strategy: CostBased, indexed: true},
-		{name: "vectorized_explain", query: "//a//b//c", strategy: Vectorized, indexed: true},
-		// Outside the chain fragment: the branching predicate forces the
-		// Build-time fallback, whose note the golden pins.
-		{name: "vectorized_fallback_explain", query: "//a[b]//c", strategy: Vectorized, indexed: true},
 		{name: "pipelined_analyze", query: "//a[//c]//b", strategy: Pipelined, analyze: true},
 		{name: "bounded_nl_analyze", query: "//a//c", strategy: BoundedNL, analyze: true},
 		{name: "twig_analyze", query: "//a[b]//c", strategy: Twig, indexed: true, analyze: true},
-		// The analyze rendering carries the per-stage batch counters
-		// (batches=N) the tuple operators never show.
-		{name: "vectorized_analyze", query: "//a//b//c", strategy: Vectorized, indexed: true, analyze: true},
 		// d2.Q2's shape: both predicate inners are unread, so each runs as
 		// a semi-join that takes one witness and skips its scan past the
 		// addresses element — out act=1, the other postings skipped.

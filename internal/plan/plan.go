@@ -45,7 +45,6 @@ const (
 	Twig                         // TS: holistic TwigStack over tag indexes
 	Navigational                 // whole-query navigational evaluation (the XH stand-in)
 	CostBased                    // pick the cheapest sound strategy from the cost model
-	Vectorized                   // VEC: batch-at-a-time columnar pipeline over the tag index
 )
 
 // String names the strategy as in the paper's tables.
@@ -65,8 +64,6 @@ func (s Strategy) String() string {
 		return "XH"
 	case CostBased:
 		return "cost"
-	case Vectorized:
-		return "VEC"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -220,19 +217,9 @@ func Build(q *core.Query, doc *xmltree.Document, opts Options) (*Plan, error) {
 			p.Strategy = p.nokStrategy()
 		}
 	}
-	if p.Strategy == Vectorized {
-		if err := p.vexecCompatible(); err != nil {
-			// Unlike Twig, even an explicit Vectorized request falls back
-			// (with an EXPLAIN note) instead of erroring: the vectorized
-			// path is an optimization over a fragment, and the harness
-			// runs it as a blanket strategy axis over every query.
-			p.note("vectorized executor incompatible (%v); falling back", err)
-			p.Strategy = p.nokStrategy()
-		}
-	}
 	if p.Strategy == Pipelined && p.wildcardOuter() {
-		// Like Vectorized, an explicit Pipelined request falls back
-		// rather than answer wrong. (Recursion alone does not trigger
+		// Unlike Twig, an explicit Pipelined request falls back rather
+		// than answer wrong. (Recursion alone does not trigger
 		// this: a caller forcing PL on a recursive document vouches for
 		// its input.)
 		p.note("pipelined join unsound (a wildcard //-join outer matches nested elements); falling back")
@@ -285,7 +272,7 @@ func (p *Plan) pipelinedSound() bool {
 }
 
 // nokStrategy is the NoK-join strategy of the Auto rules, and what an
-// inapplicable TwigStack or vectorized plan falls back to.
+// inapplicable TwigStack plan falls back to.
 func (p *Plan) nokStrategy() Strategy {
 	if p.pipelinedSound() {
 		return Pipelined
@@ -413,8 +400,6 @@ func (p *Plan) Operator() (join.Operator, error) {
 	switch p.Strategy {
 	case Twig:
 		op, st, err = p.buildTwig()
-	case Vectorized:
-		op, st, err = p.buildVectorized()
 	default:
 		op, st, err = p.buildNoKPlan()
 	}

@@ -106,7 +106,6 @@ func TestWildcardOuterIsNotPipelined(t *testing.T) {
 		{"auto", Options{}, BoundedNL},
 		{"auto with index", Options{Index: ix}, Twig},
 		{"forced pipelined", Options{Strategy: Pipelined, Index: ix}, BoundedNL},
-		{"vectorized fallback", Options{Strategy: Vectorized, Index: ix}, BoundedNL},
 		{"cost", Options{Strategy: CostBased, Index: ix}, Twig},
 	} {
 		t.Run(c.name, func(t *testing.T) {

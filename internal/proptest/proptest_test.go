@@ -40,10 +40,6 @@ func variants(recursive bool) []struct {
 		{"twigstack", plan.Options{Strategy: plan.Twig}},
 		{"cost-based", plan.Options{Strategy: plan.CostBased}},
 		{"merged-scans", plan.Options{MergeScans: true}},
-		// The vectorized columnar path: chain queries run batch-at-a-time
-		// over flat region-label columns; everything else falls back at
-		// Build time, so the axis covers every generated query.
-		{"vectorized", plan.Options{Strategy: plan.Vectorized}},
 	}
 	if !recursive {
 		vs = append(vs, struct {

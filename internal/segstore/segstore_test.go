@@ -39,8 +39,8 @@ func saveDoc(t *testing.T, st *Store, uri, xml string) {
 }
 
 // sameIndex verifies a store-served TagIndex against a freshly built
-// one: identical tag alphabets, identical region labels per posting
-// list, identical column sets.
+// one: identical tag alphabets and identical region labels per posting
+// list.
 func sameIndex(t *testing.T, got, want *index.TagIndex) {
 	t.Helper()
 	gt, wt := got.Tags(), want.Tags()
@@ -57,17 +57,10 @@ func sameIndex(t *testing.T, got, want *index.TagIndex) {
 		if len(gn) != len(wn) {
 			t.Fatalf("tag %q: %d nodes, want %d", tag, len(gn), len(wn))
 		}
-		gc, wc := got.Columns(tag), want.Columns(tag)
-		if gc.Len() != wc.Len() {
-			t.Fatalf("tag %q: column len %d, want %d", tag, gc.Len(), wc.Len())
-		}
 		for i := range wn {
 			if gn[i].Start != wn[i].Start || gn[i].End != wn[i].End || gn[i].Level != wn[i].Level {
 				t.Fatalf("tag %q node %d: labels (%d,%d,%d) want (%d,%d,%d)", tag, i,
 					gn[i].Start, gn[i].End, gn[i].Level, wn[i].Start, wn[i].End, wn[i].Level)
-			}
-			if gc.Start[i] != wc.Start[i] || gc.End[i] != wc.End[i] || gc.Level[i] != wc.Level[i] {
-				t.Fatalf("tag %q column %d differs", tag, i)
 			}
 		}
 	}

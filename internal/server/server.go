@@ -80,6 +80,7 @@ type QueryRequest struct {
 	Query string `json:"query"`
 	// Strategy forces a join strategy ("auto", "pipelined",
 	// "bounded-nl", "twigstack", "navigational", "cost"); default auto.
+	// The deprecated "vectorized" runs auto.
 	Strategy string `json:"strategy,omitempty"`
 	// TimeoutMS / MaxNodes / MaxOutput form the per-request
 	// Options.Budget; zero values mean unlimited (subject to the

@@ -92,6 +92,21 @@ func TestQueryEndpointFLWOR(t *testing.T) {
 	}
 }
 
+// TestQueryEndpointVectorizedIsAuto: the deprecated "vectorized" strategy
+// is still accepted and answers with Auto's plan.
+func TestQueryEndpointVectorizedIsAuto(t *testing.T) {
+	ts := newTestServer(t)
+	_, auto := postQuery(t, ts, QueryRequest{Query: `//book//last`, Strategy: "auto"})
+	status, res := postQuery(t, ts, QueryRequest{Query: `//book//last`, Strategy: "vectorized"})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, body %+v", status, res)
+	}
+	if res.Strategy != auto.Strategy || res.Count != auto.Count {
+		t.Errorf("vectorized: strategy %q, count %d; auto: strategy %q, count %d",
+			res.Strategy, res.Count, auto.Strategy, auto.Count)
+	}
+}
+
 func TestQueryEndpointErrors(t *testing.T) {
 	ts := newTestServer(t)
 

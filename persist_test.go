@@ -63,7 +63,6 @@ var persistStrategies = []blossomtree.Strategy{
 	blossomtree.StrategyTwigStack,
 	blossomtree.StrategyNavigational,
 	blossomtree.StrategyCostBased,
-	blossomtree.StrategyVectorized,
 }
 
 const persistExtraXML = `<dir><entry id="1"><name>alpha</name></entry><entry id="2"><name>beta</name></entry></dir>`
