@@ -16,7 +16,8 @@
 #                  benchmark harness, names one of the process-wide
 #                  globals the engines' own state replaced, the retired
 #                  shard tier or feedback store, TwigStack's path
-#                  solutions or string-keyed matches, the vectorized
+#                  solutions, string-keyed matches or row-to-NestedList
+#                  adapter, the vectorized
 #                  executor, or brings back unsafe, a finalizer or the
 #                  mapped-column names
 #   make bench   — micro, ablation and concurrency benchmarks (the
@@ -123,7 +124,8 @@ bench:
 # tier and the names only it needed do not come back, and neither does
 # the hash-keyed feedback store the plan cache replaced. TwigStack runs in
 # one pass over per-vertex lists: its path solutions and the string-keyed
-# matches and merge keys built from them stay gone. So does the
+# matches and merge keys built from them stay gone, and its rows reach
+# the executor as rows, not rebuilt as NestedLists. So does the
 # vectorized executor, with its column projections, batch counter, fault
 # site and plan strategy.
 lint-refs:
@@ -151,6 +153,8 @@ lint-refs:
 	@if git grep -n -e 'TwigMatc[h]' -e 'twigKe[y]' -e 'prefixKe[y]' -e 'pathStac[k]' -- \
 		'*.go' ':!benchmark/'; then \
 		echo "lint-refs: reference to TwigStack's retired path solutions or string-keyed matches"; exit 1; fi
+	@if git grep -n -e 'rowItem[s]' -- ':!*.md' ':!benchmark/'; then \
+		echo "lint-refs: reference to the retired adapter that rebuilt TwigStack rows as NestedLists"; exit 1; fi
 	@if git grep -n -e 'internal/vexe[c]' -e 'ColumnSe[t]' -e 'SiteVexe[c]' -e 'AddBatche[s]' \
 		-e 'buildVectorize[d]' -e 'plan\.Vectorize[d]' -- \
 		':!*.md' ':!benchmark/'; then \

@@ -170,7 +170,9 @@ func BenchmarkMicroNoKMatch(b *testing.B) {
 
 // BenchmarkMicroTwigStack measures the holistic join alone on a
 // three-level twig over d4, keeping one for-variable (the path's
-// result) and keeping two (an outer and an inner binding).
+// result) and keeping two (an outer and an inner binding), and on d4.Q2,
+// a selective twig whose few matches let the join skip most of its
+// streams (selective). It reports allocs/op.
 func BenchmarkMicroTwigStack(b *testing.B) {
 	ds := dataset(b, "d4")
 	for _, c := range []struct {
@@ -179,6 +181,7 @@ func BenchmarkMicroTwigStack(b *testing.B) {
 	}{
 		{"one-var", `for $j in doc("d4")//VP[//NP]//JJ return $j`, []string{"j"}},
 		{"two-var", `for $v in doc("d4")//VP[//NP], $j in $v//JJ return $j`, []string{"v", "j"}},
+		{"selective", `for $n in doc("d4")//VP[VP]//VP[PP]/NP[PP]/NN return $n`, []string{"n"}},
 	} {
 		q, err := core.FromFLWOR(flwor.MustParse(c.query))
 		if err != nil {
@@ -238,11 +241,11 @@ func BenchmarkPipelinedJoin(b *testing.B) {
 			var scanned int64
 			for i := 0; i < b.N; i++ {
 				p := tmpl.Fork(plan.Options{})
-				ls, err := p.Execute()
+				ins, err := p.Execute()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(ls) == 0 {
+				if ins.Len() == 0 {
 					b.Fatal("no rows")
 				}
 				scanned += p.StatsTree().TotalScanned()

@@ -200,9 +200,9 @@ func TestDifferentialAllStrategies(t *testing.T) {
 
 // TestDifferentialExplainAnalyzeConsistency spot-checks, on one pair per
 // strategy, that the EXPLAIN ANALYZE tree is internally consistent: the
-// root's emitted count matches the materialized instance count, and
+// root's emitted count matches the instances or rows delivered, and
 // every operator's calls are at least its emissions (one GetNext per
-// instance plus the exhausting nil).
+// instance plus the exhausting nil; one per TwigStack row handed over).
 func TestDifferentialExplainAnalyzeConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b", "c"}, MaxNodes: 80, MaxDepth: 6})
@@ -218,9 +218,9 @@ func TestDifferentialExplainAnalyzeConsistency(t *testing.T) {
 		if st == nil {
 			t.Fatalf("variant %s: no stats tree", v.name)
 		}
-		if got := st.Emitted(); got != int64(len(res.Instances)) {
-			t.Errorf("variant %s: root emitted %d, materialized %d instances\n%s",
-				v.name, got, len(res.Instances), st.Render(true))
+		if got := st.Emitted(); got != int64(res.Instances.Len()) {
+			t.Errorf("variant %s: root emitted %d, delivered %d instances or rows\n%s",
+				v.name, got, res.Instances.Len(), st.Render(true))
 		}
 		var check func(s *obs.OpStats)
 		check = func(s *obs.OpStats) {

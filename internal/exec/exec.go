@@ -26,7 +26,6 @@ import (
 	"blossomtree/internal/gov"
 	"blossomtree/internal/index"
 	"blossomtree/internal/naveval"
-	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 	"blossomtree/internal/segstore"
@@ -284,8 +283,8 @@ type Result struct {
 	// store (GET /trace/{queryID} on the daemon).
 	QueryID   string
 	Query     *core.Query
-	Plan      *plan.Plan // nil for navigational evaluation
-	Instances []*nestedlist.List
+	Plan      *plan.Plan      // nil for navigational evaluation
+	Instances *plan.Instances // nil for navigational evaluation
 	// Envs holds one variable-binding row per surviving iteration, in
 	// FLWOR iteration order (or order-by order).
 	Envs []naveval.Env
@@ -582,7 +581,7 @@ func explain(s *snapshot, q *parsed, opts plan.Options) (string, error) {
 	// Building the operator tree records the access-method notes and
 	// creates the stats tree the estimate columns render from.
 	pl := c.tmpl.Fork(opts)
-	if _, err := pl.Operator(); err != nil {
+	if err := pl.Prepare(); err != nil {
 		return "", err
 	}
 	return pl.Explain() + pl.ExplainCosts() + pl.ExplainTree(false), nil
@@ -683,16 +682,16 @@ func (s *snapshot) planContext(q *core.Query) (entry, error) {
 // tail step the compiler peeled off the path is re-applied here,
 // projecting the matched elements onto their text children (child
 // axis) or text descendants (descendant axis).
-func projectPathResult(q *core.Query, ls []*nestedlist.List, textTail *xpath.Step) []*xmltree.Node {
+func projectPathResult(q *core.Query, ins *plan.Instances, textTail *xpath.Step) []*xmltree.Node {
 	rn, ok := q.Return.ByVar("result")
 	if !ok {
 		return nil
 	}
-	// The pipelined join and TwigStack's sorted instances deliver the
-	// result nodes already distinct and in document order; only when an
-	// append breaks the strictly increasing run is the output sorted and
+	// The pipelined join and TwigStack's result column deliver the result
+	// nodes already distinct and in document order; only when an append
+	// breaks the strictly increasing run is the output sorted and
 	// adjacent duplicates dropped.
-	var out []*xmltree.Node
+	out := make([]*xmltree.Node, 0, len(ins.Rows))
 	ordered := true
 	add := func(n *xmltree.Node) bool {
 		if len(out) > 0 && n.Start <= out[len(out)-1].Start {
@@ -714,7 +713,12 @@ func projectPathResult(q *core.Query, ls []*nestedlist.List, textTail *xpath.Ste
 			return true
 		}
 	}
-	for _, l := range ls {
+	for i := range ins.Rows {
+		for _, n := range ins.Bound(i, rn) {
+			visit(n)
+		}
+	}
+	for _, l := range ins.Lists {
 		l.VisitSlot(rn.Slot, visit)
 	}
 	if ordered {
@@ -730,7 +734,7 @@ func projectPathResult(q *core.Query, ls []*nestedlist.List, textTail *xpath.Ste
 	return distinct
 }
 
-// finishFLWOR turns instances into environment rows, applies residual
+// finishFLWOR turns instances or rows into environments, applies residual
 // conditions, restores iteration order, applies order by, and constructs
 // the output document. Residual-condition and order-by path evaluation
 // run under the query's governor, so a pathological residual cannot
@@ -740,17 +744,18 @@ func finishFLWOR(s *snapshot, expr flwor.Expr, q *core.Query, res *Result, g *go
 	if err != nil {
 		return err
 	}
-	envs := make([]naveval.Env, 0, len(res.Instances))
-	for _, l := range res.Instances {
-		env := naveval.Env{}
-		for name := range q.Vars {
-			ns, err := l.ProjectVar(name)
-			if err != nil {
-				return err
-			}
-			env[name] = ns
+	envs := make([]naveval.Env, res.Instances.Len())
+	for i := range envs {
+		envs[i] = make(naveval.Env, len(q.Vars))
+	}
+	for name := range q.Vars {
+		rn, ok := q.Return.ByVar(name)
+		if !ok && len(envs) > 0 {
+			return fmt.Errorf("exec: no returning node for variable $%s", name)
 		}
-		envs = append(envs, env)
+		for i, env := range envs {
+			env[name] = res.Instances.Bound(i, rn)
+		}
 	}
 
 	// Residual where-conditions (outside the conjunctive fragment).
@@ -809,17 +814,7 @@ func finishFLWOR(s *snapshot, expr flwor.Expr, q *core.Query, res *Result, g *go
 				keys[i] = xmltree.StringValue(ns[0])
 			}
 		}
-		idx := make([]int, len(envs))
-		for i := range idx {
-			idx[i] = i
-		}
-		less := naveval.OrderLess(f.OrderDesc)
-		sort.SliceStable(idx, func(a, b int) bool { return less(keys[idx[a]], keys[idx[b]]) })
-		sorted := make([]naveval.Env, len(envs))
-		for i, j := range idx {
-			sorted[i] = envs[j]
-		}
-		envs = sorted
+		envs = naveval.SortByKeys(envs, keys, f.OrderDesc)
 	}
 	res.Envs = envs
 	return constructOutput(s.resolve, expr, f, res)

@@ -10,14 +10,15 @@ import (
 	"blossomtree/internal/gov"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
+	"blossomtree/internal/xmlgen"
 	"blossomtree/internal/xmltree"
 )
 
 // skewedDoc builds a corpus the static cost model misestimates: parts
 // nested in parts (recursive, so Auto picks the twig plan) where only
 // one part in skewEvery carries the <bolt/> child the probe query
-// filters on. The twig root's estimate is card(part) — thousands —
-// while only a handful of parts match.
+// filters on. The result's estimate is card(subpart) — thousands —
+// while only the subparts of a handful of parts match.
 func skewedDoc(t *testing.T, parts, skewEvery int) *xmltree.Document {
 	t.Helper()
 	var sb strings.Builder
@@ -43,22 +44,44 @@ func skewedDoc(t *testing.T, parts, skewEvery int) *xmltree.Document {
 // replans reads the process-wide replan counter.
 func replans() int64 { return obs.Default.Snapshot()[obs.MetricFeedbackReplans] }
 
+// authorQuery is d3.Q6. On the generated d3 catalog (d3Doc) Auto's rules
+// pick PL, the document being non-recursive, but only some authors carry
+// a date_of_birth: the author scan emits far fewer matches than the tag
+// count it was estimated at, and the replan moves the query to TS. The
+// move wins — forced, PL runs it in 166 µs and TS in 35 µs (Intel Xeon,
+// 2 vCPUs).
+const authorQuery = "//author[date_of_birth][//last_name]//street_address"
+
+// d3Doc is the generated d3 catalog authorQuery flips on.
+func d3Doc() *xmltree.Document {
+	return xmlgen.MustGenerate("d3", xmlgen.Config{Seed: 1, TargetNodes: 4000})
+}
+
+// authorsDoc is a catalog on which authorQuery is well estimated: every
+// author has a date_of_birth, a last_name and a street_address.
+func authorsDoc(t *testing.T, authors int) *xmltree.Document {
+	t.Helper()
+	return mustParseDoc(t, "<catalog>"+strings.Repeat("<author><last_name/><date_of_birth/>"+
+		"<contact_information><street_information><street_address/></street_information></contact_information></author>", authors)+
+		"</catalog>")
+}
+
 // TestFeedbackReplanFromHistory pins the whole loop end to end: the
 // cold run's observations drift from the template's estimates, the
 // first cache hit replans onto a different strategy with the observed
 // cardinalities, and the result and EXPLAIN surface the replan. The
-// well-estimated control on the same corpus — every part matches — must
-// run the same number of times without replanning.
+// well-estimated control on the same corpus must run the same number of
+// times without replanning.
 func TestFeedbackReplanFromHistory(t *testing.T) {
 	e := New()
-	e.Add("skew", skewedDoc(t, 1000, 200))
+	e.Add("d3", d3Doc())
 
 	for _, c := range []struct {
 		q          string
 		wantReplan bool
 	}{
-		{"//part[bolt]//subpart", true},
-		{"//part//subpart", false},
+		{authorQuery, true},
+		{"//author//street_address", false},
 	} {
 		q := c.q
 		cold, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
@@ -109,8 +132,8 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 		if replanRun != 0 {
 			t.Fatalf("first replanned run = %d, want the first cache hit (0)", replanRun)
 		}
-		if last.Plan.Strategy == coldStrategy {
-			t.Errorf("warm strategy %s did not flip from cold %s", last.Plan.Strategy, coldStrategy)
+		if coldStrategy != plan.Pipelined || last.Plan.Strategy != plan.Twig {
+			t.Errorf("strategy went %s -> %s, want PL -> TS", coldStrategy, last.Plan.Strategy)
 		}
 		if !last.Replanned {
 			t.Error("post-replan runs lost the replanned mark")
@@ -176,19 +199,46 @@ func TestFeedbackConverges(t *testing.T) {
 	}
 }
 
+// TestFeedbackReplanKeepsTwig: d4.Q2 on a generated treebank replans —
+// a handful of rows against an estimate of thousands of NN — and stays
+// on TS. The observation is keyed to the kept NN vertex, whose
+// cardinality the estimate took. Keyed to the twig root, the rows
+// priced the VP scan at a handful and the replan moved to NL, which at
+// the benchmark's scale (7 rows) runs d4.Q2 in 3.6 ms against TS's
+// 1.5 ms (Intel Xeon, 2 vCPUs).
+func TestFeedbackReplanKeepsTwig(t *testing.T) {
+	const q = "//VP[VP]//VP[PP]/NP[PP]/NN"
+	e := New()
+	e.Add("d4", xmlgen.MustGenerate("d4", xmlgen.Config{Seed: 1, TargetNodes: 20000}))
+	var res *Result
+	for i := 0; i < 3; i++ {
+		var err error
+		if res, err = e.Eval(q); err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan.Strategy != plan.Twig {
+			t.Fatalf("run %d: strategy %s (replanned=%v), want TS", i, res.Plan.Strategy, res.Replanned)
+		}
+	}
+	if !res.Replanned {
+		t.Error("d4.Q2 did not replan; its first run drifts from its estimates")
+	}
+}
+
 // TestFeedbackFanOutDecidesPerDocument: an all-documents fan-out pins
 // each document to its own snapshot version, so each document's
-// template learns from its own first run. On the skewed document the
-// probe flips the twig plan; on the flat one — every part carries a
-// bolt — it is well estimated and must never replan, however many
-// evaluations of the same query text the other document contributes.
-// One worker keeps the order of evaluations fixed: when history was
-// keyed by query text, that order decided which document replanned.
+// template learns from its own first run. On the d3 catalog the probe
+// flips the PL plan; on the flat one — every author carries a
+// date_of_birth — it is well estimated and must never replan, however
+// many evaluations of the same query text the other document
+// contributes. One worker keeps the order of evaluations fixed: when
+// history was keyed by query text, that order decided which document
+// replanned.
 func TestFeedbackFanOutDecidesPerDocument(t *testing.T) {
-	const q = "//part[bolt]//subpart"
+	const q = authorQuery
 	e := New()
-	e.Add("skew", skewedDoc(t, 1000, 200))
-	e.Add("flat", skewedDoc(t, 1000, 1))
+	e.Add("skew", d3Doc())
+	e.Add("flat", authorsDoc(t, 500))
 
 	var cold map[string]plan.Strategy
 	var last []DocResult

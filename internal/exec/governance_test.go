@@ -46,6 +46,25 @@ func TestEvalCanceledContext(t *testing.T) {
 	}
 }
 
+// TestTwigOutputBudgetAbortsAtTheRow: TwigStack's rows are charged to the
+// output budget one at a time as Execute hands them over, as NestedList
+// instances are. On a path query and on a FLWOR query the abort comes
+// at the row one past the budget, and the partial stats count that many
+// rows emitted.
+func TestTwigOutputBudgetAbortsAtTheRow(t *testing.T) {
+	const budget = 7
+	e := govEngine(t)
+	for _, q := range []string{`//a//c`, `for $a in doc("g.xml")//a, $c in $a//c return <r>{ $c }</r>`} {
+		_, err := e.EvalOptions(q, plan.Options{Strategy: plan.Twig, Budget: gov.Budget{MaxOutput: budget}})
+		if !errors.Is(err, gov.ErrBudgetExceeded) || !strings.Contains(err.Error(), fmt.Sprintf("produced %d results (budget %d)", budget+1, budget)) {
+			t.Fatalf("%s: err = %v, want the output budget to abort at row %d", q, err, budget+1)
+		}
+		if st, ok := gov.StatsOf(err); !ok || st.Name != "TwigStack" || st.Emitted() != budget+1 {
+			t.Errorf("%s: partial stats %v (ok=%v) emitted %d rows, want TwigStack's %d", q, st.Name, ok, st.Emitted(), budget+1)
+		}
+	}
+}
+
 // TestPanicRecovery scripts an operator panic at varying emissions and
 // checks the executor converts it to an error with operator context
 // instead of crashing, and counts it in the metrics registry.

@@ -51,7 +51,7 @@ func TestQueryLogRowsOut(t *testing.T) {
 			t.Fatalf("%s: log record %q: %v", c.query, buf.String(), err)
 		}
 		if rec.RowsOut != c.rows {
-			t.Errorf("%s: rows_out = %d, want %d (%d instances)", c.query, rec.RowsOut, c.rows, len(res.Instances))
+			t.Errorf("%s: rows_out = %d, want %d (%d instances)", c.query, rec.RowsOut, c.rows, res.Instances.Len())
 		}
 	}
 }

@@ -128,13 +128,24 @@ func (s *Stream) Len() int { return len(s.nodes) - s.pos }
 // Reset rewinds the stream to its beginning.
 func (s *Stream) Reset() { s.pos = 0 }
 
-// SkipTo advances the stream until Head().Start >= start or EOF, using
-// binary search. It never moves backwards.
+// SkipTo advances the stream until Head().Start >= start or EOF. It
+// never moves backwards. It gallops: it probes 1, 2, 4, … positions
+// ahead of the cursor until one brackets the target, then binary-searches
+// the bracket, so a short skip touches a few adjacent nodes instead of
+// log₂N far-apart ones.
 func (s *Stream) SkipTo(start int) {
 	if s.EOF() || s.nodes[s.pos].Start >= start {
 		return
 	}
-	lo, hi := s.pos+1, len(s.nodes)
+	// Every node in [pos, lo) starts before start; nodes[hi], if any, does
+	// not.
+	lo, hi, step := s.pos+1, s.pos+1, 1
+	for hi < len(s.nodes) && s.nodes[hi].Start < start {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	hi = min(hi, len(s.nodes))
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if s.nodes[mid].Start < start {

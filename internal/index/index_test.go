@@ -1,8 +1,11 @@
 package index
 
 import (
+	"strings"
 	"testing"
 
+	"blossomtree/internal/gov"
+	"blossomtree/internal/obs"
 	"blossomtree/internal/xmltree"
 )
 
@@ -111,5 +114,60 @@ func TestStreamSkipTo(t *testing.T) {
 	s.SkipTo(0) // no-op at EOF
 	if !s.EOF() {
 		t.Error("SkipTo at EOF should stay EOF")
+	}
+}
+
+// TestStreamSkipToGallops: wherever the galloping search lands, it lands
+// where a linear walk would, and it charges exactly the positions it
+// passed — to the stats and to the governor alike — without allocating.
+func TestStreamSkipToGallops(t *testing.T) {
+	doc, err := xmltree.ParseString("<a>" + strings.Repeat("<b/>", 40) + "</a>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := Build(doc).Nodes("b")
+	cases := []struct {
+		name     string
+		from     int // cursor position before the skip
+		target   int // SkipTo argument
+		wantPos  int
+		wantSkip int64
+	}{
+		{"zero: head already there", 5, bs[5].Start, 5, 0},
+		{"zero: backwards target", 20, bs[3].Start, 20, 0},
+		{"one", 5, bs[6].Start, 6, 1},
+		{"one, between nodes", 5, bs[5].Start + 1, 6, 1},
+		{"two", 5, bs[7].Start, 7, 2},
+		{"many", 2, bs[37].Start, 37, 35},
+		{"to the last node", 0, bs[39].Start, 39, 39},
+		{"to EOF", 10, bs[39].Start + 1, 40, 30},
+		{"past EOF", 0, 1 << 30, 40, 40},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStream(bs)
+			s.pos = tc.from
+			s.Stats = obs.NewOpStats("stream", "")
+			s.Gov = gov.New(nil, gov.Budget{MaxNodes: 1 << 20}, nil)
+			s.SkipTo(tc.target)
+			if s.pos != tc.wantPos {
+				t.Errorf("landed at %d, want %d", s.pos, tc.wantPos)
+			}
+			if got := s.Stats.Scanned(); got != tc.wantSkip {
+				t.Errorf("stats charged %d, want %d", got, tc.wantSkip)
+			}
+			if got := s.Gov.NodesScanned(); got != tc.wantSkip {
+				t.Errorf("governor charged %d, want %d", got, tc.wantSkip)
+			}
+		})
+	}
+	s := NewStream(bs)
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Reset()
+		s.SkipTo(bs[1].Start)
+		s.SkipTo(bs[30].Start)
+		s.SkipTo(1 << 30)
+	}); allocs != 0 {
+		t.Errorf("SkipTo allocates %.0f objects per run, want 0", allocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -541,10 +542,14 @@ func TestQuickTwigStackEqualsOracle(t *testing.T) {
 // TestQuickTwigStackKeepEqualsBruteForce: several kept vertices — every
 // vertex, the document root with the result, and a random pair — give
 // exactly the brute-force enumeration's distinct combinations, in order.
+// Half the documents make c rare, so parents without a c inside are
+// passed over and streams whose parent has no open entry jump ahead;
+// either way the pass reads every stream to its end.
 func TestQuickTwigStackKeepEqualsBruteForce(t *testing.T) {
+	alphabets := [][]string{{"a", "b", "c"}, {"a", "a", "a", "a", "b", "b", "b", "b", "c"}}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b", "c"}, MaxNodes: 40, MaxDepth: 7, TextProb: -1})
+		doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: alphabets[r.Intn(2)], MaxNodes: 40, MaxDepth: 7, TextProb: -1})
 		query := quickTwigQueries[r.Intn(len(quickTwigQueries))]
 		ix := index.Build(doc)
 		q, err := core.FromPath(xpath.MustParse(query))
@@ -567,6 +572,7 @@ func TestQuickTwigStackKeepEqualsBruteForce(t *testing.T) {
 				return false
 			}
 			ts.Keep = keep
+			ts.Stats = obs.NewOpStats("TwigStack", query)
 			got, err := ts.Run()
 			if err != nil {
 				t.Logf("Run: %v", err)
@@ -574,6 +580,14 @@ func TestQuickTwigStackKeepEqualsBruteForce(t *testing.T) {
 			}
 			if want := bruteTwig(doc, root, keep); !sameRows(got, want) {
 				t.Logf("TS %s keeping %d vertices: %d rows vs %d (seed %d)", query, len(keep), len(got), len(want), seed)
+				return false
+			}
+			total := 0
+			for _, v := range ts.vertices {
+				total += len(ts.stream(v))
+			}
+			if got := ts.Stats.Scanned(); got != int64(total) {
+				t.Logf("TS %s scanned %d, want the streams' total %d (seed %d)", query, got, total, seed)
 				return false
 			}
 		}
@@ -852,6 +866,51 @@ func TestTwigStackKeepsDocumentRoot(t *testing.T) {
 	}
 	if only, _ := runTwig(t, root, ix, q.Tree.Roots[0]); len(only) != 1 || only[0][0] != doc.Root {
 		t.Errorf("document root alone = %v, want one row binding the document node", only)
+	}
+}
+
+// TestTwigStackSkipsWhatCannotMatch: on //part[bolt]//subpart over parts
+// of which one in ten carries a bolt, only the bolted parts, their bolts
+// and their subparts are pushed. A part without a bolt ends before the
+// bolt stream's head (rule 2), a nested part too, and the subparts of a
+// part never pushed are jumped over (rule 1). Without the skips the pass
+// pushed every part and every subpart. The streams are still read to
+// their end.
+func TestTwigStackSkipsWhatCannotMatch(t *testing.T) {
+	const parts, every = 100, 10
+	var sb strings.Builder
+	sb.WriteString("<assembly>")
+	for i := 0; i < parts; i++ {
+		sb.WriteString("<part>")
+		if i%every == 0 {
+			sb.WriteString("<bolt/>")
+		}
+		sb.WriteString(strings.Repeat("<subpart/>", 12) + "<part><subpart/></part></part>")
+	}
+	sb.WriteString("</assembly>")
+	doc := parse(t, sb.String())
+	ix := index.Build(doc)
+	q, root := twigRoot(t, `//part[bolt]//subpart`)
+	ts, err := NewTwigStack(root, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Keep = []*core.Vertex{q.Vars["result"]}
+	ts.Stats = obs.NewOpStats("TwigStack", "skewed")
+	rows, err := ts.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bolted := parts / every
+	if len(rows) != 13*bolted {
+		t.Errorf("%d rows, want the %d subparts of bolted parts", len(rows), 13*bolted)
+	}
+	if want := bolted + bolted + 13*bolted; ts.PushCount != want {
+		t.Errorf("pushed %d, want %d (bolted parts, bolts, their subparts); without skips %d",
+			ts.PushCount, want, 2*parts+bolted+13*parts)
+	}
+	if got, want := ts.Stats.Scanned(), int64(2*parts+bolted+13*parts); got != want {
+		t.Errorf("scanned %d, want the streams' total %d", got, want)
 	}
 }
 

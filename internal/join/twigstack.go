@@ -3,6 +3,7 @@ package join
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"blossomtree/internal/core"
@@ -24,6 +25,14 @@ import (
 //     head. A node is pushed only while its parent vertex has an open
 //     entry — on a parent-child edge, one for the node's parent — and the
 //     root only where it meets the document-element anchoring.
+//   - What cannot match is skipped, by the two rules of Bruno et al.'s
+//     getNext. (1) While a vertex's parent vertex has no open entry, the
+//     vertex's stream jumps to the parent's next head: nothing before it
+//     could be pushed. (2) A node that ends before the head of one of
+//     its child vertices' streams contains no match of that child, so it
+//     is passed over, never pushed. Skipped elements are still read
+//     through the stream, so the pass's scanned count stays the streams'
+//     total.
 //   - Entries close in post-order. One holds when each child vertex has a
 //     holding entry inside it: pushed during its lifetime on an
 //     ancestor-descendant edge, linked to it on a parent-child edge.
@@ -174,21 +183,24 @@ func (ts *TwigStack) Run() ([][]*xmltree.Node, error) {
 // vertex does and no entry encloses an entry of its own node.
 func (ts *TwigStack) scan() ([]twigList, error) {
 	n := len(ts.vertices)
-	streams := make([]*index.Stream, n)
+	streams := make([]index.Stream, n)
+	// heads caches each stream's head Start, math.MaxInt at EOF: the merge
+	// compares these instead of dereferencing every stream's head node.
+	heads := make([]int, n)
 	lists := make([]twigList, n)
 	top := make([]int32, n) // the vertex's deepest open entry on the stack, -1 if none
 	for i, v := range ts.vertices {
-		nodes := ts.stream(v)
-		streams[i] = index.NewStream(nodes)
+		streams[i] = *index.NewStream(ts.stream(v))
 		streams[i].Stats = ts.Stats
 		streams[i].Gov = ts.Gov
-		// A list holds at most its stream: size it once, not by doubling.
-		k := len(ts.children[i])
-		lists[i] = twigList{kids: k, nodes: make([]*xmltree.Node, 0, len(nodes)),
-			match: make([]bool, 0, len(nodes)), span: make([]int32, 0, 2*k*len(nodes))}
+		heads[i] = headStart(&streams[i])
+		lists[i].kids = len(ts.children[i])
 		top[i] = -1
 	}
-	type open struct{ slot, at, prev int32 }
+	type open struct {
+		slot, at, prev int32
+		end            int // the entry's node's End
+	}
 	var stack []open
 	var cmps int64
 	depth := 0
@@ -197,10 +209,13 @@ func (ts *TwigStack) scan() ([]twigList, error) {
 		ts.Stats.ObserveStackDepth(depth)
 	}()
 
+	// push opens an entry for h unless the root misses the anchoring or a
+	// parent-child edge misses h's parent. The parent vertex has an open
+	// entry (rule 1 skipped the stream otherwise).
 	push := func(slot int, h *xmltree.Node) {
 		l, p := &lists[slot], ts.parent[slot]
 		switch {
-		case p < 0 && ts.anchored && h.Level != 1, p >= 0 && top[p] < 0:
+		case p < 0 && ts.anchored && h.Level != 1:
 			return
 		case ts.pc[slot]:
 			cmps++
@@ -219,7 +234,7 @@ func (ts *TwigStack) scan() ([]twigList, error) {
 			}
 			l.span = append(l.span, int32(len(lists[c].nodes)), w)
 		}
-		stack = append(stack, open{int32(slot), int32(len(l.nodes)), top[slot]})
+		stack = append(stack, open{int32(slot), int32(len(l.nodes)), top[slot], h.End})
 		top[slot] = int32(len(stack) - 1)
 		l.nodes = append(l.nodes, h)
 		l.match = append(l.match, false)
@@ -247,29 +262,78 @@ func (ts *TwigStack) scan() ([]twigList, error) {
 		}
 	}
 
-	for {
-		slot, h := -1, (*xmltree.Node)(nil)
-		for i := n - 1; i >= 0; i-- {
-			if c := streams[i].Head(); c != nil && (h == nil || c.Start < h.Start) {
-				slot, h = i, c
+	// childless reports whether some child vertex's stream has nothing
+	// inside h: its head, the first element after h.Start, lies past h.End.
+	childless := func(slot int, h *xmltree.Node) bool {
+		for _, c := range ts.children[slot] {
+			cmps++
+			if heads[c] > h.End {
+				return true
 			}
 		}
-		if h == nil {
+		return false
+	}
+	// jump is rule 1, for a vertex whose parent vertex has no open entry:
+	// only the parent's next head can open one, so the stream jumps past
+	// it — a node in both streams comes here first, before the parent's
+	// entry for it exists. A parent without an open entry of its own
+	// parent jumps first, so the target is not a head rule 1 would pass
+	// over anyway.
+	var jump func(slot int)
+	jump = func(slot int) {
+		p := ts.parent[slot]
+		if pp := ts.parent[p]; pp >= 0 && top[pp] < 0 {
+			jump(p)
+		}
+		next := heads[p]
+		if next < math.MaxInt {
+			next++
+		}
+		streams[slot].SkipTo(next)
+		heads[slot] = headStart(&streams[slot])
+	}
+
+	for {
+		slot, at := -1, math.MaxInt
+		for i := n - 1; i >= 0; i-- {
+			if heads[i] < at {
+				slot, at = i, heads[i]
+			}
+		}
+		if slot < 0 {
 			break
 		}
 		if err := ts.Gov.Poll(); err != nil {
 			return nil, err
 		}
-		for len(stack) > 0 && lists[stack[len(stack)-1].slot].nodes[stack[len(stack)-1].at].End < h.Start {
+		for len(stack) > 0 && stack[len(stack)-1].end < at {
 			pop()
 		}
-		push(slot, h)
-		streams[slot].Advance()
+		if p := ts.parent[slot]; p >= 0 && top[p] < 0 {
+			jump(slot)
+			continue
+		}
+		// Rule 2: a node without every child vertex inside it cannot
+		// hold; it is passed over.
+		s := &streams[slot]
+		if h := s.Head(); !childless(slot, h) {
+			push(slot, h)
+		}
+		s.Advance()
+		heads[slot] = headStart(s)
 	}
 	for len(stack) > 0 {
 		pop()
 	}
 	return lists, ts.Gov.Err()
+}
+
+// headStart is the stream head's Start, math.MaxInt at EOF.
+func headStart(s *index.Stream) int {
+	if h := s.Head(); h != nil {
+		return h.Start
+	}
+	return math.MaxInt
 }
 
 // mark narrows every list to the entries in a full match, top-down: a

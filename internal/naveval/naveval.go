@@ -49,15 +49,40 @@ func OrderKeyLess(a, b string) bool {
 	return a < b
 }
 
-// OrderLess returns the order-by key comparator for the requested
-// direction: OrderKeyLess for ascending, its mirror for descending.
-// Both evaluators sort stably with it, so equal keys keep iteration
-// order in either direction.
-func OrderLess(desc bool) func(a, b string) bool {
-	if desc {
-		return func(a, b string) bool { return OrderKeyLess(b, a) }
+// SortByKeys orders envs by their order-by keys (keys[i] is envs[i]'s)
+// under OrderKeyLess, ascending or descending, parsing each key once.
+// Both evaluators sort with it. The sort is stable, so equal keys keep
+// iteration order in either direction. It reorders envs in place and
+// returns it.
+func SortByKeys(envs []Env, keys []string, desc bool) []Env {
+	type keyed struct {
+		s   string
+		f   float64 // the key's value, when num
+		num bool
+		env Env
 	}
-	return OrderKeyLess
+	ks := make([]keyed, len(envs))
+	for i, env := range envs {
+		f, err := strconv.ParseFloat(keys[i], 64)
+		ks[i] = keyed{keys[i], f, err == nil, env}
+	}
+	// less is OrderKeyLess on parsed keys.
+	less := func(a, b *keyed) bool {
+		if a.num && b.num {
+			return a.f < b.f
+		}
+		return a.s < b.s
+	}
+	sort.SliceStable(ks, func(i, j int) bool {
+		if desc {
+			return less(&ks[j], &ks[i])
+		}
+		return less(&ks[i], &ks[j])
+	})
+	for i, k := range ks {
+		envs[i] = k.env
+	}
+	return envs
 }
 
 // Resolver maps document URIs to documents. The empty URI resolves
@@ -724,17 +749,7 @@ func EvalFLWORGov(resolve Resolver, f *flwor.FLWOR, g *gov.Governor) ([]Env, err
 				keys[i] = xmltree.StringValue(res[0])
 			}
 		}
-		idx := make([]int, len(envs))
-		for i := range idx {
-			idx[i] = i
-		}
-		less := OrderLess(f.OrderDesc)
-		sort.SliceStable(idx, func(a, b int) bool { return less(keys[idx[a]], keys[idx[b]]) })
-		sorted := make([]Env, len(envs))
-		for i, j := range idx {
-			sorted[i] = envs[j]
-		}
-		envs = sorted
+		envs = SortByKeys(envs, keys, f.OrderDesc)
 	}
 	return envs, nil
 }

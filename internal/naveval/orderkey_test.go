@@ -1,6 +1,50 @@
 package naveval
 
-import "testing"
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"blossomtree/internal/xmltree"
+)
+
+// TestSortByKeysMatchesOrderKeyLess: sorting through the keys parsed once
+// gives, in both directions, the order a stable sort by OrderKeyLess on
+// the raw keys gives — for random mixes of numeric, textual, empty and
+// special-value keys, ties included.
+func TestSortByKeysMatchesOrderKeyLess(t *testing.T) {
+	pool := []string{"", " ", "0", "-0", "9", "10", "2.5", "2.50", "007", "+1", "-2", "1e3", "1e400",
+		"0x10", "NaN", "nan", "Inf", "-Inf", "+inf", "infinity", "abc", "Abc", "-", "x1", "1x", " 1"}
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(40)
+		keys := make([]string, n)
+		envs := make([]Env, n)
+		for i := range keys {
+			keys[i] = pool[r.Intn(len(pool))]
+			envs[i] = Env{"x": {&xmltree.Node{Start: i}}}
+		}
+		for _, desc := range []bool{false, true} {
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				if desc {
+					return OrderKeyLess(keys[want[b]], keys[want[a]])
+				}
+				return OrderKeyLess(keys[want[a]], keys[want[b]])
+			})
+			got := SortByKeys(append([]Env(nil), envs...), keys, desc)
+			for i, env := range got {
+				if j := env["x"][0].Start; j != want[i] {
+					t.Fatalf("trial %d desc=%v: position %d holds key %q (#%d), OrderKeyLess puts %q (#%d) there\nkeys %q",
+						trial, desc, i, keys[j], j, keys[want[i]], want[i], keys)
+				}
+			}
+		}
+	}
+}
 
 // TestOrderKeyLess pins the order-by comparator's edge behaviour:
 // numeric comparison whenever both keys parse as floats (so "9" sorts

@@ -252,15 +252,6 @@ func (l *List) ProjectSlot(slot int) []*xmltree.Node {
 	return out
 }
 
-// ProjectVar projects the slot bound to the named variable.
-func (l *List) ProjectVar(name string) ([]*xmltree.Node, error) {
-	n, ok := l.Shape.ByVar(name)
-	if !ok {
-		return nil, fmt.Errorf("nestedlist: no returning node for variable $%s", name)
-	}
-	return l.ProjectSlot(n.Slot), nil
-}
-
 // Select implements σ_ϕ(ID): project on the Dewey ID, evaluate the
 // predicate on each projected item (pos is the 1-based position within
 // its group, the position() of path expressions), remove failing items,

@@ -376,22 +376,3 @@ func TestProjectAll(t *testing.T) {
 		}
 	}
 }
-
-func TestProjectVar(t *testing.T) {
-	q, err := core.FromPath(xpath.MustParse("//a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, _ := xmltree.ParseString(`<r><a/></r>`)
-	a := xmltree.Descendants(doc.DocumentElement(), "a")[0]
-	l := NewInstance(q.Return)
-	l.Root.Groups[0] = []*Item{NewItem(a, 0)}
-	l.SetFilled(1)
-	ns, err := l.ProjectVar("result")
-	if err != nil || len(ns) != 1 || ns[0] != a {
-		t.Errorf("ProjectVar = %v, %v", ns, err)
-	}
-	if _, err := l.ProjectVar("missing"); err == nil {
-		t.Error("ProjectVar(missing) should fail")
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/nok"
 	"blossomtree/internal/obs"
-	"blossomtree/internal/xmltree"
 )
 
 // component is a connected part of the join graph under construction:
@@ -384,9 +383,10 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 	}
 }
 
-// buildTwig runs the holistic TwigStack and adapts its rows to the
-// instance stream interface.
-func (p *Plan) buildTwig() (join.Operator, *obs.OpStats, error) {
+// runTwig runs the holistic TwigStack, at build time, and keeps its rows
+// as they are: one column per query variable's vertex, in returning-slot
+// order. No NestedList is built.
+func (p *Plan) runTwig() (*Instances, *obs.OpStats, error) {
 	root := p.Query.Tree.Roots[0]
 	start := root
 	if root.IsDocRoot() {
@@ -398,19 +398,6 @@ func (p *Plan) buildTwig() (join.Operator, *obs.OpStats, error) {
 	}
 	ts.Gov = p.gov
 	st := obs.NewOpStats("TwigStack", fmt.Sprintf("twig rooted at %s", start.Label()))
-	// The operator emits one instance per distinct kept-variable
-	// combination, so the output estimate the feedback loop compares
-	// against must come from the kept variables' vertices (the widest
-	// dominates), not from the pattern root.
-	for _, v := range p.Query.Vars {
-		if c := p.cardinality(v); c > st.EstOut {
-			st.EstOut = c
-		}
-	}
-	if st.EstOut < 0 {
-		st.EstOut = p.cardinality(start)
-	}
-	st.FeedbackKey = start.Label()
 	for _, v := range p.Query.Tree.Vertices {
 		if !v.IsDocRoot() {
 			if st.EstNodes < 0 {
@@ -422,24 +409,24 @@ func (p *Plan) buildTwig() (join.Operator, *obs.OpStats, error) {
 	ts.Stats = st
 	// Keep only the variables' bindings, in returning-slot order: the
 	// executor needs distinct variable combinations, not every
-	// existential witness, and rows in column order are instances in
-	// document order of their returning slots. col maps a slot to its
-	// row column, -1 for a slot no variable binds.
+	// existential witness, and rows in column order are in document order
+	// of their returning slots. One row per combination means the output
+	// estimate comes from the kept vertices (the widest dominates), and
+	// the first run's row count is observed under that vertex's label —
+	// the cardinality the estimate took and a replan's hint replaces.
 	vars := make(map[*core.Vertex]bool, len(p.Query.Vars))
 	for _, v := range p.Query.Vars {
 		vars[v] = true
 	}
-	rt := p.Query.Return
-	col := make([]int, len(rt.Nodes))
-	for slot, rn := range rt.Nodes {
-		col[slot] = -1
+	for _, rn := range p.Query.Return.Nodes {
 		if rn.Vertex != nil && vars[rn.Vertex] {
-			col[slot] = len(ts.Keep)
 			ts.Keep = append(ts.Keep, rn.Vertex)
+			if c := p.cardinality(rn.Vertex); c > st.EstOut {
+				st.EstOut, st.FeedbackKey = c, rn.Vertex.Label()
+			}
 		}
 	}
-	// The twig runs here, at build time, not in the returned operator's
-	// GetNext: charge its time to the operator under EXPLAIN ANALYZE.
+	// Charge the run's time to the operator under EXPLAIN ANALYZE.
 	if p.opts.Analyze {
 		t0 := time.Now()
 		defer func() { st.AddElapsed(time.Since(t0)) }()
@@ -451,32 +438,7 @@ func (p *Plan) buildTwig() (join.Operator, *obs.OpStats, error) {
 		return nil, st, err
 	}
 	p.note("TwigStack produced %d matches (%d stack pushes)", len(rows), ts.PushCount)
-	ls := make([]*nestedlist.List, len(rows))
-	for i, row := range rows {
-		l := nestedlist.NewInstance(rt)
-		// Every returning node gets one item (a placeholder where col is
-		// -1); their one-item groups share one backing array.
-		groups := make([]*nestedlist.Item, len(rt.Nodes))
-		rowItems(l, l.Root, rt.Root, row, col, groups)
-		ls[i] = l
-	}
-	return join.Instrument(join.NewSliceOperator(ls), st), st, nil
-}
-
-// rowItems adds the items of rn's children under parent: each returning
-// node's item holds its row column's node, nested per the returning
-// tree, and marks its slot filled when a column binds it.
-func rowItems(l *nestedlist.List, parent *nestedlist.Item, rn *core.ReturnNode, row []*xmltree.Node, col []int, groups []*nestedlist.Item) {
-	for ord, c := range rn.Children {
-		var node *xmltree.Node
-		if k := col[c.Slot]; k >= 0 {
-			node = row[k]
-			l.SetFilled(c.Slot)
-		}
-		groups[c.Slot] = nestedlist.NewItem(node, len(c.Children))
-		parent.Groups[ord] = groups[c.Slot : c.Slot+1 : c.Slot+1]
-		rowItems(l, groups[c.Slot], c, row, col, groups)
-	}
+	return &Instances{Rows: rows, Cols: ts.Keep}, st, nil
 }
 
 // noKOfVertex resolves the NoK containing a vertex.

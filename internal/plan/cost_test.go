@@ -118,7 +118,7 @@ func TestCostBasedPlansExecuteCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := p.Execute()
+		ins, err := p.Execute()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,15 +126,8 @@ func TestCostBasedPlansExecuteCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rn, _ := p.Query.Return.ByVar("result")
-		seen := map[*xmltree.Node]bool{}
-		for _, l := range ls {
-			for _, n := range l.ProjectSlot(rn.Slot) {
-				seen[n] = true
-			}
-		}
-		if len(seen) != len(want) {
-			t.Errorf("%s %s via %s: %d results, want %d", id, q, p.Strategy, len(seen), len(want))
+		if got := len(resultNodes(p, ins)); got != len(want) {
+			t.Errorf("%s %s via %s: %d results, want %d", id, q, p.Strategy, got, len(want))
 		}
 	}
 }

@@ -77,7 +77,7 @@ func TestExplainGolden(t *testing.T) {
 				if _, err := pl.Execute(); err != nil {
 					t.Fatal(err)
 				}
-			} else if _, err := pl.Operator(); err != nil {
+			} else if err := pl.Prepare(); err != nil {
 				t.Fatal(err)
 			}
 			got := pl.Explain() + pl.ExplainCosts() + pl.ExplainTree(tc.analyze)

@@ -5,7 +5,7 @@
 // //-edges — pipelined merge join, bounded nested-loop join, naive
 // nested-loop join, or the holistic TwigStack — wires crossing edges as
 // join predicates or selections, and exposes the result as a pull stream
-// of NestedList instances.
+// of NestedList instances — or, from TwigStack, as flat rows.
 //
 // Strategy selection implements the decision rules the paper's
 // experiments motivate (§5.2): the pipelined join requires
@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"time"
 
@@ -153,7 +154,7 @@ type Plan struct {
 	errChecks     []func() error
 	preScanned    map[*core.NoK]replay
 	// stats is the root of the per-operator statistics tree of the most
-	// recent Operator build; rebuilt fresh on every build so a plan
+	// recent build; rebuilt fresh on every build so a plan
 	// explained and then executed does not double-count.
 	stats *obs.OpStats
 }
@@ -317,7 +318,7 @@ func (p *Plan) twigCompatible() error {
 // cannot be re-shaped by run options, while everything per-run —
 // context, budget, fault injector, analyze, telemetry
 // identity and the governor — comes from opts. The explain notes are
-// copied, not aliased: Operator builds append access-method notes, and
+// copied, not aliased: builds append access-method notes, and
 // concurrent forks must not race on the template's slice.
 func (p *Plan) Fork(opts Options) *Plan {
 	opts.Strategy = p.opts.Strategy
@@ -353,23 +354,60 @@ func (p *Plan) Explain() string {
 	return sb.String()
 }
 
+// Instances is what a plan's run delivers. A NoK plan's operators
+// deliver NestedList instances (Lists). A TwigStack plan delivers its
+// rows as they are (Rows): one per distinct combination of the query
+// variables' bindings, one column per variable vertex (Cols), ordered by
+// the columns' document order. No NestedList is built for them.
+type Instances struct {
+	Lists []*nestedlist.List
+	Rows  [][]*xmltree.Node
+	Cols  []*core.Vertex
+}
+
+// Len is the number of instances or rows.
+func (in *Instances) Len() int { return len(in.Lists) + len(in.Rows) }
+
+// Bound returns the nodes that instance or row i binds to the returning
+// node rn.
+func (in *Instances) Bound(i int, rn *core.ReturnNode) []*xmltree.Node {
+	if in.Lists != nil {
+		return in.Lists[i].ProjectSlot(rn.Slot)
+	}
+	if k := slices.Index(in.Cols, rn.Vertex); k >= 0 {
+		return in.Rows[i][k : k+1 : k+1]
+	}
+	return nil
+}
+
 // Execute runs the plan and materializes the resulting instances. A
 // governance violation (cancellation, deadline, budget) aborts with the
 // typed gov error carrying the partial per-operator stats tree recorded
 // up to the abort — the partial EXPLAIN ANALYZE.
-func (p *Plan) Execute() ([]*nestedlist.List, error) {
+func (p *Plan) Execute() (*Instances, error) {
 	if err := p.gov.CheckNow(); err != nil {
 		return nil, gov.WithStats(err, p.stats)
 	}
-	op, err := p.Operator()
+	op, out, err := p.build()
 	if err != nil {
 		return nil, gov.WithStats(err, p.stats)
 	}
-	var out []*nestedlist.List
-	for l := op.GetNext(); l != nil; l = op.GetNext() {
-		out = append(out, l)
-		// Root-level results are the only emissions charged against the
-		// output budget (intermediate operators emit freely).
+	// Root-level results are the only emissions charged against the
+	// output budget (intermediate operators emit freely).
+	if out == nil {
+		out = &Instances{}
+		for l := op.GetNext(); l != nil; l = op.GetNext() {
+			out.Lists = append(out.Lists, l)
+			if err := p.gov.Output(1); err != nil {
+				return nil, gov.WithStats(err, p.stats)
+			}
+		}
+	}
+	// TwigStack's rows are ready: each one handed over counts as the
+	// operator's call and emission.
+	for range out.Rows {
+		p.stats.AddCall()
+		p.stats.AddEmitted(1)
 		if err := p.gov.Output(1); err != nil {
 			return nil, gov.WithStats(err, p.stats)
 		}
@@ -391,15 +429,25 @@ func (p *Plan) Err() error {
 	return p.gov.Err()
 }
 
-// Operator builds the root operator of the plan, along with a fresh
-// per-operator statistics tree (StatsTree) mirroring its shape.
-func (p *Plan) Operator() (join.Operator, error) {
+// Prepare builds the plan without draining it: its operators, its
+// access-method notes and a fresh per-operator statistics tree
+// (StatsTree) mirroring its shape — what EXPLAIN renders. A TwigStack
+// plan's join runs here.
+func (p *Plan) Prepare() error {
+	_, _, err := p.build()
+	return err
+}
+
+// build builds a NoK plan's root operator, or runs a TwigStack plan and
+// returns its rows, along with a fresh stats tree.
+func (p *Plan) build() (join.Operator, *Instances, error) {
 	var op join.Operator
+	var out *Instances
 	var st *obs.OpStats
 	var err error
 	switch p.Strategy {
 	case Twig:
-		op, st, err = p.buildTwig()
+		out, st, err = p.runTwig()
 	default:
 		op, st, err = p.buildNoKPlan()
 	}
@@ -410,16 +458,16 @@ func (p *Plan) Operator() (join.Operator, error) {
 		p.stats = st
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.opts.Analyze {
 		st.EnableTiming()
 	}
-	return op, nil
+	return op, out, nil
 }
 
 // StatsTree returns the root of the per-operator statistics tree built
-// by the most recent Operator call (nil before the first build). Each
+// by the most recent Prepare or Execute (nil before the first). Each
 // node pairs the cost model's estimates with the counters the operators
 // accumulate while running.
 func (p *Plan) StatsTree() *obs.OpStats { return p.stats }

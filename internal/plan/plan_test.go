@@ -39,6 +39,19 @@ func parse(t *testing.T, s string) *xmltree.Document {
 	return doc
 }
 
+// resultNodes collects the distinct nodes a path plan's run binds to the
+// path's result, from NestedList instances and TwigStack rows alike.
+func resultNodes(p *Plan, ins *Instances) map[*xmltree.Node]bool {
+	rn, _ := p.Query.Return.ByVar("result")
+	seen := map[*xmltree.Node]bool{}
+	for i := range ins.Len() {
+		for _, n := range ins.Bound(i, rn) {
+			seen[n] = true
+		}
+	}
+	return seen
+}
+
 func TestStrategyString(t *testing.T) {
 	names := map[Strategy]string{
 		Auto: "auto", Pipelined: "PL", BoundedNL: "NL", NaiveNL: "NLJ",
@@ -125,13 +138,13 @@ func TestWildcardOuterIsNotPipelined(t *testing.T) {
 					t.Errorf("cost model prices PL as sound: %+v", e)
 				}
 			}
-			ls, err := p.Execute()
+			ins, err := p.Execute()
 			if err != nil {
 				t.Fatal(err)
 			}
 			// r, a, c and d contain 3, 2, 1 and 1 b elements.
-			if len(ls) != 7 {
-				t.Errorf("%d rows, want 7", len(ls))
+			if ins.Len() != 7 {
+				t.Errorf("%d rows, want 7", ins.Len())
 			}
 		})
 	}
@@ -152,7 +165,7 @@ func TestAutoTwigFallback(t *testing.T) {
 	}
 	// Forced Twig surfaces the error at build or operator time.
 	if p2, err := Build(compilePath(t, `//a[2]//c`), doc, Options{Strategy: Twig, Index: ix}); err == nil {
-		if _, err := p2.Operator(); err == nil {
+		if err := p2.Prepare(); err == nil {
 			t.Error("forced incompatible Twig should fail")
 		}
 	}
@@ -171,22 +184,11 @@ func TestExecuteAcrossStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ls, err := p.Execute()
+			ins, err := p.Execute()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rn, _ := p.Query.Return.ByVar("result")
-			seen := map[*xmltree.Node]bool{}
-			count := 0
-			for _, l := range ls {
-				for _, n := range l.ProjectSlot(rn.Slot) {
-					if !seen[n] {
-						seen[n] = true
-						count++
-					}
-				}
-			}
-			if count != len(want) {
+			if count := len(resultNodes(p, ins)); count != len(want) {
 				t.Errorf("%s: %d distinct results, want %d", s, count, len(want))
 			}
 		})
@@ -200,7 +202,7 @@ func TestIndexScanNote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Operator(); err != nil {
+	if err := p.Prepare(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(p.Explain(), "tag index") {
@@ -230,15 +232,15 @@ func TestFLWORCrossingPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := p.Execute()
+	ins, err := p.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ls) != 1 {
-		t.Fatalf("join rows = %d, want 1", len(ls))
+	if ins.Len() != 1 {
+		t.Fatalf("join rows = %d, want 1", ins.Len())
 	}
 	bn, _ := q.Return.ByVar("b")
-	got := ls[0].ProjectSlot(bn.Slot)
+	got := ins.Bound(0, bn)
 	if len(got) != 1 || xmltree.StringValue(got[0]) != "1" {
 		t.Errorf("joined b = %v", got)
 	}
@@ -254,23 +256,12 @@ func TestDocRootChainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := p.Execute()
+	ins, err := p.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := naveval.EvalPath(doc, xpath.MustParse(`/r/a//c`))
-	count := 0
-	rn, _ := p.Query.Return.ByVar("result")
-	seen := map[*xmltree.Node]bool{}
-	for _, l := range ls {
-		for _, n := range l.ProjectSlot(rn.Slot) {
-			if !seen[n] {
-				seen[n] = true
-				count++
-			}
-		}
-	}
-	if count != len(want) {
+	if count := len(resultNodes(p, ins)); count != len(want) {
 		t.Errorf("/r/a//c = %d results, want %d", count, len(want))
 	}
 }
@@ -285,8 +276,8 @@ func TestTrivialEmptyPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ls) != 0 {
-		t.Errorf("no-match query produced %d instances", len(ls))
+	if ls.Len() != 0 {
+		t.Errorf("no-match query produced %d instances", ls.Len())
 	}
 }
 
@@ -308,8 +299,8 @@ func TestCombineScanLinkWithDocRootMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ls) != 1 {
-		t.Fatalf("rows = %d, want 1:\n%s", len(ls), p.Explain())
+	if ls.Len() != 1 {
+		t.Fatalf("rows = %d, want 1:\n%s", ls.Len(), p.Explain())
 	}
 	if !strings.Contains(p.Explain(), "pushed crossing") {
 		t.Errorf("crossing should be pushed into the scan-link join:\n%s", p.Explain())
@@ -331,8 +322,8 @@ func TestCombineWithoutCrossingIsCartesian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ls) != 6 {
-		t.Fatalf("cartesian rows = %d, want 6", len(ls))
+	if ls.Len() != 6 {
+		t.Fatalf("cartesian rows = %d, want 6", ls.Len())
 	}
 	if !strings.Contains(p.Explain(), "cartesian join") {
 		t.Errorf("expected cartesian note:\n%s", p.Explain())
@@ -352,8 +343,8 @@ func TestNaiveNLFallsBackForExistentialLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := naveval.EvalPath(doc, xpath.MustParse(`//a[//c]`))
-	if len(ls) != len(want) {
-		t.Errorf("NLJ existential = %d, want %d", len(ls), len(want))
+	if ls.Len() != len(want) {
+		t.Errorf("NLJ existential = %d, want %d", ls.Len(), len(want))
 	}
 }
 
@@ -372,7 +363,7 @@ func TestCanceledContextEndsExecution(t *testing.T) {
 	if !errors.Is(err, gov.ErrCanceled) {
 		t.Fatalf("canceled plan = %v, want ErrCanceled", err)
 	}
-	if len(ls) != 0 {
-		t.Errorf("canceled plan produced %d instances", len(ls))
+	if ls != nil {
+		t.Errorf("canceled plan produced %d instances", ls.Len())
 	}
 }
