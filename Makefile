@@ -19,7 +19,8 @@
 #                  solutions, string-keyed matches or row-to-NestedList
 #                  adapter, the vectorized
 #                  executor, or brings back unsafe, a finalizer or the
-#                  mapped-column names
+#                  mapped-column names, or a merge in join/nok that reads
+#                  a stream head's labels through its node
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -127,7 +128,9 @@ bench:
 # matches and merge keys built from them stay gone, and its rows reach
 # the executor as rows, not rebuilt as NestedLists. So does the
 # vectorized executor, with its column projections, batch counter, fault
-# site and plan strategy.
+# site and plan strategy. Index postings carry their region labels in
+# columns: the merges and skips in join and nok read a stream head's
+# labels from them (HeadStart, HeadEnd, HeadLevel), not from its node.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -159,6 +162,9 @@ lint-refs:
 		-e 'buildVectorize[d]' -e 'plan\.Vectorize[d]' -- \
 		':!*.md' ':!benchmark/'; then \
 		echo "lint-refs: reference to the retired vectorized executor"; exit 1; fi
+	@if git grep -n -E -e 'headStart' -e 'Head\(\)\.(Start|End|Level)' -- \
+		'internal/join/*.go' 'internal/nok/*.go' ':!*_test.go'; then \
+		echo "lint-refs: a stream head's labels read through its node, not the label columns"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; the compact NestedList form must

@@ -172,7 +172,8 @@ func BenchmarkMicroNoKMatch(b *testing.B) {
 // three-level twig over d4, keeping one for-variable (the path's
 // result) and keeping two (an outer and an inner binding), and on d4.Q2,
 // a selective twig whose few matches let the join skip most of its
-// streams (selective). It reports allocs/op.
+// streams (selective), and with a wildcard vertex, whose stream builds
+// its label columns over every element (wildcard). It reports allocs/op.
 func BenchmarkMicroTwigStack(b *testing.B) {
 	ds := dataset(b, "d4")
 	for _, c := range []struct {
@@ -182,6 +183,7 @@ func BenchmarkMicroTwigStack(b *testing.B) {
 		{"one-var", `for $j in doc("d4")//VP[//NP]//JJ return $j`, []string{"j"}},
 		{"two-var", `for $v in doc("d4")//VP[//NP], $j in $v//JJ return $j`, []string{"v", "j"}},
 		{"selective", `for $n in doc("d4")//VP[VP]//VP[PP]/NP[PP]/NN return $n`, []string{"n"}},
+		{"wildcard", `for $j in doc("d4")//VP/*/JJ return $j`, []string{"j"}},
 	} {
 		q, err := core.FromFLWOR(flwor.MustParse(c.query))
 		if err != nil {

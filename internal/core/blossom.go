@@ -190,9 +190,13 @@ func (v *Vertex) MatchesNode(n *xmltree.Node) bool {
 	if v.IsDocRoot() {
 		return n.Kind == xmltree.DocumentNode
 	}
-	if n.Kind != xmltree.ElementNode || !v.MatchesTag(n.Tag) {
-		return false
-	}
+	return n.Kind == xmltree.ElementNode && v.MatchesTag(n.Tag) && v.MatchesConstraints(n)
+}
+
+// MatchesConstraints reports whether the node satisfies the vertex's
+// non-positional value constraints: MatchesNode for a node already known
+// to pass the vertex's kind and tag test.
+func (v *Vertex) MatchesConstraints(n *xmltree.Node) bool {
 	for _, c := range v.Constraints {
 		if c.Kind == CPosition {
 			continue // positional constraints need sibling context

@@ -1,11 +1,15 @@
 package index
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"blossomtree/internal/gov"
 	"blossomtree/internal/obs"
+	"blossomtree/internal/xmlgen"
 	"blossomtree/internal/xmltree"
 )
 
@@ -51,18 +55,8 @@ func TestBuildAndLookup(t *testing.T) {
 			t.Errorf("Tags[%d] = %q, want %q", i, tags[i], want[i])
 		}
 	}
-	if s := ix.Selectivity("b"); s != 0.5 {
-		t.Errorf("Selectivity(b) = %v, want 0.5", s)
-	}
 	if ix.Document() == nil {
 		t.Error("Document() is nil")
-	}
-}
-
-func TestSelectivityEmpty(t *testing.T) {
-	ix := &TagIndex{lists: map[string][]*xmltree.Node{}}
-	if s := ix.Selectivity("x"); s != 0 {
-		t.Errorf("Selectivity on empty index = %v", s)
 	}
 }
 
@@ -87,10 +81,6 @@ func TestStream(t *testing.T) {
 	s.Advance() // no-op past EOF
 	if s.Len() != 0 {
 		t.Errorf("Len past EOF = %d", s.Len())
-	}
-	s.Reset()
-	if s.Head() != first {
-		t.Error("Reset did not rewind")
 	}
 }
 
@@ -163,11 +153,158 @@ func TestStreamSkipToGallops(t *testing.T) {
 	}
 	s := NewStream(bs)
 	if allocs := testing.AllocsPerRun(100, func() {
-		s.Reset()
+		s.pos = 0
 		s.SkipTo(bs[1].Start)
 		s.SkipTo(bs[30].Start)
 		s.SkipTo(1 << 30)
 	}); allocs != 0 {
 		t.Errorf("SkipTo allocates %.0f objects per run, want 0", allocs)
+	}
+}
+
+// randomDocs returns recursive random documents over a small alphabet,
+// text included, so tag runs interleave in document order.
+func randomDocs(t *testing.T, n int) []*xmltree.Document {
+	t.Helper()
+	var docs []*xmltree.Document
+	for seed := int64(1); seed <= int64(n); seed++ {
+		r := rand.New(rand.NewSource(seed))
+		docs = append(docs, xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b", "c", "d"}, MaxNodes: 120, MaxDepth: 9}))
+	}
+	return docs
+}
+
+// TestPostingsAreTheTagsElements: each tag's run holds exactly the
+// document's elements with that tag, in document order, and the runs
+// together cover every element once.
+func TestPostingsAreTheTagsElements(t *testing.T) {
+	for _, doc := range randomDocs(t, 20) {
+		ix := Build(doc)
+		total := 0
+		for _, tag := range ix.Tags() {
+			var want []*xmltree.Node
+			xmltree.Elements(doc.Root, func(n *xmltree.Node) {
+				if n.Tag == tag {
+					want = append(want, n)
+				}
+			})
+			if got := ix.Nodes(tag); !slices.Equal(got, want) {
+				t.Fatalf("Nodes(%s): %d postings, want the %d elements in document order", tag, len(got), len(want))
+			}
+			total += ix.Count(tag)
+		}
+		if total != ix.TotalElements() || len(ix.cols.nodes) != total {
+			t.Errorf("runs hold %d postings in %d-long columns, want %d", total, len(ix.cols.nodes), ix.TotalElements())
+		}
+	}
+}
+
+// TestStreamColumnsMatchHead: for every tag, the wildcard and a list
+// stream, the head accessors read the head node's labels at every
+// position, and HeadStart reads math.MaxInt at EOF.
+func TestStreamColumnsMatchHead(t *testing.T) {
+	for _, doc := range randomDocs(t, 20) {
+		ix := Build(doc)
+		type stream struct {
+			name  string
+			s     Stream
+			nodes []*xmltree.Node
+		}
+		streams := []stream{{"*", ix.Stream("*"), ix.Nodes("*")}, {"list(b)", NewStream(ix.Nodes("b")), ix.Nodes("b")}}
+		for _, tag := range ix.Tags() {
+			streams = append(streams, stream{tag, ix.Stream(tag), ix.Nodes(tag)})
+		}
+		for _, st := range streams {
+			name, s := st.name, st.s
+			for ; !s.EOF(); s.Advance() {
+				h := s.Head()
+				if h != st.nodes[s.pos] {
+					t.Fatalf("stream %s at %d: head is not the posting", name, s.pos)
+				}
+				if s.HeadStart() != h.Start || s.HeadEnd() != h.End || s.HeadLevel() != h.Level {
+					t.Fatalf("stream %s at %d: columns (%d,%d,%d), head (%d,%d,%d)",
+						name, s.pos, s.HeadStart(), s.HeadEnd(), s.HeadLevel(), h.Start, h.End, h.Level)
+				}
+			}
+			if s.pos != len(st.nodes) {
+				t.Errorf("stream %s ended after %d of %d postings", name, s.pos, len(st.nodes))
+			}
+			if s.HeadStart() != math.MaxInt {
+				t.Errorf("stream %s: HeadStart at EOF = %d", name, s.HeadStart())
+			}
+		}
+	}
+}
+
+// TestStreamSkipToMatchesLinearScan: from random positions to random
+// targets, SkipTo lands where advancing while the head starts before the
+// target lands, and charges the stats and the governor what that walk
+// charges.
+func TestStreamSkipToMatchesLinearScan(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	stream := func(ix *TagIndex, tag string, from int) Stream {
+		s := ix.Stream(tag)
+		s.pos = from
+		s.Stats = obs.NewOpStats("stream", "")
+		s.Gov = gov.New(nil, gov.Budget{MaxNodes: 1 << 20}, nil)
+		return s
+	}
+	for _, doc := range randomDocs(t, 20) {
+		ix := Build(doc)
+		last := doc.Root.End + 2
+		for _, tag := range append(ix.Tags(), "*") {
+			for range 20 {
+				from, target := r.Intn(ix.Count(tag)+1), r.Intn(last)
+				skip, walk := stream(ix, tag, from), stream(ix, tag, from)
+				skip.SkipTo(target)
+				for walk.HeadStart() < target {
+					walk.Advance()
+				}
+				if skip.pos != walk.pos || skip.Head() != walk.Head() {
+					t.Fatalf("%s from %d to %d: SkipTo landed at %d, the walk at %d", tag, from, target, skip.pos, walk.pos)
+				}
+				if skip.Stats.Scanned() != walk.Stats.Scanned() || skip.Gov.NodesScanned() != walk.Gov.NodesScanned() {
+					t.Fatalf("%s from %d to %d: SkipTo charged %d/%d, the walk %d/%d", tag, from, target,
+						skip.Stats.Scanned(), skip.Gov.NodesScanned(), walk.Stats.Scanned(), walk.Gov.NodesScanned())
+				}
+			}
+		}
+	}
+}
+
+// TestStreamReadsDoNotAllocate: skips and head reads cost no allocation.
+func TestStreamReadsDoNotAllocate(t *testing.T) {
+	ix := Build(randomDocs(t, 1)[0])
+	s := ix.Stream("a")
+	sum := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.pos = 0
+		for !s.EOF() {
+			sum += s.HeadStart() + s.HeadEnd() + s.HeadLevel()
+			s.SkipTo(s.HeadStart() + 2)
+		}
+	}); allocs != 0 {
+		t.Errorf("SkipTo and the head accessors allocate %.0f objects per run, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("stream a is empty")
+	}
+}
+
+// TestNodesAppendCopies: a Nodes result ends at its run's end, so an
+// append to it copies instead of overwriting the next tag's run.
+func TestNodesAppendCopies(t *testing.T) {
+	ix := Build(buildDoc(t))
+	for _, tag := range append(ix.Tags(), "*") {
+		before := map[string][]*xmltree.Node{}
+		for _, u := range ix.Tags() {
+			before[u] = slices.Clone(ix.Nodes(u))
+		}
+		_ = append(ix.Nodes(tag), nil)
+		for _, u := range ix.Tags() {
+			if !slices.Equal(ix.Nodes(u), before[u]) {
+				t.Errorf("appending to Nodes(%s) changed the run of %s", tag, u)
+			}
+		}
 	}
 }

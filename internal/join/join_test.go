@@ -497,8 +497,13 @@ func TestTwigStackAppendixQueries(t *testing.T) {
 	}
 }
 
+// quickTwigQueries mixes ancestor-descendant twigs with parent-child
+// edges — between vertices of one tag too, where only the levels tell a
+// child from a deeper descendant — and roots anchored at the document
+// element, wildcard vertices included.
 var quickTwigQueries = []string{`//a//b`, `//a//b//c`, `//a[//b]//c`, `//a[//b][//c]`, `//a//a`,
-	`//b[//a//c]`, `//a/b`, `//a/b//c`, `/a//b`, `//a[b/c]//a`, `//*[a]/b`}
+	`//b[//a//c]`, `//a/b`, `//a/b//c`, `/a//b`, `//a[b/c]//a`, `//*[a]/b`,
+	`//a/a`, `//a/a/a`, `//a[a]/b`, `//b/*/a`, `/a/b`, `/a//b/c`, `/*//a/a`, `/a[b]//c/a`}
 
 // TestQuickTwigStackEqualsOracle: random recursive docs × random twigs,
 // the result vertex kept alone.
@@ -584,7 +589,8 @@ func TestQuickTwigStackKeepEqualsBruteForce(t *testing.T) {
 			}
 			total := 0
 			for _, v := range ts.vertices {
-				total += len(ts.stream(v))
+				s := ts.stream(v)
+				total += s.Len()
 			}
 			if got := ts.Stats.Scanned(); got != int64(total) {
 				t.Logf("TS %s scanned %d, want the streams' total %d (seed %d)", query, got, total, seed)

@@ -70,7 +70,7 @@ func (pq *plQuery) chain(t testing.TB, g *gov.Governor, wrap func(Operator) Oper
 		if err != nil {
 			t.Fatal(err)
 		}
-		it := nok.NewIndexIterator(m, pq.ix.Nodes(n.Root.Test))
+		it := nok.NewTagIterator(m, pq.ix)
 		it.Gov = g
 		it.Stats = obs.NewOpStats("NoKScan", n.Root.Label())
 		return it

@@ -116,20 +116,19 @@ func NewTwigStack(root *core.Vertex, ix *index.TagIndex) (*TwigStack, error) {
 	return ts, nil
 }
 
-// stream builds the vertex's input stream: its tag's inverted list
-// filtered by the vertex's value constraints.
-func (ts *TwigStack) stream(v *core.Vertex) []*xmltree.Node {
-	nodes := ts.ix.Nodes(v.Test)
+// stream builds the vertex's input stream: its tag's postings, filtered
+// by the vertex's value constraints.
+func (ts *TwigStack) stream(v *core.Vertex) index.Stream {
 	if len(v.Constraints) == 0 {
-		return nodes
+		return ts.ix.Stream(v.Test)
 	}
 	var out []*xmltree.Node
-	for _, n := range nodes {
-		if v.MatchesNode(n) {
+	for _, n := range ts.ix.Nodes(v.Test) {
+		if v.MatchesConstraints(n) {
 			out = append(out, n)
 		}
 	}
-	return out
+	return index.NewStream(out)
 }
 
 // twigList is one vertex's entries, every node the pass pushed for it,
@@ -180,26 +179,29 @@ func (ts *TwigStack) Run() ([][]*xmltree.Node, error) {
 // scan is the one pass: it merges the vertex streams in document order
 // and builds every vertex's list. A node in several streams goes to the
 // highest slot first, so a vertex's descendants take it before the
-// vertex does and no entry encloses an entry of its own node.
+// vertex does and no entry encloses an entry of its own node. Every
+// decision reads the streams' label columns; a node is touched only to
+// be appended to its vertex's list.
 func (ts *TwigStack) scan() ([]twigList, error) {
 	n := len(ts.vertices)
 	streams := make([]index.Stream, n)
-	// heads caches each stream's head Start, math.MaxInt at EOF: the merge
-	// compares these instead of dereferencing every stream's head node.
+	// heads caches each stream's HeadStart (math.MaxInt at EOF), so the
+	// merge's minimum scan reads one dense array.
 	heads := make([]int, n)
 	lists := make([]twigList, n)
 	top := make([]int32, n) // the vertex's deepest open entry on the stack, -1 if none
 	for i, v := range ts.vertices {
-		streams[i] = *index.NewStream(ts.stream(v))
+		streams[i] = ts.stream(v)
 		streams[i].Stats = ts.Stats
 		streams[i].Gov = ts.Gov
-		heads[i] = headStart(&streams[i])
+		heads[i] = streams[i].HeadStart()
 		lists[i].kids = len(ts.children[i])
 		top[i] = -1
 	}
+	// open is an entry on the stack, with its node's End and Level.
 	type open struct {
 		slot, at, prev int32
-		end            int // the entry's node's End
+		end, level     int32
 	}
 	var stack []open
 	var cmps int64
@@ -209,21 +211,24 @@ func (ts *TwigStack) scan() ([]twigList, error) {
 		ts.Stats.ObserveStackDepth(depth)
 	}()
 
-	// push opens an entry for h unless the root misses the anchoring or a
-	// parent-child edge misses h's parent. The parent vertex has an open
-	// entry (rule 1 skipped the stream otherwise).
-	push := func(slot int, h *xmltree.Node) {
+	// push opens an entry for the head of slot's stream unless the root
+	// misses the anchoring or a parent-child edge misses the head's
+	// parent. The parent vertex has an open entry (rule 1 skipped the
+	// stream otherwise), and its deepest one is a proper ancestor of the
+	// head, so it is the head's parent exactly when it is one level up.
+	push := func(slot int, s *index.Stream) {
 		l, p := &lists[slot], ts.parent[slot]
+		level := s.HeadLevel()
 		switch {
-		case p < 0 && ts.anchored && h.Level != 1:
+		case p < 0 && ts.anchored && level != 1:
 			return
 		case ts.pc[slot]:
 			cmps++
-			at := stack[top[p]].at
-			if lists[p].nodes[at] != h.Parent {
+			e := stack[top[p]]
+			if int(e.level)+1 != level {
 				return
 			}
-			l.up = append(l.up, at)
+			l.up = append(l.up, e.at)
 		}
 		for _, c := range ts.children[slot] {
 			// Witnesses so far: the child's held entries on an
@@ -234,9 +239,9 @@ func (ts *TwigStack) scan() ([]twigList, error) {
 			}
 			l.span = append(l.span, int32(len(lists[c].nodes)), w)
 		}
-		stack = append(stack, open{int32(slot), int32(len(l.nodes)), top[slot], h.End})
+		stack = append(stack, open{int32(slot), int32(len(l.nodes)), top[slot], int32(s.HeadEnd()), int32(level)})
 		top[slot] = int32(len(stack) - 1)
-		l.nodes = append(l.nodes, h)
+		l.nodes = append(l.nodes, s.Head())
 		l.match = append(l.match, false)
 		ts.PushCount++
 		depth = max(depth, len(stack))
@@ -263,11 +268,12 @@ func (ts *TwigStack) scan() ([]twigList, error) {
 	}
 
 	// childless reports whether some child vertex's stream has nothing
-	// inside h: its head, the first element after h.Start, lies past h.End.
-	childless := func(slot int, h *xmltree.Node) bool {
+	// inside the node ending at end: its head, the first element after
+	// the node's start, lies past end.
+	childless := func(slot, end int) bool {
 		for _, c := range ts.children[slot] {
 			cmps++
-			if heads[c] > h.End {
+			if heads[c] > end {
 				return true
 			}
 		}
@@ -290,7 +296,7 @@ func (ts *TwigStack) scan() ([]twigList, error) {
 			next++
 		}
 		streams[slot].SkipTo(next)
-		heads[slot] = headStart(&streams[slot])
+		heads[slot] = streams[slot].HeadStart()
 	}
 
 	for {
@@ -306,7 +312,7 @@ func (ts *TwigStack) scan() ([]twigList, error) {
 		if err := ts.Gov.Poll(); err != nil {
 			return nil, err
 		}
-		for len(stack) > 0 && stack[len(stack)-1].end < at {
+		for len(stack) > 0 && int(stack[len(stack)-1].end) < at {
 			pop()
 		}
 		if p := ts.parent[slot]; p >= 0 && top[p] < 0 {
@@ -316,24 +322,16 @@ func (ts *TwigStack) scan() ([]twigList, error) {
 		// Rule 2: a node without every child vertex inside it cannot
 		// hold; it is passed over.
 		s := &streams[slot]
-		if h := s.Head(); !childless(slot, h) {
-			push(slot, h)
+		if !childless(slot, s.HeadEnd()) {
+			push(slot, s)
 		}
 		s.Advance()
-		heads[slot] = headStart(s)
+		heads[slot] = s.HeadStart()
 	}
 	for len(stack) > 0 {
 		pop()
 	}
 	return lists, ts.Gov.Err()
-}
-
-// headStart is the stream head's Start, math.MaxInt at EOF.
-func headStart(s *index.Stream) int {
-	if h := s.Head(); h != nil {
-		return h.Start
-	}
-	return math.MaxInt
 }
 
 // mark narrows every list to the entries in a full match, top-down: a

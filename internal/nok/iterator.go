@@ -18,11 +18,15 @@ type Iterator struct {
 
 	// Exactly one anchor source is active: the preorder cursor of a
 	// sequential or subtree scan, or the posting stream of an
-	// index-anchored one. The stream is bare — the iterator charges its
-	// own Stats and Gov for what the stream passes.
+	// index-anchored one (empty for preorder scans). The stream is bare —
+	// the iterator charges its own Stats and Gov for what the stream
+	// passes.
 	cur      *xmltree.Node // preorder cursor
 	stop     *xmltree.Node // subtree bound; nil for whole-document scans
-	postings *index.Stream // nil for preorder scans
+	postings index.Stream
+	// byTag is set when the postings are the root tag's own run: every
+	// candidate is an element with the root's tag, so none is re-tested.
+	byTag bool
 
 	queue []*nestedlist.List // expanded instances pending delivery
 	// ScannedNodes counts anchor candidates inspected, the I/O proxy the
@@ -45,7 +49,8 @@ type Iterator struct {
 // scan of the XML tree against the blossom tree").
 func NewIterator(m *Matcher, doc *xmltree.Document) *Iterator {
 	if m.NoK.Root.IsDocRoot() {
-		return NewIndexIterator(m, []*xmltree.Node{doc.Root})
+		// The document node is the one anchor.
+		return &Iterator{m: m, postings: index.NewStream([]*xmltree.Node{doc.Root})}
 	}
 	return &Iterator{m: m, cur: doc.DocumentElement()}
 }
@@ -57,10 +62,10 @@ func NewSubtreeIterator(m *Matcher, top *xmltree.Node) *Iterator {
 	return &Iterator{m: m, cur: top.FirstChild, stop: top}
 }
 
-// NewIndexIterator anchors only at the given candidate nodes, which must
-// be in document order (typically a tag index inverted list).
-func NewIndexIterator(m *Matcher, nodes []*xmltree.Node) *Iterator {
-	return &Iterator{m: m, postings: index.NewStream(nodes)}
+// NewTagIterator anchors at the postings of the root's tag in ix, which
+// need no tag test: the index scan of a NoK whose root has a name test.
+func NewTagIterator(m *Matcher, ix *index.TagIndex) *Iterator {
+	return &Iterator{m: m, postings: ix.Stream(m.RootTest()), byTag: true}
 }
 
 // GetNext returns the next instance, or nil when exhausted.
@@ -131,11 +136,14 @@ func (it *Iterator) candidate() *xmltree.Node {
 		if x == nil || !it.charge(1) {
 			return nil
 		}
-		if root.IsDocRoot() {
+		switch {
+		case it.byTag:
+			// The root tag's own postings need no test.
+		case root.IsDocRoot():
 			if x.Kind != xmltree.DocumentNode {
 				continue
 			}
-		} else if x.Kind != xmltree.ElementNode || !root.MatchesTag(x.Tag) {
+		case x.Kind != xmltree.ElementNode || !root.MatchesTag(x.Tag):
 			continue
 		}
 		it.Stats.AddComparisons(1)
@@ -154,13 +162,11 @@ func (it *Iterator) emitted() bool {
 }
 
 func (it *Iterator) nextAnchor() *xmltree.Node {
-	if it.postings != nil {
+	n := it.cur
+	if n == nil {
 		return it.postings.Next()
 	}
-	n := it.cur
-	if n != nil {
-		it.cur = xmltree.NextPreorder(n, it.stop)
-	}
+	it.cur = xmltree.NextPreorder(n, it.stop)
 	return n
 }
 
@@ -187,7 +193,7 @@ func (it *Iterator) charge(n int) bool {
 // which have no sorted candidate list to search, and while expanded
 // instances of an earlier anchor are still queued.
 func (it *Iterator) SkipTo(start int) {
-	if it.postings == nil || len(it.queue) > 0 || it.Err != nil {
+	if len(it.queue) > 0 || it.Err != nil {
 		return
 	}
 	before := it.postings.Len()

@@ -11,7 +11,7 @@
 //   - a whole-document sequential scan (Scan / Iterator);
 //   - a subtree-bounded scan (SubtreeIterator), the inner side of the
 //     bounded nested-loop join of §4.3;
-//   - an index-driven scan over a tag's inverted list (IndexIterator);
+//   - an index-driven scan over the root tag's postings (TagIterator);
 //   - merged multi-NoK scans sharing one traversal (MultiScan), the
 //     "combining multiple NoK pattern matching operators into one scan"
 //     optimization of §2.1.
@@ -88,7 +88,8 @@ func NewMatcher(nok *core.NoK, shape *core.ReturnTree) (*Matcher, error) {
 // method.
 func (m *Matcher) RootTest() string { return m.NoK.Root.Test }
 
-// MatchAt attempts to match the NoK pattern tree anchored at x,
+// MatchAt attempts to match the NoK pattern tree anchored at x, which
+// must pass the root's kind and tag test (a scan's candidate does),
 // returning the NestedList instance or nil if x does not match. The
 // instance fills exactly the returning slots of this NoK; shape regions
 // belonging to other NoKs stay placeholders (Example 4).
@@ -108,13 +109,16 @@ func (m *Matcher) MatchAt(x *xmltree.Node) *nestedlist.List {
 	return l
 }
 
-// Matches reports whether the NoK pattern tree matches anchored at x,
-// building nothing: the existence test of a join that only needs to know
-// that a witness exists, not what it matched.
+// Matches reports whether the NoK pattern tree matches anchored at x (a
+// candidate, as for MatchAt), building nothing: the existence test of a
+// join that only needs to know that a witness exists, not what it
+// matched.
 func (m *Matcher) Matches(x *xmltree.Node) bool { return m.match(m.NoK.Root, x, nil, nil) }
 
 // match implements the recursive core of Algorithm 2: x has already been
-// chosen as the candidate for v; the function checks v's constraints,
+// chosen as the candidate for v, and passed v's kind and tag test (in
+// the scan's candidate or in matchAgainst; a tag scan's postings pass it
+// by construction); the function checks v's value constraints,
 // recursively matches v's local children against x's children (and v's
 // following-sibling pattern children against x's following siblings),
 // honors mandatory/optional edge modes, and appends matched items to
@@ -123,7 +127,7 @@ func (m *Matcher) Matches(x *xmltree.Node) bool { return m.match(m.NoK.Root, x, 
 // sink only tests for a match: no item is built, and a sibling chain
 // stops at its first matching member.
 func (m *Matcher) match(v *core.Vertex, x *xmltree.Node, sink *nestedlist.Item, sinkShape *core.ReturnNode) bool {
-	if !v.MatchesNode(x) {
+	if !v.MatchesConstraints(x) {
 		return false
 	}
 	childSink := sink

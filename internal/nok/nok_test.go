@@ -234,7 +234,7 @@ func TestIndexIterator(t *testing.T) {
 			books = append(books, n)
 		}
 	})
-	it := NewIndexIterator(m, books)
+	it := NewTagIterator(m, index.Build(doc))
 	var got []*xmltree.Node
 	rn, _ := cq.Return.ByVar("result")
 	for l := it.GetNext(); l != nil; l = it.GetNext() {
@@ -256,8 +256,9 @@ func TestIndexIterator(t *testing.T) {
 func TestIteratorSkipTo(t *testing.T) {
 	doc := parse(t, bib)
 	cq, m := singleNoKMatcher(t, `//book/title`)
-	books := index.Build(doc).Nodes("book")
-	it := NewIndexIterator(m, books)
+	ix := index.Build(doc)
+	books := ix.Nodes("book")
+	it := NewTagIterator(m, ix)
 	it.Stats = obs.NewOpStats("NoKScan", "book")
 	rn, _ := cq.Return.ByVar("result")
 
@@ -277,7 +278,7 @@ func TestIteratorSkipTo(t *testing.T) {
 			it.ScannedNodes, it.Stats.Skipped(), len(books))
 	}
 
-	it = NewIndexIterator(m, books)
+	it = NewTagIterator(m, ix)
 	at := 0
 	if allocs := testing.AllocsPerRun(len(books), func() {
 		it.SkipTo(books[at%len(books)].Start + 1)
@@ -300,7 +301,7 @@ func TestIteratorSkipToNoOps(t *testing.T) {
 		t.Error("SkipTo moved a sequential scan")
 	}
 
-	ix := NewIndexIterator(m, index.Build(doc).Nodes("b"))
+	ix := NewTagIterator(m, index.Build(doc))
 	if ix.GetNext() == nil {
 		t.Fatal("no first instance")
 	}
@@ -589,6 +590,9 @@ func TestIteratorNextWitness(t *testing.T) {
 		cq, m := singleNoKMatcher(t, q)
 		rn, _ := cq.Return.ByVertex(m.NoK.Root)
 		xmltree.Elements(doc.Root, func(n *xmltree.Node) {
+			if !m.NoK.Root.MatchesTag(n.Tag) {
+				return // not a candidate
+			}
 			if m.Matches(n) != (m.MatchAt(n) != nil) {
 				t.Errorf("%s at <%s %d>: Matches = %v, MatchAt disagrees", q, n.Tag, n.Start, m.Matches(n))
 			}
@@ -600,7 +604,7 @@ func TestIteratorNextWitness(t *testing.T) {
 		drain := func(indexed, witnesses bool) run {
 			it := NewIterator(m, doc)
 			if indexed {
-				it = NewIndexIterator(m, ix.Nodes(m.RootTest()))
+				it = NewTagIterator(m, ix)
 			}
 			inj := fault.New()
 			it.Gov = gov.New(nil, gov.Budget{}, inj)
@@ -626,6 +630,51 @@ func TestIteratorNextWitness(t *testing.T) {
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("%s (indexed=%v): witnesses %+v, GetNext %+v", q, indexed, got, want)
+			}
+		}
+	}
+}
+
+// TestTagIteratorAgreesWithSequential: on random documents, a scan of
+// the root tag's postings, which tests no candidate's tag, delivers the
+// instances a sequential scan delivers and makes the same match
+// attempts. It scans exactly the postings, and charges what an iterator
+// testing every posting charges.
+func TestTagIteratorAgreesWithSequential(t *testing.T) {
+	queries := []string{`//a/b`, `//b[c]/a`, `//a[b][c]`, `//c[a/b]`, `//b[a="x"]`}
+	type run struct {
+		nodes        []*xmltree.Node
+		scanned, cmp int64
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b", "c"}, MaxNodes: 60, MaxDepth: 8})
+		ix := index.Build(doc)
+		for _, q := range queries {
+			cq, m := singleNoKMatcher(t, q)
+			rn, _ := cq.Return.ByVertex(m.NoK.Root)
+			drain := func(it *Iterator) run {
+				it.Stats = obs.NewOpStats("NoKScan", q)
+				var r run
+				for l := it.GetNext(); l != nil; l = it.GetNext() {
+					r.nodes = append(r.nodes, l.FirstNode(rn.Slot))
+				}
+				if int64(it.ScannedNodes) != it.Stats.Scanned() {
+					t.Fatalf("%s: ScannedNodes %d, stats %d", q, it.ScannedNodes, it.Stats.Scanned())
+				}
+				r.scanned, r.cmp = it.Stats.Scanned(), it.Stats.Comparisons()
+				return r
+			}
+			tagged := drain(NewTagIterator(m, ix))
+			seq := drain(NewIterator(m, doc))
+			tested := drain(&Iterator{m: m, postings: index.NewStream(ix.Nodes(m.RootTest()))})
+			if fmt.Sprint(tagged.nodes) != fmt.Sprint(seq.nodes) || tagged.cmp != seq.cmp {
+				t.Errorf("%s (seed %d): tag scan %d instances, %d attempts; sequential %d, %d",
+					q, seed, len(tagged.nodes), tagged.cmp, len(seq.nodes), seq.cmp)
+			}
+			if tagged.scanned != int64(ix.Count(m.RootTest())) || fmt.Sprint(tagged) != fmt.Sprint(tested) {
+				t.Errorf("%s (seed %d): tag scan %+v, tested scan %+v, %d postings",
+					q, seed, tagged, tested, ix.Count(m.RootTest()))
 			}
 		}
 	}

@@ -283,7 +283,7 @@ func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
 		p.note("NoK%d anchors via tag index %q (%d candidates)",
 			m.NoK.Index, m.RootTest(), p.opts.Index.Count(m.RootTest()))
 		st := p.scanStats(m, fmt.Sprintf("index(%s)", m.RootTest()))
-		it := nok.NewIndexIterator(m, p.opts.Index.Nodes(m.RootTest()))
+		it := nok.NewTagIterator(m, p.opts.Index)
 		it.Gov = p.gov
 		it.Stats = st
 		p.watch(func() error { return it.Err })
