@@ -7,11 +7,12 @@
 //	          'return' Expr
 //
 // plus the direct element constructors the paper's Example 1 wraps
-// around FLWOR expressions. The where-clause supports the three kinds of
-// correlations BlossomTree captures: value-based comparisons (=, !=, <,
-// <=, >, >=), structural comparisons (<<, >>), and the mixed
-// structural/value relationship deep-equal(), along with and/or/not and
-// exists().
+// around FLWOR expressions. The where-clause is an xpath.Expr, parsed by
+// the predicate grammar in its where mode (xpath.ParseWhere): it
+// supports the three kinds of correlations BlossomTree captures —
+// value-based comparisons (=, !=, <, <=, >, >=), structural comparisons
+// (<<, >>), and the mixed structural/value relationship deep-equal() —
+// along with and/or/not and exists().
 package flwor
 
 import (
@@ -74,7 +75,7 @@ type Clause struct {
 // FLWOR is a parsed FLWOR expression.
 type FLWOR struct {
 	Clauses []Clause
-	Where   Cond // nil when absent
+	Where   xpath.Expr // nil when absent
 	OrderBy *xpath.Path
 	// OrderDesc reverses the order-by direction (the `descending`
 	// modifier; ascending is the default and is not recorded).
@@ -147,87 +148,3 @@ func (e *FLWOR) String() string {
 	sb.WriteString(" return " + e.Return.String())
 	return sb.String()
 }
-
-// Cond is a where-clause condition.
-type Cond interface {
-	String() string
-	isCond()
-}
-
-// CondAnd is conjunction.
-type CondAnd struct{ L, R Cond }
-
-// CondOr is disjunction.
-type CondOr struct{ L, R Cond }
-
-// CondNot is negation.
-type CondNot struct{ C Cond }
-
-// CondCmp is a general value comparison between two operands (paths over
-// variables/documents, or literals).
-type CondCmp struct {
-	Left  xpath.Operand
-	Op    xpath.CmpOp
-	Right xpath.Operand
-}
-
-// CondDocOrder is the structural node comparison << (Before true) or >>.
-type CondDocOrder struct {
-	Left, Right *xpath.Path
-	Before      bool
-}
-
-// CondDeepEqual is deep-equal(a, b): the mixed structural/value
-// relationship of the paper.
-type CondDeepEqual struct{ Left, Right *xpath.Path }
-
-// CondExists is exists(path).
-type CondExists struct{ Path *xpath.Path }
-
-// CondBool is a bare core-function call in boolean position
-// (where contains($b/title, "XML")): the call's effective boolean
-// value decides the row.
-type CondBool struct{ Fn *xpath.FuncCall }
-
-func (CondAnd) isCond()       {}
-func (CondOr) isCond()        {}
-func (CondNot) isCond()       {}
-func (CondCmp) isCond()       {}
-func (CondDocOrder) isCond()  {}
-func (CondDeepEqual) isCond() {}
-func (CondExists) isCond()    {}
-func (CondBool) isCond()      {}
-
-// String reprints the condition.
-func (c CondAnd) String() string { return c.L.String() + " and " + c.R.String() }
-
-// String reprints the condition.
-func (c CondOr) String() string { return c.L.String() + " or " + c.R.String() }
-
-// String reprints the condition.
-func (c CondNot) String() string { return "not(" + c.C.String() + ")" }
-
-// String reprints the condition.
-func (c CondCmp) String() string {
-	return c.Left.String() + " " + c.Op.String() + " " + c.Right.String()
-}
-
-// String reprints the condition.
-func (c CondDocOrder) String() string {
-	op := " << "
-	if !c.Before {
-		op = " >> "
-	}
-	return c.Left.String() + op + c.Right.String()
-}
-
-// String reprints the condition.
-func (c CondDeepEqual) String() string {
-	return "deep-equal(" + c.Left.String() + ", " + c.Right.String() + ")"
-}
-
-// String reprints the condition.
-func (c CondExists) String() string { return "exists(" + c.Path.String() + ")" }
-
-// String reprints the condition.
-func (c CondBool) String() string { return c.Fn.String() }

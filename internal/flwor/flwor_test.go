@@ -63,23 +63,23 @@ func TestParseExample1(t *testing.T) {
 	}
 
 	// where: <<  and  not(=)  and  deep-equal
-	and1, ok := f.Where.(CondAnd)
+	and1, ok := f.Where.(xpath.And)
 	if !ok {
 		t.Fatalf("where = %T", f.Where)
 	}
-	and0, ok := and1.L.(CondAnd)
+	and0, ok := and1.L.(xpath.And)
 	if !ok {
 		t.Fatalf("where.L = %T", and1.L)
 	}
-	if do, ok := and0.L.(CondDocOrder); !ok || !do.Before {
+	if do, ok := and0.L.(xpath.DocOrder); !ok || !do.Before {
 		t.Errorf("first condition = %#v, want <<", and0.L)
 	}
-	if n, ok := and0.R.(CondNot); !ok {
+	if n, ok := and0.R.(xpath.Not); !ok {
 		t.Errorf("second condition = %#v, want not(...)", and0.R)
-	} else if cmp, ok := n.C.(CondCmp); !ok || cmp.Op != xpath.OpEq {
-		t.Errorf("not body = %#v", n.C)
+	} else if cmp, ok := n.E.(xpath.Compare); !ok || cmp.Op != xpath.OpEq {
+		t.Errorf("not body = %#v", n.E)
 	}
-	if de, ok := and1.R.(CondDeepEqual); !ok {
+	if de, ok := and1.R.(xpath.DeepEqual); !ok {
 		t.Errorf("third condition = %#v, want deep-equal", and1.R)
 	} else if de.Left.Source.Var != "aut1" || de.Right.Source.Var != "aut2" {
 		t.Errorf("deep-equal operands = %v, %v", de.Left, de.Right)
@@ -118,7 +118,7 @@ func TestParseSimpleFLWOR(t *testing.T) {
 	if len(f.Clauses) != 1 || f.Where == nil {
 		t.Fatalf("f = %+v", f)
 	}
-	cmp, ok := f.Where.(CondCmp)
+	cmp, ok := f.Where.(xpath.Compare)
 	if !ok || cmp.Op != xpath.OpEq || cmp.Right.Kind != xpath.OperandString {
 		t.Fatalf("where = %#v", f.Where)
 	}
@@ -144,21 +144,24 @@ func TestParseOrderBy(t *testing.T) {
 func TestParseWhereForms(t *testing.T) {
 	cases := []struct {
 		where string
-		check func(Cond) bool
+		check func(xpath.Expr) bool
 	}{
-		{`$a/x = $b/y`, func(c Cond) bool { _, ok := c.(CondCmp); return ok }},
-		{`$a/x != "lit"`, func(c Cond) bool { cc, ok := c.(CondCmp); return ok && cc.Op == xpath.OpNeq }},
-		{`$a << $b`, func(c Cond) bool { d, ok := c.(CondDocOrder); return ok && d.Before }},
-		{`$a >> $b`, func(c Cond) bool { d, ok := c.(CondDocOrder); return ok && !d.Before }},
-		{`exists($a/x)`, func(c Cond) bool { _, ok := c.(CondExists); return ok }},
-		{`$a/x`, func(c Cond) bool { _, ok := c.(CondExists); return ok }},
-		{`deep-equal($a, $b)`, func(c Cond) bool { _, ok := c.(CondDeepEqual); return ok }},
-		{`not($a/x)`, func(c Cond) bool { _, ok := c.(CondNot); return ok }},
-		{`$a/x = 1 or $a/y = 2`, func(c Cond) bool { _, ok := c.(CondOr); return ok }},
-		{`($a/x = 1 or $a/y = 2) and $b/z`, func(c Cond) bool { _, ok := c.(CondAnd); return ok }},
-		{`$a/x < 5`, func(c Cond) bool { cc, ok := c.(CondCmp); return ok && cc.Op == xpath.OpLt && cc.Right.Num == 5 }},
-		{`$a/x >= 5`, func(c Cond) bool { cc, ok := c.(CondCmp); return ok && cc.Op == xpath.OpGe }},
-		{`"x" = $a/y`, func(c Cond) bool { cc, ok := c.(CondCmp); return ok && cc.Left.Kind == xpath.OperandString }},
+		{`$a/x = $b/y`, func(c xpath.Expr) bool { _, ok := c.(xpath.Compare); return ok }},
+		{`$a/x != "lit"`, func(c xpath.Expr) bool { cc, ok := c.(xpath.Compare); return ok && cc.Op == xpath.OpNeq }},
+		{`$a << $b`, func(c xpath.Expr) bool { d, ok := c.(xpath.DocOrder); return ok && d.Before }},
+		{`$a >> $b`, func(c xpath.Expr) bool { d, ok := c.(xpath.DocOrder); return ok && !d.Before }},
+		{`exists($a/x)`, func(c xpath.Expr) bool { _, ok := c.(xpath.Exists); return ok }},
+		{`$a/x`, func(c xpath.Expr) bool { _, ok := c.(xpath.Exists); return ok }},
+		{`deep-equal($a, $b)`, func(c xpath.Expr) bool { _, ok := c.(xpath.DeepEqual); return ok }},
+		{`not($a/x)`, func(c xpath.Expr) bool { _, ok := c.(xpath.Not); return ok }},
+		{`$a/x = 1 or $a/y = 2`, func(c xpath.Expr) bool { _, ok := c.(xpath.Or); return ok }},
+		{`($a/x = 1 or $a/y = 2) and $b/z`, func(c xpath.Expr) bool { _, ok := c.(xpath.And); return ok }},
+		{`$a/x < 5`, func(c xpath.Expr) bool {
+			cc, ok := c.(xpath.Compare)
+			return ok && cc.Op == xpath.OpLt && cc.Right.Num == 5
+		}},
+		{`$a/x >= 5`, func(c xpath.Expr) bool { cc, ok := c.(xpath.Compare); return ok && cc.Op == xpath.OpGe }},
+		{`"x" = $a/y`, func(c xpath.Expr) bool { cc, ok := c.(xpath.Compare); return ok && cc.Left.Kind == xpath.OperandString }},
 	}
 	for _, c := range cases {
 		t.Run(c.where, func(t *testing.T) {

@@ -195,7 +195,7 @@ func parseFLWOR(l *xpath.Lexer) Expr {
 		return f
 	}
 	if kw(l, "where") {
-		f.Where = parseCondOr(l)
+		f.Where = xpath.ParseWhere(l)
 	}
 	if kw(l, "order") {
 		if !kw(l, "by") {
@@ -232,160 +232,6 @@ func checkClausePath(p *xpath.Path, bound map[string]bool) error {
 		return fmt.Errorf("unbound variable $%s", p.Source.Var)
 	}
 	return nil
-}
-
-// parseCondOr heads the where-condition recursion cycle (parentheses
-// and not(…) recurse through parseCondUnary), so it carries the
-// MaxDepth guard for conditions.
-func parseCondOr(l *xpath.Lexer) Cond {
-	if !l.Enter() {
-		return CondExists{}
-	}
-	defer l.Leave()
-	c := parseCondAnd(l)
-	for l.Tok().Kind == xpath.TokName && l.Tok().Text == "or" {
-		l.Advance()
-		c = CondOr{L: c, R: parseCondAnd(l)}
-	}
-	return c
-}
-
-func parseCondAnd(l *xpath.Lexer) Cond {
-	c := parseCondUnary(l)
-	for l.Tok().Kind == xpath.TokName && l.Tok().Text == "and" {
-		l.Advance()
-		c = CondAnd{L: c, R: parseCondUnary(l)}
-	}
-	return c
-}
-
-func parseCondUnary(l *xpath.Lexer) Cond {
-	if tok := l.Tok(); tok.Kind == xpath.TokName {
-		switch tok.Text {
-		case "not":
-			save := tok
-			l.Advance()
-			if l.Tok().Kind == xpath.TokLParen {
-				l.Advance()
-				inner := parseCondOr(l)
-				expect(l, xpath.TokRParen)
-				return CondNot{C: inner}
-			}
-			l.Push(save)
-		case "deep-equal":
-			save := tok
-			l.Advance()
-			if l.Tok().Kind == xpath.TokLParen {
-				l.Advance()
-				a, err := xpath.ParseFrom(l)
-				if err != nil {
-					return CondDeepEqual{}
-				}
-				if !expect(l, xpath.TokComma) {
-					return CondDeepEqual{}
-				}
-				b, err := xpath.ParseFrom(l)
-				if err != nil {
-					return CondDeepEqual{}
-				}
-				expect(l, xpath.TokRParen)
-				return CondDeepEqual{Left: a, Right: b}
-			}
-			l.Push(save)
-		case "exists":
-			save := tok
-			l.Advance()
-			if l.Tok().Kind == xpath.TokLParen {
-				l.Advance()
-				p, err := xpath.ParseFrom(l)
-				if err != nil {
-					return CondExists{}
-				}
-				expect(l, xpath.TokRParen)
-				return CondExists{Path: p}
-			}
-			l.Push(save)
-		}
-	}
-	if l.Tok().Kind == xpath.TokLParen {
-		l.Advance()
-		inner := parseCondOr(l)
-		expect(l, xpath.TokRParen)
-		return inner
-	}
-	return parseCondCmp(l)
-}
-
-func parseCondCmp(l *xpath.Lexer) Cond {
-	left := parseCondOperand(l)
-	switch l.Tok().Kind {
-	case xpath.TokBefore, xpath.TokAfter:
-		before := l.Tok().Kind == xpath.TokBefore
-		l.Advance()
-		right := parseCondOperand(l)
-		if left.Kind != xpath.OperandPath || right.Kind != xpath.OperandPath {
-			l.Errorf("operands of %s must be node paths", map[bool]string{true: "<<", false: ">>"}[before])
-			return CondDocOrder{Before: before}
-		}
-		return CondDocOrder{Left: left.Path, Right: right.Path, Before: before}
-	case xpath.TokEq, xpath.TokNeq, xpath.TokLt, xpath.TokLe, xpath.TokGt, xpath.TokGe:
-		op := tokToCmp(l.Tok().Kind)
-		l.Advance()
-		right := parseCondOperand(l)
-		return CondCmp{Left: left, Op: op, Right: right}
-	default:
-		if left.Kind == xpath.OperandFunc {
-			// Bare function call: its effective boolean value decides.
-			return CondBool{Fn: left.Fn}
-		}
-		if left.Kind == xpath.OperandPath {
-			// Bare path: effective boolean value, i.e. existence.
-			return CondExists{Path: left.Path}
-		}
-		l.Errorf("literal condition must be part of a comparison")
-		return CondExists{}
-	}
-}
-
-func parseCondOperand(l *xpath.Lexer) xpath.Operand {
-	switch tok := l.Tok(); tok.Kind {
-	case xpath.TokString:
-		l.Advance()
-		return xpath.Operand{Kind: xpath.OperandString, Str: tok.Text}
-	case xpath.TokNumber:
-		var num float64
-		if _, err := fmt.Sscanf(tok.Text, "%g", &num); err != nil {
-			l.Errorf("bad number %q", tok.Text)
-		}
-		l.Advance()
-		return xpath.Operand{Kind: xpath.OperandNumber, Num: num}
-	default:
-		if fn := xpath.TryParseFuncCall(l); fn != nil {
-			return xpath.Operand{Kind: xpath.OperandFunc, Fn: fn}
-		}
-		p, err := xpath.ParseFrom(l)
-		if err != nil {
-			return xpath.Operand{Kind: xpath.OperandPath, Path: &xpath.Path{}}
-		}
-		return xpath.Operand{Kind: xpath.OperandPath, Path: p}
-	}
-}
-
-func tokToCmp(k xpath.TokKind) xpath.CmpOp {
-	switch k {
-	case xpath.TokEq:
-		return xpath.OpEq
-	case xpath.TokNeq:
-		return xpath.OpNeq
-	case xpath.TokLt:
-		return xpath.OpLt
-	case xpath.TokLe:
-		return xpath.OpLe
-	case xpath.TokGt:
-		return xpath.OpGt
-	default:
-		return xpath.OpGe
-	}
 }
 
 // kw consumes the given keyword if present.

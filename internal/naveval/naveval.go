@@ -292,10 +292,13 @@ func (ev *evaluator) step(env Env, ctx *xmltree.Node, st xpath.Step) ([]*xmltree
 	return cands, nil
 }
 
+// pred evaluates a Boolean expression at context node n, the pos-th
+// candidate of its step. Where-clause conditions have no context node
+// (n nil, pos 0): their paths must be anchored.
 func (ev *evaluator) pred(env Env, n *xmltree.Node, pos int, e xpath.Expr) (bool, error) {
 	switch t := e.(type) {
 	case xpath.Exists:
-		res, err := ev.relative(env, n, t.Path)
+		res, _, err := ev.operandNodes(env, n, t.Path)
 		if err != nil {
 			return false, err
 		}
@@ -336,29 +339,34 @@ func (ev *evaluator) pred(env Env, n *xmltree.Node, pos int, e xpath.Expr) (bool
 			}
 		}
 		return false, nil
+	case xpath.DocOrder:
+		l, r, err := ev.nodePair(env, n, t.Left, t.Right)
+		if err != nil {
+			return false, err
+		}
+		for _, a := range l {
+			for _, b := range r {
+				if a != b && (t.Before && a.Before(b) || !t.Before && b.Before(a)) {
+					return true, nil
+				}
+			}
+		}
+		return false, nil
+	case xpath.DeepEqual:
+		l, r, err := ev.nodePair(env, n, t.Left, t.Right)
+		return err == nil && xmltree.DeepEqualSeq(l, r), err
 	default:
 		return false, fmt.Errorf("naveval: unsupported predicate %T", e)
 	}
 }
 
-// relative evaluates a relative path from a context node, handling
-// trailing attribute steps as attribute existence.
-func (ev *evaluator) relative(env Env, n *xmltree.Node, p *xpath.Path) ([]*xmltree.Node, error) {
-	steps, attr := peelAttr(p.Steps)
-	res, err := ev.steps(env, []*xmltree.Node{n}, steps)
-	if err != nil {
-		return nil, err
+// nodePair resolves the two path operands of a node comparison (<<, >>,
+// deep-equal).
+func (ev *evaluator) nodePair(env Env, n *xmltree.Node, a, b *xpath.Path) (l, r []*xmltree.Node, err error) {
+	if l, _, err = ev.operandNodes(env, n, a); err == nil {
+		r, _, err = ev.operandNodes(env, n, b)
 	}
-	if attr == "" {
-		return res, nil
-	}
-	var out []*xmltree.Node
-	for _, m := range res {
-		if _, ok := m.Attr(attr); ok {
-			out = append(out, m)
-		}
-	}
-	return out, nil
+	return l, r, err
 }
 
 // operandValues produces the comparison value list of an operand:
@@ -584,97 +592,11 @@ func (ev *evaluator) funcBool(env Env, n *xmltree.Node, f *xpath.FuncCall) (bool
 	}
 }
 
-// EvalCond evaluates a where-clause condition under an environment (used
-// by the FLWOR loop here and for residual conditions by the executor).
-func EvalCond(resolve Resolver, env Env, c flwor.Cond) (bool, error) {
-	return EvalCondGov(resolve, env, c, nil)
-}
-
-// EvalCondGov is EvalCond under a governor.
-func EvalCondGov(resolve Resolver, env Env, c flwor.Cond, g *gov.Governor) (bool, error) {
-	return (&evaluator{resolve: resolve, gov: g}).cond(env, c)
-}
-
-func (ev *evaluator) cond(env Env, c flwor.Cond) (bool, error) {
-	switch t := c.(type) {
-	case flwor.CondAnd:
-		l, err := ev.cond(env, t.L)
-		if err != nil || !l {
-			return false, err
-		}
-		return ev.cond(env, t.R)
-	case flwor.CondOr:
-		l, err := ev.cond(env, t.L)
-		if err != nil || l {
-			return l, err
-		}
-		return ev.cond(env, t.R)
-	case flwor.CondNot:
-		v, err := ev.cond(env, t.C)
-		return !v, err
-	case flwor.CondBool:
-		return ev.funcBool(env, nil, t.Fn)
-	case flwor.CondExists:
-		res, err := ev.path(env, t.Path)
-		if err != nil {
-			return false, err
-		}
-		return len(res) > 0, nil
-	case flwor.CondDocOrder:
-		l, err := ev.path(env, t.Left)
-		if err != nil {
-			return false, err
-		}
-		r, err := ev.path(env, t.Right)
-		if err != nil {
-			return false, err
-		}
-		for _, a := range l {
-			for _, b := range r {
-				if a != b && (t.Before && a.Before(b) || !t.Before && b.Before(a)) {
-					return true, nil
-				}
-			}
-		}
-		return false, nil
-	case flwor.CondDeepEqual:
-		l, err := ev.path(env, t.Left)
-		if err != nil {
-			return false, err
-		}
-		r, err := ev.path(env, t.Right)
-		if err != nil {
-			return false, err
-		}
-		return xmltree.DeepEqualSeq(l, r), nil
-	case flwor.CondCmp:
-		lv, err := ev.condOperandValues(env, t.Left)
-		if err != nil {
-			return false, err
-		}
-		rv, err := ev.condOperandValues(env, t.Right)
-		if err != nil {
-			return false, err
-		}
-		for _, a := range lv {
-			for _, b := range rv {
-				if t.Op.Eval(a, b) {
-					return true, nil
-				}
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("naveval: unsupported condition %T", c)
-	}
-}
-
-// condOperandValues is operandValues without a context node: operand
-// paths in where-conditions must be anchored at a variable, doc() or the
-// root. Attribute-ending paths compare attribute values, exactly as in
-// predicate operands.
-func (ev *evaluator) condOperandValues(env Env, o xpath.Operand) ([]string, error) {
-	return ev.operandValues(env, nil, o)
+// EvalCondGov evaluates a where-clause condition under an environment
+// and a governor (the executor's residual filters): a predicate with no
+// context node.
+func EvalCondGov(resolve Resolver, env Env, c xpath.Expr, g *gov.Governor) (bool, error) {
+	return (&evaluator{resolve: resolve, gov: g}).pred(env, nil, 0, c)
 }
 
 // EvalFLWOR runs the FLWOR iteration semantics naively: the nested-loop
@@ -728,7 +650,7 @@ func EvalFLWORGov(resolve Resolver, f *flwor.FLWOR, g *gov.Governor) ([]Env, err
 			if err := ev.gov.Poll(); err != nil {
 				return nil, err
 			}
-			ok, err := ev.cond(env, f.Where)
+			ok, err := ev.pred(env, nil, 0, f.Where)
 			if err != nil {
 				return nil, err
 			}

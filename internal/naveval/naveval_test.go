@@ -258,12 +258,12 @@ func TestEvalCondForms(t *testing.T) {
 		t.Run(c.cond, func(t *testing.T) {
 			q := `for $a in doc("d")//book, $b in doc("d")//book where ` + c.cond + ` return $a`
 			f := flwor.MustParse(q).(*flwor.FLWOR)
-			got, err := EvalCond(resolve, env, f.Where)
+			got, err := EvalCondGov(resolve, env, f.Where, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != c.want {
-				t.Errorf("EvalCond(%s) = %v, want %v", c.cond, got, c.want)
+				t.Errorf("EvalCondGov(%s) = %v, want %v", c.cond, got, c.want)
 			}
 		})
 	}

@@ -3,7 +3,9 @@
 // parser for location paths with child (/) and descendant-or-self (//)
 // axes, name tests, wildcards, nested structural predicates, value
 // comparisons, and positional predicates — the fragment the BlossomTree
-// formalism and all Appendix-A benchmark queries are built from.
+// formalism and all Appendix-A benchmark queries are built from. The
+// predicate grammar doubles, in its where mode (ParseWhere), as the
+// grammar of FLWOR where-clauses: both parse into one Expr tree.
 package xpath
 
 import (
