@@ -1,6 +1,7 @@
 package flwor
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // FuzzFLWORParse asserts the parser never panics on arbitrary input and
 // that every accepted expression round-trips: parse → String → parse
-// yields an expression that prints identically.
+// yields the same tree, which prints identically.
 func FuzzFLWORParse(f *testing.F) {
 	for _, seed := range []string{
 		`for $x in doc("d")//a return $x`,
@@ -35,6 +36,9 @@ func FuzzFLWORParse(f *testing.F) {
 		`for $x in doc("d")//c where exists($x/ancestor::a) return $x`,
 		// Let chains over the wider surface.
 		`for $x in doc("d")//a let $l := $x//b where exists($l//c) return $l`,
+		// Boolean structure the printer must parenthesize.
+		`for $x in doc("d")//a where ($x/b = 1 or $x/c = 2) and $x/d return $x`,
+		`for $x in doc("d")//a where $x/b or ($x/c or not($x/d and ($x/e or $x/f))) return $x`,
 	} {
 		f.Add(seed)
 	}
@@ -51,6 +55,9 @@ func FuzzFLWORParse(f *testing.F) {
 		e2, err := Parse(printed)
 		if err != nil {
 			t.Fatalf("printed form does not reparse:\n  input  %q\n  printed %q\n  error  %v", src, printed, err)
+		}
+		if !reflect.DeepEqual(e, e2) {
+			t.Fatalf("printed form reparses to a different tree:\n  input   %q\n  printed %q", src, printed)
 		}
 		if again := e2.String(); again != printed {
 			t.Fatalf("printer is not a fixpoint:\n  input   %q\n  printed %q\n  reprint %q", src, printed, again)

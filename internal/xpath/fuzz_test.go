@@ -1,14 +1,15 @@
 package xpath
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzXPathParse asserts two properties over arbitrary input: the parser
 // never panics, and any path it accepts round-trips through the printer
-// — parse → String → parse yields a path that prints identically, so
-// the printed form is a fixpoint of the grammar.
+// — parse → String → parse yields the same tree, which prints
+// identically, so the printed form is a fixpoint of the grammar.
 func FuzzXPathParse(f *testing.F) {
 	for _, seed := range []string{
 		"//a",
@@ -39,6 +40,11 @@ func FuzzXPathParse(f *testing.F) {
 		"//a[1]",
 		"//a/b[2]/c",
 		"//a[@id][3]",
+		// Boolean structure the printer must parenthesize.
+		"//a[(b or c) and d]",
+		"//a[b or (c or d)]",
+		"//a[b and (c and d)]",
+		"//a[not((b or c) and d)]",
 	} {
 		f.Add(seed)
 	}
@@ -55,6 +61,9 @@ func FuzzXPathParse(f *testing.F) {
 		p2, err := Parse(printed)
 		if err != nil {
 			t.Fatalf("printed form does not reparse:\n  input  %q\n  printed %q\n  error  %v", src, printed, err)
+		}
+		if !reflect.DeepEqual(p, p2) {
+			t.Fatalf("printed form reparses to a different tree:\n  input   %q\n  printed %q", src, printed)
 		}
 		if again := p2.String(); again != printed {
 			t.Fatalf("printer is not a fixpoint:\n  input   %q\n  printed %q\n  reprint %q", src, printed, again)
