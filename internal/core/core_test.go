@@ -449,14 +449,17 @@ func TestFromFLWORSharedReturnPath(t *testing.T) {
 }
 
 func TestFromFLWORErrors(t *testing.T) {
-	bad := []string{
-		`for $a in doc("d")//a[b or c] return $a`,
-		`for $a in doc("d")//a return <r>{ for $b in doc("d")//b return $b }</r>`,
+	bad := []struct{ src, want string }{
+		{`for $a in doc("d")//a[b or c] return $a`, "disjunctive path predicates"},
+		{`for $a in doc("d")//a return <r>{ for $b in doc("d")//b return $b }</r>`, "nested FLWOR"},
+		// An unanchored where-operand is named in the error.
+		{`for $x in doc("d")//a where a = 1 return $x`, "relative path a has no anchor in a FLWOR clause"},
+		{`for $x in doc("d")//a where 1 < b/c return $x`, "relative path b/c has no anchor in a FLWOR clause"},
 	}
-	for _, src := range bad {
-		e := flwor.MustParse(src)
-		if _, err := FromFLWOR(e); err == nil {
-			t.Errorf("FromFLWOR(%q) succeeded, want error", src)
+	for _, c := range bad {
+		e := flwor.MustParse(c.src)
+		if _, err := FromFLWOR(e); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("FromFLWOR(%q) = %v, want an error containing %q", c.src, err, c.want)
 		}
 	}
 	// Non-FLWOR expressions.
