@@ -117,7 +117,28 @@ func (g *Gen) step() string {
 	if !g.pct(30) {
 		return test
 	}
-	return test + "[" + g.pred() + "]"
+	return test + "[" + g.boolean(2, g.pred) + "]"
+}
+
+// boolean joins up to n atoms into a Boolean expression: mostly a single
+// atom, otherwise a conjunction, a disjunction (bare or parenthesized)
+// or not(… and …) of smaller expressions.
+func (g *Gen) boolean(n int, atom func() string) string {
+	if n < 2 || !g.pct(30) {
+		return atom()
+	}
+	k := 1 + g.r.Intn(n-1) // atoms on the left
+	l, r := g.boolean(k, atom), g.boolean(n-k, atom)
+	switch g.r.Intn(5) {
+	case 0:
+		return "not(" + l + " and " + r + ")"
+	case 1:
+		return "(" + l + " or " + r + ")"
+	case 2:
+		return l + " or " + r
+	default:
+		return l + " and " + r
+	}
 }
 
 // pred generates one path predicate, spanning the planned fragment
@@ -165,8 +186,9 @@ func (g *Gen) relSteps() string {
 
 // flworQuery generates a FLWOR expression: one or two for-clauses (the
 // first optionally with a positional variable, the second over the
-// document or below $x), an optional let, an optional where over the
-// bound variables, optional order by, and a return.
+// document or below $x), an optional let, an optional where of up to
+// three conditions over the bound variables, optional order by, and a
+// return.
 func (g *Gen) flworQuery() string {
 	two := g.pct(45)
 	pos := g.pct(20)
@@ -193,15 +215,7 @@ func (g *Gen) flworQuery() string {
 	}
 	if g.pct(70) {
 		sb.WriteString(" where ")
-		sb.WriteString(g.cond(two, pos, hasLet))
-		if g.pct(30) {
-			op := " and "
-			if g.pct(25) {
-				op = " or "
-			}
-			sb.WriteString(op)
-			sb.WriteString(g.cond(two, pos, hasLet))
-		}
+		sb.WriteString(g.boolean(3, func() string { return g.cond(two, pos, hasLet) }))
 	}
 	if g.pct(15) {
 		fmt.Fprintf(&sb, " order by $x/%s", g.tag())
