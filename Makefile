@@ -20,7 +20,8 @@
 #                  adapter, the vectorized
 #                  executor, or brings back unsafe, a finalizer or the
 #                  mapped-column names, or a merge in join/nok that reads
-#                  a stream head's labels through its node
+#                  a stream head's labels through its node, or the
+#                  retired where-condition types, grammar or evaluator
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -131,6 +132,9 @@ bench:
 # site and plan strategy. Index postings carry their region labels in
 # columns: the merges and skips in join and nok read a stream head's
 # labels from them (HeadStart, HeadEnd, HeadLevel), not from its node.
+# Where-clauses are xpath.Expr trees read by the predicate grammar's
+# where mode: the FLWOR package's own condition types, its condition
+# grammar and naveval's condition evaluator do not come back.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -165,6 +169,10 @@ lint-refs:
 	@if git grep -n -E -e 'headStart' -e 'Head\(\)\.(Start|End|Level)' -- \
 		'internal/join/*.go' 'internal/nok/*.go' ':!*_test.go'; then \
 		echo "lint-refs: a stream head's labels read through its node, not the label columns"; exit 1; fi
+	@if git grep -n -e 'flwor\.Con[d]' -e 'CondAn[d]' -e 'CondO[r]' -e 'CondNo[t]' -e 'CondCm[p]' \
+		-e 'CondDocOrde[r]' -e 'CondDeepEqua[l]' -e 'CondExist[s]' -e 'CondBoo[l]' -e 'parseCon[d]' \
+		-e 'condOperandValue[s]' -- '*.go'; then \
+		echo "lint-refs: reference to the retired where-condition types, grammar or evaluator"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; the compact NestedList form must
