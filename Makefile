@@ -20,8 +20,10 @@
 #                  adapter, the vectorized
 #                  executor, or brings back unsafe, a finalizer or the
 #                  mapped-column names, or a merge in join/nok that reads
-#                  a stream head's labels through its node, or the
-#                  retired where-condition types, grammar or evaluator
+#                  a stream head's labels through its node, the
+#                  retired where-condition types, grammar or evaluator,
+#                  or the deleted compact NestedList form and its
+#                  Dewey-addressed lookups
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -134,7 +136,9 @@ bench:
 # labels from them (HeadStart, HeadEnd, HeadLevel), not from its node.
 # Where-clauses are xpath.Expr trees read by the predicate grammar's
 # where mode: the FLWOR package's own condition types, its condition
-# grammar and naveval's condition evaluator do not come back.
+# grammar and naveval's condition evaluator do not come back. NestedList
+# instances have one physical form and every operator takes a slot: the
+# Figure-6 compact form and the Dewey-keyed lookups do not come back.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -173,10 +177,14 @@ lint-refs:
 		-e 'CondDocOrde[r]' -e 'CondDeepEqua[l]' -e 'CondExist[s]' -e 'CondBoo[l]' -e 'parseCon[d]' \
 		-e 'condOperandValue[s]' -- '*.go'; then \
 		echo "lint-refs: reference to the retired where-condition types, grammar or evaluator"; exit 1; fi
+	@if git grep -n -E -e 'FromLis[t]' -e '[Bb]yDewe[y]' -e 'ParseDewe[y]' -e 'ProjectAl[l]' \
+		-e 'nestedlist\.Compac[t]([^[:alnum:]_]|$$)' -e '(type |\*)Compac[t]([^[:alnum:]_]|$$)' -- '*.go'; then \
+		echo "lint-refs: reference to the deleted compact NestedList form or a Dewey-addressed lookup"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
-# round-trip through the printer; the compact NestedList form must
-# round-trip losslessly against the pointer form; the segment bytecode
+# round-trip through the printer; NestedList selection must only shrink
+# projections, keep what the predicate keeps and never write into its
+# input; the segment bytecode
 # decoder must reject arbitrary corruption with ErrCorrupt, never a
 # panic, and re-encode accepted inputs byte-identically; the segment
 # file reader must do the same for whole file images, with and without
@@ -185,6 +193,6 @@ lint-refs:
 fuzz:
 	$(GO) test ./internal/xpath -run '^$$' -fuzz FuzzXPathParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flwor -run '^$$' -fuzz FuzzFLWORParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/nestedlist -run '^$$' -fuzz FuzzCompactRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nestedlist -run '^$$' -fuzz FuzzSelectSlot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzSegmentRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/segstore -run '^$$' -fuzz FuzzSegmentFile -fuzztime $(FUZZTIME)

@@ -17,7 +17,6 @@ import (
 	"blossomtree/internal/flwor"
 	"blossomtree/internal/index"
 	"blossomtree/internal/join"
-	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/nok"
 	"blossomtree/internal/plan"
 	"blossomtree/internal/storage"
@@ -286,65 +285,6 @@ func BenchmarkMicroExample1(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationNestedListForms compares projection on the two
-// physical forms of the NestedList ADT: the pointer-based build form
-// (Algorithm 2's output) and the compact columnar form of Figure 6.
-func BenchmarkAblationNestedListForms(b *testing.B) {
-	ds := dataset(b, "d2")
-	// One large instance: every address with its zip codes, grouped
-	// under a single addresses item.
-	bt := core.NewBlossomTree()
-	root := bt.AddRoot("d2")
-	addresses := bt.NewVertex("addresses")
-	bt.AddChild(root, addresses, core.RelDescendant, core.Mandatory)
-	address := bt.NewVertex("address")
-	bt.AddChild(addresses, address, core.RelChild, core.Mandatory)
-	zip := bt.NewVertex("zip_code")
-	bt.AddChild(address, zip, core.RelChild, core.Optional)
-	addresses.Returning = true
-	address.Returning = true
-	zip.Returning = true
-	rt := bt.Finalize()
-
-	d, err := core.Decompose(bt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := nok.NewMatcher(d.NoKs[1], rt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ls := nok.Scan(m, ds.Doc)
-	if len(ls) != 1 {
-		b.Fatalf("instances = %d, want 1", len(ls))
-	}
-	l := ls[0]
-	addrSlot := 2 // super-root=0, addresses=1, address=2
-	compact := nestedlist.FromList(l)
-
-	b.Run("pointer-form", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := l.ProjectSlot(addrSlot); len(got) == 0 {
-				b.Fatal("empty projection")
-			}
-		}
-	})
-	b.Run("compact-form", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := compact.ProjectSlot(addrSlot); len(got) == 0 {
-				b.Fatal("empty projection")
-			}
-		}
-	})
-	b.Run("convert", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if c := nestedlist.FromList(l); len(c.Nodes) == 0 {
-				b.Fatal("conversion failed")
-			}
-		}
-	})
 }
 
 // BenchmarkAblationCostModel measures planning overhead with the

@@ -159,12 +159,12 @@ type Vertex struct {
 	// §3.1.
 	ForBound bool
 	// Implicit marks a vertex that is returning only because Finalize
-	// needed a Dewey ID for a //-join endpoint: it binds no variable, no
+	// needed a slot for a //-join endpoint: it binds no variable, no
 	// clause projects it and no crossing compares it, so an instance may
 	// keep just the one match a join pairs with instead of the whole
 	// group.
 	Implicit bool
-	Dewey    Dewey // assigned to returning vertices by Finalize
+	Dewey    Dewey // printed label, assigned to returning vertices by Finalize
 
 	// Tree structure. The edge from Parent to this vertex carries
 	// ⟨ParentRel, ParentMode⟩. Roots have Parent == nil.
@@ -173,10 +173,6 @@ type Vertex struct {
 	ParentMode Mode
 	Children   []*Vertex
 }
-
-// IsRoot reports whether the vertex is a pattern-tree root (anchored at a
-// document).
-func (v *Vertex) IsRoot() bool { return v.Parent == nil }
 
 // IsDocRoot reports whether the vertex matches the document node itself.
 func (v *Vertex) IsDocRoot() bool { return v.Test == "~" }
@@ -340,7 +336,7 @@ type BlossomTree struct {
 	Crossings []*Crossing
 	Docs      map[string]*Vertex // doc URI → root vertex ("" key for absolute paths)
 
-	returning *ReturnTree // built by AssignDeweys
+	returning *ReturnTree // built by Finalize
 }
 
 // NewBlossomTree returns an empty BlossomTree.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,39 +14,13 @@ import (
 )
 
 func TestDewey(t *testing.T) {
-	d, err := ParseDewey("1.1.2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := (Dewey{1}).Child(1).Child(2)
 	if d.String() != "1.1.2" || len(d) != 3 {
-		t.Errorf("round trip = %q", d.String())
+		t.Errorf("Child chain = %q", d.String())
 	}
-	if _, err := ParseDewey("1.x"); err == nil {
-		t.Error("ParseDewey(1.x) should fail")
-	}
-	if !d.Equal(Dewey{1, 1, 2}) || d.Equal(Dewey{1, 1}) || d.Equal(Dewey{1, 1, 3}) {
-		t.Error("Equal wrong")
-	}
-	if !(Dewey{1, 1}).IsPrefixOf(d) || (Dewey{1, 2}).IsPrefixOf(d) || d.IsPrefixOf(Dewey{1, 1}) {
-		t.Error("IsPrefixOf wrong")
-	}
-	if got := (Dewey{1}).Child(3); !got.Equal(Dewey{1, 3}) {
-		t.Errorf("Child = %v", got)
-	}
-	cmp := []struct {
-		a, b Dewey
-		want int
-	}{
-		{Dewey{1, 1}, Dewey{1, 2}, -1},
-		{Dewey{1, 2}, Dewey{1, 1}, 1},
-		{Dewey{1, 1}, Dewey{1, 1}, 0},
-		{Dewey{1}, Dewey{1, 1}, -1},
-		{Dewey{1, 1}, Dewey{1}, 1},
-	}
-	for _, c := range cmp {
-		if got := c.a.Compare(c.b); got != c.want {
-			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
-		}
+	base := Dewey{1, 1}
+	if got := base.Child(3); got.String() != "1.1.3" || base.String() != "1.1" {
+		t.Errorf("Child = %v, base = %v (Child must not alias)", got, base)
 	}
 	if (Dewey{}).String() != "" {
 		t.Error("empty Dewey String")
@@ -71,7 +46,7 @@ func TestFromPathSimple(t *testing.T) {
 	if end.ParentRel != RelChild || end.ParentMode != Mandatory {
 		t.Errorf("edge = %v %v", end.ParentRel, end.ParentMode)
 	}
-	if !end.Dewey.Equal(Dewey{1, 1}) {
+	if end.Dewey.String() != "1.1" {
 		t.Errorf("Dewey = %v", end.Dewey)
 	}
 }
@@ -310,27 +285,21 @@ func TestExample1Figure1(t *testing.T) {
 	}
 
 	// Dewey IDs: books are 1.1 and 1.2; their returning children follow.
-	if !b1.Dewey.Equal(Dewey{1, 1}) || !b2.Dewey.Equal(Dewey{1, 2}) {
+	if !slices.Equal(b1.Dewey, Dewey{1, 1}) || !slices.Equal(b2.Dewey, Dewey{1, 2}) {
 		t.Errorf("book Deweys = %v, %v", b1.Dewey, b2.Dewey)
 	}
 	aut1, _ := bt.VertexOfVar("aut1")
-	if !aut1.Dewey.Equal(Dewey{1, 1, 1}) {
+	if !slices.Equal(aut1.Dewey, Dewey{1, 1, 1}) {
 		t.Errorf("aut1 Dewey = %v", aut1.Dewey)
 	}
 	rt := q.Return
 	if len(rt.Nodes) != 7 { // super-root + 2 books + 2 authors + 2 titles
 		t.Errorf("returning tree has %d nodes, want 7", len(rt.Nodes))
 	}
-	if n, ok := rt.ByVar("book2"); !ok || !n.Dewey.Equal(Dewey{1, 2}) {
+	if n, ok := rt.ByVar("book2"); !ok || !slices.Equal(n.Dewey, Dewey{1, 2}) {
 		t.Errorf("ByVar(book2) = %v, %v", n, ok)
 	}
-	if n, ok := rt.ByDewey(Dewey{1, 1}); !ok || n.Vertex != b1 {
-		t.Errorf("ByDewey(1.1) = %v, %v", n, ok)
-	}
-	if _, ok := rt.ByDewey(Dewey{9}); ok {
-		t.Error("ByDewey(9) should miss")
-	}
-	if n, ok := rt.ByVertex(b1); !ok || n.Dewey.String() != "1.1" {
+	if n, ok := rt.ByVertex(b1); !ok || n.Dewey.String() != "1.1" || rt.Nodes[n.Slot] != n || !slices.Equal(n.Path, []int{0}) {
 		t.Errorf("ByVertex(b1) = %v, %v", n, ok)
 	}
 	if _, ok := rt.ByVar("zzz"); ok {
@@ -718,10 +687,10 @@ func TestQuickDecompositionInvariants(t *testing.T) {
 				return false
 			}
 		}
-		// Every returning vertex has a Dewey prefix-consistent with its
-		// returning-tree parent.
+		// Every returning vertex's Dewey label extends its
+		// returning-tree parent's by one ordinal.
 		for _, rn := range q.Return.Nodes[1:] {
-			if !rn.Parent.Dewey.IsPrefixOf(rn.Dewey) {
+			if !slices.Equal(rn.Parent.Dewey, rn.Dewey[:len(rn.Dewey)-1]) {
 				return false
 			}
 		}

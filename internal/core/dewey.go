@@ -2,10 +2,14 @@
 // BlossomTree formalism (Definition 1) — an annotated directed graph of
 // interconnected pattern trees whose vertices carry tag-name and value
 // constraints and may be bound to variables (blossoms), and whose edges
-// carry a relationship/mode annotation ⟨r, m⟩ — together with the global
-// Dewey-ID assignment over returning nodes, the returning-tree extraction
-// of §4.1, and the decomposition of a BlossomTree into interconnected NoK
-// pattern trees (Algorithm 1).
+// carry a relationship/mode annotation ⟨r, m⟩ — together with the
+// returning-tree extraction of §4.1 and the decomposition of a
+// BlossomTree into interconnected NoK pattern trees (Algorithm 1).
+//
+// The paper addresses returning nodes by global Dewey IDs; here every
+// NestedList operator takes a returning node's slot (ReturnNode.Slot,
+// a dense index) and its Path of child ordinals. The Dewey ID survives
+// only as a printed label (the #1.1.2 of Vertex.String and EXPLAIN).
 package core
 
 import (
@@ -15,23 +19,9 @@ import (
 
 // Dewey is a Dewey identifier assigned to a returning node of a
 // BlossomTree: the path of ordinals from the artificial super-root
-// (which is always Dewey "1"). Dewey IDs are the parameters of the
-// NestedList operators (projection, selection, join).
+// (which is always Dewey "1"). It is a label for printing; operators
+// address returning nodes by slot.
 type Dewey []int
-
-// ParseDewey parses "1.2.1" into a Dewey.
-func ParseDewey(s string) (Dewey, error) {
-	parts := strings.Split(s, ".")
-	d := make(Dewey, len(parts))
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		d[i] = n
-	}
-	return d, nil
-}
 
 // String renders the dotted form, e.g. "1.1.2".
 func (d Dewey) String() string {
@@ -48,59 +38,10 @@ func (d Dewey) String() string {
 	return sb.String()
 }
 
-// Equal reports component-wise equality.
-func (d Dewey) Equal(o Dewey) bool {
-	if len(d) != len(o) {
-		return false
-	}
-	for i := range d {
-		if d[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsPrefixOf reports whether d is a (non-strict) prefix of o — i.e.
-// whether d's returning node is an ancestor-or-self of o's in the
-// returning tree.
-func (d Dewey) IsPrefixOf(o Dewey) bool {
-	if len(d) > len(o) {
-		return false
-	}
-	for i := range d {
-		if d[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Child returns d extended with ordinal i.
 func (d Dewey) Child(i int) Dewey {
 	out := make(Dewey, len(d)+1)
 	copy(out, d)
 	out[len(d)] = i
 	return out
-}
-
-// Compare orders Deweys lexicographically (document order of the
-// returning tree).
-func (d Dewey) Compare(o Dewey) int {
-	for i := 0; i < len(d) && i < len(o); i++ {
-		if d[i] != o[i] {
-			if d[i] < o[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(d) < len(o):
-		return -1
-	case len(d) > len(o):
-		return 1
-	default:
-		return 0
-	}
 }

@@ -27,25 +27,18 @@ func (n *ReturnNode) ChildOrdinal() int {
 	return n.Path[len(n.Path)-1]
 }
 
-// ReturnTree is the returning tree with its Dewey numbering. It is the
+// ReturnTree is the returning tree with its slot numbering. It is the
 // shape every NestedList instance of the query conforms to.
 type ReturnTree struct {
 	Root  *ReturnNode
 	Nodes []*ReturnNode // indexed by Slot
 
 	byVertex map[*Vertex]*ReturnNode
-	byDewey  map[string]*ReturnNode
 }
 
 // ByVertex returns the returning-tree node of a returning vertex.
 func (rt *ReturnTree) ByVertex(v *Vertex) (*ReturnNode, bool) {
 	n, ok := rt.byVertex[v]
-	return n, ok
-}
-
-// ByDewey resolves a Dewey ID to its returning-tree node.
-func (rt *ReturnTree) ByDewey(d Dewey) (*ReturnNode, bool) {
-	n, ok := rt.byDewey[d.String()]
 	return n, ok
 }
 
@@ -62,11 +55,12 @@ func (rt *ReturnTree) ByVar(name string) (*ReturnNode, bool) {
 // Finalize marks the implicit returning vertices (endpoints of cut edges
 // and crossing edges, per §3.3: "we should assign a Dewey ID to each
 // returning node before decomposing it into interconnected NoK pattern
-// trees"), then assigns global Dewey IDs by depth-first traversal under
-// the artificial super-root. It returns the resulting returning tree and
-// memoizes it on the BlossomTree.
+// trees"), then assigns each returning node its slot, Path and Dewey
+// label by depth-first traversal under the artificial super-root. It
+// returns the resulting returning tree and memoizes it on the
+// BlossomTree.
 func (bt *BlossomTree) Finalize() *ReturnTree {
-	// Join endpoints must be addressable by Dewey ID. One that nothing
+	// Join endpoints must be addressable by slot. One that nothing
 	// else made returning is Implicit: no clause reads its matches.
 	implicit := func(v *Vertex) {
 		if !v.Returning {
@@ -88,11 +82,9 @@ func (bt *BlossomTree) Finalize() *ReturnTree {
 
 	rt := &ReturnTree{
 		byVertex: make(map[*Vertex]*ReturnNode),
-		byDewey:  make(map[string]*ReturnNode),
 	}
 	rt.Root = &ReturnNode{Dewey: Dewey{1}, Slot: 0}
 	rt.Nodes = []*ReturnNode{rt.Root}
-	rt.byDewey["1"] = rt.Root
 
 	var walk func(v *Vertex, parent *ReturnNode)
 	walk = func(v *Vertex, parent *ReturnNode) {
@@ -108,7 +100,6 @@ func (bt *BlossomTree) Finalize() *ReturnTree {
 			parent.Children = append(parent.Children, n)
 			rt.Nodes = append(rt.Nodes, n)
 			rt.byVertex[v] = n
-			rt.byDewey[n.Dewey.String()] = n
 			v.Dewey = n.Dewey
 			cur = n
 		}

@@ -12,7 +12,7 @@ import (
 type Predicate func(m, n *nestedlist.List) (bool, error)
 
 // CrossingPredicate adapts a BlossomTree crossing edge to a join
-// predicate over the Dewey slots of its two endpoints.
+// predicate over the returning-tree slots of its two endpoints.
 func CrossingPredicate(c *core.Crossing, fromSlot, toSlot int) Predicate {
 	return func(m, n *nestedlist.List) (bool, error) {
 		return c.Eval(m.ProjectSlot(fromSlot), n.ProjectSlot(toSlot)), nil

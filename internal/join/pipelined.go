@@ -39,9 +39,9 @@ import (
 //     with are kept until an outer with different nodes arrives, and
 //     re-delivered to each duplicate.
 //
-// OuterSlot is the Dewey slot of the link's outer (ancestor) endpoint;
-// InnerSlot is the inner NoK's root slot, which holds exactly one node
-// per instance.
+// OuterSlot is the returning-tree slot of the link's outer (ancestor)
+// endpoint; InnerSlot is the inner NoK's root slot, which holds exactly
+// one node per instance.
 //
 // The join runs in one of three emission modes:
 //

@@ -1,6 +1,7 @@
 package nestedlist
 
 import (
+	"slices"
 	"testing"
 
 	"blossomtree/internal/core"
@@ -45,7 +46,8 @@ func fuzzShape(c *byteCursor) *core.ReturnTree {
 }
 
 // fuzzPool builds a small fixed document whose elements serve as the
-// instance's node pool (round-tripping is structural, so any nodes do).
+// instance's node pool (the checks compare nodes by identity, so any
+// nodes do).
 func fuzzPool() []*xmltree.Node {
 	b := xmltree.NewBuilder()
 	b.Start("r")
@@ -99,54 +101,119 @@ func fuzzInstance(c *byteCursor, rt *core.ReturnTree, pool []*xmltree.Node) *Lis
 	return l
 }
 
-// FuzzCompactRoundTrip asserts the Figure-6 compact form is lossless:
-// any pointer-form instance survives FromList → ToList with identical
-// structure (String), per-slot projections, and filled bitmap, and the
-// compact offsets are a consistent CSR partition of each column.
-func FuzzCompactRoundTrip(f *testing.F) {
+// FuzzSelectSlot checks σ on any pointer-form instance: an always-true
+// predicate leaves String() and every slot's projection unchanged; for
+// any predicate, every slot's projection shrinks to a subsequence of the
+// input's, and the target slot's to a subsequence of the input's
+// filtered projection; and the input instance is never modified
+// (copy-on-write). The script's first byte picks the target slot and the
+// next two a 16-bit mask the predicate indexes by node and position.
+func FuzzSelectSlot(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 1, 0, 1})
-	f.Add([]byte{3, 0, 0, 1, 1, 2, 0, 1, 2, 3, 0, 1, 0, 1})
-	f.Add([]byte{5, 1, 0, 0, 1, 1, 1, 2, 2, 0, 2, 1, 0, 2, 2, 1, 0, 0, 1, 1, 2, 0})
-	f.Add([]byte{6, 0, 5, 0, 4, 0, 3, 0, 2, 0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2})
+	f.Add([]byte{1, 0xff, 0xff, 1, 0, 1, 0, 1})
+	f.Add([]byte{2, 0x5a, 0x0f, 3, 0, 0, 1, 1, 2, 0, 1, 2, 3, 0, 1, 0, 1})
+	f.Add([]byte{3, 0x00, 0x00, 5, 1, 0, 0, 1, 1, 1, 2, 2, 0, 2, 1, 0, 2, 2, 1, 0, 0, 1, 1, 2, 0})
+	f.Add([]byte{5, 0x33, 0xcc, 6, 0, 5, 0, 4, 0, 3, 0, 2, 0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2})
 	pool := fuzzPool()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &byteCursor{data: data}
+		target := int(c.next())
+		mask := uint16(c.next())<<8 | uint16(c.next())
 		rt := fuzzShape(c)
 		l := fuzzInstance(c, rt, pool)
+		target %= len(rt.Nodes)
 
-		cp := FromList(l)
-		back := cp.ToList()
+		before := snapshot(l)
+		str := l.String()
+		proj := make([][]*xmltree.Node, len(rt.Nodes))
+		for slot := range rt.Nodes {
+			proj[slot] = l.ProjectSlot(slot)
+		}
 
-		if got, want := back.String(), l.String(); got != want {
-			t.Fatalf("round trip changed structure:\n got %s\nwant %s", got, want)
+		all, ok := l.SelectSlot(target, func(*xmltree.Node, int) bool { return true })
+		if !ok {
+			t.Fatalf("always-true σ on slot %d invalidated the instance", target)
+		}
+		if got := all.String(); got != str {
+			t.Fatalf("always-true σ on slot %d changed structure:\n got %s\nwant %s", target, got, str)
 		}
 		for slot := range rt.Nodes {
-			if cp.IsFilled(slot) != l.IsFilled(slot) || back.IsFilled(slot) != l.IsFilled(slot) {
-				t.Fatalf("slot %d: filled bit lost (list=%v compact=%v back=%v)",
-					slot, l.IsFilled(slot), cp.IsFilled(slot), back.IsFilled(slot))
-			}
-			want := l.ProjectSlot(slot)
-			for which, got := range [][]*xmltree.Node{cp.ProjectSlot(slot), back.ProjectSlot(slot)} {
-				if len(got) != len(want) {
-					t.Fatalf("slot %d projection %d: %d nodes, want %d", slot, which, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("slot %d projection %d: node %d differs", slot, which, i)
-					}
-				}
-			}
-			// CSR consistency: offsets non-decreasing, spanning the column.
-			offs := cp.Offsets[slot]
-			if len(offs) == 0 || offs[0] != 0 || int(offs[len(offs)-1]) != len(cp.Nodes[slot]) {
-				t.Fatalf("slot %d: offsets %v do not span column of %d", slot, offs, len(cp.Nodes[slot]))
-			}
-			for i := 1; i < len(offs); i++ {
-				if offs[i] < offs[i-1] {
-					t.Fatalf("slot %d: offsets %v decrease", slot, offs)
-				}
+			if got := all.ProjectSlot(slot); !slices.Equal(got, proj[slot]) {
+				t.Fatalf("always-true σ on slot %d changed slot %d's projection", target, slot)
 			}
 		}
+
+		pred := func(n *xmltree.Node, pos int) bool { return mask>>((n.Start*3+pos)%16)&1 == 1 }
+		out, ok := l.SelectSlot(target, pred)
+		if ok {
+			for slot := range rt.Nodes {
+				if !isSubsequence(out.ProjectSlot(slot), proj[slot]) {
+					t.Fatalf("σ on slot %d: slot %d's projection is not a subsequence of the input's", target, slot)
+				}
+				if out.IsFilled(slot) != l.IsFilled(slot) {
+					t.Fatalf("σ on slot %d: slot %d's filled bit changed", target, slot)
+				}
+			}
+			var kept []*xmltree.Node
+			visitGroups(l.Root, rt.Nodes[target].Path, func(g []*Item) {
+				for pos, it := range g {
+					if it.Node != nil && pred(it.Node, pos+1) {
+						kept = append(kept, it.Node)
+					}
+				}
+			})
+			if target != 0 && !isSubsequence(out.ProjectSlot(target), kept) {
+				t.Fatalf("σ on slot %d kept a node the predicate rejects", target)
+			}
+		}
+
+		if got := snapshot(l); !slices.Equal(got, before) || l.String() != str {
+			t.Fatalf("σ on slot %d modified its input", target)
+		}
 	})
+}
+
+// visitGroups calls fn on every group the path's last ordinal selects,
+// in document order: the groups σ applies its predicate to.
+func visitGroups(it *Item, path []int, fn func([]*Item)) {
+	if len(path) == 0 || path[0] >= len(it.Groups) {
+		return
+	}
+	if len(path) == 1 {
+		fn(it.Groups[path[0]])
+		return
+	}
+	for _, c := range it.Groups[path[0]] {
+		visitGroups(c, path[1:], fn)
+	}
+}
+
+// snapshot flattens an instance into its items, nodes and group headers
+// in preorder, so any write into the instance shows as a difference.
+func snapshot(l *List) []any {
+	var out []any
+	var walk func(it *Item)
+	walk = func(it *Item) {
+		out = append(out, it, it.Node, len(it.Groups))
+		for _, g := range it.Groups {
+			out = append(out, len(g), cap(g))
+			for _, c := range g {
+				walk(c)
+			}
+		}
+	}
+	walk(l.Root)
+	return out
+}
+
+// isSubsequence reports whether sub is an order-preserving selection of
+// seq (compared by node identity).
+func isSubsequence(sub, seq []*xmltree.Node) bool {
+	i := 0
+	for _, n := range seq {
+		if i < len(sub) && sub[i] == n {
+			i++
+		}
+	}
+	return i == len(sub)
 }

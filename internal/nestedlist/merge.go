@@ -1,10 +1,6 @@
 package nestedlist
 
-import (
-	"fmt"
-
-	"blossomtree/internal/xmltree"
-)
+import "fmt"
 
 // Merge implements the fill step of the join operator (§3.3, Example 4):
 // it combines two instances of the same shape into one, filling each
@@ -247,15 +243,5 @@ func Unnest(l *List, slot int) []*List {
 	rec(l.Root, 0, func(root *Item) *List {
 		return &List{Shape: l.Shape, Root: root, filled: l.filled}
 	})
-	return out
-}
-
-// ProjectAll projects a Dewey slot across a sequence of instances,
-// concatenating in order (the sequence-level π of §3.3).
-func ProjectAll(ls []*List, slot int) []*xmltree.Node {
-	var out []*xmltree.Node
-	for _, l := range ls {
-		out = append(out, l.ProjectSlot(slot)...)
-	}
 	return out
 }

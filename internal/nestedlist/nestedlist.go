@@ -1,7 +1,9 @@
 // Package nestedlist implements the NestedList abstract data type of
 // §3.2 and its operators (§3.3): projection, selection and the
-// merge/fill step of joins, all parameterized by Dewey IDs over the
-// query's returning tree.
+// merge/fill step of joins. The paper parameterizes them by the Dewey
+// IDs of returning nodes; here every operator takes the returning
+// node's slot (core.ReturnNode.Slot) and walks its Path of child
+// ordinals.
 //
 // A NestedList instance (List) is one match of (part of) the returning
 // tree: a tree of Items mirroring the returning-tree shape, where each
@@ -13,14 +15,12 @@
 // items (nil Node) and a per-slot Filled bitmap; joins fill them by
 // merging instances.
 //
-// The concrete layout follows Figure 6: per-returning-node match lists
-// in document order, connected by child-pointer arrays. Appends preserve
-// document order, which is what makes projection order-preserving
-// (Theorem 1).
+// Items are the one physical form (the array layout of Figure 6 is not
+// built). Appends preserve document order, which is what makes
+// projection order-preserving (Theorem 1).
 package nestedlist
 
 import (
-	"fmt"
 	"strings"
 
 	"blossomtree/internal/core"
@@ -170,22 +170,6 @@ func (l *List) IsFilled(slot int) bool { return l.filled.get(slot) }
 // to the slot's shape node (computed once per returning tree).
 func (l *List) slotPath(slot int) []int { return l.Shape.Nodes[slot].Path }
 
-// Items returns the items of the given slot across the whole instance,
-// in insertion (document) order.
-func (l *List) Items(slot int) []*Item {
-	frontier := []*Item{l.Root}
-	for _, ord := range l.slotPath(slot) {
-		var next []*Item
-		for _, it := range frontier {
-			if ord < len(it.Groups) {
-				next = append(next, it.Groups[ord]...)
-			}
-		}
-		frontier = next
-	}
-	return frontier
-}
-
 // VisitSlot calls fn on the slot's matched nodes in document order —
 // the sequence ProjectSlot returns, without building it — until fn
 // returns false. It reports whether the visit ran to the end.
@@ -230,19 +214,10 @@ func firstNode(it *Item, path []int) *xmltree.Node {
 	return nil
 }
 
-// Project implements π(ID): unnest along the Dewey ID and return the
-// concatenated matched nodes. Placeholder items project to nothing. By
-// Theorem 1 the result is in document order when the instance was built
-// by NoK pattern matching.
-func (l *List) Project(d core.Dewey) ([]*xmltree.Node, error) {
-	n, ok := l.Shape.ByDewey(d)
-	if !ok {
-		return nil, fmt.Errorf("nestedlist: no returning node with Dewey %s", d)
-	}
-	return l.ProjectSlot(n.Slot), nil
-}
-
-// ProjectSlot is Project by slot index.
+// ProjectSlot implements π: unnest along the slot's path and return
+// the concatenated matched nodes. Placeholder items project to nothing.
+// By Theorem 1 the result is in document order when the instance was
+// built by NoK pattern matching.
 func (l *List) ProjectSlot(slot int) []*xmltree.Node {
 	var out []*xmltree.Node
 	l.VisitSlot(slot, func(n *xmltree.Node) bool {
@@ -252,27 +227,17 @@ func (l *List) ProjectSlot(slot int) []*xmltree.Node {
 	return out
 }
 
-// Select implements σ_ϕ(ID): project on the Dewey ID, evaluate the
-// predicate on each projected item (pos is the 1-based position within
-// its group, the position() of path expressions), remove failing items,
-// and check validity — if a mandatory slot loses all its matches under
-// some parent, the whole instance is invalid and Select reports false
-// (the paper: "return empty sequence").
-func (l *List) Select(d core.Dewey, pred func(n *xmltree.Node, pos int) bool) (*List, bool, error) {
-	sn, ok := l.Shape.ByDewey(d)
-	if !ok {
-		return nil, false, fmt.Errorf("nestedlist: no returning node with Dewey %s", d)
-	}
-	out, valid := l.SelectSlot(sn.Slot, pred)
-	return out, valid, nil
-}
-
-// SelectSlot is Select addressed by slot index. Removal cascades: an
-// item whose mandatory target-side group becomes empty is no longer a
-// valid match itself and is removed from its own group, up to the
-// instance root (an a in //a/b[c] with every b removed is not a match;
-// but a sibling a keeping a b survives). The instance is invalid only
-// when the cascade reaches the top.
+// SelectSlot implements σ_ϕ: evaluate the predicate on each item of
+// the slot (pos is the 1-based position within its group, the
+// position() of path expressions), remove failing items, and check
+// validity. Removal cascades: an item whose mandatory target-side group
+// becomes empty is no longer a valid match itself and is removed from
+// its own group, up to the instance root (an a in //a/b[c] with every b
+// removed is not a match; but a sibling a keeping a b survives). When
+// the cascade reaches the top the whole instance is invalid and
+// SelectSlot reports false (the paper: "return empty sequence"). The
+// input is never modified: the items above the slot's items are copied,
+// every other group is shared.
 func (l *List) SelectSlot(slot int, pred func(n *xmltree.Node, pos int) bool) (*List, bool) {
 	sn := l.Shape.Nodes[slot]
 	path := l.slotPath(sn.Slot)

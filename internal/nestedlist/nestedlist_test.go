@@ -67,17 +67,16 @@ func fig3Instance(t *testing.T, rt *core.ReturnTree) (*List, *xmltree.Document) 
 	return l, doc
 }
 
-func slotOf(t *testing.T, rt *core.ReturnTree, dewey string) int {
+// slotOf returns the slot of the returning vertex with the given tag.
+func slotOf(t *testing.T, rt *core.ReturnTree, tag string) int {
 	t.Helper()
-	d, err := core.ParseDewey(dewey)
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range rt.Nodes {
+		if n.Vertex != nil && n.Vertex.Test == tag {
+			return n.Slot
+		}
 	}
-	n, ok := rt.ByDewey(d)
-	if !ok {
-		t.Fatalf("no slot for Dewey %s", dewey)
-	}
-	return n.Slot
+	t.Fatalf("no returning vertex %q", tag)
+	return 0
 }
 
 func TestFigure4Notation(t *testing.T) {
@@ -93,11 +92,8 @@ func TestProjection(t *testing.T) {
 	_, rt := fig3Shape(t)
 	l, _ := fig3Instance(t, rt)
 
-	// π(1.1.1) = [b1, b2, b3] in document order (Theorem 1).
-	bs, err := l.Project(core.Dewey{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// π(b) = [b1, b2, b3] in document order (Theorem 1).
+	bs := l.ProjectSlot(slotOf(t, rt, "b"))
 	if len(bs) != 3 {
 		t.Fatalf("π(b) = %d nodes", len(bs))
 	}
@@ -106,15 +102,8 @@ func TestProjection(t *testing.T) {
 			t.Error("projection not in document order")
 		}
 	}
-	ds, err := l.Project(core.Dewey{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 3 {
+	if ds := l.ProjectSlot(slotOf(t, rt, "d")); len(ds) != 3 {
 		t.Errorf("π(d) = %d nodes, want 3", len(ds))
-	}
-	if _, err := l.Project(core.Dewey{9, 9}); err == nil {
-		t.Error("projection on unknown Dewey should fail")
 	}
 	// Projecting the super-root yields nothing (placeholder node).
 	if got := l.ProjectSlot(0); len(got) != 0 {
@@ -125,61 +114,85 @@ func TestProjection(t *testing.T) {
 func TestSelection(t *testing.T) {
 	_, rt := fig3Shape(t)
 	l, _ := fig3Instance(t, rt)
+	bSlot, dSlot := slotOf(t, rt, "b"), slotOf(t, rt, "d")
 
-	// σ_position=2(1.1.1) keeps only b2 (the paper's σposition(1.1)=2
-	// example, shifted by the super-root level).
-	out, ok, err := l.Select(core.Dewey{1, 1, 1}, func(n *xmltree.Node, pos int) bool { return pos == 2 })
-	if err != nil || !ok {
-		t.Fatalf("Select: %v %v", ok, err)
+	// σ_position=2(b) keeps only b2 (the paper's σposition(1.1)=2
+	// example).
+	out, ok := l.SelectSlot(bSlot, func(n *xmltree.Node, pos int) bool { return pos == 2 })
+	if !ok {
+		t.Fatal("SelectSlot invalidated the instance")
 	}
-	bs, _ := out.Project(core.Dewey{1, 1, 1})
-	if len(bs) != 1 {
+	if bs := out.ProjectSlot(bSlot); len(bs) != 1 {
 		t.Fatalf("after σ, π(b) = %d", len(bs))
 	}
-	ds, _ := out.Project(core.Dewey{1, 1, 1, 1})
-	if len(ds) != 2 {
+	if ds := out.ProjectSlot(dSlot); len(ds) != 2 {
 		t.Errorf("after σ, π(d) = %d, want 2 (b2's children)", len(ds))
 	}
 	// The original instance is untouched.
-	if got, _ := l.Project(core.Dewey{1, 1, 1}); len(got) != 3 {
-		t.Error("Select mutated its input")
+	if got := l.ProjectSlot(bSlot); len(got) != 3 {
+		t.Error("SelectSlot mutated its input")
 	}
 
 	// Removing every b invalidates the instance (mandatory edge).
-	_, ok, err = l.Select(core.Dewey{1, 1, 1}, func(*xmltree.Node, int) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if _, ok := l.SelectSlot(bSlot, func(*xmltree.Node, int) bool { return false }); ok {
 		t.Error("emptying a mandatory slot must invalidate the instance")
 	}
 
 	// Removing every d is fine (optional edge).
-	out, ok, err = l.Select(core.Dewey{1, 1, 1, 1}, func(*xmltree.Node, int) bool { return false })
-	if err != nil || !ok {
-		t.Fatalf("optional removal: %v %v", ok, err)
+	out, ok = l.SelectSlot(dSlot, func(*xmltree.Node, int) bool { return false })
+	if !ok {
+		t.Fatal("optional removal invalidated the instance")
 	}
-	if ds, _ := out.Project(core.Dewey{1, 1, 1, 1}); len(ds) != 0 {
+	if ds := out.ProjectSlot(dSlot); len(ds) != 0 {
 		t.Errorf("d not removed: %v", ds)
-	}
-
-	if _, _, err := l.Select(core.Dewey{7}, nil); err == nil {
-		t.Error("Select on unknown Dewey should fail")
 	}
 }
 
 func TestSelectByValue(t *testing.T) {
 	_, rt := fig3Shape(t)
 	l, _ := fig3Instance(t, rt)
+	bSlot := slotOf(t, rt, "b")
 	// Keep only b's that have a d child — b1 drops, instance stays valid.
-	out, ok, err := l.Select(core.Dewey{1, 1, 1}, func(n *xmltree.Node, pos int) bool {
+	out, ok := l.SelectSlot(bSlot, func(n *xmltree.Node, pos int) bool {
 		return len(xmltree.Children(n, "d")) > 0
 	})
-	if err != nil || !ok {
-		t.Fatalf("Select: %v %v", ok, err)
+	if !ok {
+		t.Fatal("SelectSlot invalidated the instance")
 	}
-	if bs, _ := out.Project(core.Dewey{1, 1, 1}); len(bs) != 2 {
+	if bs := out.ProjectSlot(bSlot); len(bs) != 2 {
 		t.Errorf("π(b) = %d, want 2", len(bs))
+	}
+}
+
+func TestSelectionCascades(t *testing.T) {
+	q, aSlot, bSlot := twoNoKShape(t)
+	doc, err := xmltree.ParseString(`<r><a><b/></a><a><b/></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := xmltree.Descendants(doc.DocumentElement(), "a")
+	bs := xmltree.Descendants(doc.DocumentElement(), "b")
+	l := NewInstance(q.Return)
+	for i, a := range as {
+		it := NewItem(a, 1)
+		it.Groups[0] = []*Item{NewItem(bs[i], 0)}
+		l.Root.Groups[0] = append(l.Root.Groups[0], it)
+	}
+	l.SetFilled(aSlot)
+	l.SetFilled(bSlot)
+
+	// Losing its only b removes the first a; the second keeps the
+	// instance valid.
+	out, ok := l.SelectSlot(bSlot, func(n *xmltree.Node, _ int) bool { return n == bs[1] })
+	if !ok {
+		t.Fatal("a surviving a must keep the instance valid")
+	}
+	if got := out.ProjectSlot(aSlot); len(got) != 1 || got[0] != as[1] {
+		t.Errorf("after σ, π(a) = %v, want the second a", got)
+	}
+	// Losing every b cascades to the top.
+	if _, ok := l.SelectSlot(bSlot, func(*xmltree.Node, int) bool { return false }); ok {
+		t.Error("removing every b must invalidate the instance")
 	}
 }
 
@@ -191,8 +204,8 @@ func twoNoKShape(t *testing.T) (*core.Query, int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aSlot := slotOf(t, q.Return, "1.1")
-	bSlot := slotOf(t, q.Return, "1.1.1")
+	aSlot := slotOf(t, q.Return, "a")
+	bSlot := slotOf(t, q.Return, "b")
 	return q, aSlot, bSlot
 }
 
@@ -269,7 +282,7 @@ func TestMergeDeepestAncestorWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := m.Items(aSlot)
+	items := m.Root.Groups[0] // the a group under the super-root
 	if len(items) != 2 {
 		t.Fatalf("a items = %d", len(items))
 	}
@@ -324,7 +337,7 @@ func TestMergeErrors(t *testing.T) {
 func TestUnnest(t *testing.T) {
 	_, rt := fig3Shape(t)
 	l, _ := fig3Instance(t, rt)
-	bSlot := slotOf(t, rt, "1.1.1")
+	bSlot, cSlot, dSlot := slotOf(t, rt, "b"), slotOf(t, rt, "c"), slotOf(t, rt, "d")
 
 	parts := Unnest(l, bSlot)
 	if len(parts) != 3 {
@@ -336,43 +349,25 @@ func TestUnnest(t *testing.T) {
 			t.Fatalf("instance %d has %d b's", i, len(bs))
 		}
 		// c group intact in every instance.
-		cs, _ := p.Project(core.Dewey{1, 1, 2})
-		if len(cs) != 2 {
+		if cs := p.ProjectSlot(cSlot); len(cs) != 2 {
 			t.Errorf("instance %d: π(c) = %d, want 2", i, len(cs))
 		}
 	}
 	// d counts follow their b: 0, 2, 1.
 	wantD := []int{0, 2, 1}
 	for i, p := range parts {
-		ds, _ := p.Project(core.Dewey{1, 1, 1, 1})
-		if len(ds) != wantD[i] {
+		if ds := p.ProjectSlot(dSlot); len(ds) != wantD[i] {
 			t.Errorf("instance %d: π(d) = %d, want %d", i, len(ds), wantD[i])
 		}
 	}
 	// Original untouched.
-	if bs, _ := l.Project(core.Dewey{1, 1, 1}); len(bs) != 3 {
+	if bs := l.ProjectSlot(bSlot); len(bs) != 3 {
 		t.Error("Unnest mutated input")
 	}
 
 	// Unnesting the a slot (single item) yields one instance.
-	aSlot := slotOf(t, rt, "1.1")
+	aSlot := slotOf(t, rt, "a")
 	if parts := Unnest(l, aSlot); len(parts) != 1 {
 		t.Errorf("Unnest(a) = %d", len(parts))
-	}
-}
-
-func TestProjectAll(t *testing.T) {
-	_, rt := fig3Shape(t)
-	l, _ := fig3Instance(t, rt)
-	bSlot := slotOf(t, rt, "1.1.1")
-	parts := Unnest(l, bSlot)
-	all := ProjectAll(parts, bSlot)
-	if len(all) != 3 {
-		t.Fatalf("ProjectAll = %d", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if !all[i-1].Before(all[i]) {
-			t.Error("ProjectAll order broken")
-		}
 	}
 }

@@ -33,7 +33,7 @@ func newChainFixture(t *testing.T) *chainFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &chainFixture{q: q, mSlot: slotOf(t, q.Return, "1.1.1"), lSlot: slotOf(t, q.Return, "1.1.1.1")}
+	f := &chainFixture{q: q, mSlot: slotOf(t, q.Return, "m"), lSlot: slotOf(t, q.Return, "l")}
 	f.mVertex = q.Return.Nodes[f.mSlot].Vertex
 	s := xmltree.Descendants(doc.DocumentElement(), "s")[0]
 	f.ms = xmltree.Descendants(s, "m")
@@ -44,7 +44,7 @@ func newChainFixture(t *testing.T) *chainFixture {
 		sItem.Groups[0] = append(sItem.Groups[0], NewItem(m, 1))
 	}
 	f.outer.Root.Groups[0] = []*Item{sItem}
-	f.outer.SetFilled(slotOf(t, q.Return, "1.1"))
+	f.outer.SetFilled(slotOf(t, q.Return, "s"))
 	f.outer.SetFilled(f.mSlot)
 	f.outerPrint = f.outer.String()
 

@@ -116,53 +116,3 @@ func (h *Histogram) Counts() []int64 {
 	}
 	return out
 }
-
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
-// counts, interpolating linearly within the winning bucket. The +Inf
-// bucket clamps to the largest finite bound; an empty histogram
-// returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts := h.Counts()
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i == len(counts)-1 {
-			// Overflow bucket: no finite upper bound to interpolate to.
-			if len(h.bounds) == 0 {
-				return 0
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		within := rank - float64(cum-c)
-		return lo + (hi-lo)*(within/float64(c))
-	}
-	return h.bounds[len(h.bounds)-1]
-}

@@ -36,37 +36,6 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram("h", []float64{1, 2, 4})
-	if q := h.Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram quantile = %g, want 0", q)
-	}
-	// 10 observations uniform in (0,1]: quantiles interpolate within
-	// the first bucket.
-	for i := 1; i <= 10; i++ {
-		h.Observe(float64(i) / 10)
-	}
-	if q := h.Quantile(0.5); math.Abs(q-0.5) > 1e-9 {
-		t.Errorf("p50 = %g, want 0.5", q)
-	}
-	if q := h.Quantile(1); math.Abs(q-1) > 1e-9 {
-		t.Errorf("p100 = %g, want 1", q)
-	}
-	// An observation past every bound clamps to the largest finite
-	// bound rather than inventing a value.
-	h.Observe(100)
-	if q := h.Quantile(0.999); q != 4 {
-		t.Errorf("overflow quantile = %g, want clamp to 4", q)
-	}
-	// Out-of-range q is clamped, not an error.
-	if q := h.Quantile(-1); q < 0 {
-		t.Errorf("q=-1 gave %g", q)
-	}
-	if q := h.Quantile(2); q != 4 {
-		t.Errorf("q=2 gave %g, want 4", q)
-	}
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
 	h := NewHistogram("h", LatencyBuckets)
 	const workers, per = 8, 1000
@@ -103,7 +72,7 @@ func TestHistogramNilSafety(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram accessors should read zero")
 	}
 	if h.Name() != "" || h.Bounds() != nil || h.Counts() != nil {

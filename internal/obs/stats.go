@@ -84,9 +84,6 @@ func (s *OpStats) EnableTiming() {
 	}
 }
 
-// Timed reports whether wall-clock measurement is on.
-func (s *OpStats) Timed() bool { return s != nil && s.timed }
-
 // AddCall counts one GetNext invocation.
 func (s *OpStats) AddCall() {
 	if s != nil {

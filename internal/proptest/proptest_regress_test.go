@@ -89,6 +89,72 @@ var regressions = []struct {
 		`<r><b><b><c>1</c></b><b><c>2</c></b></b></r>`,
 		`for $x in doc("d")/r/b, $y in $x/b where $x/b != $y/c return $y`,
 	},
+	// Harness seed 0x19f5cafdaa: PositionFilter counted instances
+	// emitted by the matcher (after the @id existence check), while the
+	// oracle applies [1] to all d elements and only then keeps those with
+	// @id. Queries mixing a positional predicate with other filters now
+	// fall back to the navigational evaluator.
+	{
+		"position-then-attr-tail",
+		`<r><d/><d id="7"/></r>`,
+		`//d[1]/@id`,
+	},
+	// Same shape with the predicate order flipped: the position test must
+	// gate the candidate list before other predicates narrow it, so
+	// position-after-predicate is outside the fragment.
+	{
+		"predicate-then-position",
+		`<r><d id="7"/><d id="8"/><d/></r>`,
+		`//d[@id][2]`,
+	},
+	// Seed 0x4f1c6de1d0: a comparison on an optional let-bound path must
+	// drop rows where the path is empty (an empty operand makes every
+	// comparison false). The planner kept such rows because the matcher
+	// never evaluated the constraint on the unmatched optional vertex;
+	// the where endpoint now upgrades its ancestor edges to mandatory.
+	{
+		"comparison-on-empty-let-path",
+		`<r><a><b id="10"/></a><a><b id="3"/></a><a/></r>`,
+		`for $x in doc("d")//a let $l := $x/b where $l/@id != "10" return $x`,
+	},
+	// Seed 0x216064b256: an exists() test over a let-bound path grew a
+	// mandatory subtree under the binding vertex, so the binding only
+	// projected the instances that satisfied the test. The oracle binds
+	// the whole sequence and treats the condition existentially;
+	// condition paths anchored at let variables are now inlined through
+	// the definition into a parallel branch.
+	{
+		"exists-on-let-path-keeps-full-binding",
+		`<r><d><a><b/></a><a/><a>t</a></d></r>`,
+		`for $x in doc("d")//d let $l := $x/a where exists($l//b) return $l`,
+	},
+	// Same class via a value comparison: $l must bind both b children
+	// even though only one satisfies the inequality.
+	{
+		"comparison-on-let-path-keeps-full-binding",
+		`<r><a><b id="10"/><b id="3"/></a></r>`,
+		`for $x in doc("d")//a let $l := $x/b where $l/@id != "10" return $l`,
+	},
+	// Seed 0xc97b5606e6: a bug in the ORACLE, not the planner. For a bare
+	// variable operand like $l/@k, the navigational evaluator's
+	// attribute-existence filter compacted the resolved node slice in
+	// place — but that slice IS the environment's stored $l binding, so
+	// the binding's backing array was scribbled over ([a1,a2] keeping a2
+	// became [a2,a2]). The filter now copies.
+	{
+		"oracle-attr-filter-must-not-alias-binding",
+		`<r><b><a/><a k="y"/></b></r>`,
+		`for $x in doc("d")//b let $l := $x/a where $l/@k > "x" return $l`,
+	},
+	// Seed 0xec1778a75e: the σ_position stream selection was wired above
+	// the cross-component join, so position() counted joined (x, y) pairs
+	// instead of $x's own instances. The filter now wraps the target's
+	// scan before any join.
+	{
+		"position-under-join",
+		`<r><b><a/></b><c><b><a/></b><b/></c></r>`,
+		`for $x in doc("d")//b[1], $y in doc("d")//c/b where $x << $y return $x/a`,
+	},
 }
 
 func TestRegressions(t *testing.T) {

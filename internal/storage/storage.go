@@ -341,13 +341,3 @@ func (s *Segment) Stats() string {
 	return fmt.Sprintf("segment: %d nodes, %d tags, %s encoded",
 		s.nodes, len(s.tags), xmltree.FormatBytes(int64(s.Size())))
 }
-
-// CompressionRatio compares the segment against the document's
-// serialized XML size.
-func CompressionRatio(doc *xmltree.Document, s *Segment) float64 {
-	xml := xmltree.Serialize(doc.Root, xmltree.WriteOptions{})
-	if s.Size() == 0 {
-		return 0
-	}
-	return float64(len(xml)) / float64(s.Size())
-}

@@ -131,7 +131,6 @@ func (b *Builder) Done() (*Document, error) {
 		return nil, fmt.Errorf("xmltree: Builder.Done: %d unclosed element(s)", len(b.stack)-1)
 	}
 	b.doc.Root.End = b.counter
-	b.doc.maxLabel = b.counter
 	return b.doc, nil
 }
 

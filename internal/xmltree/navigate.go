@@ -20,19 +20,6 @@ func NextPreorder(n, stop *Node) *Node {
 	return nil
 }
 
-// NextPreorderSkip returns the node that follows n in document order
-// skipping n's subtree (i.e. the "following" axis's first node within the
-// stop subtree), or nil.
-func NextPreorderSkip(n, stop *Node) *Node {
-	for n != nil && n != stop {
-		if n.NextSibling != nil {
-			return n.NextSibling
-		}
-		n = n.Parent
-	}
-	return nil
-}
-
 // Walk calls f for every node of the subtree rooted at n in document
 // order, including n itself. If f returns false the walk descends no
 // further into that node's subtree (but continues with its following

@@ -114,26 +114,6 @@ func (n *Node) Before(v *Node) bool {
 	return n.Start < v.Start
 }
 
-// ChildElements returns the element children of n in document order.
-func (n *Node) ChildElements() []*Node {
-	var out []*Node
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		if c.Kind == ElementNode {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// NumChildren returns the number of children (all kinds).
-func (n *Node) NumChildren() int {
-	k := 0
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		k++
-	}
-	return k
-}
-
 // String renders a short diagnostic description of the node.
 func (n *Node) String() string {
 	if n == nil {
@@ -164,7 +144,6 @@ type Document struct {
 	Bytes int64
 
 	nodeCount int
-	maxLabel  int
 }
 
 // DocumentElement returns the top-level element of the document, or nil
@@ -183,10 +162,6 @@ func (d *Document) DocumentElement() *Node {
 
 // NodeCount returns the total number of element and text nodes.
 func (d *Document) NodeCount() int { return d.nodeCount }
-
-// MaxLabel returns one past the largest Start label in the document; the
-// half-open label space is [0, MaxLabel).
-func (d *Document) MaxLabel() int { return d.maxLabel }
 
 // StringValue computes the XPath string-value of a node: the
 // concatenation of all descendant text, with surrounding whitespace

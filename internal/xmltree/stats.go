@@ -1,9 +1,6 @@
 package xmltree
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stats summarizes the document properties the paper's Table 1 reports
 // and the plan optimizer consumes: size, node counts, depth distribution,
@@ -73,26 +70,6 @@ func ComputeStats(d *Document) Stats {
 		s.AvgDepth = float64(depthSum) / float64(s.Elements)
 	}
 	return s
-}
-
-// TopTags returns the n most frequent tags, most frequent first (ties by
-// name), for diagnostics and selectivity estimation.
-func (s Stats) TopTags(n int) []string {
-	tags := make([]string, 0, len(s.TagCounts))
-	for t := range s.TagCounts {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool {
-		ci, cj := s.TagCounts[tags[i]], s.TagCounts[tags[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return tags[i] < tags[j]
-	})
-	if n < len(tags) {
-		tags = tags[:n]
-	}
-	return tags
 }
 
 // String renders a one-line summary matching Table 1's columns.
