@@ -5,101 +5,25 @@ import (
 	"testing"
 
 	"blossomtree/internal/plan"
+	"blossomtree/internal/proptest"
 	"blossomtree/internal/xmltree"
 )
 
-// Minimized regressions for bugs found by the randomized differential
-// harness (internal/proptest). Each case pins a planner-vs-oracle
-// divergence; the doc and query are shrunk by hand from the harness's
-// failing seed, noted per case.
-var regressCases = []struct {
-	name  string
-	doc   string
-	query string
-}{
-	{
-		// Harness seed 0x19f5cafdaa: PositionFilter counts instances
-		// emitted by the matcher (after the @id existence check), while
-		// the oracle applies [1] to all d elements and only then keeps
-		// those with @id. Queries mixing a positional predicate with
-		// other filters now fall back to the navigational evaluator.
-		name:  "position-then-attr-tail",
-		doc:   `<r><d/><d id="7"/></r>`,
-		query: `//d[1]/@id`,
-	},
-	{
-		// Same shape with the predicate order flipped: the position
-		// test must gate the candidate list before other predicates
-		// narrow it, so position-after-predicate is outside the
-		// fragment.
-		name:  "predicate-then-position",
-		doc:   `<r><d id="7"/><d id="8"/><d/></r>`,
-		query: `//d[@id][2]`,
-	},
-	{
-		// Harness seed 0x4f1c6de1d0: a comparison on an optional
-		// let-bound path must drop rows where the path is empty (an
-		// empty operand makes every comparison false). The planner
-		// kept such rows because the matcher never evaluated the
-		// constraint on the unmatched optional vertex; the where
-		// endpoint now upgrades its ancestor edges to mandatory.
-		name:  "comparison-on-empty-let-path",
-		doc:   `<r><a><b id="10"/></a><a><b id="3"/></a><a/></r>`,
-		query: `for $x in doc("d")//a let $l := $x/b where $l/@id != "10" return $x`,
-	},
-	{
-		// Harness seed 0x216064b256: an exists() test over a let-bound
-		// path grew a mandatory subtree under the binding vertex, so the
-		// binding only projected the instances that satisfied the test.
-		// The oracle binds the whole sequence and treats the condition
-		// existentially; condition paths anchored at let variables are
-		// now inlined through the definition into a parallel branch.
-		name:  "exists-on-let-path-keeps-full-binding",
-		doc:   `<r><d><a><b/></a><a/><a>t</a></d></r>`,
-		query: `for $x in doc("d")//d let $l := $x/a where exists($l//b) return $l`,
-	},
-	{
-		// Same class via a value comparison: $l must bind both b
-		// children even though only one satisfies the inequality.
-		name:  "comparison-on-let-path-keeps-full-binding",
-		doc:   `<r><a><b id="10"/><b id="3"/></a></r>`,
-		query: `for $x in doc("d")//a let $l := $x/b where $l/@id != "10" return $l`,
-	},
-	{
-		// Harness seed 0xc97b5606e6: a bug in the ORACLE, not the
-		// planner. For a bare variable operand like $l/@k, the
-		// navigational evaluator's attribute-existence filter compacted
-		// the resolved node slice in place — but that slice IS the
-		// environment's stored $l binding, so the binding's backing
-		// array was scribbled over ([a1,a2] keeping a2 became [a2,a2]).
-		// The filter now copies.
-		name:  "oracle-attr-filter-must-not-alias-binding",
-		doc:   `<r><b><a/><a k="y"/></b></r>`,
-		query: `for $x in doc("d")//b let $l := $x/a where $l/@k > "x" return $l`,
-	},
-	{
-		// Harness seed 0xec1778a75e: the σ_position stream selection
-		// was wired above the cross-component join, so position()
-		// counted joined (x, y) pairs instead of $x's own instances.
-		// The filter now wraps the target's scan before any join.
-		name:  "position-under-join",
-		doc:   `<r><b><a/></b><c><b><a/></b><b/></c></r>`,
-		query: `for $x in doc("d")//b[1], $y in doc("d")//c/b where $x << $y return $x/a`,
-	},
-}
-
-// TestHarnessRegressions replays the minimized harness findings across
-// every strategy variant against the navigational oracle.
+// TestHarnessRegressions replays the minimized findings of the
+// randomized differential harness (proptest.Regressions) across the
+// executor's strategy variants against the navigational oracle. The
+// harness's own TestRegressions runs the same list cold and warm,
+// TwigStack and the pipelined matcher included.
 func TestHarnessRegressions(t *testing.T) {
-	for _, tc := range regressCases {
-		t.Run(tc.name, func(t *testing.T) {
-			doc, err := xmltree.Parse(strings.NewReader(tc.doc))
+	for _, tc := range proptest.Regressions {
+		t.Run(tc.Name, func(t *testing.T) {
+			doc, err := xmltree.Parse(strings.NewReader(tc.Doc))
 			if err != nil {
 				t.Fatalf("parse doc: %v", err)
 			}
 			e := New()
 			e.Add("d", doc)
-			oracle, err := e.EvalOptions(tc.query, plan.Options{Strategy: plan.Navigational})
+			oracle, err := e.EvalOptions(tc.Query, plan.Options{Strategy: plan.Navigational})
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
 			}
@@ -114,7 +38,7 @@ func TestHarnessRegressions(t *testing.T) {
 				{"cost-based", plan.Options{Strategy: plan.CostBased}},
 				{"merged-scans", plan.Options{MergeScans: true}},
 			} {
-				res, err := e.EvalOptions(tc.query, v.opts)
+				res, err := e.EvalOptions(tc.Query, v.opts)
 				if err != nil {
 					t.Errorf("variant %s: %v", v.name, err)
 					continue
