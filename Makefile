@@ -22,8 +22,9 @@
 #                  mapped-column names, or a merge in join/nok that reads
 #                  a stream head's labels through its node, the
 #                  retired where-condition types, grammar or evaluator,
-#                  or the deleted compact NestedList form and its
-#                  Dewey-addressed lookups
+#                  the deleted compact NestedList form and its
+#                  Dewey-addressed lookups, or the rule-based strategy
+#                  chooser and the CostBased plan strategy
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -139,6 +140,9 @@ bench:
 # grammar and naveval's condition evaluator do not come back. NestedList
 # instances have one physical form and every operator takes a slot: the
 # Figure-6 compact form and the Dewey-keyed lookups do not come back.
+# Auto is the cost model: the §5.2 rule path (nokStrategy), the second
+# chooser it needed (plan.CostBased) and the per-call TwigStack
+# compatibility string (twigIncompatibility) do not come back.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -180,6 +184,9 @@ lint-refs:
 	@if git grep -n -E -e 'FromLis[t]' -e '[Bb]yDewe[y]' -e 'ParseDewe[y]' -e 'ProjectAl[l]' \
 		-e 'nestedlist\.Compac[t]([^[:alnum:]_]|$$)' -e '(type |\*)Compac[t]([^[:alnum:]_]|$$)' -- '*.go'; then \
 		echo "lint-refs: reference to the deleted compact NestedList form or a Dewey-addressed lookup"; exit 1; fi
+	@if git grep -n -E -e 'plan\.CostBase[d]' -e 'nokStrateg[y]' -e 'twigIncompatibilit[y]' -- '*.go' || \
+		git grep -n -E -e '(^|[^[:alnum:]_.])CostBase[d]([^[:alnum:]_]|$$)' -- 'internal/plan/*.go'; then \
+		echo "lint-refs: reference to the retired rule-based strategy chooser or the CostBased plan strategy"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; NestedList selection must only shrink

@@ -223,9 +223,10 @@ func TestPreparedEntryPoints(t *testing.T) {
 	}
 }
 
-// TestStrategyVectorizedRunsAuto: the deprecated strategy name is an
-// alias of Auto, with Auto's answer and Auto's plan, on a chain and on a
-// branching query, with and without tag indexes.
+// TestStrategyVectorizedRunsAuto: the deprecated strategy names
+// (vectorized, cost) are aliases of Auto, with Auto's answer and Auto's
+// plan, on a chain and on a branching query, with and without tag
+// indexes.
 func TestStrategyVectorizedRunsAuto(t *testing.T) {
 	const doc = `<bib><book><title>A</title><author><last>Knuth</last></author></book>` +
 		`<book><title>B</title></book><book><title>C</title><author><last>Date</last></author></book></bib>`
@@ -238,19 +239,21 @@ func TestStrategyVectorizedRunsAuto(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range []string{`//book//last`, `//book[author]/title`} {
-			label := eng.name + " " + q
-			want, wantErr := eng.e.QueryWith(q, Options{Strategy: StrategyAuto})
-			got, err := eng.e.QueryWith(q, Options{Strategy: StrategyVectorized})
-			sameOutcome(t, label, want, wantErr, got, err)
 			headline := func(s Strategy) string {
 				x, err := eng.e.ExplainWithContext(ctx, q, Options{Strategy: s})
 				if err != nil {
-					t.Fatalf("%s: explain %s: %v", label, s, err)
+					t.Fatalf("%s %s: explain %s: %v", eng.name, q, s, err)
 				}
 				return strings.SplitN(x, "\n", 2)[0]
 			}
-			if a, v := headline(StrategyAuto), headline(StrategyVectorized); a != v {
-				t.Errorf("%s: vectorized headline %q, auto %q", label, v, a)
+			for _, alias := range []Strategy{StrategyVectorized, StrategyCostBased} {
+				label := eng.name + " " + q + " " + string(alias)
+				want, wantErr := eng.e.QueryWith(q, Options{Strategy: StrategyAuto})
+				got, err := eng.e.QueryWith(q, Options{Strategy: alias})
+				sameOutcome(t, label, want, wantErr, got, err)
+				if a, v := headline(StrategyAuto), headline(alias); a != v {
+					t.Errorf("%s: headline %q, auto %q", label, v, a)
+				}
 			}
 		}
 	}

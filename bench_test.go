@@ -287,29 +287,6 @@ func BenchmarkMicroExample1(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCostModel measures planning overhead with the
-// rule-based chooser vs the cost model.
-func BenchmarkAblationCostModel(b *testing.B) {
-	ds := dataset(b, "d5")
-	q, err := core.FromPath(xpath.MustParse(`//www[//editor][//title][//year]`))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, strat := range []plan.Strategy{plan.Auto, plan.CostBased} {
-		b.Run(strat.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p, err := plan.Build(q, ds.Doc, plan.Options{Strategy: strat, Index: ds.Index, Stats: ds.Stats})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := p.Execute(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMicroStorage measures the succinct segment encode/scan/decode
 // path against tree construction from XML text.
 func BenchmarkMicroStorage(b *testing.B) {

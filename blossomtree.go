@@ -53,9 +53,11 @@ type Strategy string
 
 // Available strategies.
 const (
-	// StrategyAuto lets the optimizer choose from document statistics:
-	// pipelined joins on non-recursive documents, TwigStack on recursive
-	// documents with indexes, bounded nested loops otherwise.
+	// StrategyAuto lets the cost model choose: the cheapest of the
+	// pipelined join, bounded nested loops and TwigStack whose
+	// preconditions hold, priced from document statistics and tag-index
+	// counts (and, on a cached plan's replan, from its first run's
+	// observed cardinalities).
 	StrategyAuto Strategy = "auto"
 	// StrategyPipelined forces the pipelined merge //-join (PL). Only
 	// sound on non-recursive documents.
@@ -68,8 +70,9 @@ const (
 	// StrategyNavigational evaluates the whole query by naive tree
 	// navigation (the straightforward-approach baseline).
 	StrategyNavigational Strategy = "navigational"
-	// StrategyCostBased picks the cheapest sound strategy from the cost
-	// model (the paper's future-work optimizer, implemented here).
+	// StrategyCostBased runs the same plan as StrategyAuto.
+	//
+	// Deprecated: Auto is the cost model; use StrategyAuto.
 	StrategyCostBased Strategy = "cost"
 	// StrategyVectorized runs the same plan as StrategyAuto.
 	//
@@ -80,7 +83,7 @@ const (
 
 func (s Strategy) toPlan() (plan.Strategy, error) {
 	switch s {
-	case StrategyAuto, StrategyVectorized, "":
+	case StrategyAuto, StrategyCostBased, StrategyVectorized, "":
 		return plan.Auto, nil
 	case StrategyPipelined:
 		return plan.Pipelined, nil
@@ -90,8 +93,6 @@ func (s Strategy) toPlan() (plan.Strategy, error) {
 		return plan.Twig, nil
 	case StrategyNavigational:
 		return plan.Navigational, nil
-	case StrategyCostBased:
-		return plan.CostBased, nil
 	default:
 		return plan.Auto, fmt.Errorf("blossomtree: unknown strategy %q", s)
 	}

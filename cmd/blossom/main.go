@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		file      = fs.String("file", "", "XML document to query (required)")
-		strategy  = fs.String("strategy", "auto", "join strategy: auto, pipelined, bounded-nl, twigstack, navigational, cost")
+		strategy  = fs.String("strategy", "auto", "join strategy: auto (the cost model's choice), pipelined, bounded-nl, twigstack, navigational; the deprecated cost and vectorized run auto")
 		explain   = fs.Bool("explain", false, "execute the query and print the annotated plan tree (cost estimates next to actual counters and timings)")
 		explOnly  = fs.Bool("explain-only", false, "print the plan with estimates only, without executing")
 		metrics   = fs.Bool("metrics", false, "print the engine metrics registry after the run")

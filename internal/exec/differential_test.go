@@ -124,8 +124,6 @@ func strategyVariants(recursive bool) []struct {
 		{"bounded-nl", plan.Options{Strategy: plan.BoundedNL}},
 		{"naive-nl", plan.Options{Strategy: plan.NaiveNL}},
 		{"twigstack", plan.Options{Strategy: plan.Twig}},
-		{"cost-based", plan.Options{Strategy: plan.CostBased}},
-		{"merged-scans", plan.Options{MergeScans: true}},
 	}
 	if !recursive {
 		vs = append(vs, struct {

@@ -482,7 +482,7 @@ func compiledFor(s *snapshot, q *parsed, opts plan.Options) (*compiled, bool, er
 		return nil, false, err
 	}
 	if cacheable {
-		c.learns = opts.Strategy == plan.Auto || opts.Strategy == plan.CostBased
+		c.learns = opts.Strategy == plan.Auto
 		s.state.plans.put(key, c)
 	}
 	return c, false, nil
@@ -597,7 +597,6 @@ func nextTemplate(s *snapshot, q *parsed, opts plan.Options) (*compiled, error) 
 			if !pending || c.decided.Load() {
 				return c, nil
 			}
-			opts.Strategy = plan.CostBased
 			opts.CardHints = hints
 		}
 	}

@@ -283,7 +283,7 @@ func TestQuickEngineEqualsOracle(t *testing.T) {
 		}
 		e := New()
 		e.Add("doc.xml", doc)
-		strategies := []plan.Strategy{plan.BoundedNL, plan.Twig, plan.CostBased}
+		strategies := []plan.Strategy{plan.Auto, plan.BoundedNL, plan.Twig}
 		if !recursive {
 			strategies = append(strategies, plan.Pipelined, plan.NaiveNL)
 		}
@@ -410,14 +410,23 @@ func TestConstructNestedCtors(t *testing.T) {
 	}
 }
 
+// TestCostBasedStrategyEndToEnd: Auto is the cost model. The plan runs
+// the strategy heading the model's table, and EXPLAIN names it as the
+// winner.
 func TestCostBasedStrategyEndToEnd(t *testing.T) {
 	e := bibEngine(t)
-	res, err := e.EvalOptions(`//book[author]/title`, plan.Options{Strategy: plan.CostBased})
+	res, err := e.EvalOptions(`//book[author]/title`, plan.Options{Strategy: plan.Auto})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Nodes) != 2 {
-		t.Errorf("cost-based nodes = %d", len(res.Nodes))
+		t.Errorf("auto nodes = %d", len(res.Nodes))
+	}
+	if best := res.Plan.EstimateCosts()[0].Strategy; res.Plan.Strategy != best {
+		t.Errorf("auto ran %s, the model's cheapest is %s\n%s", res.Plan.Strategy, best, res.Plan.ExplainCosts())
+	}
+	if want := "cost model: " + res.Plan.Strategy.String() + " wins"; !strings.Contains(res.Plan.Explain(), want) {
+		t.Errorf("EXPLAIN lacks %q:\n%s", want, res.Plan.Explain())
 	}
 }
 

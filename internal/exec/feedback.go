@@ -1,12 +1,13 @@
 package exec
 
 // The feedback loop lives in the plan cache. A cached template the
-// planner chose (Auto or cost-based) records its first successful run's
-// per-vertex cardinalities; the next cache hit compares them with the
-// template's own estimates and, when they drift by replanDrift or more,
-// recompiles the template cost-based with the observations injected as
-// plan.Options.CardHints and re-caches it under the same key. The
-// replacement is marked replanned and never replans again.
+// planner chose (Auto) records its first successful run's per-vertex
+// cardinalities; the next cache hit compares them with the template's
+// own estimates and, when they drift by replanDrift or more, recompiles
+// the template — Auto again, the same cost model — with the
+// observations injected as plan.Options.CardHints and re-caches it
+// under the same key. The replacement is marked replanned and never
+// replans again.
 //
 // One observation is exact, not a sample: a template is compiled against
 // one immutable snapshot, so its cardinalities are the same on every run.
@@ -88,7 +89,7 @@ func (c *compiled) replanHints() (hints map[string]float64, drift float64, ok bo
 }
 
 // maybeReplan takes a cache-hit template's one replan decision: the first
-// hit after its first run recompiles it cost-based with the observed
+// hit after its first run recompiles it with the observed
 // cardinalities when they drifted, re-caching the result under the
 // original key so later hits get it directly. Returns nil when nothing
 // replans (the common case). The decision is a compare-and-swap, so
@@ -101,7 +102,6 @@ func maybeReplan(s *snapshot, expr flwor.Expr, key planKey, c *compiled, opts pl
 	if !ok {
 		return nil
 	}
-	opts.Strategy = plan.CostBased
 	opts.CardHints = hints
 	c2, err := compileTemplate(s, expr, opts)
 	if err != nil || c2.nav {

@@ -15,11 +15,11 @@ import (
 )
 
 // skewedDoc builds a corpus the static cost model misestimates: parts
-// nested in parts (recursive, so Auto picks the twig plan) where only
-// one part in skewEvery carries the <bolt/> child the probe query
-// filters on. The result's estimate is card(subpart) — thousands —
-// while only the subparts of a handful of parts match.
-func skewedDoc(t *testing.T, parts, skewEvery int) *xmltree.Document {
+// of which only one in skewEvery carries the <bolt/> child the probe
+// query filters on. The result's estimate is card(subpart) — thousands —
+// while only the subparts of a handful of parts match. nested puts a
+// part in every part, making the document recursive.
+func skewedDoc(t *testing.T, parts, skewEvery int, nested bool) *xmltree.Document {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString("<assembly>")
@@ -31,7 +31,10 @@ func skewedDoc(t *testing.T, parts, skewEvery int) *xmltree.Document {
 		for j := 0; j < 12; j++ {
 			sb.WriteString("<subpart/>")
 		}
-		sb.WriteString("<part><subpart/></part></part>")
+		if nested {
+			sb.WriteString("<part><subpart/></part>")
+		}
+		sb.WriteString("</part>")
 	}
 	sb.WriteString("</assembly>")
 	doc, err := xmltree.ParseString(sb.String())
@@ -44,46 +47,41 @@ func skewedDoc(t *testing.T, parts, skewEvery int) *xmltree.Document {
 // replans reads the process-wide replan counter.
 func replans() int64 { return obs.Default.Snapshot()[obs.MetricFeedbackReplans] }
 
-// authorQuery is d3.Q6. On the generated d3 catalog (d3Doc) Auto's rules
-// pick PL, the document being non-recursive, but only some authors carry
-// a date_of_birth: the author scan emits far fewer matches than the tag
-// count it was estimated at, and the replan moves the query to TS. The
-// move wins — forced, PL runs it in 166 µs and TS in 35 µs (Intel Xeon,
+// boltQuery is a genuine misestimate on a flat skewedDoc in an
+// index-less engine. The model prices the part[bolt] outer at every
+// part, so Auto picks PL; the first run sees one part in skewEvery carry
+// a bolt, and the replan, pricing NL's bounded inner visits with that
+// count, moves to NL. The move wins: on 200 parts with a bolt in every
+// 40th, forced PL runs it in 820 µs and NL in 158 µs (Intel Xeon,
 // 2 vCPUs).
-const authorQuery = "//author[date_of_birth][//last_name]//street_address"
+const boltQuery = "//part[bolt]//subpart"
 
-// d3Doc is the generated d3 catalog authorQuery flips on.
-func d3Doc() *xmltree.Document {
-	return xmlgen.MustGenerate("d3", xmlgen.Config{Seed: 1, TargetNodes: 4000})
-}
-
-// authorsDoc is a catalog on which authorQuery is well estimated: every
-// author has a date_of_birth, a last_name and a street_address.
-func authorsDoc(t *testing.T, authors int) *xmltree.Document {
+// boltEngine returns an index-less engine holding a flat skewedDoc of
+// 200 parts with a bolt in every skewEvery-th; 1 is the well-estimated
+// control.
+func boltEngine(t *testing.T, skewEvery int) *Engine {
 	t.Helper()
-	return mustParseDoc(t, "<catalog>"+strings.Repeat("<author><last_name/><date_of_birth/>"+
-		"<contact_information><street_information><street_address/></street_information></contact_information></author>", authors)+
-		"</catalog>")
+	e := NewWithConfig(Config{})
+	e.Add("assembly", skewedDoc(t, 200, skewEvery, false))
+	return e
 }
 
 // TestFeedbackReplanFromHistory pins the whole loop end to end: the
 // cold run's observations drift from the template's estimates, the
 // first cache hit replans onto a different strategy with the observed
 // cardinalities, and the result and EXPLAIN surface the replan. The
-// well-estimated control on the same corpus must run the same number of
-// times without replanning.
+// well-estimated control — a bolt in every part — must run the same
+// number of times without replanning.
 func TestFeedbackReplanFromHistory(t *testing.T) {
-	e := New()
-	e.Add("d3", d3Doc())
-
+	const q = boltQuery
 	for _, c := range []struct {
-		q          string
+		skewEvery  int
 		wantReplan bool
 	}{
-		{authorQuery, true},
-		{"//author//street_address", false},
+		{40, true},
+		{1, false},
 	} {
-		q := c.q
+		e := boltEngine(t, c.skewEvery)
 		cold, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
 		if err != nil {
 			t.Fatal(err)
@@ -132,8 +130,8 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 		if replanRun != 0 {
 			t.Fatalf("first replanned run = %d, want the first cache hit (0)", replanRun)
 		}
-		if coldStrategy != plan.Pipelined || last.Plan.Strategy != plan.Twig {
-			t.Errorf("strategy went %s -> %s, want PL -> TS", coldStrategy, last.Plan.Strategy)
+		if coldStrategy != plan.Pipelined || last.Plan.Strategy != plan.BoundedNL {
+			t.Errorf("strategy went %s -> %s, want PL -> NL", coldStrategy, last.Plan.Strategy)
 		}
 		if !last.Replanned {
 			t.Error("post-replan runs lost the replanned mark")
@@ -162,7 +160,7 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 func TestFeedbackConverges(t *testing.T) {
 	const runs = 100
 	e := New()
-	e.Add("skew", skewedDoc(t, 200, 40))
+	e.Add("skew", skewedDoc(t, 200, 40, true))
 
 	// drive runs q runs times on the current snapshot and returns how far
 	// the replan counter moved. Run 0 compiles; every later run is a
@@ -199,46 +197,61 @@ func TestFeedbackConverges(t *testing.T) {
 	}
 }
 
-// TestFeedbackReplanKeepsTwig: d4.Q2 on a generated treebank replans —
-// a handful of rows against an estimate of thousands of NN — and stays
-// on TS. The observation is keyed to the kept NN vertex, whose
-// cardinality the estimate took. Keyed to the twig root, the rows
-// priced the VP scan at a handful and the replan moved to NL, which at
-// the benchmark's scale (7 rows) runs d4.Q2 in 3.6 ms against TS's
-// 1.5 ms (Intel Xeon, 2 vCPUs).
+// TestFeedbackReplanKeepsTwig: a drifting TS plan replans and stays on
+// TS, where a misread observation once moved it to NL.
+//   - d4.Q2 on a generated treebank: a handful of rows against an
+//     estimate of thousands of NN. The observation is keyed to the kept
+//     NN vertex, whose cardinality the estimate took. Keyed to the twig
+//     root, the rows priced the VP scan at a handful and the replan
+//     moved to NL, which at the benchmark's scale (7 rows) runs d4.Q2 in
+//     3.6 ms against TS's 1.5 ms (Intel Xeon, 2 vCPUs).
+//   - //part[bolt] on the recursive skewedDoc emits one part in 100. A
+//     hint is an output count, but an index scan or a TwigStack stream
+//     reads every posting of its tag. Priced at the hint, the part
+//     stream made NL look cheap, and NL runs it in 590 µs against TS's
+//     42 µs (1000 parts, Intel Xeon, 2 vCPUs).
 func TestFeedbackReplanKeepsTwig(t *testing.T) {
-	const q = "//VP[VP]//VP[PP]/NP[PP]/NN"
-	e := New()
-	e.Add("d4", xmlgen.MustGenerate("d4", xmlgen.Config{Seed: 1, TargetNodes: 20000}))
-	var res *Result
-	for i := 0; i < 3; i++ {
-		var err error
-		if res, err = e.Eval(q); err != nil {
-			t.Fatal(err)
-		}
-		if res.Plan.Strategy != plan.Twig {
-			t.Fatalf("run %d: strategy %s (replanned=%v), want TS", i, res.Plan.Strategy, res.Replanned)
-		}
-	}
-	if !res.Replanned {
-		t.Error("d4.Q2 did not replan; its first run drifts from its estimates")
+	for _, c := range []struct {
+		name, q string
+		doc     *xmltree.Document
+	}{
+		{"d4.Q2", "//VP[VP]//VP[PP]/NP[PP]/NN", xmlgen.MustGenerate("d4", xmlgen.Config{Seed: 1, TargetNodes: 20000})},
+		{"part-bolt", "//part[bolt]", skewedDoc(t, 1000, 100, true)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			e.Add("doc", c.doc)
+			var res *Result
+			for i := 0; i < 3; i++ {
+				var err error
+				if res, err = e.Eval(c.q); err != nil {
+					t.Fatal(err)
+				}
+				if res.Plan.Strategy != plan.Twig {
+					t.Fatalf("run %d: strategy %s (replanned=%v), want TS\n%s",
+						i, res.Plan.Strategy, res.Replanned, res.Plan.ExplainCosts())
+				}
+			}
+			if !res.Replanned {
+				t.Errorf("%s did not replan; its first run drifts from its estimates", c.q)
+			}
+		})
 	}
 }
 
 // TestFeedbackFanOutDecidesPerDocument: an all-documents fan-out pins
 // each document to its own snapshot version, so each document's
-// template learns from its own first run. On the d3 catalog the probe
-// flips the PL plan; on the flat one — every author carries a
-// date_of_birth — it is well estimated and must never replan, however
-// many evaluations of the same query text the other document
-// contributes. One worker keeps the order of evaluations fixed: when
+// template learns from its own first run. On the skewed assembly the
+// probe flips the PL plan; on the uniform one — every part carries a
+// bolt — it is well estimated and must never replan, however many
+// evaluations of the same query text the other document contributes. One worker keeps the order of evaluations fixed: when
 // history was keyed by query text, that order decided which document
 // replanned.
 func TestFeedbackFanOutDecidesPerDocument(t *testing.T) {
-	const q = authorQuery
-	e := New()
-	e.Add("skew", d3Doc())
-	e.Add("flat", authorsDoc(t, 500))
+	const q = boltQuery
+	e := NewWithConfig(Config{})
+	e.Add("skew", skewedDoc(t, 200, 40, false))
+	e.Add("uniform", skewedDoc(t, 200, 1, false))
 
 	var cold map[string]plan.Strategy
 	var last []DocResult
@@ -267,9 +280,9 @@ func TestFeedbackFanOutDecidesPerDocument(t *testing.T) {
 				t.Errorf("skew: replanned=%v strategy %s (cold %s); its own first run calls for a flip",
 					r.Result.Replanned, r.Result.Plan.Strategy, cold["skew"])
 			}
-		case "flat":
+		case "uniform":
 			if r.Result.Replanned {
-				t.Errorf("flat replanned (drift %.2f) although its own estimates hold", r.Result.FeedbackDrift)
+				t.Errorf("uniform replanned (drift %.2f) although its own estimates hold", r.Result.FeedbackDrift)
 			}
 		}
 	}
@@ -309,37 +322,36 @@ func rareFrequentDoc(t *testing.T, rares, inside, flagged, outside int) *xmltree
 // scan over postings no outer contains, so the scan emits far fewer
 // instances than its vertex has matches. That is a property of the
 // join, not a misestimate of the vertex: the observation stays the
-// vertex's cardinality (emitted + skipped), the drift stays under the
-// threshold and the plan is never replaced. A vertex that really is
-// misestimated — few of the f's a rare holds carry the flag the query
-// asks for — still drifts and still replans, skipping or not.
+// vertex's cardinality (emitted + skipped) and the drift stays under the
+// threshold, so the first run would not arm a replan. (The model sends
+// this indexed query to TS, so the PL run is forced and its observation
+// checked directly.) A vertex that really is misestimated — few of the
+// f's a rare holds carry the flag the query asks for — still drifts and
+// still replans.
 func TestSkippingScanDoesNotArmReplan(t *testing.T) {
 	const runs = 24
 
 	const q = "//rare//f"
 	e := New()
 	e.Add("lib", rareFrequentDoc(t, 4, 3, 0, 200))
-	for i := 0; i < runs; i++ {
-		res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Auto})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if len(res.Nodes) != 12 {
-			t.Fatalf("run %d: %d nodes, want 12", i, len(res.Nodes))
-		}
-		if res.Replanned || res.Plan.Strategy != plan.Pipelined {
-			t.Fatalf("run %d: replanned=%v strategy=%s; a skipping scan must leave the PL plan alone",
-				i, res.Replanned, res.Plan.Strategy)
-		}
-		if i == 0 {
-			var skipped int64
-			for st := []*obs.OpStats{res.Plan.StatsTree()}; len(st) > 0; st = append(st[1:], st[0].Children...) {
-				skipped += st[0].Skipped()
-			}
-			if skipped < 500 {
-				t.Fatalf("the plan skipped %d postings; the fixture should be skip-heavy", skipped)
-			}
-		}
+	res, err := e.EvalOptions(q, plan.Options{Strategy: plan.Pipelined})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Nodes) != 12 || res.Plan.Strategy != plan.Pipelined {
+		t.Fatalf("%d nodes via %s, want 12 via PL", len(res.Nodes), res.Plan.Strategy)
+	}
+	var skipped int64
+	for st := []*obs.OpStats{res.Plan.StatsTree()}; len(st) > 0; st = append(st[1:], st[0].Children...) {
+		skipped += st[0].Skipped()
+	}
+	if skipped < 500 {
+		t.Fatalf("the plan skipped %d postings; the fixture should be skip-heavy", skipped)
+	}
+	probe := &compiled{learns: true}
+	probe.record(res.Plan.StatsTree())
+	if _, drift, armed := probe.replanHints(); armed {
+		t.Fatalf("a skipping scan drifted %.2f from its estimates; it must stay under %v", drift, replanDrift)
 	}
 
 	// Same shape, inner vertex genuinely misestimated: 1 f in 30 inside
@@ -364,12 +376,12 @@ func TestSkippingScanDoesNotArmReplan(t *testing.T) {
 }
 
 // TestFeedbackForcedStrategyObservesButNeverReplans: the replan
-// decision is only taken for Auto and cost-based evaluations — a
-// forced strategy keeps its plan however far its estimates drift.
+// decision is only taken for Auto evaluations — a forced strategy keeps
+// its plan however far its estimates drift.
 func TestFeedbackForcedStrategyObservesButNeverReplans(t *testing.T) {
 	const q = "//part[bolt]//subpart"
 	e := New()
-	e.Add("skew", skewedDoc(t, 200, 40))
+	e.Add("skew", skewedDoc(t, 200, 40, true))
 
 	before := replans()
 	for i := 0; i < 6; i++ {
@@ -394,7 +406,7 @@ func TestFeedbackForcedStrategyObservesButNeverReplans(t *testing.T) {
 func TestFeedbackStressConcurrentReplans(t *testing.T) {
 	const q = "//part[bolt]//subpart"
 	e := New()
-	e.Add("skew", skewedDoc(t, 120, 24))
+	e.Add("skew", skewedDoc(t, 120, 24, true))
 
 	// Establish the expected count before the racers start (the count
 	// is stable: the writer adds unrelated documents).

@@ -35,8 +35,6 @@ func TestHarnessRegressions(t *testing.T) {
 				{"auto", plan.Options{}},
 				{"bounded-nl", plan.Options{Strategy: plan.BoundedNL}},
 				{"naive-nl", plan.Options{Strategy: plan.NaiveNL}},
-				{"cost-based", plan.Options{Strategy: plan.CostBased}},
-				{"merged-scans", plan.Options{MergeScans: true}},
 			} {
 				res, err := e.EvalOptions(tc.Query, v.opts)
 				if err != nil {

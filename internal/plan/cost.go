@@ -12,8 +12,8 @@ import (
 // future work ("To choose an optimal plan automatically, the optimizer
 // needs a cost model or similar mechanism"). The model estimates, from
 // document statistics and tag-index cardinalities, the node-visit cost
-// of evaluating the decomposed query under each join strategy, and
-// CostBased planning picks the cheapest sound one.
+// of evaluating the decomposed query under each join strategy, and Auto
+// planning picks the cheapest sound one.
 //
 // The unit of cost is "nodes touched": the paper's experiments are
 // I/O-bound and every compared operator's running time is proportional
@@ -29,11 +29,12 @@ type CostEstimate struct {
 	Detail   string // one-line justification
 }
 
-// cardinality estimates how many elements match a vertex, preferring —
-// in order — feedback hints (a cached template's observed output counts,
-// injected by its replan), exact index counts, and statistics. Hints are keyed by
-// Vertex.Label() so a hint targets the constrained vertex ("part[bolt]")
-// rather than every vertex sharing its tag.
+// cardinality estimates how many elements match a vertex — the items a
+// join consumes — preferring, in order, feedback hints (a cached
+// template's observed output counts, injected by its replan), exact
+// index counts, and statistics. Hints are keyed by Vertex.Label() so a
+// hint targets the constrained vertex ("part[bolt]") rather than every
+// vertex sharing its tag.
 func (p *Plan) cardinality(v *core.Vertex) float64 {
 	if h, ok := p.opts.CardHints[v.Label()]; ok && !v.IsDocRoot() {
 		return h
@@ -42,10 +43,11 @@ func (p *Plan) cardinality(v *core.Vertex) float64 {
 }
 
 // staticCardinality is the synopsis-only estimate, ignoring feedback
-// hints. avgRegion depends on it: a region size is a document property,
-// and pricing it with a hinted (workload) cardinality would inflate
-// regions exactly when hints shrink — cancelling the hint out of every
-// nested-loop cost.
+// hints. Scans and TwigStack's streams are priced with it: they read
+// every posting of their tag, however few of them match. So is
+// avgRegion: a region size is a document property, and pricing it with
+// a hinted (workload) cardinality would inflate regions exactly when
+// hints shrink — cancelling the hint out of every nested-loop cost.
 func (p *Plan) staticCardinality(v *core.Vertex) float64 {
 	if v.IsDocRoot() {
 		return 1
@@ -100,7 +102,7 @@ func (p *Plan) avgRegion(v *core.Vertex) float64 {
 func (p *Plan) scanCost(n *core.NoK) float64 {
 	root := n.Root
 	if p.opts.Index != nil && !root.IsDocRoot() && root.Test != "*" && len(root.Constraints) == 0 {
-		return p.cardinality(root)
+		return p.staticCardinality(root)
 	}
 	return p.docNodes()
 }
@@ -163,16 +165,16 @@ func (p *Plan) EstimateCosts() []CostEstimate {
 	out = append(out, nl)
 
 	// TwigStack: one pass over every vertex's stream (when compatible).
-	ts := CostEstimate{Strategy: Twig, Sound: p.twigCompatible() == nil}
+	ts := CostEstimate{Strategy: Twig, Sound: p.twigErr == nil}
 	if ts.Sound {
 		for _, v := range p.Query.Tree.Vertices {
 			if !v.IsDocRoot() {
-				ts.Cost += p.cardinality(v)
+				ts.Cost += p.staticCardinality(v)
 			}
 		}
 		ts.Detail = fmt.Sprintf("streams total %.0f", ts.Cost)
 	} else {
-		ts.Detail = "unsound: " + p.twigIncompatibility()
+		ts.Detail = "unsound: " + p.twigErr.Error()
 	}
 	out = append(out, ts)
 
@@ -196,24 +198,12 @@ func isOuterOnly(d *core.Decomposition, n *core.NoK) bool {
 	return true
 }
 
-func (p *Plan) twigIncompatibility() string {
-	if err := p.twigCompatible(); err != nil {
-		return err.Error()
-	}
-	return ""
-}
-
-// chooseCostBased picks the cheapest sound strategy from the model.
-func (p *Plan) chooseCostBased() Strategy {
-	ests := p.EstimateCosts()
-	for _, e := range ests {
+// chooseStrategy is Auto: the cheapest sound strategy of the model.
+// The losers are ExplainCosts' table, so only the winner gets a note.
+func (p *Plan) chooseStrategy() Strategy {
+	for _, e := range p.EstimateCosts() {
 		if e.Sound {
 			p.note("cost model: %s wins (%s)", e.Strategy, e.Detail)
-			for _, other := range ests {
-				if other.Strategy != e.Strategy {
-					p.note("cost model: %s cost %.0f sound=%v (%s)", other.Strategy, other.Cost, other.Sound, other.Detail)
-				}
-			}
 			return e.Strategy
 		}
 	}

@@ -16,7 +16,7 @@ func TestCostModelPrefersTwigOnRecursiveIndexed(t *testing.T) {
 	ix := index.Build(doc)
 	stats := xmltree.ComputeStats(doc)
 	p, err := Build(compilePath(t, `//b1//c2//b1`), doc,
-		Options{Strategy: CostBased, Index: ix, Stats: stats})
+		Options{Index: ix, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCostModelPrefersBNLWithoutIndex(t *testing.T) {
 	doc := xmlgen.MustGenerate("d1", xmlgen.Config{Seed: 2, TargetNodes: 3000})
 	stats := xmltree.ComputeStats(doc)
 	p, err := Build(compilePath(t, `//b1//c2//b1`), doc,
-		Options{Strategy: CostBased, Stats: stats})
+		Options{Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCostModelSelectiveIndexFavorsCheapStreams(t *testing.T) {
 	ix := index.Build(doc)
 	stats := xmltree.ComputeStats(doc)
 	p, err := Build(compilePath(t, `//phdthesis[//author][//school]`), doc,
-		Options{Strategy: CostBased, Index: ix, Stats: stats})
+		Options{Index: ix, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCostModelFallsBackWhenTwigUnsound(t *testing.T) {
 	stats := xmltree.ComputeStats(doc)
 	// Positional predicate disables TwigStack.
 	p, err := Build(compilePath(t, `//address[2]//zip_code`), doc,
-		Options{Strategy: CostBased, Index: ix, Stats: stats})
+		Options{Index: ix, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCostBasedPlansExecuteCorrectly(t *testing.T) {
 			"d5": `//proceedings[//editor]`,
 		}
 		q := queries[id]
-		p, err := Build(compilePath(t, q), doc, Options{Strategy: CostBased, Index: ix, Stats: stats})
+		p, err := Build(compilePath(t, q), doc, Options{Index: ix, Stats: stats})
 		if err != nil {
 			t.Fatal(err)
 		}

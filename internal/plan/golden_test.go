@@ -43,7 +43,7 @@ func goldenCases() []goldenCase {
 		{name: "bounded_nl_explain", query: "//a//c", strategy: BoundedNL},
 		{name: "naive_nl_explain", query: "//a//c", strategy: NaiveNL, indexed: true},
 		{name: "twig_explain", query: "//a[b]//c", strategy: Twig, indexed: true},
-		{name: "cost_based_explain", query: "//a//b//c", strategy: CostBased, indexed: true},
+		{name: "cost_based_explain", query: "//a//b//c", strategy: Auto, indexed: true},
 		{name: "pipelined_analyze", query: "//a[//c]//b", strategy: Pipelined, analyze: true},
 		{name: "bounded_nl_analyze", query: "//a//c", strategy: BoundedNL, analyze: true},
 		{name: "twig_analyze", query: "//a[b]//c", strategy: Twig, indexed: true, analyze: true},

@@ -7,13 +7,13 @@
 // join predicates or selections, and exposes the result as a pull stream
 // of NestedList instances — or, from TwigStack, as flat rows.
 //
-// Strategy selection implements the decision rules the paper's
-// experiments motivate (§5.2): the pipelined join requires
-// order-preserving inputs and is therefore only chosen on non-recursive
-// documents, where it is comparable to or faster than TwigStack and
-// needs no indexes; TwigStack is preferred on recursive documents when
-// tag indexes exist; the bounded nested-loop join is the fallback for
-// recursive data without indexes.
+// Auto chooses the strategy with the cost model (cost.go): the
+// cheapest of PL, NL and TS whose preconditions hold. The same chooser
+// prices the first plan and the feedback replan, which only adds
+// observed cardinalities (Options.CardHints). A forced strategy is
+// honoured as given, except that a forced PL falls back to NL on a
+// wildcard //-join outer and a forced TS on an incompatible query
+// fails.
 package plan
 
 import (
@@ -39,13 +39,12 @@ type Strategy int
 
 // Strategies.
 const (
-	Auto         Strategy = iota // rule-based choice from document statistics
+	Auto         Strategy = iota // the cost model's cheapest sound strategy
 	Pipelined                    // PL: merge-join over NoK iterators (§4.2)
 	BoundedNL                    // NL: bounded nested-loop join (§4.3)
 	NaiveNL                      // naive nested-loop join (materializing)
 	Twig                         // TS: holistic TwigStack over tag indexes
 	Navigational                 // whole-query navigational evaluation (the XH stand-in)
-	CostBased                    // pick the cheapest sound strategy from the cost model
 )
 
 // String names the strategy as in the paper's tables.
@@ -63,8 +62,6 @@ func (s Strategy) String() string {
 		return "TS"
 	case Navigational:
 		return "XH"
-	case CostBased:
-		return "cost"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -76,7 +73,7 @@ type Options struct {
 	// Index enables TwigStack and index-driven NoK anchor scans. Nil
 	// means no tag indexes exist (the streaming situation of §5.2).
 	Index *index.TagIndex
-	// Stats drives the Auto rules; if zero-valued, Auto assumes
+	// Stats feeds the cost model; if zero-valued, the model assumes
 	// non-recursive input.
 	Stats xmltree.Stats
 	// MergeScans shares one traversal across NoK base scans instead of
@@ -87,9 +84,10 @@ type Options struct {
 	// specific vertices, keyed by core.Vertex.Label(). The feedback loop
 	// injects a cached template's first-run output counts here when they
 	// drift from its estimates, so the replan prices strategies with
-	// what actually happened instead of the static synopsis. Hints feed
-	// cardinality() only; avgRegion() keeps the static figures, because
-	// a region size is a document property, not a workload one.
+	// what actually happened instead of the static synopsis. Hints price
+	// join work only (cardinality()); scans, TwigStack's streams and
+	// region sizes keep the static figures, because a scan reads every
+	// posting of its tag however few of them match.
 	CardHints map[string]float64
 	// Analyze enables per-operator wall-clock timing on the plan's stats
 	// tree (EXPLAIN ANALYZE). Counters are collected regardless; only
@@ -149,6 +147,9 @@ type Plan struct {
 	opts Options
 	gov  *gov.Governor // nil when ungoverned (no ctx/budget/fault)
 	expl []string
+	// twigErr is why the query cannot run as one TwigStack join (nil
+	// when it can), decided once by Build.
+	twigErr error
 
 	usedCrossings map[*core.Crossing]bool
 	errChecks     []func() error
@@ -207,16 +208,13 @@ func Build(q *core.Query, doc *xmltree.Document, opts Options) (*Plan, error) {
 	}
 	p := &Plan{Query: q, Decomp: d, doc: doc, opts: opts}
 	p.gov = p.opts.governor()
-	p.Strategy = p.chooseStrategy()
-	if p.Strategy == Twig {
-		if err := p.twigCompatible(); err != nil {
-			// Auto falls back; an explicit Twig request surfaces the error.
-			if opts.Strategy == Twig {
-				return nil, err
-			}
-			p.note("TwigStack incompatible (%v); falling back", err)
-			p.Strategy = p.nokStrategy()
-		}
+	p.twigErr = p.twigCompatible()
+	p.Strategy = opts.Strategy
+	if p.Strategy == Auto {
+		p.Strategy = p.chooseStrategy()
+	}
+	if p.Strategy == Twig && p.twigErr != nil {
+		return nil, p.twigErr
 	}
 	if p.Strategy == Pipelined && p.wildcardOuter() {
 		// Unlike Twig, an explicit Pipelined request falls back rather
@@ -238,21 +236,6 @@ func (p *Plan) note(format string, args ...any) {
 	p.expl = append(p.expl, fmt.Sprintf(format, args...))
 }
 
-// chooseStrategy applies the Auto rules (the decision rules of §5.2) or
-// delegates to the cost model.
-func (p *Plan) chooseStrategy() Strategy {
-	if p.opts.Strategy == CostBased {
-		return p.chooseCostBased()
-	}
-	if p.opts.Strategy != Auto {
-		return p.opts.Strategy
-	}
-	if !p.pipelinedSound() && p.opts.Index != nil {
-		return Twig
-	}
-	return p.nokStrategy()
-}
-
 // wildcardOuter reports whether some //-join's outer vertex is a
 // wildcard. Its matches nest even when no tag of the document is
 // recursive, so the join's outer items are not pairwise disjoint.
@@ -270,15 +253,6 @@ func (p *Plan) wildcardOuter() bool {
 // pairwise disjoint, so its inputs are order-preserving).
 func (p *Plan) pipelinedSound() bool {
 	return !p.opts.Stats.Recursive && !p.wildcardOuter()
-}
-
-// nokStrategy is the NoK-join strategy of the Auto rules, and what an
-// inapplicable TwigStack plan falls back to.
-func (p *Plan) nokStrategy() Strategy {
-	if p.pipelinedSound() {
-		return Pipelined
-	}
-	return BoundedNL
 }
 
 // twigCompatible reports whether the whole query can run as one holistic
@@ -333,6 +307,7 @@ func (p *Plan) Fork(opts Options) *Plan {
 		doc:      p.doc,
 		opts:     opts,
 		expl:     append([]string(nil), p.expl...),
+		twigErr:  p.twigErr,
 	}
 	f.gov = f.opts.governor()
 	return f

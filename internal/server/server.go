@@ -79,8 +79,8 @@ type QueryRequest struct {
 	// Query is the XPath or FLWOR expression. Required.
 	Query string `json:"query"`
 	// Strategy forces a join strategy ("auto", "pipelined",
-	// "bounded-nl", "twigstack", "navigational", "cost"); default auto.
-	// The deprecated "vectorized" runs auto.
+	// "bounded-nl", "twigstack", "navigational"); default auto, the cost
+	// model's choice. The deprecated "cost" and "vectorized" run auto.
 	Strategy string `json:"strategy,omitempty"`
 	// TimeoutMS / MaxNodes / MaxOutput form the per-request
 	// Options.Budget; zero values mean unlimited (subject to the

@@ -62,7 +62,6 @@ var persistStrategies = []blossomtree.Strategy{
 	blossomtree.StrategyBoundedNL,
 	blossomtree.StrategyTwigStack,
 	blossomtree.StrategyNavigational,
-	blossomtree.StrategyCostBased,
 }
 
 const persistExtraXML = `<dir><entry id="1"><name>alpha</name></entry><entry id="2"><name>beta</name></entry></dir>`
@@ -153,7 +152,7 @@ func TestRestartDifferentialRandom(t *testing.T) {
 	gen := proptest.NewGen(r, []string{"a", "b", "c", "d", "e"}, []string{"id", "k"})
 	for i := 0; i < 60; i++ {
 		q := gen.Query()
-		for _, strat := range []blossomtree.Strategy{blossomtree.StrategyAuto, blossomtree.StrategyNavigational, blossomtree.StrategyCostBased} {
+		for _, strat := range []blossomtree.Strategy{blossomtree.StrategyAuto, blossomtree.StrategyNavigational} {
 			opts := blossomtree.Options{Strategy: strat}
 			want := resultFingerprint(fresh.QueryWith(q, opts))
 			got := resultFingerprint(restarted.QueryWith(q, opts))
