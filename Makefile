@@ -23,8 +23,10 @@
 #                  a stream head's labels through its node, the
 #                  retired where-condition types, grammar or evaluator,
 #                  the deleted compact NestedList form and its
-#                  Dewey-addressed lookups, or the rule-based strategy
-#                  chooser and the CostBased plan strategy
+#                  Dewey-addressed lookups, the rule-based strategy
+#                  chooser and the CostBased plan strategy, a second copy
+#                  of an evaluation's record, or the naive nested-loop
+#                  plan strategy
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -142,7 +144,14 @@ bench:
 # Figure-6 compact form and the Dewey-keyed lookups do not come back.
 # Auto is the cost model: the §5.2 rule path (nokStrategy), the second
 # chooser it needed (plan.CostBased) and the per-call TwigStack
-# compatibility string (twigIncompatibility) do not come back.
+# compatibility string (twigIncompatibility) do not come back. An
+# evaluation has one record, obs.QueryRecord, that the query log, the
+# ring of recent queries, the Result and the daemon's reply read: the
+# query-log entry and logger types, the ring of pre-rendered traces, its
+# test-only span-name list, the second pass over the stats tree for the
+# registry and the second row-count rule do not come back. Nor does the
+# naive nested-loop plan strategy no option could select
+# (join.NestedLoopJoin stays: crossings and for-clause products run on it).
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -187,6 +196,13 @@ lint-refs:
 	@if git grep -n -E -e 'plan\.CostBase[d]' -e 'nokStrateg[y]' -e 'twigIncompatibilit[y]' -- '*.go' || \
 		git grep -n -E -e '(^|[^[:alnum:]_.])CostBase[d]([^[:alnum:]_]|$$)' -- 'internal/plan/*.go'; then \
 		echo "lint-refs: reference to the retired rule-based strategy chooser or the CostBased plan strategy"; exit 1; fi
+	@if git grep -n -E -e 'QueryLogEntr[y]' -e 'obs\.QueryLo[g]([^[:alnum:]_]|$$)' -e 'TraceStor[e]' \
+		-e 'SpanName[s]' -e 'recordPlanMetric[s]' -e 'rowsOu[t]' -- \
+		'*.go' README.md DESIGN.md EXPERIMENTS.md ':!benchmark/'; then \
+		echo "lint-refs: reference to a second copy of an evaluation's record (obs.QueryRecord is the one)"; exit 1; fi
+	@if git grep -n -E -e 'plan\.NaiveN[L]' -- '*.go' || \
+		git grep -n -E -e '(^|[^[:alnum:]_.])NaiveN[L]([^[:alnum:]_]|$$)' -- 'internal/plan/*.go'; then \
+		echo "lint-refs: reference to the retired naive nested-loop plan strategy"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; NestedList selection must only shrink

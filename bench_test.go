@@ -88,30 +88,6 @@ func BenchmarkAblationMergedScans(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBoundedVsNaiveNL compares the bounded nested-loop
-// join (inner scan restricted to the outer match's region, §4.3)
-// against the naive variant that rescans the whole document per pair.
-func BenchmarkAblationBoundedVsNaiveNL(b *testing.B) {
-	ds := dataset(b, "d1")
-	q, err := core.FromPath(xpath.MustParse(`//b1//c2//b1`))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, strat := range []plan.Strategy{plan.BoundedNL, plan.NaiveNL} {
-		b.Run(strat.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p, err := plan.Build(q, ds.Doc, plan.Options{Strategy: strat, Stats: ds.Stats})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := p.Execute(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationIndexAnchors compares pipelined-join plans whose NoK
 // anchors come from tag indexes against pure sequential scans (the
 // stream-context configuration of §5.2).

@@ -391,7 +391,7 @@ type DocumentResult struct {
 // document — the fan-out form of the multi-document queries the
 // single-document planner rejects. Results are sorted by URI.
 func (e *Engine) QueryAllDocumentsContext(ctx context.Context, src string, opts Options, workers int) ([]DocumentResult, error) {
-	raw, err := e.evalAllDocs(ctx, src, opts, workers)
+	raw, _, err := e.evalAllDocs(ctx, src, opts, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -413,13 +413,16 @@ func (e *Engine) QueryAllDocumentsContext(ctx context.Context, src string, opts 
 // if any document's evaluation fails, the call returns the first failing
 // document's error (in URI order), naming the document and wrapping the
 // cause, so Verdict and errors.Is classify it like a single-document
-// failure.
+// failure. The gathered Result carries the fan-out's record: its
+// QueryID (Options.QueryID when pinned) names the trace whose query
+// spans are the per-document evaluations, and its Strategy is
+// "scatter".
 func (e *Engine) QueryAllGatheredContext(ctx context.Context, src string, opts Options, workers int) (*Result, error) {
-	docs, err := e.evalAllDocs(ctx, src, opts, workers)
+	docs, rec, err := e.evalAllDocs(ctx, src, opts, workers)
 	if err != nil {
 		return nil, err
 	}
-	merged := &exec.Result{}
+	merged := &exec.Result{QueryRecord: rec}
 	for _, dr := range docs {
 		if dr.Err != nil {
 			return nil, fmt.Errorf("blossomtree: document %q: %w", dr.URI, dr.Err)
@@ -432,10 +435,10 @@ func (e *Engine) QueryAllGatheredContext(ctx context.Context, src string, opts O
 
 // evalAllDocs is the catalog-wide fan-out behind both all-documents
 // forms.
-func (e *Engine) evalAllDocs(ctx context.Context, src string, opts Options, workers int) ([]exec.DocResult, error) {
+func (e *Engine) evalAllDocs(ctx context.Context, src string, opts Options, workers int) ([]exec.DocResult, *obs.QueryRecord, error) {
 	popts, err := opts.toPlan(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return e.x.EvalAllDocs(src, popts, workers)
 }
@@ -491,13 +494,14 @@ func NewQueryID() string { return exec.NewQueryID() }
 // TraceJSON returns the Chrome trace-event JSON of a query this engine
 // recently executed (by Result.QueryID): one span per physical
 // operator, nested like the EXPLAIN ANALYZE tree, with real durations
-// when the query ran with Options.Analyze. The engine retains its most
-// recent ~512 queries; older traces, and other engines' queries, report
-// false.
+// when the query ran with Options.Analyze; an all-documents fan-out
+// nests one query span per document. The engine retains the records of
+// its most recent ~512 evaluations and renders the trace on request;
+// older queries, and other engines' queries, report false.
 func (e *Engine) TraceJSON(queryID string) ([]byte, bool) {
-	t, ok := e.x.State().Traces.Get(queryID)
+	rec, ok := e.x.State().Recent.Get(queryID)
 	if !ok {
 		return nil, false
 	}
-	return t.JSON(), true
+	return obs.NewTrace(rec).JSON(), true
 }

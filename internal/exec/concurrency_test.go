@@ -141,7 +141,7 @@ func TestEvalAllDocs(t *testing.T) {
 	d3, _ := xmltree.ParseString(`<bib><magazine/></bib>`)
 	e.Add("three.xml", d3)
 
-	results, err := e.EvalAllDocs(`doc("ignored.xml")//book/title`, plan.Options{}, 4)
+	results, _, err := e.EvalAllDocs(`doc("ignored.xml")//book/title`, plan.Options{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ type Engine struct {
 // it already holds, and dropping an engine drops the plans it cached —
 // and with them the documents. Nothing is allocated by capacity up front.
 type State struct {
-	Traces   *obs.TraceStore // recent queries, for scrape-and-inspect
+	Recent   *obs.RecordRing // recent evaluations' records, for trace export
 	plans    planCache       // compiled templates, and what their first runs observed
 	versions atomic.Uint64   // hands out snapshot versions
 }
@@ -115,7 +115,7 @@ func NewWithConfig(cfg Config) *Engine {
 	obs.Default.Counter(obs.MetricPlanCacheEvictions)
 	obs.Default.Counter(obs.MetricFeedbackReplans)
 	st := &State{
-		Traces: obs.NewTraceStore(512),
+		Recent: obs.NewRecordRing(512),
 		plans:  planCache{m: make(map[planKey]*list.Element)},
 	}
 	e := &Engine{cfg: cfg}
@@ -277,11 +277,11 @@ func (s *snapshot) load(uri string) (entry, error) {
 	return entry{doc: od.Doc, stats: od.Stats, index: od.Index}, nil
 }
 
-// Result is the outcome of a query evaluation.
+// Result is the outcome of a query evaluation. It embeds the
+// evaluation's record (query ID, strategy, cache and replan facts, the
+// stats tree), the same record the query log and the trace ring read.
 type Result struct {
-	// QueryID identifies this evaluation in the query log and the trace
-	// store (GET /trace/{queryID} on the daemon).
-	QueryID   string
+	*obs.QueryRecord
 	Query     *core.Query
 	Plan      *plan.Plan      // nil for navigational evaluation
 	Instances *plan.Instances // nil for navigational evaluation
@@ -294,20 +294,16 @@ type Result struct {
 	// Output is the constructed XML document when the query has
 	// constructors; nil otherwise.
 	Output *xmltree.Document
-	// Cached reports whether the evaluation reused a compiled plan from
-	// the engine's plan cache instead of compiling from scratch.
-	Cached bool
-	// NavReason carries the routing reason when a query outside the
-	// BlossomTree fragment fell back to the navigational evaluator
-	// (empty for planned runs and for an explicitly requested XH
-	// strategy).
-	NavReason string
-	// Replanned reports that the cached plan template was recompiled
-	// with observed cardinalities before this evaluation, because its
-	// estimates had drifted from what its first run observed by
-	// FeedbackDrift× (the ratio that crossed the threshold).
-	Replanned     bool
-	FeedbackDrift float64
+}
+
+// Len counts the result's rows: binding rows for FLWOR and constructed
+// output, otherwise result nodes. A FLWOR whose where clause keeps no
+// row counts 0, however many instances the plan produced.
+func (r *Result) Len() int {
+	if len(r.Envs) > 0 || r.Output != nil {
+		return len(r.Envs)
+	}
+	return len(r.Nodes)
 }
 
 // FallbackExplain renders the EXPLAIN form of a navigational-fallback
@@ -331,9 +327,11 @@ func navExplain(reason string) string {
 }
 
 // parsed is a query text parsed once: what a prepared query keeps and
-// what every evaluation body takes.
+// what every evaluation body takes. The text is hashed once, here: the
+// plan-cache key and the query record both read hash.
 type parsed struct {
 	src  string
+	hash string
 	expr flwor.Expr
 }
 
@@ -343,7 +341,7 @@ func parse(src string) (*parsed, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &parsed{src: src, expr: expr}, nil
+	return &parsed{src: src, hash: obs.QueryHash(src), expr: expr}, nil
 }
 
 // Eval parses and evaluates a query with the Auto strategy.
@@ -372,32 +370,34 @@ func (e *Engine) EvalOptions(src string, opts plan.Options) (*Result, error) {
 // counted, and any panic escaping an operator is recovered into an
 // error so one bad query cannot crash a batch worker.
 //
-// It is also the telemetry boundary: each evaluation gets a query ID,
-// observes the query-duration histogram, stores a span trace, and —
-// with Options.Logger — emits a structured log record, on success and
-// failure alike.
-func evalExpr(s *snapshot, q *parsed, opts plan.Options) (res *Result, err error) {
-	t0 := time.Now()
-	expr := q.expr
-	tel := &telemetry{state: s.state, queryID: opts.QueryID, src: q.src, start: t0}
-	if tel.queryID == "" {
-		tel.queryID = NewQueryID()
+// It is also the telemetry boundary: each evaluation fills one
+// obs.QueryRecord as it runs and publishes it, on success and failure
+// alike.
+func evalExpr(s *snapshot, q *parsed, opts plan.Options) (*Result, error) {
+	return evalInto(&obs.QueryRecord{}, s, q, opts)
+}
+
+// evalInto is evalExpr filling a record the caller holds: a fan-out
+// keeps its per-document records, failed ones included.
+func evalInto(rec *obs.QueryRecord, s *snapshot, q *parsed, opts plan.Options) (res *Result, err error) {
+	start := time.Now()
+	rec.QueryID, rec.QueryHash = opts.QueryID, q.hash
+	if rec.QueryID == "" {
+		rec.QueryID = NewQueryID()
 	}
+	expr := q.expr
+	g := opts.Gov
+	if g == nil {
+		g = gov.New(opts.Ctx, opts.Budget, opts.Fault)
+		opts.Gov = g
+	}
+	var pl *plan.Plan
 	defer func() {
-		obs.Default.Add(obs.MetricQueries, 1)
-		obs.Default.Add(obs.MetricQueryNanos, time.Since(t0).Nanoseconds())
-		if err != nil {
-			obs.Default.Add(obs.MetricQueryErrors, 1)
-			if errors.Is(err, gov.ErrCanceled) || errors.Is(err, gov.ErrBudgetExceeded) {
-				obs.Default.Add(obs.MetricQueryAborts, 1)
-			}
-		} else if res != nil && res.Plan != nil {
-			recordPlanMetrics(res.Plan)
-		}
+		rec.Latency = time.Since(start)
 		if res != nil {
-			res.QueryID = tel.queryID
+			res.QueryRecord = rec
 		}
-		tel.emit(opts, res, err)
+		s.state.publish(rec, opts, pl, res, err)
 	}()
 	defer func() {
 		if r := recover(); r != nil {
@@ -406,49 +406,35 @@ func evalExpr(s *snapshot, q *parsed, opts plan.Options) (res *Result, err error
 			obs.Default.Add(obs.MetricQueryPanics, 1)
 		}
 	}()
-	g := opts.Gov
-	if g == nil {
-		g = gov.New(opts.Ctx, opts.Budget, opts.Fault)
-		opts.Gov = g
-	}
-	tel.gov = g
 	if err := g.CheckNow(); err != nil {
 		return nil, err
 	}
 	if opts.Strategy == plan.Navigational {
-		tel.strategy = "XH"
+		rec.Strategy = "XH"
 		return evalNavigational(s, expr, g)
 	}
 	c, hit, err := compiledFor(s, q, opts)
 	if err != nil {
 		return nil, err
 	}
+	rec.Cached = hit
 	if c.nav {
 		// Outside the BlossomTree fragment: the cached routing decision
 		// sends the query to the navigational evaluator, still under this
-		// evaluation's governor and telemetry.
-		tel.strategy = "XH"
-		tel.cached = hit
-		tel.navReason = c.navReason
-		res, err := evalNavigational(s, expr, g)
-		if res != nil {
-			res.Cached = hit
-			res.NavReason = c.navReason
-		}
-		return res, err
+		// evaluation's governor and record.
+		rec.Strategy = "XH"
+		rec.NavReason = c.navReason
+		return evalNavigational(s, expr, g)
 	}
-	pl := c.tmpl.Fork(opts)
+	pl = c.tmpl.Fork(opts)
 	pl.Cached = hit
-	tel.plan = pl
-	tel.cached = hit
-	tel.replanned = c.replanned
-	tel.drift = c.fbDrift
+	rec.Strategy = pl.Strategy.String()
+	rec.Replanned, rec.Drift = c.replanned, c.fbDrift
 	instances, err := pl.Execute()
 	if err != nil {
 		return nil, err
 	}
-	res = &Result{Query: c.q, Plan: pl, Instances: instances, Cached: hit,
-		Replanned: c.replanned, FeedbackDrift: c.fbDrift}
+	res = &Result{Query: c.q, Plan: pl, Instances: instances}
 	if c.isPath {
 		res.Nodes = projectPathResult(c.q, instances, c.textTail)
 	} else if err := finishFLWOR(s, expr, c.q, res, g); err != nil {
@@ -494,7 +480,7 @@ func cacheKey(s *snapshot, q *parsed, opts plan.Options) (planKey, bool) {
 	if opts.Index != nil || opts.Stats.Nodes != 0 {
 		return planKey{}, false
 	}
-	return planKey{version: s.version, hash: obs.QueryHash(q.src), fp: planFingerprint(opts)}, true
+	return planKey{version: s.version, hash: q.hash, fp: planFingerprint(opts)}, true
 }
 
 // compileTemplate runs the full compile pipeline and builds the
@@ -613,19 +599,6 @@ func check(s *snapshot, q *parsed, opts plan.Options) error {
 	}
 	_, _, err := compiledFor(s, q, opts)
 	return err
-}
-
-// recordPlanMetrics folds an executed plan's stats tree into the
-// process-wide registry.
-func recordPlanMetrics(pl *plan.Plan) {
-	st := pl.StatsTree()
-	if st == nil {
-		return
-	}
-	obs.Default.Add(obs.MetricNodesScanned, st.TotalScanned())
-	obs.Default.Add(obs.MetricInstancesOut, st.TotalEmitted())
-	obs.Default.Add(obs.MetricComparisons, st.TotalComparisons())
-	obs.Default.Add(obs.MetricOperatorCalls, st.TotalCalls())
 }
 
 // compile builds the BlossomTree query from a parsed expression. A

@@ -285,7 +285,7 @@ func TestQuickEngineEqualsOracle(t *testing.T) {
 		e.Add("doc.xml", doc)
 		strategies := []plan.Strategy{plan.Auto, plan.BoundedNL, plan.Twig}
 		if !recursive {
-			strategies = append(strategies, plan.Pipelined, plan.NaiveNL)
+			strategies = append(strategies, plan.Pipelined)
 		}
 		for _, s := range strategies {
 			res, err := e.EvalOptions(q, plan.Options{Strategy: s})

@@ -108,8 +108,8 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 			}
 			if res.Replanned && replanRun < 0 {
 				replanRun = i
-				if res.FeedbackDrift < replanDrift {
-					t.Errorf("replan drift = %v, want >= %v", res.FeedbackDrift, replanDrift)
+				if res.Drift < replanDrift {
+					t.Errorf("replan drift = %v, want >= %v", res.Drift, replanDrift)
 				}
 			}
 			last = res
@@ -119,7 +119,7 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 		if !c.wantReplan {
 			if replanRun >= 0 || after != before {
 				t.Errorf("control %s replanned on run %d (drift %.2f); its estimates match its actuals",
-					q, replanRun, last.FeedbackDrift)
+					q, replanRun, last.Drift)
 			}
 			if last.Plan.Strategy != coldStrategy {
 				t.Errorf("control %s moved from %s to %s", q, coldStrategy, last.Plan.Strategy)
@@ -256,7 +256,7 @@ func TestFeedbackFanOutDecidesPerDocument(t *testing.T) {
 	var cold map[string]plan.Strategy
 	var last []DocResult
 	for call := 0; call < 40; call++ {
-		results, err := e.EvalAllDocs(q, plan.Options{}, 1)
+		results, _, err := e.EvalAllDocs(q, plan.Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestFeedbackFanOutDecidesPerDocument(t *testing.T) {
 			}
 		case "uniform":
 			if r.Result.Replanned {
-				t.Errorf("uniform replanned (drift %.2f) although its own estimates hold", r.Result.FeedbackDrift)
+				t.Errorf("uniform replanned (drift %.2f) although its own estimates hold", r.Result.Drift)
 			}
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
+	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 )
 
@@ -57,26 +59,37 @@ type DocResult struct {
 // document under evaluation, which turns a single-document query into a
 // catalog-wide scan — the multi-document shape planContext otherwise
 // rejects. Results are keyed by URI and returned sorted by URI.
-func (e *Engine) EvalAllDocs(src string, opts plan.Options, workers int) ([]DocResult, error) {
+//
+// The fan-out has one ID, opts.QueryID or a fresh one, and one record
+// under it in the engine's ring: strategy "scatter", with the
+// per-document records (ID "<id>-<uri>") as its children, so the
+// fan-out's trace shows one query span per document. That record is
+// returned too. It carries no verdict, work or rows of its own and is
+// neither logged nor counted: each document's record is.
+func (e *Engine) EvalAllDocs(src string, opts plan.Options, workers int) ([]DocResult, *obs.QueryRecord, error) {
+	start := time.Now()
 	q, err := parse(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	snap := e.snapshot()
 	uris := snap.uris()
+	parent := &obs.QueryRecord{QueryID: opts.QueryID, QueryHash: q.hash, Strategy: "scatter",
+		Children: make([]*obs.QueryRecord, len(uris))}
+	if parent.QueryID == "" {
+		parent.QueryID = NewQueryID()
+	}
 	out := make([]DocResult, len(uris))
 	forEachIndex(len(uris), workers, func(i int) {
-		// Per-document evaluations get distinct query IDs even when the
-		// caller pinned one: a shared ID would make the trace store and
-		// query log collapse the fan-out into one record.
 		docOpts := opts
-		if docOpts.QueryID != "" {
-			docOpts.QueryID = fmt.Sprintf("%s-%s", docOpts.QueryID, uris[i])
-		}
-		res, err := evalExpr(snap.pin(uris[i]), q, docOpts)
+		docOpts.QueryID = parent.QueryID + "-" + uris[i]
+		parent.Children[i] = &obs.QueryRecord{}
+		res, err := evalInto(parent.Children[i], snap.pin(uris[i]), q, docOpts)
 		out[i] = DocResult{URI: uris[i], Result: res, Err: err}
 	})
-	return out, nil
+	parent.Latency = time.Since(start)
+	snap.state.Recent.Put(parent)
+	return out, parent, nil
 }
 
 // pin derives a single-document snapshot: every URI resolves to the

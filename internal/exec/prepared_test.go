@@ -84,7 +84,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 func TestPlanCacheKeyedByStrategy(t *testing.T) {
 	e := bibEngine(t)
 	const q = `//book//last`
-	for _, strat := range []plan.Strategy{plan.BoundedNL, plan.NaiveNL, plan.Twig} {
+	for _, strat := range []plan.Strategy{plan.BoundedNL, plan.Twig} {
 		res1, err := e.EvalOptions(q, plan.Options{Strategy: strat})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
@@ -298,7 +298,7 @@ func TestEvalAllDocsWarmCache(t *testing.T) {
 	e.Add("one.xml", mustParseDoc(t, `<r><a/><a/></r>`))
 	e.Add("two.xml", mustParseDoc(t, `<r><a/></r>`))
 	for call := 0; call < 2; call++ {
-		results, err := e.EvalAllDocs(`//a`, plan.Options{}, 2)
+		results, _, err := e.EvalAllDocs(`//a`, plan.Options{}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,6 @@ func TestHarnessRegressions(t *testing.T) {
 			}{
 				{"auto", plan.Options{}},
 				{"bounded-nl", plan.Options{Strategy: plan.BoundedNL}},
-				{"naive-nl", plan.Options{Strategy: plan.NaiveNL}},
 			} {
 				res, err := e.EvalOptions(tc.Query, v.opts)
 				if err != nil {

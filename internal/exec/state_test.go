@@ -57,7 +57,7 @@ func TestEnginesAreIndependent(t *testing.T) {
 		e1 := New()
 		e1.Add("d", doc)
 		id := run(e1, 5)
-		if _, ok := e1.State().Traces.Get(id); !ok {
+		if _, ok := e1.State().Recent.Get(id); !ok {
 			t.Fatalf("engine 1 does not know its own query %s", id)
 		}
 		return id
@@ -67,7 +67,7 @@ func TestEnginesAreIndependent(t *testing.T) {
 	e2.Add("d", nestedDoc(t, 9))
 	run(e2, 9)
 
-	if _, ok := e2.State().Traces.Get(firstID); ok {
+	if _, ok := e2.State().Recent.Get(firstID); ok {
 		t.Errorf("engine 2 serves the trace of engine 1's query %s", firstID)
 	}
 

@@ -1,14 +1,16 @@
 package exec
 
 // Query-stream telemetry: every evaluation — Eval, EvalBatch workers,
-// EvalAllDocs fan-out — flows through evalExpr, so the hooks here give
-// the CLI, the benchmark and the blossomd daemon one shared
-// pipeline: a latency observation into the process-wide
-// query-duration histogram, a span-tree trace derived from the plan's
-// OpStats into the engine's trace ring, and (given a logger) a
-// structured query-log record with slow-query EXPLAIN ANALYZE capture.
+// EvalAllDocs fan-out — flows through evalExpr, which fills one
+// obs.QueryRecord as it runs and publishes it, so the CLI, the
+// benchmark and the blossomd daemon share one pipeline: the
+// process-wide counters and query-duration histogram, the engine's ring
+// of recent records (traces render from it on request), and (given a
+// logger) a structured query-log record with slow-query EXPLAIN ANALYZE
+// capture.
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -30,101 +32,43 @@ func NewQueryID() string {
 	return fmt.Sprintf("q-%s-%06d", queryIDEpoch, queryIDSeq.Add(1))
 }
 
-// telemetry accumulates one evaluation's observable facts; evalExpr
-// fills the fields in as the evaluation progresses and emit runs in
-// its defer, on success, error and abort paths alike.
-type telemetry struct {
-	state    *State // the evaluating engine's, for its trace ring
-	queryID  string
-	src      string // query text
-	strategy string // preset for navigational ("XH"); else read from plan
-	plan     *plan.Plan
-	gov      *gov.Governor
-	cached   bool // plan served from the compiled-plan cache
-	start    time.Time
-	// navReason carries the fragment violation that routed the query to
-	// the navigational fallback ("" for planned runs).
-	navReason string
-	// replanned/drift mark an evaluation running a replanned template
-	// (estimates drifted from its predecessor's first run by drift×).
-	replanned bool
-	drift     float64
-}
+// publish completes an evaluation's record — verdict, error, stats tree,
+// work and rows — and hands it to every reader: the registry's counters
+// and duration histogram, the ring of recent records, and the query
+// log. pl is the executed plan (nil for navigational evaluation and for
+// failures before planning).
+func (st *State) publish(rec *obs.QueryRecord, opts plan.Options, pl *plan.Plan, res *Result, err error) {
+	obs.Default.Add(obs.MetricQueries, 1)
+	obs.Default.Add(obs.MetricQueryNanos, rec.Latency.Nanoseconds())
+	obs.Default.Histogram(obs.HistQueryDuration, obs.LatencyBuckets).ObserveDuration(rec.Latency)
 
-// emit records the evaluation into the histogram, the trace store, and
-// the query log.
-func (t *telemetry) emit(opts plan.Options, res *Result, err error) {
-	elapsed := time.Since(t.start)
-	obs.Default.Histogram(obs.HistQueryDuration, obs.LatencyBuckets).ObserveDuration(elapsed)
-
-	st := t.statsTree(err)
-	t.state.Traces.Put(t.queryID, obs.NewTrace(t.queryID, st, elapsed))
-
-	if opts.Logger == nil {
-		return
+	rec.Verdict = gov.Verdict(err)
+	if pl != nil {
+		rec.Stats = pl.StatsTree()
 	}
-	entry := obs.QueryLogEntry{
-		QueryID:      t.queryID,
-		QueryHash:    obs.QueryHash(t.src),
-		Strategy:     t.strategyName(),
-		Verdict:      gov.Verdict(err),
-		NodesScanned: st.TotalScanned(),
-		RowsOut:      rowsOut(res),
-		Latency:      elapsed,
-		Cached:       t.cached,
-		NavReason:    t.navReason,
-		Replanned:    t.replanned,
-		Drift:        t.drift,
+	if rec.Stats == nil {
+		rec.Stats, _ = gov.StatsOf(err)
 	}
-	if st == nil {
-		entry.NodesScanned = t.gov.NodesScanned()
+	work := rec.Stats.Totals()
+	rec.NodesScanned = work.Scanned
+	if rec.Stats == nil {
+		rec.NodesScanned = opts.Gov.NodesScanned()
+	}
+	if res != nil {
+		rec.RowsOut = int64(res.Len())
 	}
 	if err != nil {
-		entry.Err = err.Error()
-	}
-	if st != nil {
-		entry.Explain = func() string { return st.Render(true) }
-	}
-	ql := obs.QueryLog{
-		Logger:        opts.Logger,
-		SlowThreshold: opts.SlowQueryThreshold,
-		Registry:      obs.Default,
-	}
-	ql.Record(entry)
-}
-
-// statsTree returns the evaluation's operator-statistics tree: the
-// executed plan's tree, or the partial tree a governed abort carries.
-func (t *telemetry) statsTree(err error) *obs.OpStats {
-	if t.plan != nil {
-		if st := t.plan.StatsTree(); st != nil {
-			return st
+		rec.Err = err.Error()
+		obs.Default.Add(obs.MetricQueryErrors, 1)
+		if errors.Is(err, gov.ErrCanceled) || errors.Is(err, gov.ErrBudgetExceeded) {
+			obs.Default.Add(obs.MetricQueryAborts, 1)
 		}
+	} else if pl != nil {
+		obs.Default.Add(obs.MetricNodesScanned, work.Scanned)
+		obs.Default.Add(obs.MetricInstancesOut, work.Emitted)
+		obs.Default.Add(obs.MetricComparisons, work.Comparisons)
+		obs.Default.Add(obs.MetricOperatorCalls, work.Calls)
 	}
-	if st, ok := gov.StatsOf(err); ok {
-		return st
-	}
-	return nil
-}
-
-// strategyName resolves the executed strategy for the log record.
-func (t *telemetry) strategyName() string {
-	if t.plan != nil {
-		return t.plan.Strategy.String()
-	}
-	return t.strategy
-}
-
-// rowsOut counts the evaluation's result rows by the public Result.Len
-// rule: binding rows for FLWOR and constructed output, otherwise result
-// nodes. A FLWOR whose where clause keeps no row counts 0, however many
-// instances the plan produced.
-func rowsOut(res *Result) int64 {
-	if res == nil {
-		return 0
-	}
-	if len(res.Envs) > 0 || res.Output != nil {
-		return int64(len(res.Envs))
-	}
-	return int64(len(res.Nodes))
+	st.Recent.Put(rec)
+	rec.Log(opts.Logger, opts.SlowQueryThreshold)
 }

@@ -37,12 +37,8 @@ func TestQueryLogRowsOut(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.query, err)
 		}
-		rows := len(res.Nodes)
-		if len(res.Envs) > 0 || res.Output != nil {
-			rows = len(res.Envs)
-		}
-		if rows != c.rows {
-			t.Fatalf("%s: %d rows, want %d", c.query, rows, c.rows)
+		if res.Len() != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.query, res.Len(), c.rows)
 		}
 		var rec struct {
 			RowsOut int `json:"rows_out"`

@@ -249,12 +249,29 @@ func TestBoundedNLJoinBoundsScans(t *testing.T) {
 	}
 }
 
+// descPredicate is the structural //-join as a NestedLoopJoin predicate:
+// some node of the outer slot properly contains the inner slot's node.
+func descPredicate(outerSlot, innerSlot int) Predicate {
+	return func(m, n *nestedlist.List) (bool, error) {
+		inner := n.ProjectSlot(innerSlot)
+		if len(inner) == 0 {
+			return false, nil
+		}
+		for _, a := range m.ProjectSlot(outerSlot) {
+			if a.IsAncestorOf(inner[0]) {
+				return true, nil
+			}
+		}
+		return false, nil
+	}
+}
+
 func TestNestedLoopDescJoin(t *testing.T) {
 	doc := parse(t, sampleDoc)
 	p := buildTwoNoK(t, doc, `//a//b`)
 	j := &NestedLoopJoin{
 		Outer: p.outerIt, Inner: p.innerIt,
-		Pred: DescPredicate(p.outerSlot, p.innerSlot),
+		Pred: descPredicate(p.outerSlot, p.innerSlot),
 	}
 	got := projectResults(Drain(j), p.resultSlot)
 	if j.Err != nil {
@@ -314,7 +331,7 @@ func TestQuickJoinAlgorithmsAgree(t *testing.T) {
 
 		p = buildTwoNoK(t, doc, query)
 		nl := &NestedLoopJoin{Outer: p.outerIt, Inner: p.innerIt,
-			Pred: DescPredicate(p.outerSlot, p.innerSlot)}
+			Pred: descPredicate(p.outerSlot, p.innerSlot)}
 		if !check("NLJ", projectResults(Drain(nl), p.resultSlot)) || nl.Err != nil {
 			return false
 		}
@@ -813,7 +830,7 @@ func TestNestedLoopCanceled(t *testing.T) {
 	p := buildTwoNoK(t, doc, `//a//b`)
 	j := &NestedLoopJoin{
 		Outer: p.outerIt, Inner: p.innerIt,
-		Pred: DescPredicate(p.outerSlot, p.innerSlot),
+		Pred: descPredicate(p.outerSlot, p.innerSlot),
 		Gov:  canceledGov(t),
 	}
 	if got := Drain(j); len(got) != 0 {

@@ -19,18 +19,6 @@ func CrossingPredicate(c *core.Crossing, fromSlot, toSlot int) Predicate {
 	}
 }
 
-// DescPredicate is the structural //-join predicate: some node of the
-// outer slot properly contains the inner slot's node.
-func DescPredicate(outerSlot, innerSlot int) Predicate {
-	return func(m, n *nestedlist.List) (bool, error) {
-		inner := n.ProjectSlot(innerSlot)
-		if len(inner) == 0 {
-			return false, nil
-		}
-		return containsAny(m.ProjectSlot(outerSlot), inner[0]), nil
-	}
-}
-
 // NestedLoopJoin is the naive nested-loop join of §4.3, required for the
 // joins that are not order-preserving — <<, following, value-based joins
 // and deep-equal (Example 5 shows why << cannot be pipelined). Both

@@ -186,13 +186,3 @@ func pruneWitnessless(l *nestedlist.List, outerSlot int, anchors []*xmltree.Node
 		return false
 	})
 }
-
-// containsAny reports whether any node of ancs properly contains d.
-func containsAny(ancs []*xmltree.Node, d *xmltree.Node) bool {
-	for _, a := range ancs {
-		if a.IsAncestorOf(d) {
-			return true
-		}
-	}
-	return false
-}

@@ -1,8 +1,9 @@
 // Package obs is the engine's observability layer: a lightweight
-// metrics registry of atomic counters, and per-query ExecStats trees
-// that mirror a physical plan's operator tree with work counters
-// (nodes scanned, instances emitted, comparisons, stack depth, wall
-// time) next to the optimizer's estimates.
+// metrics registry of atomic counters, per-query OpStats trees that
+// mirror a physical plan's operator tree with work counters (nodes
+// scanned, instances emitted, comparisons, stack depth, wall time) next
+// to the optimizer's estimates, and the one QueryRecord per evaluation
+// that the query log, the recent-query ring and the trace export read.
 //
 // Everything here is safe under the engine's concurrency model: the
 // registry and all OpStats counters are plain atomics, so concurrent

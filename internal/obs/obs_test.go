@@ -102,11 +102,8 @@ func TestOpStatsCountersAndTotals(t *testing.T) {
 	if got := root.TotalScanned(); got != 30 {
 		t.Errorf("TotalScanned = %d, want 30", got)
 	}
-	if got := root.TotalEmitted(); got != 3 {
-		t.Errorf("TotalEmitted = %d, want 3", got)
-	}
-	if got := root.TotalComparisons(); got != 7 {
-		t.Errorf("TotalComparisons = %d, want 7", got)
+	if got := root.Totals(); got.Emitted != 3 || got.Comparisons != 7 {
+		t.Errorf("Totals = %+v, want 3 emitted, 7 comparisons", got)
 	}
 	if got := root.MaxStackDepth(); got != 5 {
 		t.Errorf("MaxStackDepth = %d, want 5", got)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -21,26 +22,21 @@ func TestQueryHashStable(t *testing.T) {
 
 func TestQueryLogLevelsAndSlowCapture(t *testing.T) {
 	var buf bytes.Buffer
-	reg := NewRegistry()
-	explainCalls := 0
-	l := &QueryLog{
-		Logger:        slog.New(slog.NewJSONHandler(&buf, nil)),
-		SlowThreshold: 100 * time.Millisecond,
-		Registry:      reg,
-	}
-	entry := QueryLogEntry{
+	logger := slog.New(slog.NewJSONHandler(&buf, nil))
+	before := Default.Counter(MetricSlowQueries).Load()
+	rec := &QueryRecord{
 		QueryID:   "q-1",
 		QueryHash: QueryHash("//a"),
 		Strategy:  "PL",
 		Verdict:   "ok",
 		Latency:   time.Millisecond,
-		Explain:   func() string { explainCalls++; return "Join\n└─ Scan" },
+		Stats:     NewOpStats("Join", "a//b").Adopt(NewOpStats("Scan", "NoK0")),
 	}
-	l.Record(entry)
+	rec.Log(logger, 100*time.Millisecond)
 
-	entry.QueryID = "q-2"
-	entry.Latency = 200 * time.Millisecond
-	l.Record(entry)
+	rec.QueryID = "q-2"
+	rec.Latency = 200 * time.Millisecond
+	rec.Log(logger, 100*time.Millisecond)
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -59,15 +55,13 @@ func TestQueryLogLevelsAndSlowCapture(t *testing.T) {
 	if slow["level"] != "WARN" || slow["slow"] != true {
 		t.Errorf("slow query record = %v", slow)
 	}
-	if slow["explain"] != "Join\n└─ Scan" {
-		t.Errorf("slow record explain = %v", slow["explain"])
+	// The slow record's explain is its own stats tree, rendered as
+	// EXPLAIN ANALYZE renders it.
+	if slow["explain"] != rec.Stats.Render(true) {
+		t.Errorf("slow record explain = %v, want %q", slow["explain"], rec.Stats.Render(true))
 	}
-	// The explain payload is rendered lazily: only the slow query pays.
-	if explainCalls != 1 {
-		t.Errorf("Explain called %d times, want 1 (slow query only)", explainCalls)
-	}
-	if got := reg.Counter(MetricSlowQueries).Load(); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricSlowQueries, got)
+	if got := Default.Counter(MetricSlowQueries).Load() - before; got != 1 {
+		t.Errorf("%s moved by %d, want 1", MetricSlowQueries, got)
 	}
 	if fast["query_hash"] != QueryHash("//a") || fast["strategy"] != "PL" {
 		t.Errorf("missing identity fields: %v", fast)
@@ -75,7 +69,37 @@ func TestQueryLogLevelsAndSlowCapture(t *testing.T) {
 }
 
 func TestQueryLogNilSafety(t *testing.T) {
-	var l *QueryLog
-	l.Record(QueryLogEntry{QueryID: "q"}) // must not panic
-	(&QueryLog{}).Record(QueryLogEntry{QueryID: "q"})
+	(&QueryRecord{QueryID: "q"}).Log(nil, time.Nanosecond) // must not panic
+	// A slow record without a stats tree logs without an explain.
+	var buf bytes.Buffer
+	(&QueryRecord{QueryID: "q", Latency: time.Second}).Log(slog.New(slog.NewJSONHandler(&buf, nil)), time.Nanosecond)
+	if strings.Contains(buf.String(), "explain") || !strings.Contains(buf.String(), `"slow":true`) {
+		t.Errorf("slow record without stats = %s", buf.String())
+	}
+}
+
+func TestRecordRingEviction(t *testing.T) {
+	ring := NewRecordRing(3)
+	retained := func(want ...bool) {
+		t.Helper()
+		for i, w := range want {
+			if _, ok := ring.Get(fmt.Sprintf("q-%d", i)); ok != w {
+				t.Errorf("q-%d retained = %v, want %v", i, ok, w)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		ring.Put(&QueryRecord{QueryID: fmt.Sprintf("q-%d", i)})
+	}
+	retained(false, false, true, true, true) // oldest evicted first
+	// Overwriting an existing ID replaces it in place: no eviction.
+	again := &QueryRecord{QueryID: "q-2"}
+	ring.Put(again)
+	if got, _ := ring.Get("q-2"); got != again {
+		t.Error("overwrite did not replace the record")
+	}
+	retained(false, false, true, true, true)
+	// The next new ID evicts the oldest slot, q-2's.
+	ring.Put(&QueryRecord{QueryID: "q-5"})
+	retained(false, false, false, true, true, true)
 }

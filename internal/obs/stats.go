@@ -11,7 +11,7 @@ import (
 // planner builds one OpStats per physical operator, records its
 // cost-model estimates, and hands the node to the operator; the
 // operator bumps the actual-work counters while it runs. All counters
-// are atomics because EXPLAIN and the trace store may render a tree
+// are atomics because EXPLAIN and a trace export may render a tree
 // while its operators still run (a Stop deadline draining).
 //
 // Every mutator is nil-safe, so operators can be built without stats at
@@ -220,51 +220,27 @@ func (s *OpStats) Elapsed() time.Duration {
 }
 
 // TotalScanned sums nodes scanned across the subtree.
-func (s *OpStats) TotalScanned() int64 {
-	if s == nil {
-		return 0
-	}
-	total := s.Scanned()
-	for _, c := range s.Children {
-		total += c.TotalScanned()
-	}
-	return total
+func (s *OpStats) TotalScanned() int64 { return s.Totals().Scanned }
+
+// Totals is a stats subtree's work counters, summed.
+type Totals struct {
+	Scanned, Emitted, Comparisons, Calls int64
 }
 
-// TotalEmitted sums instances emitted across the subtree.
-func (s *OpStats) TotalEmitted() int64 {
+// Totals sums the subtree's work counters in one walk.
+func (s *OpStats) Totals() Totals {
 	if s == nil {
-		return 0
+		return Totals{}
 	}
-	total := s.Emitted()
+	t := Totals{s.Scanned(), s.Emitted(), s.Comparisons(), s.Calls()}
 	for _, c := range s.Children {
-		total += c.TotalEmitted()
+		ct := c.Totals()
+		t.Scanned += ct.Scanned
+		t.Emitted += ct.Emitted
+		t.Comparisons += ct.Comparisons
+		t.Calls += ct.Calls
 	}
-	return total
-}
-
-// TotalComparisons sums comparisons across the subtree.
-func (s *OpStats) TotalComparisons() int64 {
-	if s == nil {
-		return 0
-	}
-	total := s.Comparisons()
-	for _, c := range s.Children {
-		total += c.TotalComparisons()
-	}
-	return total
-}
-
-// TotalCalls sums GetNext invocations across the subtree.
-func (s *OpStats) TotalCalls() int64 {
-	if s == nil {
-		return 0
-	}
-	total := s.Calls()
-	for _, c := range s.Children {
-		total += c.TotalCalls()
-	}
-	return total
+	return t
 }
 
 // Render draws the operator tree. Each row shows the operator, the

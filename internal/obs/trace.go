@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"sync"
 	"time"
 )
 
@@ -34,35 +33,47 @@ type Trace struct {
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// NewTrace derives a trace from a query's stats tree. The root event
-// spans the whole evaluation (total wall time); operator spans nest
-// inside it, each sized by its recorded elapsed time (inclusive of
-// children, as OpStats measures) and clamped to its parent. A nil
-// stats tree (navigational evaluation, or an abort before planning)
-// yields a trace with only the query-level span.
-func NewTrace(queryID string, root *OpStats, total time.Duration) *Trace {
+// NewTrace derives a trace from a query's record. The root event spans
+// the whole evaluation (its latency); operator spans nest inside it,
+// each sized by its recorded elapsed time (inclusive of children, as
+// OpStats measures) and clamped to its parent. A fan-out's per-document
+// records become child query spans, laid out like operator children. A
+// record without a stats tree (navigational evaluation, or an abort
+// before planning) contributes only its query-level span.
+func NewTrace(r *QueryRecord) *Trace {
 	t := &Trace{
 		DisplayTimeUnit: "ms",
-		OtherData:       map[string]any{"queryID": queryID},
+		OtherData:       map[string]any{"queryID": r.QueryID},
 	}
-	totalUS := float64(total.Microseconds())
+	appendQuery(t, r, 0, float64(r.Latency.Microseconds()))
+	return t
+}
+
+// appendQuery lays the record r into [ts, ts+dur): its query span, its
+// operator tree, then its child records placed sequentially inside it.
+func appendQuery(t *Trace, r *QueryRecord, ts, dur float64) {
 	t.TraceEvents = append(t.TraceEvents, TraceEvent{
-		Name: "query " + queryID,
+		Name: "query " + r.QueryID,
 		Cat:  "query",
 		Ph:   "X",
-		Ts:   0,
-		Dur:  totalUS,
+		Ts:   ts,
+		Dur:  dur,
 		Pid:  1,
 		Tid:  1,
 	})
-	if root != nil {
-		rootDur := float64(root.Elapsed().Microseconds())
-		if rootDur == 0 || rootDur > totalUS {
-			rootDur = totalUS
+	if r.Stats != nil {
+		rootDur := float64(r.Stats.Elapsed().Microseconds())
+		if rootDur == 0 || rootDur > dur {
+			rootDur = dur
 		}
-		appendSpans(t, root, 0, rootDur)
+		appendSpans(t, r.Stats, ts, rootDur)
 	}
-	return t
+	cursor := ts
+	for _, c := range r.Children {
+		cd := fit(c.Latency, ts+dur-cursor)
+		appendQuery(t, c, cursor, cd)
+		cursor += cd
+	}
 }
 
 // appendSpans lays the subtree rooted at s into [ts, ts+dur): the
@@ -93,16 +104,16 @@ func appendSpans(t *Trace, s *OpStats, ts, dur float64) {
 	t.TraceEvents = append(t.TraceEvents, ev)
 	cursor := ts
 	for _, c := range s.Children {
-		cd := float64(c.Elapsed().Microseconds())
-		if remaining := ts + dur - cursor; cd > remaining {
-			cd = remaining
-		}
-		if cd < 0 {
-			cd = 0
-		}
+		cd := fit(c.Elapsed(), ts+dur-cursor)
 		appendSpans(t, c, cursor, cd)
 		cursor += cd
 	}
+}
+
+// fit sizes a child span by its elapsed time, clamped to what is left
+// of its parent's window.
+func fit(elapsed time.Duration, remaining float64) float64 {
+	return max(min(float64(elapsed.Microseconds()), remaining), 0)
 }
 
 // JSON marshals the trace.
@@ -112,75 +123,4 @@ func (t *Trace) JSON() []byte {
 		return nil
 	}
 	return b
-}
-
-// SpanNames returns the operator-span names in depth-first order
-// (excluding the query-level wrapper span) — the site list tests match
-// against EXPLAIN ANALYZE.
-func (t *Trace) SpanNames() []string {
-	var out []string
-	for _, ev := range t.TraceEvents {
-		if ev.Cat == "operator" {
-			out = append(out, ev.Name)
-		}
-	}
-	return out
-}
-
-// TraceStore retains the most recent traces keyed by query ID, for the
-// daemon's GET /trace/{queryID}. Bounded: when full, the oldest trace
-// is evicted.
-type TraceStore struct {
-	mu    sync.Mutex
-	cap   int
-	byID  map[string]*Trace
-	order []string
-}
-
-// NewTraceStore returns a store retaining up to capacity traces.
-func NewTraceStore(capacity int) *TraceStore {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &TraceStore{cap: capacity, byID: make(map[string]*Trace)}
-}
-
-// Put stores a trace under its query ID, evicting the oldest entry at
-// capacity.
-func (ts *TraceStore) Put(queryID string, t *Trace) {
-	if ts == nil || t == nil || queryID == "" {
-		return
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if _, exists := ts.byID[queryID]; !exists {
-		for len(ts.order) >= ts.cap {
-			evict := ts.order[0]
-			ts.order = ts.order[1:]
-			delete(ts.byID, evict)
-		}
-		ts.order = append(ts.order, queryID)
-	}
-	ts.byID[queryID] = t
-}
-
-// Get returns the trace stored under queryID.
-func (ts *TraceStore) Get(queryID string) (*Trace, bool) {
-	if ts == nil {
-		return nil, false
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	t, ok := ts.byID[queryID]
-	return t, ok
-}
-
-// Len returns the number of retained traces.
-func (ts *TraceStore) Len() int {
-	if ts == nil {
-		return 0
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.byID)
 }

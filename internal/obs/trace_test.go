@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -23,12 +22,24 @@ func statsTree() *OpStats {
 	return root
 }
 
+// spanNames returns the names of a trace's spans of category cat, in
+// depth-first order.
+func spanNames(tr *Trace, cat string) []string {
+	var out []string
+	for _, ev := range tr.TraceEvents {
+		if ev.Cat == cat {
+			out = append(out, ev.Name)
+		}
+	}
+	return out
+}
+
 func TestTraceSpanTree(t *testing.T) {
-	tr := NewTrace("q-1", statsTree(), 5*time.Millisecond)
+	tr := NewTrace(&QueryRecord{QueryID: "q-1", Stats: statsTree(), Latency: 5 * time.Millisecond})
 	// Depth-first operator order, matching EXPLAIN ANALYZE's rendering.
 	want := []string{"Join", "ScanA", "Filter", "ScanB"}
-	if got := tr.SpanNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("SpanNames = %v, want %v", got, want)
+	if got := spanNames(tr, "operator"); !reflect.DeepEqual(got, want) {
+		t.Errorf("operator spans = %v, want %v", got, want)
 	}
 	// One query-level wrapper plus the four operators.
 	if len(tr.TraceEvents) != 5 {
@@ -59,17 +70,35 @@ func TestTraceSpanTree(t *testing.T) {
 }
 
 func TestTraceNilStats(t *testing.T) {
-	tr := NewTrace("q-nav", nil, time.Millisecond)
+	tr := NewTrace(&QueryRecord{QueryID: "q-nav", Latency: time.Millisecond})
 	if len(tr.TraceEvents) != 1 || tr.TraceEvents[0].Cat != "query" {
 		t.Errorf("nil-stats trace = %+v", tr.TraceEvents)
 	}
-	if tr.SpanNames() != nil {
-		t.Errorf("SpanNames = %v, want none", tr.SpanNames())
+}
+
+// TestTraceFanOut: a fan-out's record lays its per-document records out
+// as child query spans inside its own, each with its operator tree, the
+// way operator children nest.
+func TestTraceFanOut(t *testing.T) {
+	parent := &QueryRecord{QueryID: "q-3", Latency: 3 * time.Millisecond, Children: []*QueryRecord{
+		{QueryID: "q-3-a.xml", Latency: time.Millisecond, Stats: statsTree()},
+		{QueryID: "q-3-b.xml", Latency: 5 * time.Millisecond},
+	}}
+	tr := NewTrace(parent)
+	if got, want := spanNames(tr, "query"), []string{"query q-3", "query q-3-a.xml", "query q-3-b.xml"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("query spans = %v, want %v", got, want)
+	}
+	if got := spanNames(tr, "operator"); len(got) != 4 {
+		t.Errorf("operator spans = %v, want a.xml's four", got)
+	}
+	a, b := tr.TraceEvents[1], tr.TraceEvents[len(tr.TraceEvents)-1]
+	if a.Ts != 0 || a.Dur != 1000 || b.Ts != 1000 || b.Dur != 2000 {
+		t.Errorf("child spans a=[%g+%g] b=[%g+%g], want [0+1000] [1000+2000] (b clamped to the parent)", a.Ts, a.Dur, b.Ts, b.Dur)
 	}
 }
 
 func TestTraceJSONShape(t *testing.T) {
-	b := NewTrace("q-2", statsTree(), time.Millisecond).JSON()
+	b := NewTrace(&QueryRecord{QueryID: "q-2", Stats: statsTree(), Latency: time.Millisecond}).JSON()
 	var decoded struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 		OtherData   map[string]any   `json:"otherData"`
@@ -91,36 +120,5 @@ func TestTraceJSONShape(t *testing.T) {
 		if _, ok := ev["ts"].(float64); !ok {
 			t.Errorf("event ts not numeric: %v", ev["ts"])
 		}
-	}
-}
-
-func TestTraceStoreEviction(t *testing.T) {
-	ts := NewTraceStore(3)
-	for i := 0; i < 5; i++ {
-		ts.Put(fmt.Sprintf("q-%d", i), NewTrace("x", nil, 0))
-	}
-	if ts.Len() != 3 {
-		t.Errorf("Len = %d, want 3 (capacity)", ts.Len())
-	}
-	if _, ok := ts.Get("q-0"); ok {
-		t.Error("oldest trace should be evicted")
-	}
-	if _, ok := ts.Get("q-4"); !ok {
-		t.Error("newest trace should be retained")
-	}
-	// Overwriting an existing ID must not evict or grow.
-	ts.Put("q-4", NewTrace("x", nil, 0))
-	if ts.Len() != 3 {
-		t.Errorf("Len after overwrite = %d, want 3", ts.Len())
-	}
-	// Nil-safety and empty IDs.
-	var nilStore *TraceStore
-	nilStore.Put("q", nil)
-	if _, ok := nilStore.Get("q"); ok || nilStore.Len() != 0 {
-		t.Error("nil store should be inert")
-	}
-	ts.Put("", NewTrace("x", nil, 0))
-	if ts.Len() != 3 {
-		t.Error("empty query ID should not be stored")
 	}
 }

@@ -359,25 +359,6 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 	case BoundedNL:
 		p.note("link %s//NoK%d: bounded nested-loop join", l.Parent.Label(), l.Child.Index)
 		return boundedNL()
-	case NaiveNL:
-		if optional || !perPair {
-			// The materializing NLJ has no optional/grouping modes; fall
-			// back to the bounded variant which shares its loop shape.
-			return boundedNL()
-		}
-		p.note("link %s//NoK%d: naive nested-loop join", l.Parent.Label(), l.Child.Index)
-		innerOp, innerStats := p.baseScan(inner)
-		st := obs.NewOpStats("NestedLoopJoin", detail)
-		st.EstNodes = p.cardinality(l.Parent) * p.cardinality(l.Child.Root)
-		st.EstOut = estOut
-		st.Adopt(outerStats, innerStats)
-		nl := &join.NestedLoopJoin{
-			Outer: outer, Inner: innerOp,
-			Pred: join.DescPredicate(outerSlot, innerSlot),
-			Gov:  p.gov, Stats: st,
-		}
-		p.watch(func() error { return nl.Err })
-		return join.Instrument(nl, st), st, nil
 	default:
 		return nil, nil, fmt.Errorf("plan: strategy %s cannot build //-joins", p.Strategy)
 	}

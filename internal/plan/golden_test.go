@@ -41,7 +41,6 @@ func goldenCases() []goldenCase {
 	return []goldenCase{
 		{name: "pipelined_explain", query: "//a[//c]//b", strategy: Pipelined},
 		{name: "bounded_nl_explain", query: "//a//c", strategy: BoundedNL},
-		{name: "naive_nl_explain", query: "//a//c", strategy: NaiveNL, indexed: true},
 		{name: "twig_explain", query: "//a[b]//c", strategy: Twig, indexed: true},
 		{name: "cost_based_explain", query: "//a//b//c", strategy: Auto, indexed: true},
 		{name: "pipelined_analyze", query: "//a[//c]//b", strategy: Pipelined, analyze: true},

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"blossomtree/internal/core"
 	"blossomtree/internal/fault"
+	"blossomtree/internal/flwor"
 	"blossomtree/internal/gov"
 	"blossomtree/internal/index"
 	"blossomtree/internal/xmlgen"
@@ -24,11 +26,17 @@ func govDoc(t *testing.T) *xmltree.Document {
 
 func govExecute(t *testing.T, doc *xmltree.Document, ix *index.TagIndex, strat Strategy, opts Options) error {
 	t.Helper()
+	return govExecuteQuery(t, doc, ix, compilePath(t, `//a//c`), strat, opts)
+}
+
+// govExecuteQuery is govExecute over a compiled query of the caller's.
+func govExecuteQuery(t *testing.T, doc *xmltree.Document, ix *index.TagIndex, q *core.Query, strat Strategy, opts Options) error {
+	t.Helper()
 	opts.Strategy = strat
 	if strat == Twig {
 		opts.Index = ix
 	}
-	p, err := Build(compilePath(t, `//a//c`), doc, opts)
+	p, err := Build(q, doc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,29 +48,38 @@ func govExecute(t *testing.T, doc *xmltree.Document, ix *index.TagIndex, strat S
 // with a fault armed at its first, middle, and last instrumentation
 // hit, asserting the injected error surfaces from Execute each time.
 // The per-site hit totals come from a fault-free counting run, so the
-// "last" case really is the operator's final emission.
+// "last" case really is the operator's final emission. Every case runs
+// //a//c but the nested-loop join's, a value join whose crossing plans
+// a NestedLoopJoin.
 func TestFaultInjectionPerOperator(t *testing.T) {
 	doc := govDoc(t)
 	ix := index.Build(doc)
+	path := compilePath(t, `//a//c`)
+	valueJoin, err := core.FromFLWOR(flwor.MustParse(
+		`for $x in doc("d")//b, $y in doc("d")//a where $x/c = $y/c return $y`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name  string
+		q     *core.Query
 		strat Strategy
 		site  fault.Site
 	}{
-		{"pipelined-join", Pipelined, fault.SitePipelined},
-		{"bounded-nl-join", BoundedNL, fault.SiteBoundedNL},
-		{"nested-loop-join", NaiveNL, fault.SiteNestedLoop},
-		{"twigstack", Twig, fault.SiteTwigStack},
-		{"nok-emit", Pipelined, fault.SiteNoKEmit},
-		{"nok-scan", NaiveNL, fault.SiteNoKScan},
-		{"index-stream", Twig, fault.SiteIndexStream},
+		{"pipelined-join", path, Pipelined, fault.SitePipelined},
+		{"bounded-nl-join", path, BoundedNL, fault.SiteBoundedNL},
+		{"nested-loop-join", valueJoin, Pipelined, fault.SiteNestedLoop},
+		{"twigstack", path, Twig, fault.SiteTwigStack},
+		{"nok-emit", path, Pipelined, fault.SiteNoKEmit},
+		{"nok-scan", path, Pipelined, fault.SiteNoKScan},
+		{"index-stream", path, Twig, fault.SiteIndexStream},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Counting run: an injector with no rules armed observes how
 			// often the operator hits its site in a clean evaluation.
 			counter := fault.New()
-			if err := govExecute(t, doc, ix, tc.strat, Options{Fault: counter}); err != nil {
+			if err := govExecuteQuery(t, doc, ix, tc.q, tc.strat, Options{Fault: counter}); err != nil {
 				t.Fatalf("counting run failed: %v", err)
 			}
 			total := counter.Hits(tc.site)
@@ -72,7 +89,7 @@ func TestFaultInjectionPerOperator(t *testing.T) {
 			boom := errors.New("injected operator failure")
 			for _, k := range []int64{1, total / 2, total} {
 				inj := fault.New().FailAt(tc.site, k, boom)
-				err := govExecute(t, doc, ix, tc.strat, Options{Fault: inj})
+				err := govExecuteQuery(t, doc, ix, tc.q, tc.strat, Options{Fault: inj})
 				if !errors.Is(err, boom) {
 					t.Errorf("fault at hit %d/%d of %s: Execute = %v, want the injected error", k, total, tc.site, err)
 				}
@@ -88,7 +105,7 @@ func TestFaultInjectionPerOperator(t *testing.T) {
 func TestBudgetAbortCarriesPartialStats(t *testing.T) {
 	doc := govDoc(t)
 	ix := index.Build(doc)
-	for _, strat := range []Strategy{Pipelined, BoundedNL, NaiveNL, Twig} {
+	for _, strat := range []Strategy{Pipelined, BoundedNL, Twig} {
 		t.Run(strat.String(), func(t *testing.T) {
 			err := govExecute(t, doc, ix, strat, Options{Budget: gov.Budget{MaxNodes: 50}})
 			if !errors.Is(err, gov.ErrBudgetExceeded) {

@@ -42,7 +42,6 @@ const (
 	Auto         Strategy = iota // the cost model's cheapest sound strategy
 	Pipelined                    // PL: merge-join over NoK iterators (§4.2)
 	BoundedNL                    // NL: bounded nested-loop join (§4.3)
-	NaiveNL                      // naive nested-loop join (materializing)
 	Twig                         // TS: holistic TwigStack over tag indexes
 	Navigational                 // whole-query navigational evaluation (the XH stand-in)
 )
@@ -56,8 +55,6 @@ func (s Strategy) String() string {
 		return "PL"
 	case BoundedNL:
 		return "NL"
-	case NaiveNL:
-		return "NLJ"
 	case Twig:
 		return "TS"
 	case Navigational:
@@ -106,9 +103,9 @@ type Options struct {
 	// instead of building one from Ctx/Budget/Fault (the executor
 	// shares one governor between planning and residual evaluation).
 	Gov *gov.Governor
-	// QueryID identifies the evaluation in the query log, the latency
-	// histogram's trace store, and the daemon's /trace endpoint. Empty
-	// means the executor generates one.
+	// QueryID identifies the evaluation's record in the query log, the
+	// engine's ring of recent records, and the daemon's /trace endpoint.
+	// Empty means the executor generates one.
 	QueryID string
 	// Logger, when non-nil, receives one structured record per
 	// evaluation (query ID, hash, strategy, verdict, work, latency).
@@ -318,8 +315,6 @@ func (p *Plan) Explain() string {
 	var sb strings.Builder
 	sb.WriteString("plan strategy: " + p.Strategy.String() + "\n")
 	if p.Cached {
-		// On its own line, not the headline: the daemon parses the first
-		// line for the strategy name.
 		sb.WriteString("  plan cache: hit\n")
 	}
 	for _, e := range p.expl {

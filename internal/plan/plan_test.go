@@ -54,8 +54,8 @@ func resultNodes(p *Plan, ins *Instances) map[*xmltree.Node]bool {
 
 func TestStrategyString(t *testing.T) {
 	names := map[Strategy]string{
-		Auto: "auto", Pipelined: "PL", BoundedNL: "NL", NaiveNL: "NLJ",
-		Twig: "TS", Navigational: "XH",
+		Auto: "auto", Pipelined: "PL", BoundedNL: "NL", Twig: "TS",
+		Navigational: "XH",
 	}
 	for s, want := range names {
 		if got := s.String(); got != want {
@@ -91,7 +91,7 @@ func TestAutoRules(t *testing.T) {
 		{name: "nonrec with index", doc: sample, indexed: true, want: Twig},
 		{name: "rec no index", doc: recursiveSample, want: BoundedNL},
 		{name: "rec with index", doc: recursiveSample, indexed: true, want: Twig},
-		{name: "forced", doc: sample, opts: Options{Strategy: NaiveNL}, want: NaiveNL},
+		{name: "forced", doc: sample, opts: Options{Strategy: BoundedNL}, want: BoundedNL},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -195,7 +195,7 @@ func TestExecuteAcrossStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Strategy{Pipelined, BoundedNL, NaiveNL, Twig} {
+	for _, s := range []Strategy{Pipelined, BoundedNL, Twig} {
 		t.Run(s.String(), func(t *testing.T) {
 			p, err := Build(compilePath(t, `//a//c`), doc, Options{Strategy: s, Index: ix})
 			if err != nil {
@@ -344,24 +344,6 @@ func TestCombineWithoutCrossingIsCartesian(t *testing.T) {
 	}
 	if !strings.Contains(p.Explain(), "cartesian join") {
 		t.Errorf("expected cartesian note:\n%s", p.Explain())
-	}
-}
-
-func TestNaiveNLFallsBackForExistentialLinks(t *testing.T) {
-	doc := parse(t, sample)
-	// //a[//c]: existential inner NoK under NaiveNL falls back to the
-	// bounded variant for grouping semantics.
-	p, err := Build(compilePath(t, `//a[//c]`), doc, Options{Strategy: NaiveNL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := p.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := naveval.EvalPath(doc, xpath.MustParse(`//a[//c]`))
-	if ls.Len() != len(want) {
-		t.Errorf("NLJ existential = %d, want %d", ls.Len(), len(want))
 	}
 }
 

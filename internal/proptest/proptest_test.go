@@ -36,7 +36,6 @@ func variants(recursive bool) []struct {
 	}{
 		{"auto", plan.Options{}},
 		{"bounded-nl", plan.Options{Strategy: plan.BoundedNL}},
-		{"naive-nl", plan.Options{Strategy: plan.NaiveNL}},
 		{"twigstack", plan.Options{Strategy: plan.Twig}},
 	}
 	if !recursive {

@@ -5,8 +5,8 @@
 // (GET /trace/{queryID}), and the standard pprof endpoints
 // (GET /debug/pprof/*), with admission control (Admission) in front of
 // evaluation. Every evaluation flows through the same telemetry pipeline
-// as the CLI and the benchmark: query-duration histogram, trace store,
-// structured query log.
+// as the CLI and the benchmark: one record per evaluation, read by the
+// query-duration histogram, the trace ring and the structured query log.
 package server
 
 import (
@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"blossomtree"
@@ -200,18 +199,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, errorStatus(w, r, err), resp)
 		return
 	}
-	switch {
-	case req.AllDocuments:
-		resp.Strategy = "scatter" // merged view has no single plan
-	default:
-		if pl := res.Plan(); pl != "" {
-			// Plan() renders the whole decomposition; only its
-			// "plan strategy: …" headline belongs in the response.
-			resp.Strategy = strings.TrimPrefix(firstLine(pl), "plan strategy: ")
-		} else {
-			resp.Strategy = "XH" // navigational evaluation has no plan
-		}
-	}
+	resp.Strategy = res.Strategy()
 	resp.NavReason = res.NavReason()
 	resp.Replanned = res.Replanned()
 	resp.Drift = res.Drift()
@@ -288,14 +276,14 @@ func (s *Server) writeAdmissionError(w http.ResponseWriter, r *http.Request, qid
 		resp.RetryAfterMS = sh.RetryAfter.Milliseconds()
 	}
 	status := errorStatus(w, r, err)
-	ql := &obs.QueryLog{Logger: s.cfg.Logger}
-	ql.Record(obs.QueryLogEntry{
+	rec := &obs.QueryRecord{
 		QueryID:   qid,
 		QueryHash: obs.QueryHash(query),
 		Verdict:   resp.Verdict,
 		Latency:   waited,
 		Err:       err.Error(),
-	})
+	}
+	rec.Log(s.cfg.Logger, 0)
 	writeJSON(w, status, resp)
 }
 
@@ -321,13 +309,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

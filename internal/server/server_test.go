@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -269,6 +272,39 @@ func TestQueryEndpointAllDocuments(t *testing.T) {
 	if res.Strategy != "scatter" {
 		t.Errorf("strategy = %q, want scatter", res.Strategy)
 	}
+
+	// The reply's trace URL names the fan-out: one query span for it and
+	// one per document, each document's under its own ID.
+	httpRes, err := http.Get(ts.URL + res.TraceURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpRes.Body.Close()
+	if httpRes.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", res.TraceURL, httpRes.StatusCode)
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Cat  string `json:"cat"`
+		} `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(httpRes.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	var spans []string
+	for _, ev := range tr.TraceEvents {
+		if ev.Cat == "query" {
+			spans = append(spans, ev.Name)
+		}
+	}
+	want := []string{"query " + res.QueryID}
+	for _, uri := range []string{"a.xml", "b.xml", "c.xml"} {
+		want = append(want, "query "+res.QueryID+"-"+uri)
+	}
+	if !slices.Equal(spans, want) {
+		t.Errorf("query spans = %v, want %v", spans, want)
+	}
 }
 
 // TestQueryEndpointAllDocumentsBudget: an all-documents request in which
@@ -523,25 +559,77 @@ func TestRequestBodyLimit(t *testing.T) {
 	}
 }
 
-// TestQueryEndpointNavReason: fragment-outside queries must say why
-// they routed to the navigational fallback; planned queries must omit
-// the field.
-func TestQueryEndpointNavReason(t *testing.T) {
-	ts := newTestServer(t)
-	status, res := postQuery(t, ts, QueryRequest{Query: `//book[contains(title, "Maximum")]`})
-	if status != http.StatusOK || res.Verdict != "ok" {
-		t.Fatalf("status = %d, verdict = %q", status, res.Verdict)
-	}
-	if res.NavReason == "" {
-		t.Error("nav-fallback response omits nav_reason")
-	}
+// lockedBuffer is a log sink the handler goroutines write and the test
+// reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
 
-	status, res = postQuery(t, ts, QueryRequest{Query: `//book/title`})
-	if status != http.StatusOK {
-		t.Fatalf("status = %d", status)
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// last decodes the most recent JSON log line.
+func (b *lockedBuffer) last(t *testing.T) map[string]any {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	lines := strings.Split(strings.TrimSpace(b.buf.String()), "\n")
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil {
+		t.Fatalf("log line %q: %v", lines[len(lines)-1], err)
 	}
-	if res.NavReason != "" {
-		t.Errorf("planned response carries nav_reason %q", res.NavReason)
+	return rec
+}
+
+// TestQueryEndpointNavReason: one query, one story. Fragment-outside
+// queries say why they routed to the navigational fallback, and planned
+// and forced-navigational queries omit the field. The reply's strategy
+// is the executed plan's EXPLAIN headline, and the query log's record
+// and the reply agree on query ID, strategy, cache hit and nav reason,
+// cold and warm.
+func TestQueryEndpointNavReason(t *testing.T) {
+	e := blossomtree.NewEngine()
+	if err := e.LoadString("bib.xml", bib); err != nil {
+		t.Fatal(err)
+	}
+	var logs lockedBuffer
+	ts := httptest.NewServer(New(Config{Engine: e, Logger: slog.New(slog.NewJSONHandler(&logs, nil))}))
+	t.Cleanup(ts.Close)
+	for _, c := range []struct {
+		name     string
+		req      QueryRequest
+		planned  bool
+		fallback bool
+	}{
+		{"planned", QueryRequest{Query: `//book/title`, Explain: true}, true, false},
+		{"contains-fallback", QueryRequest{Query: `//book[contains(title, "Maximum")]`, Explain: true}, false, true},
+		{"forced-navigational", QueryRequest{Query: `//book/title`, Strategy: "navigational"}, false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for run := 0; run < 2; run++ {
+				status, res := postQuery(t, ts, c.req)
+				if status != http.StatusOK || res.Verdict != "ok" {
+					t.Fatalf("status = %d, verdict = %q", status, res.Verdict)
+				}
+				if (res.Strategy != "XH") != c.planned || (res.NavReason != "") != c.fallback {
+					t.Errorf("run %d: strategy %q, nav_reason %q; want planned %v, fallback %v", run, res.Strategy, res.NavReason, c.planned, c.fallback)
+				}
+				if headline, _, _ := strings.Cut(res.Explain, "\n"); c.req.Explain && headline != "plan strategy: "+res.Strategy {
+					t.Errorf("run %d: strategy %q, explain headline %q", run, res.Strategy, headline)
+				}
+				rec := logs.last(t)
+				cached, _ := rec["cached"].(bool)
+				navReason, _ := rec["nav_reason"].(string)
+				if rec["query_id"] != res.QueryID || rec["strategy"] != res.Strategy ||
+					cached != res.Cached || navReason != res.NavReason {
+					t.Errorf("run %d: log record %v does not match the reply %+v", run, rec, res)
+				}
+			}
+		})
 	}
 }
 

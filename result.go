@@ -119,6 +119,11 @@ func newResult(r *exec.Result) *Result {
 // engine's trace ring (Engine.TraceJSON, blossomd's GET /trace/{queryID}).
 func (r *Result) QueryID() string { return r.inner.QueryID }
 
+// Strategy names the executed join strategy as EXPLAIN's headline does
+// ("PL", "NL", "TS"), "XH" for navigational evaluation, or "scatter"
+// for a result gathered from an all-documents fan-out.
+func (r *Result) Strategy() string { return r.inner.Strategy }
+
 // Cached reports whether the evaluation's physical plan was served
 // from the engine's compiled-plan cache rather than compiled for this
 // run.
@@ -136,7 +141,7 @@ func (r *Result) Replanned() bool { return r.inner.Replanned }
 
 // Drift returns the est/act ratio that triggered the replan (0 when
 // Replanned is false).
-func (r *Result) Drift() float64 { return r.inner.FeedbackDrift }
+func (r *Result) Drift() float64 { return r.inner.Drift }
 
 // Nodes returns a path query's result nodes (distinct, document order).
 // For FLWOR queries whose return clause is a bare variable/path, use
@@ -149,12 +154,7 @@ func (r *Result) Rows() []Row { return r.rows }
 
 // Len returns the number of results: rows for FLWOR queries, nodes for
 // path queries.
-func (r *Result) Len() int {
-	if len(r.rows) > 0 || r.inner.Output != nil {
-		return len(r.rows)
-	}
-	return len(r.nodes)
-}
+func (r *Result) Len() int { return r.inner.Len() }
 
 // XML serializes the query's output: the constructed document when the
 // query has constructors, otherwise the result nodes serialized in
