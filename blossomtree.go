@@ -429,6 +429,7 @@ func (e *Engine) QueryAllGatheredContext(ctx context.Context, src string, opts O
 		}
 		merged.Nodes = append(merged.Nodes, dr.Result.Nodes...)
 		merged.Envs = append(merged.Envs, dr.Result.Envs...)
+		merged.Returned = append(merged.Returned, dr.Result.Returned...)
 	}
 	return newResult(merged), nil
 }

@@ -94,7 +94,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := xmltree.Write(w, doc.Root, xmltree.WriteOptions{Indent: *indent}); err != nil {
+	err = xmltree.Write(w, doc.Root, xmltree.WriteOptions{Indent: *indent})
+	if err == nil && *indent {
+		_, err = io.WriteString(w, "\n")
+	}
+	if err != nil {
 		return fail(err)
 	}
 	return 0

@@ -126,8 +126,8 @@ func TestTextNodeQuery(t *testing.T) {
 }
 
 // TestResultXMLNodeFallback: XML()/XMLIndent() on a constructor-less
-// query serialize the node results in document order instead of
-// returning "".
+// query serialize the node results in document order, or a FLWOR's
+// returned nodes in iteration order, instead of returning "".
 func TestResultXMLNodeFallback(t *testing.T) {
 	e := newBib(t)
 
@@ -150,6 +150,19 @@ func TestResultXMLNodeFallback(t *testing.T) {
 	}
 	if got := res.XML(); got != "The Art of Computer ProgrammingTeX Book" {
 		t.Errorf("text XML fallback = %q", got)
+	}
+
+	// A FLWOR whose return constructs nothing: its return path per row,
+	// in order-by order, planned or navigational.
+	for _, s := range []Strategy{StrategyAuto, StrategyNavigational} {
+		res, err = e.QueryWith(`for $b in doc("bib.xml")//book where $b/price < 50 order by $b/price return $b/title`, Options{Strategy: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := `<title>Terrorist Hunter</title><title>TeX Book</title><title>Maximum Security</title>`
+		if got := res.XML(); got != want || res.Len() != 3 {
+			t.Errorf("%s: FLWOR XML = %q (len %d), want %q", s, got, res.Len(), want)
+		}
 	}
 
 	// Empty result: still "".

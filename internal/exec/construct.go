@@ -12,12 +12,12 @@ import (
 // constructors: the outer constructor (if any) becomes the document
 // element, and the FLWOR's return expression is instantiated once per
 // environment row. Queries whose return is a bare path produce no
-// Output document; their results are exposed through Envs. The resolver
-// comes from the evaluation's snapshot so concurrent Adds cannot change
-// which documents return-clause paths see.
+// Output document; their answer is Returned. The resolver comes from the
+// evaluation's snapshot so concurrent Adds cannot change which documents
+// return-clause paths see.
 func constructOutput(resolve naveval.Resolver, expr flwor.Expr, f *flwor.FLWOR, res *Result) error {
 	if !hasConstructor(expr) && !hasConstructor(f.Return) {
-		return nil
+		return returnSequence(resolve, f, res)
 	}
 	b := xmltree.NewBuilder()
 	var build func(x flwor.Expr, env naveval.Env) error
@@ -90,6 +90,23 @@ func constructOutput(resolve naveval.Resolver, expr flwor.Expr, f *flwor.FLWOR, 
 		return err
 	}
 	res.Output = doc
+	return nil
+}
+
+// returnSequence fills res.Returned with a constructor-less return
+// path evaluated on each row, in iteration order.
+func returnSequence(resolve naveval.Resolver, f *flwor.FLWOR, res *Result) error {
+	ret, ok := f.Return.(*flwor.PathExpr)
+	if !ok {
+		return fmt.Errorf("exec: unsupported return expression %T", f.Return)
+	}
+	for _, env := range res.Envs {
+		ns, err := naveval.EvalPathEnv(resolve, env, ret.Path)
+		if err != nil {
+			return err
+		}
+		res.Returned = append(res.Returned, ns...)
+	}
 	return nil
 }
 

@@ -294,6 +294,9 @@ type Result struct {
 	// Output is the constructed XML document when the query has
 	// constructors; nil otherwise.
 	Output *xmltree.Document
+	// Returned is the answer of a FLWOR whose return clause constructs
+	// nothing: the return path's nodes for each row, in iteration order.
+	Returned []*xmltree.Node
 }
 
 // Len counts the result's rows: binding rows for FLWOR and constructed

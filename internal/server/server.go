@@ -83,7 +83,7 @@ type QueryRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	// TimeoutMS / MaxNodes / MaxOutput form the per-request
 	// Options.Budget; zero values mean unlimited (subject to the
-	// server's MaxRequestTimeout cap).
+	// server's MaxRequestTimeout cap), negative ones are refused.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	MaxNodes  int64 `json:"max_nodes,omitempty"`
 	MaxOutput int64 `json:"max_output,omitempty"`
@@ -107,16 +107,15 @@ type QueryResponse struct {
 	// Cached reports whether the evaluation reused a compiled plan from
 	// the daemon's plan cache; a repeated identical query against an
 	// unchanged catalog reports true.
-	Cached    bool                `json:"cached"`
-	ElapsedMS float64             `json:"elapsed_ms"`
-	Count     int                 `json:"count"`
-	XML       string              `json:"xml,omitempty"`
-	Nodes     []string            `json:"nodes,omitempty"`
-	Rows      []map[string]string `json:"rows,omitempty"`
-	Explain   string              `json:"explain,omitempty"`
-	TraceURL  string              `json:"trace_url"`
-	Error     string              `json:"error,omitempty"`
-	Verdict   string              `json:"verdict"`
+	Cached    bool    `json:"cached"`
+	ElapsedMS float64 `json:"elapsed_ms"`
+	Count     int     `json:"count"`
+	// XML is a success's answer, Result.XML, with <, > and & unescaped.
+	XML      string `json:"xml,omitempty"`
+	Explain  string `json:"explain,omitempty"`
+	TraceURL string `json:"trace_url"`
+	Error    string `json:"error,omitempty"`
+	Verdict  string `json:"verdict"`
 	// NavReason says why the query routed to the navigational fallback
 	// instead of a BlossomTree plan; absent for planned queries.
 	NavReason string `json:"nav_reason,omitempty"`
@@ -143,6 +142,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Query == "" {
 		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "missing query", Verdict: "error"})
 		return
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{{"timeout_ms", req.TimeoutMS}, {"max_nodes", req.MaxNodes}, {"max_output", req.MaxOutput}} {
+		if f.v < 0 {
+			writeJSON(w, http.StatusBadRequest, QueryResponse{Error: f.name + " must not be negative", Verdict: "error"})
+			return
+		}
 	}
 
 	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
@@ -206,20 +214,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp.Cached = res.Cached()
 	resp.Count = res.Len()
 	resp.XML = res.XML()
-	for _, n := range res.Nodes() {
-		resp.Nodes = append(resp.Nodes, n.XML())
-	}
-	for _, row := range res.Rows() {
-		m := make(map[string]string, len(row))
-		for v, ns := range row {
-			var xml string
-			for _, n := range ns {
-				xml += n.XML()
-			}
-			m[v] = xml
-		}
-		resp.Rows = append(resp.Rows, m)
-	}
 	if req.Explain {
 		resp.Explain = res.ExplainAnalyze()
 	}
@@ -308,5 +302,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	enc.Encode(v)
 }

@@ -63,8 +63,8 @@ func TestQueryEndpoint(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %+v", status, res)
 	}
-	if res.Count != 3 || len(res.Nodes) != 3 {
-		t.Errorf("count = %d, nodes = %d, want 3", res.Count, len(res.Nodes))
+	if res.Count != 3 || strings.Count(res.XML, "<title>") != 3 {
+		t.Errorf("count = %d, xml = %q, want 3 titles", res.Count, res.XML)
 	}
 	if res.QueryID == "" || res.TraceURL != "/trace/"+res.QueryID {
 		t.Errorf("query_id = %q, trace_url = %q", res.QueryID, res.TraceURL)
@@ -87,11 +87,9 @@ func TestQueryEndpointFLWOR(t *testing.T) {
 	if status != http.StatusOK || res.Count != 3 {
 		t.Fatalf("status = %d, count = %d, want 200/3", status, res.Count)
 	}
-	if len(res.Rows) != 3 {
-		t.Errorf("rows = %d, want 3", len(res.Rows))
-	}
-	if !strings.Contains(res.Rows[0]["b"], "<title>") {
-		t.Errorf("row binding = %v", res.Rows[0])
+	want := "<title>Maximum Security</title><title>Terrorist Hunter</title><title>TeX Book</title>"
+	if res.XML != want {
+		t.Errorf("xml = %q, want %q", res.XML, want)
 	}
 }
 
@@ -141,6 +139,26 @@ func TestQueryEndpointErrors(t *testing.T) {
 	status, res = postQuery(t, ts, QueryRequest{Query: `//book//last`, MaxNodes: 1})
 	if status != http.StatusRequestTimeout || res.Verdict != "budget_exceeded" {
 		t.Errorf("budget abort: status = %d, %+v", status, res)
+	}
+
+	// A negative budget field is refused by name, not read as unlimited,
+	// whether or not the server caps the timeout.
+	uncapped := httptest.NewServer(New(Config{Engine: blossomtree.NewEngine()}))
+	defer uncapped.Close()
+	for _, tc := range []struct {
+		field string
+		req   QueryRequest
+	}{
+		{"max_nodes", QueryRequest{Query: `//book`, MaxNodes: -1}},
+		{"max_output", QueryRequest{Query: `//book`, MaxOutput: -1}},
+		{"timeout_ms", QueryRequest{Query: `//book`, TimeoutMS: -5}},
+	} {
+		for _, srv := range []*httptest.Server{ts, uncapped} {
+			status, res = postQuery(t, srv, tc.req)
+			if status != http.StatusBadRequest || !strings.Contains(res.Error, tc.field) {
+				t.Errorf("negative %s: status = %d, error = %q, want 400 naming the field", tc.field, status, res.Error)
+			}
+		}
 	}
 }
 
@@ -260,14 +278,9 @@ func TestQueryEndpointAllDocuments(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %+v", status, res)
 	}
-	if res.Count != 3 || len(res.Nodes) != 3 {
-		t.Fatalf("count = %d, nodes = %v, want 3 titles", res.Count, res.Nodes)
-	}
 	// URI-ordered gather: a.xml, b.xml, c.xml.
-	for i, want := range []string{"<title>A</title>", "<title>B</title>", "<title>C</title>"} {
-		if res.Nodes[i] != want {
-			t.Errorf("nodes[%d] = %q, want %q", i, res.Nodes[i], want)
-		}
+	if want := "<title>A</title><title>B</title><title>C</title>"; res.Count != 3 || res.XML != want {
+		t.Fatalf("count = %d, xml = %q, want 3 and %q", res.Count, res.XML, want)
 	}
 	if res.Strategy != "scatter" {
 		t.Errorf("strategy = %q, want scatter", res.Strategy)
@@ -347,8 +360,8 @@ func TestQueryEndpointWarmCache(t *testing.T) {
 	if !res.Cached {
 		t.Error("repeated identical query did not report cached: true")
 	}
-	if res.Count != cold.Count || len(res.Nodes) != len(cold.Nodes) {
-		t.Errorf("cached response diverges: count %d vs %d", res.Count, cold.Count)
+	if res.Count != cold.Count || res.XML != cold.XML {
+		t.Errorf("cached response diverges: count %d vs %d, xml %q vs %q", res.Count, cold.Count, res.XML, cold.XML)
 	}
 	if res.Strategy != cold.Strategy {
 		t.Errorf("cached strategy %q differs from cold %q", res.Strategy, cold.Strategy)
@@ -679,5 +692,68 @@ func TestReplanOnSecondPost(t *testing.T) {
 	}
 	if after := blossomtree.Metrics()[obs.MetricFeedbackReplans]; after != before+1 {
 		t.Errorf("feedback_replans_total moved %d -> %d, want one replan", before, after)
+	}
+}
+
+// TestQueryReplyFidelity: a success reply is one valid JSON object with
+// no HTML escapes and no second copy of the answer, and its xml decodes
+// byte for byte to the in-process Result.XML, on text and attributes
+// that need both XML and JSON escaping.
+func TestQueryReplyFidelity(t *testing.T) {
+	e := blossomtree.NewEngine()
+	docs := map[string]string{
+		"a.xml": "<r><p q='say \"hi\"' s=\"it's\">a &amp; b &lt; c\td&#13;e\u2028f</p></r>",
+		"b.xml": `<r><p q="x">Grüße aus 東京</p></r>`,
+	}
+	for uri, doc := range docs {
+		if err := e.LoadString(uri, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(New(Config{Engine: e}))
+	defer ts.Close()
+
+	for _, req := range []QueryRequest{
+		{Query: `doc("a.xml")//p`},
+		{Query: `for $p in doc("a.xml")//p return <x>{$p}</x>`},
+		{Query: `for $p in doc("a.xml")//p return $p/text()`},
+		{Query: `//p`, AllDocuments: true},
+		{Query: `for $p in //p return $p/text()`, AllDocuments: true},
+		{Query: `doc("a.xml")//missing`},
+	} {
+		body, _ := json.Marshal(req)
+		httpRes, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(httpRes.Body)
+		httpRes.Body.Close()
+		if err != nil || httpRes.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v: %s", req.Query, httpRes.StatusCode, err, raw)
+		}
+		if !json.Valid(raw) {
+			t.Fatalf("%s: reply is not valid JSON: %s", req.Query, raw)
+		}
+		for _, bad := range []string{`\u003c`, `\u003e`, `\u0026`, `"nodes"`, `"rows"`} {
+			if bytes.Contains(raw, []byte(bad)) {
+				t.Errorf("%s: reply contains %s: %s", req.Query, bad, raw)
+			}
+		}
+		var res QueryResponse
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		var want *blossomtree.Result
+		if req.AllDocuments {
+			want, err = e.QueryAllGatheredContext(context.Background(), req.Query, blossomtree.Options{}, 0)
+		} else {
+			want, err = e.QueryWithContext(context.Background(), req.Query, blossomtree.Options{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.XML != want.XML() || res.Count != want.Len() || (res.Count > 0) != (res.XML != "") {
+			t.Errorf("%s: reply count %d, xml %q; in process %d, %q", req.Query, res.Count, res.XML, want.Len(), want.XML())
+		}
 	}
 }

@@ -23,51 +23,35 @@ type WriteOptions struct {
 	Indent bool
 }
 
+// stringWriter is what the serializer writes into.
+type stringWriter interface {
+	io.Writer
+	WriteString(string) (int, error)
+	WriteByte(byte) error
+}
+
 // Write serializes the subtree rooted at n (or the whole document if n is
-// a DocumentNode) to w.
+// a DocumentNode) to w. A w with WriteString and WriteByte, such as a
+// bufio.Writer, is written unflushed and keeps its own errors; any other
+// w is buffered.
 func Write(w io.Writer, n *Node, opts WriteOptions) error {
+	if sw, ok := w.(stringWriter); ok {
+		writeNode(sw, n, 0, opts)
+		return nil
+	}
 	bw := bufio.NewWriter(w)
-	if n != nil && n.Kind == DocumentNode {
-		for c := n.FirstChild; c != nil; c = c.NextSibling {
-			writeNode(bw, c, 0, opts)
-		}
-	} else {
-		writeNode(bw, n, 0, opts)
-	}
-	if opts.Indent {
-		bw.WriteByte('\n')
-	}
+	writeNode(bw, n, 0, opts)
 	return bw.Flush()
 }
 
 // Serialize renders the subtree rooted at n as a string.
 func Serialize(n *Node, opts WriteOptions) string {
 	var sb strings.Builder
-	if n != nil && n.Kind == DocumentNode {
-		for c := n.FirstChild; c != nil; c = c.NextSibling {
-			writeNodeSB(&sb, c, 0, opts)
-		}
-	} else {
-		writeNodeSB(&sb, n, 0, opts)
-	}
+	writeNode(&sb, n, 0, opts)
 	return sb.String()
 }
 
-type sbWriter interface {
-	io.Writer
-	WriteString(string) (int, error)
-	WriteByte(byte) error
-}
-
-func writeNode(w *bufio.Writer, n *Node, depth int, opts WriteOptions) {
-	writeNodeGeneric(w, n, depth, opts)
-}
-
-func writeNodeSB(sb *strings.Builder, n *Node, depth int, opts WriteOptions) {
-	writeNodeGeneric(sb, n, depth, opts)
-}
-
-func writeNodeGeneric(w sbWriter, n *Node, depth int, opts WriteOptions) {
+func writeNode(w stringWriter, n *Node, depth int, opts WriteOptions) {
 	if n == nil {
 		return
 	}
@@ -78,8 +62,12 @@ func writeNodeGeneric(w sbWriter, n *Node, depth int, opts WriteOptions) {
 		}
 	}
 	switch n.Kind {
+	case DocumentNode:
+		for c := n.FirstChild; c != nil; c = c.NextSibling {
+			writeNode(w, c, depth, opts)
+		}
 	case TextNode:
-		w.WriteString(xmlEscaper.Replace(n.Text))
+		xmlEscaper.WriteString(w, n.Text)
 	case ElementNode:
 		w.WriteByte('<')
 		w.WriteString(n.Tag)
@@ -87,7 +75,7 @@ func writeNodeGeneric(w sbWriter, n *Node, depth int, opts WriteOptions) {
 			w.WriteByte(' ')
 			w.WriteString(a.Name)
 			w.WriteString(`="`)
-			w.WriteString(xmlEscaper.Replace(a.Value))
+			xmlEscaper.WriteString(w, a.Value)
 			w.WriteByte('"')
 		}
 		if n.FirstChild == nil {
@@ -106,7 +94,7 @@ func writeNodeGeneric(w sbWriter, n *Node, depth int, opts WriteOptions) {
 			if opts.Indent && !textOnly && c.Kind == ElementNode {
 				indent(depth + 1)
 			}
-			writeNodeGeneric(w, c, depth+1, opts)
+			writeNode(w, c, depth+1, opts)
 		}
 		if opts.Indent && !textOnly {
 			indent(depth)

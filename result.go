@@ -145,7 +145,7 @@ func (r *Result) Drift() float64 { return r.inner.Drift }
 
 // Nodes returns a path query's result nodes (distinct, document order).
 // For FLWOR queries whose return clause is a bare variable/path, use
-// Rows.
+// Rows for the bindings and XML for what the return clause returns.
 func (r *Result) Nodes() []Node { return r.nodes }
 
 // Rows returns the FLWOR iterations' variable bindings in iteration
@@ -158,8 +158,9 @@ func (r *Result) Len() int { return r.inner.Len() }
 
 // XML serializes the query's output: the constructed document when the
 // query has constructors, otherwise the result nodes serialized in
-// document order (elements as markup, text nodes as their text). A
-// query with neither output returns "".
+// document order, or a FLWOR's returned nodes in iteration order
+// (elements as markup, text nodes as their text). An empty answer
+// returns "".
 func (r *Result) XML() string { return r.serialize(xmltree.WriteOptions{}) }
 
 // XMLIndent is XML with pretty-printing. The node-sequence fallback
@@ -172,15 +173,16 @@ func (r *Result) serialize(opts xmltree.WriteOptions) string {
 	if r.inner.Output != nil {
 		return xmltree.Serialize(r.inner.Output.Root, opts)
 	}
-	if len(r.inner.Nodes) == 0 {
-		return ""
+	nodes := r.inner.Nodes
+	if len(nodes) == 0 {
+		nodes = r.inner.Returned
 	}
 	var sb strings.Builder
-	for i, n := range r.inner.Nodes {
+	for i, n := range nodes {
 		if i > 0 && opts.Indent {
 			sb.WriteByte('\n')
 		}
-		sb.WriteString(xmltree.Serialize(n, opts))
+		xmltree.Write(&sb, n, opts)
 	}
 	return sb.String()
 }

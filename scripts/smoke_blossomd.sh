@@ -57,6 +57,16 @@ case $resp in
     exit 1
     ;;
 esac
+# The answer crosses the wire once: as an unescaped xml string, with no
+# per-node copy beside it.
+printf %s "$resp" | grep -qF '"xml":"<street_address>' || {
+    echo "smoke: reply lacks the unescaped xml answer: $resp" >&2
+    exit 1
+}
+if printf %s "$resp" | grep -qF '"nodes"'; then
+    echo "smoke: reply still carries a nodes key: $resp" >&2
+    exit 1
+fi
 qid=$(printf %s "$resp" | sed -n 's/.*"query_id":"\([^"]*\)".*/\1/p')
 if [ -z "$qid" ]; then
     echo "smoke: response has no query_id: $resp" >&2
