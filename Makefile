@@ -25,8 +25,9 @@
 #                  the deleted compact NestedList form and its
 #                  Dewey-addressed lookups, the rule-based strategy
 #                  chooser and the CostBased plan strategy, a second copy
-#                  of an evaluation's record, or the naive nested-loop
-#                  plan strategy
+#                  of an evaluation's record, the naive nested-loop
+#                  plan strategy, or the FLWOR tail's per-row Env dedup
+#                  and deep copy into constructed output
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -152,6 +153,9 @@ bench:
 # registry and the second row-count rule do not come back. Nor does the
 # naive nested-loop plan strategy no option could select
 # (join.NestedLoopJoin stays: crossings and for-clause products run on it).
+# A FLWOR's rows are slot rows and its constructed output references its
+# source nodes: the per-row Env dedup (dedupEnvs) and the deep copy of
+# every returned subtree (copyInto) do not come back.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -203,6 +207,8 @@ lint-refs:
 	@if git grep -n -E -e 'plan\.NaiveN[L]' -- '*.go' || \
 		git grep -n -E -e '(^|[^[:alnum:]_.])NaiveN[L]([^[:alnum:]_]|$$)' -- 'internal/plan/*.go'; then \
 		echo "lint-refs: reference to the retired naive nested-loop plan strategy"; exit 1; fi
+	@if git grep -n -e 'dedupEnv[s]' -e 'copyInt[o]' -- '*.go' ':!*_test.go'; then \
+		echo "lint-refs: reference to the retired per-row Env dedup or the deep copy into constructed output"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; NestedList selection must only shrink

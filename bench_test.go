@@ -329,3 +329,65 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		})
 	}
 }
+
+// flworShapes are the six FLWOR shapes of the benchmark's
+// flwor-construct workload, over a DBLP-like document (d5) and an
+// address document (d2).
+var flworShapes = []struct{ name, query string }{
+	{"F1.where-ctor", `for $t in doc("d5")//phdthesis where exists($t/school) return <thesis>{ $t/author, $t/school }</thesis>`},
+	{"F2.order-by", `for $p in doc("d5")//proceedings order by $p/title return <p>{ $p/title, $p/year }</p>`},
+	{"F3.let", `for $a in doc("d2")//address let $c := $a//name_of_city where exists($a/zip_code) return <addr>{ $c, $a/zip_code }</addr>`},
+	{"F4.self-join", `for $p in doc("d5")//proceedings, $q in doc("d5")//proceedings where $p << $q and $p/publisher = $q/publisher and $p/year >= 1997 and $q/year >= 1997 return <pair>{ $p/title, $q/title }</pair>`},
+	{"F5.bulk-ctor", `for $a in doc("d5")//article return <a>{ $a/title, $a/year }</a>`},
+	{"F6.at", `for $a at $i in doc("d2")//address where $i < 100 return <n>{ $a/zip_code }</n>`},
+}
+
+// flworEngine loads d5 and d2 at 1/40 of the paper's sizes (seed 1).
+func flworEngine(tb testing.TB) *blossomtree.Engine {
+	tb.Helper()
+	eng := blossomtree.NewEngine()
+	for _, id := range []string{"d5", "d2"} {
+		doc, err := xmlgen.Generate(id, xmlgen.Config{Seed: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		eng.LoadDocument(id, doc)
+	}
+	return eng
+}
+
+// BenchmarkFLWORConstruct evaluates the six FLWOR shapes under Auto,
+// warm, and serializes each answer: one pass per op (allocs/op is the
+// pass's objects), then each shape alone.
+func BenchmarkFLWORConstruct(b *testing.B) {
+	eng := flworEngine(b)
+	run := func(b *testing.B, query string) {
+		res, err := eng.Query(query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() == 0 || res.XML() == "" {
+			b.Fatalf("%s: empty answer", query)
+		}
+	}
+	for _, s := range flworShapes {
+		run(b, s.query) // compile and take the replan decision
+		run(b, s.query)
+	}
+	b.Run("pass", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range flworShapes {
+				run(b, s.query)
+			}
+		}
+	})
+	for _, s := range flworShapes {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run(b, s.query)
+			}
+		})
+	}
+}

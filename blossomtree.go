@@ -422,16 +422,14 @@ func (e *Engine) QueryAllGatheredContext(ctx context.Context, src string, opts O
 	if err != nil {
 		return nil, err
 	}
-	merged := &exec.Result{QueryRecord: rec}
-	for _, dr := range docs {
+	parts := make([]*exec.Result, len(docs))
+	for i, dr := range docs {
 		if dr.Err != nil {
 			return nil, fmt.Errorf("blossomtree: document %q: %w", dr.URI, dr.Err)
 		}
-		merged.Nodes = append(merged.Nodes, dr.Result.Nodes...)
-		merged.Envs = append(merged.Envs, dr.Result.Envs...)
-		merged.Returned = append(merged.Returned, dr.Result.Returned...)
+		parts[i] = dr.Result
 	}
-	return newResult(merged), nil
+	return newResult(exec.Gather(rec, parts)), nil
 }
 
 // evalAllDocs is the catalog-wide fan-out behind both all-documents

@@ -18,6 +18,11 @@ type Query struct {
 	Residual []xpath.Expr
 	// Vars maps variable names to their vertices.
 	Vars map[string]*Vertex
+	// Cells maps each return- and order-by path of Source whose nodes an
+	// instance holds exactly to its endpoint's returning node (see
+	// exactCell). The executor reads such a path from the endpoint's
+	// slot; any other path is navigated from its row's bindings.
+	Cells map[*xpath.Path]*ReturnNode
 	// Source is the parsed query this was compiled from.
 	Source flwor.Expr
 }
@@ -29,6 +34,8 @@ type builder struct {
 	// path, so later paths anchored at the variable can be rewritten to
 	// start from the definition's own anchor — see inlineLets.
 	lets map[string]*xpath.Path
+	// ends maps each return- and order-by path to its endpoint vertex.
+	ends map[*xpath.Path]*Vertex
 }
 
 // FromPath compiles a bare path expression into a single-pattern-tree
@@ -65,7 +72,8 @@ func FromFLWOR(e flwor.Expr) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &builder{bt: NewBlossomTree(), vars: map[string]*Vertex{}, lets: map[string]*xpath.Path{}}
+	b := &builder{bt: NewBlossomTree(), vars: map[string]*Vertex{}, lets: map[string]*xpath.Path{},
+		ends: map[*xpath.Path]*Vertex{}}
 	q := &Query{Tree: b.bt, Vars: b.vars, Source: e}
 
 	for _, cl := range f.Clauses {
@@ -113,12 +121,19 @@ func FromFLWOR(e flwor.Expr) (*Query, error) {
 			return nil, fmt.Errorf("core: order by: %w", err)
 		}
 		end.Returning = true
+		b.ends[f.OrderBy] = end
 	}
 	if err := b.returnPaths(f.Return); err != nil {
 		return nil, err
 	}
 
 	q.Return = b.bt.Finalize()
+	q.Cells = make(map[*xpath.Path]*ReturnNode, len(b.ends))
+	for p, end := range b.ends {
+		if b.exactCell(p, end) {
+			q.Cells[p], _ = q.Return.ByVertex(end)
+		}
+	}
 	return q, nil
 }
 
@@ -669,6 +684,7 @@ func (b *builder) returnPaths(e flwor.Expr) error {
 				return fmt.Errorf("core: return: %w", err)
 			}
 			end.Returning = true
+			b.ends[t.Path] = end
 		}
 		return nil
 	case *flwor.Sequence:
@@ -692,4 +708,69 @@ func (b *builder) returnPaths(e flwor.Expr) error {
 	default:
 		return fmt.Errorf("core: unsupported return expression %T", e)
 	}
+}
+
+// exactCell reports whether, in every instance, the matches of end — the
+// endpoint vertex p compiled to — are exactly the nodes p selects from
+// the binding of its variable, before a trailing text() or attribute
+// step (the executor re-applies those to the cell). It holds when p is
+// a variable followed by predicate-free child and descendant steps that
+// map one to one onto the vertices from the variable's down to end, and
+// nothing narrows those vertices:
+//   - no value or positional constraint on them (bar the existence test
+//     of p's own attribute step on end);
+//   - no mandatory child off the path, such as the subpattern of a
+//     where-clause exists() the path shares a vertex with;
+//   - no for-variable bound at or below them, whose per-pair join would
+//     keep only the matched member of their groups.
+//
+// Ordering and duplicates are not part of it: the executor puts a cell
+// in document order and drops repeats when it materializes it.
+func (b *builder) exactCell(p *xpath.Path, end *Vertex) bool {
+	if p.Source.Kind != xpath.SourceVar {
+		return false
+	}
+	anchor := b.vars[p.Source.Var]
+	if anchor == nil || anchor.IsDocRoot() {
+		return false
+	}
+	steps, attr := p.Steps, ""
+	if n := len(steps); n > 0 {
+		switch last := steps[n-1]; {
+		case len(last.Preds) > 0:
+			return false
+		case last.TextTest:
+			if last.Axis != xpath.Child && last.Axis != xpath.Descendant {
+				return false
+			}
+			steps = steps[:n-1]
+		case last.Axis == xpath.Attribute:
+			attr, steps = last.Test, steps[:n-1]
+		}
+	}
+	v, below := end, (*Vertex)(nil)
+	for i := len(steps) - 1; i >= 0; i-- {
+		st := steps[i]
+		rel := RelChild
+		if st.Axis == xpath.Descendant {
+			rel = RelDescendant
+		} else if st.Axis != xpath.Child {
+			return false
+		}
+		if len(st.Preds) > 0 || st.TextTest || v.Parent == nil || v.ParentRel != rel || v.Test != st.Test || bindsFor(v) {
+			return false
+		}
+		for _, c := range v.Constraints {
+			if c.Kind != CAttrExists || c.Attr != attr || v != end {
+				return false
+			}
+		}
+		for _, c := range v.Children {
+			if c != below && c.ParentMode == Mandatory {
+				return false
+			}
+		}
+		v, below = v.Parent, v
+	}
+	return v == anchor
 }

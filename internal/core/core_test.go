@@ -700,3 +700,48 @@ func TestQuickDecompositionInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestExactCells pins which return- and order-by paths read their
+// endpoint's cell (Query.Cells) and which navigate: a path whose vertices
+// something else narrows, or whose steps the cell cannot follow, must
+// navigate.
+func TestExactCells(t *testing.T) {
+	cases := []struct {
+		query string
+		exact []string // the return/order-by paths with a cell, as printed
+	}{
+		{`for $x in doc("d")//x where exists($x/a/b) return <r>{ $x/a }</r>`, nil},
+		{`for $x in doc("d")//x where exists($x/a) return <r>{ $x/a }</r>`, []string{"$x/a"}},
+		{`for $x in doc("d")//x where $x/a = "v" return <r>{ $x/a }</r>`, []string{"$x/a"}},
+		{`for $x in doc("d")//x let $l := $x//a return <r>{ $l }{ $l/b }</r>`, []string{"$l", "$l/b"}},
+		{`for $x in doc("d")//x return <r>{ $x//t }{ $x/a/b }{ $x//a//b }</r>`, []string{"$x//t", "$x/a/b", "$x//a//b"}},
+		{`for $x in doc("d")//x return <r>{ $x/a/text() }{ $x/c/@id }{ $x/@id }</r>`, []string{"$x/a/text()", "$x/c/@id", "$x/@id"}},
+		{`for $x in doc("d")//x order by $x/k return $x/k`, []string{"$x/k", "$x/k"}},
+		{`for $x in doc("d")//x return <r>{ $x/a[b] }{ $x/a[1] }{ $x/.. }{ doc("d")//y }</r>`, nil},
+		{`for $x in doc("d")//x, $y in $x/a return <r>{ $x/a }{ $y }</r>`, []string{"$x/a", "$y"}},
+		{`for $x in doc("d")//x return <r>{ $x/a/.. }{ $x/following-sibling::a }</r>`, nil},
+	}
+	for _, tc := range cases {
+		e, err := flwor.Parse(tc.query)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		q, err := FromFLWOR(e)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		var got []string
+		for p, rn := range q.Cells {
+			if rn == nil || rn.Vertex == nil {
+				t.Errorf("%s: %s has no returning node", tc.query, p)
+			}
+			got = append(got, p.String())
+		}
+		slices.Sort(got)
+		want := slices.Clone(tc.exact)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: exact cells %q, want %q", tc.query, got, want)
+		}
+	}
+}

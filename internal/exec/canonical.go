@@ -17,7 +17,7 @@ func Canonical(res *Result) string {
 	var sb strings.Builder
 	if res.Output != nil {
 		sb.WriteString("output: ")
-		sb.WriteString(xmltree.Serialize(res.Output.Root, xmltree.WriteOptions{}))
+		sb.WriteString(res.Output.Serialize(xmltree.WriteOptions{}))
 		sb.WriteByte('\n')
 	}
 	for _, n := range res.Nodes {
@@ -25,7 +25,7 @@ func Canonical(res *Result) string {
 		sb.WriteString(xmltree.Serialize(n, xmltree.WriteOptions{}))
 		sb.WriteByte('\n')
 	}
-	for i, env := range res.Envs {
+	for i, env := range res.Envs() {
 		names := make([]string, 0, len(env))
 		for v := range env {
 			names = append(names, v)

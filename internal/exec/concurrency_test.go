@@ -64,7 +64,7 @@ func TestConcurrentAddEval(t *testing.T) {
 					errs <- fmt.Errorf("eval %q: %w", src, err)
 					return
 				}
-				if len(res.Nodes) == 0 && len(res.Envs) == 0 {
+				if len(res.Nodes) == 0 && len(res.Envs()) == 0 {
 					errs <- fmt.Errorf("eval %q: empty result", src)
 					return
 				}
@@ -124,9 +124,9 @@ func TestEvalBatchMatchesSerial(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if len(res.Nodes) != len(batch[i].Result.Nodes) || len(res.Envs) != len(batch[i].Result.Envs) {
+		if len(res.Nodes) != len(batch[i].Result.Nodes) || len(res.Envs()) != len(batch[i].Result.Envs()) {
 			t.Errorf("query %q: serial (%d nodes, %d envs) != batch (%d nodes, %d envs)",
-				q, len(res.Nodes), len(res.Envs), len(batch[i].Result.Nodes), len(batch[i].Result.Envs))
+				q, len(res.Nodes), len(res.Envs()), len(batch[i].Result.Nodes), len(batch[i].Result.Envs()))
 		}
 	}
 	if got := e.EvalBatch(nil, plan.Options{}, 4); len(got) != 0 {
@@ -212,7 +212,7 @@ func TestOrderByNumericKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := xmltree.Serialize(res.Output.Root, xmltree.WriteOptions{})
+		out := res.Output.Serialize(xmltree.WriteOptions{})
 		wantOrder := []string{"two", "nine", "ten", "hundred"}
 		last := -1
 		for _, w := range wantOrder {
@@ -240,7 +240,7 @@ func TestOrderByStringKeysStillLexicographic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := xmltree.Serialize(res.Output.Root, xmltree.WriteOptions{})
+	out := res.Output.Serialize(xmltree.WriteOptions{})
 	wantOrder := []string{"10a", "apple", "banana"}
 	last := -1
 	for _, w := range wantOrder {
@@ -270,32 +270,5 @@ func TestOrderKeyLess(t *testing.T) {
 		if got := naveval.OrderKeyLess(c.a, c.b); got != c.want {
 			t.Errorf("OrderKeyLess(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-// TestDedupEnvsDocumentIdentity regression-tests the dedup key: two
-// bindings from different documents share region labels (both docs
-// parse the same XML, so every Start offset coincides) and must not
-// collapse into one row.
-func TestDedupEnvsDocumentIdentity(t *testing.T) {
-	const xml = `<bib><book><title>A</title></book></bib>`
-	docA, _ := xmltree.ParseString(xml)
-	docB, _ := xmltree.ParseString(xml)
-	bookA := docA.DocumentElement().FirstChild
-	bookB := docB.DocumentElement().FirstChild
-	if bookA.Start != bookB.Start {
-		t.Fatal("test setup: region labels should coincide")
-	}
-	envs := []naveval.Env{
-		{"b": []*xmltree.Node{bookA}},
-		{"b": []*xmltree.Node{bookB}},
-		{"b": []*xmltree.Node{bookA}}, // genuine duplicate
-	}
-	got := dedupEnvs(envs, []string{"b"})
-	if len(got) != 2 {
-		t.Fatalf("dedupEnvs kept %d rows, want 2 (distinct docs) — equal labels collided", len(got))
-	}
-	if got[0]["b"][0] != bookA || got[1]["b"][0] != bookB {
-		t.Error("dedupEnvs kept the wrong rows")
 	}
 }

@@ -2,13 +2,18 @@
 // flwor, core), the planner (plan) and the algebra (nestedlist, nok,
 // join) into an engine that evaluates queries end to end — the full data
 // flow of the paper's Figure 2: XMLTree → NoK → NestedList →
-// selection/projection/join → variable binding (Env) → construction.
+// selection/projection/join → slot rows → construction.
 //
-// The executor owns the stages the algebra leaves abstract: binding
-// variables from instance slots into environments, applying residual
-// where-conditions that fall outside the conjunctive BlossomTree
-// fragment, enforcing FLWOR iteration order and order by, and
-// constructing the output XML document from return-clause constructors.
+// The executor owns the stages the algebra leaves abstract. A FLWOR's
+// instances become slot rows: one row per instance, a cell per
+// returning-tree slot the tail reads, all cells indexing one node
+// buffer. Over those rows it applies residual where-conditions that fall
+// outside the conjunctive BlossomTree fragment, enforces FLWOR iteration
+// order and order by, and constructs the output from return-clause
+// constructors as a fragment that references the source nodes its paths
+// select. A return or order-by path reads its endpoint's cell when the
+// compiler found that cell exact (core.Query.Cells) and navigates from
+// the row's variable bindings (naveval.Env, built on demand) otherwise.
 package exec
 
 import (
@@ -285,26 +290,35 @@ type Result struct {
 	Query     *core.Query
 	Plan      *plan.Plan      // nil for navigational evaluation
 	Instances *plan.Instances // nil for navigational evaluation
-	// Envs holds one variable-binding row per surviving iteration, in
-	// FLWOR iteration order (or order-by order).
-	Envs []naveval.Env
 	// Nodes is the node result of path queries (distinct, document
 	// order).
 	Nodes []*xmltree.Node
-	// Output is the constructed XML document when the query has
-	// constructors; nil otherwise.
-	Output *xmltree.Document
+	// Output is the constructed output when the query has constructors;
+	// nil otherwise. It references the source nodes its paths selected.
+	Output *xmltree.Fragment
 	// Returned is the answer of a FLWOR whose return clause constructs
 	// nothing: the return path's nodes for each row, in iteration order.
 	Returned []*xmltree.Node
+
+	rows *rowSet // a FLWOR's iterations; nil for path queries
 }
 
-// Len counts the result's rows: binding rows for FLWOR and constructed
-// output, otherwise result nodes. A FLWOR whose where clause keeps no
-// row counts 0, however many instances the plan produced.
+// Envs returns one variable-binding row per surviving iteration, in
+// FLWOR iteration order (or order-by order). Planned rows are built
+// into Envs on the first call.
+func (r *Result) Envs() []naveval.Env {
+	if r.rows == nil {
+		return nil
+	}
+	return r.rows.rowEnvs()
+}
+
+// Len counts the result's rows: iterations for a FLWOR, otherwise
+// result nodes. A FLWOR whose where clause keeps no row counts 0,
+// however many instances the plan produced.
 func (r *Result) Len() int {
-	if len(r.Envs) > 0 || r.Output != nil {
-		return len(r.Envs)
+	if r.rows != nil {
+		return len(r.rows.order)
 	}
 	return len(r.Nodes)
 }
@@ -440,7 +454,7 @@ func evalInto(rec *obs.QueryRecord, s *snapshot, q *parsed, opts plan.Options) (
 	res = &Result{Query: c.q, Plan: pl, Instances: instances}
 	if c.isPath {
 		res.Nodes = projectPathResult(c.q, instances, c.textTail)
-	} else if err := finishFLWOR(s, expr, c.q, res, g); err != nil {
+	} else if err := finishFLWOR(s, c, res, g); err != nil {
 		return nil, err
 	}
 	c.record(pl.StatsTree())
@@ -527,7 +541,13 @@ func compileTemplate(s *snapshot, expr flwor.Expr, opts plan.Options) (*compiled
 		}
 		return nil, err
 	}
-	return &compiled{q: q, isPath: isPath, textTail: tail, tmpl: tmpl}, nil
+	c := &compiled{q: q, isPath: isPath, textTail: tail, tmpl: tmpl}
+	if !isPath {
+		if c.tail, err = newTail(q); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // Explain compiles the query and renders its physical plan: the
@@ -556,7 +576,7 @@ func explain(s *snapshot, q *parsed, opts plan.Options) (string, error) {
 		if res.Plan == nil {
 			// Navigational runs have no operator tree to instrument;
 			// report the row count.
-			return navExplain(res.NavReason) + fmt.Sprintf("  rows: %d\n", len(res.Envs)+len(res.Nodes)), nil
+			return navExplain(res.NavReason) + fmt.Sprintf("  rows: %d\n", res.Len()), nil
 		}
 		return res.Plan.Explain() + res.Plan.ExplainCosts() + res.Plan.ExplainTree(true), nil
 	}
@@ -662,175 +682,51 @@ func projectPathResult(q *core.Query, ins *plan.Instances, textTail *xpath.Step)
 	if !ok {
 		return nil
 	}
-	// The pipelined join and TwigStack's result column deliver the result
-	// nodes already distinct and in document order; only when an append
-	// breaks the strictly increasing run is the output sorted and
-	// adjacent duplicates dropped.
-	out := make([]*xmltree.Node, 0, len(ins.Rows))
-	ordered := true
-	add := func(n *xmltree.Node) bool {
-		if len(out) > 0 && n.Start <= out[len(out)-1].Start {
-			ordered = false
-		}
-		out = append(out, n)
-		return true
-	}
-	visit := add
-	if textTail != nil {
-		texts := xmltree.TextChildren
-		if textTail.Axis == xpath.Descendant {
-			texts = xmltree.TextDescendants
-		}
-		visit = func(n *xmltree.Node) bool {
-			for _, t := range texts(n) {
-				add(t)
-			}
-			return true
-		}
-	}
+	out := make([]*xmltree.Node, 0, ins.Len())
 	for i := range ins.Rows {
-		for _, n := range ins.Bound(i, rn) {
-			visit(n)
-		}
+		out = append(out, ins.Bound(i, rn)...)
 	}
 	for _, l := range ins.Lists {
-		l.VisitSlot(rn.Slot, visit)
+		l.VisitSlot(rn.Slot, func(n *xmltree.Node) bool {
+			out = append(out, n)
+			return true
+		})
 	}
-	if ordered {
-		return out
+	// The pipelined join and TwigStack's result column deliver the result
+	// nodes already distinct and in document order; distinctFrom sorts
+	// only when they are not.
+	out = distinctFrom(out, 0)
+	if textTail != nil {
+		return textNodes(out, *textTail)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	distinct := out[:1]
-	for _, n := range out[1:] {
-		if n != distinct[len(distinct)-1] {
-			distinct = append(distinct, n)
-		}
-	}
-	return distinct
+	return out
 }
 
-// finishFLWOR turns instances or rows into environments, applies residual
-// conditions, restores iteration order, applies order by, and constructs
-// the output document. Residual-condition and order-by path evaluation
-// run under the query's governor, so a pathological residual cannot
-// escape the budget the operators honored.
-func finishFLWOR(s *snapshot, expr flwor.Expr, q *core.Query, res *Result, g *gov.Governor) error {
-	f, err := topFLWOR(expr)
+// finishFLWOR turns a FLWOR's instances into rows, applies residual
+// conditions, restores iteration order, applies order by, and
+// constructs the answer. Residual-condition and order-by path
+// evaluation run under the query's governor, so a pathological residual
+// cannot escape the budget the operators honored.
+func finishFLWOR(s *snapshot, c *compiled, res *Result, g *gov.Governor) error {
+	t := c.tail
+	rs, err := t.rows(res.Instances)
 	if err != nil {
 		return err
 	}
-	envs := make([]naveval.Env, res.Instances.Len())
-	for i := range envs {
-		envs[i] = make(naveval.Env, len(q.Vars))
-	}
-	for name := range q.Vars {
-		rn, ok := q.Return.ByVar(name)
-		if !ok && len(envs) > 0 {
-			return fmt.Errorf("exec: no returning node for variable $%s", name)
-		}
-		for i, env := range envs {
-			env[name] = res.Instances.Bound(i, rn)
-		}
-	}
-
 	// Residual where-conditions (outside the conjunctive fragment).
-	if len(q.Residual) > 0 {
-		kept := envs[:0]
-		for _, env := range envs {
-			ok := true
-			for _, c := range q.Residual {
-				v, err := naveval.EvalCondGov(s.resolve, env, c, g)
-				if err != nil {
-					return err
-				}
-				if !v {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, env)
-			}
-		}
-		envs = kept
-	}
-
-	// FLWOR iteration order: clause-major document order of the
-	// for-variables.
-	var forVars []string
-	for _, cl := range f.Clauses {
-		if cl.Kind == flwor.ForClause {
-			forVars = append(forVars, cl.Var)
+	if len(c.q.Residual) > 0 {
+		if err := rs.filter(c.q.Residual, s.resolve, g); err != nil {
+			return err
 		}
 	}
-
-	envs = dedupEnvs(envs, forVars)
-	sort.SliceStable(envs, func(i, j int) bool {
-		for _, v := range forVars {
-			a, b := envs[i][v], envs[j][v]
-			if len(a) == 0 || len(b) == 0 {
-				continue
-			}
-			if a[0].Start != b[0].Start {
-				return a[0].Start < b[0].Start
-			}
+	rs.iterate()
+	if t.f.OrderBy != nil {
+		if err := rs.orderBy(t.f, s.resolve, g); err != nil {
+			return err
 		}
-		return false
-	})
-
-	if f.OrderBy != nil {
-		keys := make([]string, len(envs))
-		for i, env := range envs {
-			ns, err := naveval.EvalPathGov(s.resolve, env, f.OrderBy, g)
-			if err != nil {
-				return err
-			}
-			if len(ns) > 0 {
-				keys[i] = xmltree.StringValue(ns[0])
-			}
-		}
-		envs = naveval.SortByKeys(envs, keys, f.OrderDesc)
 	}
-	res.Envs = envs
-	return constructOutput(s.resolve, expr, f, res)
-}
-
-// dedupEnvs keeps one row per for-variable combination: operators that
-// enumerate existential witnesses (TwigStack matches, per-pair joins
-// over predicate subtrees) may emit the same iteration several times.
-// Keys are built from node identity rather than region labels, so
-// bindings from different documents that happen to share Start offsets
-// never collide.
-func dedupEnvs(envs []naveval.Env, forVars []string) []naveval.Env {
-	ids := make(map[*xmltree.Node]int)
-	nodeID := func(n *xmltree.Node) int {
-		id, ok := ids[n]
-		if !ok {
-			id = len(ids)
-			ids[n] = id
-		}
-		return id
-	}
-	seen := make(map[string]bool, len(envs))
-	dedup := envs[:0]
-	for _, env := range envs {
-		key := make([]byte, 0, 8*len(forVars))
-		for _, v := range forVars {
-			for _, n := range env[v] {
-				id := nodeID(n)
-				for i := 0; i < 8; i++ {
-					key = append(key, byte(id>>(i*8)))
-				}
-			}
-			key = append(key, '|')
-		}
-		if seen[string(key)] {
-			continue
-		}
-		seen[string(key)] = true
-		dedup = append(dedup, env)
-	}
-	return dedup
+	res.rows = rs
+	return construct(s.resolve, t.expr, t.f, rs, res)
 }
 
 // evalNavigational runs the whole query through the navigational
@@ -868,8 +764,8 @@ func evalNavigational(s *snapshot, expr flwor.Expr, g *gov.Governor) (*Result, e
 	if err := g.Output(int64(len(envs))); err != nil {
 		return nil, err
 	}
-	res := &Result{Envs: envs}
-	return res, constructOutput(s.resolve, expr, f, res)
+	res := &Result{rows: envRows(envs)}
+	return res, construct(s.resolve, expr, f, res.rows, res)
 }
 
 // topFLWOR unwraps constructors down to the single FLWOR body.

@@ -54,13 +54,13 @@ func TestExample1EndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Envs) != 2 {
-				t.Fatalf("book pairs = %d, want 2", len(res.Envs))
+			if len(res.Envs()) != 2 {
+				t.Fatalf("book pairs = %d, want 2", len(res.Envs()))
 			}
 			if res.Output == nil {
 				t.Fatal("no output document")
 			}
-			got := xmltree.Serialize(res.Output.Root, xmltree.WriteOptions{})
+			got := res.Output.Serialize(xmltree.WriteOptions{})
 			want := `<bib><book-pair><title>Maximum Security</title><title>Terrorist Hunter</title></book-pair>` +
 				`<book-pair><title>The Art of Computer Programming</title><title>TeX Book</title></book-pair></bib>`
 			if got != want {
@@ -116,10 +116,10 @@ func TestFLWORWithValueConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Envs) != 1 {
-		t.Fatalf("envs = %d, want 1", len(res.Envs))
+	if len(res.Envs()) != 1 {
+		t.Fatalf("envs = %d, want 1", len(res.Envs()))
 	}
-	if len(res.Envs[0]["b"]) != 1 {
+	if len(res.Envs()[0]["b"]) != 1 {
 		t.Error("for-var binding not singleton")
 	}
 }
@@ -130,8 +130,8 @@ func TestFLWORResidualOr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Envs) != 2 {
-		t.Fatalf("envs = %d, want 2 (residual or-condition)", len(res.Envs))
+	if len(res.Envs()) != 2 {
+		t.Fatalf("envs = %d, want 2 (residual or-condition)", len(res.Envs()))
 	}
 }
 
@@ -141,10 +141,10 @@ func TestFLWOROrderBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Envs) != 4 {
-		t.Fatalf("envs = %d", len(res.Envs))
+	if len(res.Envs()) != 4 {
+		t.Fatalf("envs = %d", len(res.Envs()))
 	}
-	out := xmltree.Serialize(res.Output.Root, xmltree.WriteOptions{})
+	out := res.Output.Serialize(xmltree.WriteOptions{})
 	if !strings.Contains(out, "<results>") {
 		t.Errorf("bare FLWOR output should be wrapped: %s", out)
 	}
@@ -163,11 +163,11 @@ func TestFLWORIterationOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Envs) != 4 {
-		t.Fatalf("envs = %d", len(res.Envs))
+	if len(res.Envs()) != 4 {
+		t.Fatalf("envs = %d", len(res.Envs()))
 	}
-	for i := 1; i < len(res.Envs); i++ {
-		if !res.Envs[i-1]["b"][0].Before(res.Envs[i]["b"][0]) {
+	for i := 1; i < len(res.Envs()); i++ {
+		if !res.Envs()[i-1]["b"][0].Before(res.Envs()[i]["b"][0]) {
 			t.Error("iteration order is not document order")
 		}
 	}
@@ -182,11 +182,11 @@ func TestLetBindingsGrouped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Envs) != 4 {
-		t.Fatalf("envs = %d", len(res.Envs))
+	if len(res.Envs()) != 4 {
+		t.Fatalf("envs = %d", len(res.Envs()))
 	}
 	counts := 0
-	for _, env := range res.Envs {
+	for _, env := range res.Envs() {
 		counts += len(env["ls"])
 	}
 	if counts != 2 {
@@ -342,13 +342,13 @@ func TestQuickFLWOREqualsNavigational(t *testing.T) {
 			t.Logf("seed %d: nav %s: %v", seed, q, err)
 			return false
 		}
-		if len(alg.Envs) != len(nav.Envs) {
-			t.Logf("seed %d: %s: %d rows vs nav %d", seed, q, len(alg.Envs), len(nav.Envs))
+		if len(alg.Envs()) != len(nav.Envs()) {
+			t.Logf("seed %d: %s: %d rows vs nav %d", seed, q, len(alg.Envs()), len(nav.Envs()))
 			return false
 		}
-		for i := range alg.Envs {
-			for v, ns := range nav.Envs[i] {
-				gs := alg.Envs[i][v]
+		for i := range alg.Envs() {
+			for v, ns := range nav.Envs()[i] {
+				gs := alg.Envs()[i][v]
 				if len(gs) != len(ns) {
 					t.Logf("seed %d: %s row %d var $%s: %d vs %d", seed, q, i, v, len(gs), len(ns))
 					return false
@@ -389,7 +389,7 @@ func TestConstructSequenceReturn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := xmltree.Serialize(res.Output.Root, xmltree.WriteOptions{})
+	out := res.Output.Serialize(xmltree.WriteOptions{})
 	if strings.Count(out, "<entry>") != 2 || strings.Count(out, "<last>") != 2 {
 		t.Errorf("sequence construction output: %s", out)
 	}
@@ -402,7 +402,7 @@ func TestConstructNestedCtors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := xmltree.Serialize(res.Output.Root, xmltree.WriteOptions{})
+	out := res.Output.Serialize(xmltree.WriteOptions{})
 	for _, frag := range []string{"<lib>", "<item>", "<t>", "<a>", "<author>"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("missing %q in %s", frag, out)

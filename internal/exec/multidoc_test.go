@@ -47,10 +47,10 @@ func TestMultiDocumentIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Envs) != 4 {
-		t.Fatalf("cross-document join produced %d rows, want 4 (one per title pair)", len(res.Envs))
+	if len(res.Envs()) != 4 {
+		t.Fatalf("cross-document join produced %d rows, want 4 (one per title pair)", len(res.Envs()))
 	}
-	for i, env := range res.Envs {
+	for i, env := range res.Envs() {
 		if len(env["x"]) != 1 || len(env["y"]) != 1 {
 			t.Fatalf("row %d: unexpected binding arity", i)
 		}
@@ -91,6 +91,62 @@ func TestMultiDocumentIdentity(t *testing.T) {
 			if a.Start != b.Start {
 				t.Errorf("variant %s: result %d labels should coincide (got %d vs %d)", v.name, i, a.Start, b.Start)
 			}
+		}
+	}
+}
+
+// TestGatherKeepsRowsOfEachDocument gathers an all-documents FLWOR over
+// two documents parsed from the same XML, so every region label
+// coincides: the gathered rows are each document's rows in URI order,
+// none collapsed into a twin of the other document, bound to nodes of
+// the document they came from.
+func TestGatherKeepsRowsOfEachDocument(t *testing.T) {
+	docA, err := xmltree.ParseString(bibXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docB, err := xmltree.ParseString(bibXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inA := map[*xmltree.Node]bool{}
+	subtreeNodes(docA.Root, inA)
+	e := New()
+	e.Add("a", docA)
+	e.Add("b", docB)
+	const q = `for $b in doc("bib.xml")//book where exists($b/author) return <r>{ $b/title }</r>`
+	for _, v := range []struct {
+		name string
+		opts plan.Options
+	}{
+		{"auto", plan.Options{}},
+		{"pipelined", plan.Options{Strategy: plan.Pipelined}},
+		{"bounded-nl", plan.Options{Strategy: plan.BoundedNL}},
+		{"navigational", plan.Options{Strategy: plan.Navigational}},
+	} {
+		docs, rec, err := e.EvalAllDocs(q, v.opts, 0)
+		if err != nil {
+			t.Fatalf("variant %s: %v", v.name, err)
+		}
+		parts := make([]*Result, len(docs))
+		for i, dr := range docs {
+			if dr.Err != nil {
+				t.Fatalf("variant %s: %s: %v", v.name, dr.URI, dr.Err)
+			}
+			parts[i] = dr.Result
+		}
+		merged := Gather(rec, parts)
+		envs := merged.Envs()
+		if merged.Len() != 4 || len(envs) != 4 {
+			t.Fatalf("variant %s: gathered %d rows (%d envs), want 2 per document", v.name, merged.Len(), len(envs))
+		}
+		for i, env := range envs {
+			if b := env["b"]; len(b) != 1 || inA[b[0]] != (i < 2) {
+				t.Errorf("variant %s: row %d is not bound to a book of document %q", v.name, i, docs[i/2].URI)
+			}
+		}
+		if envs[0]["b"][0].Start != envs[2]["b"][0].Start {
+			t.Errorf("variant %s: twin rows should share region labels", v.name)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"blossomtree/internal/naveval"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 )
@@ -90,6 +91,27 @@ func (e *Engine) EvalAllDocs(src string, opts plan.Options, workers int) ([]DocR
 	parent.Latency = time.Since(start)
 	snap.state.Recent.Put(parent)
 	return out, parent, nil
+}
+
+// Gather merges the per-document results of an all-documents fan-out
+// into one under the fan-out's record, in the order given: their nodes,
+// returned nodes and rows. Rows of several documents share no node
+// buffer, so the merged rows are their Envs. Constructed outputs stay
+// per document.
+func Gather(rec *obs.QueryRecord, parts []*Result) *Result {
+	merged := &Result{QueryRecord: rec}
+	var envs []naveval.Env
+	rows := false
+	for _, p := range parts {
+		merged.Nodes = append(merged.Nodes, p.Nodes...)
+		merged.Returned = append(merged.Returned, p.Returned...)
+		envs = append(envs, p.Envs()...)
+		rows = rows || p.rows != nil
+	}
+	if rows {
+		merged.rows = envRows(envs)
+	}
+	return merged
 }
 
 // pin derives a single-document snapshot: every URI resolves to the

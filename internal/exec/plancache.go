@@ -58,6 +58,8 @@ type compiled struct {
 	// textTail is the trailing text() step compile peeled off a bare
 	// path; projectPathResult re-applies it to the matched elements.
 	textTail *xpath.Step
+	// tail lays out a FLWOR's rows; nil for a bare path.
+	tail *tail
 	// tmpl is the pristine plan template. It is never executed; every
 	// run (cached or not) Forks it.
 	tmpl *plan.Plan

@@ -24,6 +24,7 @@ package naveval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,40 +50,65 @@ func OrderKeyLess(a, b string) bool {
 	return a < b
 }
 
-// SortByKeys orders envs by their order-by keys (keys[i] is envs[i]'s)
+// SortByKeys orders rows by their order-by keys (keys[i] is rows[i]'s)
 // under OrderKeyLess, ascending or descending, parsing each key once.
-// Both evaluators sort with it. The sort is stable, so equal keys keep
-// iteration order in either direction. It reorders envs in place and
-// returns it.
-func SortByKeys(envs []Env, keys []string, desc bool) []Env {
+// Both evaluators sort with it: the navigational one its Envs, the
+// planned executor its row numbers. The sort is stable, so equal keys
+// keep iteration order in either direction. It reorders rows in place
+// and returns it.
+func SortByKeys[T any](rows []T, keys []string, desc bool) []T {
 	type keyed struct {
 		s   string
 		f   float64 // the key's value, when num
 		num bool
-		env Env
+		row T
 	}
-	ks := make([]keyed, len(envs))
-	for i, env := range envs {
-		f, err := strconv.ParseFloat(keys[i], 64)
-		ks[i] = keyed{keys[i], f, err == nil, env}
+	ks := make([]keyed, len(rows))
+	for i, row := range rows {
+		f, num := parseNumber(keys[i])
+		ks[i] = keyed{keys[i], f, num, row}
 	}
-	// less is OrderKeyLess on parsed keys.
-	less := func(a, b *keyed) bool {
+	// cmp is OrderKeyLess on parsed keys, as a three-way comparison.
+	cmp := func(a, b *keyed) int {
 		if a.num && b.num {
-			return a.f < b.f
+			return cmpFloat(a.f, b.f)
 		}
-		return a.s < b.s
+		return strings.Compare(a.s, b.s)
 	}
-	sort.SliceStable(ks, func(i, j int) bool {
+	slices.SortStableFunc(ks, func(a, b keyed) int {
 		if desc {
-			return less(&ks[j], &ks[i])
+			return cmp(&b, &a)
 		}
-		return less(&ks[i], &ks[j])
+		return cmp(&a, &b)
 	})
 	for i, k := range ks {
-		envs[i] = k.env
+		rows[i] = k.row
 	}
-	return envs
+	return rows
+}
+
+// parseNumber parses an order-by key as strconv.ParseFloat does. Every
+// text ParseFloat accepts starts with a sign, a point, a digit or the
+// first letter of "inf", "infinity" or "nan", so any other key is turned
+// away without the failed parse's error allocation.
+func parseNumber(s string) (float64, bool) {
+	if s == "" || !strings.ContainsRune("+-.0123456789iInN", rune(s[0])) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
+// cmpFloat is a three-way comparison by <, under which NaN is equal to
+// every value, as OrderKeyLess has it.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // Resolver maps document URIs to documents. The empty URI resolves
@@ -444,10 +470,8 @@ func nodeValues(nodes []*xmltree.Node, attr string) []string {
 	return out
 }
 
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
-}
+// trimFloat renders a number as fmt's %g does.
+func trimFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 func boolStr(b bool) string {
 	if b {

@@ -1,8 +1,11 @@
 package naveval
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 
 	"blossomtree/internal/xmltree"
@@ -14,7 +17,8 @@ import (
 // special-value keys, ties included.
 func TestSortByKeysMatchesOrderKeyLess(t *testing.T) {
 	pool := []string{"", " ", "0", "-0", "9", "10", "2.5", "2.50", "007", "+1", "-2", "1e3", "1e400",
-		"0x10", "NaN", "nan", "Inf", "-Inf", "+inf", "infinity", "abc", "Abc", "-", "x1", "1x", " 1"}
+		"0x10", "NaN", "nan", "Inf", "-Inf", "+inf", "infinity", "abc", "Abc", "-", "x1", "1x", " 1",
+		"inf", "+.5", "0x1p-2", ".", "i", "N", "é"}
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + r.Intn(40)
@@ -87,5 +91,28 @@ func TestOrderKeyLess(t *testing.T) {
 				t.Errorf("comparator not asymmetric on (%q, %q)", tc.a, tc.b)
 			}
 		})
+	}
+}
+
+// TestParseNumberAgreesWithParseFloat: the first-byte filter in front
+// of strconv.ParseFloat that order-by keys go through turns away only
+// keys ParseFloat rejects, so every key keeps its numeric reading.
+func TestParseNumberAgreesWithParseFloat(t *testing.T) {
+	for _, k := range []string{"inf", "Inf", "-Inf", "+inf", "infinity", "NaN", "nan", "+.5", ".5", "0x1p-2",
+		"-", "+", "", " 1", "1 ", "9", "-0", "1e400", "1_0", "0x1_0p0", "x1", "abc", "\u00e9"} {
+		f, num := parseNumber(k)
+		want, err := strconv.ParseFloat(k, 64)
+		if num != (err == nil) || num && !(f == want || math.IsNaN(f) && math.IsNaN(want)) {
+			t.Errorf("parseNumber(%q) = %v, %v; ParseFloat gives %v, %v", k, f, num, want, err)
+		}
+	}
+}
+
+// TestTrimFloatMatchesSprintf pins trimFloat to fmt's %g rendering.
+func TestTrimFloatMatchesSprintf(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 100, 0.1, 1e21, 1e-7, math.NaN(), math.Inf(1), math.Inf(-1), 2.5, 123456789} {
+		if got, want := trimFloat(f), fmt.Sprintf("%g", f); got != want {
+			t.Errorf("trimFloat(%v) = %q, want %q", f, got, want)
+		}
 	}
 }

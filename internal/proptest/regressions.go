@@ -154,4 +154,68 @@ var Regressions = []Regression{
 		`<r><b><a/></b><c><b><a/></b><b/></c></r>`,
 		`for $x in doc("d")//b[1], $y in doc("d")//c/b where $x << $y return $x/a`,
 	},
+	// Return and order-by paths read their endpoint's cell when the
+	// compiler finds the cell exactly the path's node set, and navigate
+	// otherwise. Each pair pins one side of that decision. A vertex a
+	// where-clause narrows must navigate: exists($x/a/b) shares the
+	// return path's a and keeps only the a that has a b; a value
+	// comparison gets a vertex of its own, so the return path's a stays
+	// exact.
+	{
+		"cell/narrowed-reuse-navigates",
+		`<r><x><a><b/></a><a>no b</a></x><x><a/></x></r>`,
+		`for $x in doc("d")//x where exists($x/a/b) return <r>{ $x/a }</r>`,
+	},
+	{
+		"cell/value-comparison-keeps-return-path-exact",
+		`<r><x><a>v</a><a>w</a></x><x><a>w</a></x></r>`,
+		`for $x in doc("d")//x where $x/a = "v" return <r>{ $x/a }</r>`,
+	},
+	// A returned let group, and a path below it, over nested matches.
+	{
+		"cell/returned-let-group",
+		`<r><x><a><a><b>1</b></a><b>2</b></a><c><a/></c></x><x/></r>`,
+		`for $x in doc("d")//x let $l := $x//a return <r>{ $l }{ $l/b }</r>`,
+	},
+	// Descendant and two-step return paths. Under nested matches a cell
+	// is neither in document order nor free of repeats as the instance
+	// holds it.
+	{
+		"cell/descendant-return-path",
+		`<r><x><t><t>1</t></t><u><t>2</t></u><x><t>3</t></x></x></r>`,
+		`for $x in doc("d")//x return <r>{ $x//t }</r>`,
+	},
+	{
+		"cell/two-step-return-path",
+		`<r><x><a><b>1</b><b>2</b></a><a><b>3</b></a></x><x><a/></x></r>`,
+		`for $x in doc("d")//x return <r>{ $x/a/b }</r>`,
+	},
+	{
+		"cell/descendant-then-child-under-nesting",
+		`<r><x><a><b>1</b><a><b>2</b></a><b>3</b></a></x></r>`,
+		`for $x in doc("d")//x return <r>{ $x//a/b }</r>`,
+	},
+	// A trailing text() or attribute step is re-applied to the cell.
+	{
+		"cell/text-tail",
+		`<r><x><a>one<b>in</b>two</a><a>three</a></x><x><a><a>inner</a>outer</a></x></r>`,
+		`for $x in doc("d")//x return <r>{ $x/a/text() }{ $x//a//text() }</r>`,
+	},
+	{
+		"cell/attribute-tail",
+		`<r><x id="0"><a id="1"/><a/><a id="3"><c/></a></x><x><a/></x></r>`,
+		`for $x in doc("d")//x return <r>{ $x/a/@id }{ $x/@id }</r>`,
+	},
+	// The order-by key is the first match in document order.
+	{
+		"cell/order-by-several-matches",
+		`<r><x><k>b</k><k>a</k></x><x><k>a</k></x><x><k>10</k><k>9</k></x><x/><x><j><k>0</k></j><k>c</k></x></r>`,
+		`for $x in doc("d")//x order by $x/k return <r>{ $x/k }</r>`,
+	},
+	// A FLWOR that constructs nothing answers its return path's nodes.
+	{
+		"cell/bare-return",
+		`<r><x><a>1</a><a>2</a></x><x><a>3</a></x><x/></r>`,
+		`for $x in doc("d")//x return $x/a`,
+	},
 }

@@ -174,6 +174,9 @@ func StringValue(n *Node) string {
 	if n.Kind == TextNode {
 		return strings.TrimSpace(n.Text)
 	}
+	if c := n.FirstChild; c != nil && c.NextSibling == nil && c.Kind == TextNode {
+		return strings.TrimSpace(c.Text) // one text child: no copy
+	}
 	var sb strings.Builder
 	appendText(&sb, n)
 	return strings.TrimSpace(sb.String())

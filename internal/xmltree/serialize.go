@@ -44,6 +44,14 @@ func Write(w io.Writer, n *Node, opts WriteOptions) error {
 	return bw.Flush()
 }
 
+// writeIndent starts a new line indented to depth d.
+func writeIndent(w stringWriter, d int) {
+	w.WriteByte('\n')
+	for i := 0; i < d; i++ {
+		w.WriteString("  ")
+	}
+}
+
 // Serialize renders the subtree rooted at n as a string.
 func Serialize(n *Node, opts WriteOptions) string {
 	var sb strings.Builder
@@ -54,12 +62,6 @@ func Serialize(n *Node, opts WriteOptions) string {
 func writeNode(w stringWriter, n *Node, depth int, opts WriteOptions) {
 	if n == nil {
 		return
-	}
-	indent := func(d int) {
-		w.WriteByte('\n')
-		for i := 0; i < d; i++ {
-			w.WriteString("  ")
-		}
 	}
 	switch n.Kind {
 	case DocumentNode:
@@ -92,12 +94,12 @@ func writeNode(w stringWriter, n *Node, depth int, opts WriteOptions) {
 		}
 		for c := n.FirstChild; c != nil; c = c.NextSibling {
 			if opts.Indent && !textOnly && c.Kind == ElementNode {
-				indent(depth + 1)
+				writeIndent(w, depth+1)
 			}
 			writeNode(w, c, depth+1, opts)
 		}
 		if opts.Indent && !textOnly {
-			indent(depth)
+			writeIndent(w, depth)
 		}
 		w.WriteString("</")
 		w.WriteString(n.Tag)

@@ -3,6 +3,7 @@ package blossomtree
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"blossomtree/internal/exec"
 	"blossomtree/internal/xmltree"
@@ -96,24 +97,17 @@ func wrapNodes(ns []*xmltree.Node) []Node {
 // the node sequence bound to it (singletons for for-variables).
 type Row map[string][]Node
 
-// Result is the outcome of a query.
+// Result is the outcome of a query. Its node and row handles are
+// built on first use.
 type Result struct {
-	inner *exec.Result
-	nodes []Node
-	rows  []Row
+	inner     *exec.Result
+	nodesOnce sync.Once
+	nodes     []Node
+	rowsOnce  sync.Once
+	rows      []Row
 }
 
-func newResult(r *exec.Result) *Result {
-	res := &Result{inner: r, nodes: wrapNodes(r.Nodes)}
-	for _, env := range r.Envs {
-		row := make(Row, len(env))
-		for v, ns := range env {
-			row[v] = wrapNodes(ns)
-		}
-		res.rows = append(res.rows, row)
-	}
-	return res
-}
+func newResult(r *exec.Result) *Result { return &Result{inner: r} }
 
 // QueryID identifies this evaluation in the structured query log and the
 // engine's trace ring (Engine.TraceJSON, blossomd's GET /trace/{queryID}).
@@ -146,11 +140,25 @@ func (r *Result) Drift() float64 { return r.inner.Drift }
 // Nodes returns a path query's result nodes (distinct, document order).
 // For FLWOR queries whose return clause is a bare variable/path, use
 // Rows for the bindings and XML for what the return clause returns.
-func (r *Result) Nodes() []Node { return r.nodes }
+func (r *Result) Nodes() []Node {
+	r.nodesOnce.Do(func() { r.nodes = wrapNodes(r.inner.Nodes) })
+	return r.nodes
+}
 
 // Rows returns the FLWOR iterations' variable bindings in iteration
 // order (after where, residual filters and order by).
-func (r *Result) Rows() []Row { return r.rows }
+func (r *Result) Rows() []Row {
+	r.rowsOnce.Do(func() {
+		for _, env := range r.inner.Envs() {
+			row := make(Row, len(env))
+			for v, ns := range env {
+				row[v] = wrapNodes(ns)
+			}
+			r.rows = append(r.rows, row)
+		}
+	})
+	return r.rows
+}
 
 // Len returns the number of results: rows for FLWOR queries, nodes for
 // path queries.
@@ -171,7 +179,7 @@ func (r *Result) XMLIndent() string {
 
 func (r *Result) serialize(opts xmltree.WriteOptions) string {
 	if r.inner.Output != nil {
-		return xmltree.Serialize(r.inner.Output.Root, opts)
+		return r.inner.Output.Serialize(opts)
 	}
 	nodes := r.inner.Nodes
 	if len(nodes) == 0 {
@@ -212,7 +220,7 @@ func (r *Result) ExplainAnalyze() string {
 // convenience for the common singleton case.
 func (r *Result) Column(variable string) []Node {
 	var out []Node
-	for _, row := range r.rows {
+	for _, row := range r.Rows() {
 		if ns := row[variable]; len(ns) > 0 {
 			out = append(out, ns[0])
 		}
