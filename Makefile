@@ -27,7 +27,8 @@
 #                  chooser and the CostBased plan strategy, a second copy
 #                  of an evaluation's record, the naive nested-loop
 #                  plan strategy, or the FLWOR tail's per-row Env dedup
-#                  and deep copy into constructed output
+#                  and deep copy into constructed output, or the
+#                  index-less engine, the merged scan and their knobs
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -155,7 +156,9 @@ bench:
 # (join.NestedLoopJoin stays: crossings and for-clause products run on it).
 # A FLWOR's rows are slot rows and its constructed output references its
 # source nodes: the per-row Env dedup (dedupEnvs) and the deep copy of
-# every returned subtree (copyInto) do not come back.
+# every returned subtree (copyInto) do not come back. Every document has
+# its tag index: the index-less engine, its constructor and flags, and
+# the merged scan only it could run do not come back.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -209,6 +212,9 @@ lint-refs:
 		echo "lint-refs: reference to the retired naive nested-loop plan strategy"; exit 1; fi
 	@if git grep -n -e 'dedupEnv[s]' -e 'copyInt[o]' -- '*.go' ':!*_test.go'; then \
 		echo "lint-refs: reference to the retired per-row Env dedup or the deep copy into constructed output"; exit 1; fi
+	@if git grep -n -e 'NewEngineNoIndexe[s]' -e 'MergeScan[s]' -e 'MultiSca[n]' -e 'NewWithConfi[g]' \
+		-e 'BuildIndexe[s]' -e 'no-indexe[s]' -- '*.go' ':!*_test.go'; then \
+		echo "lint-refs: reference to the retired index-less engine or the merged scan"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; NestedList selection must only shrink

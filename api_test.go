@@ -225,35 +225,30 @@ func TestPreparedEntryPoints(t *testing.T) {
 
 // TestStrategyVectorizedRunsAuto: the deprecated strategy names
 // (vectorized, cost) are aliases of Auto, with Auto's answer and Auto's
-// plan, on a chain and on a branching query, with and without tag
-// indexes.
+// plan, on a chain and on a branching query.
 func TestStrategyVectorizedRunsAuto(t *testing.T) {
 	const doc = `<bib><book><title>A</title><author><last>Knuth</last></author></book>` +
 		`<book><title>B</title></book><book><title>C</title><author><last>Date</last></author></book></bib>`
 	ctx := context.Background()
-	for _, eng := range []struct {
-		name string
-		e    *Engine
-	}{{"indexed", NewEngine()}, {"no-indexes", NewEngineNoIndexes()}} {
-		if err := eng.e.LoadString("bib.xml", doc); err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []string{`//book//last`, `//book[author]/title`} {
-			headline := func(s Strategy) string {
-				x, err := eng.e.ExplainWithContext(ctx, q, Options{Strategy: s})
-				if err != nil {
-					t.Fatalf("%s %s: explain %s: %v", eng.name, q, s, err)
-				}
-				return strings.SplitN(x, "\n", 2)[0]
+	e := NewEngine()
+	if err := e.LoadString("bib.xml", doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{`//book//last`, `//book[author]/title`} {
+		headline := func(s Strategy) string {
+			x, err := e.ExplainWithContext(ctx, q, Options{Strategy: s})
+			if err != nil {
+				t.Fatalf("%s: explain %s: %v", q, s, err)
 			}
-			for _, alias := range []Strategy{StrategyVectorized, StrategyCostBased} {
-				label := eng.name + " " + q + " " + string(alias)
-				want, wantErr := eng.e.QueryWith(q, Options{Strategy: StrategyAuto})
-				got, err := eng.e.QueryWith(q, Options{Strategy: alias})
-				sameOutcome(t, label, want, wantErr, got, err)
-				if a, v := headline(StrategyAuto), headline(alias); a != v {
-					t.Errorf("%s: headline %q, auto %q", label, v, a)
-				}
+			return strings.SplitN(x, "\n", 2)[0]
+		}
+		for _, alias := range []Strategy{StrategyVectorized, StrategyCostBased} {
+			label := q + " " + string(alias)
+			want, wantErr := e.QueryWith(q, Options{Strategy: StrategyAuto})
+			got, err := e.QueryWith(q, Options{Strategy: alias})
+			sameOutcome(t, label, want, wantErr, got, err)
+			if a, v := headline(StrategyAuto), headline(alias); a != v {
+				t.Errorf("%s: headline %q, auto %q", label, v, a)
 			}
 		}
 	}

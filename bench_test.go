@@ -58,67 +58,6 @@ func dataset(b *testing.B, id string) *benchDataset {
 	return ds
 }
 
-// BenchmarkAblationMergedScans compares evaluating a multi-NoK query
-// with one shared document traversal (the merged-NoK optimization of
-// §4.2) against one sequential scan per NoK.
-func BenchmarkAblationMergedScans(b *testing.B) {
-	ds := dataset(b, "d3")
-	eng := blossomtree.NewEngineNoIndexes()
-	eng.LoadDocument("d3", ds.Doc)
-	query := `//publisher[//mailing_address]//street_address`
-	for _, merged := range []bool{false, true} {
-		name := "separate-scans"
-		if merged {
-			name = "merged-scan"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := eng.QueryWith(query, blossomtree.Options{
-					Strategy:   blossomtree.StrategyPipelined,
-					MergeScans: merged,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Nodes()) == 0 {
-					b.Fatal("no results")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationIndexAnchors compares pipelined-join plans whose NoK
-// anchors come from tag indexes against pure sequential scans (the
-// stream-context configuration of §5.2).
-func BenchmarkAblationIndexAnchors(b *testing.B) {
-	ds := dataset(b, "d5")
-	q, err := core.FromPath(xpath.MustParse(`//phdthesis[//author][//school]`))
-	if err != nil {
-		b.Fatal(err)
-	}
-	configs := []struct {
-		name string
-		opts plan.Options
-	}{
-		{"seq-scan", plan.Options{Strategy: plan.Pipelined, Stats: ds.Stats}},
-		{"index-anchors", plan.Options{Strategy: plan.Pipelined, Stats: ds.Stats, Index: ds.Index}},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p, err := plan.Build(q, ds.Doc, cfg.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := p.Execute(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMicroNoKMatch measures the raw NoK pattern-matching operator:
 // one full sequential scan of d2 with a three-vertex NoK tree.
 func BenchmarkMicroNoKMatch(b *testing.B) {

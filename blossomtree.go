@@ -64,8 +64,8 @@ const (
 	StrategyPipelined Strategy = "pipelined"
 	// StrategyBoundedNL forces the bounded nested-loop //-join (NL).
 	StrategyBoundedNL Strategy = "bounded-nl"
-	// StrategyTwigStack forces the holistic TwigStack join (TS).
-	// Requires tag indexes (enabled by default).
+	// StrategyTwigStack forces the holistic TwigStack join (TS) over the
+	// document's tag index.
 	StrategyTwigStack Strategy = "twigstack"
 	// StrategyNavigational evaluates the whole query by naive tree
 	// navigation (the straightforward-approach baseline).
@@ -102,9 +102,6 @@ func (s Strategy) toPlan() (plan.Strategy, error) {
 type Options struct {
 	// Strategy forces a join algorithm; default Auto.
 	Strategy Strategy
-	// MergeScans evaluates all sequentially-scanned NoK pattern trees in
-	// a single shared document traversal (the merged-NoK optimization).
-	MergeScans bool
 	// Analyze enables per-operator wall-clock timing, making
 	// Result.ExplainAnalyze include actual-time columns. Counters
 	// (nodes scanned, instances emitted, comparisons) are collected
@@ -138,7 +135,6 @@ func (o Options) toPlan(ctx context.Context) (plan.Options, error) {
 	}
 	return plan.Options{
 		Strategy:           strat,
-		MergeScans:         o.MergeScans,
 		Analyze:            o.Analyze,
 		Ctx:                ctx,
 		Budget:             o.Budget.toGov(),
@@ -157,16 +153,10 @@ type Engine struct {
 	x *exec.Engine
 }
 
-// NewEngine returns an engine with tag-index support enabled.
+// NewEngine returns an engine. Every document it loads gets a tag
+// index, which TwigStack and the index-anchored NoK scans read.
 func NewEngine() *Engine {
 	return &Engine{x: exec.New()}
-}
-
-// NewEngineNoIndexes returns an engine without tag indexes (the
-// streaming configuration: TwigStack unavailable, NoK scans always
-// sequential).
-func NewEngineNoIndexes() *Engine {
-	return &Engine{x: exec.NewWithConfig(exec.Config{BuildIndexes: false})}
 }
 
 // Load parses an XML document from r and registers it under uri (the
@@ -450,8 +440,8 @@ func (e *Engine) Explain(src string) (string, error) {
 	return e.ExplainWithContext(context.Background(), src, Options{})
 }
 
-// ExplainWithContext is Explain with explicit options (forced strategy,
-// merged scans). With Options.Analyze it is the EXPLAIN ANALYZE of
+// ExplainWithContext is Explain with explicit options (a forced
+// strategy, Analyze). With Options.Analyze it is the EXPLAIN ANALYZE of
 // relational engines: the query is evaluated under ctx — governed,
 // traced (Options.QueryID), logged and metered like any other
 // evaluation — and the operator tree shows the cost model's estimates

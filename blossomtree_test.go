@@ -90,23 +90,6 @@ func TestQueryWithStrategies(t *testing.T) {
 	}
 }
 
-func TestMergeScansOption(t *testing.T) {
-	e := NewEngineNoIndexes()
-	if err := e.LoadString("bib.xml", bib); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.QueryWith(`//book[author]//last`, Options{Strategy: StrategyPipelined, MergeScans: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes()) != 2 {
-		t.Errorf("nodes = %d", len(res.Nodes()))
-	}
-	if !strings.Contains(res.Plan(), "merged") {
-		t.Errorf("plan = %s", res.Plan())
-	}
-}
-
 func TestExplain(t *testing.T) {
 	e := newBib(t)
 	s, err := e.Explain(`//book[author]//last`)

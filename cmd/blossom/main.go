@@ -41,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		explain   = fs.Bool("explain", false, "execute the query and print the annotated plan tree (cost estimates next to actual counters and timings)")
 		explOnly  = fs.Bool("explain-only", false, "print the plan with estimates only, without executing")
 		metrics   = fs.Bool("metrics", false, "print the engine metrics registry after the run")
-		noIndex   = fs.Bool("no-indexes", false, "disable tag indexes (streaming configuration)")
 		indent    = fs.Bool("indent", false, "pretty-print XML output")
 		quiet     = fs.Bool("count", false, "print only the result count")
 		timeout   = fs.Duration("timeout", 0, "abort the query after this wall-clock duration (0 = no limit)")
@@ -75,9 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	eng := blossomtree.NewEngine()
-	if *noIndex {
-		eng = blossomtree.NewEngineNoIndexes()
-	}
 	var store *blossomtree.SegmentStore
 	if *dataDir != "" {
 		st, err := blossomtree.OpenStore(*dataDir)

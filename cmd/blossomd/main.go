@@ -61,7 +61,6 @@ func main() {
 		gens       listFlag
 		slow       = flag.Duration("slow-query", 0, "log queries at/past this latency at Warn with their EXPLAIN ANALYZE tree (0 = off)")
 		maxTimeout = flag.Duration("max-timeout", 30*time.Second, "cap (and default) for per-request budgets (0 = uncapped)")
-		noIndex    = flag.Bool("no-indexes", false, "disable tag indexes (streaming configuration)")
 		seed       = flag.Int64("seed", 1, "generator seed for -gen datasets")
 		logJSON    = flag.Bool("log-json", false, "emit the query log as JSON instead of text")
 		inflight   = flag.Int("max-inflight", 0, "admission control: cap concurrently evaluating queries, queueing up to 2N more (0 = off)")
@@ -99,9 +98,6 @@ func main() {
 	logger := slog.New(handler)
 
 	eng := blossomtree.NewEngine()
-	if *noIndex {
-		eng = blossomtree.NewEngineNoIndexes()
-	}
 	var store *blossomtree.SegmentStore
 	if *dataDir != "" {
 		st, err := blossomtree.OpenStore(*dataDir)

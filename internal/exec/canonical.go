@@ -9,8 +9,9 @@ import (
 )
 
 // Canonical serializes a result into a canonical byte form: constructed
-// output first, then node results, then environment rows with variables
-// in sorted order. Two equivalent evaluations must produce identical
+// output first, then the nodes a FLWOR without constructors returned,
+// then node results, then environment rows with variables in sorted
+// order. Two equivalent evaluations must produce identical
 // strings, so differential harnesses (the in-package strategy matrix and
 // the proptest package's randomized runs) compare results with ==.
 func Canonical(res *Result) string {
@@ -18,6 +19,11 @@ func Canonical(res *Result) string {
 	if res.Output != nil {
 		sb.WriteString("output: ")
 		sb.WriteString(res.Output.Serialize(xmltree.WriteOptions{}))
+		sb.WriteByte('\n')
+	}
+	for _, n := range res.Returned {
+		sb.WriteString("returned: ")
+		sb.WriteString(xmltree.Serialize(n, xmltree.WriteOptions{}))
 		sb.WriteByte('\n')
 	}
 	for _, n := range res.Nodes {

@@ -38,14 +38,6 @@ import (
 	"blossomtree/internal/xpath"
 )
 
-// Config configures an Engine.
-type Config struct {
-	// BuildIndexes builds tag-name indexes for every added document,
-	// enabling TwigStack plans and index-driven NoK scans. On by default
-	// via New.
-	BuildIndexes bool
-}
-
 // Engine evaluates queries over registered documents.
 //
 // An Engine is safe for concurrent use: registration (Add) installs a
@@ -56,7 +48,6 @@ type Config struct {
 // before an Add completes sees the catalog as it was when the
 // evaluation began.
 type Engine struct {
-	cfg  Config
 	mu   sync.Mutex // serializes writers (Add); readers use snap
 	snap atomic.Pointer[snapshot]
 }
@@ -109,11 +100,9 @@ type entry struct {
 	index *index.TagIndex
 }
 
-// New returns an engine with index building enabled.
-func New() *Engine { return NewWithConfig(Config{BuildIndexes: true}) }
-
-// NewWithConfig returns an engine with explicit configuration.
-func NewWithConfig(cfg Config) *Engine {
+// New returns an engine. Every document it registers gets a tag index
+// (Add builds it; a store-backed document's comes from the store).
+func New() *Engine {
 	// The exposition carries the cache's names from the first scrape.
 	obs.Default.Counter(obs.MetricPlanCacheHits)
 	obs.Default.Counter(obs.MetricPlanCacheMisses)
@@ -123,7 +112,7 @@ func NewWithConfig(cfg Config) *Engine {
 		Recent: obs.NewRecordRing(512),
 		plans:  planCache{m: make(map[planKey]*list.Element)},
 	}
-	e := &Engine{cfg: cfg}
+	e := &Engine{}
 	e.snap.Store(&snapshot{docs: map[string]entry{}, state: st, version: st.versions.Add(1)})
 	return e
 }
@@ -159,10 +148,7 @@ func (s *snapshot) clone() *snapshot {
 // copy-on-write, so in-flight evaluations keep their snapshot.
 func (e *Engine) Add(uri string, doc *xmltree.Document) {
 	obs.Default.Add(obs.MetricDocumentsAdded, 1)
-	ent := entry{doc: doc, stats: xmltree.ComputeStats(doc)}
-	if e.cfg.BuildIndexes {
-		ent.index = index.Build(doc)
-	}
+	ent := entry{doc: doc, stats: xmltree.ComputeStats(doc), index: index.Build(doc)}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -497,7 +483,7 @@ func cacheKey(s *snapshot, q *parsed, opts plan.Options) (planKey, bool) {
 	if opts.Index != nil || opts.Stats.Nodes != 0 {
 		return planKey{}, false
 	}
-	return planKey{version: s.version, hash: q.hash, fp: planFingerprint(opts)}, true
+	return planKey{version: s.version, hash: q.hash, strategy: opts.Strategy}, true
 }
 
 // compileTemplate runs the full compile pipeline and builds the
@@ -522,11 +508,10 @@ func compileTemplate(s *snapshot, expr flwor.Expr, opts plan.Options) (*compiled
 		return nil, err
 	}
 	popts := plan.Options{
-		Strategy:   opts.Strategy,
-		MergeScans: opts.MergeScans,
-		Index:      opts.Index,
-		Stats:      opts.Stats,
-		CardHints:  opts.CardHints,
+		Strategy:  opts.Strategy,
+		Index:     opts.Index,
+		Stats:     opts.Stats,
+		CardHints: opts.CardHints,
 	}
 	if popts.Index == nil {
 		popts.Index = ent.index
@@ -664,11 +649,7 @@ func (s *snapshot) planContext(q *core.Query) (entry, error) {
 		return entry{}, fmt.Errorf("exec: query references no document")
 	}
 	// resolveEntry hands back the index of the resolved entry itself
-	// (heap or store), so index and document always agree; the guard
-	// stays for the BuildIndexes=false case, where the index is nil anyway.
-	if ent.index != nil && ent.index.Document() != ent.doc {
-		ent.index = nil
-	}
+	// (heap or store), so index and document always agree.
 	return ent, nil
 }
 

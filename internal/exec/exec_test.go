@@ -227,38 +227,6 @@ func TestExplain(t *testing.T) {
 	}
 }
 
-func TestEvalWithoutIndexes(t *testing.T) {
-	doc, _ := xmltree.ParseString(bibXML)
-	e := NewWithConfig(Config{BuildIndexes: false})
-	e.Add("bib.xml", doc)
-	res, err := e.Eval(`//book[author]/title`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes) != 2 {
-		t.Errorf("nodes = %d", len(res.Nodes))
-	}
-	if _, err := e.EvalOptions(`//book/title`, plan.Options{Strategy: plan.Twig}); err == nil {
-		t.Error("forced TwigStack without index should fail")
-	}
-}
-
-func TestMergedScansOption(t *testing.T) {
-	doc, _ := xmltree.ParseString(bibXML)
-	e := NewWithConfig(Config{BuildIndexes: false})
-	e.Add("bib.xml", doc)
-	res, err := e.EvalOptions(`//book[author]//last`, plan.Options{Strategy: plan.Pipelined, MergeScans: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes) != 2 {
-		t.Errorf("merged-scan result = %d nodes", len(res.Nodes))
-	}
-	if !strings.Contains(res.Plan.Explain(), "merged") {
-		t.Error("plan should report merged scans")
-	}
-}
-
 // TestQuickEngineEqualsOracle: random documents × the query shapes of
 // Table 2, across every strategy, against the navigational oracle.
 func TestQuickEngineEqualsOracle(t *testing.T) {

@@ -18,7 +18,9 @@ import (
 // of which only one in skewEvery carries the <bolt/> child the probe
 // query filters on. The result's estimate is card(subpart) — thousands —
 // while only the subparts of a handful of parts match. nested puts a
-// part in every part, making the document recursive.
+// part in every part, making the document recursive; a flat document's
+// subparts have two element children each, which price a subpart
+// region high enough that Auto starts boltQuery at PL.
 func skewedDoc(t *testing.T, parts, skewEvery int, nested bool) *xmltree.Document {
 	t.Helper()
 	var sb strings.Builder
@@ -29,7 +31,11 @@ func skewedDoc(t *testing.T, parts, skewEvery int, nested bool) *xmltree.Documen
 			sb.WriteString("<bolt/>")
 		}
 		for j := 0; j < 12; j++ {
-			sb.WriteString("<subpart/>")
+			if nested {
+				sb.WriteString("<subpart/>")
+			} else {
+				sb.WriteString("<subpart><nut/><washer/></subpart>")
+			}
 		}
 		if nested {
 			sb.WriteString("<part><subpart/></part>")
@@ -47,21 +53,18 @@ func skewedDoc(t *testing.T, parts, skewEvery int, nested bool) *xmltree.Documen
 // replans reads the process-wide replan counter.
 func replans() int64 { return obs.Default.Snapshot()[obs.MetricFeedbackReplans] }
 
-// boltQuery is a genuine misestimate on a flat skewedDoc in an
-// index-less engine. The model prices the part[bolt] outer at every
-// part, so Auto picks PL; the first run sees one part in skewEvery carry
-// a bolt, and the replan, pricing NL's bounded inner visits with that
-// count, moves to NL. The move wins: on 200 parts with a bolt in every
-// 40th, forced PL runs it in 820 µs and NL in 158 µs (Intel Xeon,
-// 2 vCPUs).
-const boltQuery = "//part[bolt]//subpart"
+// boltQuery is a genuine misestimate on a flat skewedDoc. Its $p//subpart
+// edge is optional, so TwigStack cannot run it. The model prices the
+// part[bolt] outer at every part, so Auto picks PL; the first run sees
+// one part in skewEvery carry a bolt, and the replan, pricing NL's
+// bounded inner visits with that count, moves to NL.
+const boltQuery = `for $p in doc("assembly")//part[bolt] return <r>{ $p//subpart }</r>`
 
-// boltEngine returns an index-less engine holding a flat skewedDoc of
-// 200 parts with a bolt in every skewEvery-th; 1 is the well-estimated
-// control.
+// boltEngine returns an engine holding a flat skewedDoc of 200 parts
+// with a bolt in every skewEvery-th; 1 is the well-estimated control.
 func boltEngine(t *testing.T, skewEvery int) *Engine {
 	t.Helper()
-	e := NewWithConfig(Config{})
+	e := New()
 	e.Add("assembly", skewedDoc(t, 200, skewEvery, false))
 	return e
 }
@@ -93,7 +96,7 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 		if cold.Replanned {
 			t.Fatal("cold run claims to be replanned")
 		}
-		want := cold.Nodes
+		want := Canonical(cold)
 
 		before := replans()
 		replanRun := -1
@@ -103,8 +106,8 @@ func TestFeedbackReplanFromHistory(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s run %d: %v", q, i, err)
 			}
-			if len(res.Nodes) != len(want) {
-				t.Fatalf("%s run %d: %d nodes, want %d", q, i, len(res.Nodes), len(want))
+			if got := Canonical(res); got != want {
+				t.Fatalf("%s run %d: answer drifted from the cold run's\n%s--- cold ---\n%s", q, i, got, want)
 			}
 			if res.Replanned && replanRun < 0 {
 				replanRun = i
@@ -249,7 +252,7 @@ func TestFeedbackReplanKeepsTwig(t *testing.T) {
 // replanned.
 func TestFeedbackFanOutDecidesPerDocument(t *testing.T) {
 	const q = boltQuery
-	e := NewWithConfig(Config{})
+	e := New()
 	e.Add("skew", skewedDoc(t, 200, 40, false))
 	e.Add("uniform", skewedDoc(t, 200, 1, false))
 
@@ -459,30 +462,27 @@ func TestFeedbackStressConcurrentReplans(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMergedScanBudget: the merged NoK scan is charged like the scans
-// it replaces — each visited element against the node budget — so a
-// budget that aborts the per-NoK scans aborts the merged one too, with
-// the replay scan reporting what the traversal scanned.
+// TestMergedScanBudget: a pipelined plan's scans charge each scanned
+// node against the node budget, so the budget aborts at its first excess
+// node and the partial stats report exactly what was scanned.
 func TestMergedScanBudget(t *testing.T) {
-	e := NewWithConfig(Config{})
+	e := New()
 	e.Add("lib", mustParseDoc(t, "<lib>"+strings.Repeat("<book><author><last/></author></book>", 500)+"</lib>"))
 	const q = "//book[author]//last"
 
-	for _, merge := range []bool{false, true} {
-		opts := plan.Options{Strategy: plan.Pipelined, MergeScans: merge}
-		res, err := e.EvalOptions(q, opts)
-		if err != nil || len(res.Nodes) != 500 {
-			t.Fatalf("merge=%v unbudgeted: err %v", merge, err)
-		}
+	opts := plan.Options{Strategy: plan.Pipelined}
+	res, err := e.EvalOptions(q, opts)
+	if err != nil || len(res.Nodes) != 500 {
+		t.Fatalf("unbudgeted: err %v", err)
+	}
 
-		opts.Budget = gov.Budget{MaxNodes: 50}
-		_, err = e.EvalOptions(q, opts)
-		if !errors.Is(err, gov.ErrBudgetExceeded) || !strings.Contains(err.Error(), "scanned 51 nodes (budget 50)") {
-			t.Fatalf("merge=%v: err = %v, want the node budget to abort at 51 nodes", merge, err)
-		}
-		st, ok := gov.StatsOf(err)
-		if !ok || st.TotalScanned() != 51 {
-			t.Errorf("merge=%v: partial stats scanned %d nodes (ok=%v), want 51", merge, st.TotalScanned(), ok)
-		}
+	opts.Budget = gov.Budget{MaxNodes: 50}
+	_, err = e.EvalOptions(q, opts)
+	if !errors.Is(err, gov.ErrBudgetExceeded) || !strings.Contains(err.Error(), "scanned 51 nodes (budget 50)") {
+		t.Fatalf("err = %v, want the node budget to abort at 51 nodes", err)
+	}
+	st, ok := gov.StatsOf(err)
+	if !ok || st.TotalScanned() != 51 {
+		t.Errorf("partial stats scanned %d nodes (ok=%v), want 51", st.TotalScanned(), ok)
 	}
 }

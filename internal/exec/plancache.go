@@ -17,7 +17,6 @@ package exec
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -40,15 +39,10 @@ type planKey struct {
 	// hash is the sha256 query-text hash the telemetry layer also logs
 	// (obs.QueryHash), so cache keys and query-log records correlate.
 	hash string
-	// fp fingerprints the planning-time options (strategy, merged
-	// scans); per-run options (budgets, analyze, telemetry)
-	// do not shape the template and stay out of the key.
-	fp string
-}
-
-// planFingerprint renders the planning-time option fingerprint.
-func planFingerprint(opts plan.Options) string {
-	return fmt.Sprintf("%d|%t", opts.Strategy, opts.MergeScans)
+	// strategy is the one planning-time option a caller sets; per-run
+	// options (budgets, analyze, telemetry) do not shape the template
+	// and stay out of the key.
+	strategy plan.Strategy
 }
 
 // compiled is one cache entry, immutable but for its feedback fields.

@@ -217,42 +217,3 @@ func (it *Iterator) Drain() []*nestedlist.List {
 func Scan(m *Matcher, doc *xmltree.Document) []*nestedlist.List {
 	return NewIterator(m, doc).Drain()
 }
-
-// MultiScan evaluates several NoK operators over the same document in a
-// single shared traversal (the merged-NoK optimization of §4.2: "when a
-// new XML tree node arrives, it is matched to both sets of frontier
-// nodes"), returning each matcher's instance sequence. The traversal
-// visits every node once; per-matcher match attempts are made at each
-// node, so total I/O is one scan regardless of the number of NoKs. Like
-// a sequential scan, it charges each visited element to st and to g's
-// node budget at fault.SiteNoKScan, and the first violation ends it with
-// that error.
-func MultiScan(ms []*Matcher, doc *xmltree.Document, g *gov.Governor, st *obs.OpStats) ([][]*nestedlist.List, error) {
-	out := make([][]*nestedlist.List, len(ms))
-	for i, m := range ms {
-		if m.NoK.Root.IsDocRoot() {
-			if l := m.MatchAt(doc.Root); l != nil {
-				out[i] = append(out[i], m.Expand(l)...)
-			}
-		}
-	}
-	for n := doc.DocumentElement(); n != nil; n = xmltree.NextPreorder(n, nil) {
-		if n.Kind != xmltree.ElementNode {
-			continue
-		}
-		st.AddScanned(1)
-		if err := g.Scanned(fault.SiteNoKScan, 1); err != nil {
-			return nil, err
-		}
-		for i, m := range ms {
-			if m.NoK.Root.IsDocRoot() || !m.NoK.Root.MatchesTag(n.Tag) {
-				continue
-			}
-			st.AddComparisons(1)
-			if l := m.MatchAt(n); l != nil {
-				out[i] = append(out[i], m.Expand(l)...)
-			}
-		}
-	}
-	return out, nil
-}

@@ -5,16 +5,16 @@
 // instances whose per-slot match lists are built in document order
 // (Theorem 1: projection is order-preserving).
 //
-// The matcher runs in four access-method forms, which is what the plan
+// The matcher runs in three access-method forms, which is what the plan
 // layer trades off:
 //
-//   - a whole-document sequential scan (Scan / Iterator);
+//   - an index-driven scan over the root tag's postings (TagIterator),
+//     the anchor of every NoK whose root has a name test and no value
+//     constraint;
+//   - a whole-document sequential scan (Scan / Iterator), the anchor of
+//     document-root, wildcard and value-constrained roots;
 //   - a subtree-bounded scan (SubtreeIterator), the inner side of the
-//     bounded nested-loop join of §4.3;
-//   - an index-driven scan over the root tag's postings (TagIterator);
-//   - merged multi-NoK scans sharing one traversal (MultiScan), the
-//     "combining multiple NoK pattern matching operators into one scan"
-//     optimization of §2.1.
+//     bounded nested-loop join of §4.3.
 package nok
 
 import (
@@ -47,6 +47,10 @@ type Matcher struct {
 	// resolved once instead of per match.
 	byVertex []*core.ReturnNode
 	filled   *nestedlist.List
+	// local is each member vertex's in-NoK children, indexed by
+	// Vertex.ID: fixed per NoK, so match reads them instead of filtering
+	// the vertex's children again for every candidate.
+	local [][]*core.Vertex
 }
 
 // NewMatcher prepares a matcher for one NoK of the decomposition.
@@ -66,6 +70,12 @@ func NewMatcher(nok *core.NoK, shape *core.ReturnTree) (*Matcher, error) {
 		m.sinkShape = shape.Root
 	}
 	m.filled = nestedlist.NewInstance(shape)
+	for v := range nok.Members {
+		for len(m.local) <= v.ID {
+			m.local = append(m.local, nil)
+		}
+		m.local[v.ID] = nok.LocalChildren(v)
+	}
 	for _, v := range nok.ReturningVertices() {
 		sn, ok := shape.ByVertex(v)
 		if !ok {
@@ -150,7 +160,7 @@ func (m *Matcher) match(v *core.Vertex, x *xmltree.Node, sink *nestedlist.Item, 
 		childSink = it
 	}
 
-	for _, c := range m.NoK.LocalChildren(v) {
+	for _, c := range m.local[v.ID] {
 		var matched bool
 		switch c.ParentRel {
 		case core.RelChild:

@@ -311,35 +311,6 @@ func TestIteratorSkipToNoOps(t *testing.T) {
 	}
 }
 
-func TestMultiScanMatchesIndividualScans(t *testing.T) {
-	doc := parse(t, bib)
-	_, m1 := singleNoKMatcher(t, `//book[author]`)
-	_, m2 := singleNoKMatcher(t, `//title`)
-	st := obs.NewOpStats("NoKScan", "merged")
-	merged, err := MultiScan([]*Matcher{m1, m2}, doc, nil, st)
-	if err != nil || len(merged) != 2 {
-		t.Fatalf("MultiScan shape wrong (err %v)", err)
-	}
-	if got, want := st.Scanned(), int64(xmltree.ComputeStats(doc).Elements); got != want {
-		t.Errorf("merged scan charged %d nodes, want one per element (%d)", got, want)
-	}
-	if got, want := len(merged[0]), len(Scan(m1, doc)); got != want {
-		t.Errorf("NoK1 via MultiScan = %d, solo = %d", got, want)
-	}
-	if got, want := len(merged[1]), len(Scan(m2, doc)); got != want {
-		t.Errorf("NoK2 via MultiScan = %d, solo = %d", got, want)
-	}
-}
-
-func TestMultiScanDocRootNoK(t *testing.T) {
-	doc := parse(t, bib)
-	_, m := singleNoKMatcher(t, `/bib/book`)
-	merged, err := MultiScan([]*Matcher{m}, doc, nil, nil)
-	if err != nil || len(merged[0]) != 4 {
-		t.Errorf("doc-root NoK via MultiScan = %d instances, want 4", len(merged[0]))
-	}
-}
-
 func TestRootTest(t *testing.T) {
 	_, m := singleNoKMatcher(t, `//book/title`)
 	if m.RootTest() != "book" {

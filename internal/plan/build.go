@@ -35,36 +35,6 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 		matchers[n] = m
 	}
 
-	// Merged-NoK optimization (§4.2): evaluate every sequentially-scanned
-	// NoK in one shared document traversal instead of one scan each. The
-	// traversal is charged to the first replay's stats, so the plan's
-	// scanned total is the one traversal it made.
-	if p.opts.MergeScans && p.opts.Index == nil && p.Strategy != BoundedNL {
-		var ms []*nok.Matcher
-		for _, n := range d.NoKs {
-			if !trivialNoK(n) {
-				ms = append(ms, matchers[n])
-			}
-		}
-		var first *obs.OpStats
-		if len(ms) > 0 {
-			first = p.scanStats(ms[0], "replay")
-		}
-		results, err := nok.MultiScan(ms, p.doc, p.gov, first)
-		if err != nil {
-			return nil, first, err
-		}
-		p.preScanned = make(map[*core.NoK]replay, len(ms))
-		for i, m := range ms {
-			st := first
-			if i > 0 {
-				st = p.scanStats(m, "replay")
-			}
-			p.preScanned[m.NoK] = replay{ls: results[i], st: st}
-		}
-		p.note("merged %d NoK scans into one traversal", len(ms))
-	}
-
 	linked := make(map[*core.NoK]bool)
 	for _, l := range d.Links {
 		linked[l.Child] = true
@@ -253,13 +223,6 @@ func (p *Plan) markCrossingUsed(c *core.Crossing) {
 	p.usedCrossings[c] = true
 }
 
-// replay is a NoK's share of the merged scan: its instances, and the
-// stats node its replaying base scan reports under.
-type replay struct {
-	ls []*nestedlist.List
-	st *obs.OpStats
-}
-
 // scanStats is the stats node of a NoK's base scan: it carries the cost
 // model's scan estimate and receives the scan's actual counters.
 func (p *Plan) scanStats(m *nok.Matcher, kind string) *obs.OpStats {
@@ -272,14 +235,11 @@ func (p *Plan) scanStats(m *nok.Matcher, kind string) *obs.OpStats {
 	return st
 }
 
-// baseScan picks the access method for a NoK's anchors: a replay of the
-// merged scan, tag-index scan when an index exists and the root has a
-// selective name test, sequential scan otherwise.
+// baseScan picks the access method for a NoK's anchors: the tag index's
+// postings when the root has a selective name test and no value
+// constraint, a sequential scan otherwise.
 func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
-	if r, ok := p.preScanned[m.NoK]; ok {
-		return join.Instrument(join.NewSliceOperator(r.ls), r.st), r.st
-	}
-	if p.opts.Index != nil && !m.NoK.Root.IsDocRoot() && m.RootTest() != "*" && len(m.NoK.Root.Constraints) == 0 {
+	if indexAnchored(m.NoK.Root) {
 		p.note("NoK%d anchors via tag index %q (%d candidates)",
 			m.NoK.Index, m.RootTest(), p.opts.Index.Count(m.RootTest()))
 		st := p.scanStats(m, fmt.Sprintf("index(%s)", m.RootTest()))

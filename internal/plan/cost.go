@@ -52,20 +52,7 @@ func (p *Plan) staticCardinality(v *core.Vertex) float64 {
 	if v.IsDocRoot() {
 		return 1
 	}
-	if p.opts.Index != nil {
-		return float64(p.opts.Index.Count(v.Test))
-	}
-	if v.Test == "*" {
-		return float64(p.opts.Stats.Elements)
-	}
-	if c, ok := p.opts.Stats.TagCounts[v.Test]; ok {
-		return float64(c)
-	}
-	// Unknown tag without an index: assume a uniform share.
-	if p.opts.Stats.Tags > 0 {
-		return float64(p.opts.Stats.Elements) / float64(p.opts.Stats.Tags)
-	}
-	return 0
+	return float64(p.opts.Index.Count(v.Test))
 }
 
 // docNodes is the sequential-scan cost.
@@ -73,10 +60,7 @@ func (p *Plan) docNodes() float64 {
 	if n := p.opts.Stats.Nodes; n > 0 {
 		return float64(n)
 	}
-	if p.opts.Index != nil {
-		return float64(p.opts.Index.TotalElements())
-	}
-	return 1
+	return float64(p.opts.Index.TotalElements())
 }
 
 // avgRegion estimates the average subtree size of a vertex's matches: a
@@ -97,14 +81,20 @@ func (p *Plan) avgRegion(v *core.Vertex) float64 {
 	return region
 }
 
-// scanCost is the cost of one NoK base scan under the access methods
-// baseScan would pick.
+// scanCost is the cost of one NoK base scan under the access method
+// baseScan picks.
 func (p *Plan) scanCost(n *core.NoK) float64 {
-	root := n.Root
-	if p.opts.Index != nil && !root.IsDocRoot() && root.Test != "*" && len(root.Constraints) == 0 {
-		return p.staticCardinality(root)
+	if indexAnchored(n.Root) {
+		return p.staticCardinality(n.Root)
 	}
 	return p.docNodes()
+}
+
+// indexAnchored reports whether a NoK rooted at root anchors on its
+// tag's postings: the root has a name test and no value constraint.
+// Document-root, wildcard and constrained roots scan sequentially.
+func indexAnchored(root *core.Vertex) bool {
+	return !root.IsDocRoot() && root.Test != "*" && len(root.Constraints) == 0
 }
 
 // EstimateCosts scores every join strategy for this plan's decomposition

@@ -34,19 +34,6 @@ func TestCostModelPrefersTwigOnRecursiveIndexed(t *testing.T) {
 	}
 }
 
-func TestCostModelPrefersBNLWithoutIndex(t *testing.T) {
-	doc := xmlgen.MustGenerate("d1", xmlgen.Config{Seed: 2, TargetNodes: 3000})
-	stats := xmltree.ComputeStats(doc)
-	p, err := Build(compilePath(t, `//b1//c2//b1`), doc,
-		Options{Stats: stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Strategy != BoundedNL {
-		t.Errorf("strategy = %v, want NL (recursive, no index)\n%s", p.Strategy, p.ExplainCosts())
-	}
-}
-
 func TestCostModelSelectiveIndexFavorsCheapStreams(t *testing.T) {
 	// phdthesis-style query: tiny inverted lists → TS streams far
 	// cheaper than full scans.
@@ -150,12 +137,12 @@ func TestExplainCosts(t *testing.T) {
 func TestCardinalityFallbacks(t *testing.T) {
 	doc := parse(t, sample)
 	stats := xmltree.ComputeStats(doc)
-	p, err := Build(compilePath(t, `//a//zzz`), doc, Options{Stats: stats})
+	p, err := buildIndexed(compilePath(t, `//a//zzz`), doc, Options{Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// zzz is unknown: with stats but no index the model assumes a
-	// uniform share rather than zero or the whole document.
+	// zzz is absent: its postings are empty, and no strategy's cost
+	// goes negative.
 	ests := p.EstimateCosts()
 	for _, e := range ests {
 		if e.Cost < 0 {
@@ -163,7 +150,7 @@ func TestCardinalityFallbacks(t *testing.T) {
 		}
 	}
 	// Wildcard cardinality equals the element count.
-	p2, err := Build(compilePath(t, `//a//*`), doc, Options{Stats: stats})
+	p2, err := buildIndexed(compilePath(t, `//a//*`), doc, Options{Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"blossomtree/internal/index"
 	"blossomtree/internal/xmltree"
 )
 
@@ -20,7 +19,6 @@ type goldenCase struct {
 	name     string
 	query    string
 	strategy Strategy
-	indexed  bool
 	analyze  bool
 	doc      string // the document queried; sample when empty
 }
@@ -41,16 +39,16 @@ func goldenCases() []goldenCase {
 	return []goldenCase{
 		{name: "pipelined_explain", query: "//a[//c]//b", strategy: Pipelined},
 		{name: "bounded_nl_explain", query: "//a//c", strategy: BoundedNL},
-		{name: "twig_explain", query: "//a[b]//c", strategy: Twig, indexed: true},
-		{name: "cost_based_explain", query: "//a//b//c", strategy: Auto, indexed: true},
+		{name: "twig_explain", query: "//a[b]//c", strategy: Twig},
+		{name: "cost_based_explain", query: "//a//b//c", strategy: Auto},
 		{name: "pipelined_analyze", query: "//a[//c]//b", strategy: Pipelined, analyze: true},
 		{name: "bounded_nl_analyze", query: "//a//c", strategy: BoundedNL, analyze: true},
-		{name: "twig_analyze", query: "//a[b]//c", strategy: Twig, indexed: true, analyze: true},
+		{name: "twig_analyze", query: "//a[b]//c", strategy: Twig, analyze: true},
 		// d2.Q2's shape: both predicate inners are unread, so each runs as
 		// a semi-join that takes one witness and skips its scan past the
 		// addresses element — out act=1, the other postings skipped.
 		{name: "pipelined_semi_analyze", query: "//addresses[//zip_code][//country_id]", strategy: Pipelined,
-			indexed: true, analyze: true, doc: addressesDoc},
+			analyze: true, doc: addressesDoc},
 	}
 }
 
@@ -62,13 +60,8 @@ func TestExplainGolden(t *testing.T) {
 				text = sample
 			}
 			doc := parse(t, text)
-			ix := index.Build(doc)
-			stats := xmltree.ComputeStats(doc)
-			opts := Options{Strategy: tc.strategy, Stats: stats}
-			if tc.indexed || tc.strategy == Twig {
-				opts.Index = ix
-			}
-			pl, err := Build(compilePath(t, tc.query), doc, opts)
+			opts := Options{Strategy: tc.strategy, Stats: xmltree.ComputeStats(doc)}
+			pl, err := buildIndexed(compilePath(t, tc.query), doc, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,10 +33,8 @@ func govExecute(t *testing.T, doc *xmltree.Document, ix *index.TagIndex, strat S
 func govExecuteQuery(t *testing.T, doc *xmltree.Document, ix *index.TagIndex, q *core.Query, strat Strategy, opts Options) error {
 	t.Helper()
 	opts.Strategy = strat
-	if strat == Twig {
-		opts.Index = ix
-	}
-	p, err := Build(q, doc, opts)
+	opts.Index = ix
+	p, err := buildIndexed(q, doc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +169,7 @@ func TestCanceledContextScansNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	counter := fault.New()
-	p, err := Build(compilePath(t, `//a//c`), doc, Options{Strategy: Pipelined, Ctx: ctx, Fault: counter})
+	p, err := buildIndexed(compilePath(t, `//a//c`), doc, Options{Strategy: Pipelined, Ctx: ctx, Fault: counter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +190,7 @@ func TestCanceledContextScansNothing(t *testing.T) {
 // already-expired budget deadline.
 func TestDeadlineAbort(t *testing.T) {
 	doc := govDoc(t)
-	p, err := Build(compilePath(t, `//a//c`), doc,
+	p, err := buildIndexed(compilePath(t, `//a//c`), doc,
 		Options{Strategy: Pipelined, Budget: gov.Budget{Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)

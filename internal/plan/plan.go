@@ -67,16 +67,12 @@ func (s Strategy) String() string {
 // Options configures planning.
 type Options struct {
 	Strategy Strategy
-	// Index enables TwigStack and index-driven NoK anchor scans. Nil
-	// means no tag indexes exist (the streaming situation of §5.2).
+	// Index is the document's tag index, which TwigStack, the
+	// index-anchored NoK scans and the cost model read. Build requires it.
 	Index *index.TagIndex
 	// Stats feeds the cost model; if zero-valued, the model assumes
 	// non-recursive input.
 	Stats xmltree.Stats
-	// MergeScans shares one traversal across NoK base scans instead of
-	// scanning per NoK (the merged-NoK optimization). Only meaningful
-	// without Index.
-	MergeScans bool
 	// CardHints overrides the cost model's cardinality synopsis for
 	// specific vertices, keyed by core.Vertex.Label(). The feedback loop
 	// injects a cached template's first-run output counts here when they
@@ -150,7 +146,6 @@ type Plan struct {
 
 	usedCrossings map[*core.Crossing]bool
 	errChecks     []func() error
-	preScanned    map[*core.NoK]replay
 	// stats is the root of the per-operator statistics tree of the most
 	// recent build; rebuilt fresh on every build so a plan
 	// explained and then executed does not double-count.
@@ -162,6 +157,9 @@ func (p *Plan) watch(f func() error) { p.errChecks = append(p.errChecks, f) }
 
 // Build compiles the query into a plan against the document.
 func Build(q *core.Query, doc *xmltree.Document, opts Options) (*Plan, error) {
+	if opts.Index == nil {
+		return nil, fmt.Errorf("plan: no tag index for the document")
+	}
 	// Upward tree edges (parent/ancestor steps the compiler could not
 	// rewrite away) have no join-algebra form: reject them before
 	// decomposition so the executor can route the query to the
@@ -254,11 +252,8 @@ func (p *Plan) pipelinedSound() bool {
 
 // twigCompatible reports whether the whole query can run as one holistic
 // twig join: a single pattern tree, no crossings, no optional edges, no
-// positional or following-sibling features, and an index.
+// positional or following-sibling features.
 func (p *Plan) twigCompatible() error {
-	if p.opts.Index == nil {
-		return fmt.Errorf("plan: TwigStack needs a tag index")
-	}
 	if len(p.Query.Tree.Roots) != 1 || len(p.Query.Tree.Crossings) > 0 || len(p.Query.Residual) > 0 {
 		return fmt.Errorf("plan: TwigStack handles single pattern trees without crossings")
 	}
@@ -285,7 +280,7 @@ func (p *Plan) twigCompatible() error {
 
 // Fork returns an execution copy of a compiled plan template. The
 // immutable skeleton is shared; planning-time inputs (strategy, index,
-// statistics, merged scans) come from the template so a cached plan
+// statistics, hints) come from the template so a cached plan
 // cannot be re-shaped by run options, while everything per-run —
 // context, budget, fault injector, analyze, telemetry
 // identity and the governor — comes from opts. The explain notes are
@@ -295,7 +290,6 @@ func (p *Plan) Fork(opts Options) *Plan {
 	opts.Strategy = p.opts.Strategy
 	opts.Index = p.opts.Index
 	opts.Stats = p.opts.Stats
-	opts.MergeScans = p.opts.MergeScans
 	opts.CardHints = p.opts.CardHints
 	f := &Plan{
 		Query:    p.Query,

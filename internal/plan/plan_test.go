@@ -39,6 +39,24 @@ func parse(t *testing.T, s string) *xmltree.Document {
 	return doc
 }
 
+// buildIndexed is Build over the document's own tag index, as the
+// executor always supplies one.
+func buildIndexed(q *core.Query, doc *xmltree.Document, opts Options) (*Plan, error) {
+	if opts.Index == nil {
+		opts.Index = index.Build(doc)
+	}
+	return Build(q, doc, opts)
+}
+
+// TestBuildRequiresIndex: every document has its tag index, so a plan
+// without one is a caller's bug, not a configuration to plan around.
+func TestBuildRequiresIndex(t *testing.T) {
+	doc := parse(t, sample)
+	if _, err := Build(compilePath(t, `//a//c`), doc, Options{Stats: xmltree.ComputeStats(doc)}); err == nil {
+		t.Error("Build without a tag index succeeded")
+	}
+}
+
 // resultNodes collects the distinct nodes a path plan's run binds to the
 // path's result, from NestedList instances and TwigStack rows alike.
 func resultNodes(p *Plan, ins *Instances) map[*xmltree.Node]bool {
@@ -74,33 +92,42 @@ const recursiveSample = `<r>
   <a><c/></a>
 </r>`
 
+// letQuery groups each a's c descendants under a let: the edge is
+// optional, so TwigStack cannot run it and Auto chooses between PL and
+// NL alone.
+const letQuery = `for $a in doc("d")//a let $c := $a//c return <r>{ $c }</r>`
+
 // TestAutoRules pins the cost model's choices on real statistics: the
-// §5.2 rules survive as outcomes of the model, not as code. Without an
-// index (the streaming case) a non-recursive document runs PL and a
-// recursive one, where PL is unsound, NL; with an index TwigStack's
-// streams are cheapest either way.
+// §5.2 rules survive as outcomes of the model, not as code. Where
+// TwigStack can run, its streams are cheapest on either document; where
+// it cannot, a non-recursive document runs PL and a recursive one, where
+// PL is unsound, NL.
 func TestAutoRules(t *testing.T) {
 	cases := []struct {
-		name    string
-		doc     string
-		indexed bool
-		opts    Options
-		want    Strategy
+		name  string
+		doc   string
+		query string
+		opts  Options
+		want  Strategy
 	}{
-		{name: "nonrec", doc: sample, want: Pipelined},
-		{name: "nonrec with index", doc: sample, indexed: true, want: Twig},
-		{name: "rec no index", doc: recursiveSample, want: BoundedNL},
-		{name: "rec with index", doc: recursiveSample, indexed: true, want: Twig},
+		{name: "nonrec", doc: sample, query: letQuery, want: Pipelined},
+		{name: "nonrec with index", doc: sample, want: Twig},
+		{name: "rec", doc: recursiveSample, query: letQuery, want: BoundedNL},
+		{name: "rec with index", doc: recursiveSample, want: Twig},
 		{name: "forced", doc: sample, opts: Options{Strategy: BoundedNL}, want: BoundedNL},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			doc := parse(t, c.doc)
 			c.opts.Stats = xmltree.ComputeStats(doc)
-			if c.indexed {
-				c.opts.Index = index.Build(doc)
+			q := compilePath(t, `//a//c`)
+			if c.query != "" {
+				var err error
+				if q, err = core.FromFLWOR(flwor.MustParse(c.query)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			p, err := Build(compilePath(t, `//a//c`), doc, c.opts)
+			p, err := buildIndexed(q, doc, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,32 +141,40 @@ func TestAutoRules(t *testing.T) {
 // TestWildcardOuterIsNotPipelined: `*` matches nest even on a
 // non-recursive document, so a //-join whose outer vertex is a wildcard
 // fails the pipelined join's disjoint-outer precondition. Auto (the
-// cost model) must not pick PL, an explicit request falls back with a
-// note, and every strategy returns the navigational row count.
+// cost model) must not pick PL: on the let form, which TwigStack cannot
+// run, it picks NL, and on the for form TS. An explicit PL request falls
+// back with a note, and every strategy returns the navigational row
+// count.
 func TestWildcardOuterIsNotPipelined(t *testing.T) {
 	doc := parse(t, `<r><a><c><b/></c><b/></a><d><b/></d></r>`)
-	ix := index.Build(doc)
 	stats := xmltree.ComputeStats(doc)
 	if stats.Recursive {
 		t.Fatal("fixture must be non-recursive")
 	}
-	q, err := core.FromFLWOR(flwor.MustParse(
-		`for $x in doc("d")//*, $y in $x//b return <p>{$x}{$y}</p>`))
-	if err != nil {
-		t.Fatal(err)
+	compile := func(src string) *core.Query {
+		q, err := core.FromFLWOR(flwor.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
 	}
+	// r, a, c and d contain 3, 2, 1 and 1 b elements: 7 rows of the for
+	// form, and 7 of the let form, one per element.
+	forQ := compile(`for $x in doc("d")//*, $y in $x//b return <p>{$x}{$y}</p>`)
+	letQ := compile(`for $x in doc("d")//* let $l := $x//b return <p>{$x}{$l}</p>`)
 	for _, c := range []struct {
 		name string
+		q    *core.Query
 		opts Options
 		want Strategy
 	}{
-		{"auto", Options{}, BoundedNL},
-		{"auto with index", Options{Index: ix}, Twig},
-		{"forced pipelined", Options{Strategy: Pipelined, Index: ix}, BoundedNL},
+		{"auto", letQ, Options{}, BoundedNL},
+		{"auto with index", forQ, Options{}, Twig},
+		{"forced pipelined", forQ, Options{Strategy: Pipelined}, BoundedNL},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.opts.Stats = stats
-			p, err := Build(q, doc, c.opts)
+			p, err := buildIndexed(c.q, doc, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +193,6 @@ func TestWildcardOuterIsNotPipelined(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// r, a, c and d contain 3, 2, 1 and 1 b elements.
 			if ins.Len() != 7 {
 				t.Errorf("%d rows, want 7", ins.Len())
 			}
@@ -229,7 +263,7 @@ func TestIndexScanNote(t *testing.T) {
 
 func TestPositionFilterOnNestedCutFails(t *testing.T) {
 	doc := parse(t, sample)
-	_, err := Build(compilePath(t, `//a//b[2]//c`), doc, Options{Strategy: BoundedNL})
+	_, err := buildIndexed(compilePath(t, `//a//b[2]//c`), doc, Options{Strategy: BoundedNL})
 	if err == nil {
 		t.Fatal("nested positional //-step should be rejected at Build time")
 	}
@@ -245,7 +279,7 @@ func TestFLWORCrossingPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(q, doc, Options{})
+	p, err := buildIndexed(q, doc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +303,7 @@ func TestFLWORCrossingPlan(t *testing.T) {
 func TestDocRootChainPlan(t *testing.T) {
 	doc := parse(t, sample)
 	// Query whose first NoK is the doc-root NoK with members: /r/a//c.
-	p, err := Build(compilePath(t, `/r/a//c`), doc, Options{})
+	p, err := buildIndexed(compilePath(t, `/r/a//c`), doc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +319,7 @@ func TestDocRootChainPlan(t *testing.T) {
 
 func TestTrivialEmptyPlan(t *testing.T) {
 	doc := parse(t, sample)
-	p, err := Build(compilePath(t, `//zzz//c`), doc, Options{})
+	p, err := buildIndexed(compilePath(t, `//zzz//c`), doc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +342,7 @@ func TestCombineScanLinkWithDocRootMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(q, doc, Options{})
+	p, err := buildIndexed(q, doc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +365,7 @@ func TestCombineWithoutCrossingIsCartesian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(q, doc, Options{})
+	p, err := buildIndexed(q, doc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +385,7 @@ func TestCanceledContextEndsExecution(t *testing.T) {
 	doc := parse(t, sample)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p, err := Build(compilePath(t, `//a//c`), doc, Options{
+	p, err := buildIndexed(compilePath(t, `//a//c`), doc, Options{
 		Strategy: BoundedNL,
 		Ctx:      ctx,
 	})
