@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"blossomtree/internal/flwor"
@@ -25,6 +26,24 @@ type Query struct {
 	Cells map[*xpath.Path]*ReturnNode
 	// Source is the parsed query this was compiled from.
 	Source flwor.Expr
+	// Pos is the for-clause's positional variable (for $x at $i), "" when
+	// the query has none. It binds each row's ordinal in the for-clause's
+	// binding sequence, which the where-clause filters only afterwards.
+	Pos string
+	// Limit is, when Pos is set, the largest ordinal a row can carry and
+	// still pass the where-clause: NoLimit when no conjunct bounds Pos,
+	// 0 or less when no row can pass.
+	Limit int
+}
+
+// NoLimit is Query.Limit when the where-clause does not bound the
+// positional variable.
+const NoLimit = math.MaxInt
+
+// RowLimit returns the largest ordinal a row can pass with, and whether
+// the where-clause bounds the positional variable at all.
+func (q *Query) RowLimit() (int, bool) {
+	return q.Limit, q.Pos != "" && q.Limit != NoLimit
 }
 
 type builder struct {
@@ -36,6 +55,9 @@ type builder struct {
 	lets map[string]*xpath.Path
 	// ends maps each return- and order-by path to its endpoint vertex.
 	ends map[*xpath.Path]*Vertex
+	// pos is the positional variable, "" when there is none. A path
+	// starting at it reads a row's ordinal, which no vertex matches.
+	pos string
 }
 
 // FromPath compiles a bare path expression into a single-pattern-tree
@@ -76,10 +98,10 @@ func FromFLWOR(e flwor.Expr) (*Query, error) {
 		ends: map[*xpath.Path]*Vertex{}}
 	q := &Query{Tree: b.bt, Vars: b.vars, Source: e}
 
+	if err := b.positional(f, q); err != nil {
+		return nil, err
+	}
 	for _, cl := range f.Clauses {
-		if cl.PosVar != "" {
-			return nil, fmt.Errorf("core: positional variable $%s (at) is %w", cl.PosVar, ErrOutsideFragment)
-		}
 		mode := Mandatory
 		if cl.Kind == flwor.LetClause {
 			mode = Optional
@@ -110,12 +132,14 @@ func FromFLWOR(e flwor.Expr) (*Query, error) {
 		}
 	}
 
-	if f.Where != nil {
+	if f.Where != nil && q.Pos != "" {
+		positionalWhere(f.Where, q)
+	} else if f.Where != nil {
 		if err := b.cond(f.Where, q); err != nil {
 			return nil, err
 		}
 	}
-	if f.OrderBy != nil {
+	if f.OrderBy != nil && !b.atPos(f.OrderBy) {
 		end, err := b.pathEndpoint(stripTextTail(f.OrderBy), Optional, true)
 		if err != nil {
 			return nil, fmt.Errorf("core: order by: %w", err)
@@ -135,6 +159,107 @@ func FromFLWOR(e flwor.Expr) (*Query, error) {
 		}
 	}
 	return q, nil
+}
+
+// positional records the FLWOR's positional variable. A row's ordinal
+// is its place in the for-clause's binding sequence, and the planned
+// rows are that sequence only when there is one for-clause (let-clauses
+// never multiply rows); with several, the ordinal counts the bindings
+// of one clause within each binding of the clauses before it, and the
+// query runs navigationally.
+func (b *builder) positional(f *flwor.FLWOR, q *Query) error {
+	fors := 0
+	for _, cl := range f.Clauses {
+		if cl.Kind == flwor.ForClause {
+			fors++
+		}
+		if cl.PosVar != "" {
+			q.Pos, q.Limit = cl.PosVar, NoLimit
+		}
+	}
+	if q.Pos == "" {
+		return nil
+	}
+	if fors > 1 {
+		return fmt.Errorf("core: positional variable $%s (at) in a FLWOR with %d for-clauses is %w",
+			q.Pos, fors, ErrOutsideFragment)
+	}
+	for _, cl := range f.Clauses {
+		if cl.Var == q.Pos {
+			return fmt.Errorf("core: $%s bound both as a positional variable and by a clause is %w", q.Pos, ErrOutsideFragment)
+		}
+	}
+	b.pos = q.Pos
+	return nil
+}
+
+// positionalWhere compiles the where-clause of a FLWOR with a positional
+// variable. XQuery numbers the for-clause's bindings before the where
+// clause filters them, so no conjunct may narrow the pattern (an
+// exists($a/b) pushed into it would drop rows before they are counted):
+// every conjunct stays residual, bar a bound $i < N or $i <= N against a
+// numeric literal, which the row limit implies wholly.
+func positionalWhere(c xpath.Expr, q *Query) {
+	if and, ok := c.(xpath.And); ok {
+		positionalWhere(and.L, q)
+		positionalWhere(and.R, q)
+		return
+	}
+	if limit, implied, ok := ordinalBound(c, q.Pos); ok {
+		q.Limit = min(q.Limit, limit)
+		if implied {
+			return
+		}
+	}
+	q.Residual = append(q.Residual, c)
+}
+
+// ordinalBound returns the largest ordinal that passes a conjunct $pos op
+// N, or its mirror N op $pos, with N a numeric literal and op one of <,
+// <= and =, and whether passing that bound implies the conjunct (it does
+// for < and <=; = also needs the ordinal to equal N).
+func ordinalBound(c xpath.Expr, pos string) (limit int, implied, ok bool) {
+	cmp, isCmp := c.(xpath.Compare)
+	if !isCmp {
+		return 0, false, false
+	}
+	l, r, op := cmp.Left, cmp.Right, cmp.Op
+	if isVar(r, pos) {
+		l, r, op = r, l, flipOp(op)
+	}
+	if !isVar(l, pos) || r.Kind != xpath.OperandNumber {
+		return 0, false, false
+	}
+	var f float64
+	switch op {
+	case xpath.OpLt:
+		f = math.Ceil(r.Num) - 1
+	case xpath.OpLe, xpath.OpEq:
+		f = math.Floor(r.Num)
+	default:
+		return 0, false, false
+	}
+	switch {
+	case f <= 0:
+		limit = 0
+	case f >= 1<<62:
+		limit = NoLimit
+	default:
+		limit = int(f)
+	}
+	return limit, op != xpath.OpEq, true
+}
+
+// isVar reports whether the operand is the bare variable $name.
+func isVar(o xpath.Operand, name string) bool {
+	return o.Kind == xpath.OperandPath && o.Path.Source.Kind == xpath.SourceVar &&
+		o.Path.Source.Var == name && len(o.Path.Steps) == 0
+}
+
+// atPos reports whether p starts at the positional variable: it reads
+// the row's ordinal, which the executor binds, so it adds no vertex.
+func (b *builder) atPos(p *xpath.Path) bool {
+	return b.pos != "" && p.Source.Kind == xpath.SourceVar && p.Source.Var == b.pos
 }
 
 // findFLWOR unwraps constructors down to the single FLWOR body.
@@ -190,6 +315,9 @@ func (b *builder) anchor(p *xpath.Path) (*Vertex, error) {
 	case xpath.SourceVar:
 		if v, ok := b.vars[p.Source.Var]; ok {
 			return v, nil
+		}
+		if b.atPos(p) {
+			return nil, fmt.Errorf("path %s starts at the positional variable, which is %w", p, ErrOutsideFragment)
 		}
 		return nil, fmt.Errorf("unbound variable $%s", p.Source.Var)
 	default:
@@ -678,6 +806,9 @@ func relativize(p *xpath.Path) *xpath.Path {
 func (b *builder) returnPaths(e flwor.Expr) error {
 	switch t := e.(type) {
 	case *flwor.PathExpr:
+		if b.atPos(t.Path) {
+			return nil // the row's ordinal, bound by the executor
+		}
 		if t.Path.Source.Kind == xpath.SourceVar || t.Path.Source.Kind == xpath.SourceDoc || t.Path.Source.Kind == xpath.SourceRoot {
 			end, err := b.pathEndpoint(stripTextTail(t.Path), Optional, true)
 			if err != nil {

@@ -72,7 +72,8 @@ func compileGoldenQueries() []string {
 
 // TestCompileGolden pins what the compiler makes of each query: a parse
 // rejection, the compile error verbatim, or the BlossomTree (crossings
-// included) with its count of residual where-conditions.
+// included) with its count of residual where-conditions and, for a
+// positional variable, the row limit.
 func TestCompileGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, src := range compileGoldenQueries() {
@@ -87,7 +88,13 @@ func TestCompileGolden(t *testing.T) {
 			fmt.Fprintf(&sb, "error: %v\n\n", err)
 			continue
 		}
-		fmt.Fprintf(&sb, "%sresidual: %d\n\n", q.Tree, len(q.Residual))
+		fmt.Fprintf(&sb, "%sresidual: %d\n", q.Tree, len(q.Residual))
+		if limit, ok := q.RowLimit(); ok {
+			fmt.Fprintf(&sb, "positional: $%s, limit %d\n", q.Pos, limit)
+		} else if q.Pos != "" {
+			fmt.Fprintf(&sb, "positional: $%s, no limit\n", q.Pos)
+		}
+		sb.WriteString("\n")
 	}
 	checkGolden(t, "compile", sb.String())
 }

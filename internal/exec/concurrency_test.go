@@ -272,3 +272,50 @@ func TestOrderKeyLess(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanCacheConcurrentCrossingRuns runs cached templates whose
+// crossings project into per-run buffers (a crossing pushed into a
+// for-clause join, a crossing filter) and a limited positional scan
+// from several goroutines at once: every run builds its own operators,
+// so under the race detector no two runs share a buffer, and each
+// answers as a serial run does.
+func TestPlanCacheConcurrentCrossingRuns(t *testing.T) {
+	e := bibEngine(t)
+	queries := []string{
+		`for $p in doc("bib.xml")//book, $q in doc("bib.xml")//book where $p/title < $q/title return <r>{ $p/title }{ $q/title }</r>`,
+		`for $b in doc("bib.xml")//book where $b/title << $b/author return <r>{ $b/title }</r>`,
+		`for $b at $i in doc("bib.xml")//book where $i < 3 return <r>{ $i }{ $b/title }</r>`,
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		res, err := e.Eval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan == nil {
+			t.Fatalf("%s: not planned (%s)", q, res.NavReason)
+		}
+		want[i] = Canonical(res)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				for i, q := range queries {
+					res, err := e.Eval(q)
+					if err != nil {
+						t.Errorf("%s: %v", q, err)
+						return
+					}
+					if got := Canonical(res); got != want[i] {
+						t.Errorf("%s: concurrent run differs from the serial one:\n%s\nwant:\n%s", q, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -449,48 +449,38 @@ func evalInto(rec *obs.QueryRecord, s *snapshot, q *parsed, opts plan.Options) (
 
 // compiledFor resolves the query's compiled form against snapshot s:
 // served from the engine's plan cache when possible, compiled (and
-// cached) otherwise. Caller-supplied planning inputs (an explicit
-// index or statistics) bypass the cache entirely — the cache only
-// holds plans shaped by the snapshot itself. hit reports whether the
-// cache served the entry.
+// cached) otherwise. hit reports whether the cache served the entry.
 func compiledFor(s *snapshot, q *parsed, opts plan.Options) (*compiled, bool, error) {
-	key, cacheable := cacheKey(s, q, opts)
-	if cacheable {
-		if c, ok := s.state.plans.get(key); ok {
-			// A hit is where the feedback loop closes: if the template's
-			// first run drifted from its estimates, it is recompiled with
-			// the observed cardinalities and re-cached under this key.
-			if c2 := maybeReplan(s, q.expr, key, c, opts); c2 != nil {
-				return c2, true, nil
-			}
-			return c, true, nil
+	key := cacheKey(s, q, opts)
+	if c, ok := s.state.plans.get(key); ok {
+		// A hit is where the feedback loop closes: if the template's
+		// first run drifted from its estimates, it is recompiled with
+		// the observed cardinalities and re-cached under this key.
+		if c2 := maybeReplan(s, q.expr, key, c, opts); c2 != nil {
+			return c2, true, nil
 		}
+		return c, true, nil
 	}
 	c, err := compileTemplate(s, q.expr, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	if cacheable {
-		c.learns = opts.Strategy == plan.Auto
-		s.state.plans.put(key, c)
-	}
+	c.learns = opts.Strategy == plan.Auto
+	s.state.plans.put(key, c)
 	return c, false, nil
 }
 
-// cacheKey returns the plan-cache key of q under opts, and false when
-// caller-supplied planning inputs make the compilation uncacheable.
-func cacheKey(s *snapshot, q *parsed, opts plan.Options) (planKey, bool) {
-	if opts.Index != nil || opts.Stats.Nodes != 0 {
-		return planKey{}, false
-	}
-	return planKey{version: s.version, hash: q.hash, strategy: opts.Strategy}, true
+// cacheKey returns the plan-cache key of q under opts.
+func cacheKey(s *snapshot, q *parsed, opts plan.Options) planKey {
+	return planKey{version: s.version, hash: q.hash, strategy: opts.Strategy}
 }
 
 // compileTemplate runs the full compile pipeline and builds the
-// pristine plan template the cache shares: only planning-time options
-// reach the Build — per-run state (governor, context, budgets,
-// telemetry) is installed later by Fork, so the template never holds a
-// run's resources.
+// pristine plan template the cache shares. It plans with the snapshot
+// entry's index and statistics; of opts only the strategy and the
+// feedback hints reach the Build — per-run state (governor, context,
+// budgets, telemetry) is installed later by Fork, so the template never
+// holds a run's resources.
 // Compile or Build errors wrapping core.ErrOutsideFragment are not
 // failures: the query parses but cannot be expressed in the pattern-tree
 // fragment, so the template records a navigational-fallback routing
@@ -507,19 +497,12 @@ func compileTemplate(s *snapshot, expr flwor.Expr, opts plan.Options) (*compiled
 	if err != nil {
 		return nil, err
 	}
-	popts := plan.Options{
+	tmpl, err := plan.Build(q, ent.doc, plan.Options{
 		Strategy:  opts.Strategy,
-		Index:     opts.Index,
-		Stats:     opts.Stats,
+		Index:     ent.index,
+		Stats:     ent.stats,
 		CardHints: opts.CardHints,
-	}
-	if popts.Index == nil {
-		popts.Index = ent.index
-	}
-	if popts.Stats.Nodes == 0 {
-		popts.Stats = ent.stats
-	}
-	tmpl, err := plan.Build(q, ent.doc, popts)
+	})
 	if err != nil {
 		if errors.Is(err, core.ErrOutsideFragment) {
 			return &compiled{nav: true, navReason: err.Error()}, nil
@@ -585,14 +568,12 @@ func explain(s *snapshot, q *parsed, opts plan.Options) (string, error) {
 // the template the next evaluation of q would execute: the cached one,
 // unless its next hit will replan it.
 func nextTemplate(s *snapshot, q *parsed, opts plan.Options) (*compiled, error) {
-	if key, ok := cacheKey(s, q, opts); ok {
-		if c, ok := s.state.plans.peek(key); ok {
-			hints, _, pending := c.replanHints()
-			if !pending || c.decided.Load() {
-				return c, nil
-			}
-			opts.CardHints = hints
+	if c, ok := s.state.plans.peek(cacheKey(s, q, opts)); ok {
+		hints, _, pending := c.replanHints()
+		if !pending || c.decided.Load() {
+			return c, nil
 		}
+		opts.CardHints = hints
 	}
 	return compileTemplate(s, q.expr, opts)
 }
@@ -694,13 +675,21 @@ func finishFLWOR(s *snapshot, c *compiled, res *Result, g *gov.Governor) error {
 	if err != nil {
 		return err
 	}
+	if c.q.Pos != "" {
+		// The positional variable numbers iteration order before the
+		// where-clause, all of whose conditions are residual, filters it.
+		rs.iterate()
+		rs.number(c.q.Limit)
+	}
 	// Residual where-conditions (outside the conjunctive fragment).
 	if len(c.q.Residual) > 0 {
 		if err := rs.filter(c.q.Residual, s.resolve, g); err != nil {
 			return err
 		}
 	}
-	rs.iterate()
+	if c.q.Pos == "" {
+		rs.iterate()
+	}
 	if t.f.OrderBy != nil {
 		if err := rs.orderBy(t.f, s.resolve, g); err != nil {
 			return err

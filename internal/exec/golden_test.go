@@ -35,11 +35,12 @@ func TestEngineExplainGolden(t *testing.T) {
 		// the 4 books it estimated: it executes the replanned template,
 		// hint note and cost table included.
 		{name: "plan_cache_hit", query: `//book[author]/title`, warm: true},
-		// New query surface: function predicates, positional variables
-		// and non-rewritable upward axes run through the navigational
-		// fallback; its EXPLAIN names the routing reason.
+		// New query surface: function predicates, a positional variable
+		// beside a second for-clause and non-rewritable upward axes run
+		// through the navigational fallback; its EXPLAIN names the
+		// routing reason.
 		{name: "nav_fallback_contains", query: `//book[contains(title, "Art")]`},
-		{name: "nav_fallback_positional_var", query: `for $b at $i in doc("bib.xml")//book where $i < 2 return $b`},
+		{name: "nav_fallback_positional_var", query: `for $b at $i in doc("bib.xml")//book, $a in $b/author where $i < 2 return $a`},
 		{name: "nav_fallback_ancestor", query: `//last/ancestor::book`},
 		// Rewritable parent steps, attribute constraints and positional
 		// predicates stay planned.

@@ -32,14 +32,14 @@ func navFallbackEngine(t *testing.T) *Engine {
 
 // navFallbackQueries lists queries that parse but lie outside the
 // BlossomTree fragment, one per fallback route: function predicates,
-// non-rewritable parent/ancestor steps, positional variables, and
-// positional predicates under nested //-cuts.
+// non-rewritable parent/ancestor steps, a positional variable beside a
+// second for-clause, and positional predicates under nested //-cuts.
 var navFallbackQueries = []string{
 	`//book[contains(title, "Book")]`,
 	`//book[count(author) = 1]`,
 	`//title/parent::book`,
 	`//last/ancestor::shelf`,
-	`for $b at $i in doc("d")//book where $i < 3 return $b`,
+	`for $b at $i in doc("d")//book, $t in $b/title where $i < 3 return $t`,
 	`//shelf//book[1]//last`,
 }
 

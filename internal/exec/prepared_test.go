@@ -105,21 +105,30 @@ func TestPlanCacheKeyedByStrategy(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBypassOnExplicitInputs checks that caller-supplied
-// planning inputs (index, statistics) keep the evaluation out of the
-// plan cache: such plans are shaped by caller state the key cannot
-// see.
-func TestPlanCacheBypassOnExplicitInputs(t *testing.T) {
+// TestPlanningInputsFromSnapshot checks that the engine plans with the
+// snapshot's own index and statistics: planning inputs in the caller's
+// options neither keep the evaluation out of the plan cache nor shape
+// its plan.
+func TestPlanningInputsFromSnapshot(t *testing.T) {
+	const q = `//book//last`
+	want, err := bibEngine(t).Eval(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := bibEngine(t)
-	doc, _ := e.resolve("bib.xml")
-	opts := plan.Options{Stats: xmltree.ComputeStats(doc)}
+	// Statistics claiming a recursive one-node document would rule out
+	// the pipelined join and reprice every scan.
+	opts := plan.Options{Stats: xmltree.Stats{Nodes: 1, Recursive: true}}
 	for i := 0; i < 2; i++ {
-		res, err := e.EvalOptions(`//book/title`, opts)
+		res, err := e.EvalOptions(q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cached {
-			t.Errorf("run %d with explicit stats hit the cache", i)
+		if res.Cached != (i == 1) {
+			t.Errorf("run %d: cached = %v, want %v", i, res.Cached, i == 1)
+		}
+		if got, want := res.Plan.ExplainCosts(), want.Plan.ExplainCosts(); got != want {
+			t.Errorf("run %d: the caller's statistics reached the cost model:\n%s\nwant:\n%s", i, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 
 	"blossomtree/internal/core"
@@ -27,6 +28,7 @@ type tail struct {
 	forCols []int               // the for-variables' columns, in clause order
 	paths   map[*xpath.Path]int // exact paths → column
 	missing string              // a variable with no returning node, if any
+	pos     string              // the positional variable, "" when there is none
 }
 
 // varCol is a variable's column.
@@ -41,7 +43,7 @@ func newTail(q *core.Query) (*tail, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &tail{f: f, expr: q.Source, paths: make(map[*xpath.Path]int, len(q.Cells))}
+	t := &tail{f: f, expr: q.Source, paths: make(map[*xpath.Path]int, len(q.Cells)), pos: q.Pos}
 	cols := make(map[*core.ReturnNode]int)
 	col := func(rn *core.ReturnNode) int {
 		k, ok := cols[rn]
@@ -88,6 +90,7 @@ type rowSet struct {
 	has   []bool        // per column: whether the instances carry its slot
 	n     int           // instances
 	order []int32       // the rows, as instance numbers in iteration order
+	ord   []int32       // per instance: its ordinal, when the tail has a positional variable
 	envs  []naveval.Env // per instance: built on demand, or given
 	// envOnce builds every row's Env once the rows are final, so that
 	// rowEnvs, which any goroutine may call, only reads envs.
@@ -185,6 +188,11 @@ func (rs *rowSet) env(inst int) naveval.Env {
 		for _, v := range rs.t.vars {
 			env[v.name] = rs.cell(inst, v.col)
 		}
+		if rs.t.pos != "" {
+			// As the navigational evaluator binds it: a detached text
+			// node holding the ordinal.
+			env[rs.t.pos] = []*xmltree.Node{{Kind: xmltree.TextNode, Text: strconv.Itoa(int(rs.ord[inst]))}}
+		}
 		rs.envs[inst] = env
 	}
 	return rs.envs[inst]
@@ -248,6 +256,19 @@ func (rs *rowSet) iterate() {
 		slices.SortStableFunc(rs.order, cmp)
 	}
 	rs.order = slices.CompactFunc(rs.order, func(a, b int32) bool { return cmp(a, b) == 0 })
+}
+
+// number keeps the first limit rows of iteration order and gives each
+// its ordinal, the value the positional variable binds: XQuery numbers
+// the for-clause's bindings before the where-clause filters them.
+func (rs *rowSet) number(limit int) {
+	if len(rs.order) > limit {
+		rs.order = rs.order[:max(limit, 0)]
+	}
+	rs.ord = make([]int32, rs.n)
+	for k, inst := range rs.order {
+		rs.ord[inst] = int32(k + 1)
+	}
 }
 
 // orderBy sorts the rows by the order-by path's first node.

@@ -6,16 +6,22 @@ import (
 	"blossomtree/internal/gov"
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/obs"
+	"blossomtree/internal/xmltree"
 )
 
 // Predicate evaluates a join condition between two instances.
 type Predicate func(m, n *nestedlist.List) (bool, error)
 
 // CrossingPredicate adapts a BlossomTree crossing edge to a join
-// predicate over the returning-tree slots of its two endpoints.
+// predicate over the returning-tree slots of its two endpoints. Each
+// call makes a predicate of its own: it projects both endpoints into two
+// buffers it reuses across pair tests, so one predicate serves one join
+// of one run (the plan builds both per run) and must not be shared.
 func CrossingPredicate(c *core.Crossing, fromSlot, toSlot int) Predicate {
+	var from, to []*xmltree.Node
 	return func(m, n *nestedlist.List) (bool, error) {
-		return c.Eval(m.ProjectSlot(fromSlot), n.ProjectSlot(toSlot)), nil
+		from, to = m.AppendSlot(from[:0], fromSlot), n.AppendSlot(to[:0], toSlot)
+		return c.Eval(from, to), nil
 	}
 }
 
@@ -94,6 +100,8 @@ type CrossingFilter struct {
 
 	// Stats, when non-nil, counts crossing-predicate evaluations.
 	Stats *obs.OpStats
+
+	from, to []*xmltree.Node // the endpoints' projections, reused per instance
 }
 
 // GetNext returns the next passing instance or nil.
@@ -104,7 +112,8 @@ func (f *CrossingFilter) GetNext() *nestedlist.List {
 			return nil
 		}
 		f.Stats.AddComparisons(1)
-		if f.Crossing.Eval(l.ProjectSlot(f.FromSlot), l.ProjectSlot(f.ToSlot)) {
+		f.from, f.to = l.AppendSlot(f.from[:0], f.FromSlot), l.AppendSlot(f.to[:0], f.ToSlot)
+		if f.Crossing.Eval(f.from, f.to) {
 			return l
 		}
 	}

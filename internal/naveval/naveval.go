@@ -65,7 +65,7 @@ func SortByKeys[T any](rows []T, keys []string, desc bool) []T {
 	}
 	ks := make([]keyed, len(rows))
 	for i, row := range rows {
-		f, num := parseNumber(keys[i])
+		f, num := xpath.ParseNumber(keys[i])
 		ks[i] = keyed{keys[i], f, num, row}
 	}
 	// cmp is OrderKeyLess on parsed keys, as a three-way comparison.
@@ -85,18 +85,6 @@ func SortByKeys[T any](rows []T, keys []string, desc bool) []T {
 		rows[i] = k.row
 	}
 	return rows
-}
-
-// parseNumber parses an order-by key as strconv.ParseFloat does. Every
-// text ParseFloat accepts starts with a sign, a point, a digit or the
-// first letter of "inf", "infinity" or "nan", so any other key is turned
-// away without the failed parse's error allocation.
-func parseNumber(s string) (float64, bool) {
-	if s == "" || !strings.ContainsRune("+-.0123456789iInN", rune(s[0])) {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	return f, err == nil
 }
 
 // cmpFloat is a three-way comparison by <, under which NaN is equal to

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"blossomtree/internal/xmltree"
+	"blossomtree/internal/xpath"
 )
 
 // TestSortByKeysMatchesOrderKeyLess: sorting through the keys parsed once
@@ -95,15 +96,16 @@ func TestOrderKeyLess(t *testing.T) {
 }
 
 // TestParseNumberAgreesWithParseFloat: the first-byte filter in front
-// of strconv.ParseFloat that order-by keys go through turns away only
-// keys ParseFloat rejects, so every key keeps its numeric reading.
+// of strconv.ParseFloat that order-by keys go through (xpath.ParseNumber)
+// turns away only keys ParseFloat rejects, so every key keeps its
+// numeric reading.
 func TestParseNumberAgreesWithParseFloat(t *testing.T) {
 	for _, k := range []string{"inf", "Inf", "-Inf", "+inf", "infinity", "NaN", "nan", "+.5", ".5", "0x1p-2",
 		"-", "+", "", " 1", "1 ", "9", "-0", "1e400", "1_0", "0x1_0p0", "x1", "abc", "\u00e9"} {
-		f, num := parseNumber(k)
+		f, num := xpath.ParseNumber(k)
 		want, err := strconv.ParseFloat(k, 64)
 		if num != (err == nil) || num && !(f == want || math.IsNaN(f) && math.IsNaN(want)) {
-			t.Errorf("parseNumber(%q) = %v, %v; ParseFloat gives %v, %v", k, f, num, want, err)
+			t.Errorf("ParseNumber(%q) = %v, %v; ParseFloat gives %v, %v", k, f, num, want, err)
 		}
 	}
 }

@@ -219,12 +219,18 @@ func firstNode(it *Item, path []int) *xmltree.Node {
 // By Theorem 1 the result is in document order when the instance was
 // built by NoK pattern matching.
 func (l *List) ProjectSlot(slot int) []*xmltree.Node {
-	var out []*xmltree.Node
+	return l.AppendSlot(nil, slot)
+}
+
+// AppendSlot appends the slot's projection (ProjectSlot's sequence) to
+// dst and returns the extended slice: a caller that projects per pair
+// reuses one buffer instead of building a slice each time.
+func (l *List) AppendSlot(dst []*xmltree.Node, slot int) []*xmltree.Node {
 	l.VisitSlot(slot, func(n *xmltree.Node) bool {
-		out = append(out, n)
+		dst = append(dst, n)
 		return true
 	})
-	return out
+	return dst
 }
 
 // SelectSlot implements σ_ϕ: evaluate the predicate on each item of

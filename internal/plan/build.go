@@ -18,6 +18,11 @@ type component struct {
 	op    join.Operator
 	stats *obs.OpStats
 	noks  map[*core.NoK]bool
+	// seed is the NoK whose base scan started the component, and
+	// seedStats that scan's stats node: while stats is still seedStats,
+	// no operator sits above the scan.
+	seed      *core.NoK
+	seedStats *obs.OpStats
 }
 
 // buildNoKPlan wires NoK scans and structural joins along the
@@ -43,7 +48,7 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 	var comps []*component
 	newComponent := func(n *core.NoK) *component {
 		op, st := p.baseScan(matchers[n])
-		c := &component{op: op, stats: st, noks: map[*core.NoK]bool{n: true}}
+		c := &component{op: op, stats: st, noks: map[*core.NoK]bool{n: true}, seed: n, seedStats: st}
 		comps = append(comps, c)
 		return c
 	}
@@ -174,6 +179,9 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 	}
 	op, stats := comps[0].op, comps[0].stats
 
+	if limit, ok := p.Query.RowLimit(); ok && limit > 0 {
+		p.limitRows(comps[0], len(filters) == 0, limit)
+	}
 	for _, c := range filters {
 		st := obs.NewOpStats("CrossingFilter", fmt.Sprintf("σ %s", c))
 		st.Adopt(stats)
@@ -183,6 +191,29 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 	}
 
 	return op, stats, nil
+}
+
+// limitRows applies the query's row limit to a plan whose root is the
+// component root, with no filter above it when unfiltered. The executor
+// truncates every plan's rows, in iteration order, to the limit. When
+// the root is the bare base scan of the for-variable's NoK — no join or
+// filter above it, the for-vertex its root and no other for-vertex in
+// it — its emissions are the for-clause's bindings in iteration order,
+// one instance each, so the run also stops pulling after the limit's
+// last row, and the scan's output estimate is capped to match.
+func (p *Plan) limitRows(root *component, unfiltered bool, limit int) {
+	bare := unfiltered && root.stats == root.seedStats && root.seed.Root.ForBound
+	for v := range root.seed.Members {
+		bare = bare && (!v.ForBound || v == root.seed.Root)
+	}
+	if !bare {
+		p.note("limit %d on $%s: rows truncated after the plan (its root is not the for-variable's bare scan)",
+			limit, p.Query.Pos)
+		return
+	}
+	p.stopAfter = limit
+	root.stats.EstOut = min(root.stats.EstOut, float64(limit))
+	p.note("limit %d on $%s: the scan stops after row %d", limit, p.Query.Pos, limit)
 }
 
 // combine Cartesian-joins two components, using any crossing that spans
@@ -366,6 +397,13 @@ func (p *Plan) runTwig() (*Instances, *obs.OpStats, error) {
 				st.EstOut, st.FeedbackKey = c, rn.Vertex.Label()
 			}
 		}
+	}
+	if p.stopAfter == 0 {
+		st.EstOut = 0
+		return &Instances{Cols: ts.Keep}, st, nil
+	}
+	if limit, ok := p.Query.RowLimit(); ok {
+		p.note("limit %d on $%s: rows truncated after the plan (TwigStack emits all of them)", limit, p.Query.Pos)
 	}
 	// Charge the run's time to the operator under EXPLAIN ANALYZE.
 	if p.opts.Analyze {

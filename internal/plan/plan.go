@@ -150,6 +150,11 @@ type Plan struct {
 	// recent build; rebuilt fresh on every build so a plan
 	// explained and then executed does not double-count.
 	stats *obs.OpStats
+	// stopAfter is how many root emissions Execute pulls, -1 for all:
+	// the query's row limit when the root emits the for-clause's
+	// bindings in iteration order (limitRows), 0 when no row can pass.
+	// Set by every build.
+	stopAfter int
 }
 
 // watch registers a deferred-error source to be checked after draining.
@@ -357,10 +362,15 @@ func (p *Plan) Execute() (*Instances, error) {
 		return nil, gov.WithStats(err, p.stats)
 	}
 	// Root-level results are the only emissions charged against the
-	// output budget (intermediate operators emit freely).
+	// output budget (intermediate operators emit freely). A limited root
+	// is not pulled past its last row.
 	if out == nil {
 		out = &Instances{}
-		for l := op.GetNext(); l != nil; l = op.GetNext() {
+		for len(out.Lists) != p.stopAfter {
+			l := op.GetNext()
+			if l == nil {
+				break
+			}
 			out.Lists = append(out.Lists, l)
 			if err := p.gov.Output(1); err != nil {
 				return nil, gov.WithStats(err, p.stats)
@@ -409,6 +419,11 @@ func (p *Plan) build() (join.Operator, *Instances, error) {
 	var out *Instances
 	var st *obs.OpStats
 	var err error
+	p.stopAfter = -1
+	if limit, ok := p.Query.RowLimit(); ok && limit <= 0 {
+		p.stopAfter = 0
+		p.note("limit %d on $%s: no row can pass, nothing is scanned", limit, p.Query.Pos)
+	}
 	switch p.Strategy {
 	case Twig:
 		out, st, err = p.runTwig()

@@ -16,7 +16,7 @@ func TestRegressions(t *testing.T) {
 			}
 			e := exec.New()
 			e.Add("d", doc)
-			runPair(t, e, doc, xmltree.ComputeStats(doc).Recursive, c.Query, 0)
+			runPair(t, e, doc, xmltree.ComputeStats(doc).Recursive, c.Query, 0, nil)
 		})
 	}
 }

@@ -218,4 +218,27 @@ var Regressions = []Regression{
 		`<r><x><a>1</a><a>2</a></x><x><a>3</a></x><x/></r>`,
 		`for $x in doc("d")//x return $x/a`,
 	},
+	// A positional variable numbers the for-clause's bindings before the
+	// where-clause filters them: a conjunct on $x pushed into the
+	// pattern would drop the b-less x elements before they are counted.
+	// Over a bare scan the limit stops the scan; below a join only the
+	// executor's truncation applies it.
+	{
+		"positional/narrowing-trap",
+		`<r><x><b/></x><x/><x><b/></x><x/><x><b/></x><x><b/></x></r>`,
+		`for $x at $i in doc("d")//x where exists($x/b) and $i < 4 return <r>{ $i }{ $x }</r>`,
+	},
+	{
+		"positional/narrowing-trap-below-join",
+		`<r><x><y><b/></y><y/></x><x><y/><y><b/></y><y><b/></y></x></r>`,
+		`for $y at $i in doc("d")//x//y where exists($y/b) and $i < 4 return <r>{ $i }{ $y }</r>`,
+	},
+	// With a second for-clause the ordinal restarts within each outer
+	// binding, which no planned row order numbers: the query runs
+	// navigationally.
+	{
+		"positional/two-for-clauses",
+		`<r><x><b>1</b><b>2</b></x><x/><x><b>3</b></x></r>`,
+		`for $x at $i in doc("d")//x, $y in $x/b where $i < 3 return <r>{ $i }{ $y }</r>`,
+	},
 }

@@ -252,8 +252,8 @@ func (o CmpOp) String() string {
 // comparison when both sides parse as numbers, string comparison
 // otherwise.
 func (o CmpOp) Eval(left, right string) bool {
-	if ln, errL := strconv.ParseFloat(strings.TrimSpace(left), 64); errL == nil {
-		if rn, errR := strconv.ParseFloat(strings.TrimSpace(right), 64); errR == nil {
+	if ln, ok := ParseNumber(strings.TrimSpace(left)); ok {
+		if rn, ok := ParseNumber(strings.TrimSpace(right)); ok {
 			switch o {
 			case OpEq:
 				return ln == rn
@@ -285,6 +285,18 @@ func (o CmpOp) Eval(left, right string) bool {
 		return left >= right
 	}
 	return false
+}
+
+// ParseNumber parses s as strconv.ParseFloat does and reports whether it
+// is a number. Every text ParseFloat accepts starts with a sign, a point,
+// a digit or the first letter of "inf", "infinity" or "nan", so any
+// other text is turned away without the failed parse's error allocation.
+func ParseNumber(s string) (float64, bool) {
+	if s == "" || !strings.ContainsRune("+-.0123456789iInN", rune(s[0])) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
 // OperandKind discriminates comparison operands.
