@@ -28,7 +28,9 @@
 #                  of an evaluation's record, the naive nested-loop
 #                  plan strategy, or the FLWOR tail's per-row Env dedup
 #                  and deep copy into constructed output, or the
-#                  index-less engine, the merged scan and their knobs
+#                  index-less engine, the merged scan and their knobs,
+#                  or the batch, per-document and prepared entry points
+#                  and the CRC-less segment loader
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -76,9 +78,9 @@ proptest:
 		-run 'TestRandomizedDifferential|TestPipelinedOnNonRecursiveDocuments' \
 		-proptest.seed $(PROPSEED) -proptest.cases $(PROPCASES) -v
 
-# Cancellation/fault-injection stress: mid-flight cancellation of batch
-# and multi-document evaluation, scripted operator panics, and budget
-# aborts, repeated under the race detector so governor state and worker
+# Cancellation/fault-injection stress: mid-flight cancellation of
+# concurrent and all-documents evaluation, scripted operator panics, and
+# budget aborts, repeated under the race detector so governor state and worker
 # draining are exercised across interleavings. The pipelined join's
 # linearity, allocation, skip and governor-parity tests ride along, and
 # so does admission control: token bucket, weighted-fair queue, injected
@@ -158,7 +160,11 @@ bench:
 # source nodes: the per-row Env dedup (dedupEnvs) and the deep copy of
 # every returned subtree (copyInto) do not come back. Every document has
 # its tag index: the index-less engine, its constructor and flags, and
-# the merged scan only it could run do not come back.
+# the merged scan only it could run do not come back. A query runs one
+# of two ways, on one document or gathered over all of them, and the
+# plan cache is how a compiled query is reused: the batch, the
+# per-document fan-out and the prepared statement do not come back, nor
+# does the second, CRC-less persisted form the segment store replaced.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -215,6 +221,10 @@ lint-refs:
 	@if git grep -n -e 'NewEngineNoIndexe[s]' -e 'MergeScan[s]' -e 'MultiSca[n]' -e 'NewWithConfi[g]' \
 		-e 'BuildIndexe[s]' -e 'no-indexe[s]' -- '*.go' ':!*_test.go'; then \
 		echo "lint-refs: reference to the retired index-less engine or the merged scan"; exit 1; fi
+	@if git grep -n -e 'QueryBatchContex[t]' -e 'EvalBatc[h]' -e 'BatchResul[t]' \
+		-e 'QueryAllDocumentsContex[t]' -e 'DocumentResul[t]' -e 'PrepareWit[h]' -e 'exec\.Prepare[d]' \
+		-e 'RunContex[t]' -e 'LoadSegmen[t]' -e 'EncodeSegmen[t]' -- '*.go' ':!*_test.go'; then \
+		echo "lint-refs: reference to a retired query entry point (batch, per-document, prepared) or the CRC-less segment loader"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; NestedList selection must only shrink

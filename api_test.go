@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"blossomtree/internal/exec"
@@ -95,49 +96,93 @@ func TestQueryResolutionRules(t *testing.T) {
 	}
 }
 
-// TestQueryAllDocumentsPinsEachDocument: the fan-out form returns every
-// document in URI order, each evaluated as if the query named it.
+// TestQueryAllDocumentsPinsEachDocument: the gathered fan-out evaluates
+// every document as if the query named it and concatenates the answers
+// in URI order: nodes for a path, constructed content for a FLWOR that
+// constructs, under its synthetic root or its outer constructor.
 func TestQueryAllDocumentsPinsEachDocument(t *testing.T) {
 	e, uris := apiFixture(t)
 	ctx := context.Background()
-	for _, q := range []string{
-		`doc(%q)//book[price<30]/title`,
-		`for $b in doc(%q)//book return <hit>{$b/title}</hit>`,
+	for _, c := range []struct{ q, open, close string }{
+		{`doc(%q)//book[price<30]/title`, "", ""},
+		{`for $b in doc(%q)//book return <hit>{$b/title}</hit>`, "<results>", "</results>"},
+		{`<all>{ for $b in doc(%q)//book where $b/price > 15 return <hit>{$b/title}</hit> }</all>`, "<all>", "</all>"},
 	} {
-		got, err := e.QueryAllDocumentsContext(ctx, fmt.Sprintf(q, "any.xml"), Options{}, 2)
+		got, err := e.QueryAllGatheredContext(ctx, fmt.Sprintf(c.q, "any.xml"), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(uris) {
-			t.Fatalf("docs = %d, want %d", len(got), len(uris))
-		}
-		for i, uri := range uris {
-			if got[i].URI != uri {
-				t.Fatalf("doc %d: URI %q, want %q", i, got[i].URI, uri)
+		// answer is a result's content: its nodes, or its document
+		// without the root element.
+		answer := func(r *Result) string {
+			if c.open == "" {
+				var sb strings.Builder
+				for _, n := range r.Nodes() {
+					sb.WriteString(n.XML())
+				}
+				return sb.String()
 			}
-			want, wantErr := e.Query(fmt.Sprintf(q, uri))
-			sameOutcome(t, uri, want, wantErr, got[i].Result, got[i].Err)
+			return strings.TrimSuffix(strings.TrimPrefix(r.XML(), c.open), c.close)
+		}
+		var want strings.Builder
+		rows := 0
+		for _, uri := range uris {
+			res, err := e.Query(fmt.Sprintf(c.q, uri))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += res.Len()
+			want.WriteString(answer(res))
+		}
+		if got.Len() != rows || answer(got) != want.String() || want.Len() == 0 {
+			t.Errorf("%s: gathered %d rows\n%s\nwant %d\n%s", c.q, got.Len(), answer(got), rows, want.String())
 		}
 	}
 }
 
-// TestQueryAllGathered: the gathered form is the all-documents results
-// concatenated in URI order.
-func TestQueryAllGathered(t *testing.T) {
-	e, _ := apiFixture(t)
-	ctx := context.Background()
-	const q = `//book[price<30]/title`
-	docs, err := e.QueryAllDocumentsContext(ctx, q, Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestQueryAllGatheredConstructs: a gathered FLWOR that constructs
+// elements answers one document, its outer constructor built once and
+// its return clause once per row of every document, in URI order.
+func TestQueryAllGatheredConstructs(t *testing.T) {
+	e := NewEngine()
+	for _, d := range []string{"A", "B"} {
+		if err := e.LoadString(strings.ToLower(d)+".xml", `<bib><book><title>`+d+`</title></book></bib>`); err != nil {
+			t.Fatal(err)
+		}
 	}
+	const ret = `for $b in doc("a.xml")//book return <t>{ $b/title }</t>`
+	for _, c := range []struct{ q, want string }{
+		{ret, `<results><t><title>A</title></t><t><title>B</title></t></results>`},
+		{`<out><n/>{ ` + ret + ` }</out>`, `<out><n/><t><title>A</title></t><t><title>B</title></t></out>`},
+	} {
+		for _, s := range []Strategy{StrategyAuto, StrategyNavigational} {
+			res, err := e.QueryAllGatheredContext(context.Background(), c.q, Options{Strategy: s})
+			if err != nil {
+				t.Fatalf("%s (%s): %v", c.q, s, err)
+			}
+			if res.Len() != 2 || res.XML() != c.want {
+				t.Errorf("%s (%s): %d rows, XML %q; want 2 rows, %q", c.q, s, res.Len(), res.XML(), c.want)
+			}
+		}
+	}
+}
+
+// TestQueryAllGathered: the gathered form is each document's answer to
+// the query naming it, concatenated in URI order.
+func TestQueryAllGathered(t *testing.T) {
+	e, uris := apiFixture(t)
+	ctx := context.Background()
 	var want []string
-	for _, d := range docs {
-		for _, n := range d.Result.Nodes() {
+	for _, uri := range uris {
+		res, err := e.Query(fmt.Sprintf(`doc(%q)//book[price<30]/title`, uri))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range res.Nodes() {
 			want = append(want, n.XML())
 		}
 	}
-	got, err := e.QueryAllGatheredContext(ctx, q, Options{}, 0)
+	got, err := e.QueryAllGatheredContext(ctx, `//book[price<30]/title`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +210,13 @@ func TestQueryAllGatheredFailedDocument(t *testing.T) {
 	}
 	ctx := context.Background()
 	opts := Options{Budget: Budget{MaxNodes: 20}}
-	docs, err := e.QueryAllDocumentsContext(ctx, `//a/b`, opts, 0)
-	if err != nil || len(docs) != 2 || !errors.Is(docs[0].Err, ErrBudgetExceeded) || docs[1].Err != nil {
-		t.Fatalf("per-document outcomes: %+v, %v; want big.xml over budget, small.xml ok", docs, err)
+	if _, err := e.QueryWithContext(ctx, `doc("big.xml")//a/b`, opts); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("big.xml alone: %v, want a budget abort", err)
 	}
-	res, err := e.QueryAllGatheredContext(ctx, `//a/b`, opts, 0)
+	if _, err := e.QueryWithContext(ctx, `doc("small.xml")//a/b`, opts); err != nil {
+		t.Fatalf("small.xml alone: %v", err)
+	}
+	res, err := e.QueryAllGatheredContext(ctx, `//a/b`, opts)
 	if err == nil {
 		t.Fatalf("gathered result over a failed document succeeded with %d rows", res.Len())
 	}
@@ -184,42 +231,37 @@ func TestQueryAllGatheredFailedDocument(t *testing.T) {
 	}
 }
 
-// TestPreparedEntryPoints: prepared runs agree with Query, keep working
-// across re-runs and after a load, and a bad query fails at Prepare.
+// TestPreparedEntryPoints: repeating a query through the public entry
+// points is served from the plan cache, agrees with the first run, and
+// keeps working after a load; a bad query fails every run.
 func TestPreparedEntryPoints(t *testing.T) {
 	e, _ := apiFixture(t)
 	q := `doc("doc-2.xml")//book[price<40]/title`
-	want, wantErr := e.Query(q)
-	if wantErr != nil {
-		t.Fatal(wantErr)
-	}
-	for _, prepare := range []func() (*Prepared, error){
-		func() (*Prepared, error) { return e.Prepare(q) },
-		func() (*Prepared, error) { return e.PrepareWith(q, Options{Strategy: StrategyBoundedNL}) },
-	} {
-		p, err := prepare()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Source() != q {
-			t.Errorf("Source = %q", p.Source())
+	for _, opts := range []Options{{}, {Strategy: StrategyBoundedNL}} {
+		want, wantErr := e.QueryWith(q, opts)
+		if wantErr != nil {
+			t.Fatal(wantErr)
 		}
 		for i := 0; i < 2; i++ {
-			got, err := p.RunContext(context.Background())
+			got, err := e.QueryWithContext(context.Background(), q, opts)
 			sameOutcome(t, fmt.Sprintf("run %d", i), want, wantErr, got, err)
+			if err == nil && !got.Cached() {
+				t.Errorf("%s run %d missed the plan cache", opts.Strategy, i)
+			}
 		}
 		if err := e.LoadString("late.xml", `<bib/>`); err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.RunContext(context.Background())
+		got, err := e.QueryWith(q, opts)
 		sameOutcome(t, "run after load", want, wantErr, got, err)
+		if err == nil && got.Cached() {
+			t.Errorf("%s: the run after a load reused a stale plan", opts.Strategy)
+		}
 	}
-	if _, err := e.Prepare(`//book[`); err == nil {
-		t.Error("Prepare accepted a bad query")
-	}
-	// An empty catalog defers the compile check to the first run.
-	if _, err := NewEngine().Prepare(`//book`); err != nil {
-		t.Errorf("Prepare on an empty catalog: %v", err)
+	for i := 0; i < 2; i++ {
+		if _, err := e.Query(`//book[`); err == nil {
+			t.Errorf("run %d accepted a bad query", i)
+		}
 	}
 }
 
@@ -254,9 +296,10 @@ func TestStrategyVectorizedRunsAuto(t *testing.T) {
 	}
 }
 
-// TestBatchAndExplainEntryPoints: each batch entry agrees with Query on
-// its own (a parse error stays per entry), and EXPLAIN ANALYZE renders
-// the operator counters.
+// TestBatchAndExplainEntryPoints: a batch of concurrent
+// QueryWithContext calls each agrees with Query on its own (a parse
+// error stays with its call), and EXPLAIN ANALYZE renders the operator
+// counters.
 func TestBatchAndExplainEntryPoints(t *testing.T) {
 	e, _ := apiFixture(t)
 	ctx := context.Background()
@@ -265,16 +308,20 @@ func TestBatchAndExplainEntryPoints(t *testing.T) {
 		`doc("doc-5.xml")//book[price>20]`,
 		`//book[`,
 	}
-	got, err := e.QueryBatchContext(ctx, srcs, Options{}, 2)
-	if err != nil {
-		t.Fatal(err)
+	got := make([]*Result, len(srcs))
+	errs := make([]error, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = e.QueryWithContext(ctx, src, Options{})
+		}()
 	}
+	wg.Wait()
 	for i, src := range srcs {
 		want, wantErr := e.Query(src)
-		if got[i].Query != src {
-			t.Errorf("batch %d: Query = %q", i, got[i].Query)
-		}
-		sameOutcome(t, fmt.Sprintf("batch %d", i), want, wantErr, got[i].Result, got[i].Err)
+		sameOutcome(t, fmt.Sprintf("batch %d", i), want, wantErr, got[i], errs[i])
 	}
 
 	const eq = `doc("doc-1.xml")//book/title`

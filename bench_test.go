@@ -8,7 +8,6 @@
 package blossomtree_test
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -234,39 +233,28 @@ func BenchmarkMicroStorage(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchThroughput measures query batches on one shared engine,
-// serial vs across all cores — the scaling the concurrency-safe
-// snapshot engine exists for. Speedup tracks core count; on a
-// single-CPU machine the two arms should be within noise of each other.
+// BenchmarkBatchThroughput measures the engine's concurrent scaling:
+// GOMAXPROCS goroutines run the d3 suite's queries through Query on one
+// shared engine, one query per iteration. Run with -cpu 1,2,… to see
+// ns/op fall with core count — the scaling the concurrency-safe
+// snapshot engine exists for; on a single-CPU machine the arms should
+// be within noise of each other.
 func BenchmarkBatchThroughput(b *testing.B) {
 	ds := dataset(b, "d3")
 	eng := blossomtree.NewEngine()
 	eng.LoadDocument("d3", ds.Doc)
-	var batch []string
-	for r := 0; r < 4; r++ {
-		for _, q := range xmlgen.Suite("d3") {
-			batch = append(batch, q.Text)
-		}
+	var queries []string
+	for _, q := range xmlgen.Suite("d3") {
+		queries = append(queries, q.Text)
 	}
-	for _, workers := range []int{1, -1} {
-		name := "serial"
-		if workers != 1 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results, err := eng.QueryBatchContext(context.Background(), batch, blossomtree.Options{}, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range results {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := eng.Query(queries[i%len(queries)]); err != nil {
+				b.Error(err)
+				return
 			}
-		})
-	}
+		}
+	})
 }
 
 // flworShapes are the six FLWOR shapes of the benchmark's

@@ -27,10 +27,12 @@
 //	res, _ := e.Query(`//book[author/last="Knuth"]/title`)
 //	for _, n := range res.Nodes() { fmt.Println(n.Text()) }
 //
-// Each query family — single, batch, every document, gathered, prepared,
-// explain — has one context-first entry point (QueryWithContext,
-// QueryBatchContext, …); Query, QueryWith, Prepare and Explain are
-// one-statement wrappers over them.
+// There are two ways to run a query — on one document
+// (QueryWithContext) and on every loaded document, gathered into one
+// result (QueryAllGatheredContext) — and one to explain it
+// (ExplainWithContext). Each query family has one context-first entry
+// point; Query, QueryWith and Explain are one-statement wrappers over
+// them. A repeated query text is served from the engine's plan cache.
 package blossomtree
 
 import (
@@ -43,7 +45,6 @@ import (
 	"blossomtree/internal/exec"
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
-	"blossomtree/internal/storage"
 	"blossomtree/internal/xmltree"
 )
 
@@ -199,32 +200,6 @@ func (e *Engine) LoadDocument(uri string, doc *xmltree.Document) {
 	e.x.Add(uri, doc)
 }
 
-// LoadSegment registers a document stored in the succinct binary
-// segment format (see internal/storage and cmd/xmlgen -binary).
-func (e *Engine) LoadSegment(uri string, data []byte) error {
-	var seg storage.Segment
-	if err := seg.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	doc, err := seg.Decode()
-	if err != nil {
-		return err
-	}
-	doc.Name = uri
-	e.x.Add(uri, doc)
-	return nil
-}
-
-// EncodeSegment serializes a loaded document into the succinct binary
-// segment format.
-func (e *Engine) EncodeSegment(uri string) ([]byte, error) {
-	doc, err := e.resolve(uri)
-	if err != nil {
-		return nil, err
-	}
-	return storage.Encode(doc).MarshalBinary()
-}
-
 // Stats returns statistics of the document registered under uri — the
 // inputs to the optimizer's strategy rules.
 func (e *Engine) Stats(uri string) (DocumentStats, error) {
@@ -289,147 +264,33 @@ func (e *Engine) QueryWithContext(ctx context.Context, src string, opts Options)
 	return newResult(res), nil
 }
 
-// Prepared is a parsed, compile-checked query bound to an engine — the
-// prepared-statement form of Query. Preparing parses once, surfaces
-// syntax and planning errors immediately, and warms the engine's
-// compiled-plan cache; every run then reuses the kept parse and the
-// cached plan while the document catalog is unchanged, and
-// transparently recompiles after any Load*. A Prepared is immutable and
-// safe for concurrent runs.
-type Prepared struct {
-	p *exec.Prepared
-}
-
-// Prepare parses and compile-checks a query for repeated execution
-// with the Auto strategy.
-func (e *Engine) Prepare(src string) (*Prepared, error) {
-	return e.PrepareWith(src, Options{})
-}
-
-// PrepareWith is Prepare with explicit options. The options are
-// captured by the prepared query; per-run cancellation is supplied to
-// RunContext.
-func (e *Engine) PrepareWith(src string, opts Options) (*Prepared, error) {
-	popts, err := opts.toPlan(context.Background())
+// QueryAllGatheredContext evaluates one query independently against
+// every loaded document in parallel, under a context shared by every
+// per-document evaluation, and gathers the answers into a single Result
+// in URI order. Inside each evaluation, every doc("…") URI and absolute
+// path resolves to that document — the fan-out form of the
+// multi-document queries the single-document planner rejects. The
+// gathered Result carries every document's nodes and rows, and a query
+// that constructs elements answers one constructed document: its outer
+// constructor once, its return clause once per row of every document.
+//
+// A gathered result is all or nothing: if any document's evaluation
+// fails, the call returns the first failing document's error (in URI
+// order), naming the document and wrapping the cause, so Verdict and
+// errors.Is classify it like a single-document failure. The gathered
+// Result carries the fan-out's record: its QueryID (Options.QueryID
+// when pinned) names the trace whose query spans are the per-document
+// evaluations, and its Strategy is "scatter".
+func (e *Engine) QueryAllGatheredContext(ctx context.Context, src string, opts Options) (*Result, error) {
+	popts, err := opts.toPlan(ctx)
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.x.Prepare(src, popts)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{p: p}, nil
-}
-
-// Source returns the prepared query's text.
-func (p *Prepared) Source() string { return p.p.Source() }
-
-// RunContext evaluates the prepared query against the engine's current
-// document catalog; the evaluation aborts with ErrCanceled when ctx is
-// canceled or its deadline passes.
-func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
-	res, err := p.p.RunContext(ctx)
+	res, err := e.x.EvalAllDocs(src, popts)
 	if err != nil {
 		return nil, err
 	}
 	return newResult(res), nil
-}
-
-// BatchResult pairs one query of a QueryBatchContext call with its
-// outcome.
-type BatchResult struct {
-	Query  string
-	Result *Result
-	Err    error
-}
-
-// QueryBatchContext evaluates a batch of queries concurrently across at
-// most workers goroutines (workers <= 0 means GOMAXPROCS), returning one
-// result per query in input order. The whole batch sees the document
-// catalog as of the call, even while other goroutines load documents.
-// The context is shared by every query of the batch: canceling it
-// aborts the in-flight evaluations and makes the remaining ones return
-// ErrCanceled immediately. Each query gets its own Budget accounting.
-func (e *Engine) QueryBatchContext(ctx context.Context, srcs []string, opts Options, workers int) ([]BatchResult, error) {
-	popts, err := opts.toPlan(ctx)
-	if err != nil {
-		return nil, err
-	}
-	raw := e.x.EvalBatch(srcs, popts, workers)
-	out := make([]BatchResult, len(raw))
-	for i, r := range raw {
-		out[i] = BatchResult{Query: r.Query, Err: r.Err}
-		if r.Result != nil {
-			out[i].Result = newResult(r.Result)
-		}
-	}
-	return out, nil
-}
-
-// DocumentResult pairs one loaded document of a
-// QueryAllDocumentsContext call with the query's outcome on it.
-type DocumentResult struct {
-	URI    string
-	Result *Result
-	Err    error
-}
-
-// QueryAllDocumentsContext evaluates one query independently against
-// every loaded document in parallel (workers <= 0 means GOMAXPROCS),
-// under a context shared by every per-document evaluation. Inside each
-// evaluation, every doc("…") URI and absolute path resolves to that
-// document — the fan-out form of the multi-document queries the
-// single-document planner rejects. Results are sorted by URI.
-func (e *Engine) QueryAllDocumentsContext(ctx context.Context, src string, opts Options, workers int) ([]DocumentResult, error) {
-	raw, _, err := e.evalAllDocs(ctx, src, opts, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]DocumentResult, len(raw))
-	for i, r := range raw {
-		out[i] = DocumentResult{URI: r.URI, Err: r.Err}
-		if r.Result != nil {
-			out[i].Result = newResult(r.Result)
-		}
-	}
-	return out, nil
-}
-
-// QueryAllGatheredContext evaluates one query against every loaded
-// document, like QueryAllDocumentsContext, and gathers the per-document
-// node and row results into a single Result in URI order. Constructed
-// outputs stay per-document, so the merged Result carries rows and nodes
-// but no constructed XML document. A gathered result is all or nothing:
-// if any document's evaluation fails, the call returns the first failing
-// document's error (in URI order), naming the document and wrapping the
-// cause, so Verdict and errors.Is classify it like a single-document
-// failure. The gathered Result carries the fan-out's record: its
-// QueryID (Options.QueryID when pinned) names the trace whose query
-// spans are the per-document evaluations, and its Strategy is
-// "scatter".
-func (e *Engine) QueryAllGatheredContext(ctx context.Context, src string, opts Options, workers int) (*Result, error) {
-	docs, rec, err := e.evalAllDocs(ctx, src, opts, workers)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*exec.Result, len(docs))
-	for i, dr := range docs {
-		if dr.Err != nil {
-			return nil, fmt.Errorf("blossomtree: document %q: %w", dr.URI, dr.Err)
-		}
-		parts[i] = dr.Result
-	}
-	return newResult(exec.Gather(rec, parts)), nil
-}
-
-// evalAllDocs is the catalog-wide fan-out behind both all-documents
-// forms.
-func (e *Engine) evalAllDocs(ctx context.Context, src string, opts Options, workers int) ([]exec.DocResult, *obs.QueryRecord, error) {
-	popts, err := opts.toPlan(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.x.EvalAllDocs(src, popts, workers)
 }
 
 // Explain compiles a query and renders the physical plan the optimizer

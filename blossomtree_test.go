@@ -203,31 +203,8 @@ return <pair>{ $b1/title }{ $b2/title }</pair>
 	}
 }
 
-func TestSegmentRoundTripViaFacade(t *testing.T) {
-	e := newBib(t)
-	data, err := e.EncodeSegment("bib.xml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine()
-	if err := e2.LoadSegment("bib.xml", data); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e2.Query(`//book[author/last="Knuth"]/title`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes()) != 2 {
-		t.Errorf("segment-loaded query = %d nodes", len(res.Nodes()))
-	}
-	if err := e2.LoadSegment("x", []byte("garbage")); err == nil {
-		t.Error("corrupt segment accepted")
-	}
-	if _, err := NewEngine().EncodeSegment("missing"); err == nil {
-		t.Error("EncodeSegment without documents should fail")
-	}
-}
-
+// TestQueryBatchViaFacade: queries run concurrently through the facade
+// each get their own answer or their own error.
 func TestQueryBatchViaFacade(t *testing.T) {
 	e := newBib(t)
 	queries := []string{
@@ -236,33 +213,28 @@ func TestQueryBatchViaFacade(t *testing.T) {
 		`not a query`,
 		`for $b in doc("bib.xml")//book where $b/price < 50 return <c>{ $b/title }</c>`,
 	}
-	results, err := e.QueryBatchContext(context.Background(), queries, Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(queries) {
-		t.Fatalf("results = %d, want %d", len(results), len(queries))
-	}
 	wantLens := []int{4, 2, -1, 3}
-	for i, r := range results {
-		if r.Query != queries[i] {
-			t.Errorf("result %d query = %q", i, r.Query)
-		}
-		if wantLens[i] < 0 {
-			if r.Err == nil {
-				t.Errorf("result %d: expected error", i)
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := e.QueryWithContext(context.Background(), q, Options{})
+			switch {
+			case wantLens[i] < 0:
+				if err == nil {
+					t.Errorf("query %d: expected error", i)
+				}
+			case err != nil:
+				t.Errorf("query %d: %v", i, err)
+			case res.Len() != wantLens[i]:
+				t.Errorf("query %d len = %d, want %d", i, res.Len(), wantLens[i])
 			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("result %d: %v", i, r.Err)
-		}
-		if r.Result.Len() != wantLens[i] {
-			t.Errorf("result %d len = %d, want %d", i, r.Result.Len(), wantLens[i])
-		}
+		}()
 	}
-	if _, err := e.QueryBatchContext(context.Background(), queries, Options{Strategy: "bogus"}, 2); err == nil {
-		t.Error("bad strategy should fail the whole batch call")
+	wg.Wait()
+	if _, err := e.QueryWithContext(context.Background(), queries[0], Options{Strategy: "bogus"}); err == nil {
+		t.Error("bad strategy should fail the call")
 	}
 }
 
@@ -271,21 +243,17 @@ func TestQueryAllDocumentsViaFacade(t *testing.T) {
 	if err := e.LoadString("tiny.xml", `<bib><book><title>T</title></book></bib>`); err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.QueryAllDocumentsContext(context.Background(), `//book/title`, Options{}, 2)
+	res, err := e.QueryAllGatheredContext(context.Background(), `//book/title`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{"bib.xml": 4, "tiny.xml": 1}
-	if len(results) != len(want) {
-		t.Fatalf("results = %d, want %d", len(results), len(want))
+	// bib.xml's 4 titles, then tiny.xml's.
+	nodes := res.Nodes()
+	if len(nodes) != 5 || nodes[4].Text() != "T" {
+		t.Fatalf("gathered %d titles, want bib.xml's 4 then tiny.xml's 1", len(nodes))
 	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("doc %s: %v", r.URI, r.Err)
-		}
-		if got := len(r.Result.Nodes()); got != want[r.URI] {
-			t.Errorf("doc %s: %d titles, want %d", r.URI, got, want[r.URI])
-		}
+	if _, err := e.QueryAllGatheredContext(context.Background(), `//book/title`, Options{Strategy: "bogus"}); err == nil {
+		t.Error("bad strategy should fail the gathered call")
 	}
 }
 

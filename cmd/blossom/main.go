@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout   = fs.Duration("timeout", 0, "abort the query after this wall-clock duration (0 = no limit)")
 		maxNodes  = fs.Int64("max-nodes", 0, "abort after scanning this many document/index nodes (0 = no limit)")
 		maxOutput = fs.Int64("max-output", 0, "abort after producing this many result tuples (0 = no limit)")
-		repeat    = fs.Int("repeat", 1, "prepare the query once and run it N times (the prepared-statement path; repeated runs hit the plan cache)")
+		repeat    = fs.Int("repeat", 1, "run the query N times: the first run compiles it and later runs hit the plan cache (an Auto plan whose estimates drifted replans on run 2)")
 		logQuery  = fs.Bool("log", false, "emit the structured query-log record (the daemon's pipeline) to stderr")
 		slow      = fs.Duration("slow-query", 0, "log the query at Warn with its EXPLAIN ANALYZE tree when at/past this latency (implies -log; 0 = off)")
 		dataDir   = fs.String("data", "", "persistent segment store directory: the file persists here and unchanged files are served from their segments without re-parsing; usable alone to query an existing store")
@@ -145,21 +145,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var res *blossomtree.Result
 	var err error
-	if *repeat > 1 {
-		p, perr := eng.PrepareWith(query, opts)
-		if perr != nil {
-			return fatal(perr)
+	for i := 0; i < max(*repeat, 1); i++ {
+		if res, err = eng.QueryWithContext(ctx, query, opts); err != nil {
+			return fatal(err)
 		}
-		for i := 0; i < *repeat; i++ {
-			if res, err = p.RunContext(ctx); err != nil {
-				return fatal(err)
-			}
-		}
-	} else {
-		res, err = eng.QueryWithContext(ctx, query, opts)
-	}
-	if err != nil {
-		return fatal(err)
 	}
 	defer report()
 	if *quiet {

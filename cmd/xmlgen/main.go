@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 
-	"blossomtree/internal/storage"
 	"blossomtree/internal/xmlgen"
 	"blossomtree/internal/xmltree"
 )
@@ -40,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list    = fs.Bool("list", false, "list the dataset catalog with each dataset's Appendix-A suite and the Table 2 categories, and exit")
 		stats   = fs.Bool("stats", false, "print Table 1 statistics of the generated document to stderr")
 		indent  = fs.Bool("indent", false, "pretty-print the output")
-		binary  = fs.Bool("binary", false, "emit the succinct binary segment format instead of XML")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,16 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer f.Close()
 		w = f
-	}
-	if *binary {
-		data, err := storage.Encode(doc).MarshalBinary()
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := w.Write(data); err != nil {
-			return fail(err)
-		}
-		return 0
 	}
 	err = xmltree.Write(w, doc.Root, xmltree.WriteOptions{Indent: *indent})
 	if err == nil && *indent {

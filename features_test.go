@@ -6,45 +6,48 @@ import (
 	"testing"
 )
 
-// End-to-end coverage of the prepared-query API and the PR's language
-// fixes (order-by modifiers, text() steps, node-result serialization)
-// through the public surface.
+// End-to-end coverage of the plan cache and the language fixes
+// (order-by modifiers, text() steps, node-result serialization) through
+// the public surface.
 
+// TestPreparedQuery: the plan cache is the prepared form of a query —
+// a repeat is served from it, a load makes the next run recompile and
+// see the new catalog, and bad queries and strategies fail every run.
 func TestPreparedQuery(t *testing.T) {
 	e := newBib(t)
-	p, err := e.Prepare(`//book[author/last="Knuth"]/title`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes()) != 2 {
-		t.Fatalf("nodes = %d, want 2", len(res.Nodes()))
-	}
-	if !res.Cached() {
-		t.Error("first Run after Prepare was not served from the plan cache")
+	const q = `//book[author/last="Knuth"]/title`
+	for run := 0; run < 2; run++ {
+		res, err := e.QueryWithContext(context.Background(), q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Nodes()) != 2 {
+			t.Fatalf("run %d: nodes = %d, want 2", run, len(res.Nodes()))
+		}
+		if res.Cached() != (run == 1) {
+			t.Errorf("run %d: cached = %v", run, res.Cached())
+		}
 	}
 
-	// A load invalidates the cached plan; the next run recompiles and
-	// sees the new catalog.
 	if err := e.LoadString("more.xml", `<bib><book><author><last>Knuth</last></author><title>X</title></book></bib>`); err != nil {
 		t.Fatal(err)
 	}
-	res, err = p.RunContext(context.Background())
+	res, err := e.QueryWithContext(context.Background(), q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cached() {
-		t.Error("Run after LoadString reused a stale plan")
+		t.Error("run after LoadString reused a stale plan")
+	}
+	if res, err = e.Query(`doc("more.xml")` + q); err != nil || len(res.Nodes()) != 1 {
+		t.Errorf("the loaded document: %v, %v; want its 1 title", res, err)
 	}
 
-	if _, err := e.Prepare(`//book[`); err == nil {
-		t.Error("Prepare accepted a broken query")
+	if _, err := e.Query(`//book[`); err == nil {
+		t.Error("a broken query ran")
 	}
-	if _, err := e.PrepareWith(`//book`, Options{Strategy: "bogus"}); err == nil {
-		t.Error("PrepareWith accepted an unknown strategy")
+	if _, err := e.QueryWith(`//book`, Options{Strategy: "bogus"}); err == nil {
+		t.Error("an unknown strategy ran")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,18 +87,30 @@ func TestQueryMaxOutput(t *testing.T) {
 	}
 }
 
+// TestQueryBatchContextCanceled: one canceled context shared by a batch
+// of concurrent queries and by a gathered fan-out cancels every one.
 func TestQueryBatchContextCanceled(t *testing.T) {
 	e := newBigEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := e.QueryBatchContext(ctx, []string{`//a//c`, `//a//b`}, Options{}, 2)
-	if err != nil {
-		t.Fatal(err)
+	srcs := []string{`//a//c`, `//a//b`}
+	errs := make([]error, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = e.QueryWithContext(ctx, src, Options{})
+		}()
 	}
-	for _, r := range results {
-		if !errors.Is(r.Err, ErrCanceled) {
-			t.Errorf("query %q: err = %v, want ErrCanceled", r.Query, r.Err)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrCanceled) {
+			t.Errorf("query %q: err = %v, want ErrCanceled", srcs[i], err)
 		}
+	}
+	if _, err := e.QueryAllGatheredContext(ctx, srcs[0], Options{}); !errors.Is(err, ErrCanceled) {
+		t.Errorf("gathered: err = %v, want ErrCanceled", err)
 	}
 }
 
@@ -106,17 +119,13 @@ func TestQueryAllDocumentsContext(t *testing.T) {
 	if err := e.LoadString("h.xml", `<r><a><c/></a></r>`); err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.QueryAllDocumentsContext(context.Background(), `//a//c`, Options{}, 2)
+	res, err := e.QueryAllGatheredContext(context.Background(), `//a//c`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("doc %s: %v", r.URI, r.Err)
-		}
+	// g.xml's 400 c's, then h.xml's one.
+	if res.Len() != 401 {
+		t.Fatalf("gathered %d results, want 401", res.Len())
 	}
 }
 

@@ -375,16 +375,6 @@ func (bt *BlossomTree) AddChild(parent, child *Vertex, rel Rel, mode Mode) {
 // AddCrossing registers a crossing edge.
 func (bt *BlossomTree) AddCrossing(c *Crossing) { bt.Crossings = append(bt.Crossings, c) }
 
-// VertexOfVar returns the vertex a variable is bound to.
-func (bt *BlossomTree) VertexOfVar(name string) (*Vertex, bool) {
-	for _, v := range bt.Vertices {
-		if v.Blossom == name {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
 // String renders the BlossomTree as an indented outline with crossing
 // edges listed below, for diagnostics and plan explanation.
 func (bt *BlossomTree) String() string {

@@ -149,7 +149,7 @@ func TestFromPathConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	book, _ := q.Tree.VertexOfVar("result")
+	book, _ := vertexOfVar(q.Tree, "result")
 	book = book.Parent
 	if book.Test != "book" {
 		t.Fatalf("parent = %s", book.Label())
@@ -173,7 +173,7 @@ func TestFromPathConstraints(t *testing.T) {
 	if author == nil || len(author.Constraints) != 1 || author.Constraints[0].Kind != CValue {
 		t.Fatalf("author constraints = %+v", author)
 	}
-	title, _ := q.Tree.VertexOfVar("result")
+	title, _ := vertexOfVar(q.Tree, "result")
 	if len(title.Constraints) != 1 || title.Constraints[0].Op != xpath.OpNeq {
 		t.Errorf("title constraints = %+v", title.Constraints)
 	}
@@ -288,7 +288,7 @@ func TestExample1Figure1(t *testing.T) {
 	if !slices.Equal(b1.Dewey, Dewey{1, 1}) || !slices.Equal(b2.Dewey, Dewey{1, 2}) {
 		t.Errorf("book Deweys = %v, %v", b1.Dewey, b2.Dewey)
 	}
-	aut1, _ := bt.VertexOfVar("aut1")
+	aut1, _ := vertexOfVar(bt, "aut1")
 	if !slices.Equal(aut1.Dewey, Dewey{1, 1, 1}) {
 		t.Errorf("aut1 Dewey = %v", aut1.Dewey)
 	}
@@ -744,4 +744,14 @@ func TestExactCells(t *testing.T) {
 			t.Errorf("%s: exact cells %q, want %q", tc.query, got, want)
 		}
 	}
+}
+
+// vertexOfVar returns the vertex a variable is bound to.
+func vertexOfVar(bt *BlossomTree, name string) (*Vertex, bool) {
+	for _, v := range bt.Vertices {
+		if v.Blossom == name {
+			return v, true
+		}
+	}
+	return nil, false
 }

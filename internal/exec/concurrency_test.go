@@ -103,6 +103,31 @@ func TestEvalConsistentSnapshot(t *testing.T) {
 	}
 }
 
+// outcome is one evaluation of evalConcurrently.
+type outcome struct {
+	res *Result
+	err error
+}
+
+// evalConcurrently evaluates every query on its own goroutine, all
+// sharing opts, and returns their outcomes in input order.
+func evalConcurrently(e *Engine, srcs []string, opts plan.Options) []outcome {
+	out := make([]outcome, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i].res, out[i].err = e.EvalOptions(src, opts)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// TestEvalBatchMatchesSerial: queries evaluated concurrently on one
+// engine each agree with their serial evaluation, and a parse error
+// stays with its own query.
 func TestEvalBatchMatchesSerial(t *testing.T) {
 	e := bibEngine(t)
 	queries := []string{
@@ -112,28 +137,22 @@ func TestEvalBatchMatchesSerial(t *testing.T) {
 		`for $b in doc("bib.xml")//book return $b`,
 		`this is not a query`,
 	}
-	batch := e.EvalBatch(queries, plan.Options{}, 4)
-	if len(batch) != len(queries) {
-		t.Fatalf("batch results = %d, want %d", len(batch), len(queries))
-	}
+	batch := evalConcurrently(e, queries, plan.Options{})
 	for i, q := range queries {
 		res, err := e.Eval(q)
-		if (err == nil) != (batch[i].Err == nil) {
-			t.Fatalf("query %q: serial err=%v batch err=%v", q, err, batch[i].Err)
+		if (err == nil) != (batch[i].err == nil) {
+			t.Fatalf("query %q: serial err=%v concurrent err=%v", q, err, batch[i].err)
 		}
-		if err != nil {
-			continue
+		if err == nil && canonicalResult(res) != canonicalResult(batch[i].res) {
+			t.Errorf("query %q: concurrent result diverges\n%s\nvs serial\n%s",
+				q, canonicalResult(batch[i].res), canonicalResult(res))
 		}
-		if len(res.Nodes) != len(batch[i].Result.Nodes) || len(res.Envs()) != len(batch[i].Result.Envs()) {
-			t.Errorf("query %q: serial (%d nodes, %d envs) != batch (%d nodes, %d envs)",
-				q, len(res.Nodes), len(res.Envs()), len(batch[i].Result.Nodes), len(batch[i].Result.Envs()))
-		}
-	}
-	if got := e.EvalBatch(nil, plan.Options{}, 4); len(got) != 0 {
-		t.Errorf("empty batch returned %d results", len(got))
 	}
 }
 
+// TestEvalAllDocs: the fan-out pins each document in turn and gathers
+// their answers in URI order under one record whose children are the
+// per-document records.
 func TestEvalAllDocs(t *testing.T) {
 	e := bibEngine(t)
 	d2, _ := xmltree.ParseString(`<bib><book><title>A</title></book></bib>`)
@@ -141,23 +160,26 @@ func TestEvalAllDocs(t *testing.T) {
 	d3, _ := xmltree.ParseString(`<bib><magazine/></bib>`)
 	e.Add("three.xml", d3)
 
-	results, _, err := e.EvalAllDocs(`doc("ignored.xml")//book/title`, plan.Options{}, 4)
+	res, err := e.EvalAllDocs(`doc("ignored.xml")//book/title`, plan.Options{QueryID: "fan"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{"bib.xml": 4, "three.xml": 0, "two.xml": 1}
-	if len(results) != len(want) {
-		t.Fatalf("results = %d, want %d", len(results), len(want))
+	if len(res.Nodes) != 5 || xmltree.StringValue(res.Nodes[4]) != "A" {
+		t.Fatalf("gathered %d titles, want bib.xml's 4 then two.xml's A", len(res.Nodes))
 	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("doc %s: %v", r.URI, r.Err)
-		}
-		if len(r.Result.Nodes) != want[r.URI] {
-			t.Errorf("doc %s: %d titles, want %d", r.URI, len(r.Result.Nodes), want[r.URI])
-		}
-		if i > 0 && results[i-1].URI > r.URI {
-			t.Error("results not sorted by URI")
+	if res.QueryID != "fan" || res.Strategy != "scatter" {
+		t.Errorf("record %s/%s, want fan/scatter", res.QueryID, res.Strategy)
+	}
+	want := []struct {
+		id   string
+		rows int64
+	}{{"fan-bib.xml", 4}, {"fan-three.xml", 0}, {"fan-two.xml", 1}}
+	if len(res.Children) != len(want) {
+		t.Fatalf("children = %d, want %d", len(res.Children), len(want))
+	}
+	for i, w := range want {
+		if c := res.Children[i]; c.QueryID != w.id || c.RowsOut != w.rows || c.Verdict != "ok" {
+			t.Errorf("child %d = %s (%d rows, %s), want %s (%d rows, ok)", i, c.QueryID, c.RowsOut, c.Verdict, w.id, w.rows)
 		}
 	}
 }

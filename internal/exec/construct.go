@@ -9,25 +9,40 @@ import (
 )
 
 // construct builds the query's answer from its rows: with constructors,
-// the output fragment, whose outer constructor (if any) is the root
-// element and whose FLWOR return expression is instantiated once per
-// row, its paths referencing the nodes they select; without, Returned,
-// the return path's nodes row after row. A return path reads its exact
-// cell where the row has one and navigates otherwise. The resolver
-// comes from the evaluation's snapshot so concurrent Adds cannot change
-// which documents return-clause paths see.
+// the output fragment (see buildOutput); without, Returned, the return
+// path's nodes row after row. A return path reads its exact cell where
+// the row has one and navigates otherwise. The resolver comes from the
+// evaluation's snapshot so concurrent Adds cannot change which documents
+// return-clause paths see.
 func construct(resolve naveval.Resolver, expr flwor.Expr, f *flwor.FLWOR, rs *rowSet, res *Result) error {
 	if !hasConstructor(expr) && !hasConstructor(f.Return) {
 		return returnSequence(resolve, f, rs, res)
 	}
+	out, err := buildOutput(expr, []rowSource{{resolve: resolve, rows: rs}})
+	res.Output = out
+	return err
+}
+
+// rowSource is one evaluation's rows with the resolver their paths
+// navigate under.
+type rowSource struct {
+	resolve naveval.Resolver
+	rows    *rowSet
+}
+
+// buildOutput builds the output fragment of a query with constructors:
+// its outer constructor (if any) is the root element, and its FLWOR
+// return expression is instantiated once per row of each source in
+// turn, its paths referencing the nodes they select.
+func buildOutput(expr flwor.Expr, srcs []rowSource) (*xmltree.Fragment, error) {
 	out := &xmltree.Fragment{}
-	var build func(x flwor.Expr, inst int) error
-	build = func(x flwor.Expr, inst int) error {
+	var build func(x flwor.Expr, src *rowSource, inst int) error
+	build = func(x flwor.Expr, src *rowSource, inst int) error {
 		switch t := x.(type) {
 		case *flwor.ElemCtor:
 			out.Start(t.Tag)
 			for _, c := range t.Content {
-				if err := build(c, inst); err != nil {
+				if err := build(c, src, inst); err != nil {
 					return err
 				}
 			}
@@ -38,15 +53,17 @@ func construct(resolve naveval.Resolver, expr flwor.Expr, f *flwor.FLWOR, rs *ro
 			return nil
 		case *flwor.Sequence:
 			for _, it := range t.Items {
-				if err := build(it, inst); err != nil {
+				if err := build(it, src, inst); err != nil {
 					return err
 				}
 			}
 			return nil
 		case *flwor.FLWOR:
-			for _, row := range rs.order {
-				if err := build(t.Return, int(row)); err != nil {
-					return err
+			for i := range srcs {
+				for _, row := range srcs[i].rows.order {
+					if err := build(t.Return, &srcs[i], int(row)); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
@@ -54,7 +71,7 @@ func construct(resolve naveval.Resolver, expr flwor.Expr, f *flwor.FLWOR, rs *ro
 			if inst < 0 {
 				return fmt.Errorf("exec: path %s outside any FLWOR iteration", t.Path)
 			}
-			ns, err := rs.path(inst, t.Path, resolve, nil)
+			ns, err := src.rows.path(inst, t.Path, src.resolve, nil)
 			if err != nil {
 				return err
 			}
@@ -73,14 +90,13 @@ func construct(resolve naveval.Resolver, expr flwor.Expr, f *flwor.FLWOR, rs *ro
 		// in a synthetic root so the output is a well-formed document.
 		out.Start("results")
 	}
-	if err := build(expr, -1); err != nil {
-		return err
+	if err := build(expr, nil, -1); err != nil {
+		return nil, err
 	}
 	if !isCtor {
 		out.End()
 	}
-	res.Output = out
-	return nil
+	return out, nil
 }
 
 // returnSequence fills res.Returned with a constructor-less return

@@ -329,8 +329,8 @@ func navExplain(reason string) string {
 	return "plan strategy: XH\n  navigational fallback: " + reason + "\n"
 }
 
-// parsed is a query text parsed once: what a prepared query keeps and
-// what every evaluation body takes. The text is hashed once, here: the
+// parsed is a query text parsed once: what every evaluation body
+// takes. The text is hashed once, here: the
 // plan-cache key and the query record both read hash.
 type parsed struct {
 	src  string
@@ -371,7 +371,7 @@ func (e *Engine) EvalOptions(src string, opts plan.Options) (*Result, error) {
 // created here (an already-canceled context returns gov.ErrCanceled
 // before anything is compiled or scanned), governance aborts are
 // counted, and any panic escaping an operator is recovered into an
-// error so one bad query cannot crash a batch worker.
+// error so one bad query cannot crash a fan-out worker or the daemon.
 //
 // It is also the telemetry boundary: each evaluation fills one
 // obs.QueryRecord as it runs and publishes it, on success and failure
@@ -576,18 +576,6 @@ func nextTemplate(s *snapshot, q *parsed, opts plan.Options) (*compiled, error) 
 		opts.CardHints = hints
 	}
 	return compileTemplate(s, q.expr, opts)
-}
-
-// check compile-checks q against s, surfacing planning errors before
-// the first run and seeding the plan cache. Navigational evaluation
-// never builds a physical plan, and a catalog without documents has
-// nothing to plan against yet — both defer compilation to the run.
-func check(s *snapshot, q *parsed, opts plan.Options) error {
-	if opts.Strategy == plan.Navigational || len(s.docs) == 0 {
-		return nil
-	}
-	_, _, err := compiledFor(s, q, opts)
-	return err
 }
 
 // compile builds the BlossomTree query from a parsed expression. A

@@ -247,46 +247,44 @@ func TestFeedbackReplanKeepsTwig(t *testing.T) {
 // template learns from its own first run. On the skewed assembly the
 // probe flips the PL plan; on the uniform one — every part carries a
 // bolt — it is well estimated and must never replan, however many
-// evaluations of the same query text the other document contributes. One worker keeps the order of evaluations fixed: when
-// history was keyed by query text, that order decided which document
-// replanned.
+// evaluations of the same query text the other document contributes.
+// The per-document facts are read from the fan-out record's children;
+// the worker pool interleaves the two documents in any order, which
+// decided which document replanned when history was keyed by query text.
 func TestFeedbackFanOutDecidesPerDocument(t *testing.T) {
 	const q = boltQuery
 	e := New()
 	e.Add("skew", skewedDoc(t, 200, 40, false))
 	e.Add("uniform", skewedDoc(t, 200, 1, false))
 
-	var cold map[string]plan.Strategy
-	var last []DocResult
+	var cold map[string]string
+	var last []*obs.QueryRecord
 	for call := 0; call < 40; call++ {
-		results, _, err := e.EvalAllDocs(q, plan.Options{}, 1)
+		res, err := e.EvalAllDocs(q, plan.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range results {
-			if r.Err != nil {
-				t.Fatalf("call %d, %s: %v", call, r.URI, r.Err)
-			}
-		}
 		if call == 0 {
-			cold = map[string]plan.Strategy{}
-			for _, r := range results {
-				cold[r.URI] = r.Result.Plan.Strategy
+			cold = map[string]string{}
+			for _, c := range res.Children {
+				cold[c.QueryID] = c.Strategy
 			}
 		}
-		last = results
+		last = res.Children
 	}
-	for _, r := range last {
-		switch r.URI {
-		case "skew":
-			if !r.Result.Replanned || r.Result.Plan.Strategy == cold["skew"] {
+	for _, c := range last {
+		switch {
+		case strings.HasSuffix(c.QueryID, "-skew"):
+			if !c.Replanned || c.Strategy == cold[c.QueryID] {
 				t.Errorf("skew: replanned=%v strategy %s (cold %s); its own first run calls for a flip",
-					r.Result.Replanned, r.Result.Plan.Strategy, cold["skew"])
+					c.Replanned, c.Strategy, cold[c.QueryID])
 			}
-		case "uniform":
-			if r.Result.Replanned {
-				t.Errorf("uniform replanned (drift %.2f) although its own estimates hold", r.Result.Drift)
+		case strings.HasSuffix(c.QueryID, "-uniform"):
+			if c.Replanned {
+				t.Errorf("uniform replanned (drift %.2f) although its own estimates hold", c.Drift)
 			}
+		default:
+			t.Errorf("unexpected child record %s", c.QueryID)
 		}
 	}
 }

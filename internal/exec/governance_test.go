@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,13 +20,15 @@ import (
 // operators emit many instances per query.
 func govEngine(t *testing.T) *Engine {
 	t.Helper()
-	doc, err := xmltree.ParseString("<r>" + strings.Repeat("<a><b><c/></b><b/><c/></a>", 200) + "</r>")
-	if err != nil {
-		t.Fatal(err)
-	}
 	e := New()
-	e.Add("g.xml", doc)
+	e.Add("g.xml", govDoc(t))
 	return e
+}
+
+// govDoc parses govEngine's document.
+func govDoc(t *testing.T) *xmltree.Document {
+	t.Helper()
+	return mustParseDoc(t, "<r>"+strings.Repeat("<a><b><c/></b><b/><c/></a>", 200)+"</r>")
 }
 
 func TestEvalCanceledContext(t *testing.T) {
@@ -88,25 +89,39 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 // TestPanicRecoveryInBatchWorkers checks a scripted operator bug inside
-// one batch worker fails only that query.
+// one worker of an all-documents fan-out fails only that document's
+// evaluation: its record carries the panic, every other document's
+// evaluation completes, and the gathered call fails naming the document.
 func TestPanicRecoveryInBatchWorkers(t *testing.T) {
-	e := govEngine(t)
+	e := New()
+	for i := 0; i < 4; i++ {
+		e.Add(fmt.Sprintf("doc-%d.xml", i), govDoc(t))
+	}
 	inj := fault.New().PanicAt(fault.SiteNoKEmit, 3)
-	srcs := []string{`//a//c`, `//a//b`, `//a/b/c`, `//r//a`}
-	results := e.EvalBatch(srcs, plan.Options{Fault: inj}, 2)
-	var panicked, ok int
-	for _, r := range results {
+	_, err := e.EvalAllDocs(`//a//c`, plan.Options{Strategy: plan.BoundedNL, Fault: inj, QueryID: "p"})
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("fan-out err = %v, want the recovered panic", err)
+	}
+	rec, ok := e.State().Recent.Get("p")
+	if !ok {
+		t.Fatal("the fan-out's record is not in the ring")
+	}
+	var panicked, completed int
+	for _, c := range rec.Children {
 		switch {
-		case r.Err == nil:
-			ok++
-		case strings.Contains(r.Err.Error(), "panicked"):
+		case c.Verdict == "ok":
+			completed++
+		case strings.Contains(c.Err, "panicked"):
 			panicked++
+			if !strings.Contains(err.Error(), strings.TrimPrefix(c.QueryID, "p-")) {
+				t.Errorf("fan-out err = %v, want it to name the panicked document of %s", err, c.QueryID)
+			}
 		default:
-			t.Errorf("query %q: unexpected error %v", r.Query, r.Err)
+			t.Errorf("%s: unexpected error %s", c.QueryID, c.Err)
 		}
 	}
-	if panicked != 1 || ok != len(srcs)-1 {
-		t.Errorf("panicked=%d ok=%d, want exactly one panicked query (injector fires once)", panicked, ok)
+	if panicked != 1 || completed != len(rec.Children)-1 {
+		t.Errorf("panicked=%d completed=%d, want exactly one panicked document (injector fires once)", panicked, completed)
 	}
 }
 
@@ -163,10 +178,10 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestEvalBatchMidFlightCancellation cancels the shared context while
-// batch workers are mid-evaluation. Every result must be either a clean
-// result or a typed abort, and the worker pool must drain without
-// leaking goroutines. Run under -race this is the cancellation stress
+// TestEvalBatchMidFlightCancellation cancels the context a batch of
+// concurrent evaluations shares while they are mid-evaluation. Every
+// result must be either a clean result or a typed abort, and no
+// goroutine may leak. Run under -race this is the cancellation stress
 // test of the CI check target.
 func TestEvalBatchMidFlightCancellation(t *testing.T) {
 	e := govEngine(t)
@@ -176,28 +191,21 @@ func TestEvalBatchMidFlightCancellation(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = `//a//c`
 	}
-	// Cancel as soon as the first query completes: later workers are
-	// then mid-flight or not yet started.
-	var done atomic.Bool
 	go func() {
-		for !done.Load() {
-			time.Sleep(50 * time.Microsecond)
-		}
+		time.Sleep(200 * time.Microsecond)
 		cancel()
 	}()
-	results := e.EvalBatch(srcs, plan.Options{Ctx: ctx}, 4)
-	done.Store(true)
+	results := evalConcurrently(e, srcs, plan.Options{Ctx: ctx})
 	cancel()
 	var okCount, canceledCount int
-	for _, r := range results {
+	for i, r := range results {
 		switch {
-		case r.Err == nil:
+		case r.err == nil:
 			okCount++
-			done.Store(true)
-		case errors.Is(r.Err, gov.ErrCanceled):
+		case errors.Is(r.err, gov.ErrCanceled):
 			canceledCount++
 		default:
-			t.Errorf("query %d: unexpected error %v", 0, r.Err)
+			t.Errorf("query %d: unexpected error %v", i, r.err)
 		}
 	}
 	if okCount+canceledCount != len(srcs) {
@@ -206,30 +214,28 @@ func TestEvalBatchMidFlightCancellation(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
-// TestEvalBatchPreCanceled checks a batch under an already-canceled
-// context returns ErrCanceled for every query without scanning.
+// TestEvalBatchPreCanceled checks a fan-out under an already-canceled
+// context fails with ErrCanceled without scanning, and its worker pool
+// drains.
 func TestEvalBatchPreCanceled(t *testing.T) {
 	e := govEngine(t)
+	e.Add("h.xml", mustParseDoc(t, `<r><a><c/></a></r>`))
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	counter := fault.New()
-	srcs := []string{`//a//c`, `//a//b`, `//r//a`}
-	results := e.EvalBatch(srcs, plan.Options{Ctx: ctx, Fault: counter}, 3)
-	for _, r := range results {
-		if !errors.Is(r.Err, gov.ErrCanceled) {
-			t.Errorf("query %q: err = %v, want ErrCanceled", r.Query, r.Err)
-		}
+	if _, err := e.EvalAllDocs(`//a//c`, plan.Options{Ctx: ctx, Fault: counter}); !errors.Is(err, gov.ErrCanceled) {
+		t.Errorf("err = %v, want ErrCanceled", err)
 	}
 	if n := counter.Hits(fault.SiteNoKScan); n != 0 {
-		t.Errorf("batch scanned %d nodes under a pre-canceled context", n)
+		t.Errorf("fan-out scanned %d nodes under a pre-canceled context", n)
 	}
 	waitForGoroutines(t, baseline)
 }
 
-// TestEvalAllDocsMidFlightCancellation is the multi-document analogue:
-// cancellation mid-fan-out yields typed per-document errors and no
-// goroutine leaks.
+// TestEvalAllDocsMidFlightCancellation is the fan-out analogue:
+// cancellation mid-fan-out yields a typed abort (or a complete answer)
+// and no goroutine leaks.
 func TestEvalAllDocsMidFlightCancellation(t *testing.T) {
 	e := New()
 	for i := 0; i < 32; i++ {
@@ -245,30 +251,40 @@ func TestEvalAllDocsMidFlightCancellation(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		cancel()
 	}()
-	results, _, err := e.EvalAllDocs(`//a//c`, plan.Options{Ctx: ctx}, 4)
+	_, err := e.EvalAllDocs(`//a//c`, plan.Options{Ctx: ctx})
 	cancel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil && !errors.Is(r.Err, gov.ErrCanceled) {
-			t.Errorf("doc %s: unexpected error %v", r.URI, r.Err)
-		}
+	if err != nil && !errors.Is(err, gov.ErrCanceled) {
+		t.Errorf("unexpected error %v", err)
 	}
 	waitForGoroutines(t, baseline)
 }
 
-// TestPerQueryBudgetsInBatch checks each batch query gets its own
-// budget accounting: with a per-query node budget generous enough for
-// the small query and too small for the large one, only the large one
-// aborts.
+// TestPerQueryBudgetsInBatch checks concurrent evaluations each get
+// their own budget accounting: with a node budget that covers the small
+// query and not the large one, only the large one aborts, however the
+// two interleave.
 func TestPerQueryBudgetsInBatch(t *testing.T) {
 	e := govEngine(t)
-	srcs := []string{`//a/b/c`, `//a//c`}
-	results := e.EvalBatch(srcs, plan.Options{Budget: gov.Budget{MaxNodes: 2_000_000}}, 2)
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("generous budget: query %q failed: %v", r.Query, r.Err)
+	opts := plan.Options{Strategy: plan.BoundedNL}
+	scanned := func(q string) int64 {
+		res, err := e.EvalOptions(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.NodesScanned
+	}
+	small, large := `//a/b/c`, `//a//c`
+	budget := scanned(small)
+	if scanned(large) <= budget {
+		t.Fatalf("%s scans no more than %s", large, small)
+	}
+	opts.Budget = gov.Budget{MaxNodes: budget}
+	for round := 0; round < 4; round++ {
+		results := evalConcurrently(e, []string{small, large, small, large}, opts)
+		for i, r := range results {
+			if wantAbort := i%2 == 1; errors.Is(r.err, gov.ErrBudgetExceeded) != wantAbort || (!wantAbort && r.err != nil) {
+				t.Errorf("round %d, query %d: err = %v, want abort %v", round, i, r.err, wantAbort)
+			}
 		}
 	}
 }

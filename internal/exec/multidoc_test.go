@@ -124,25 +124,17 @@ func TestGatherKeepsRowsOfEachDocument(t *testing.T) {
 		{"bounded-nl", plan.Options{Strategy: plan.BoundedNL}},
 		{"navigational", plan.Options{Strategy: plan.Navigational}},
 	} {
-		docs, rec, err := e.EvalAllDocs(q, v.opts, 0)
+		merged, err := e.EvalAllDocs(q, v.opts)
 		if err != nil {
 			t.Fatalf("variant %s: %v", v.name, err)
 		}
-		parts := make([]*Result, len(docs))
-		for i, dr := range docs {
-			if dr.Err != nil {
-				t.Fatalf("variant %s: %s: %v", v.name, dr.URI, dr.Err)
-			}
-			parts[i] = dr.Result
-		}
-		merged := Gather(rec, parts)
 		envs := merged.Envs()
 		if merged.Len() != 4 || len(envs) != 4 {
 			t.Fatalf("variant %s: gathered %d rows (%d envs), want 2 per document", v.name, merged.Len(), len(envs))
 		}
 		for i, env := range envs {
 			if b := env["b"]; len(b) != 1 || inA[b[0]] != (i < 2) {
-				t.Errorf("variant %s: row %d is not bound to a book of document %q", v.name, i, docs[i/2].URI)
+				t.Errorf("variant %s: row %d is not bound to a book of document %q", v.name, i, []string{"a", "b"}[i/2])
 			}
 		}
 		if envs[0]["b"][0].Start != envs[2]["b"][0].Start {

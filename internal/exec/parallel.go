@@ -11,67 +11,36 @@ import (
 	"blossomtree/internal/plan"
 )
 
-// BatchResult pairs one query of a batch with its outcome.
-type BatchResult struct {
-	Query  string
-	Result *Result
-	Err    error
-}
-
-// EvalBatch evaluates a batch of queries concurrently across a worker
-// pool of at most workers goroutines (workers <= 0 means GOMAXPROCS)
-// and returns one result per query, in input order. All evaluations of
-// one call share the engine snapshot current when EvalBatch was called,
-// so the batch sees a consistent document catalog even while other
-// goroutines Add documents.
-func (e *Engine) EvalBatch(srcs []string, opts plan.Options, workers int) []BatchResult {
-	out := make([]BatchResult, len(srcs))
-	snap := e.snapshot()
-	forEachIndex(len(srcs), workers, func(i int) {
-		out[i] = BatchResult{Query: srcs[i]}
-		q, err := parse(srcs[i])
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		// Distinct query IDs per entry even when the caller pinned one, as
-		// in EvalAllDocs.
-		qopts := opts
-		if qopts.QueryID != "" {
-			qopts.QueryID = fmt.Sprintf("%s-%d", qopts.QueryID, i)
-		}
-		out[i].Result, out[i].Err = evalExpr(snap, q, qopts)
-	})
-	return out
-}
-
-// DocResult pairs one registered document of an EvalAllDocs call with
-// the query's outcome on it.
-type DocResult struct {
-	URI    string
-	Result *Result
-	Err    error
+// docRun is one document's evaluation in an EvalAllDocs fan-out.
+type docRun struct {
+	res  *Result
+	err  error
+	snap *snapshot // the pinned snapshot it ran against
 }
 
 // EvalAllDocs evaluates one query independently against every
 // registered document, fanning the per-document evaluations out across
-// at most workers goroutines (workers <= 0 means GOMAXPROCS). Inside
-// each evaluation every doc("…") URI and absolute path resolves to the
-// document under evaluation, which turns a single-document query into a
-// catalog-wide scan — the multi-document shape planContext otherwise
-// rejects. Results are keyed by URI and returned sorted by URI.
+// a GOMAXPROCS-wide worker pool, and gathers their answers into one
+// Result in URI order. Inside each evaluation every doc("…") URI and
+// absolute path resolves to the document under evaluation, which turns
+// a single-document query into a catalog-wide scan — the multi-document
+// shape planContext otherwise rejects.
+//
+// The gathered answer is all or nothing: when any document's evaluation
+// fails, EvalAllDocs returns the first failing document's error in URI
+// order, naming the document and wrapping the cause.
 //
 // The fan-out has one ID, opts.QueryID or a fresh one, and one record
-// under it in the engine's ring: strategy "scatter", with the
-// per-document records (ID "<id>-<uri>") as its children, so the
-// fan-out's trace shows one query span per document. That record is
-// returned too. It carries no verdict, work or rows of its own and is
-// neither logged nor counted: each document's record is.
-func (e *Engine) EvalAllDocs(src string, opts plan.Options, workers int) ([]DocResult, *obs.QueryRecord, error) {
+// under it in the engine's ring, failed or not: strategy "scatter", with
+// the per-document records (ID "<id>-<uri>") as its children, so the
+// fan-out's trace shows one query span per document. The gathered
+// Result carries that record. It carries no verdict, work or rows of
+// its own and is neither logged nor counted: each document's record is.
+func (e *Engine) EvalAllDocs(src string, opts plan.Options) (*Result, error) {
 	start := time.Now()
 	q, err := parse(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	snap := e.snapshot()
 	uris := snap.uris()
@@ -80,38 +49,60 @@ func (e *Engine) EvalAllDocs(src string, opts plan.Options, workers int) ([]DocR
 	if parent.QueryID == "" {
 		parent.QueryID = NewQueryID()
 	}
-	out := make([]DocResult, len(uris))
-	forEachIndex(len(uris), workers, func(i int) {
+	runs := make([]docRun, len(uris))
+	forEachIndex(len(uris), func(i int) {
 		docOpts := opts
 		docOpts.QueryID = parent.QueryID + "-" + uris[i]
 		parent.Children[i] = &obs.QueryRecord{}
-		res, err := evalInto(parent.Children[i], snap.pin(uris[i]), q, docOpts)
-		out[i] = DocResult{URI: uris[i], Result: res, Err: err}
+		pin := snap.pin(uris[i])
+		res, err := evalInto(parent.Children[i], pin, q, docOpts)
+		runs[i] = docRun{res: res, err: err, snap: pin}
 	})
-	parent.Latency = time.Since(start)
-	snap.state.Recent.Put(parent)
-	return out, parent, nil
+	defer func() {
+		parent.Latency = time.Since(start)
+		snap.state.Recent.Put(parent)
+	}()
+	for i, r := range runs {
+		if r.err != nil {
+			return nil, fmt.Errorf("exec: document %q: %w", uris[i], r.err)
+		}
+	}
+	return gather(parent, q, runs)
 }
 
-// Gather merges the per-document results of an all-documents fan-out
-// into one under the fan-out's record, in the order given: their nodes,
-// returned nodes and rows. Rows of several documents share no node
-// buffer, so the merged rows are their Envs. Constructed outputs stay
-// per document.
-func Gather(rec *obs.QueryRecord, parts []*Result) *Result {
+// gather merges the per-document results of a fan-out into one under
+// the fan-out's record, in the order given: their nodes, returned nodes
+// and rows. Rows of several documents share no node buffer, so the
+// merged rows are their Envs. A query that constructs elements gets one
+// output built over every document's rows: its outer constructor once,
+// its return clause once per row, each row's paths read under the
+// snapshot its document ran against.
+func gather(rec *obs.QueryRecord, q *parsed, runs []docRun) (*Result, error) {
 	merged := &Result{QueryRecord: rec}
 	var envs []naveval.Env
-	rows := false
-	for _, p := range parts {
+	var srcs []rowSource
+	constructs := false
+	for _, r := range runs {
+		p := r.res
 		merged.Nodes = append(merged.Nodes, p.Nodes...)
 		merged.Returned = append(merged.Returned, p.Returned...)
-		envs = append(envs, p.Envs()...)
-		rows = rows || p.rows != nil
+		if p.rows != nil {
+			envs = append(envs, p.Envs()...)
+			srcs = append(srcs, rowSource{resolve: r.snap.resolve, rows: p.rows})
+		}
+		constructs = constructs || p.Output != nil
 	}
-	if rows {
+	if srcs != nil {
 		merged.rows = envRows(envs)
 	}
-	return merged
+	if constructs {
+		out, err := buildOutput(q.expr, srcs)
+		if err != nil {
+			return nil, err
+		}
+		merged.Output = out
+	}
+	return merged, nil
 }
 
 // pin derives a single-document snapshot: every URI resolves to the
@@ -144,17 +135,12 @@ func (s *snapshot) pin(uri string) *snapshot {
 	return p
 }
 
-// forEachIndex runs fn(0..n-1) across a pool of at most workers
-// goroutines (workers <= 0 means GOMAXPROCS) and waits for completion.
-// fn must write only to its own index's slot. It is the engine's one
-// worker pool: batches and all-documents fan-outs both run on it.
-func forEachIndex(n, workers int, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+// forEachIndex runs fn(0..n-1) across a pool of at most GOMAXPROCS
+// goroutines and waits for completion. fn must write only to its own
+// index's slot. It is the engine's one worker pool: the all-documents
+// fan-out runs on it.
+func forEachIndex(n int, fn func(int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

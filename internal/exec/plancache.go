@@ -4,8 +4,9 @@ package exec
 // NoK decomposition → physical plan) is deterministic in the query
 // text, the planning options and the catalog snapshot, so its output is
 // cached per engine (State) and shared by every evaluation path — Eval*,
-// EvalBatch workers, EvalAllDocs pins, Prepared.RunContext, EXPLAIN
-// ANALYZE and the daemon's POST /query all reach it through evalExpr.
+// EvalAllDocs pins, EXPLAIN ANALYZE and the daemon's POST /query all
+// reach it through evalExpr. It is the one way a compiled query is
+// reused: a repeated text hits the entry its first run compiled.
 //
 // Keying by snapshot version makes invalidation free: Add publishes a
 // new version, so entries compiled against the old catalog simply stop

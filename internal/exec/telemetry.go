@@ -1,6 +1,6 @@
 package exec
 
-// Query-stream telemetry: every evaluation — Eval, EvalBatch workers,
+// Query-stream telemetry: every evaluation — Eval*, each document of an
 // EvalAllDocs fan-out — flows through evalExpr, which fills one
 // obs.QueryRecord as it runs and publishes it, so the CLI, the
 // benchmark and the blossomd daemon share one pipeline: the

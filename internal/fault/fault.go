@@ -44,8 +44,8 @@ type rule struct {
 }
 
 // Injector fires scripted faults at named sites. Safe for concurrent
-// use: batch workers and concurrent HTTP requests hit sites from several
-// goroutines.
+// use: fan-out workers and concurrent HTTP requests hit sites from
+// several goroutines.
 type Injector struct {
 	mu    sync.Mutex
 	hits  map[Site]int64

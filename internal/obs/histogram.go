@@ -10,7 +10,7 @@ import (
 // Histogram is a lock-cheap fixed-bucket histogram. Observations are
 // classified into one of len(bounds)+1 buckets (the last bucket is the
 // implicit +Inf overflow) with a binary search and two atomic adds, so
-// concurrent evaluations — batch workers, the daemon's request
+// concurrent evaluations — fan-out workers, the daemon's request
 // handlers — may Observe without locks, the same discipline as the
 // registry's counters.
 //

@@ -147,10 +147,3 @@ func writePromHistogram(w io.Writer, h *Histogram) error {
 	_, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", pn, promFloat(h.Sum()), pn, cum)
 	return err
 }
-
-// PrometheusText renders WritePrometheus into a string.
-func (r *Registry) PrometheusText() string {
-	var sb strings.Builder
-	r.WritePrometheus(&sb)
-	return sb.String()
-}

@@ -36,7 +36,7 @@ func TestPrometheusGolden(t *testing.T) {
 	// A labeled family with no unlabeled counterpart renders standalone.
 	r.AddLabeled("replica_lag_total", "replica", "r1", 2)
 
-	got := r.PrometheusText()
+	got := promText(r)
 	path := filepath.Join("testdata", "prometheus.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -62,7 +62,7 @@ func TestPrometheusHistogramInvariants(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(1.5)
 	h.Observe(10)
-	text := r.PrometheusText()
+	text := promText(r)
 	for _, line := range []string{
 		"# TYPE blossomtree_lat histogram",
 		`blossomtree_lat_bucket{le="1"} 1`,
@@ -88,4 +88,11 @@ func TestPromName(t *testing.T) {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// promText renders the registry's exposition into a string.
+func promText(r *Registry) string {
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	return sb.String()
 }

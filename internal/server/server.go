@@ -192,7 +192,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var res *blossomtree.Result
 	var err error
 	if req.AllDocuments {
-		res, err = s.cfg.Engine.QueryAllGatheredContext(r.Context(), req.Query, opts, 0)
+		res, err = s.cfg.Engine.QueryAllGatheredContext(r.Context(), req.Query, opts)
 	} else {
 		res, err = s.cfg.Engine.QueryWithContext(r.Context(), req.Query, opts)
 	}

@@ -698,7 +698,8 @@ func TestReplanOnSecondPost(t *testing.T) {
 // TestQueryReplyFidelity: a success reply is one valid JSON object with
 // no HTML escapes and no second copy of the answer, and its xml decodes
 // byte for byte to the in-process Result.XML, on text and attributes
-// that need both XML and JSON escaping.
+// that need both XML and JSON escaping. A gathered FLWOR that constructs
+// answers its constructed document, not an empty xml with a count.
 func TestQueryReplyFidelity(t *testing.T) {
 	e := blossomtree.NewEngine()
 	docs := map[string]string{
@@ -719,6 +720,8 @@ func TestQueryReplyFidelity(t *testing.T) {
 		{Query: `for $p in doc("a.xml")//p return $p/text()`},
 		{Query: `//p`, AllDocuments: true},
 		{Query: `for $p in //p return $p/text()`, AllDocuments: true},
+		{Query: `for $p in //p return <x>{$p}</x>`, AllDocuments: true},
+		{Query: `<all>{ for $p in //p return <x>{$p/text()}</x> }</all>`, AllDocuments: true},
 		{Query: `doc("a.xml")//missing`},
 	} {
 		body, _ := json.Marshal(req)
@@ -745,7 +748,7 @@ func TestQueryReplyFidelity(t *testing.T) {
 		}
 		var want *blossomtree.Result
 		if req.AllDocuments {
-			want, err = e.QueryAllGatheredContext(context.Background(), req.Query, blossomtree.Options{}, 0)
+			want, err = e.QueryAllGatheredContext(context.Background(), req.Query, blossomtree.Options{})
 		} else {
 			want, err = e.QueryWithContext(context.Background(), req.Query, blossomtree.Options{})
 		}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -9,9 +8,10 @@ import (
 )
 
 // FuzzSegmentRoundTrip is the decoder-hardening contract as a fuzz
-// target: arbitrary bytes fed to UnmarshalBinary must either be rejected
-// with an error wrapping ErrCorrupt or produce a segment whose Decode
-// (if it succeeds) re-encodes and re-decodes to the identical document.
+// target: arbitrary bytes fed to View, the segment store's read path,
+// must either be rejected with an error wrapping ErrCorrupt or produce a
+// segment whose Decode (if it succeeds) re-encodes and re-decodes to the
+// identical document.
 // No input may panic or drive an allocation past the input's own size —
 // the varint-coded counts and lengths are attacker-controlled and the
 // segment store hands this decoder file contents.
@@ -39,20 +39,12 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var s Segment
-		if err := s.UnmarshalBinary(data); err != nil {
+		s, err := View(data)
+		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
 			}
 			return
-		}
-		// View must agree with the copying decoder on accepted inputs.
-		v, err := View(data)
-		if err != nil {
-			t.Fatalf("UnmarshalBinary accepted but View rejected: %v", err)
-		}
-		if !bytes.Equal(v.code, s.code) || len(v.tags) != len(s.tags) {
-			t.Fatal("View and UnmarshalBinary disagree")
 		}
 		doc, err := s.Decode()
 		if err != nil {
@@ -69,8 +61,8 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var s2 Segment
-		if err := s2.UnmarshalBinary(re); err != nil {
+		s2, err := View(re)
+		if err != nil {
 			t.Fatalf("re-encoded segment rejected: %v", err)
 		}
 		doc2, err := s2.Decode()
@@ -109,8 +101,8 @@ func TestUnmarshalCorrupt(t *testing.T) {
 		"truncated tail": valid[:len(valid)-1],
 	}
 	for name, data := range cases {
-		var s Segment
-		if err := s.UnmarshalBinary(data); err == nil {
+		s, err := View(data)
+		if err == nil {
 			// Truncations can still frame correctly if they cut on a
 			// boundary; then Decode must catch the damage.
 			if _, derr := s.Decode(); derr == nil {

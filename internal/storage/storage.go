@@ -256,17 +256,6 @@ func (s *Segment) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary parses a marshaled segment, copying the bytecode out
-// of data so the segment stays valid after the caller reuses the buffer.
-// Decode errors wrap ErrCorrupt.
-func (s *Segment) UnmarshalBinary(data []byte) error {
-	if err := s.view(data); err != nil {
-		return err
-	}
-	s.code = append([]byte(nil), s.code...)
-	return nil
-}
-
 // View parses a marshaled segment without copying: the returned
 // segment's bytecode aliases data, so data must stay valid (and
 // unmodified) for the segment's lifetime. This is the segment store's
@@ -334,10 +323,4 @@ func (s *Segment) view(data []byte) error {
 	s.tags = tags
 	s.code = data[pos : pos+int(clen) : pos+int(clen)]
 	return nil
-}
-
-// Stats summarizes a segment for diagnostics.
-func (s *Segment) Stats() string {
-	return fmt.Sprintf("segment: %d nodes, %d tags, %s encoded",
-		s.nodes, len(s.tags), xmltree.FormatBytes(int64(s.Size())))
 }

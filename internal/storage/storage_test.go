@@ -100,8 +100,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Segment
-	if err := back.UnmarshalBinary(data); err != nil {
+	back, err := View(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Nodes() != seg.Nodes() {
@@ -114,13 +114,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if !xmltree.DeepEqual(doc.DocumentElement(), d2.DocumentElement()) {
 		t.Error("marshal round trip differs")
 	}
-	if back.Stats() == "" {
-		t.Error("empty stats")
-	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	var s Segment
 	bad := [][]byte{
 		nil,
 		[]byte("nope"),
@@ -130,8 +126,8 @@ func TestUnmarshalErrors(t *testing.T) {
 		append([]byte("BTSG1\n\x01\x00"), 0xff), // bad varint
 	}
 	for i, data := range bad {
-		if err := s.UnmarshalBinary(data); err == nil {
-			t.Errorf("case %d: UnmarshalBinary accepted corrupt data", i)
+		if _, err := View(data); err == nil {
+			t.Errorf("case %d: View accepted corrupt data", i)
 		}
 	}
 }

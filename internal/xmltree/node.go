@@ -76,12 +76,6 @@ type Node struct {
 	Level int
 }
 
-// IsElement reports whether n is an element node.
-func (n *Node) IsElement() bool { return n != nil && n.Kind == ElementNode }
-
-// IsText reports whether n is a text node.
-func (n *Node) IsText() bool { return n != nil && n.Kind == TextNode }
-
 // Attr returns the value of the named attribute and whether it exists.
 func (n *Node) Attr(name string) (string, bool) {
 	for _, a := range n.Attrs {
@@ -100,9 +94,6 @@ func (n *Node) IsAncestorOf(v *Node) bool {
 	}
 	return n.Start < v.Start && v.Start <= n.End
 }
-
-// IsDescendantOf reports whether n is a proper descendant of v.
-func (n *Node) IsDescendantOf(v *Node) bool { return v.IsAncestorOf(n) }
 
 // Before reports whether n precedes v in document order (the << operator
 // of XQuery restricted to distinct nodes; for ancestor/descendant pairs

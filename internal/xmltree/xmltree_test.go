@@ -112,7 +112,7 @@ func TestRegionEncoding(t *testing.T) {
 	if !c.Before(d) || !b.Before(e) || !a.Before(c) || d.Before(c) {
 		t.Error("document order wrong")
 	}
-	if !c.IsDescendantOf(a) || e.IsDescendantOf(b) {
+	if !a.IsAncestorOf(c) || b.IsAncestorOf(e) {
 		t.Error("descendant test wrong")
 	}
 }
@@ -155,7 +155,7 @@ func TestNavigation(t *testing.T) {
 	want := []string{"a", "b", "c", "d"}
 	var got []string
 	for n := a; n != nil; n = NextPreorder(n, nil) {
-		if n.IsElement() {
+		if n.Kind == ElementNode {
 			got = append(got, n.Tag)
 		}
 	}
@@ -434,8 +434,8 @@ func TestBuilderElemAndDepth(t *testing.T) {
 	if kids[1].FirstChild != nil {
 		t.Error("empty Elem should have no children")
 	}
-	if !kids[0].FirstChild.IsText() || kids[0].IsText() {
-		t.Error("IsText wrong")
+	if kids[0].FirstChild.Kind != TextNode || kids[0].Kind == TextNode {
+		t.Error("node kinds wrong")
 	}
 	if doc.NodeCount() != 4 {
 		t.Errorf("NodeCount = %d", doc.NodeCount())
