@@ -8,6 +8,7 @@
 package blossomtree_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -314,6 +315,32 @@ func BenchmarkFLWORConstruct(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				run(b, s.query)
+			}
+		})
+	}
+}
+
+// BenchmarkGatheredConstruct runs the constructing FLWOR shapes F1 and
+// F5 over every loaded document (d5 and d2) through the gathered
+// fan-out, warm, and serializes the gathered answer.
+func BenchmarkGatheredConstruct(b *testing.B) {
+	eng := flworEngine(b)
+	for _, s := range []struct{ name, query string }{flworShapes[0], flworShapes[4]} {
+		run := func(b *testing.B) {
+			res, err := eng.QueryAllGatheredContext(context.Background(), s.query, blossomtree.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Len() == 0 || res.XML() == "" {
+				b.Fatalf("%s: empty answer", s.query)
+			}
+		}
+		run(b) // compile and take the replan decision
+		run(b)
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run(b)
 			}
 		})
 	}

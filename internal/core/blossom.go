@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"blossomtree/internal/xmltree"
@@ -275,6 +276,13 @@ func (c *Crossing) String() string {
 	return s
 }
 
+// Hashable reports whether the crossing is a non-negated = value
+// comparison: its endpoints meet exactly when their key sets do
+// (AppendKeys), so a hash join can pair them.
+func (c *Crossing) Hashable() bool {
+	return c.Kind == CrossValue && c.Op == xpath.OpEq && !c.Negate
+}
+
 // Eval evaluates the crossing predicate between the projected match
 // lists of its two endpoints, following the existential semantics of
 // XQuery general comparisons. left and right are the matches of From and
@@ -283,38 +291,74 @@ func (c *Crossing) Eval(left, right []*xmltree.Node) bool {
 	var res bool
 	switch c.Kind {
 	case CrossDocOrder:
-		res = false
-		for _, l := range left {
-			for _, r := range right {
-				if l != r && l.Before(r) {
-					res = true
-				}
-			}
-		}
+		res = anyBefore(left, right)
 	case CrossValue:
-		res = false
-		for _, l := range left {
-			lv, ok := cmpValue(l, c.FromAttr)
-			if !ok {
-				continue
-			}
-			for _, r := range right {
-				rv, ok := cmpValue(r, c.ToAttr)
-				if !ok {
-					continue
-				}
-				if c.Op.Eval(lv, rv) {
-					res = true
-				}
-			}
-		}
+		res = c.anyValue(left, right)
 	case CrossDeepEqual:
 		res = xmltree.DeepEqualSeq(left, right)
 	}
-	if c.Negate {
-		return !res
+	return res != c.Negate
+}
+
+// anyBefore reports whether some left node precedes some other right
+// node in document order: it stops at the first witness.
+func anyBefore(left, right []*xmltree.Node) bool {
+	for _, l := range left {
+		for _, r := range right {
+			if l != r && l.Before(r) {
+				return true
+			}
+		}
 	}
-	return res
+	return false
+}
+
+// anyValue reports whether some left value compares true against some
+// right value under the crossing's operator. It reads each right value
+// once and stops at the first witness.
+func (c *Crossing) anyValue(left, right []*xmltree.Node) bool {
+	var buf [4]string
+	rvs := buf[:0]
+	for _, r := range right {
+		if rv, ok := cmpValue(r, c.ToAttr); ok {
+			rvs = append(rvs, rv)
+		}
+	}
+	if len(rvs) == 0 {
+		return false
+	}
+	for _, l := range left {
+		lv, ok := cmpValue(l, c.FromAttr)
+		if !ok {
+			continue
+		}
+		for _, rv := range rvs {
+			if c.Op.Eval(lv, rv) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// AppendKeys appends to dst the distinct OpEq hash keys (xpath.KeyOf)
+// of an equality crossing endpoint's matches, reading each match's
+// value as Eval does: attr is the endpoint's FromAttr or ToAttr. Two
+// match lists satisfy the non-negated = crossing exactly when their key
+// sets meet.
+func AppendKeys(dst []xpath.EqKey, nodes []*xmltree.Node, attr string) []xpath.EqKey {
+	n0 := len(dst)
+	for _, n := range nodes {
+		v, ok := cmpValue(n, attr)
+		if !ok {
+			continue
+		}
+		k, ok := xpath.KeyOf(v)
+		if ok && !slices.Contains(dst[n0:], k) {
+			dst = append(dst, k)
+		}
+	}
+	return dst
 }
 
 // cmpValue extracts a node's comparison value: the named attribute's

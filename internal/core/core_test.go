@@ -526,6 +526,86 @@ func TestCrossingEval(t *testing.T) {
 	}
 }
 
+// TestCrossingEvalTable covers multi-valued, empty and negated
+// endpoints of every crossing kind, and attribute endpoints: a crossing
+// holds when some pair of its endpoints' matches witnesses it, and a
+// negated one when no pair does.
+func TestCrossingEvalTable(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a k="1">x</a><a k="2">y</a><b k="01">y</b><b>z</b><c k=" 2 ">1.0</c></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := doc.DocumentElement()
+	as, bs, cs := xmltree.Children(r, "a"), xmltree.Children(r, "b"), xmltree.Children(r, "c")
+	eq := func(neg bool) *Crossing { return &Crossing{Kind: CrossValue, Op: xpath.OpEq, Negate: neg} }
+	attrEq := &Crossing{Kind: CrossValue, Op: xpath.OpEq, FromAttr: "k", ToAttr: "k"}
+	lt := &Crossing{Kind: CrossValue, Op: xpath.OpLt}
+	before := func(neg bool) *Crossing { return &Crossing{Kind: CrossDocOrder, Negate: neg} }
+	for _, tc := range []struct {
+		name        string
+		c           *Crossing
+		left, right []*xmltree.Node
+		want        bool
+	}{
+		{"= multi-valued, second left witnesses", eq(false), as, bs, true},
+		{"= multi-valued, no witness", eq(false), as[:1], bs, false},
+		{"= empty left", eq(false), nil, bs, false},
+		{"= empty right", eq(false), as, nil, false},
+		{"not(=) empty", eq(true), nil, bs, true},
+		{"not(=) with a witness", eq(true), as, bs, false},
+		{"not(=) without a witness", eq(true), as[:1], bs, true},
+		{"= numeric across kinds", eq(false), []*xmltree.Node{as[0], cs[0]}, []*xmltree.Node{as[0]}, true},
+		{"@k = @k numeric", attrEq, as[:1], bs[:1], true},
+		{"@k = @k, right attribute absent", attrEq, as, bs[1:], false},
+		{"@k = @k trimmed number", attrEq, as, cs, true},
+		{"< multi-valued", lt, bs, as, false},
+		{"< witness on the right's second value", lt, as[:1], bs, true},
+		{"<< multi-valued", before(false), bs, as, false},
+		{"<< witness", before(false), []*xmltree.Node{bs[1], as[0]}, bs, true},
+		{"<< empty", before(false), nil, bs, false},
+		{"not(<<) empty", before(true), as, nil, true},
+		{"not(<<) with a witness", before(true), as, bs, false},
+	} {
+		if got := tc.c.Eval(tc.left, tc.right); got != tc.want {
+			t.Errorf("%s: Eval = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestAppendKeysMeetAsEval: the key sets of two endpoints' matches meet
+// exactly when the non-negated = crossing holds between them.
+func TestAppendKeysMeetAsEval(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><v k="1"> 1 </v><v>1.0</v><v k="-0">-0</v><v>0</v><v k="x">NaN</v><v>NaN</v><v>inf</v><v>Infinity</v><v>india</v><v/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := xmltree.Children(doc.DocumentElement(), "v")
+	for _, attr := range []string{"", "k"} {
+		c := &Crossing{Kind: CrossValue, Op: xpath.OpEq, FromAttr: attr, ToAttr: attr}
+		sets := [][]*xmltree.Node{nil, vs, vs[:2], vs[2:4], vs[4:6], vs[6:8], vs[8:]}
+		for _, l := range vs {
+			sets = append(sets, []*xmltree.Node{l})
+		}
+		for _, l := range sets {
+			lk := AppendKeys(nil, l, attr)
+			distinct := map[xpath.EqKey]bool{}
+			for _, k := range lk {
+				distinct[k] = true
+			}
+			if len(distinct) != len(lk) {
+				t.Errorf("AppendKeys(%v) repeats a key: %v", l, lk)
+			}
+			for _, r := range sets {
+				rk := AppendKeys(nil, r, attr)
+				meet := slices.ContainsFunc(lk, func(k xpath.EqKey) bool { return slices.Contains(rk, k) })
+				if want := c.Eval(l, r); meet != want {
+					t.Errorf("attr %q: keys %v and %v meet = %v, Eval = %v", attr, lk, rk, meet, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRelHolds(t *testing.T) {
 	doc, err := xmltree.ParseString(`<r><a><b/></a><c/></r>`)
 	if err != nil {

@@ -13,10 +13,14 @@ import (
 // path's nodes row after row. A return path reads its exact cell where
 // the row has one and navigates otherwise. The resolver comes from the
 // evaluation's snapshot so concurrent Adds cannot change which documents
-// return-clause paths see.
-func construct(resolve naveval.Resolver, expr flwor.Expr, f *flwor.FLWOR, rs *rowSet, res *Result) error {
-	if !hasConstructor(expr) && !hasConstructor(f.Return) {
+// return-clause paths see. A gathered evaluation builds no fragment: the
+// fan-out's gather builds one over every document's rows.
+func construct(resolve naveval.Resolver, expr flwor.Expr, f *flwor.FLWOR, rs *rowSet, res *Result, gathered bool) error {
+	if !hasConstructor(expr) {
 		return returnSequence(resolve, f, rs, res)
+	}
+	if gathered {
+		return nil
 	}
 	out, err := buildOutput(expr, []rowSource{{resolve: resolve, rows: rs}})
 	res.Output = out

@@ -377,12 +377,15 @@ func (e *Engine) EvalOptions(src string, opts plan.Options) (*Result, error) {
 // obs.QueryRecord as it runs and publishes it, on success and failure
 // alike.
 func evalExpr(s *snapshot, q *parsed, opts plan.Options) (*Result, error) {
-	return evalInto(&obs.QueryRecord{}, s, q, opts)
+	return evalInto(&obs.QueryRecord{}, s, q, opts, false)
 }
 
 // evalInto is evalExpr filling a record the caller holds: a fan-out
-// keeps its per-document records, failed ones included.
-func evalInto(rec *obs.QueryRecord, s *snapshot, q *parsed, opts plan.Options) (res *Result, err error) {
+// keeps its per-document records, failed ones included. A gathered
+// evaluation stops at its rows and returned nodes: it leaves the
+// constructed output to gather, which builds it once over every
+// document's rows.
+func evalInto(rec *obs.QueryRecord, s *snapshot, q *parsed, opts plan.Options, gathered bool) (res *Result, err error) {
 	start := time.Now()
 	rec.QueryID, rec.QueryHash = opts.QueryID, q.hash
 	if rec.QueryID == "" {
@@ -414,7 +417,7 @@ func evalInto(rec *obs.QueryRecord, s *snapshot, q *parsed, opts plan.Options) (
 	}
 	if opts.Strategy == plan.Navigational {
 		rec.Strategy = "XH"
-		return evalNavigational(s, expr, g)
+		return evalNavigational(s, expr, g, gathered)
 	}
 	c, hit, err := compiledFor(s, q, opts)
 	if err != nil {
@@ -427,7 +430,7 @@ func evalInto(rec *obs.QueryRecord, s *snapshot, q *parsed, opts plan.Options) (
 		// evaluation's governor and record.
 		rec.Strategy = "XH"
 		rec.NavReason = c.navReason
-		return evalNavigational(s, expr, g)
+		return evalNavigational(s, expr, g, gathered)
 	}
 	pl = c.tmpl.Fork(opts)
 	pl.Cached = hit
@@ -440,7 +443,7 @@ func evalInto(rec *obs.QueryRecord, s *snapshot, q *parsed, opts plan.Options) (
 	res = &Result{Query: c.q, Plan: pl, Instances: instances}
 	if c.isPath {
 		res.Nodes = projectPathResult(c.q, instances, c.textTail)
-	} else if err := finishFLWOR(s, c, res, g); err != nil {
+	} else if err := finishFLWOR(s, c, res, g, gathered); err != nil {
 		return nil, err
 	}
 	c.record(pl.StatsTree())
@@ -654,10 +657,10 @@ func projectPathResult(q *core.Query, ins *plan.Instances, textTail *xpath.Step)
 
 // finishFLWOR turns a FLWOR's instances into rows, applies residual
 // conditions, restores iteration order, applies order by, and
-// constructs the answer. Residual-condition and order-by path
-// evaluation run under the query's governor, so a pathological residual
-// cannot escape the budget the operators honored.
-func finishFLWOR(s *snapshot, c *compiled, res *Result, g *gov.Governor) error {
+// constructs the answer (see construct for gathered). Residual-condition
+// and order-by path evaluation run under the query's governor, so a
+// pathological residual cannot escape the budget the operators honored.
+func finishFLWOR(s *snapshot, c *compiled, res *Result, g *gov.Governor, gathered bool) error {
 	t := c.tail
 	rs, err := t.rows(res.Instances)
 	if err != nil {
@@ -684,14 +687,14 @@ func finishFLWOR(s *snapshot, c *compiled, res *Result, g *gov.Governor) error {
 		}
 	}
 	res.rows = rs
-	return construct(s.resolve, t.expr, t.f, rs, res)
+	return construct(s.resolve, t.expr, t.f, rs, res, gathered)
 }
 
 // evalNavigational runs the whole query through the navigational
 // evaluator (the XH stand-in) under the query's governor. The output
 // budget is charged on the materialized rows (the navigational oracle
 // has no pull-based root to meter).
-func evalNavigational(s *snapshot, expr flwor.Expr, g *gov.Governor) (*Result, error) {
+func evalNavigational(s *snapshot, expr flwor.Expr, g *gov.Governor, gathered bool) (*Result, error) {
 	if pe, ok := expr.(*flwor.PathExpr); ok {
 		// Resolve against the path's own document.
 		uri := ""
@@ -723,7 +726,7 @@ func evalNavigational(s *snapshot, expr flwor.Expr, g *gov.Governor) (*Result, e
 		return nil, err
 	}
 	res := &Result{rows: envRows(envs)}
-	return res, construct(s.resolve, expr, f, res.rows, res)
+	return res, construct(s.resolve, expr, f, res.rows, res, gathered)
 }
 
 // topFLWOR unwraps constructors down to the single FLWOR body.

@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
 	"blossomtree/internal/xmltree"
 )
@@ -139,6 +142,64 @@ func TestGatherKeepsRowsOfEachDocument(t *testing.T) {
 		}
 		if envs[0]["b"][0].Start != envs[2]["b"][0].Start {
 			t.Errorf("variant %s: twin rows should share region labels", v.name)
+		}
+	}
+}
+
+// TestGatheredConstructBuildsOnce: in a fan-out, each document's
+// evaluation stops at its rows and builds no output, and the one output
+// gather builds is byte for byte each document's own answer in URI
+// order, under the outer constructor, or the synthetic root when there
+// is none.
+func TestGatheredConstructBuildsOnce(t *testing.T) {
+	e := New()
+	for i, x := range []string{bibXML,
+		`<bib><book><title>Z</title><author><last>L</last></author></book><book><title>A</title></book></bib>`} {
+		doc, err := xmltree.ParseString(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Add(fmt.Sprintf("d%d.xml", i), doc)
+	}
+	const body = `for $b in doc("bib.xml")//book let $a := $b/author order by $b/title return <r>{ $b/title, $a/last }</r>`
+	for _, tc := range []struct{ q, open, close string }{
+		{body, "<results>", "</results>"},
+		{`for $b in doc("bib.xml")//book where exists($b/author) return <r>{ $b/title }</r>`, "<results>", "</results>"},
+		{`<all><n/>{ ` + body + ` }</all>`, "<all><n/>", "</all>"},
+	} {
+		for _, strat := range []plan.Strategy{plan.Auto, plan.Pipelined, plan.Navigational} {
+			opts := plan.Options{Strategy: strat}
+			q, err := parse(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := e.snapshot()
+			var want strings.Builder
+			want.WriteString(tc.open)
+			for _, uri := range snap.uris() {
+				res, err := evalInto(&obs.QueryRecord{}, snap.pin(uri), q, opts, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Output != nil || res.Len() == 0 {
+					t.Errorf("%s (%s) on %s: gathered evaluation built output %v over %d rows; want none over its rows",
+						tc.q, strat, uri, res.Output, res.Len())
+				}
+				own, err := evalInto(&obs.QueryRecord{}, snap.pin(uri), q, opts, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := own.Output.Serialize(xmltree.WriteOptions{})
+				want.WriteString(strings.TrimSuffix(strings.TrimPrefix(x, tc.open), tc.close))
+			}
+			want.WriteString(tc.close)
+			got, err := e.EvalAllDocs(tc.q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if x := got.Output.Serialize(xmltree.WriteOptions{}); x != want.String() {
+				t.Errorf("%s (%s): gathered\n%s\nwant\n%s", tc.q, strat, x, want.String())
+			}
 		}
 	}
 }

@@ -55,7 +55,7 @@ func (e *Engine) EvalAllDocs(src string, opts plan.Options) (*Result, error) {
 		docOpts.QueryID = parent.QueryID + "-" + uris[i]
 		parent.Children[i] = &obs.QueryRecord{}
 		pin := snap.pin(uris[i])
-		res, err := evalInto(parent.Children[i], pin, q, docOpts)
+		res, err := evalInto(parent.Children[i], pin, q, docOpts, true)
 		runs[i] = docRun{res: res, err: err, snap: pin}
 	})
 	defer func() {
@@ -73,15 +73,15 @@ func (e *Engine) EvalAllDocs(src string, opts plan.Options) (*Result, error) {
 // gather merges the per-document results of a fan-out into one under
 // the fan-out's record, in the order given: their nodes, returned nodes
 // and rows. Rows of several documents share no node buffer, so the
-// merged rows are their Envs. A query that constructs elements gets one
-// output built over every document's rows: its outer constructor once,
-// its return clause once per row, each row's paths read under the
-// snapshot its document ran against.
+// merged rows are their Envs. A query that constructs elements gets its
+// one output here, built over every document's rows (the per-document
+// evaluations build none): its outer constructor once, its return
+// clause once per row, each row's paths read under the snapshot its
+// document ran against.
 func gather(rec *obs.QueryRecord, q *parsed, runs []docRun) (*Result, error) {
 	merged := &Result{QueryRecord: rec}
 	var envs []naveval.Env
 	var srcs []rowSource
-	constructs := false
 	for _, r := range runs {
 		p := r.res
 		merged.Nodes = append(merged.Nodes, p.Nodes...)
@@ -90,12 +90,11 @@ func gather(rec *obs.QueryRecord, q *parsed, runs []docRun) (*Result, error) {
 			envs = append(envs, p.Envs()...)
 			srcs = append(srcs, rowSource{resolve: r.snap.resolve, rows: p.rows})
 		}
-		constructs = constructs || p.Output != nil
 	}
 	if srcs != nil {
 		merged.rows = envRows(envs)
 	}
-	if constructs {
+	if srcs != nil && hasConstructor(q.expr) {
 		out, err := buildOutput(q.expr, srcs)
 		if err != nil {
 			return nil, err

@@ -57,7 +57,7 @@ func tailAllocsAreFlat(t *testing.T, query string, tailAllocsPerRow float64) {
 		}
 		allocs := testing.AllocsPerRun(5, func() {
 			res := &Result{Query: c.q, Plan: pl, Instances: ins}
-			if err := finishFLWOR(s, c, res, nil); err != nil || res.Len() != n || res.Output == nil {
+			if err := finishFLWOR(s, c, res, nil, false); err != nil || res.Len() != n || res.Output == nil {
 				t.Fatalf("N=%d: %d rows (err %v), want %d", n, res.Len(), err, n)
 			}
 		})
@@ -114,7 +114,7 @@ func TestNestedReturnCellsAllocateLinearly(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
 			res := &Result{Query: c.q, Plan: pl, Instances: ins}
-			if err := finishFLWOR(s, c, res, nil); err != nil || res.Len() != n || res.Output == nil {
+			if err := finishFLWOR(s, c, res, nil, false); err != nil || res.Len() != n || res.Output == nil {
 				t.Fatalf("N=%d: %d rows (err %v), want %d", n, res.Len(), err, n)
 			}
 		}

@@ -29,6 +29,7 @@ const (
 	SitePipelined   Site = "join.pipelined"  // PipelinedDescJoin emissions
 	SiteBoundedNL   Site = "join.bounded-nl" // BoundedNLJoin emissions
 	SiteNestedLoop  Site = "join.nested-loop"
+	SiteHashJoin    Site = "join.hash"
 	SiteTwigStack   Site = "join.twigstack"
 	SiteIndexStream Site = "index.stream" // index.Stream cursor advances
 	SiteNavStep     Site = "naveval.step" // navigational per-context-node steps

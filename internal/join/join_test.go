@@ -803,12 +803,17 @@ func TestCrossingPredicateDirect(t *testing.T) {
 	c := q.Tree.Crossings[0]
 	fromRN, _ := q.Return.ByVertex(c.From)
 	toRN, _ := q.Return.ByVertex(c.To)
-	pred := CrossingPredicate(c, fromRN.Slot, toRN.Slot)
+	pred := SpansPredicate([]Span{{Crossing: c, FromSlot: fromRN.Slot, ToSlot: toRN.Slot}})
 	lx := Drain(nok.NewIterator(mx, doc))
 	ly := Drain(nok.NewIterator(my, doc))
 	ok, err := pred(lx[0], ly[0])
 	if err != nil || !ok {
 		t.Errorf("predicate = %v, %v, want true", ok, err)
+	}
+	// The same crossing with its From endpoint in the inner input.
+	rev := SpansPredicate([]Span{{Crossing: c, FromSlot: fromRN.Slot, ToSlot: toRN.Slot, FromInner: true}})
+	if ok, err := rev(ly[0], lx[0]); err != nil || !ok {
+		t.Errorf("reversed predicate = %v, %v, want true", ok, err)
 	}
 }
 

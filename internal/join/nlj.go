@@ -12,23 +12,53 @@ import (
 // Predicate evaluates a join condition between two instances.
 type Predicate func(m, n *nestedlist.List) (bool, error)
 
-// CrossingPredicate adapts a BlossomTree crossing edge to a join
-// predicate over the returning-tree slots of its two endpoints. Each
-// call makes a predicate of its own: it projects both endpoints into two
+// Span is a crossing edge between a join's two inputs, oriented onto
+// them: its endpoints' returning-tree slots, and which input holds the
+// From endpoint (the other holds To).
+type Span struct {
+	Crossing         *core.Crossing
+	FromSlot, ToSlot int
+	FromInner        bool
+}
+
+// slots returns the span's slots in the outer and the inner input, and
+// the attribute each side's value comparison reads.
+func (s Span) slots() (outerSlot, innerSlot int, outerAttr, innerAttr string) {
+	c := s.Crossing
+	if s.FromInner {
+		return s.ToSlot, s.FromSlot, c.ToAttr, c.FromAttr
+	}
+	return s.FromSlot, s.ToSlot, c.FromAttr, c.ToAttr
+}
+
+// SpansPredicate adapts crossing edges between a join's inputs to one
+// join predicate over their endpoints' returning-tree slots: the
+// conjunction of the spans, tested in order until one fails. Each call
+// makes a predicate of its own: it projects the endpoints into two
 // buffers it reuses across pair tests, so one predicate serves one join
 // of one run (the plan builds both per run) and must not be shared.
-func CrossingPredicate(c *core.Crossing, fromSlot, toSlot int) Predicate {
+func SpansPredicate(spans []Span) Predicate {
 	var from, to []*xmltree.Node
 	return func(m, n *nestedlist.List) (bool, error) {
-		from, to = m.AppendSlot(from[:0], fromSlot), n.AppendSlot(to[:0], toSlot)
-		return c.Eval(from, to), nil
+		for _, s := range spans {
+			fm, tn := m, n
+			if s.FromInner {
+				fm, tn = n, m
+			}
+			from, to = fm.AppendSlot(from[:0], s.FromSlot), tn.AppendSlot(to[:0], s.ToSlot)
+			if !s.Crossing.Eval(from, to) {
+				return false, nil
+			}
+		}
+		return true, nil
 	}
 }
 
 // NestedLoopJoin is the naive nested-loop join of §4.3, required for the
-// joins that are not order-preserving — <<, following, value-based joins
-// and deep-equal (Example 5 shows why << cannot be pipelined). Both
-// inputs are materialized; every pair is tested.
+// joins that are not order-preserving — <<, following, value comparisons
+// other than = and deep-equal (Example 5 shows why << cannot be
+// pipelined); an = value crossing runs as a HashJoin. Both inputs are
+// materialized; every pair is tested.
 type NestedLoopJoin struct {
 	Outer, Inner Operator
 	Pred         Predicate

@@ -51,6 +51,10 @@ type Matcher struct {
 	// Vertex.ID: fixed per NoK, so match reads them instead of filtering
 	// the vertex's children again for every candidate.
 	local [][]*core.Vertex
+	// precheck is set when a member the root reaches over mandatory
+	// edges carries a value constraint: an anchor that fails it is
+	// turned away by Matches before MatchAt builds anything for it.
+	precheck bool
 }
 
 // NewMatcher prepares a matcher for one NoK of the decomposition.
@@ -70,6 +74,7 @@ func NewMatcher(nok *core.NoK, shape *core.ReturnTree) (*Matcher, error) {
 		m.sinkShape = shape.Root
 	}
 	m.filled = nestedlist.NewInstance(shape)
+	m.precheck = m.constrainedBelow(root)
 	for v := range nok.Members {
 		for len(m.local) <= v.ID {
 			m.local = append(m.local, nil)
@@ -93,6 +98,20 @@ func NewMatcher(nok *core.NoK, shape *core.ReturnTree) (*Matcher, error) {
 	return m, nil
 }
 
+// constrainedBelow reports whether a member below v, reached from it
+// over mandatory in-NoK edges, carries a value constraint.
+func (m *Matcher) constrainedBelow(v *core.Vertex) bool {
+	for _, c := range v.Children {
+		if !m.NoK.Members[c] || c.ParentMode != core.Mandatory {
+			continue
+		}
+		if len(c.Constraints) > 0 || m.constrainedBelow(c) {
+			return true
+		}
+	}
+	return false
+}
+
 // RootTest returns the NoK root's tag test ("*" for wildcard roots, "~"
 // for document-root NoKs), which the plan layer uses to pick an access
 // method.
@@ -104,6 +123,9 @@ func (m *Matcher) RootTest() string { return m.NoK.Root.Test }
 // instance fills exactly the returning slots of this NoK; shape regions
 // belonging to other NoKs stay placeholders (Example 4).
 func (m *Matcher) MatchAt(x *xmltree.Node) *nestedlist.List {
+	if m.precheck && !m.Matches(x) {
+		return nil
+	}
 	l := nestedlist.NewInstance(m.Shape)
 	// Build the placeholder spine down to the attachment point.
 	sink := l.Root

@@ -650,3 +650,30 @@ func TestTagIteratorAgreesWithSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestValueConstrainedAnchorBuildsNothing: an anchor that fails a value
+// constraint below the root is turned away before its instance is
+// built, and the anchors that pass match as before.
+func TestValueConstrainedAnchorBuildsNothing(t *testing.T) {
+	doc := parse(t, `<r><p><t>a</t><y>1990</y><q><y>x</y></q></p><p><t>b</t><y>1999</y><q><y>y</y></q></p><p><y>2000</y></p></r>`)
+	for _, q := range []string{`//p[y>=1997]/t`, `//p[y>=1997]`, `//p[t][y<1997]`, `//p[q/y="y"]/t`, `//p[q[y="x"]]/y`} {
+		checkAgainstNaveval(t, doc, q)
+	}
+	q, err := core.FromFLWOR(flwor.MustParse(
+		`for $p in doc("d")//p where $p/y >= 1997 return <r>{ $p/t }</r>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := core.Decompose(q.Tree)
+	m, err := NewMatcher(d.NoKs[1], q.Return)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := xmltree.Descendants(doc.DocumentElement(), "p")
+	if m.MatchAt(ps[0]) != nil || m.MatchAt(ps[1]) == nil {
+		t.Fatal("the year constraint decides the match")
+	}
+	if n := testing.AllocsPerRun(100, func() { m.MatchAt(ps[0]) }); n != 0 {
+		t.Errorf("a failing anchor allocates %v objects, want 0", n)
+	}
+}

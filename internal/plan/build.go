@@ -2,11 +2,12 @@ package plan
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"blossomtree/internal/core"
 	"blossomtree/internal/join"
-	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/nok"
 	"blossomtree/internal/obs"
 )
@@ -103,7 +104,7 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 				childComp.stats = st
 			}
 			if parentComp != nil && parentComp != childComp {
-				p.combine(parentComp, childComp, nil, l)
+				p.combine(parentComp, childComp, l)
 				removeComp(childComp)
 			}
 			continue
@@ -136,24 +137,8 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 			filters = append(filters, c)
 			continue
 		}
-		fromSlot, toSlot := p.slotOf(c.From), p.slotOf(c.To)
-		p.note("crossing %s joins two components (nested-loop)", c)
-		st := obs.NewOpStats("NestedLoopJoin", fmt.Sprintf("crossing %s", c))
-		st.EstNodes = p.cardinality(c.From) * p.cardinality(c.To)
-		st.Adopt(fromC.stats, toC.stats)
-		nl := &join.NestedLoopJoin{
-			Outer: fromC.op,
-			Inner: toC.op,
-			Pred:  join.CrossingPredicate(c, fromSlot, toSlot),
-			Gov:   p.gov,
-			Stats: st,
-		}
-		p.watch(func() error { return nl.Err })
-		fromC.op = join.Instrument(nl, st)
-		fromC.stats = st
-		for n := range toC.noks {
-			fromC.noks[n] = true
-		}
+		kind := p.crossJoin(fromC, toC, p.spans(fromC, toC), "")
+		p.note("crossing %s joins two components (%s)", c, kind)
 		removeComp(toC)
 	}
 
@@ -161,16 +146,7 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 	for len(comps) > 1 {
 		a, b := comps[0], comps[1]
 		p.note("cartesian product of disconnected components")
-		st := obs.NewOpStats("NestedLoopJoin", "cartesian product")
-		st.Adopt(a.stats, b.stats)
-		nl := &join.NestedLoopJoin{Outer: a.op, Inner: b.op, Gov: p.gov, Stats: st,
-			Pred: func(_, _ *nestedlist.List) (bool, error) { return true, nil }}
-		p.watch(func() error { return nl.Err })
-		a.op = join.Instrument(nl, st)
-		a.stats = st
-		for n := range b.noks {
-			a.noks[n] = true
-		}
+		p.crossJoin(a, b, nil, "cartesian product")
 		removeComp(b)
 	}
 	if len(comps) == 0 {
@@ -216,33 +192,97 @@ func (p *Plan) limitRows(root *component, unfiltered bool, limit int) {
 	p.note("limit %d on $%s: the scan stops after row %d", limit, p.Query.Pos, limit)
 }
 
-// combine Cartesian-joins two components, using any crossing that spans
-// them as the join predicate when available (the ϕ-join of Figure 5).
-func (p *Plan) combine(a, b *component, _ *core.Crossing, l core.Link) {
-	var pred join.Predicate
+// combine joins two components of for-clauses on the first crossing
+// from a into b (the ϕ-join of Figure 5), or by Cartesian product when
+// there is none. The links still to be wired may prune the matches a
+// crossing reads, so the other crossings between the two wait for the
+// filters after every link.
+func (p *Plan) combine(a, b *component, l core.Link) {
+	spans := p.spans(a, b)
+	if k := slices.IndexFunc(spans, func(s join.Span) bool { return !s.FromInner }); k >= 0 {
+		spans = spans[k : k+1]
+	} else {
+		spans = nil
+	}
+	kind := p.crossJoin(a, b, spans, fmt.Sprintf("%s-join of for-clauses", l.Mode))
+	if len(spans) == 0 {
+		p.note("cartesian join of independent for-clauses")
+	} else {
+		p.note("pushed crossing %s into the %s-join (%s)", spans[0].Crossing, l.Mode, kind)
+	}
+}
+
+// spans lists the unused crossings between components a and b, in
+// query order, oriented with a as the outer input.
+func (p *Plan) spans(a, b *component) []join.Span {
+	var out []join.Span
 	for _, c := range p.Query.Tree.Crossings {
-		fromIn := a.noks[p.noKOfVertex(c.From)]
-		toIn := b.noks[p.noKOfVertex(c.To)]
-		if fromIn && toIn {
-			pred = join.CrossingPredicate(c, p.slotOf(c.From), p.slotOf(c.To))
-			p.markCrossingUsed(c)
-			p.note("pushed crossing %s into the %s-join", c, l.Mode)
-			break
+		if p.usedCrossings[c] {
+			continue
+		}
+		from, to := p.noKOfVertex(c.From), p.noKOfVertex(c.To)
+		if a.noks[from] && b.noks[to] || b.noks[from] && a.noks[to] {
+			out = append(out, join.Span{Crossing: c, FromSlot: p.slotOf(c.From), ToSlot: p.slotOf(c.To),
+				FromInner: b.noks[from]})
 		}
 	}
-	if pred == nil {
-		pred = func(_, _ *nestedlist.List) (bool, error) { return true, nil }
-		p.note("cartesian join of independent for-clauses")
+	return out
+}
+
+// crossJoin joins component b into a on spans, every crossing between
+// them, and describes the operator chosen: a hash join keyed on the first
+// hashable (non-negated =) crossing with the others tested on each
+// candidate pair, else a nested loop testing all of them on every pair
+// (a Cartesian product when there are none). Either way no crossing
+// between the two is left to a filter above the join. detail names the
+// join in EXPLAIN when it has no crossing to name.
+func (p *Plan) crossJoin(a, b *component, spans []join.Span, detail string) string {
+	k := slices.IndexFunc(spans, func(s join.Span) bool { return s.Crossing.Hashable() })
+	if k >= 0 {
+		spans = slices.Concat(spans[k:k+1], spans[:k], spans[k+1:]) // the key leads
 	}
-	st := obs.NewOpStats("NestedLoopJoin", fmt.Sprintf("%s-join of for-clauses", l.Mode))
+	names := make([]string, len(spans))
+	for i, s := range spans {
+		p.markCrossingUsed(s.Crossing)
+		names[i] = s.Crossing.String()
+	}
+	var op join.Operator
+	var st *obs.OpStats
+	kind := "nested-loop"
+	if k >= 0 {
+		kind = "hash join keyed on " + names[0]
+		detail = "crossing " + names[0]
+		if len(names) > 1 {
+			detail += "; residual " + strings.Join(names[1:], " and ")
+		}
+		st = obs.NewOpStats("HashJoin", detail)
+		key := spans[0].Crossing
+		st.EstNodes = p.cardinality(key.From) + p.cardinality(key.To)
+		hj := &join.HashJoin{Outer: a.op, Inner: b.op, Key: spans[0], Gov: p.gov, Stats: st}
+		if len(spans) > 1 {
+			hj.Residual = join.SpansPredicate(spans[1:])
+		}
+		p.watch(func() error { return hj.Err })
+		op = hj
+	} else {
+		if len(spans) > 0 {
+			detail = "crossing " + strings.Join(names, " and ")
+		}
+		st = obs.NewOpStats("NestedLoopJoin", detail)
+		if len(spans) > 0 {
+			st.EstNodes = p.cardinality(spans[0].Crossing.From) * p.cardinality(spans[0].Crossing.To)
+		}
+		nl := &join.NestedLoopJoin{Outer: a.op, Inner: b.op, Pred: join.SpansPredicate(spans), Gov: p.gov, Stats: st}
+		p.watch(func() error { return nl.Err })
+		op = nl
+	}
 	st.Adopt(a.stats, b.stats)
-	nl := &join.NestedLoopJoin{Outer: a.op, Inner: b.op, Pred: pred, Gov: p.gov, Stats: st}
-	p.watch(func() error { return nl.Err })
-	a.op = join.Instrument(nl, st)
+	a.op = join.Instrument(op, st)
 	a.stats = st
 	for n := range b.noks {
 		a.noks[n] = true
 	}
+	return kind
 }
 
 // markCrossingUsed records a crossing already applied as a join

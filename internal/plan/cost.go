@@ -110,12 +110,7 @@ func (p *Plan) EstimateCosts() []CostEstimate {
 			base += p.scanCost(n)
 		}
 	}
-	// Crossing joins are strategy-independent nested loops over the
-	// joined components' instance counts.
-	var crossCost float64
-	for _, c := range p.Query.Tree.Crossings {
-		crossCost += p.cardinality(c.From) * p.cardinality(c.To)
-	}
+	crossCost := p.crossingCost()
 
 	var out []CostEstimate
 
@@ -175,6 +170,36 @@ func (p *Plan) EstimateCosts() []CostEstimate {
 		return out[i].Cost < out[j].Cost
 	})
 	return out
+}
+
+// crossingCost prices the crossing joins, which every NoK-based strategy
+// runs alike, from their endpoints' cardinalities. Crossings between the
+// same two NoKs are joined together: when one of them is hashable, a
+// hash join reads both sides once, |L|+|R|, and tests the others on its
+// candidate pairs only; otherwise a nested loop tests each crossing on
+// every pair, |L|·|R|.
+func (p *Plan) crossingCost() float64 {
+	between := func(c *core.Crossing) [2]*core.NoK {
+		a, b := p.noKOfVertex(c.From), p.noKOfVertex(c.To)
+		if b.Index < a.Index {
+			a, b = b, a
+		}
+		return [2]*core.NoK{a, b}
+	}
+	hashed := make(map[[2]*core.NoK]bool)
+	var cost float64
+	for _, c := range p.Query.Tree.Crossings {
+		if k := between(c); c.Hashable() && k[0] != k[1] && !hashed[k] {
+			hashed[k] = true
+			cost += p.cardinality(c.From) + p.cardinality(c.To)
+		}
+	}
+	for _, c := range p.Query.Tree.Crossings {
+		if !hashed[between(c)] {
+			cost += p.cardinality(c.From) * p.cardinality(c.To)
+		}
+	}
+	return cost
 }
 
 // isOuterOnly reports whether the NoK is never the child of a non-scan

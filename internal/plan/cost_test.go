@@ -158,3 +158,28 @@ func TestCardinalityFallbacks(t *testing.T) {
 		t.Error("wildcard cost should be positive")
 	}
 }
+
+// TestCrossingCost: an = crossing between two NoKs is priced as a hash
+// join, |L|+|R|, and carries every other crossing between them; without
+// one each crossing is a nested loop, |L|·|R|.
+func TestCrossingCost(t *testing.T) {
+	doc := parse(t, pubDoc)
+	for _, tc := range []struct {
+		where string
+		want  float64
+	}{
+		{`$p << $q and $p/pub = $q/pub`, 5 + 5},
+		{`$p/pub = $q/pub`, 5 + 5},
+		{`$p << $q and $p/pub != $q/pub`, 5*5 + 5*5},
+		{`not($p/pub = $q/pub)`, 5 * 5},
+	} {
+		p, err := buildIndexed(compileFLWOR(t,
+			`for $p in doc("d")//p, $q in doc("d")//p where `+tc.where+` return $q`), doc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.crossingCost(); got != tc.want {
+			t.Errorf("%s: crossing cost %v, want %v", tc.where, got, tc.want)
+		}
+	}
+}

@@ -47,17 +47,22 @@ func govExecuteQuery(t *testing.T, doc *xmltree.Document, ix *index.TagIndex, q 
 // hit, asserting the injected error surfaces from Execute each time.
 // The per-site hit totals come from a fault-free counting run, so the
 // "last" case really is the operator's final emission. Every case runs
-// //a//c but the nested-loop join's, a value join whose crossing plans
-// a NestedLoopJoin.
+// //a//c but the crossing joins': a document-order join, whose crossing
+// plans a NestedLoopJoin, and a value join, whose = crossing plans a
+// HashJoin.
 func TestFaultInjectionPerOperator(t *testing.T) {
 	doc := govDoc(t)
 	ix := index.Build(doc)
 	path := compilePath(t, `//a//c`)
-	valueJoin, err := core.FromFLWOR(flwor.MustParse(
-		`for $x in doc("d")//b, $y in doc("d")//a where $x/c = $y/c return $y`))
-	if err != nil {
-		t.Fatal(err)
+	compile := func(src string) *core.Query {
+		q, err := core.FromFLWOR(flwor.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
 	}
+	orderJoin := compile(`for $x in doc("d")//a, $y in doc("d")//a where $x << $y return $y`)
+	valueJoin := compile(`for $x in doc("d")//b, $y in doc("d")//a where $x/c = $y/c return $y`)
 	cases := []struct {
 		name  string
 		q     *core.Query
@@ -66,7 +71,8 @@ func TestFaultInjectionPerOperator(t *testing.T) {
 	}{
 		{"pipelined-join", path, Pipelined, fault.SitePipelined},
 		{"bounded-nl-join", path, BoundedNL, fault.SiteBoundedNL},
-		{"nested-loop-join", valueJoin, Pipelined, fault.SiteNestedLoop},
+		{"nested-loop-join", orderJoin, Pipelined, fault.SiteNestedLoop},
+		{"hash-join", valueJoin, Pipelined, fault.SiteHashJoin},
 		{"twigstack", path, Twig, fault.SiteTwigStack},
 		{"nok-emit", path, Pipelined, fault.SiteNoKEmit},
 		{"nok-scan", path, Pipelined, fault.SiteNoKScan},
@@ -158,6 +164,24 @@ func TestOutputBudgetAbort(t *testing.T) {
 	}
 	if _, ok := gov.StatsOf(err); !ok {
 		t.Fatal("output abort carries no partial stats")
+	}
+}
+
+// TestHashJoinOutputBudget: a value join planned as a HashJoin stops at
+// the output budget like any other plan, with its partial stats.
+func TestHashJoinOutputBudget(t *testing.T) {
+	doc := govDoc(t)
+	q, err := core.FromFLWOR(flwor.MustParse(
+		`for $x in doc("d")//b, $y in doc("d")//a where $x/c = $y/c return $y`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = govExecuteQuery(t, doc, index.Build(doc), q, Pipelined, Options{Budget: gov.Budget{MaxOutput: 3}})
+	if !errors.Is(err, gov.ErrBudgetExceeded) {
+		t.Fatalf("Execute = %v, want ErrBudgetExceeded", err)
+	}
+	if st, ok := gov.StatsOf(err); !ok || !strings.Contains(st.Render(true), "HashJoin") {
+		t.Fatalf("output abort carries no HashJoin stats: %v", st)
 	}
 }
 

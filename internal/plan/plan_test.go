@@ -358,6 +358,34 @@ func TestCombineScanLinkWithDocRootMembers(t *testing.T) {
 	}
 }
 
+// TestCombineLeavesLaterCrossingsToFilters: the for-clause join of a
+// doc-root clause is built before the //-link below $a/w prunes the w
+// matches without a z, so only its first crossing is joined there; the
+// crossing on $a/w[.//z] waits for the pruned matches, where the
+// navigational evaluator agrees with it.
+func TestCombineLeavesLaterCrossingsToFilters(t *testing.T) {
+	doc := parse(t, `<r><x><v>1</v><w>a</w><w>b<z/></w></x><y><v>1</v><w>a</w></y><y><v>1</v><w>q</w></y></r>`)
+	src := `for $a in doc("d")/r/x, $b in doc("d")//y where $a/v = $b/v and $a/w[.//z] = $b/w return $b`
+	want, err := naveval.EvalFLWOR(naveval.SingleDoc(doc), flwor.MustParse(src).(*flwor.FLWOR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := buildIndexed(compileFLWOR(t, src), doc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := p.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.Len() != len(want) {
+		t.Errorf("rows = %d, navigational %d:\n%s", ins.Len(), len(want), p.Explain())
+	}
+	if r := p.StatsTree().Render(false); !strings.Contains(r, "CrossingFilter") {
+		t.Errorf("the $a/w crossing should filter after the links:\n%s", r)
+	}
+}
+
 func TestCombineWithoutCrossingIsCartesian(t *testing.T) {
 	doc := parse(t, `<r><x/><x/><y/><y/><y/></r>`)
 	q, err := core.FromFLWOR(flwor.MustParse(
@@ -398,5 +426,81 @@ func TestCanceledContextEndsExecution(t *testing.T) {
 	}
 	if ls != nil {
 		t.Errorf("canceled plan produced %d instances", ls.Len())
+	}
+}
+
+// compileFLWOR compiles a FLWOR query text.
+func compileFLWOR(t *testing.T, src string) *core.Query {
+	t.Helper()
+	q, err := core.FromFLWOR(flwor.MustParse(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// pubDoc has five p elements whose pub values pair up as A–A and B–B.
+const pubDoc = `<r><p><pub>A</pub></p><p><pub>B</pub></p><p><pub>A</pub></p><p><pub>C</pub></p><p><pub>B</pub></p></r>`
+
+// TestValueCrossingPlansHashJoin: the self-join shape of flwor-construct's
+// F4 — a << and an = crossing between two for-clauses — plans one
+// HashJoin keyed on the =, with the << tested on its candidate pairs and
+// no CrossingFilter above it.
+func TestValueCrossingPlansHashJoin(t *testing.T) {
+	doc := parse(t, pubDoc)
+	p, err := buildIndexed(compileFLWOR(t,
+		`for $p in doc("d")//p, $q in doc("d")//p where $p << $q and $p/pub = $q/pub return $q`), doc, Options{Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := p.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.Len() != 2 {
+		t.Errorf("rows = %d, want 2 (A–A, B–B)", ins.Len())
+	}
+	root := p.StatsTree()
+	if root.Name != "HashJoin" || !strings.Contains(root.Detail, "residual") {
+		t.Errorf("plan root %s [%s], want the HashJoin with a residual:\n%s", root.Name, root.Detail, root.Render(true))
+	}
+	// 5 + 5 instances keyed and 9 candidate pairs (each A with both A's,
+	// each B with both B's, C with itself), against the 25 pairs a
+	// nested loop tests.
+	if cmp := root.Comparisons(); cmp != 19 {
+		t.Errorf("cmp = %d, want 19", cmp)
+	}
+	if r := root.Render(true); strings.Contains(r, "CrossingFilter") || strings.Contains(r, "NestedLoopJoin") {
+		t.Errorf("a crossing left to a filter or nested loop:\n%s", r)
+	}
+	if !strings.Contains(p.Explain(), "joins two components (hash join keyed on pub#") {
+		t.Errorf("missing the hash-join note:\n%s", p.Explain())
+	}
+}
+
+// TestNonEqualityCrossingsShareOneNestedLoop: without an = crossing the
+// two components join by nested loop, which tests every crossing between
+// them on each pair, so no CrossingFilter is left above it.
+func TestNonEqualityCrossingsShareOneNestedLoop(t *testing.T) {
+	doc := parse(t, pubDoc)
+	p, err := buildIndexed(compileFLWOR(t,
+		`for $p in doc("d")//p, $q in doc("d")//p where $p << $q and $p/pub != $q/pub return $q`), doc, Options{Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := p.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pairs p_i << p_j, i < j, of 10, less A–A (1,3) and B–B (2,5).
+	if ins.Len() != 8 {
+		t.Errorf("rows = %d, want 8", ins.Len())
+	}
+	root := p.StatsTree()
+	if root.Name != "NestedLoopJoin" || !strings.Contains(root.Detail, " and ") {
+		t.Errorf("plan root %s [%s], want one NestedLoopJoin on both crossings", root.Name, root.Detail)
+	}
+	if root.Comparisons() != 25 {
+		t.Errorf("cmp = %d, want 25 pair tests", root.Comparisons())
 	}
 }

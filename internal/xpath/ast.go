@@ -287,12 +287,48 @@ func (o CmpOp) Eval(left, right string) bool {
 	return false
 }
 
+// EqKey is a value's hash key under OpEq: two values are equal by
+// OpEq.Eval exactly when both have a key and their keys are equal. A
+// value whose trimmed text is a number keys by that number, with -0 read
+// as 0; any other value keys by its raw text. NaN equals nothing, so it
+// has no key.
+type EqKey struct {
+	Str   string
+	Num   float64
+	IsNum bool
+}
+
+// KeyOf returns the OpEq hash key of a value, or false for NaN.
+func KeyOf(s string) (EqKey, bool) {
+	f, ok := ParseNumber(strings.TrimSpace(s))
+	switch {
+	case !ok:
+		return EqKey{Str: s}, true
+	case f != f:
+		return EqKey{}, false
+	case f == 0:
+		return EqKey{IsNum: true}, true // -0 == 0
+	}
+	return EqKey{Num: f, IsNum: true}, true
+}
+
 // ParseNumber parses s as strconv.ParseFloat does and reports whether it
-// is a number. Every text ParseFloat accepts starts with a sign, a point,
-// a digit or the first letter of "inf", "infinity" or "nan", so any
-// other text is turned away without the failed parse's error allocation.
+// is a number. Every text ParseFloat accepts starts, after an optional
+// sign, with a point, a digit, or is "inf", "infinity" or "nan" in any
+// case, so any other text is turned away without the failed parse's
+// error allocation.
 func ParseNumber(s string) (float64, bool) {
-	if s == "" || !strings.ContainsRune("+-.0123456789iInN", rune(s[0])) {
+	body := s
+	if body != "" && (body[0] == '+' || body[0] == '-') {
+		body = body[1:]
+	}
+	if body == "" {
+		return 0, false
+	}
+	switch c := body[0]; {
+	case c == '.' || '0' <= c && c <= '9':
+	case strings.EqualFold(body, "inf") || strings.EqualFold(body, "infinity") || strings.EqualFold(body, "nan"):
+	default:
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(s, 64)

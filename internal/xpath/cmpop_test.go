@@ -62,3 +62,44 @@ func TestCmpOpEvalNonNumberAllocatesNothing(t *testing.T) {
 		t.Errorf("Eval on two non-numbers allocates %v objects, want 0", n)
 	}
 }
+
+// TestParseNumberAgreesWithParseFloatOnLetters: the filter in front of
+// ParseFloat accepts a text exactly when ParseFloat does, with the same
+// value, on letter-led and sign-led texts above all.
+func TestParseNumberAgreesWithParseFloatOnLetters(t *testing.T) {
+	for _, s := range []string{"india", "november", "Nancy Lynch", "inf", "INF", "-inf", "+Inf", "infinity",
+		"-Infinity", "+INFINITY", "infinit", "infinityy", "nan", "NaN", "-nan", "+NaN", "nana", "i", "n", "-i",
+		"-india", "+x", "-", "+", "", ".", "-.5", "+.5", "1", " 1", "1 ", "0x1p-2", "1e400", "-0"} {
+		f, num := ParseNumber(s)
+		want, err := strconv.ParseFloat(s, 64)
+		if num != (err == nil) || num && !(f == want || f != f && want != want) {
+			t.Errorf("ParseNumber(%q) = %v, %v; ParseFloat gives %v, %v", s, f, num, want, err)
+		}
+	}
+}
+
+// TestParseNumberLetterLedAllocatesNothing: a letter-led text that is
+// not inf, infinity or nan never reaches ParseFloat's error allocation.
+func TestParseNumberLetterLedAllocatesNothing(t *testing.T) {
+	for _, s := range []string{"india", "november", "Nancy Lynch", "-india", "Infinite Jest"} {
+		if n := testing.AllocsPerRun(100, func() { ParseNumber(s) }); n != 0 {
+			t.Errorf("ParseNumber(%q) allocates %v objects, want 0", s, n)
+		}
+	}
+}
+
+// TestKeyOfMatchesEval: two values share an OpEq key exactly when
+// OpEq.Eval calls them equal.
+func TestKeyOfMatchesEval(t *testing.T) {
+	operands := []string{" 1 ", "1", "1.0", "01", "-0", "0", " 0", "NaN", "nan", "inf", "Infinity", "+inf",
+		"-inf", "india", "1e3", "1000", "", " ", "abc", "abc ", "0x10", "16"}
+	for _, l := range operands {
+		for _, r := range operands {
+			kl, okl := KeyOf(l)
+			kr, okr := KeyOf(r)
+			if got, want := okl && okr && kl == kr, OpEq.Eval(l, r); got != want {
+				t.Errorf("KeyOf(%q) = %+v, %v; KeyOf(%q) = %+v, %v; Eval = %v", l, kl, okl, r, kr, okr, want)
+			}
+		}
+	}
+}
