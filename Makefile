@@ -30,7 +30,8 @@
 #                  and deep copy into constructed output, or the
 #                  index-less engine, the merged scan and their knobs,
 #                  or the batch, per-document and prepared entry points
-#                  and the CRC-less segment loader
+#                  and the CRC-less segment loader, or the preorder and
+#                  subtree NoK scans and the index-anchor rule
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -165,6 +166,9 @@ bench:
 # plan cache is how a compiled query is reused: the batch, the
 # per-document fan-out and the prepared statement do not come back, nor
 # does the second, CRC-less persisted form the segment store replaced.
+# A NoK scan has one access path, its root's postings in the tag index:
+# the sequential and subtree preorder walks, their constructors and the
+# rule that chose between them and the index do not come back.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -225,6 +229,9 @@ lint-refs:
 		-e 'QueryAllDocumentsContex[t]' -e 'DocumentResul[t]' -e 'PrepareWit[h]' -e 'exec\.Prepare[d]' \
 		-e 'RunContex[t]' -e 'LoadSegmen[t]' -e 'EncodeSegmen[t]' -- '*.go' ':!*_test.go'; then \
 		echo "lint-refs: reference to a retired query entry point (batch, per-document, prepared) or the CRC-less segment loader"; exit 1; fi
+	@if git grep -n -E -e 'NewSubtreeIterato[r]' -e 'NewTagIterato[r]' -e 'nok\.Sca[n]([^[:alnum:]_]|$$)' \
+		-e 'indexAnchore[d]' -e 'NextPreorde[r]' -- '*.go' DESIGN.md EXPERIMENTS.md README.md ':!benchmark/'; then \
+		echo "lint-refs: reference to a retired NoK access path (the preorder or subtree walk, or the index-anchor rule)"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; NestedList selection must only shrink

@@ -8,8 +8,8 @@
 // expression of the query and their correlations (variable references,
 // structural relationships such as <<, value comparisons, deep-equal) —
 // decomposes it into navigational NoK pattern trees, and evaluates the
-// pieces with a cost-rule-driven mix of physical operators: NoK
-// sequential/index scans, the pipelined merge //-join, the bounded
+// pieces with a cost-rule-driven mix of physical operators: NoK scans
+// over the tag index, the pipelined merge //-join, the bounded
 // nested-loop //-join, naive nested-loop joins for crossing predicates,
 // and the holistic TwigStack join over tag indexes.
 //
@@ -155,7 +155,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine. Every document it loads gets a tag
-// index, which TwigStack and the index-anchored NoK scans read.
+// index, which TwigStack and the NoK scans read.
 func NewEngine() *Engine {
 	return &Engine{x: exec.New()}
 }

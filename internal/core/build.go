@@ -58,6 +58,10 @@ type builder struct {
 	// pos is the positional variable, "" when there is none. A path
 	// starting at it reads a row's ordinal, which no vertex matches.
 	pos string
+	// crossed is non-nil while the where-clause compiles, and holds the
+	// vertices a crossing's paths read, below their anchors: a
+	// where-conjunct may not narrow them (see reuseChild).
+	crossed map[*Vertex]bool
 }
 
 // FromPath compiles a bare path expression into a single-pattern-tree
@@ -135,9 +139,11 @@ func FromFLWOR(e flwor.Expr) (*Query, error) {
 	if f.Where != nil && q.Pos != "" {
 		positionalWhere(f.Where, q)
 	} else if f.Where != nil {
+		b.crossed = map[*Vertex]bool{}
 		if err := b.cond(f.Where, q); err != nil {
 			return nil, err
 		}
+		b.crossed = nil
 	}
 	if f.OrderBy != nil && !b.atPos(f.OrderBy) {
 		end, err := b.pathEndpoint(stripTextTail(f.OrderBy), Optional, true)
@@ -304,6 +310,18 @@ func (b *builder) pathEndpoint(p *xpath.Path, mode Mode, reuse bool) (*Vertex, e
 	return b.extend(anchor, p.Steps, mode, reuse)
 }
 
+// crossingEndpoint is pathEndpoint for a crossing's operand, which
+// reads every match of the vertices below its anchor: they are recorded
+// as crossed, so that no later where-conjunct narrows them.
+func (b *builder) crossingEndpoint(p *xpath.Path, mode Mode, reuse bool) (*Vertex, error) {
+	end, err := b.pathEndpoint(p, mode, reuse)
+	anchor, _ := b.anchor(p)
+	for v := end; err == nil && v != nil && v != anchor; v = v.Parent {
+		b.crossed[v] = true
+	}
+	return end, err
+}
+
 // anchor resolves the vertex the path's source names: a document root
 // or a variable's vertex. Its errors name the whole path.
 func (b *builder) anchor(p *xpath.Path) (*Vertex, error) {
@@ -394,7 +412,7 @@ func (b *builder) extend(anchor *Vertex, steps []xpath.Step, mode Mode, reuse bo
 		carriesAttr := i == len(steps)-2 && steps[i+1].Axis == xpath.Attribute
 		var next *Vertex
 		if reuse && !carriesAttr {
-			next = b.reuseChild(cur, st, rel)
+			next = b.reuseChild(cur, st, rel, i < len(steps)-1)
 		}
 		fresh = next == nil
 		if fresh {
@@ -416,16 +434,38 @@ func (b *builder) extend(anchor *Vertex, steps []xpath.Step, mode Mode, reuse bo
 // not equivalent: it binds one match per iteration, while the
 // existential path ranges over all of them ($x/b in a where-clause is
 // every b child of $x, not the one $y in $x/b binds).
-func (b *builder) reuseChild(parent *Vertex, st xpath.Step, rel Rel) *Vertex {
+//
+// Nor, for a where-conjunct, is a vertex that sharing would narrow for
+// another conjunct, since each conjunct ranges over its own matches: one
+// whose matches another conjunct already narrowed to those with a
+// mandatory child (exists($a/w//z) and $a/w = $b/w compares every w, not
+// the w's with a z), or, when the path goes on below it (extends), one a
+// crossing reads.
+func (b *builder) reuseChild(parent *Vertex, st xpath.Step, rel Rel, extends bool) *Vertex {
 	if len(st.Preds) > 0 {
 		return nil
 	}
 	for _, c := range parent.Children {
-		if c.Test == st.Test && c.ParentRel == rel && len(c.Constraints) == 0 && !bindsFor(c) {
-			return c
+		if c.Test != st.Test || c.ParentRel != rel || len(c.Constraints) > 0 || bindsFor(c) {
+			continue
 		}
+		if b.crossed != nil && (hasMandatoryChild(c) || extends && b.crossed[c]) {
+			continue
+		}
+		return c
 	}
 	return nil
+}
+
+// hasMandatoryChild reports whether some child edge of v is mandatory:
+// only v's matches with such a child match v.
+func hasMandatoryChild(v *Vertex) bool {
+	for _, c := range v.Children {
+		if c.ParentMode == Mandatory {
+			return true
+		}
+	}
+	return false
 }
 
 // bindsFor reports whether a for-variable binds v or a vertex below it.
@@ -604,11 +644,11 @@ func (b *builder) atom(c xpath.Expr, negate bool, q *Query) (bool, error) {
 		}
 		from, fin := b.inlineLets(from, false)
 		to, tin := b.inlineLets(to, false)
-		fv, err := b.pathEndpoint(from, endpointMode(negate), !fin)
+		fv, err := b.crossingEndpoint(from, endpointMode(negate), !fin)
 		if err != nil {
 			return false, err
 		}
-		tv, err := b.pathEndpoint(to, endpointMode(negate), !tin)
+		tv, err := b.crossingEndpoint(to, endpointMode(negate), !tin)
 		if err != nil {
 			return false, err
 		}
@@ -627,11 +667,11 @@ func (b *builder) atom(c xpath.Expr, negate bool, q *Query) (bool, error) {
 		// dropped by a mandatory edge.
 		left, lin := b.inlineLets(t.Left, false)
 		right, rin := b.inlineLets(t.Right, false)
-		fv, err := b.pathEndpoint(left, Optional, !lin)
+		fv, err := b.crossingEndpoint(left, Optional, !lin)
 		if err != nil {
 			return false, err
 		}
-		tv, err := b.pathEndpoint(right, Optional, !rin)
+		tv, err := b.crossingEndpoint(right, Optional, !rin)
 		if err != nil {
 			return false, err
 		}
@@ -654,11 +694,11 @@ func (b *builder) atom(c xpath.Expr, negate bool, q *Query) (bool, error) {
 			if !negate {
 				lp, rp = lfull, rfull
 			}
-			fv, err := b.pathEndpoint(lp, endpointMode(negate), !lin)
+			fv, err := b.crossingEndpoint(lp, endpointMode(negate), !lin)
 			if err != nil {
 				return false, err
 			}
-			tv, err := b.pathEndpoint(rp, endpointMode(negate), !rin)
+			tv, err := b.crossingEndpoint(rp, endpointMode(negate), !rin)
 			if err != nil {
 				return false, err
 			}

@@ -2,13 +2,14 @@
 // depend on: per-tag inverted lists of element nodes in document order,
 // each posting's region labels (start, end, level) packed beside it, plus
 // stream cursors over them. In the paper's terms these are the input
-// streams of TwigStack and the posting lists of index-driven NoK scans;
-// a merge or a skip decides from the label columns and touches a node
-// only to return it.
+// streams of TwigStack and the anchors of every NoK scan, whole-document
+// or bounded to a region; a merge or a skip decides from the label
+// columns and touches a node only to return it.
 package index
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"blossomtree/internal/fault"
@@ -55,6 +56,7 @@ type TagIndex struct {
 	runs     [][2]int       // [lo, hi) of each tag's run in cols
 	cols     postings
 	elements []*xmltree.Node // all elements in document order, without labels
+	root     postings        // the document node, the one posting of "~"
 }
 
 // Build scans the document once and constructs the index. The scan
@@ -66,7 +68,7 @@ func Build(doc *xmltree.Document) *TagIndex {
 	if doc.Root.End > math.MaxInt32 {
 		panic("index: document too large for 32-bit region labels")
 	}
-	ix := &TagIndex{doc: doc, ids: make(map[string]int)}
+	ix := &TagIndex{doc: doc, ids: make(map[string]int), root: newPostings([]*xmltree.Node{doc.Root})}
 	type scanned struct{ id, start, end, level int32 }
 	// The node count bounds the element count, so neither list regrows.
 	elements := make([]*xmltree.Node, 0, doc.NodeCount())
@@ -120,18 +122,22 @@ func (ix *TagIndex) tagRun(tag string) postings {
 	return ix.cols.run(r[0], r[1])
 }
 
-// Nodes returns the document-ordered list of elements with the given tag.
-// The wildcard "*" (or "") returns all elements. The returned slice is
-// shared; callers must not modify it. Its capacity ends with it, so an
-// append copies.
+// Nodes returns the document-ordered list of nodes passing a vertex's
+// tag test: the elements with the given tag, every element for the
+// wildcard "*" (or ""), the document node for the document-root test
+// "~". The returned slice is shared; callers must not modify it. Its
+// capacity ends with it, so an append copies.
 func (ix *TagIndex) Nodes(tag string) []*xmltree.Node {
-	if tag == "*" || tag == "" {
+	switch tag {
+	case "*", "":
 		return ix.elements
+	case "~":
+		return ix.root.nodes
 	}
 	return ix.tagRun(tag).nodes
 }
 
-// Count returns the number of elements with the given tag.
+// Count returns the number of nodes passing the tag test (see Nodes).
 func (ix *TagIndex) Count(tag string) int { return len(ix.Nodes(tag)) }
 
 // TotalElements returns the number of elements in the document.
@@ -168,12 +174,17 @@ type Stream struct {
 // building their label columns.
 func NewStream(nodes []*xmltree.Node) Stream { return Stream{postings: newPostings(nodes)} }
 
-// Stream returns a fresh cursor over the tag's inverted list. A tag's
-// stream reads the index's columns; the wildcard's builds its own, since
-// the all-elements list carries none.
+// Stream returns a fresh cursor over the nodes passing a vertex's tag
+// test, the ones Nodes lists: a tag's own run, every element for "*",
+// the document node for "~". A tag's stream and the document node's read
+// the index's columns; the wildcard's builds its own, since the
+// all-elements list carries none.
 func (ix *TagIndex) Stream(tag string) Stream {
-	if tag == "*" || tag == "" {
+	switch tag {
+	case "*", "":
 		return NewStream(ix.elements)
+	case "~":
+		return Stream{postings: ix.root}
 	}
 	return Stream{postings: ix.tagRun(tag)}
 }
@@ -221,6 +232,18 @@ func (s *Stream) Next() *xmltree.Node {
 
 // Len returns the number of nodes remaining.
 func (s *Stream) Len() int { return len(s.nodes) - s.pos }
+
+// Within returns a bare cursor (no Stats or Gov) over the remaining
+// postings strictly inside top's region — top's descendants, the
+// postings whose start lies in (top.Start, top.End] — found by two binary
+// searches on the start column. It allocates nothing and leaves s where
+// it is.
+func (s *Stream) Within(top *xmltree.Node) Stream {
+	rest := s.run(s.pos, len(s.nodes))
+	lo, _ := slices.BinarySearch(rest.start, int32(top.Start)+1)
+	hi, _ := slices.BinarySearch(rest.start, int32(top.End)+1)
+	return Stream{postings: rest.run(lo, hi)}
+}
 
 // SkipTo advances the stream until HeadStart() >= start or EOF, charging
 // every position it passes. It never moves backwards. It gallops over

@@ -3,6 +3,7 @@ package join
 import (
 	"blossomtree/internal/fault"
 	"blossomtree/internal/gov"
+	"blossomtree/internal/index"
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/nok"
 	"blossomtree/internal/obs"
@@ -12,30 +13,35 @@ import (
 // BoundedNLJoin is the bounded nested-loop //-join of §4.3: the outer
 // NoK is always on the left, and for every outer instance the inner NoK
 // is re-matched by a scan bounded to the region (p₁, p₂) of the outer
-// join node — the outer match's subtree — instead of the whole document.
-// It remains correct on recursive documents (where the pipelined join is
-// not), at the cost of one bounded scan per outer instance.
+// join node — the outer match's subtree — instead of the whole document:
+// the inner root's postings inside that region, a sub-run of
+// InnerPostings found by binary search. It remains correct on recursive
+// documents (where the pipelined join is not), at the cost of one
+// bounded scan per outer join node.
 type BoundedNLJoin struct {
 	Outer     Operator
 	OuterSlot int
 	Inner     *nok.Matcher
-	InnerSlot int
-	PerPair   bool
-	Optional  bool
+	// InnerPostings is the stream of the inner root's tag test
+	// (index.TagIndex.Stream(Inner.RootTest())), taken once per run.
+	InnerPostings index.Stream
+	InnerSlot     int
+	PerPair       bool
+	Optional      bool
 
-	// Gov, when non-nil, governs the inner bounded scans (their node
-	// visits charge the query's node budget through the inner iterators)
-	// and fires emission faults; a violation sets Err and ends the
-	// stream.
+	// Gov, when non-nil, governs the inner bounded scans (every posting
+	// they read charges the query's node budget through the inner
+	// iterators) and fires emission faults; a violation sets Err and
+	// ends the stream.
 	Gov *gov.Governor
 
-	// Stats, when non-nil, receives the inner scans' node visits and
+	// Stats, when non-nil, receives the inner scans' postings read and
 	// the per-inner containment/dedup tests for EXPLAIN ANALYZE.
 	Stats *obs.OpStats
 
 	queue []*nestedlist.List
 	done  bool
-	// ScannedNodes accumulates the inner scans' node visits (the I/O
+	// ScannedNodes accumulates the inner scans' postings read (the I/O
 	// proxy the experiments report).
 	ScannedNodes int
 	Err          error
@@ -84,7 +90,7 @@ func (j *BoundedNLJoin) joinOne(m *nestedlist.List) {
 	// across scans.
 	seen := map[[2]int]bool{}
 	for _, a := range outerNodes {
-		it := nok.NewSubtreeIterator(j.Inner, a)
+		it := nok.NewIterator(j.Inner, j.InnerPostings.Within(a))
 		it.Gov = j.Gov
 		local := map[int]int{}
 		for n := it.GetNext(); n != nil; n = it.GetNext() {

@@ -13,6 +13,7 @@ import (
 	"blossomtree/internal/fault"
 	"blossomtree/internal/flwor"
 	"blossomtree/internal/gov"
+	"blossomtree/internal/index"
 	"blossomtree/internal/nestedlist"
 	"blossomtree/internal/nok"
 	"blossomtree/internal/obs"
@@ -43,6 +44,7 @@ func buildCrossParts(t *testing.T, doc *xmltree.Document, cond string) crossPart
 		t.Fatal(err)
 	}
 	p := crossParts{crossings: q.Tree.Crossings, slots: len(q.Return.Nodes)}
+	ix := index.Build(doc)
 	for _, n := range d.NoKs {
 		if n.Root.Test != "x" && n.Root.Test != "y" {
 			continue
@@ -52,9 +54,9 @@ func buildCrossParts(t *testing.T, doc *xmltree.Document, cond string) crossPart
 			t.Fatal(err)
 		}
 		if n.Root.Test == "x" {
-			p.outer = nok.NewIterator(m, doc)
+			p.outer = scanOf(m, ix)
 		} else {
-			p.inner = nok.NewIterator(m, doc)
+			p.inner = scanOf(m, ix)
 		}
 	}
 	slot := func(v *core.Vertex) int {

@@ -59,19 +59,27 @@ func randomNonRecursive(r *rand.Rand, maxNodes int) *xmltree.Document {
 	return b.MustDone()
 }
 
+// scanOf is the NoK scan of the matcher's root postings in ix.
+func scanOf(m *nok.Matcher, ix *index.TagIndex) *nok.Iterator {
+	return nok.NewIterator(m, ix.Stream(m.RootTest()))
+}
+
 // twoNoKPipeline compiles //X…//Y… style queries into NoK iterators and
 // the structural join between them, with the given join constructor.
 type pipelineParts struct {
-	q          *core.Query
-	d          *core.Decomposition
-	outerIt    *nok.Iterator
-	innerM     *nok.Matcher
-	innerIt    *nok.Iterator
-	outerSlot  int
-	innerSlot  int
-	perPair    bool
-	optional   bool
-	resultSlot int
+	q       *core.Query
+	d       *core.Decomposition
+	outerIt *nok.Iterator
+	innerM  *nok.Matcher
+	innerIt *nok.Iterator
+	// innerPostings is the inner root's stream, a bounded join's
+	// InnerPostings.
+	innerPostings index.Stream
+	outerSlot     int
+	innerSlot     int
+	perPair       bool
+	optional      bool
+	resultSlot    int
 }
 
 func buildTwoNoK(t *testing.T, doc *xmltree.Document, query string) pipelineParts {
@@ -111,16 +119,18 @@ func buildTwoNoK(t *testing.T, doc *xmltree.Document, query string) pipelinePart
 	outerSlot, _ := q.Return.ByVertex(link.Parent)
 	innerSlot, _ := q.Return.ByVertex(inner.Root)
 	resSlot, _ := q.Return.ByVar("result")
+	ix := index.Build(doc)
 	return pipelineParts{
 		q: q, d: d,
-		outerIt:    nok.NewIterator(mOuter, doc),
-		innerM:     mInner,
-		innerIt:    nok.NewIterator(mInner, doc),
-		outerSlot:  outerSlot.Slot,
-		innerSlot:  innerSlot.Slot,
-		perPair:    inner.Root.ForBound,
-		optional:   link.Mode == core.Optional,
-		resultSlot: resSlot.Slot,
+		outerIt:       scanOf(mOuter, ix),
+		innerM:        mInner,
+		innerIt:       scanOf(mInner, ix),
+		innerPostings: ix.Stream(mInner.RootTest()),
+		outerSlot:     outerSlot.Slot,
+		innerSlot:     innerSlot.Slot,
+		perPair:       inner.Root.ForBound,
+		optional:      link.Mode == core.Optional,
+		resultSlot:    resSlot.Slot,
 	}
 }
 
@@ -218,7 +228,7 @@ func TestBoundedNLJoin(t *testing.T) {
 	p := buildTwoNoK(t, doc, `//a//b`)
 	j := &BoundedNLJoin{
 		Outer: p.outerIt, OuterSlot: p.outerSlot,
-		Inner: p.innerM, InnerSlot: p.innerSlot,
+		Inner: p.innerM, InnerPostings: p.innerPostings, InnerSlot: p.innerSlot,
 		PerPair: p.perPair, Optional: p.optional,
 	}
 	got := projectResults(Drain(j), p.resultSlot)
@@ -240,12 +250,12 @@ func TestBoundedNLJoinBoundsScans(t *testing.T) {
 	p := buildTwoNoK(t, doc, `//a//b`)
 	j := &BoundedNLJoin{
 		Outer: p.outerIt, OuterSlot: p.outerSlot,
-		Inner: p.innerM, InnerSlot: p.innerSlot,
+		Inner: p.innerM, InnerPostings: p.innerPostings, InnerSlot: p.innerSlot,
 		PerPair: p.perPair,
 	}
 	Drain(j)
-	if j.ScannedNodes > 3 {
-		t.Errorf("BNLJ scanned %d nodes; the z-subtree should be skipped", j.ScannedNodes)
+	if j.ScannedNodes != 1 {
+		t.Errorf("BNLJ scanned %d postings, want the one b inside the a", j.ScannedNodes)
 	}
 }
 
@@ -324,7 +334,7 @@ func TestQuickJoinAlgorithmsAgree(t *testing.T) {
 
 		p = buildTwoNoK(t, doc, query)
 		bn := &BoundedNLJoin{Outer: p.outerIt, OuterSlot: p.outerSlot,
-			Inner: p.innerM, InnerSlot: p.innerSlot, PerPair: p.perPair, Optional: p.optional}
+			Inner: p.innerM, InnerPostings: p.innerPostings, InnerSlot: p.innerSlot, PerPair: p.perPair, Optional: p.optional}
 		if !check("BNLJ", projectResults(Drain(bn), p.resultSlot)) || bn.Err != nil {
 			return false
 		}
@@ -356,7 +366,7 @@ func TestQuickBNLJOnRecursiveDocs(t *testing.T) {
 		}
 		p := buildTwoNoK(t, doc, query)
 		bn := &BoundedNLJoin{Outer: p.outerIt, OuterSlot: p.outerSlot,
-			Inner: p.innerM, InnerSlot: p.innerSlot, PerPair: p.perPair, Optional: p.optional}
+			Inner: p.innerM, InnerPostings: p.innerPostings, InnerSlot: p.innerSlot, PerPair: p.perPair, Optional: p.optional}
 		got := projectResults(Drain(bn), p.resultSlot)
 		if bn.Err != nil {
 			t.Logf("BNLJ error: %v", bn.Err)
@@ -700,7 +710,7 @@ func buildSingle(t *testing.T, doc *xmltree.Document, query string) singleParts 
 		t.Fatal(err)
 	}
 	rn, _ := q.Return.ByVar("result")
-	return singleParts{op: nok.NewIterator(m, doc), slot: rn.Slot}
+	return singleParts{op: scanOf(m, index.Build(doc)), slot: rn.Slot}
 }
 
 func TestDrainAndSliceOperator(t *testing.T) {
@@ -747,8 +757,9 @@ func TestPipelinedOptionalLink(t *testing.T) {
 	outerSlot, _ := q.Return.ByVertex(link.Parent)
 	innerSlot, _ := q.Return.ByVertex(link.Child.Root)
 
+	ix := index.Build(doc)
 	j := &PipelinedDescJoin{
-		Outer: nok.NewIterator(mOuter, doc), Inner: nok.NewIterator(mInner, doc),
+		Outer: scanOf(mOuter, ix), Inner: scanOf(mInner, ix),
 		OuterSlot: outerSlot.Slot, InnerSlot: innerSlot.Slot,
 		PerPair: false, Optional: true,
 	}
@@ -770,8 +781,8 @@ func TestPipelinedOptionalLink(t *testing.T) {
 
 	// Same semantics through the bounded join.
 	j2 := &BoundedNLJoin{
-		Outer: nok.NewIterator(mOuter, doc), OuterSlot: outerSlot.Slot,
-		Inner: mInner, InnerSlot: innerSlot.Slot,
+		Outer: scanOf(mOuter, ix), OuterSlot: outerSlot.Slot,
+		Inner: mInner, InnerPostings: ix.Stream(mInner.RootTest()), InnerSlot: innerSlot.Slot,
 		PerPair: false, Optional: true,
 	}
 	ls2 := Drain(j2)
@@ -804,8 +815,9 @@ func TestCrossingPredicateDirect(t *testing.T) {
 	fromRN, _ := q.Return.ByVertex(c.From)
 	toRN, _ := q.Return.ByVertex(c.To)
 	pred := SpansPredicate([]Span{{Crossing: c, FromSlot: fromRN.Slot, ToSlot: toRN.Slot}})
-	lx := Drain(nok.NewIterator(mx, doc))
-	ly := Drain(nok.NewIterator(my, doc))
+	ix := index.Build(doc)
+	lx := Drain(scanOf(mx, ix))
+	ly := Drain(scanOf(my, ix))
 	ok, err := pred(lx[0], ly[0])
 	if err != nil || !ok {
 		t.Errorf("predicate = %v, %v, want true", ok, err)

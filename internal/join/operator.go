@@ -75,7 +75,8 @@ func (w *Instrumented) Unwrap() Operator { return w.Op }
 // the candidates it drops as scanned, and an operator that cannot skip
 // at the moment treats the call as a no-op — skipping is an
 // optimization, so a caller must still test what GetNext returns next.
-// The index-anchored nok.Iterator is the one implementation.
+// nok.Iterator, which reads its root's postings, is the one
+// implementation.
 type Skipper interface {
 	Operator
 	SkipTo(start int)

@@ -52,7 +52,7 @@ func compilePL(t testing.TB, doc *xmltree.Document, query string) *plQuery {
 
 // plChain is the operator tree the planner builds for a plQuery: the
 // first NoK scanned, then one PipelinedDescJoin per cut //-edge, each
-// over an index-anchored scan of the edge's child NoK.
+// over a scan of the edge's child NoK's root postings.
 type plChain struct {
 	q      *core.Query
 	top    Operator
@@ -70,7 +70,7 @@ func (pq *plQuery) chain(t testing.TB, g *gov.Governor, wrap func(Operator) Oper
 		if err != nil {
 			t.Fatal(err)
 		}
-		it := nok.NewTagIterator(m, pq.ix)
+		it := scanOf(m, pq.ix)
 		it.Gov = g
 		it.Stats = obs.NewOpStats("NoKScan", n.Root.Label())
 		return it

@@ -16,17 +16,11 @@ import (
 type Iterator struct {
 	m *Matcher
 
-	// Exactly one anchor source is active: the preorder cursor of a
-	// sequential or subtree scan, or the posting stream of an
-	// index-anchored one (empty for preorder scans). The stream is bare —
-	// the iterator charges its own Stats and Gov for what the stream
-	// passes.
-	cur      *xmltree.Node // preorder cursor
-	stop     *xmltree.Node // subtree bound; nil for whole-document scans
+	// postings are the anchor candidates: the postings of the root's tag
+	// test, or the part of them inside a region. Every one passes the
+	// test, so none is re-tested. The stream is bare — the iterator
+	// charges its own Stats and Gov for what the stream passes.
 	postings index.Stream
-	// byTag is set when the postings are the root tag's own run: every
-	// candidate is an element with the root's tag, so none is re-tested.
-	byTag bool
 
 	queue []*nestedlist.List // expanded instances pending delivery
 	// ScannedNodes counts anchor candidates inspected, the I/O proxy the
@@ -44,28 +38,13 @@ type Iterator struct {
 	Err error
 }
 
-// NewIterator returns a whole-document sequential-scan iterator: every
-// node in document order is tried as an anchor (the paper's "sequential
-// scan of the XML tree against the blossom tree").
-func NewIterator(m *Matcher, doc *xmltree.Document) *Iterator {
-	if m.NoK.Root.IsDocRoot() {
-		// The document node is the one anchor.
-		return &Iterator{m: m, postings: index.NewStream([]*xmltree.Node{doc.Root})}
-	}
-	return &Iterator{m: m, cur: doc.DocumentElement()}
-}
-
-// NewSubtreeIterator bounds the scan to the subtree rooted at top
-// (excluding top itself): the inner side of the bounded nested-loop join,
-// which scans only the outer match's (p₁, p₂) region.
-func NewSubtreeIterator(m *Matcher, top *xmltree.Node) *Iterator {
-	return &Iterator{m: m, cur: top.FirstChild, stop: top}
-}
-
-// NewTagIterator anchors at the postings of the root's tag in ix, which
-// need no tag test: the index scan of a NoK whose root has a name test.
-func NewTagIterator(m *Matcher, ix *index.TagIndex) *Iterator {
-	return &Iterator{m: m, postings: ix.Stream(m.RootTest()), byTag: true}
+// NewIterator anchors the matcher at postings, which must be nodes
+// passing the root's tag test in document order: the root test's whole
+// stream (index.TagIndex.Stream(m.RootTest())) for a NoK scan, or the
+// part of it inside an outer match's region (index.Stream.Within) for
+// the inner side of the bounded nested-loop join.
+func NewIterator(m *Matcher, postings index.Stream) *Iterator {
+	return &Iterator{m: m, postings: postings}
 }
 
 // GetNext returns the next instance, or nil when exhausted.
@@ -124,31 +103,16 @@ func (it *Iterator) NextWitness() *xmltree.Node {
 	}
 }
 
-// candidate returns the next anchor candidate of the root's kind and tag
-// — the only nodes worth matching (text nodes are half of a sequential
-// scan) — charging every candidate passed on the way and counting the
-// returned one as a match attempt. It returns nil when the anchors are
-// exhausted or the scan was stopped.
+// candidate returns the next anchor candidate, charging it as scanned
+// and counting it as a match attempt. It returns nil when the anchors
+// are exhausted or the scan was stopped.
 func (it *Iterator) candidate() *xmltree.Node {
-	root := it.m.NoK.Root
-	for {
-		x := it.nextAnchor()
-		if x == nil || !it.charge(1) {
-			return nil
-		}
-		switch {
-		case it.byTag:
-			// The root tag's own postings need no test.
-		case root.IsDocRoot():
-			if x.Kind != xmltree.DocumentNode {
-				continue
-			}
-		case x.Kind != xmltree.ElementNode || !root.MatchesTag(x.Tag):
-			continue
-		}
-		it.Stats.AddComparisons(1)
-		return x
+	x := it.postings.Next()
+	if x == nil || !it.charge(1) {
+		return nil
 	}
+	it.Stats.AddComparisons(1)
+	return x
 }
 
 // emitted charges one delivered match to the governor and reports
@@ -159,15 +123,6 @@ func (it *Iterator) emitted() bool {
 		return false
 	}
 	return true
-}
-
-func (it *Iterator) nextAnchor() *xmltree.Node {
-	n := it.cur
-	if n == nil {
-		return it.postings.Next()
-	}
-	it.cur = xmltree.NextPreorder(n, it.stop)
-	return n
 }
 
 // charge counts n anchor candidates as scanned — visited or skipped
@@ -189,8 +144,7 @@ func (it *Iterator) charge(n int) bool {
 // charged as scanned, exactly like visited ones, and are also counted
 // as skipped so that the scan's feedback observation — emitted plus
 // skipped — stays an estimate of the vertex's cardinality rather than
-// of what one join happened to need. It is a no-op for preorder scans,
-// which have no sorted candidate list to search, and while expanded
+// of what one join happened to need. It is a no-op while expanded
 // instances of an earlier anchor are still queued.
 func (it *Iterator) SkipTo(start int) {
 	if len(it.queue) > 0 || it.Err != nil {
@@ -211,9 +165,4 @@ func (it *Iterator) Drain() []*nestedlist.List {
 		out = append(out, l)
 	}
 	return out
-}
-
-// Scan runs a full sequential scan and returns all instances.
-func Scan(m *Matcher, doc *xmltree.Document) []*nestedlist.List {
-	return NewIterator(m, doc).Drain()
 }

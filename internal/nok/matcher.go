@@ -5,16 +5,11 @@
 // instances whose per-slot match lists are built in document order
 // (Theorem 1: projection is order-preserving).
 //
-// The matcher runs in three access-method forms, which is what the plan
-// layer trades off:
-//
-//   - an index-driven scan over the root tag's postings (TagIterator),
-//     the anchor of every NoK whose root has a name test and no value
-//     constraint;
-//   - a whole-document sequential scan (Scan / Iterator), the anchor of
-//     document-root, wildcard and value-constrained roots;
-//   - a subtree-bounded scan (SubtreeIterator), the inner side of the
-//     bounded nested-loop join of §4.3.
+// The matcher has one access path: its anchors are the postings of the
+// root's tag test in the document's tag index (Iterator) — a name test's
+// own run, every element for a wildcard, the document node for a
+// document-root NoK — read whole by a NoK scan, or only inside an outer
+// match's region by the bounded nested-loop join of §4.3.
 package nok
 
 import (
@@ -113,8 +108,8 @@ func (m *Matcher) constrainedBelow(v *core.Vertex) bool {
 }
 
 // RootTest returns the NoK root's tag test ("*" for wildcard roots, "~"
-// for document-root NoKs), which the plan layer uses to pick an access
-// method.
+// for document-root NoKs), which names the root's postings in the tag
+// index.
 func (m *Matcher) RootTest() string { return m.NoK.Root.Test }
 
 // MatchAt attempts to match the NoK pattern tree anchored at x, which
@@ -148,9 +143,9 @@ func (m *Matcher) MatchAt(x *xmltree.Node) *nestedlist.List {
 func (m *Matcher) Matches(x *xmltree.Node) bool { return m.match(m.NoK.Root, x, nil, nil) }
 
 // match implements the recursive core of Algorithm 2: x has already been
-// chosen as the candidate for v, and passed v's kind and tag test (in
-// the scan's candidate or in matchAgainst; a tag scan's postings pass it
-// by construction); the function checks v's value constraints,
+// chosen as the candidate for v, and passed v's kind and tag test (a
+// scan's postings pass it by construction, a child or sibling passes it
+// in matchAgainst); the function checks v's value constraints,
 // recursively matches v's local children against x's children (and v's
 // following-sibling pattern children against x's following siblings),
 // honors mandatory/optional edge modes, and appends matched items to

@@ -3,6 +3,7 @@ package nok
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,8 +71,14 @@ func singleNoKMatcher(t *testing.T, q string) (*core.Query, *Matcher) {
 	return cq, m
 }
 
-// scanProject runs a sequential scan and projects the "result" variable
-// across all instances.
+// scan runs the matcher's NoK scan over the document: every posting of
+// its root's tag test, the scan the plan layer builds.
+func scan(m *Matcher, doc *xmltree.Document) []*nestedlist.List {
+	return NewIterator(m, index.Build(doc).Stream(m.RootTest())).Drain()
+}
+
+// scanProject runs a NoK scan and projects the "result" variable across
+// all instances.
 func scanProject(t *testing.T, cq *core.Query, m *Matcher, doc *xmltree.Document) []*xmltree.Node {
 	t.Helper()
 	rn, ok := cq.Return.ByVar("result")
@@ -80,7 +87,7 @@ func scanProject(t *testing.T, cq *core.Query, m *Matcher, doc *xmltree.Document
 	}
 	var out []*xmltree.Node
 	seen := map[*xmltree.Node]bool{}
-	for _, l := range Scan(m, doc) {
+	for _, l := range scan(m, doc) {
 		for _, n := range l.ProjectSlot(rn.Slot) {
 			if !seen[n] {
 				seen[n] = true
@@ -157,7 +164,7 @@ func TestOptionalEdgesKeepEmptyGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := Scan(m, doc)
+	ls := scan(m, doc)
 	if len(ls) != 4 {
 		t.Fatalf("instances = %d, want 4 (every book, authors optional)", len(ls))
 	}
@@ -182,7 +189,7 @@ func TestMandatoryEdgeFiltersAnchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(Scan(m, doc)); got != 2 {
+	if got := len(scan(m, doc)); got != 2 {
 		t.Errorf("instances = %d, want 2 (books with authors)", got)
 	}
 }
@@ -191,7 +198,7 @@ func TestExpandForBound(t *testing.T) {
 	doc := parse(t, `<r><b><t>1</t><t>2</t></b><b><t>3</t></b></r>`)
 	// //b/t: instance per b anchor, then expanded per t (for-bound result).
 	cq, m := singleNoKMatcher(t, `//b/t`)
-	ls := Scan(m, doc)
+	ls := scan(m, doc)
 	if len(ls) != 3 {
 		t.Fatalf("instances = %d, want 3 (t matches enumerate)", len(ls))
 	}
@@ -203,25 +210,35 @@ func TestExpandForBound(t *testing.T) {
 	}
 }
 
-func TestSubtreeIterator(t *testing.T) {
-	doc := parse(t, `<r><x><a><b/></a></x><y><a><b/></a><a/></y></r>`)
+// TestRegionIterator: the inner scan of the bounded nested-loop join
+// reads only the root tag's postings inside the outer node's region, and
+// matches there what the navigational evaluator finds below it.
+func TestRegionIterator(t *testing.T) {
+	doc := parse(t, `<r><x><a><b/></a></x><y><a><b/></a><a/></y><a><b/></a></r>`)
 	cq, m := singleNoKMatcher(t, `//a[b]`)
-	root := doc.DocumentElement()
-	y := xmltree.Children(root, "y")[0]
-	it := NewSubtreeIterator(m, y)
+	y := xmltree.Children(doc.DocumentElement(), "y")[0]
+	all := index.Build(doc).Stream(m.RootTest())
+	it := NewIterator(m, all.Within(y))
 	var got []*xmltree.Node
 	rn, _ := cq.Return.ByVar("result")
 	for l := it.GetNext(); l != nil; l = it.GetNext() {
 		got = append(got, l.ProjectSlot(rn.Slot)...)
 	}
-	if len(got) != 1 {
-		t.Fatalf("bounded scan found %d, want 1 (only the a under y)", len(got))
+	want, err := naveval.EvalPath(doc, xpath.MustParse(`/r/y//a[b]`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !y.IsAncestorOf(got[0]) {
-		t.Error("bounded scan escaped its subtree")
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("region scan found %v, navigational %v", got, want)
 	}
-	if it.ScannedNodes >= doc.NodeCount() {
-		t.Errorf("bounded scan visited %d nodes of %d", it.ScannedNodes, doc.NodeCount())
+	if as := xmltree.Descendants(y, "a"); it.ScannedNodes != len(as) {
+		t.Errorf("region scan read %d postings, want the %d a's under y", it.ScannedNodes, len(as))
+	}
+	if all.Len() != 4 {
+		t.Errorf("Within moved the stream it cut: %d postings left, want 4", all.Len())
+	}
+	if n := testing.AllocsPerRun(10, func() { all.Within(y) }); n != 0 {
+		t.Errorf("Within allocated %v times, want 0", n)
 	}
 }
 
@@ -234,7 +251,7 @@ func TestIndexIterator(t *testing.T) {
 			books = append(books, n)
 		}
 	})
-	it := NewTagIterator(m, index.Build(doc))
+	it := NewIterator(m, index.Build(doc).Stream(m.RootTest()))
 	var got []*xmltree.Node
 	rn, _ := cq.Return.ByVar("result")
 	for l := it.GetNext(); l != nil; l = it.GetNext() {
@@ -258,7 +275,7 @@ func TestIteratorSkipTo(t *testing.T) {
 	cq, m := singleNoKMatcher(t, `//book/title`)
 	ix := index.Build(doc)
 	books := ix.Nodes("book")
-	it := NewTagIterator(m, ix)
+	it := NewIterator(m, ix.Stream(m.RootTest()))
 	it.Stats = obs.NewOpStats("NoKScan", "book")
 	rn, _ := cq.Return.ByVar("result")
 
@@ -278,7 +295,7 @@ func TestIteratorSkipTo(t *testing.T) {
 			it.ScannedNodes, it.Stats.Skipped(), len(books))
 	}
 
-	it = NewTagIterator(m, ix)
+	it = NewIterator(m, ix.Stream(m.RootTest()))
 	at := 0
 	if allocs := testing.AllocsPerRun(len(books), func() {
 		it.SkipTo(books[at%len(books)].Start + 1)
@@ -288,25 +305,18 @@ func TestIteratorSkipTo(t *testing.T) {
 	}
 }
 
-// TestIteratorSkipToNoOps: a preorder scan has no sorted candidate list
-// to search, and instances already expanded from an earlier anchor are
-// not dropped.
+// TestIteratorSkipToNoOps: instances already expanded from an earlier
+// anchor are not dropped.
 func TestIteratorSkipToNoOps(t *testing.T) {
 	doc := parse(t, `<r><b><t>1</t><t>2</t></b><b><t>3</t></b></r>`)
 	_, m := singleNoKMatcher(t, `//b/t`)
 
-	seq := NewIterator(m, doc)
-	seq.SkipTo(1 << 30)
-	if seq.ScannedNodes != 0 || len(seq.Drain()) != 3 {
-		t.Error("SkipTo moved a sequential scan")
-	}
-
-	ix := NewTagIterator(m, index.Build(doc))
-	if ix.GetNext() == nil {
+	it := NewIterator(m, index.Build(doc).Stream(m.RootTest()))
+	if it.GetNext() == nil {
 		t.Fatal("no first instance")
 	}
-	ix.SkipTo(1 << 30) // the first b's second t is still queued
-	if ix.ScannedNodes != 1 || len(ix.Drain()) != 2 {
+	it.SkipTo(1 << 30) // the first b's second t is still queued
+	if it.ScannedNodes != 1 || len(it.Drain()) != 2 {
 		t.Error("SkipTo dropped queued instances or moved past them")
 	}
 }
@@ -323,7 +333,7 @@ func TestRecursiveDocumentGrouping(t *testing.T) {
 	// own instance, with matches grouped under the right anchor.
 	doc := parse(t, `<r><a><b/><a><b/><b/></a></a></r>`)
 	cq, m := singleNoKMatcher(t, `//a/b`)
-	ls := Scan(m, doc)
+	ls := scan(m, doc)
 	// Anchors: outer a (1 b child), inner a (2 b children); expansion per
 	// for-bound b → 3 instances.
 	if len(ls) != 3 {
@@ -375,7 +385,7 @@ func TestQuickNoKEqualsOracle(t *testing.T) {
 		rn, _ := cq.Return.ByVar("result")
 		var got []*xmltree.Node
 		seen := map[*xmltree.Node]bool{}
-		for _, l := range Scan(m, doc) {
+		for _, l := range scan(m, doc) {
 			for _, n := range l.ProjectSlot(rn.Slot) {
 				if !seen[n] {
 					seen[n] = true
@@ -445,7 +455,7 @@ func TestQuickTheorem1(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, l := range Scan(m, doc) {
+		for _, l := range scan(m, doc) {
 			for slot := 1; slot < len(cq.Return.Nodes); slot++ {
 				ns := l.ProjectSlot(slot)
 				for i := 1; i < len(ns); i++ {
@@ -466,7 +476,7 @@ func TestQuickTheorem1(t *testing.T) {
 func TestEmptyDocumentScan(t *testing.T) {
 	doc := parse(t, `<only/>`)
 	_, m := singleNoKMatcher(t, `//book/title`)
-	if got := Scan(m, doc); len(got) != 0 {
+	if got := scan(m, doc); len(got) != 0 {
 		t.Errorf("scan of non-matching doc = %d instances", len(got))
 	}
 }
@@ -484,7 +494,7 @@ func TestNestedListShapeOfInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := Scan(mb, doc)
+	ls := scan(mb, doc)
 	if len(ls) != 1 {
 		t.Fatalf("instances = %d", len(ls))
 	}
@@ -529,7 +539,7 @@ func TestMultipleForBoundSlotsExpand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := Scan(m, doc)
+	ls := scan(m, doc)
 	// One anchor (document node), expanded per a (for) × per b (for):
 	// 2 + 1 = 3 iterations.
 	if len(ls) != 3 {
@@ -550,9 +560,9 @@ func TestFollowingSiblingInsideNoK(t *testing.T) {
 }
 
 // TestIteratorNextWitness: the witness stream yields the anchors of the
-// instances GetNext would build, in the same order, and charges exactly
-// what GetNext charges — candidates scanned, match attempts compared,
-// witnesses emitted — over a preorder and an index-anchored scan alike.
+// instances GetNext would build — the nodes the navigational evaluator
+// selects — in the same order, and charges exactly what GetNext charges:
+// candidates scanned, match attempts compared, witnesses emitted.
 // Matches agrees with MatchAt on every element.
 func TestIteratorNextWitness(t *testing.T) {
 	doc := parse(t, bib)
@@ -572,11 +582,8 @@ func TestIteratorNextWitness(t *testing.T) {
 			nodes                     []*xmltree.Node
 			scanned, cmp, scans, emit int64
 		}
-		drain := func(indexed, witnesses bool) run {
-			it := NewIterator(m, doc)
-			if indexed {
-				it = NewTagIterator(m, ix)
-			}
+		drain := func(witnesses bool) run {
+			it := NewIterator(m, ix.Stream(m.RootTest()))
 			inj := fault.New()
 			it.Gov = gov.New(nil, gov.Budget{}, inj)
 			it.Stats = obs.NewOpStats("NoKScan", q)
@@ -594,25 +601,27 @@ func TestIteratorNextWitness(t *testing.T) {
 			r.scans, r.emit = inj.Hits(fault.SiteNoKScan), inj.Hits(fault.SiteNoKEmit)
 			return r
 		}
-		for _, indexed := range []bool{false, true} {
-			want, got := drain(indexed, false), drain(indexed, true)
-			if len(want.nodes) == 0 {
-				t.Fatalf("%s: fixture matches nothing", q)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s (indexed=%v): witnesses %+v, GetNext %+v", q, indexed, got, want)
-			}
+		want, got := drain(false), drain(true)
+		oracle, err := naveval.EvalPath(doc, xpath.MustParse(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.nodes) == 0 || fmt.Sprint(want.nodes) != fmt.Sprint(oracle) {
+			t.Fatalf("%s: GetNext anchors %v, navigational %v", q, want.nodes, oracle)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: witnesses %+v, GetNext %+v", q, got, want)
 		}
 	}
 }
 
-// TestTagIteratorAgreesWithSequential: on random documents, a scan of
-// the root tag's postings, which tests no candidate's tag, delivers the
-// instances a sequential scan delivers and makes the same match
-// attempts. It scans exactly the postings, and charges what an iterator
-// testing every posting charges.
-func TestTagIteratorAgreesWithSequential(t *testing.T) {
-	queries := []string{`//a/b`, `//b[c]/a`, `//a[b][c]`, `//c[a/b]`, `//b[a="x"]`}
+// TestIteratorAgreesWithNaveval: on random documents, a scan of the root
+// test's postings, which tests no candidate's tag, finds the nodes the
+// navigational evaluator selects. It scans exactly the postings,
+// attempts a match on each of them, and charges what an iterator over a
+// copy of the postings charges.
+func TestIteratorAgreesWithNaveval(t *testing.T) {
+	queries := []string{`//a/b`, `//b[c]/a`, `//a[b][c]`, `//c[a/b]`, `//b[a="x"]`, `//*[b]`, `//*[.="x"]/c`}
 	type run struct {
 		nodes        []*xmltree.Node
 		scanned, cmp int64
@@ -623,12 +632,12 @@ func TestTagIteratorAgreesWithSequential(t *testing.T) {
 		ix := index.Build(doc)
 		for _, q := range queries {
 			cq, m := singleNoKMatcher(t, q)
-			rn, _ := cq.Return.ByVertex(m.NoK.Root)
+			rn, _ := cq.Return.ByVar("result")
 			drain := func(it *Iterator) run {
 				it.Stats = obs.NewOpStats("NoKScan", q)
 				var r run
 				for l := it.GetNext(); l != nil; l = it.GetNext() {
-					r.nodes = append(r.nodes, l.FirstNode(rn.Slot))
+					r.nodes = append(r.nodes, l.ProjectSlot(rn.Slot)...)
 				}
 				if int64(it.ScannedNodes) != it.Stats.Scanned() {
 					t.Fatalf("%s: ScannedNodes %d, stats %d", q, it.ScannedNodes, it.Stats.Scanned())
@@ -636,16 +645,24 @@ func TestTagIteratorAgreesWithSequential(t *testing.T) {
 				r.scanned, r.cmp = it.Stats.Scanned(), it.Stats.Comparisons()
 				return r
 			}
-			tagged := drain(NewTagIterator(m, ix))
-			seq := drain(NewIterator(m, doc))
-			tested := drain(&Iterator{m: m, postings: index.NewStream(ix.Nodes(m.RootTest()))})
-			if fmt.Sprint(tagged.nodes) != fmt.Sprint(seq.nodes) || tagged.cmp != seq.cmp {
-				t.Errorf("%s (seed %d): tag scan %d instances, %d attempts; sequential %d, %d",
-					q, seed, len(tagged.nodes), tagged.cmp, len(seq.nodes), seq.cmp)
+			got := drain(NewIterator(m, ix.Stream(m.RootTest())))
+			copied := drain(NewIterator(m, index.NewStream(ix.Nodes(m.RootTest()))))
+			want, err := naveval.EvalPath(doc, xpath.MustParse(q))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if tagged.scanned != int64(ix.Count(m.RootTest())) || fmt.Sprint(tagged) != fmt.Sprint(tested) {
-				t.Errorf("%s (seed %d): tag scan %+v, tested scan %+v, %d postings",
-					q, seed, tagged, tested, ix.Count(m.RootTest()))
+			// Instances of nested anchors interleave on a recursive
+			// document (the Theorem 2 caveat): compare the node sets.
+			found := slices.Clone(got.nodes)
+			slices.SortFunc(found, func(a, b *xmltree.Node) int { return a.Start - b.Start })
+			found = slices.Compact(found)
+			n := int64(ix.Count(m.RootTest()))
+			if fmt.Sprint(found) != fmt.Sprint(want) || got.scanned != n || got.cmp != n {
+				t.Errorf("%s (seed %d): scan %d nodes, %d scanned, %d attempts; navigational %d nodes, %d postings",
+					q, seed, len(found), got.scanned, got.cmp, len(want), n)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(copied) {
+				t.Errorf("%s (seed %d): scan %+v, copied postings %+v", q, seed, got, copied)
 			}
 		}
 	}

@@ -159,7 +159,7 @@ func TestTimingGate(t *testing.T) {
 func TestRenderShape(t *testing.T) {
 	root := NewOpStats("PipelinedDescJoin", "a//NoK1")
 	root.EstNodes, root.EstOut = 30, 4
-	child := NewOpStats("NoKScan", "NoK0 seq")
+	child := NewOpStats("NoKScan", "NoK0 index(a)")
 	child.EstNodes, child.EstOut = 20, 5
 	root.Adopt(child)
 	child.AddScanned(19)

@@ -41,9 +41,9 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 		matchers[n] = m
 	}
 
-	linked := make(map[*core.NoK]bool)
+	joined := make(map[*core.NoK]bool)
 	for _, l := range d.Links {
-		linked[l.Child] = true
+		joined[l.Child] = !l.IsScan()
 	}
 
 	var comps []*component
@@ -70,50 +70,43 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 		}
 	}
 
-	// Pattern-tree root NoKs seed the components (skipping trivial
-	// doc-root-only NoKs, which carry no slots).
+	// Every NoK no //-join reaches seeds a component: the pattern-tree
+	// roots (bar trivial doc-root-only NoKs, which carry no slots) and the
+	// targets of cut edges from a document root, which scan the whole
+	// document. The crossing joins below connect them once every link is
+	// wired — a link may prune the matches a crossing reads (the for × for
+	// case of Example 1).
 	for _, n := range d.NoKs {
-		if !linked[n] && !trivialNoK(n) {
-			newComponent(n)
+		if joined[n] || trivialNoK(n) {
+			continue
+		}
+		c := newComponent(n)
+		if pos, has := n.Root.PositionConstraint(); has {
+			// Positional predicates on cut targets become stream
+			// selections (σ_position, §3.3). The filter must wrap the
+			// target's own scan before any join multiplies the stream:
+			// position() counts the target's instances, not joined rows.
+			// The nested (non-scan) case is rejected in Build with a
+			// fragment error and runs navigationally.
+			st := obs.NewOpStats("PositionFilter", fmt.Sprintf("position()=%d", pos))
+			st.EstOut = 1
+			st.Adopt(c.stats)
+			c.op = join.Instrument(&join.PositionFilter{Input: c.op, Slot: p.slotOf(n.Root), Pos: pos}, st)
+			c.stats = st
 		}
 	}
 
-	// Wire the cut //-edges in decomposition (BFS) order: each link's
-	// parent NoK is already in a component when the link is processed.
+	// Wire the //-joins in decomposition (BFS) order: each link's parent
+	// NoK is already in a component when the link is processed.
 	for _, l := range d.Links {
-		childM := matchers[l.Child]
 		if l.IsScan() {
-			// Cut edge from a document root: the child NoK scans the
-			// whole document. It either seeds a new component or
-			// Cartesian-joins with the component already holding other
-			// NoKs of the query (the for × for case of Example 1).
-			parentComp := findComp(p.noKOfVertex(l.Parent))
-			childComp := newComponent(l.Child)
-			if pos, has := l.Child.Root.PositionConstraint(); has {
-				// Positional predicates on cut targets become stream
-				// selections (σ_position, §3.3). The filter must wrap the
-				// target's own scan before any join multiplies the stream:
-				// position() counts the target's instances, not joined
-				// rows. The nested (non-scan) case is rejected in Build
-				// with a fragment error and runs navigationally.
-				slot := p.slotOf(l.Child.Root)
-				st := obs.NewOpStats("PositionFilter", fmt.Sprintf("position()=%d", pos))
-				st.EstOut = 1
-				st.Adopt(childComp.stats)
-				childComp.op = join.Instrument(&join.PositionFilter{Input: childComp.op, Slot: slot, Pos: pos}, st)
-				childComp.stats = st
-			}
-			if parentComp != nil && parentComp != childComp {
-				p.combine(parentComp, childComp, l)
-				removeComp(childComp)
-			}
 			continue
 		}
 		parentComp := findComp(p.noKOfVertex(l.Parent))
 		if parentComp == nil {
 			return nil, nil, fmt.Errorf("plan: link parent %s has no component", l.Parent.Label())
 		}
-		op, st, err := p.descJoin(parentComp.op, parentComp.stats, childM, l)
+		op, st, err := p.descJoin(parentComp.op, parentComp.stats, matchers[l.Child], l)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -190,26 +183,6 @@ func (p *Plan) limitRows(root *component, unfiltered bool, limit int) {
 	p.stopAfter = limit
 	root.stats.EstOut = min(root.stats.EstOut, float64(limit))
 	p.note("limit %d on $%s: the scan stops after row %d", limit, p.Query.Pos, limit)
-}
-
-// combine joins two components of for-clauses on the first crossing
-// from a into b (the ϕ-join of Figure 5), or by Cartesian product when
-// there is none. The links still to be wired may prune the matches a
-// crossing reads, so the other crossings between the two wait for the
-// filters after every link.
-func (p *Plan) combine(a, b *component, l core.Link) {
-	spans := p.spans(a, b)
-	if k := slices.IndexFunc(spans, func(s join.Span) bool { return !s.FromInner }); k >= 0 {
-		spans = spans[k : k+1]
-	} else {
-		spans = nil
-	}
-	kind := p.crossJoin(a, b, spans, fmt.Sprintf("%s-join of for-clauses", l.Mode))
-	if len(spans) == 0 {
-		p.note("cartesian join of independent for-clauses")
-	} else {
-		p.note("pushed crossing %s into the %s-join (%s)", spans[0].Crossing, l.Mode, kind)
-	}
 }
 
 // spans lists the unused crossings between components a and b, in
@@ -294,35 +267,19 @@ func (p *Plan) markCrossingUsed(c *core.Crossing) {
 	p.usedCrossings[c] = true
 }
 
-// scanStats is the stats node of a NoK's base scan: it carries the cost
+// baseScan builds a NoK's scan: its anchors are the postings of the
+// root's tag test in the tag index. Its stats node carries the cost
 // model's scan estimate and receives the scan's actual counters.
-func (p *Plan) scanStats(m *nok.Matcher, kind string) *obs.OpStats {
-	st := obs.NewOpStats("NoKScan", fmt.Sprintf("NoK%d %s", m.NoK.Index, kind))
-	st.EstNodes = p.scanCost(m.NoK)
-	st.EstOut = p.cardinality(m.NoK.Root)
+func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
+	root, test := m.NoK.Root, m.RootTest()
+	p.note("NoK%d anchors via tag index %q (%d candidates)", m.NoK.Index, test, p.opts.Index.Count(test))
+	st := obs.NewOpStats("NoKScan", fmt.Sprintf("NoK%d index(%s)", m.NoK.Index, test))
+	st.EstNodes = p.staticCardinality(root)
+	st.EstOut = p.cardinality(root)
 	// A cached template's first run records this scan's est/act counters
 	// under the root label — the key CardHints resolve on a replan.
-	st.FeedbackKey = m.NoK.Root.Label()
-	return st
-}
-
-// baseScan picks the access method for a NoK's anchors: the tag index's
-// postings when the root has a selective name test and no value
-// constraint, a sequential scan otherwise.
-func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
-	if indexAnchored(m.NoK.Root) {
-		p.note("NoK%d anchors via tag index %q (%d candidates)",
-			m.NoK.Index, m.RootTest(), p.opts.Index.Count(m.RootTest()))
-		st := p.scanStats(m, fmt.Sprintf("index(%s)", m.RootTest()))
-		it := nok.NewTagIterator(m, p.opts.Index)
-		it.Gov = p.gov
-		it.Stats = st
-		p.watch(func() error { return it.Err })
-		return join.Instrument(it, st), st
-	}
-	p.note("NoK%d anchors via sequential scan", m.NoK.Index)
-	st := p.scanStats(m, "seq")
-	it := nok.NewIterator(m, p.doc)
+	st.FeedbackKey = root.Label()
+	it := nok.NewIterator(m, p.opts.Index.Stream(test))
 	it.Gov = p.gov
 	it.Stats = st
 	p.watch(func() error { return it.Err })
@@ -357,7 +314,7 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 		st.Adopt(outerStats)
 		bn := &join.BoundedNLJoin{
 			Outer: outer, OuterSlot: outerSlot,
-			Inner: inner, InnerSlot: innerSlot,
+			Inner: inner, InnerPostings: p.opts.Index.Stream(inner.RootTest()), InnerSlot: innerSlot,
 			PerPair: perPair, Optional: optional,
 			Gov: p.gov, Stats: st,
 		}

@@ -17,9 +17,9 @@ import (
 //
 // The unit of cost is "nodes touched": the paper's experiments are
 // I/O-bound and every compared operator's running time is proportional
-// to the nodes it scans (sequential scans visit the whole document,
-// index scans visit the inverted list, bounded inner scans visit the
-// outer match's region, TwigStack visits its streams).
+// to the nodes it scans (NoK scans read their root's postings, bounded
+// inner scans are priced by the outer match's region, TwigStack reads
+// its streams).
 
 // CostEstimate is one strategy's estimated cost.
 type CostEstimate struct {
@@ -49,13 +49,10 @@ func (p *Plan) cardinality(v *core.Vertex) float64 {
 // a hinted (workload) cardinality would inflate regions exactly when
 // hints shrink — cancelling the hint out of every nested-loop cost.
 func (p *Plan) staticCardinality(v *core.Vertex) float64 {
-	if v.IsDocRoot() {
-		return 1
-	}
 	return float64(p.opts.Index.Count(v.Test))
 }
 
-// docNodes is the sequential-scan cost.
+// docNodes is the document's node count, the measure of a region.
 func (p *Plan) docNodes() float64 {
 	if n := p.opts.Stats.Nodes; n > 0 {
 		return float64(n)
@@ -81,22 +78,6 @@ func (p *Plan) avgRegion(v *core.Vertex) float64 {
 	return region
 }
 
-// scanCost is the cost of one NoK base scan under the access method
-// baseScan picks.
-func (p *Plan) scanCost(n *core.NoK) float64 {
-	if indexAnchored(n.Root) {
-		return p.staticCardinality(n.Root)
-	}
-	return p.docNodes()
-}
-
-// indexAnchored reports whether a NoK rooted at root anchors on its
-// tag's postings: the root has a name test and no value constraint.
-// Document-root, wildcard and constrained roots scan sequentially.
-func indexAnchored(root *core.Vertex) bool {
-	return !root.IsDocRoot() && root.Test != "*" && len(root.Constraints) == 0
-}
-
 // EstimateCosts scores every join strategy for this plan's decomposition
 // and returns the estimates sorted cheapest-first (unsound strategies
 // last).
@@ -107,7 +88,7 @@ func (p *Plan) EstimateCosts() []CostEstimate {
 	var base float64
 	for _, n := range d.NoKs {
 		if !trivialNoK(n) {
-			base += p.scanCost(n)
+			base += p.staticCardinality(n.Root)
 		}
 	}
 	crossCost := p.crossingCost()
@@ -135,7 +116,7 @@ func (p *Plan) EstimateCosts() []CostEstimate {
 	for _, n := range d.NoKs {
 		if !trivialNoK(n) {
 			if isOuterOnly(d, n) {
-				nl.Cost += p.scanCost(n)
+				nl.Cost += p.staticCardinality(n.Root)
 			}
 		}
 	}
@@ -143,7 +124,7 @@ func (p *Plan) EstimateCosts() []CostEstimate {
 		if !l.IsScan() {
 			nl.Cost += p.cardinality(l.Parent) * p.avgRegion(l.Parent)
 		} else {
-			nl.Cost += p.scanCost(l.Child)
+			nl.Cost += p.staticCardinality(l.Child.Root)
 		}
 	}
 	nl.Detail = fmt.Sprintf("outer scans + %.0f bounded inner visits", nl.Cost)

@@ -1,11 +1,11 @@
 // Package plan turns a compiled BlossomTree query into an executable
 // physical plan. It decomposes the BlossomTree into NoK pattern trees
-// (Algorithm 1), chooses access methods for each NoK (sequential scan,
-// tag-index scan), picks a structural-join algorithm for the cut
-// //-edges — pipelined merge join, bounded nested-loop join, naive
-// nested-loop join, or the holistic TwigStack — wires crossing edges as
-// join predicates or selections, and exposes the result as a pull stream
-// of NestedList instances — or, from TwigStack, as flat rows.
+// (Algorithm 1), anchors each NoK at its root's tag-index postings,
+// picks a structural-join algorithm for the cut //-edges — pipelined
+// merge join, bounded nested-loop join, or the holistic TwigStack —
+// wires crossing edges as join predicates or selections, and exposes the
+// result as a pull stream of NestedList instances — or, from TwigStack,
+// as flat rows.
 //
 // Auto chooses the strategy with the cost model (cost.go): the
 // cheapest of PL, NL and TS whose preconditions hold. The same chooser
@@ -67,8 +67,8 @@ func (s Strategy) String() string {
 // Options configures planning.
 type Options struct {
 	Strategy Strategy
-	// Index is the document's tag index, which TwigStack, the
-	// index-anchored NoK scans and the cost model read. Build requires it.
+	// Index is the document's tag index, which TwigStack, the NoK scans
+	// and the cost model read. Build requires it.
 	Index *index.TagIndex
 	// Stats feeds the cost model; if zero-valued, the model assumes
 	// non-recursive input.
@@ -136,7 +136,6 @@ type Plan struct {
 	// it as a "plan cache: hit" line.
 	Cached bool
 
-	doc  *xmltree.Document
 	opts Options
 	gov  *gov.Governor // nil when ungoverned (no ctx/budget/fault)
 	expl []string
@@ -162,7 +161,7 @@ func (p *Plan) watch(f func() error) { p.errChecks = append(p.errChecks, f) }
 
 // Build compiles the query into a plan against the document.
 func Build(q *core.Query, doc *xmltree.Document, opts Options) (*Plan, error) {
-	if opts.Index == nil {
+	if opts.Index == nil || opts.Index.Document() != doc {
 		return nil, fmt.Errorf("plan: no tag index for the document")
 	}
 	// Upward tree edges (parent/ancestor steps the compiler could not
@@ -206,7 +205,7 @@ func Build(q *core.Query, doc *xmltree.Document, opts Options) (*Plan, error) {
 			}
 		}
 	}
-	p := &Plan{Query: q, Decomp: d, doc: doc, opts: opts}
+	p := &Plan{Query: q, Decomp: d, opts: opts}
 	p.gov = p.opts.governor()
 	p.twigErr = p.twigCompatible()
 	p.Strategy = opts.Strategy
@@ -300,7 +299,6 @@ func (p *Plan) Fork(opts Options) *Plan {
 		Query:    p.Query,
 		Decomp:   p.Decomp,
 		Strategy: p.Strategy,
-		doc:      p.doc,
 		opts:     opts,
 		expl:     append([]string(nil), p.expl...),
 		twigErr:  p.twigErr,

@@ -334,8 +334,8 @@ func TestTrivialEmptyPlan(t *testing.T) {
 
 func TestCombineScanLinkWithDocRootMembers(t *testing.T) {
 	// First clause anchors in the doc-root NoK (/r/x has only child
-	// edges); the second clause scan-links a fresh NoK, exercising the
-	// combine path that pushes a crossing into the Cartesian join.
+	// edges); the second clause scan-links a fresh NoK, which stays a
+	// component of its own until the crossing joins the two.
 	doc := parse(t, `<r><x><v>1</v></x><y><v>1</v></y><y><v>2</v></y></r>`)
 	q, err := core.FromFLWOR(flwor.MustParse(
 		`for $a in doc("d")/r/x, $b in doc("d")//y where $a/v = $b/v return $b`))
@@ -353,36 +353,43 @@ func TestCombineScanLinkWithDocRootMembers(t *testing.T) {
 	if ls.Len() != 1 {
 		t.Fatalf("rows = %d, want 1:\n%s", ls.Len(), p.Explain())
 	}
-	if !strings.Contains(p.Explain(), "pushed crossing") {
-		t.Errorf("crossing should be pushed into the scan-link join:\n%s", p.Explain())
+	if !strings.Contains(p.Explain(), "joins two components (hash join keyed on") {
+		t.Errorf("the crossing should hash-join the two for-clauses:\n%s", p.Explain())
 	}
 }
 
-// TestCombineLeavesLaterCrossingsToFilters: the for-clause join of a
-// doc-root clause is built before the //-link below $a/w prunes the w
-// matches without a z, so only its first crossing is joined there; the
-// crossing on $a/w[.//z] waits for the pruned matches, where the
-// navigational evaluator agrees with it.
-func TestCombineLeavesLaterCrossingsToFilters(t *testing.T) {
+// TestForClauseCrossingsJoinAfterLinks: a doc-root clause and a scan-
+// linked one are joined only after every link is wired, so the //-link
+// below $a/w has pruned the w matches without a z before any crossing
+// reads them — whichever conjunct comes first — and the plan agrees with
+// the navigational evaluator.
+func TestForClauseCrossingsJoinAfterLinks(t *testing.T) {
 	doc := parse(t, `<r><x><v>1</v><w>a</w><w>b<z/></w></x><y><v>1</v><w>a</w></y><y><v>1</v><w>q</w></y></r>`)
-	src := `for $a in doc("d")/r/x, $b in doc("d")//y where $a/v = $b/v and $a/w[.//z] = $b/w return $b`
-	want, err := naveval.EvalFLWOR(naveval.SingleDoc(doc), flwor.MustParse(src).(*flwor.FLWOR))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := buildIndexed(compileFLWOR(t, src), doc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins, err := p.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ins.Len() != len(want) {
-		t.Errorf("rows = %d, navigational %d:\n%s", ins.Len(), len(want), p.Explain())
-	}
-	if r := p.StatsTree().Render(false); !strings.Contains(r, "CrossingFilter") {
-		t.Errorf("the $a/w crossing should filter after the links:\n%s", r)
+	for _, src := range []string{
+		`for $a in doc("d")/r/x, $b in doc("d")//y where $a/w[.//z] = $b/w and $a/v = $b/v return $b`,
+		`for $a in doc("d")/r/x, $b in doc("d")//y where $a/v = $b/v and $a/w[.//z] = $b/w return $b`,
+	} {
+		want, err := naveval.EvalFLWOR(naveval.SingleDoc(doc), flwor.MustParse(src).(*flwor.FLWOR))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range []Strategy{Auto, Pipelined, BoundedNL} {
+			p, err := buildIndexed(compileFLWOR(t, src), doc, Options{Strategy: strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins, err := p.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ins.Len() != len(want) {
+				t.Errorf("%s %s: rows = %d, navigational %d:\n%s", src, strat, ins.Len(), len(want), p.Explain())
+			}
+			r := p.StatsTree().Render(false)
+			if !strings.HasPrefix(r, "HashJoin") || strings.Contains(r, "CrossingFilter") {
+				t.Errorf("%s %s: both crossings should join the for-clauses at the root:\n%s", src, strat, r)
+			}
+		}
 	}
 }
 
@@ -404,7 +411,7 @@ func TestCombineWithoutCrossingIsCartesian(t *testing.T) {
 	if ls.Len() != 6 {
 		t.Fatalf("cartesian rows = %d, want 6", ls.Len())
 	}
-	if !strings.Contains(p.Explain(), "cartesian join") {
+	if !strings.Contains(p.Explain(), "cartesian product of disconnected components") {
 		t.Errorf("expected cartesian note:\n%s", p.Explain())
 	}
 }
@@ -502,5 +509,51 @@ func TestNonEqualityCrossingsShareOneNestedLoop(t *testing.T) {
 	}
 	if root.Comparisons() != 25 {
 		t.Errorf("cmp = %d, want 25 pair tests", root.Comparisons())
+	}
+}
+
+// TestScansReadTheirPostings: a NoK scan reads exactly the postings of
+// its root's tag test, whatever the root: every element for a wildcard
+// root, the tag's run for a value-constrained root (the matcher tests
+// the constraint), the one document node for a document-root NoK.
+func TestScansReadTheirPostings(t *testing.T) {
+	doc := parse(t, `<r><a><b>1</b><c/></a><a><b>2</b></a><b>1</b></r>`)
+	ix := index.Build(doc)
+	cases := []struct {
+		name, query, access string
+		postings            int
+	}{
+		{"wildcard", `//*[c]`, "index(*)", ix.TotalElements()},
+		{"value-constrained", `//b[. = "1"]`, "index(b)", ix.Count("b")},
+		{"document root", `/r/a/b`, "index(~)", 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := naveval.EvalPath(doc, xpath.MustParse(c.query))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, strat := range []Strategy{Pipelined, BoundedNL} {
+				p, err := Build(compilePath(t, c.query), doc, Options{Strategy: strat, Index: ix})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ins, err := p.Execute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := resultNodes(p, ins); len(got) != len(want) {
+					t.Errorf("%s: %d results, navigational %d", strat, len(got), len(want))
+				}
+				scan := p.StatsTree()
+				for scan.Name != "NoKScan" && len(scan.Children) > 0 {
+					scan = scan.Children[0]
+				}
+				if scan.Name != "NoKScan" || !strings.HasSuffix(scan.Detail, c.access) || scan.Scanned() != int64(c.postings) {
+					t.Errorf("%s: scan %s %q read %d postings, want %s reading %d:\n%s",
+						strat, scan.Name, scan.Detail, scan.Scanned(), c.access, c.postings, scan.Render(true))
+				}
+			}
+		})
 	}
 }

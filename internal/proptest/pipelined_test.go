@@ -58,8 +58,9 @@ func flatDoc(r *rand.Rand) *xmltree.Document {
 // outer instances repeat the previous one's nodes (a per-pair join
 // feeding another join on the same or a higher vertex). The inner NoK
 // roots of the last group are wildcards or carry a value constraint, so
-// they anchor by a sequential scan, whose SkipTo does nothing: the join
-// must not rely on its inner skipping.
+// they anchor on every element or on a run whose postings the
+// constraint then thins: the join skips over candidates that do not
+// match the root.
 var flatQueries = []string{
 	`//a//c`,
 	`//a//d`,

@@ -241,4 +241,45 @@ var Regressions = []Regression{
 		`<r><x><b>1</b><b>2</b></x><x/><x><b>3</b></x></r>`,
 		`for $x at $i in doc("d")//x, $y in $x/b where $i < 3 return <r>{ $i }{ $y }</r>`,
 	},
+	// A doc-root for-clause and a scan-linked one used to be joined on
+	// their first crossing while the links were still being wired, so the
+	// crossing on $a/w[.//z] compared the w matches before the //-link
+	// below w pruned the ones without a z: the planned strategies kept a
+	// row the oracle drops. The components now join after every link.
+	{
+		"crossing/doc-root-clause-joined-after-links",
+		`<r><x><v>1</v><w>a</w><w>b<z/></w></x><y><v>1</v><w>a</w></y><y><v>1</v><w>q</w></y></r>`,
+		`for $a in doc("d")/r/x, $b in doc("d")//y where $a/w[.//z] = $b/w and $a/v = $b/v return <p>{ $b/w }</p>`,
+	},
+	// A where-conjunct shared the vertex a crossing reads and narrowed it:
+	// exists($a/w//z) (or $a/w/z) kept only the w's with a z, so the
+	// crossing $a/w = $b/w missed the w that matches, whichever conjunct
+	// came first; so did the w of a for-clause predicate [w/z]. The same
+	// sharing made two exists() over one prefix ask for one w holding
+	// both. Each conjunct now ranges over its own matches.
+	{
+		"crossing/narrowed-by-descendant-exists",
+		`<r><x><v>1</v><w>a</w><w>b<z/></w></x><y><v>1</v><w>a</w></y><y><v>1</v><w>q</w></y></r>`,
+		`for $a in doc("d")//x, $b in doc("d")//y where $a/v = $b/v and $a/w = $b/w and exists($a/w//z) return <p>{ $b/w }</p>`,
+	},
+	{
+		"crossing/narrowed-by-child-exists",
+		`<r><x><v>1</v><w>a</w><w>b<z/></w></x><y><v>1</v><w>a</w></y><y><v>1</v><w>q</w></y></r>`,
+		`for $a in doc("d")//x, $b in doc("d")//y where $a/v = $b/v and $a/w = $b/w and exists($a/w/z) return <p>{ $b/w }</p>`,
+	},
+	{
+		"crossing/narrowed-by-earlier-exists",
+		`<r><x><v>1</v><w>a</w><w>b<z/></w></x><y><v>1</v><w>a</w></y><y><v>1</v><w>q</w></y></r>`,
+		`for $a in doc("d")//x, $b in doc("d")//y where exists($a/w//z) and $a/w = $b/w and $a/v = $b/v return <p>{ $b/w }</p>`,
+	},
+	{
+		"crossing/narrowed-by-for-predicate",
+		`<r><x><v>1</v><w>a</w><w>b<z/></w></x><y><v>1</v><w>a</w></y><y><v>1</v><w>q</w></y></r>`,
+		`for $a in doc("d")//x[w/z], $b in doc("d")//y where $a/w = $b/w return <p>{ $b/w }</p>`,
+	},
+	{
+		"exists/two-over-one-prefix",
+		`<r><x><w><z/></w><w><y/></w></x><x><w><z/><y/></w></x></r>`,
+		`for $a in doc("d")//x where exists($a/w//z) and exists($a/w/y) return $a`,
+	},
 }

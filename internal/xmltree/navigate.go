@@ -1,25 +1,5 @@
 package xmltree
 
-// NextPreorder returns the node that follows n in document order
-// (preorder), or nil when n is the last node. The optional stop node
-// bounds the walk: the traversal never escapes the subtree rooted at
-// stop. Pass nil to walk to the end of the document.
-func NextPreorder(n, stop *Node) *Node {
-	if n == nil {
-		return nil
-	}
-	if n.FirstChild != nil {
-		return n.FirstChild
-	}
-	for n != nil && n != stop {
-		if n.NextSibling != nil {
-			return n.NextSibling
-		}
-		n = n.Parent
-	}
-	return nil
-}
-
 // Walk calls f for every node of the subtree rooted at n in document
 // order, including n itself. If f returns false the walk descends no
 // further into that node's subtree (but continues with its following

@@ -68,8 +68,9 @@ type Node struct {
 	PrevSibling *Node
 
 	// Region encoding. Start is the preorder rank (document order) of the
-	// node, End is strictly greater than the Start of every descendant and
-	// at least Start. Level is the depth (document node is level 0, the
+	// node, End the greatest Start in its subtree (one more for the
+	// document node), so its descendants are the nodes whose Start lies
+	// in (Start, End]. Level is the depth (document node is level 0, the
 	// document element level 1).
 	Start int
 	End   int

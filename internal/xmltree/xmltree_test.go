@@ -154,11 +154,7 @@ func TestNavigation(t *testing.T) {
 	a := doc.DocumentElement()
 	want := []string{"a", "b", "c", "d"}
 	var got []string
-	for n := a; n != nil; n = NextPreorder(n, nil) {
-		if n.Kind == ElementNode {
-			got = append(got, n.Tag)
-		}
-	}
+	Elements(a, func(n *Node) { got = append(got, n.Tag) })
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("preorder = %v, want %v", got, want)
 	}
