@@ -31,7 +31,9 @@
 #                  index-less engine, the merged scan and their knobs,
 #                  or the batch, per-document and prepared entry points
 #                  and the CRC-less segment loader, or the preorder and
-#                  subtree NoK scans and the index-anchor rule
+#                  subtree NoK scans and the index-anchor rule, or the
+#                  bounded nested-loop join's own operator, its helpers
+#                  and fault site, or naveval's ungoverned wrappers
 #   make bench   — micro, ablation and concurrency benchmarks (the
 #                  paper's tables are `bash benchmark/run.sh`)
 #   make fuzz    — parser fuzz smoke (FUZZTIME per target, default 30s)
@@ -83,7 +85,8 @@ proptest:
 # concurrent and all-documents evaluation, scripted operator panics, and
 # budget aborts, repeated under the race detector so governor state and worker
 # draining are exercised across interleavings. The pipelined join's
-# linearity, allocation, skip and governor-parity tests ride along, and
+# linearity, allocation, skip and governor-parity tests ride along, as do
+# the bounded nested loop's (the same join rescanning its inner), and
 # so does admission control: token bucket, weighted-fair queue, injected
 # and quota sheds (429/Retry-After) and client cancels (499). So does the
 # feedback loop: replan at the first cache hit, once per template, per
@@ -91,7 +94,7 @@ proptest:
 # and never for a skipping scan.
 stress:
 	$(GO) test -race -timeout 120s -count=3 \
-		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Feedback|SkippingScan|Pipelined|SkipTo|Admission|Shed|ClientCanceled' \
+		-run 'MidFlight|PreCanceled|PanicRecovery|Canceled|Budget|Fault|FailAt|PanicAt|Injector|Hits|PreparedRace|PlanCache|Feedback|SkippingScan|Pipelined|SkipTo|BoundedNL|BNLJ|Rescan|Admission|Shed|ClientCanceled' \
 		./internal/exec ./internal/plan ./internal/join ./internal/nok ./internal/gov ./internal/fault ./internal/server .
 
 # Daemon smoke: build blossomd, boot it on a random port, POST one
@@ -168,7 +171,13 @@ bench:
 # does the second, CRC-less persisted form the segment store replaced.
 # A NoK scan has one access path, its root's postings in the tag index:
 # the sequential and subtree preorder walks, their constructors and the
-# rule that chose between them and the index do not come back.
+# rule that chose between them and the index do not come back. There is
+# one //-join operator: the bounded nested loop is the pipelined join
+# re-reading its inner inside each outer instance's region, so its own
+# operator, the balanced batch merge and witness re-test it filled with,
+# its fault site and the iterator's second scan counter do not come back;
+# and naveval has one governed entry point per evaluator (a nil governor
+# runs ungoverned), not a wrapper per (bindings × governor) combination.
 lint-refs:
 	@if git grep -n -e 'internal/benc[h]' -e 'blossombenc[h]' -e 'BENCH_result[s]' -- \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then \
@@ -232,6 +241,10 @@ lint-refs:
 	@if git grep -n -E -e 'NewSubtreeIterato[r]' -e 'NewTagIterato[r]' -e 'nok\.Sca[n]([^[:alnum:]_]|$$)' \
 		-e 'indexAnchore[d]' -e 'NextPreorde[r]' -- '*.go' DESIGN.md EXPERIMENTS.md README.md ':!benchmark/'; then \
 		echo "lint-refs: reference to a retired NoK access path (the preorder or subtree walk, or the index-anchor rule)"; exit 1; fi
+	@if git grep -n -E -e 'join\.BoundedNLJoi[n]' -e '(type |\*)BoundedNLJoi[n]' -e 'MergeBalance[d]' -e 'pruneWitnessles[s]' \
+		-e 'SiteBoundedN[L]' -e 'ScannedNode[s]' -e 'EvalPathEn[v]' -e 'EvalPathGo[v]' -e 'EvalFLWORGo[v]' \
+		-e 'EvalCondGo[v]' -- '*.go' ':!*_test.go'; then \
+		echo "lint-refs: reference to the retired bounded nested-loop operator, its helpers or fault site, or a retired naveval wrapper"; exit 1; fi
 
 # Fuzzing: the parsers must not panic and every accepted input must
 # round-trip through the printer; NestedList selection must only shrink

@@ -76,7 +76,7 @@ func BenchmarkMicroNoKMatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := nok.NewIterator(m, ds.Index.Stream(m.RootTest())).Drain(); len(got) == 0 {
+		if got := join.Drain(nok.NewIterator(m, ds.Index.Stream(m.RootTest()))); len(got) == 0 {
 			b.Fatal("no matches")
 		}
 	}

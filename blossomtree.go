@@ -201,13 +201,13 @@ func (e *Engine) LoadDocument(uri string, doc *xmltree.Document) {
 }
 
 // Stats returns statistics of the document registered under uri — the
-// inputs to the optimizer's strategy rules.
+// inputs to the optimizer's cost model — as the engine already holds
+// them: a store-backed document is not read.
 func (e *Engine) Stats(uri string) (DocumentStats, error) {
-	doc, err := e.resolve(uri)
+	s, err := e.x.Stats(uri)
 	if err != nil {
 		return DocumentStats{}, err
 	}
-	s := xmltree.ComputeStats(doc)
 	return DocumentStats{
 		Nodes:     s.Nodes,
 		Elements:  s.Elements,

@@ -105,7 +105,7 @@ func copiedReference(t *testing.T, query string, envs []naveval.Env, resolve nav
 		var sb strings.Builder
 		k := 0
 		for _, env := range envs {
-			ns, err := naveval.EvalPathEnv(resolve, env, f.Return.(*flwor.PathExpr).Path)
+			ns, err := naveval.EvalPath(resolve, env, f.Return.(*flwor.PathExpr).Path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func copiedReference(t *testing.T, query string, envs []naveval.Env, resolve nav
 				build(x.Return, row)
 			}
 		case *flwor.PathExpr:
-			ns, err := naveval.EvalPathEnv(resolve, env, x.Path)
+			ns, err := naveval.EvalPath(resolve, env, x.Path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,8 +92,9 @@ type snapshot struct {
 }
 
 // entry is one catalog document with the structures derived from it. A
-// nil doc marks a store-backed entry, materialized on demand by load;
-// a heap registration under the same URI replaces (shadows) it.
+// nil doc marks a store-backed entry, holding only the stats persisted
+// in its segment and materialized on demand by load; a heap
+// registration under the same URI replaces (shadows) it.
 type entry struct {
 	doc   *xmltree.Document
 	stats xmltree.Stats
@@ -187,8 +188,9 @@ func (e *Engine) AttachStore(st *segstore.Store) {
 	}
 	next.store = st
 	for _, u := range uris {
-		if _, ok := next.docs[u]; !ok {
-			next.docs[u] = entry{}
+		if ent, ok := next.docs[u]; !ok || ent.doc == nil {
+			stats, _ := st.DocStats(u)
+			next.docs[u] = entry{stats: stats}
 		}
 		if next.first == "" {
 			next.first = u
@@ -223,33 +225,44 @@ func (e *Engine) resolve(uri string) (*xmltree.Document, error) {
 }
 
 // resolve maps a URI to a document under the catalog's resolution rule
-// (see resolveEntry).
+// (see resolveURI).
 func (s *snapshot) resolve(uri string) (*xmltree.Document, error) {
-	ent, err := s.resolveEntry(uri)
+	u, err := s.resolveURI(uri)
+	if err != nil {
+		return nil, err
+	}
+	ent, err := s.load(u)
 	return ent.doc, err
 }
 
-// resolveEntry maps a URI to its catalog entry: a registered URI is
-// itself; otherwise the empty URI (absolute paths) resolves to the first
-// registered document, and a catalog holding a single document serves it
-// for any URI — but once several documents are registered, an unknown
-// doc("…") URI is an error rather than a silent alias for the first
-// document. The entry carries the resolved document's index and
-// statistics, so store-backed documents hand planContext the index the
-// store built when it decoded them and the stats persisted in their
-// segment instead of recomputing them.
-func (s *snapshot) resolveEntry(uri string) (entry, error) {
+// resolveURI maps a URI to the registered one it names: a registered URI
+// is itself; otherwise the empty URI (absolute paths) resolves to the
+// first registered document, and a catalog holding a single document
+// serves it for any URI — but once several documents are registered, an
+// unknown doc("…") URI is an error rather than a silent alias for the
+// first document.
+func (s *snapshot) resolveURI(uri string) (string, error) {
 	if _, ok := s.docs[uri]; ok {
-		return s.load(uri)
+		return uri, nil
 	}
 	switch n := len(s.docs); {
 	case n == 0:
-		return entry{}, fmt.Errorf("exec: no documents registered (resolving %q)", uri)
+		return "", fmt.Errorf("exec: no documents registered (resolving %q)", uri)
 	case uri == "" || n == 1:
-		return s.load(s.first)
+		return s.first, nil
 	default:
-		return entry{}, fmt.Errorf("exec: no document registered for %q (%d documents loaded; doc(\"…\") must name one of them)", uri, n)
+		return "", fmt.Errorf("exec: no document registered for %q (%d documents loaded; doc(\"…\") must name one of them)", uri, n)
 	}
+}
+
+// Stats returns the statistics of the document uri resolves to (with the
+// fallback rules queries use) as the engine holds them: computed once by
+// Add, or persisted in a store-backed document's segment, which stays on
+// disk.
+func (e *Engine) Stats(uri string) (xmltree.Stats, error) {
+	s := e.snapshot()
+	u, err := s.resolveURI(uri)
+	return s.docs[u].stats, err
 }
 
 // load returns the registered URI's entry, materializing a store-backed
@@ -608,7 +621,11 @@ func (s *snapshot) planContext(q *core.Query) (entry, error) {
 	var ent entry
 	var uri string
 	for u := range q.Tree.Docs {
-		e, err := s.resolveEntry(u)
+		name, err := s.resolveURI(u)
+		if err != nil {
+			return entry{}, err
+		}
+		e, err := s.load(name)
 		if err != nil {
 			return entry{}, err
 		}
@@ -620,8 +637,9 @@ func (s *snapshot) planContext(q *core.Query) (entry, error) {
 	if ent.doc == nil {
 		return entry{}, fmt.Errorf("exec: query references no document")
 	}
-	// resolveEntry hands back the index of the resolved entry itself
-	// (heap or store), so index and document always agree.
+	// The entry carries the resolved document's own index and stats
+	// (heap, or built and persisted by the store), so index and document
+	// always agree.
 	return ent, nil
 }
 
@@ -705,7 +723,7 @@ func evalNavigational(s *snapshot, expr flwor.Expr, g *gov.Governor, gathered bo
 		if err != nil {
 			return nil, err
 		}
-		nodes, err := naveval.EvalPathGov(naveval.SingleDoc(doc), nil, pe.Path, g)
+		nodes, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, pe.Path, g)
 		if err != nil {
 			return nil, err
 		}
@@ -718,7 +736,7 @@ func evalNavigational(s *snapshot, expr flwor.Expr, g *gov.Governor, gathered bo
 	if err != nil {
 		return nil, err
 	}
-	envs, err := naveval.EvalFLWORGov(s.resolve, f, g)
+	envs, err := naveval.EvalFLWOR(s.resolve, f, g)
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func TestPathQueriesAllStrategies(t *testing.T) {
 	}
 	strategies := []plan.Strategy{plan.Pipelined, plan.BoundedNL, plan.Twig, plan.Navigational}
 	for _, q := range queries {
-		want, err := naveval.EvalPath(doc, xpath.MustParse(q))
+		want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(q), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestQuickEngineEqualsOracle(t *testing.T) {
 		doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b", "c", "d"}, MaxNodes: 60, MaxDepth: 8, TextProb: -1})
 		recursive := xmltree.ComputeStats(doc).Recursive
 		q := queries[r.Intn(len(queries))]
-		want, err := naveval.EvalPath(doc, xpath.MustParse(q))
+		want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(q), nil)
 		if err != nil {
 			return false
 		}

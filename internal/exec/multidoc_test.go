@@ -2,11 +2,13 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"blossomtree/internal/obs"
 	"blossomtree/internal/plan"
+	"blossomtree/internal/segstore"
 	"blossomtree/internal/xmltree"
 )
 
@@ -201,5 +203,50 @@ func TestGatheredConstructBuildsOnce(t *testing.T) {
 				t.Errorf("%s (%s): gathered\n%s\nwant\n%s", tc.q, strat, x, want.String())
 			}
 		}
+	}
+}
+
+// TestStatsAreTheEngines: Stats answers with the statistics the engine
+// holds — Add's for a heap document, the segment's for a store-backed
+// one, which stays on disk — and they are what ComputeStats derives.
+func TestStatsAreTheEngines(t *testing.T) {
+	doc, err := xmltree.ParseString(bibXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := xmltree.ComputeStats(doc)
+
+	heap := New()
+	heap.Add("bib.xml", doc)
+	if got, err := heap.Stats("bib.xml"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("heap Stats = %+v, %v; want %+v", got, err, want)
+	}
+
+	dir := t.TempDir()
+	w, err := segstore.OpenDir(dir, segstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Save("bib.xml", doc, want, nil); err != nil {
+		t.Fatal(err)
+	}
+	st, err := segstore.OpenDir(dir, segstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := New()
+	stored.AttachStore(st)
+	got, err := stored.Stats("bib.xml")
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("store-backed Stats = %+v, %v; want %+v", got, err, want)
+	}
+	if n := st.Resident(); n != 0 {
+		t.Errorf("Stats materialized the store document (%d bytes resident)", n)
+	}
+	if _, err := stored.Stats("other.xml"); err != nil {
+		t.Errorf("a one-document catalog serves any URI: %v", err)
+	}
+	if _, err := New().Stats("bib.xml"); err == nil {
+		t.Error("Stats on an empty engine succeeded")
 	}
 }

@@ -218,7 +218,7 @@ func (rs *rowSet) filter(conds []xpath.Expr, resolve naveval.Resolver, g *gov.Go
 	for _, inst := range rs.order {
 		ok := true
 		for _, c := range conds {
-			v, err := naveval.EvalCondGov(resolve, rs.env(int(inst)), c, g)
+			v, err := naveval.EvalCond(resolve, rs.env(int(inst)), c, g)
 			if err != nil {
 				return err
 			}
@@ -296,7 +296,7 @@ func (rs *rowSet) path(inst int, p *xpath.Path, resolve naveval.Resolver, g *gov
 			return stepTail(rs.cell(inst, k), p), nil
 		}
 	}
-	return naveval.EvalPathGov(resolve, rs.env(inst), p, g)
+	return naveval.EvalPath(resolve, rs.env(inst), p, g)
 }
 
 // stepTail applies p's trailing text() or attribute step, if any, to the

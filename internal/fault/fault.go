@@ -24,10 +24,9 @@ type Site string
 // operator family, hit at each emission (joins, NoK) or cursor poll
 // (index streams, navigational steps).
 const (
-	SiteNoKScan     Site = "nok.scan"        // NoK iterator anchor scans
-	SiteNoKEmit     Site = "nok.emit"        // NoK iterator instance emissions
-	SitePipelined   Site = "join.pipelined"  // PipelinedDescJoin emissions
-	SiteBoundedNL   Site = "join.bounded-nl" // BoundedNLJoin emissions
+	SiteNoKScan     Site = "nok.scan"       // NoK iterator anchor scans
+	SiteNoKEmit     Site = "nok.emit"       // NoK iterator instance emissions
+	SitePipelined   Site = "join.pipelined" // PipelinedDescJoin emissions, rescanning or not
 	SiteNestedLoop  Site = "join.nested-loop"
 	SiteHashJoin    Site = "join.hash"
 	SiteTwigStack   Site = "join.twigstack"

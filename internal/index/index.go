@@ -234,15 +234,14 @@ func (s *Stream) Next() *xmltree.Node {
 func (s *Stream) Len() int { return len(s.nodes) - s.pos }
 
 // Within returns a bare cursor (no Stats or Gov) over the remaining
-// postings strictly inside top's region — top's descendants, the
-// postings whose start lies in (top.Start, top.End] — found by two binary
-// searches on the start column. It allocates nothing and leaves s where
-// it is.
-func (s *Stream) Within(top *xmltree.Node) Stream {
+// postings whose start lies in (lo, hi] — for (n.Start, n.End), n's
+// descendants — found by two binary searches on the start column. It
+// allocates nothing and leaves s where it is.
+func (s *Stream) Within(lo, hi int) Stream {
 	rest := s.run(s.pos, len(s.nodes))
-	lo, _ := slices.BinarySearch(rest.start, int32(top.Start)+1)
-	hi, _ := slices.BinarySearch(rest.start, int32(top.End)+1)
-	return Stream{postings: rest.run(lo, hi)}
+	i, _ := slices.BinarySearch(rest.start, int32(lo)+1)
+	j, _ := slices.BinarySearch(rest.start, int32(hi)+1)
+	return Stream{postings: rest.run(i, max(i, j))}
 }
 
 // SkipTo advances the stream until HeadStart() >= start or EOF, charging

@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -67,19 +68,29 @@ func scanOf(m *nok.Matcher, ix *index.TagIndex) *nok.Iterator {
 // twoNoKPipeline compiles //X…//Y… style queries into NoK iterators and
 // the structural join between them, with the given join constructor.
 type pipelineParts struct {
-	q       *core.Query
-	d       *core.Decomposition
-	outerIt *nok.Iterator
-	innerM  *nok.Matcher
-	innerIt *nok.Iterator
-	// innerPostings is the inner root's stream, a bounded join's
-	// InnerPostings.
-	innerPostings index.Stream
-	outerSlot     int
-	innerSlot     int
-	perPair       bool
-	optional      bool
-	resultSlot    int
+	q          *core.Query
+	d          *core.Decomposition
+	outerIt    *nok.Iterator
+	innerIt    *nok.Iterator
+	outerSlot  int
+	innerSlot  int
+	perPair    bool
+	optional   bool
+	resultSlot int
+}
+
+// join is the //-join of the two NoKs in the query's own mode; rescan
+// makes it the bounded nested loop.
+func (p pipelineParts) join(rescan bool) *PipelinedDescJoin {
+	j := &PipelinedDescJoin{
+		Outer: p.outerIt, Inner: p.innerIt,
+		OuterSlot: p.outerSlot, InnerSlot: p.innerSlot,
+		PerPair: p.perPair, Optional: p.optional,
+	}
+	if rescan {
+		j.Rescan = p.innerIt.Reseat
+	}
+	return j
 }
 
 func buildTwoNoK(t *testing.T, doc *xmltree.Document, query string) pipelineParts {
@@ -122,15 +133,13 @@ func buildTwoNoK(t *testing.T, doc *xmltree.Document, query string) pipelinePart
 	ix := index.Build(doc)
 	return pipelineParts{
 		q: q, d: d,
-		outerIt:       scanOf(mOuter, ix),
-		innerM:        mInner,
-		innerIt:       scanOf(mInner, ix),
-		innerPostings: ix.Stream(mInner.RootTest()),
-		outerSlot:     outerSlot.Slot,
-		innerSlot:     innerSlot.Slot,
-		perPair:       inner.Root.ForBound,
-		optional:      link.Mode == core.Optional,
-		resultSlot:    resSlot.Slot,
+		outerIt:    scanOf(mOuter, ix),
+		innerIt:    scanOf(mInner, ix),
+		outerSlot:  outerSlot.Slot,
+		innerSlot:  innerSlot.Slot,
+		perPair:    inner.Root.ForBound,
+		optional:   link.Mode == core.Optional,
+		resultSlot: resSlot.Slot,
 	}
 }
 
@@ -151,7 +160,7 @@ func projectResults(ls []*nestedlist.List, slot int) []*xmltree.Node {
 
 func oracle(t *testing.T, doc *xmltree.Document, query string) []*xmltree.Node {
 	t.Helper()
-	want, err := naveval.EvalPath(doc, xpath.MustParse(query))
+	want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(query), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,40 +231,45 @@ func TestPipelinedExistentialPredicate(t *testing.T) {
 	}
 }
 
+// TestBoundedNLJoin: on a recursive document, where the outer regions
+// nest, the rescanning join re-reads the inner inside each outer
+// instance and finds every pair; the single forward pass misses the b
+// the outer a shares with the a nested in it.
 func TestBoundedNLJoin(t *testing.T) {
-	// Recursive document — the BNLJ territory.
 	doc := parse(t, `<r><a><a><b/></a><b/></a><a/><b/></r>`)
 	p := buildTwoNoK(t, doc, `//a//b`)
-	j := &BoundedNLJoin{
-		Outer: p.outerIt, OuterSlot: p.outerSlot,
-		Inner: p.innerM, InnerPostings: p.innerPostings, InnerSlot: p.innerSlot,
-		PerPair: p.perPair, Optional: p.optional,
-	}
-	got := projectResults(Drain(j), p.resultSlot)
+	p.innerIt.Stats = obs.NewOpStats("NoKScan", "b")
+	j := p.join(true)
+	ls := Drain(j)
 	if j.Err != nil {
 		t.Fatal(j.Err)
 	}
 	want := oracle(t, doc, `//a//b`)
-	if !sameNodes(got, want) {
-		t.Errorf("BNLJ //a//b: got %d, want %d", len(got), len(want))
+	if got := projectResults(ls, p.resultSlot); !sameNodes(got, want) {
+		t.Errorf("rescan //a//b: got %d, want %d", len(got), len(want))
 	}
-	if j.ScannedNodes == 0 {
-		t.Error("BNLJ reported no scanned nodes")
+	if len(ls) != 3 {
+		t.Errorf("rescan paired %d (a, b)s, want 3: two below the outer a, one below the nested a", len(ls))
+	}
+	// The outer a's region holds both b's and the nested a's the first.
+	if n := p.innerIt.Stats.Scanned(); n != 3 {
+		t.Errorf("rescan read %d inner postings, want 3", n)
+	}
+	p = buildTwoNoK(t, doc, `//a//b`)
+	if pl := Drain(p.join(false)); len(pl) >= 3 {
+		t.Errorf("the forward pass paired %d (a, b)s on nested regions; this document no longer shows why the join rescans", len(pl))
 	}
 }
 
+// TestBoundedNLJoinBoundsScans: the rescanning join reads its inner only
+// inside outer regions.
 func TestBoundedNLJoinBoundsScans(t *testing.T) {
-	// The inner side must scan only within outer regions.
-	doc := parse(t, `<r><a><b/></a><z><z/><z/><z/><z/><z/><z/></z></r>`)
+	doc := parse(t, `<r><b/><a><b/></a><z><b/><b/><b/><b/><b/><b/></z></r>`)
 	p := buildTwoNoK(t, doc, `//a//b`)
-	j := &BoundedNLJoin{
-		Outer: p.outerIt, OuterSlot: p.outerSlot,
-		Inner: p.innerM, InnerPostings: p.innerPostings, InnerSlot: p.innerSlot,
-		PerPair: p.perPair,
-	}
-	Drain(j)
-	if j.ScannedNodes != 1 {
-		t.Errorf("BNLJ scanned %d postings, want the one b inside the a", j.ScannedNodes)
+	p.innerIt.Stats = obs.NewOpStats("NoKScan", "b")
+	Drain(p.join(true))
+	if n := p.innerIt.Stats.Scanned(); n != 1 {
+		t.Errorf("rescan read %d inner postings, want the one b inside the a", n)
 	}
 }
 
@@ -294,7 +308,7 @@ func TestNestedLoopDescJoin(t *testing.T) {
 }
 
 // TestQuickJoinAlgorithmsAgree: on random non-recursive documents, the
-// pipelined join, the bounded nested-loop join and the naive nested-loop
+// pipelined join, with and without rescanning, and the naive nested-loop
 // join all produce the same //-join result as the navigational oracle.
 func TestQuickJoinAlgorithmsAgree(t *testing.T) {
 	queries := []string{`//a//b`, `//b//c`, `//a//c`, `//a[//c]`, `//b[//d]`, `//a//d`}
@@ -303,7 +317,7 @@ func TestQuickJoinAlgorithmsAgree(t *testing.T) {
 		doc := randomNonRecursive(r, 40+r.Intn(60))
 		query := queries[r.Intn(len(queries))]
 		want := make(map[*xmltree.Node]bool)
-		wantList, err := naveval.EvalPath(doc, xpath.MustParse(query))
+		wantList, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(query), nil)
 		if err != nil {
 			return false
 		}
@@ -333,9 +347,8 @@ func TestQuickJoinAlgorithmsAgree(t *testing.T) {
 		}
 
 		p = buildTwoNoK(t, doc, query)
-		bn := &BoundedNLJoin{Outer: p.outerIt, OuterSlot: p.outerSlot,
-			Inner: p.innerM, InnerPostings: p.innerPostings, InnerSlot: p.innerSlot, PerPair: p.perPair, Optional: p.optional}
-		if !check("BNLJ", projectResults(Drain(bn), p.resultSlot)) || bn.Err != nil {
+		bn := p.join(true)
+		if !check("NL", projectResults(Drain(bn), p.resultSlot)) || bn.Err != nil {
 			return false
 		}
 
@@ -352,33 +365,147 @@ func TestQuickJoinAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// TestQuickBNLJOnRecursiveDocs: BNLJ (built for recursive data) matches
-// the oracle on recursive random documents.
+// TestQuickBNLJOnRecursiveDocs: the rescanning join chain (the bounded
+// nested loop, built for recursive data) matches the oracle on recursive
+// random documents, also where one outer instance carries nested items
+// (the inner of an earlier grouping join).
 func TestQuickBNLJOnRecursiveDocs(t *testing.T) {
-	queries := []string{`//a//b`, `//a//a`, `//b[//a]`}
+	queries := []string{`//a//b`, `//a//a`, `//b[//a]`, `//a//b//c`, `//a[.//b]//c`,
+		`//c[.//a//b]`, `//b[.//a[.//c]]`, `//*//a`, `//a[.//*[.//b]]`,
+		`//a//c/b//c`, `//a//b/a[.//c]`, `//c//a/b//b`}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b", "c"}, MaxNodes: 50, MaxDepth: 8, TextProb: -1})
 		query := queries[r.Intn(len(queries))]
-		wantList, err := naveval.EvalPath(doc, xpath.MustParse(query))
+		wantList, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(query), nil)
 		if err != nil {
 			return false
 		}
-		p := buildTwoNoK(t, doc, query)
-		bn := &BoundedNLJoin{Outer: p.outerIt, OuterSlot: p.outerSlot,
-			Inner: p.innerM, InnerPostings: p.innerPostings, InnerSlot: p.innerSlot, PerPair: p.perPair, Optional: p.optional}
-		got := projectResults(Drain(bn), p.resultSlot)
-		if bn.Err != nil {
-			t.Logf("BNLJ error: %v", bn.Err)
+		pq := compilePL(t, doc, query)
+		pq.rescan, pq.semi = true, r.Intn(2) == 0
+		c := pq.chain(t, nil, nil)
+		res, _ := c.q.Return.ByVar("result")
+		got := projectResults(Drain(c.top), res.Slot)
+		if err := c.err(); err != nil {
+			t.Logf("rescan %s: %v", query, err)
 			return false
 		}
 		if !sameNodes(got, wantList) {
-			t.Logf("BNLJ %s: %d vs %d (seed %d)", query, len(got), len(wantList), seed)
+			t.Logf("rescan %s (semi=%v): %d vs %d (seed %d)", query, pq.semi, len(got), len(wantList), seed)
 			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// nlReference is the //-join a rescanning join must produce, built on
+// the naive nested loop: each outer instance's pairs are the
+// NestedLoopJoin of it with every inner instance under descPredicate.
+// Per pair they are the output; otherwise they merge into one instance
+// (semi: the outer as it came, with no inner filled in) whose outer items
+// without a witness below them are pruned unless the join is optional.
+// An outer with no pair is kept only when optional.
+func nlReference(outer, inner []*nestedlist.List, outerSlot, innerSlot int, perPair, semi, optional bool) ([]*nestedlist.List, error) {
+	var out []*nestedlist.List
+	for _, m := range outer {
+		nl := &NestedLoopJoin{Outer: NewSliceOperator([]*nestedlist.List{m}), Inner: NewSliceOperator(inner),
+			Pred: descPredicate(outerSlot, innerSlot)}
+		pairs := Drain(nl)
+		if nl.Err != nil {
+			return nil, nl.Err
+		}
+		switch {
+		case len(pairs) == 0:
+			if optional {
+				out = append(out, m)
+			}
+			continue
+		case perPair:
+			out = append(out, pairs...)
+			continue
+		}
+		acc := m
+		var witnesses []*xmltree.Node
+		for _, l := range pairs {
+			witnesses = append(witnesses, l.FirstNode(innerSlot))
+			if !semi {
+				var err error
+				if acc, err = nestedlist.Merge(acc, l); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if !optional {
+			var ok bool
+			acc, ok = acc.SelectSlot(outerSlot, func(n *xmltree.Node, _ int) bool {
+				return slices.ContainsFunc(witnesses, n.IsAncestorOf)
+			})
+			if !ok {
+				continue
+			}
+		}
+		out = append(out, acc)
+	}
+	return out, nil
+}
+
+// readSlots renders instances by the slots a query reads: a per-pair
+// emission narrows the groups of Implicit vertices to the item it grafts
+// below (SlotView.Graft), so their other items are left out.
+func readSlots(ls []*nestedlist.List) string {
+	var sb strings.Builder
+	for _, l := range ls {
+		for _, rn := range l.Shape.Nodes {
+			if rn.Vertex != nil && !rn.Vertex.Implicit {
+				fmt.Fprint(&sb, l.ProjectSlot(rn.Slot))
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestQuickRescanEqualsNestedLoop: on random recursive documents the
+// rescanning join emits, instance for instance, what the naive nested
+// loop with the //-predicate builds, in every emission mode: per pair,
+// grouping, semi, and optional per pair and grouping.
+func TestQuickRescanEqualsNestedLoop(t *testing.T) {
+	queries := []string{`//a//b`, `//a//a`, `//b[.//a]`, `//a[b]//c`, `//a//b[c]`, `//*//b`, `//a/b//c`}
+	type mode struct{ perPair, semi, optional bool }
+	modes := []mode{{perPair: true}, {}, {semi: true}, {perPair: true, optional: true}, {optional: true}}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		doc := xmlgen.MustRandom(r, xmlgen.RandomSpec{Tags: []string{"a", "b", "c"}, MaxNodes: 60, MaxDepth: 8, TextProb: -1})
+		query := queries[r.Intn(len(queries))]
+		md := modes[r.Intn(len(modes))]
+		p := buildTwoNoK(t, doc, query)
+		want, err := nlReference(Drain(p.outerIt), Drain(p.innerIt), p.outerSlot, p.innerSlot, md.perPair, md.semi, md.optional)
+		if err != nil {
+			t.Logf("%s %+v: reference: %v", query, md, err)
+			return false
+		}
+		p = buildTwoNoK(t, doc, query)
+		j := p.join(true)
+		j.PerPair, j.Semi, j.Optional = md.perPair, md.semi, md.optional
+		got := Drain(j)
+		if j.Err != nil {
+			t.Logf("%s %+v: %v", query, md, j.Err)
+			return false
+		}
+		render := func(ls []*nestedlist.List) string { return fmt.Sprint(ls) }
+		if md.perPair {
+			render = readSlots
+		}
+		if render(got) != render(want) {
+			t.Logf("%s %+v (seed %d):\nrescan %v\nnested loop %v", query, md, seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -556,7 +683,7 @@ func TestQuickTwigStackEqualsOracle(t *testing.T) {
 			t.Logf("Run: %v", err)
 			return false
 		}
-		want, err := naveval.EvalPath(doc, xpath.MustParse(query))
+		want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(query), nil)
 		if err != nil {
 			return false
 		}
@@ -779,18 +906,19 @@ func TestPipelinedOptionalLink(t *testing.T) {
 		t.Errorf("isbn group sizes = %v, want one empty, two singletons", counts)
 	}
 
-	// Same semantics through the bounded join.
-	j2 := &BoundedNLJoin{
-		Outer: scanOf(mOuter, ix), OuterSlot: outerSlot.Slot,
-		Inner: mInner, InnerPostings: ix.Stream(mInner.RootTest()), InnerSlot: innerSlot.Slot,
-		PerPair: false, Optional: true,
+	// Same semantics through the rescanning join.
+	inner := scanOf(mInner, ix)
+	j2 := &PipelinedDescJoin{
+		Outer: scanOf(mOuter, ix), Inner: inner,
+		OuterSlot: outerSlot.Slot, InnerSlot: innerSlot.Slot,
+		PerPair: false, Optional: true, Rescan: inner.Reseat,
 	}
 	ls2 := Drain(j2)
 	if j2.Err != nil {
 		t.Fatal(j2.Err)
 	}
 	if len(ls2) != 3 {
-		t.Errorf("optional BNLJ kept %d instances, want 3", len(ls2))
+		t.Errorf("optional rescan kept %d instances, want 3", len(ls2))
 	}
 }
 

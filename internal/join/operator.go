@@ -1,11 +1,11 @@
 // Package join implements the physical join operators of §4.2–4.3 and
 // the holistic baselines they are compared against:
 //
-//   - PipelinedDescJoin — the merge-join-style //-join over two NoK
-//     iterators (§4.2), valid on order-preserving inputs (Theorem 2:
-//     non-recursive documents);
-//   - BoundedNLJoin — the bounded nested-loop //-join of §4.3, whose
-//     inner NoK scans only the outer match's (p₁, p₂) region;
+//   - PipelinedDescJoin — the //-join: a merge join over two NoK
+//     iterators, in one forward pass over the inner (§4.2, valid on
+//     order-preserving inputs — Theorem 2: non-recursive documents), or
+//     with Rescan re-reading the inner inside each outer instance's
+//     region (the bounded nested loop of §4.3, valid on any document);
 //   - NestedLoopJoin — the naive nested-loop join for predicates that
 //     are not order-preserving (<<, value joins, deep-equal);
 //   - CrossingFilter — the selection form of a crossing predicate whose
@@ -65,9 +65,6 @@ func (w *Instrumented) GetNext() *nestedlist.List {
 	}
 	return l
 }
-
-// Unwrap returns the underlying operator.
-func (w *Instrumented) Unwrap() Operator { return w.Op }
 
 // Skipper is an Operator over a document-ordered candidate list that can
 // jump ahead: SkipTo(start) drops, unmatched, every pending candidate
@@ -170,20 +167,4 @@ func (s *SliceOperator) GetNext() *nestedlist.List {
 	l := s.ls[s.pos]
 	s.pos++
 	return l
-}
-
-// pruneWitnessless removes outer-slot items that contain none of the
-// matched inner anchors — the per-item existential semantics of a
-// mandatory predicate subtree (a c2 in //b1//c2[//c3] qualifies only if
-// it has its own c3 witness). It reports false when the selection
-// invalidates the instance (every item of a mandatory slot removed).
-func pruneWitnessless(l *nestedlist.List, outerSlot int, anchors []*xmltree.Node) (*nestedlist.List, bool) {
-	return l.SelectSlot(outerSlot, func(n *xmltree.Node, _ int) bool {
-		for _, a := range anchors {
-			if n.IsAncestorOf(a) {
-				return true
-			}
-		}
-		return false
-	})
 }

@@ -63,6 +63,14 @@ import (
 // Optional keeps outer instances with no inner match (the "l" link
 // mode), emitting them with the inner region left empty, and keeps
 // witnessless items.
+//
+// Rescan, when set, makes the join the bounded nested loop of §4.3: each
+// outer instance calls it with its outer-slot span (first node's start,
+// SlotView.Hi) to re-seat the inner on its postings there (the inner
+// scan's nok.Iterator.Reseat), sorts the slot's items into document
+// order and merges as above. That is correct on recursive documents,
+// where outer regions overlap and items nest out of order, at the price
+// of re-reading what successive regions share.
 type PipelinedDescJoin struct {
 	Outer, Inner Operator
 	OuterSlot    int
@@ -70,6 +78,7 @@ type PipelinedDescJoin struct {
 	PerPair      bool
 	Semi         bool
 	Optional     bool
+	Rescan       func(lo, hi int)
 
 	// Stats, when non-nil, accumulates the merge's comparison work for
 	// EXPLAIN ANALYZE: one per inner tested plus one per outer node the
@@ -126,7 +135,7 @@ func (j *PipelinedDescJoin) GetNext() *nestedlist.List {
 			j.src = j.Inner.(Witnesser)
 		}
 		j.advanceOuter()
-		if j.m != nil {
+		if j.m != nil && j.Rescan == nil {
 			j.seekInner()
 		}
 	}
@@ -272,8 +281,10 @@ func (j *PipelinedDescJoin) finishOuter() *nestedlist.List {
 // advanceOuter loads the next outer instance and views its join slot.
 // An instance whose slot is empty can never match: it is dropped, or in
 // optional mode kept with a region that precedes every inner, so the
-// next step passes it through. An instance with the previous one's join
-// nodes starts over on the inners those paired with.
+// next step passes it through. A rescanning join then drops its
+// lookahead and duplicate-key run, sorts the view and re-seats the inner
+// on the instance's span; otherwise an instance with the previous one's
+// join nodes starts over on the inners those paired with.
 func (j *PipelinedDescJoin) advanceOuter() {
 	j.matched, j.open, j.next = false, j.open[:0], 0
 	for {
@@ -284,6 +295,15 @@ func (j *PipelinedDescJoin) advanceOuter() {
 		if j.view.Len() > 0 || j.Optional {
 			break
 		}
+	}
+	if j.Rescan != nil {
+		j.run, j.replay, j.cur = j.run[:0], 0, innerMatch{}
+		if j.view.Len() > 0 {
+			j.view.SortSlot()
+			j.Rescan(j.view.Node(0).Start, j.view.Hi())
+			j.seekInner()
+		}
+		return
 	}
 	if j.sameNodesAsRun() {
 		if len(j.run) > 0 {

@@ -27,8 +27,8 @@ type plQuery struct {
 	d  *core.Decomposition
 	ix *index.TagIndex
 	// semi runs the grouping joins over unread inners as semi-joins, as
-	// the planner does.
-	semi bool
+	// the planner does; rescan makes every join the bounded nested loop.
+	semi, rescan bool
 }
 
 func compilePL(t testing.TB, doc *xmltree.Document, query string) *plQuery {
@@ -93,6 +93,9 @@ func (pq *plQuery) chain(t testing.TB, g *gov.Governor, wrap func(Operator) Oper
 			OuterSlot: outer.Slot, InnerSlot: inner.Slot,
 			PerPair: l.Child.Root.ForBound, Optional: l.Mode == core.Optional,
 			Gov: g, Stats: obs.NewOpStats("PipelinedDescJoin", l.Parent.Label()),
+		}
+		if pq.rescan {
+			j.Rescan = it.Reseat
 		}
 		j.Semi = pq.semi && !j.PerPair && !j.Optional && pq.d.Unread(l.Child)
 		c.top, c.joins, c.inners = j, append(c.joins, j), append(c.inners, it)
@@ -436,8 +439,8 @@ func TestInstrumentedForwardsSkipTo(t *testing.T) {
 	if l := s.GetNext(); l == nil || !a.IsAncestorOf(l.FirstNode(c.joins[0].InnerSlot)) {
 		t.Errorf("after SkipTo(a) the scan returned %v, want the b inside a", l)
 	}
-	if it.ScannedNodes != 4 || it.Stats.Skipped() != 3 {
-		t.Errorf("scanned %d skipped %d, want 4 and 3", it.ScannedNodes, it.Stats.Skipped())
+	if it.Stats.Scanned() != 4 || it.Stats.Skipped() != 3 {
+		t.Errorf("scanned %d skipped %d, want 4 and 3", it.Stats.Scanned(), it.Stats.Skipped())
 	}
 	Instrument(NewSliceOperator(nil), obs.NewOpStats("x", "")).(Skipper).SkipTo(5)
 }

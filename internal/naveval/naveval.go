@@ -14,11 +14,12 @@
 //   - the correctness oracle: property tests check the NoK matcher, the
 //     structural joins and the executor against its results.
 //
-// Evaluation is governed like the algebraic operators: the *Gov entry
-// points thread a gov.Governor through every step evaluation, charging
-// axis candidates against the query's node budget and polling
-// cancellation, so a runaway navigational query aborts with the same
-// typed errors the planned executor returns.
+// Evaluation is governed like the algebraic operators: each entry point
+// (EvalPath, EvalCond, EvalFLWOR) threads a gov.Governor through every
+// step evaluation, charging axis candidates against the query's node
+// budget and polling cancellation, so a runaway navigational query
+// aborts with the same typed errors the planned executor returns. A nil
+// governor evaluates ungoverned.
 package naveval
 
 import (
@@ -131,20 +132,10 @@ type evaluator struct {
 	gov     *gov.Governor
 }
 
-// EvalPath evaluates a path expression with no variable bindings.
-func EvalPath(doc *xmltree.Document, p *xpath.Path) ([]*xmltree.Node, error) {
-	return EvalPathEnv(SingleDoc(doc), nil, p)
-}
-
-// EvalPathEnv evaluates a path expression under variable bindings.
-// Results are distinct nodes in document order.
-func EvalPathEnv(resolve Resolver, env Env, p *xpath.Path) ([]*xmltree.Node, error) {
-	return EvalPathGov(resolve, env, p, nil)
-}
-
-// EvalPathGov is EvalPathEnv under a governor: step evaluation charges
-// the node budget and polls cancellation.
-func EvalPathGov(resolve Resolver, env Env, p *xpath.Path, g *gov.Governor) ([]*xmltree.Node, error) {
+// EvalPath evaluates a path expression under variable bindings (nil for
+// none) and a governor (nil for none). Results are distinct nodes in
+// document order.
+func EvalPath(resolve Resolver, env Env, p *xpath.Path, g *gov.Governor) ([]*xmltree.Node, error) {
 	return (&evaluator{resolve: resolve, gov: g}).path(env, p)
 }
 
@@ -604,25 +595,20 @@ func (ev *evaluator) funcBool(env Env, n *xmltree.Node, f *xpath.FuncCall) (bool
 	}
 }
 
-// EvalCondGov evaluates a where-clause condition under an environment
-// and a governor (the executor's residual filters): a predicate with no
+// EvalCond evaluates a where-clause condition under an environment and
+// a governor (the executor's residual filters): a predicate with no
 // context node.
-func EvalCondGov(resolve Resolver, env Env, c xpath.Expr, g *gov.Governor) (bool, error) {
+func EvalCond(resolve Resolver, env Env, c xpath.Expr, g *gov.Governor) (bool, error) {
 	return (&evaluator{resolve: resolve, gov: g}).pred(env, nil, 0, c)
 }
 
 // EvalFLWOR runs the FLWOR iteration semantics naively: the nested-loop
 // evaluation of §1's "straightforward approach". It returns one Env per
 // surviving iteration, in iteration (document) order, after applying
-// where and order by.
-func EvalFLWOR(resolve Resolver, f *flwor.FLWOR) ([]Env, error) {
-	return EvalFLWORGov(resolve, f, nil)
-}
-
-// EvalFLWORGov is EvalFLWOR under a governor: every correlated path
+// where and order by. Under a governor every correlated path
 // re-evaluation inside the nested loops is governed, so cancellation
 // and budgets abort the iteration mid-flight.
-func EvalFLWORGov(resolve Resolver, f *flwor.FLWOR, g *gov.Governor) ([]Env, error) {
+func EvalFLWOR(resolve Resolver, f *flwor.FLWOR, g *gov.Governor) ([]Env, error) {
 	ev := &evaluator{resolve: resolve, gov: g}
 	envs := []Env{{}}
 	for _, cl := range f.Clauses {

@@ -28,7 +28,7 @@ func parse(t *testing.T, s string) *xmltree.Document {
 
 func evalP(t *testing.T, doc *xmltree.Document, q string) []*xmltree.Node {
 	t.Helper()
-	res, err := EvalPath(doc, xpath.MustParse(q))
+	res, err := EvalPath(SingleDoc(doc), nil, xpath.MustParse(q), nil)
 	if err != nil {
 		t.Fatalf("EvalPath(%s): %v", q, err)
 	}
@@ -116,7 +116,7 @@ func TestEvalPathErrors(t *testing.T) {
 		`$x/title`,            // unbound variable
 	}
 	for _, q := range bad {
-		if _, err := EvalPath(doc, xpath.MustParse(q)); err == nil {
+		if _, err := EvalPath(SingleDoc(doc), nil, xpath.MustParse(q), nil); err == nil {
 			t.Errorf("EvalPath(%s) succeeded, want error", q)
 		}
 	}
@@ -126,7 +126,7 @@ func TestEvalPathEnvVars(t *testing.T) {
 	doc := parse(t, bib)
 	books := evalP(t, doc, `//book`)
 	env := Env{"b": books[1:2]}
-	res, err := EvalPathEnv(SingleDoc(doc), env, xpath.MustParse(`$b/author/last`))
+	res, err := EvalPath(SingleDoc(doc), env, xpath.MustParse(`$b/author/last`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestEvalPathEnvVars(t *testing.T) {
 func TestEvalFLWORSimple(t *testing.T) {
 	doc := parse(t, bib)
 	f := flwor.MustParse(`for $b in doc("bib.xml")//book where $b/price < 35 return $b/title`).(*flwor.FLWOR)
-	envs, err := EvalFLWOR(SingleDoc(doc), f)
+	envs, err := EvalFLWOR(SingleDoc(doc), f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestEvalFLWORSimple(t *testing.T) {
 func TestEvalFLWORLet(t *testing.T) {
 	doc := parse(t, bib)
 	f := flwor.MustParse(`for $b in doc("d")//book let $a := $b/author where exists($a) return $a`).(*flwor.FLWOR)
-	envs, err := EvalFLWOR(SingleDoc(doc), f)
+	envs, err := EvalFLWOR(SingleDoc(doc), f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +167,13 @@ func TestEvalFLWORLet(t *testing.T) {
 func TestEvalFLWOROrderBy(t *testing.T) {
 	doc := parse(t, bib)
 	f := flwor.MustParse(`for $b in doc("d")//book order by $b/title return $b`).(*flwor.FLWOR)
-	envs, err := EvalFLWOR(SingleDoc(doc), f)
+	envs, err := EvalFLWOR(SingleDoc(doc), f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
 	for _, env := range envs {
-		ts, _ := EvalPathEnv(SingleDoc(doc), env, xpath.MustParse(`$b/title`))
+		ts, _ := EvalPath(SingleDoc(doc), env, xpath.MustParse(`$b/title`), nil)
 		got = append(got, xmltree.StringValue(ts[0]))
 	}
 	want := []string{"Maximum Security", "TeX Book", "Terrorist Hunter", "The Art of Computer Programming"}
@@ -205,7 +205,7 @@ where $book1 << $book2
 return <book-pair>{ $book1/title }{ $book2/title }</book-pair>
 }</bib>`)
 	f := q.(*flwor.ElemCtor).Content[0].(*flwor.FLWOR)
-	envs, err := EvalFLWOR(SingleDoc(doc), f)
+	envs, err := EvalFLWOR(SingleDoc(doc), f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +213,8 @@ return <book-pair>{ $book1/title }{ $book2/title }</book-pair>
 		t.Fatalf("got %d book-pairs, want 2", len(envs))
 	}
 	pair := func(env Env) (string, string) {
-		t1, _ := EvalPathEnv(SingleDoc(doc), env, xpath.MustParse(`$book1/title`))
-		t2, _ := EvalPathEnv(SingleDoc(doc), env, xpath.MustParse(`$book2/title`))
+		t1, _ := EvalPath(SingleDoc(doc), env, xpath.MustParse(`$book1/title`), nil)
+		t2, _ := EvalPath(SingleDoc(doc), env, xpath.MustParse(`$book2/title`), nil)
 		return xmltree.StringValue(t1[0]), xmltree.StringValue(t2[0])
 	}
 	a1, b1 := pair(envs[0])
@@ -258,12 +258,12 @@ func TestEvalCondForms(t *testing.T) {
 		t.Run(c.cond, func(t *testing.T) {
 			q := `for $a in doc("d")//book, $b in doc("d")//book where ` + c.cond + ` return $a`
 			f := flwor.MustParse(q).(*flwor.FLWOR)
-			got, err := EvalCondGov(resolve, env, f.Where, nil)
+			got, err := EvalCond(resolve, env, f.Where, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != c.want {
-				t.Errorf("EvalCondGov(%s) = %v, want %v", c.cond, got, c.want)
+				t.Errorf("EvalCond(%s) = %v, want %v", c.cond, got, c.want)
 			}
 		})
 	}
@@ -285,11 +285,11 @@ func TestResolverErrors(t *testing.T) {
 	failing := func(string) (*xmltree.Document, error) {
 		return nil, errTest
 	}
-	if _, err := EvalPathEnv(failing, nil, xpath.MustParse(`doc("x")//a`)); err == nil {
+	if _, err := EvalPath(failing, nil, xpath.MustParse(`doc("x")//a`), nil); err == nil {
 		t.Error("resolver error not propagated")
 	}
 	f := flwor.MustParse(`for $a in doc("x")//a return $a`).(*flwor.FLWOR)
-	if _, err := EvalFLWOR(failing, f); err == nil {
+	if _, err := EvalFLWOR(failing, f, nil); err == nil {
 		t.Error("resolver error not propagated through FLWOR")
 	}
 }

@@ -141,10 +141,8 @@ func groupReal(g []*Item) bool {
 // attachSpines grafts each placeholder spine's content under a real item
 // that structurally contains it. The items of the real group that
 // contain the spine's anchor form a nested chain (they all contain the
-// same node); attachment tries them innermost-first and backtracks
-// outward, because on recursive documents the innermost container need
-// not have the matching child chain below it (e.g. c2/b1/c2 nesting,
-// where the anchor's b1 ancestor lies above the innermost c2).
+// same node), and the spine goes below the innermost one, the last in
+// document order.
 func attachSpines(real, spines []*Item) ([]*Item, error) {
 	out := make([]*Item, len(real))
 	copy(out, real)
@@ -154,64 +152,22 @@ func attachSpines(real, spines []*Item) ([]*Item, error) {
 			// Completely empty spine: nothing to graft.
 			continue
 		}
-		// Containers of the anchor, innermost (largest Start) first.
-		var cands []int
+		in := -1
 		for i, r := range out {
 			if r.Node != nil && (r.Node == anchor || r.Node.IsAncestorOf(anchor)) {
-				cands = append(cands, i)
+				in = i
 			}
 		}
-		for i, j := 0, len(cands)-1; i < j; i, j = i+1, j-1 {
-			cands[i], cands[j] = cands[j], cands[i]
-		}
-		attached := false
-		var lastErr error
-		for _, i := range cands {
-			merged, err := mergeItems(out[i], sp)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			out[i] = merged
-			attached = true
-			break
-		}
-		if !attached {
-			if lastErr != nil {
-				return nil, lastErr
-			}
+		if in < 0 {
 			return nil, fmt.Errorf("nestedlist: no containing item for spine anchored at %v", anchor)
 		}
+		merged, err := mergeItems(out[in], sp)
+		if err != nil {
+			return nil, err
+		}
+		out[in] = merged
 	}
 	return out, nil
-}
-
-// MergeBalanced merges a batch of instances pairwise in a balanced
-// tree, so absorbing k same-spine instances costs O(total · log k)
-// instead of the O(total · k) of a sequential left fold. Callers must
-// ensure attachment is unambiguous (a single containing item at every
-// shared spine position), which holds when the instances share one
-// placeholder spine — the existential-absorption case of the joins.
-func MergeBalanced(ls []*List) (*List, error) {
-	if len(ls) == 0 {
-		return nil, fmt.Errorf("nestedlist: MergeBalanced of empty batch")
-	}
-	for len(ls) > 1 {
-		next := make([]*List, 0, (len(ls)+1)/2)
-		for i := 0; i < len(ls); i += 2 {
-			if i+1 == len(ls) {
-				next = append(next, ls[i])
-				break
-			}
-			m, err := Merge(ls[i], ls[i+1])
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, m)
-		}
-		ls = next
-	}
-	return ls[0], nil
 }
 
 // Unnest expands the for-bound slot: for an instance whose slot group

@@ -2,6 +2,7 @@ package nestedlist
 
 import (
 	"fmt"
+	"slices"
 
 	"blossomtree/internal/xmltree"
 )
@@ -29,6 +30,7 @@ type SlotView struct {
 	narrow []bool // per path level: Graft keeps only the chain item of the group
 	levels [][]viewEntry
 	hi     int
+	sorted bool // SortSlot reordered the slot's entries
 
 	// Accumulation state of Absorb/Mark.
 	root   *Item // private copy of l.Root, nil until the first Absorb
@@ -63,7 +65,7 @@ func (v *SlotView) Reset(l *List, slot int) {
 			v.levels = append(v.levels, nil)
 		}
 	}
-	v.l, v.root, v.filled, v.hits, v.hi = l, nil, l.filled, 0, -1
+	v.l, v.root, v.filled, v.hits, v.hi, v.sorted = l, nil, l.filled, 0, -1, false
 	last := len(v.path) - 1
 	for k, ord := range v.path {
 		lv := v.levels[k][:0]
@@ -109,6 +111,24 @@ func (v *SlotView) Node(i int) *xmltree.Node { return v.levels[len(v.path)-1][i]
 // Hi returns the largest region end among the slot's nodes, -1 when the
 // slot is empty.
 func (v *SlotView) Hi() int { return v.hi }
+
+// SortSlot puts the slot's items in document order, which Reset's chain
+// by chain listing is not when one chain nests inside another's item (a
+// recursive document: under one a, //a//c/b lists the outer c's b's
+// before those of a c inside one of them). Graft, Absorb and Mark then
+// address the sorted entries; Result maps them back.
+func (v *SlotView) SortSlot() {
+	if len(v.path) == 0 {
+		return
+	}
+	last := v.levels[len(v.path)-1]
+	if !slices.IsSortedFunc(last, byStart) {
+		slices.SortFunc(last, byStart)
+		v.sorted = true
+	}
+}
+
+func byStart(a, b viewEntry) int { return a.it.Node.Start - b.it.Node.Start }
 
 // payload walks inner's placeholder spine down to the viewed slot and
 // returns the spine item standing in for the slot's item — the item
@@ -281,11 +301,15 @@ func (v *SlotView) Result(prune bool) (*List, bool) {
 	if !prune || v.hits == v.Len() {
 		return out, true
 	}
-	// SelectSlot offers the slot's real items in the order the view
-	// flattened them, so the i-th offer is the i-th entry.
+	// SelectSlot offers the slot's real items in the order Reset
+	// flattened them, so the i-th offer is the i-th entry, unless
+	// SortSlot reordered the entries by start.
 	last := v.levels[len(v.path)-1]
 	i := 0
-	return out.SelectSlot(v.slot, func(*xmltree.Node, int) bool {
+	return out.SelectSlot(v.slot, func(n *xmltree.Node, _ int) bool {
+		if v.sorted {
+			i, _ = slices.BinarySearchFunc(last, n.Start, func(e viewEntry, start int) int { return e.it.Node.Start - start })
+		}
 		keep := last[i].hit
 		i++
 		return keep

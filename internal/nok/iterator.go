@@ -16,18 +16,16 @@ import (
 type Iterator struct {
 	m *Matcher
 
-	// postings are the anchor candidates: the postings of the root's tag
-	// test, or the part of them inside a region. Every one passes the
-	// test, so none is re-tested. The stream is bare — the iterator
-	// charges its own Stats and Gov for what the stream passes.
-	postings index.Stream
+	// postings are the anchor candidates still to read: all, or since
+	// the last Reseat the part of all inside a region. Every one passes
+	// the root's tag test, so none is re-tested. The streams are bare —
+	// the iterator charges its own Stats and Gov for what they pass.
+	postings, all index.Stream
 
 	queue []*nestedlist.List // expanded instances pending delivery
-	// ScannedNodes counts anchor candidates inspected, the I/O proxy the
-	// experiments report.
-	ScannedNodes int
-	// Stats, when non-nil, mirrors ScannedNodes and counts pattern-match
-	// attempts (MatchAt calls) as comparisons for EXPLAIN ANALYZE.
+	// Stats, when non-nil, counts anchor candidates inspected as scanned
+	// and pattern-match attempts (MatchAt calls) as comparisons for
+	// EXPLAIN ANALYZE.
 	Stats *obs.OpStats
 	// Gov, when non-nil, charges every anchor scan against the query's
 	// node budget and polls cancellation/faults; a violation sets Err
@@ -39,12 +37,18 @@ type Iterator struct {
 }
 
 // NewIterator anchors the matcher at postings, which must be nodes
-// passing the root's tag test in document order: the root test's whole
-// stream (index.TagIndex.Stream(m.RootTest())) for a NoK scan, or the
-// part of it inside an outer match's region (index.Stream.Within) for
-// the inner side of the bounded nested-loop join.
+// passing the root's tag test in document order: the root test's
+// stream, index.TagIndex.Stream(m.RootTest()).
 func NewIterator(m *Matcher, postings index.Stream) *Iterator {
-	return &Iterator{m: m, postings: postings}
+	return &Iterator{m: m, postings: postings, all: postings}
+}
+
+// Reseat restarts the scan on the postings of its whole stream that
+// start in (lo, hi], dropping the instances still queued: the bounded
+// nested-loop join (join.PipelinedDescJoin.Rescan) re-reads its inner
+// inside each outer instance's region this way.
+func (it *Iterator) Reseat(lo, hi int) {
+	it.postings, it.queue = it.all.Within(lo, hi), nil
 }
 
 // GetNext returns the next instance, or nil when exhausted.
@@ -129,7 +133,6 @@ func (it *Iterator) emitted() bool {
 // alike — against the stats and the governor's node budget, and reports
 // whether the scan may go on.
 func (it *Iterator) charge(n int) bool {
-	it.ScannedNodes += n
 	it.Stats.AddScanned(int64(n))
 	if err := it.Gov.Scanned(fault.SiteNoKScan, int64(n)); err != nil {
 		it.Err = err
@@ -156,13 +159,4 @@ func (it *Iterator) SkipTo(start int) {
 		it.Stats.AddSkipped(int64(skipped))
 		it.charge(skipped)
 	}
-}
-
-// Drain collects all remaining instances.
-func (it *Iterator) Drain() []*nestedlist.List {
-	var out []*nestedlist.List
-	for l := it.GetNext(); l != nil; l = it.GetNext() {
-		out = append(out, l)
-	}
-	return out
 }

@@ -74,7 +74,16 @@ func singleNoKMatcher(t *testing.T, q string) (*core.Query, *Matcher) {
 // scan runs the matcher's NoK scan over the document: every posting of
 // its root's tag test, the scan the plan layer builds.
 func scan(m *Matcher, doc *xmltree.Document) []*nestedlist.List {
-	return NewIterator(m, index.Build(doc).Stream(m.RootTest())).Drain()
+	return drain(NewIterator(m, index.Build(doc).Stream(m.RootTest())))
+}
+
+// drain collects an iterator's remaining instances.
+func drain(it *Iterator) []*nestedlist.List {
+	var out []*nestedlist.List
+	for l := it.GetNext(); l != nil; l = it.GetNext() {
+		out = append(out, l)
+	}
+	return out
 }
 
 // scanProject runs a NoK scan and projects the "result" variable across
@@ -104,7 +113,7 @@ func checkAgainstNaveval(t *testing.T, doc *xmltree.Document, q string) {
 	t.Helper()
 	cq, m := singleNoKMatcher(t, q)
 	got := scanProject(t, cq, m, doc)
-	want, err := naveval.EvalPath(doc, xpath.MustParse(q))
+	want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,35 +219,43 @@ func TestExpandForBound(t *testing.T) {
 	}
 }
 
-// TestRegionIterator: the inner scan of the bounded nested-loop join
-// reads only the root tag's postings inside the outer node's region, and
-// matches there what the navigational evaluator finds below it.
+// TestRegionIterator: the inner scan of the bounded nested-loop join,
+// re-seated on an outer node's region, reads only the root tag's
+// postings inside it and matches there what the navigational evaluator
+// finds below it — also after reading past it, and when re-seated again
+// on an earlier region.
 func TestRegionIterator(t *testing.T) {
 	doc := parse(t, `<r><x><a><b/></a></x><y><a><b/></a><a/></y><a><b/></a></r>`)
 	cq, m := singleNoKMatcher(t, `//a[b]`)
-	y := xmltree.Children(doc.DocumentElement(), "y")[0]
-	all := index.Build(doc).Stream(m.RootTest())
-	it := NewIterator(m, all.Within(y))
-	var got []*xmltree.Node
 	rn, _ := cq.Return.ByVar("result")
-	for l := it.GetNext(); l != nil; l = it.GetNext() {
-		got = append(got, l.ProjectSlot(rn.Slot)...)
-	}
-	want, err := naveval.EvalPath(doc, xpath.MustParse(`/r/y//a[b]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("region scan found %v, navigational %v", got, want)
-	}
-	if as := xmltree.Descendants(y, "a"); it.ScannedNodes != len(as) {
-		t.Errorf("region scan read %d postings, want the %d a's under y", it.ScannedNodes, len(as))
+	all := index.Build(doc).Stream(m.RootTest())
+	it := NewIterator(m, all)
+	drain(it)
+	for _, tag := range []string{"y", "x", "y"} {
+		n := xmltree.Children(doc.DocumentElement(), tag)[0]
+		it.Stats = obs.NewOpStats("NoKScan", "a")
+		it.Reseat(n.Start, n.End)
+		var got []*xmltree.Node
+		for _, l := range drain(it) {
+			got = append(got, l.ProjectSlot(rn.Slot)...)
+		}
+		want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(`/r/`+tag+`//a[b]`), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("scan re-seated on %s found %v, navigational %v", tag, got, want)
+		}
+		if as := xmltree.Descendants(n, "a"); it.Stats.Scanned() != int64(len(as)) {
+			t.Errorf("scan re-seated on %s read %d postings, want the %d a's under it", tag, it.Stats.Scanned(), len(as))
+		}
 	}
 	if all.Len() != 4 {
 		t.Errorf("Within moved the stream it cut: %d postings left, want 4", all.Len())
 	}
-	if n := testing.AllocsPerRun(10, func() { all.Within(y) }); n != 0 {
-		t.Errorf("Within allocated %v times, want 0", n)
+	y := xmltree.Children(doc.DocumentElement(), "y")[0]
+	if n := testing.AllocsPerRun(10, func() { it.Reseat(y.Start, y.End) }); n != 0 {
+		t.Errorf("Reseat allocated %v times, want 0", n)
 	}
 }
 
@@ -252,17 +269,18 @@ func TestIndexIterator(t *testing.T) {
 		}
 	})
 	it := NewIterator(m, index.Build(doc).Stream(m.RootTest()))
+	it.Stats = obs.NewOpStats("NoKScan", "book")
 	var got []*xmltree.Node
 	rn, _ := cq.Return.ByVar("result")
 	for l := it.GetNext(); l != nil; l = it.GetNext() {
 		got = append(got, l.ProjectSlot(rn.Slot)...)
 	}
-	want, _ := naveval.EvalPath(doc, xpath.MustParse(`//book[author]/title`))
+	want, _ := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(`//book[author]/title`), nil)
 	if len(got) != len(want) {
 		t.Fatalf("index scan = %d, oracle = %d", len(got), len(want))
 	}
-	if it.ScannedNodes != len(books) {
-		t.Errorf("index scan visited %d anchors, want %d", it.ScannedNodes, len(books))
+	if it.Stats.Scanned() != int64(len(books)) {
+		t.Errorf("index scan visited %d anchors, want %d", it.Stats.Scanned(), len(books))
 	}
 }
 
@@ -280,9 +298,9 @@ func TestIteratorSkipTo(t *testing.T) {
 	rn, _ := cq.Return.ByVar("result")
 
 	it.SkipTo(books[2].Start)
-	if it.ScannedNodes != 2 || it.Stats.Scanned() != 2 || it.Stats.Skipped() != 2 {
-		t.Fatalf("after skipping two books: scanned %d/%d, skipped %d; want 2/2, 2",
-			it.ScannedNodes, it.Stats.Scanned(), it.Stats.Skipped())
+	if it.Stats.Scanned() != 2 || it.Stats.Skipped() != 2 {
+		t.Fatalf("after skipping two books: scanned %d, skipped %d; want 2, 2",
+			it.Stats.Scanned(), it.Stats.Skipped())
 	}
 	it.SkipTo(books[0].Start) // backwards: ignored
 	l := it.GetNext()
@@ -290,9 +308,9 @@ func TestIteratorSkipTo(t *testing.T) {
 		t.Fatalf("GetNext after SkipTo = %v, want the third book's title", l)
 	}
 	it.SkipTo(books[3].End + 1) // past the end
-	if it.GetNext() != nil || it.ScannedNodes != len(books) || it.Stats.Skipped() != 3 {
+	if it.GetNext() != nil || it.Stats.Scanned() != int64(len(books)) || it.Stats.Skipped() != 3 {
 		t.Errorf("after skipping to the end: scanned %d, skipped %d; want %d, 3",
-			it.ScannedNodes, it.Stats.Skipped(), len(books))
+			it.Stats.Scanned(), it.Stats.Skipped(), len(books))
 	}
 
 	it = NewIterator(m, ix.Stream(m.RootTest()))
@@ -312,11 +330,12 @@ func TestIteratorSkipToNoOps(t *testing.T) {
 	_, m := singleNoKMatcher(t, `//b/t`)
 
 	it := NewIterator(m, index.Build(doc).Stream(m.RootTest()))
+	it.Stats = obs.NewOpStats("NoKScan", "b")
 	if it.GetNext() == nil {
 		t.Fatal("no first instance")
 	}
 	it.SkipTo(1 << 30) // the first b's second t is still queued
-	if it.ScannedNodes != 1 || len(it.Drain()) != 2 {
+	if it.Stats.Scanned() != 1 || len(drain(it)) != 2 {
 		t.Error("SkipTo dropped queued instances or moved past them")
 	}
 }
@@ -340,7 +359,7 @@ func TestRecursiveDocumentGrouping(t *testing.T) {
 		t.Fatalf("instances = %d, want 3", len(ls))
 	}
 	got := scanProject(t, cq, m, doc)
-	want, _ := naveval.EvalPath(doc, xpath.MustParse(`//a/b`))
+	want, _ := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(`//a/b`), nil)
 	if len(got) != len(want) {
 		t.Errorf("recursive doc: got %d, want %d", len(got), len(want))
 	}
@@ -393,7 +412,7 @@ func TestQuickNoKEqualsOracle(t *testing.T) {
 				}
 			}
 		}
-		want, err := naveval.EvalPath(doc, xpath.MustParse(q))
+		want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(q), nil)
 		if err != nil {
 			t.Logf("oracle: %v", err)
 			return false
@@ -602,7 +621,7 @@ func TestIteratorNextWitness(t *testing.T) {
 			return r
 		}
 		want, got := drain(false), drain(true)
-		oracle, err := naveval.EvalPath(doc, xpath.MustParse(q))
+		oracle, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(q), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,15 +658,12 @@ func TestIteratorAgreesWithNaveval(t *testing.T) {
 				for l := it.GetNext(); l != nil; l = it.GetNext() {
 					r.nodes = append(r.nodes, l.ProjectSlot(rn.Slot)...)
 				}
-				if int64(it.ScannedNodes) != it.Stats.Scanned() {
-					t.Fatalf("%s: ScannedNodes %d, stats %d", q, it.ScannedNodes, it.Stats.Scanned())
-				}
 				r.scanned, r.cmp = it.Stats.Scanned(), it.Stats.Comparisons()
 				return r
 			}
 			got := drain(NewIterator(m, ix.Stream(m.RootTest())))
 			copied := drain(NewIterator(m, index.NewStream(ix.Nodes(m.RootTest()))))
-			want, err := naveval.EvalPath(doc, xpath.MustParse(q))
+			want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(q), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

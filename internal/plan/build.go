@@ -48,7 +48,7 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 
 	var comps []*component
 	newComponent := func(n *core.NoK) *component {
-		op, st := p.baseScan(matchers[n])
+		_, op, st := p.baseScan(matchers[n])
 		c := &component{op: op, stats: st, noks: map[*core.NoK]bool{n: true}, seed: n, seedStats: st}
 		comps = append(comps, c)
 		return c
@@ -270,7 +270,7 @@ func (p *Plan) markCrossingUsed(c *core.Crossing) {
 // baseScan builds a NoK's scan: its anchors are the postings of the
 // root's tag test in the tag index. Its stats node carries the cost
 // model's scan estimate and receives the scan's actual counters.
-func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
+func (p *Plan) baseScan(m *nok.Matcher) (*nok.Iterator, join.Operator, *obs.OpStats) {
 	root, test := m.NoK.Root, m.RootTest()
 	p.note("NoK%d anchors via tag index %q (%d candidates)", m.NoK.Index, test, p.opts.Index.Count(test))
 	st := obs.NewOpStats("NoKScan", fmt.Sprintf("NoK%d index(%s)", m.NoK.Index, test))
@@ -283,7 +283,7 @@ func (p *Plan) baseScan(m *nok.Matcher) (join.Operator, *obs.OpStats) {
 	it.Gov = p.gov
 	it.Stats = st
 	p.watch(func() error { return it.Err })
-	return join.Instrument(it, st), st
+	return it, join.Instrument(it, st), st
 }
 
 // descJoin builds the structural join for one cut //-edge under the
@@ -307,49 +307,44 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 	if perPair {
 		estOut = p.cardinality(l.Child.Root)
 	}
-	boundedNL := func() (join.Operator, *obs.OpStats, error) {
-		st := obs.NewOpStats("BoundedNLJoin", detail)
-		st.EstNodes = p.cardinality(l.Parent) * p.avgRegion(l.Parent)
-		st.EstOut = estOut
-		st.Adopt(outerStats)
-		bn := &join.BoundedNLJoin{
-			Outer: outer, OuterSlot: outerSlot,
-			Inner: inner, InnerPostings: p.opts.Index.Stream(inner.RootTest()), InnerSlot: innerSlot,
-			PerPair: perPair, Optional: optional,
-			Gov: p.gov, Stats: st,
-		}
-		p.watch(func() error { return bn.Err })
-		return join.Instrument(bn, st), st, nil
-	}
-	switch p.Strategy {
-	case Pipelined:
-		semi := !perPair && !optional && p.Decomp.Unread(l.Child)
-		if semi {
-			detail += " semi"
-			p.note("link %s//NoK%d: pipelined semi-join (inner unread: one witness per outer item)", l.Parent.Label(), l.Child.Index)
-		} else {
-			p.note("link %s//NoK%d: pipelined merge join", l.Parent.Label(), l.Child.Index)
-		}
-		innerOp, innerStats := p.baseScan(inner)
-		st := obs.NewOpStats("PipelinedDescJoin", detail)
-		st.EstNodes = p.cardinality(l.Parent) + p.cardinality(l.Child.Root)
-		st.EstOut = estOut
-		st.Adopt(outerStats, innerStats)
-		pl := &join.PipelinedDescJoin{
-			Outer: outer, Inner: innerOp,
-			OuterSlot: outerSlot, InnerSlot: innerSlot,
-			PerPair: perPair, Semi: semi, Optional: optional,
-			Gov:   p.gov,
-			Stats: st,
-		}
-		p.watch(func() error { return pl.Err })
-		return join.Instrument(pl, st), st, nil
-	case BoundedNL:
-		p.note("link %s//NoK%d: bounded nested-loop join", l.Parent.Label(), l.Child.Index)
-		return boundedNL()
-	default:
+	// The bounded nested loop is the pipelined join re-reading its inner
+	// inside each outer instance's region.
+	rescan := p.Strategy == BoundedNL
+	if !rescan && p.Strategy != Pipelined {
 		return nil, nil, fmt.Errorf("plan: strategy %s cannot build //-joins", p.Strategy)
 	}
+	name, kind, note := "PipelinedDescJoin", "pipelined", "pipelined merge join"
+	if rescan {
+		name, kind, note = "BoundedNLJoin", "bounded nested-loop", "bounded nested-loop join"
+	}
+	semi := !perPair && !optional && p.Decomp.Unread(l.Child)
+	if semi {
+		detail += " semi"
+		note = kind + " semi-join (inner unread: one witness per outer item)"
+	}
+	p.note("link %s//NoK%d: %s", l.Parent.Label(), l.Child.Index, note)
+	it, innerOp, innerStats := p.baseScan(inner)
+	st := obs.NewOpStats(name, detail)
+	st.EstNodes = p.cardinality(l.Parent) + p.cardinality(l.Child.Root)
+	st.EstOut = estOut
+	st.Adopt(outerStats, innerStats)
+	pl := &join.PipelinedDescJoin{
+		Outer: outer, Inner: innerOp,
+		OuterSlot: outerSlot, InnerSlot: innerSlot,
+		PerPair: perPair, Semi: semi, Optional: optional,
+		Gov:   p.gov,
+		Stats: st,
+	}
+	if rescan {
+		pl.Rescan = it.Reseat
+		st.EstNodes = p.cardinality(l.Parent) * p.avgRegion(l.Parent)
+		// What a rescanned inner emits counts the outer regions it
+		// re-read, not its vertex's cardinality: feedback must not learn
+		// from it.
+		innerStats.FeedbackKey = ""
+	}
+	p.watch(func() error { return pl.Err })
+	return join.Instrument(pl, st), st, nil
 }
 
 // runTwig runs the holistic TwigStack, at build time, and keeps its rows

@@ -109,7 +109,7 @@ func TestCostBasedPlansExecuteCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := naveval.EvalPath(doc, xpath.MustParse(q))
+		want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(q), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

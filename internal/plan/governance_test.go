@@ -70,7 +70,7 @@ func TestFaultInjectionPerOperator(t *testing.T) {
 		site  fault.Site
 	}{
 		{"pipelined-join", path, Pipelined, fault.SitePipelined},
-		{"bounded-nl-join", path, BoundedNL, fault.SiteBoundedNL},
+		{"bounded-nl-join", path, BoundedNL, fault.SitePipelined},
 		{"nested-loop-join", orderJoin, Pipelined, fault.SiteNestedLoop},
 		{"hash-join", valueJoin, Pipelined, fault.SiteHashJoin},
 		{"twigstack", path, Twig, fault.SiteTwigStack},

@@ -225,7 +225,7 @@ func TestAutoTwigFallback(t *testing.T) {
 func TestExecuteAcrossStrategies(t *testing.T) {
 	doc := parse(t, sample)
 	ix := index.Build(doc)
-	want, err := naveval.EvalPath(doc, xpath.MustParse(`//a//c`))
+	want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(`//a//c`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestDocRootChainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := naveval.EvalPath(doc, xpath.MustParse(`/r/a//c`))
+	want, _ := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(`/r/a//c`), nil)
 	if count := len(resultNodes(p, ins)); count != len(want) {
 		t.Errorf("/r/a//c = %d results, want %d", count, len(want))
 	}
@@ -369,7 +369,7 @@ func TestForClauseCrossingsJoinAfterLinks(t *testing.T) {
 		`for $a in doc("d")/r/x, $b in doc("d")//y where $a/w[.//z] = $b/w and $a/v = $b/v return $b`,
 		`for $a in doc("d")/r/x, $b in doc("d")//y where $a/v = $b/v and $a/w[.//z] = $b/w return $b`,
 	} {
-		want, err := naveval.EvalFLWOR(naveval.SingleDoc(doc), flwor.MustParse(src).(*flwor.FLWOR))
+		want, err := naveval.EvalFLWOR(naveval.SingleDoc(doc), flwor.MustParse(src).(*flwor.FLWOR), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,7 +529,7 @@ func TestScansReadTheirPostings(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want, err := naveval.EvalPath(doc, xpath.MustParse(c.query))
+			want, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(c.query), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

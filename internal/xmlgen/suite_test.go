@@ -38,7 +38,7 @@ func suiteCounts(t *testing.T, id string) []int {
 	}
 	var counts []int
 	for _, q := range Suite(id) {
-		res, err := naveval.EvalPath(doc, xpath.MustParse(q.Text))
+		res, err := naveval.EvalPath(naveval.SingleDoc(doc), nil, xpath.MustParse(q.Text), nil)
 		if err != nil {
 			t.Fatalf("%s %s: %v", id, q.ID, err)
 		}
