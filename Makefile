@@ -253,11 +253,15 @@ lint-refs:
 # decoder must reject arbitrary corruption with ErrCorrupt, never a
 # panic, and re-encode accepted inputs byte-identically; the segment
 # file reader must do the same for whole file images, with and without
-# a matching checksum. Seed corpora live under each package's
-# testdata/fuzz directory.
+# a matching checksum; the XML parser must accept only documents whose
+# labels and links agree with their tree and that re-parse, serialized,
+# to a deep-equal tree (one seed is large enough to reach the Builder's
+# node blocks). Seed corpora live under each package's testdata/fuzz
+# directory or in the fuzz target.
 fuzz:
 	$(GO) test ./internal/xpath -run '^$$' -fuzz FuzzXPathParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flwor -run '^$$' -fuzz FuzzFLWORParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nestedlist -run '^$$' -fuzz FuzzSelectSlot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzSegmentRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/segstore -run '^$$' -fuzz FuzzSegmentFile -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/xmltree -run '^$$' -fuzz FuzzXMLParse -fuzztime $(FUZZTIME)

@@ -156,9 +156,11 @@ func (ix *TagIndex) Tags() []string {
 // Stream is a forward cursor over a document-ordered posting list and its
 // label columns, the input abstraction of the holistic join algorithms.
 // The head accessors read the columns; only Head and Next touch a node.
+// It reads its run's postings [pos, stop); Reseat re-cuts that window
+// anywhere in the run.
 type Stream struct {
 	postings
-	pos int
+	pos, stop int
 
 	// Stats, when non-nil, counts every cursor advance (including the
 	// positions a SkipTo jumps over) as scanned nodes.
@@ -172,7 +174,9 @@ type Stream struct {
 
 // NewStream returns a cursor over nodes, which must be in document order,
 // building their label columns.
-func NewStream(nodes []*xmltree.Node) Stream { return Stream{postings: newPostings(nodes)} }
+func NewStream(nodes []*xmltree.Node) Stream { return newStream(newPostings(nodes)) }
+
+func newStream(p postings) Stream { return Stream{postings: p, stop: len(p.nodes)} }
 
 // Stream returns a fresh cursor over the nodes passing a vertex's tag
 // test, the ones Nodes lists: a tag's own run, every element for "*",
@@ -184,13 +188,13 @@ func (ix *TagIndex) Stream(tag string) Stream {
 	case "*", "":
 		return NewStream(ix.elements)
 	case "~":
-		return Stream{postings: ix.root}
+		return newStream(ix.root)
 	}
-	return Stream{postings: ix.tagRun(tag)}
+	return newStream(ix.tagRun(tag))
 }
 
 // EOF reports whether the stream is exhausted.
-func (s *Stream) EOF() bool { return s.pos >= len(s.nodes) }
+func (s *Stream) EOF() bool { return s.pos >= s.stop }
 
 // Head returns the current node without advancing, or nil at EOF.
 func (s *Stream) Head() *xmltree.Node {
@@ -216,7 +220,7 @@ func (s *Stream) HeadLevel() int { return int(s.level[s.pos]) }
 
 // Advance moves past the current node.
 func (s *Stream) Advance() {
-	if s.pos < len(s.nodes) {
+	if s.pos < s.stop {
 		s.pos++
 		s.Stats.AddScanned(1)
 		_ = s.Gov.Scanned(fault.SiteIndexStream, 1)
@@ -231,17 +235,18 @@ func (s *Stream) Next() *xmltree.Node {
 }
 
 // Len returns the number of nodes remaining.
-func (s *Stream) Len() int { return len(s.nodes) - s.pos }
+func (s *Stream) Len() int { return s.stop - s.pos }
 
-// Within returns a bare cursor (no Stats or Gov) over the remaining
-// postings whose start lies in (lo, hi] — for (n.Start, n.End), n's
-// descendants — found by two binary searches on the start column. It
-// allocates nothing and leaves s where it is.
-func (s *Stream) Within(lo, hi int) Stream {
-	rest := s.run(s.pos, len(s.nodes))
-	i, _ := slices.BinarySearch(rest.start, int32(lo)+1)
-	j, _ := slices.BinarySearch(rest.start, int32(hi)+1)
-	return Stream{postings: rest.run(i, max(i, j))}
+// Reseat moves the cursor onto the postings of the stream's whole run,
+// read or not, whose start lies in (lo, hi] — for (n.Start, n.End), n's
+// descendants — found by two binary searches on the start column; the
+// rest of the run is out of reach until the next Reseat. It allocates
+// nothing and charges nothing: what the cursor then passes is charged
+// as usual.
+func (s *Stream) Reseat(lo, hi int) {
+	i, _ := slices.BinarySearch(s.start, int32(lo)+1)
+	j, _ := slices.BinarySearch(s.start, int32(hi)+1)
+	s.pos, s.stop = i, max(i, j)
 }
 
 // SkipTo advances the stream until HeadStart() >= start or EOF, charging
@@ -256,12 +261,12 @@ func (s *Stream) SkipTo(start int) {
 	// Every posting in [pos, lo) starts before start; start[hi], if any,
 	// does not.
 	lo, hi, step := s.pos+1, s.pos+1, 1
-	for hi < len(s.start) && int(s.start[hi]) < start {
+	for hi < s.stop && int(s.start[hi]) < start {
 		lo = hi + 1
 		hi += step
 		step *= 2
 	}
-	hi = min(hi, len(s.start))
+	hi = min(hi, s.stop)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if int(s.start[mid]) < start {

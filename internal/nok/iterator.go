@@ -16,11 +16,12 @@ import (
 type Iterator struct {
 	m *Matcher
 
-	// postings are the anchor candidates still to read: all, or since
-	// the last Reseat the part of all inside a region. Every one passes
-	// the root's tag test, so none is re-tested. The streams are bare —
-	// the iterator charges its own Stats and Gov for what they pass.
-	postings, all index.Stream
+	// postings are the anchor candidates still to read: the whole
+	// stream, or since the last Reseat the part of it inside a region.
+	// Every one passes the root's tag test, so none is re-tested. The
+	// stream is bare — the iterator charges its own Stats and Gov for
+	// what it passes.
+	postings index.Stream
 
 	queue []*nestedlist.List // expanded instances pending delivery
 	// Stats, when non-nil, counts anchor candidates inspected as scanned
@@ -40,7 +41,7 @@ type Iterator struct {
 // passing the root's tag test in document order: the root test's
 // stream, index.TagIndex.Stream(m.RootTest()).
 func NewIterator(m *Matcher, postings index.Stream) *Iterator {
-	return &Iterator{m: m, postings: postings, all: postings}
+	return &Iterator{m: m, postings: postings}
 }
 
 // Reseat restarts the scan on the postings of its whole stream that
@@ -48,7 +49,8 @@ func NewIterator(m *Matcher, postings index.Stream) *Iterator {
 // nested-loop join (join.PipelinedDescJoin.Rescan) re-reads its inner
 // inside each outer instance's region this way.
 func (it *Iterator) Reseat(lo, hi int) {
-	it.postings, it.queue = it.all.Within(lo, hi), nil
+	it.postings.Reseat(lo, hi)
+	it.queue = nil
 }
 
 // GetNext returns the next instance, or nil when exhausted.

@@ -251,7 +251,7 @@ func TestRegionIterator(t *testing.T) {
 		}
 	}
 	if all.Len() != 4 {
-		t.Errorf("Within moved the stream it cut: %d postings left, want 4", all.Len())
+		t.Errorf("re-seating the scan moved the caller's stream: %d postings left, want 4", all.Len())
 	}
 	y := xmltree.Children(doc.DocumentElement(), "y")[0]
 	if n := testing.AllocsPerRun(10, func() { it.Reseat(y.Start, y.End) }); n != 0 {

@@ -21,7 +21,7 @@ type OpStats struct {
 	Name string
 	// Detail is the planner's one-line annotation (link label, access
 	// method, predicate form).
-	Detail string
+	Detail Text
 
 	// EstNodes is the cost model's estimate of nodes this operator
 	// touches (its share of the strategy cost, in the model's
@@ -53,10 +53,33 @@ type OpStats struct {
 	elapsed     atomic.Int64 // cumulative wall time, nanoseconds (inclusive of children)
 }
 
-// NewOpStats returns a stats node for one physical operator. Estimates
-// default to unknown.
-func NewOpStats(name, detail string) *OpStats {
-	return &OpStats{Name: name, Detail: detail, EstNodes: -1, EstOut: -1}
+// NewOpStats returns a stats node for one physical operator. Its detail
+// is Textf(detail, args...): with no arguments, detail verbatim.
+// Estimates default to unknown.
+func NewOpStats(name, detail string, args ...any) *OpStats {
+	return &OpStats{Name: name, Detail: Textf(detail, args...), EstNodes: -1, EstOut: -1}
+}
+
+// Text is a line of EXPLAIN text kept as a format and its arguments and
+// formatted only when read: a cached plan records its notes and its
+// operators' details again on every run, and only EXPLAIN and a trace
+// read them. An argument whose String builds a string (a vertex label, a
+// crossing) is best passed as the pointer it is read from: boxing a
+// pointer allocates nothing, and its String runs only at render.
+type Text struct {
+	format string
+	args   []any
+}
+
+// Textf returns the text fmt.Sprintf(format, args...) renders.
+func Textf(format string, args ...any) Text { return Text{format: format, args: args} }
+
+// String renders the text; with no arguments it is the format verbatim.
+func (t Text) String() string {
+	if len(t.args) == 0 {
+		return t.format
+	}
+	return fmt.Sprintf(t.format, t.args...)
 }
 
 // Adopt appends child operators' stats nodes.
@@ -258,8 +281,8 @@ func (s *OpStats) render(sb *strings.Builder, prefix, childPrefix string, analyz
 	}
 	sb.WriteString(prefix)
 	sb.WriteString(s.Name)
-	if s.Detail != "" {
-		sb.WriteString(" [" + s.Detail + "]")
+	if d := s.Detail.String(); d != "" {
+		sb.WriteString(" [" + d + "]")
 	}
 	sb.WriteString("  (" + s.columns(analyze) + ")")
 	sb.WriteByte('\n')

@@ -89,7 +89,7 @@ func appendSpans(t *Trace, s *OpStats, ts, dur float64) {
 		Pid:  1,
 		Tid:  1,
 		Args: map[string]any{
-			"detail":  s.Detail,
+			"detail":  s.Detail.String(),
 			"calls":   s.Calls(),
 			"scanned": s.Scanned(),
 			"emitted": s.Emitted(),

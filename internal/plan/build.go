@@ -88,7 +88,7 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 			// position() counts the target's instances, not joined rows.
 			// The nested (non-scan) case is rejected in Build with a
 			// fragment error and runs navigationally.
-			st := obs.NewOpStats("PositionFilter", fmt.Sprintf("position()=%d", pos))
+			st := obs.NewOpStats("PositionFilter", "position()=%d", pos)
 			st.EstOut = 1
 			st.Adopt(c.stats)
 			c.op = join.Instrument(&join.PositionFilter{Input: c.op, Slot: p.slotOf(n.Root), Pos: pos}, st)
@@ -152,7 +152,7 @@ func (p *Plan) buildNoKPlan() (join.Operator, *obs.OpStats, error) {
 		p.limitRows(comps[0], len(filters) == 0, limit)
 	}
 	for _, c := range filters {
-		st := obs.NewOpStats("CrossingFilter", fmt.Sprintf("σ %s", c))
+		st := obs.NewOpStats("CrossingFilter", "σ %s", c)
 		st.Adopt(stats)
 		op = join.Instrument(&join.CrossingFilter{Input: op, Crossing: c,
 			FromSlot: p.slotOf(c.From), ToSlot: p.slotOf(c.To), Stats: st}, st)
@@ -273,7 +273,7 @@ func (p *Plan) markCrossingUsed(c *core.Crossing) {
 func (p *Plan) baseScan(m *nok.Matcher) (*nok.Iterator, join.Operator, *obs.OpStats) {
 	root, test := m.NoK.Root, m.RootTest()
 	p.note("NoK%d anchors via tag index %q (%d candidates)", m.NoK.Index, test, p.opts.Index.Count(test))
-	st := obs.NewOpStats("NoKScan", fmt.Sprintf("NoK%d index(%s)", m.NoK.Index, test))
+	st := obs.NewOpStats("NoKScan", "NoK%d index(%s)", m.NoK.Index, test)
 	st.EstNodes = p.staticCardinality(root)
 	st.EstOut = p.cardinality(root)
 	// A cached template's first run records this scan's est/act counters
@@ -300,7 +300,7 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 		perPair = perPair || v.ForBound
 	}
 	optional := l.Mode == core.Optional
-	detail := fmt.Sprintf("%s//NoK%d", l.Parent.Label(), l.Child.Index)
+	detail := "%s//NoK%d"
 	// Output-cardinality estimate: per-pair joins emit about one instance
 	// per inner match; grouping joins emit about one per outer match.
 	estOut := p.cardinality(l.Parent)
@@ -322,9 +322,9 @@ func (p *Plan) descJoin(outer join.Operator, outerStats *obs.OpStats, inner *nok
 		detail += " semi"
 		note = kind + " semi-join (inner unread: one witness per outer item)"
 	}
-	p.note("link %s//NoK%d: %s", l.Parent.Label(), l.Child.Index, note)
+	p.note("link %s//NoK%d: %s", label{l.Parent}, l.Child.Index, note)
 	it, innerOp, innerStats := p.baseScan(inner)
-	st := obs.NewOpStats(name, detail)
+	st := obs.NewOpStats(name, detail, label{l.Parent}, l.Child.Index)
 	st.EstNodes = p.cardinality(l.Parent) + p.cardinality(l.Child.Root)
 	st.EstOut = estOut
 	st.Adopt(outerStats, innerStats)
@@ -361,7 +361,7 @@ func (p *Plan) runTwig() (*Instances, *obs.OpStats, error) {
 		return nil, nil, err
 	}
 	ts.Gov = p.gov
-	st := obs.NewOpStats("TwigStack", fmt.Sprintf("twig rooted at %s", start.Label()))
+	st := obs.NewOpStats("TwigStack", "twig rooted at %s", label{start})
 	for _, v := range p.Query.Tree.Vertices {
 		if !v.IsDocRoot() {
 			if st.EstNodes < 0 {
@@ -411,6 +411,13 @@ func (p *Plan) runTwig() (*Instances, *obs.OpStats, error) {
 	p.note("TwigStack produced %d matches (%d stack pushes)", len(rows), ts.PushCount)
 	return &Instances{Rows: rows, Cols: ts.Keep}, st, nil
 }
+
+// label formats as its vertex's label. It is a pointer to box, so an
+// EXPLAIN note or detail naming a vertex allocates nothing for it until
+// EXPLAIN renders it.
+type label struct{ v *core.Vertex }
+
+func (l label) String() string { return l.v.Label() }
 
 // noKOfVertex resolves the NoK containing a vertex.
 func (p *Plan) noKOfVertex(v *core.Vertex) *core.NoK {

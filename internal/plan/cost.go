@@ -36,6 +36,9 @@ type CostEstimate struct {
 // hint targets the constrained vertex ("part[bolt]") rather than every
 // vertex sharing its tag.
 func (p *Plan) cardinality(v *core.Vertex) float64 {
+	if len(p.opts.CardHints) == 0 {
+		return p.staticCardinality(v)
+	}
 	if h, ok := p.opts.CardHints[v.Label()]; ok && !v.IsDocRoot() {
 		return h
 	}

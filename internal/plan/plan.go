@@ -138,7 +138,7 @@ type Plan struct {
 
 	opts Options
 	gov  *gov.Governor // nil when ungoverned (no ctx/budget/fault)
-	expl []string
+	expl []obs.Text    // the EXPLAIN notes, formatted when Explain reads them
 	// twigErr is why the query cannot run as one TwigStack join (nil
 	// when it can), decided once by Build.
 	twigErr error
@@ -232,7 +232,7 @@ func Build(q *core.Query, doc *xmltree.Document, opts Options) (*Plan, error) {
 }
 
 func (p *Plan) note(format string, args ...any) {
-	p.expl = append(p.expl, fmt.Sprintf(format, args...))
+	p.expl = append(p.expl, obs.Textf(format, args...))
 }
 
 // wildcardOuter reports whether some //-join's outer vertex is a
@@ -287,9 +287,10 @@ func (p *Plan) twigCompatible() error {
 // statistics, hints) come from the template so a cached plan
 // cannot be re-shaped by run options, while everything per-run —
 // context, budget, fault injector, analyze, telemetry
-// identity and the governor — comes from opts. The explain notes are
-// copied, not aliased: builds append access-method notes, and
-// concurrent forks must not race on the template's slice.
+// identity and the governor — comes from opts. The fork's explain
+// notes are the template's, clipped: a build appends access-method
+// notes, and an append to a clipped slice copies it first, so
+// concurrent forks never write into the template's array.
 func (p *Plan) Fork(opts Options) *Plan {
 	opts.Strategy = p.opts.Strategy
 	opts.Index = p.opts.Index
@@ -300,7 +301,7 @@ func (p *Plan) Fork(opts Options) *Plan {
 		Decomp:   p.Decomp,
 		Strategy: p.Strategy,
 		opts:     opts,
-		expl:     append([]string(nil), p.expl...),
+		expl:     slices.Clip(p.expl),
 		twigErr:  p.twigErr,
 	}
 	f.gov = f.opts.governor()
@@ -315,7 +316,7 @@ func (p *Plan) Explain() string {
 		sb.WriteString("  plan cache: hit\n")
 	}
 	for _, e := range p.expl {
-		sb.WriteString("  " + e + "\n")
+		sb.WriteString("  " + e.String() + "\n")
 	}
 	sb.WriteString(p.Decomp.String())
 	return sb.String()

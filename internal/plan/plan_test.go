@@ -468,8 +468,8 @@ func TestValueCrossingPlansHashJoin(t *testing.T) {
 		t.Errorf("rows = %d, want 2 (A–A, B–B)", ins.Len())
 	}
 	root := p.StatsTree()
-	if root.Name != "HashJoin" || !strings.Contains(root.Detail, "residual") {
-		t.Errorf("plan root %s [%s], want the HashJoin with a residual:\n%s", root.Name, root.Detail, root.Render(true))
+	if root.Name != "HashJoin" || !strings.Contains(root.Detail.String(), "residual") {
+		t.Errorf("plan root %s [%s], want the HashJoin with a residual:\n%s", root.Name, root.Detail.String(), root.Render(true))
 	}
 	// 5 + 5 instances keyed and 9 candidate pairs (each A with both A's,
 	// each B with both B's, C with itself), against the 25 pairs a
@@ -504,8 +504,8 @@ func TestNonEqualityCrossingsShareOneNestedLoop(t *testing.T) {
 		t.Errorf("rows = %d, want 8", ins.Len())
 	}
 	root := p.StatsTree()
-	if root.Name != "NestedLoopJoin" || !strings.Contains(root.Detail, " and ") {
-		t.Errorf("plan root %s [%s], want one NestedLoopJoin on both crossings", root.Name, root.Detail)
+	if root.Name != "NestedLoopJoin" || !strings.Contains(root.Detail.String(), " and ") {
+		t.Errorf("plan root %s [%s], want one NestedLoopJoin on both crossings", root.Name, root.Detail.String())
 	}
 	if root.Comparisons() != 25 {
 		t.Errorf("cmp = %d, want 25 pair tests", root.Comparisons())
@@ -549,9 +549,9 @@ func TestScansReadTheirPostings(t *testing.T) {
 				for scan.Name != "NoKScan" && len(scan.Children) > 0 {
 					scan = scan.Children[0]
 				}
-				if scan.Name != "NoKScan" || !strings.HasSuffix(scan.Detail, c.access) || scan.Scanned() != int64(c.postings) {
+				if scan.Name != "NoKScan" || !strings.HasSuffix(scan.Detail.String(), c.access) || scan.Scanned() != int64(c.postings) {
 					t.Errorf("%s: scan %s %q read %d postings, want %s reading %d:\n%s",
-						strat, scan.Name, scan.Detail, scan.Scanned(), c.access, c.postings, scan.Render(true))
+						strat, scan.Name, scan.Detail.String(), scan.Scanned(), c.access, c.postings, scan.Render(true))
 				}
 			}
 		})

@@ -16,9 +16,11 @@ package proptest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"blossomtree/internal/xmlgen"
+	"blossomtree/internal/xmltree"
 )
 
 // DefaultSeed is the pinned base seed ("BlOSS0" in hexspeak) used by
@@ -36,11 +38,45 @@ type Gen struct {
 	r     *rand.Rand
 	tags  []string
 	attrs []string
+	// recurring are the tags that occur under themselves in the
+	// document: path queries put child steps below them (see chain).
+	recurring []string
 }
 
 // NewGen returns a generator drawing from r over the given alphabets.
 func NewGen(r *rand.Rand, tags, attrs []string) *Gen {
 	return &Gen{r: r, tags: tags, attrs: attrs}
+}
+
+// Recurring makes g draw, among its path queries, child steps below the
+// given tags, which must occur under themselves in the queried
+// document (RecurringTags).
+func (g *Gen) Recurring(tags []string) *Gen {
+	g.recurring = tags
+	return g
+}
+
+// RecurringTags lists the tags of doc that occur under themselves, in
+// the order their first such element occurs.
+func RecurringTags(doc *xmltree.Document) []string {
+	var out []string
+	open := map[string]int{} // open elements per tag on the current path
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		if n.Kind != xmltree.ElementNode {
+			return
+		}
+		if open[n.Tag] == 1 && !slices.Contains(out, n.Tag) {
+			out = append(out, n.Tag)
+		}
+		open[n.Tag]++
+		for c := n.FirstChild; c != nil; c = c.NextSibling {
+			walk(c)
+		}
+		open[n.Tag]--
+	}
+	walk(doc.DocumentElement())
+	return out
 }
 
 func (g *Gen) pick(ss []string) string { return ss[g.r.Intn(len(ss))] }
@@ -73,6 +109,9 @@ func (g *Gen) Query() string {
 // pathQuery generates an absolute path with a mix of child/descendant
 // steps, wildcards, predicates, and upward/value tails.
 func (g *Gen) pathQuery() string {
+	if len(g.recurring) > 0 && g.pct(25) {
+		return g.chain()
+	}
 	var sb strings.Builder
 	n := 1 + g.r.Intn(3)
 	for i := 0; i < n; i++ {
@@ -97,6 +136,23 @@ func (g *Gen) pathQuery() string {
 		}
 	}
 	return sb.String()
+}
+
+// chain generates a child step between two //-steps below a recurring
+// tag, after a leading //-step: //a//c/b//c with c recurring. The
+// //-join below the child step has it as its outer slot, and one
+// instance of the leading step holds that slot's items for every c under
+// it, nested c's included, so they need not come in document order:
+// the shape that broke the rescanning nested-loop join. The child step
+// carries no predicate, which would rarely let its items nest.
+func (g *Gen) chain() string {
+	lead := g.step()
+	rec := g.pick(g.recurring)
+	last := rec
+	if g.pct(50) {
+		last = g.tag()
+	}
+	return fmt.Sprintf("//%s//%s/%s//%s", lead, rec, g.tag(), last)
 }
 
 // sep picks the step separator, descendant-heavy so random paths hit

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -114,7 +116,7 @@ func newCase(base int64, ci int) harnessCase {
 	e := exec.New()
 	e.Add("d", doc)
 	return harnessCase{seed: seed, doc: doc, recursive: xmltree.ComputeStats(doc).Recursive,
-		engine: e, gen: NewGen(r, tags, attrAlphabet)}
+		engine: e, gen: NewGen(r, tags, attrAlphabet).Recurring(RecurringTags(doc))}
 }
 
 // planTally counts how the Auto leg ran the pairs it answered: planned,
@@ -290,5 +292,41 @@ func TestPlannedShare(t *testing.T) {
 	t.Logf("pinned seed: %s", &tally)
 	if tally.planned < plannedFloor {
 		t.Errorf("%d pairs planned, want at least %d:\n%s", tally.planned, plannedFloor, &tally)
+	}
+}
+
+// TestGeneratorDrawsRecurringChains: over a document where c occurs
+// under itself, the generator draws child steps between //-steps below
+// c (//a//c/b//c), the shapes whose //-join outer instances can list
+// nested items out of document order, and every one of them parses.
+// Without the recurring tags such shapes only arise by chance.
+func TestGeneratorDrawsRecurringChains(t *testing.T) {
+	doc, err := xmltree.ParseString(`<a><c><b/><c><b/></c></c><b><b/></b></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := RecurringTags(doc)
+	if !slices.Equal(rec, []string{"c", "b"}) {
+		t.Fatalf("RecurringTags = %v, want [c b]", rec)
+	}
+	chain := regexp.MustCompile(`//[bc]/[^/]+//`)
+	chains := func(g *Gen) int {
+		n := 0
+		for i := 0; i < 2000; i++ {
+			q := g.Query()
+			if _, err := flwor.Parse(q); err != nil {
+				t.Fatalf("generated query %q does not parse: %v", q, err)
+			}
+			if chain.MatchString(q) {
+				n++
+			}
+		}
+		return n
+	}
+	tags := []string{"a", "b", "c"}
+	plain := chains(NewGen(rand.New(rand.NewSource(*flagSeed)), tags, attrAlphabet))
+	drawn := chains(NewGen(rand.New(rand.NewSource(*flagSeed)), tags, attrAlphabet).Recurring(rec))
+	if drawn < 50 || drawn < 2*plain {
+		t.Errorf("%d of 2000 queries put a child step between //-steps below a recurring tag (%d by chance), want at least 50 and twice as many", drawn, plain)
 	}
 }

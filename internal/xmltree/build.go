@@ -19,12 +19,32 @@ import (
 //	b.End()
 //	b.End()
 //	doc, err := b.Done()
+//
+// A document's first singleNodes nodes are allocated one by one. From
+// then on nodes come in preorder from blocks of blockNodes, and tag names
+// are interned, so a large document is a few hundred objects the
+// collector marks and its walks read adjacent memory, while a small one
+// is built exactly as before. Done moves a partly filled last block into
+// an exact-size slice, so no block capacity outlives the build.
 type Builder struct {
 	doc     *Document
 	stack   []*Node
 	counter int
 	err     error
+
+	block []Node            // the current block; its unused capacity is still free
+	tags  map[string]string // one copy of each tag name met past singleNodes
 }
+
+const (
+	// singleNodes is how many nodes a document allocates one at a time:
+	// a 1 024-node document is built exactly as when every node was its
+	// own allocation.
+	singleNodes = 1024
+	// blockNodes is the size of a node block: 256 128-byte nodes are 32
+	// KiB, four whole pages, so the allocator rounds nothing up.
+	blockNodes = 256
+)
 
 // NewBuilder returns a Builder with an empty document node on the stack.
 func NewBuilder() *Builder {
@@ -36,6 +56,35 @@ func NewBuilder() *Builder {
 }
 
 func (b *Builder) top() *Node { return b.stack[len(b.stack)-1] }
+
+// newNode returns the zero node the next attach labels: its own
+// allocation within the first singleNodes, else the next slot of the
+// current block.
+func (b *Builder) newNode() *Node {
+	if b.counter < singleNodes {
+		return &Node{}
+	}
+	if len(b.block) == cap(b.block) {
+		b.block = make([]Node, 0, blockNodes)
+	}
+	b.block = b.block[:len(b.block)+1]
+	return &b.block[len(b.block)-1]
+}
+
+// intern returns the document's copy of tag once blocks are in use.
+func (b *Builder) intern(tag string) string {
+	if b.counter < singleNodes {
+		return tag
+	}
+	if t, ok := b.tags[tag]; ok {
+		return t
+	}
+	if b.tags == nil {
+		b.tags = make(map[string]string)
+	}
+	b.tags[tag] = tag
+	return tag
+}
 
 func (b *Builder) attach(n *Node) {
 	p := b.top()
@@ -71,7 +120,8 @@ func (b *Builder) StartAttrs(tag string, attrs []Attr) *Builder {
 		b.err = fmt.Errorf("xmltree: Builder.Start(%q): document already has a root element", tag)
 		return b
 	}
-	n := &Node{Kind: ElementNode, Tag: tag, Attrs: attrs}
+	n := b.newNode()
+	n.Kind, n.Tag, n.Attrs = ElementNode, b.intern(tag), attrs
 	b.attach(n)
 	b.stack = append(b.stack, n)
 	return b
@@ -86,7 +136,8 @@ func (b *Builder) Text(s string) *Builder {
 		b.err = errors.New("xmltree: Builder.Text outside any element")
 		return b
 	}
-	n := &Node{Kind: TextNode, Text: s}
+	n := b.newNode()
+	n.Kind, n.Text = TextNode, s
 	b.attach(n)
 	return b
 }
@@ -131,7 +182,44 @@ func (b *Builder) Done() (*Document, error) {
 		return nil, fmt.Errorf("xmltree: Builder.Done: %d unclosed element(s)", len(b.stack)-1)
 	}
 	b.doc.Root.End = b.counter
+	b.trimBlock()
 	return b.doc, nil
+}
+
+// trimBlock moves the nodes of a partly filled last block into an
+// exact-size slice and relinks them: the block's free capacity would
+// otherwise stay allocated as long as any of its nodes. The moved nodes
+// are the document's last in preorder, so a node moved iff its Start is
+// at least the first moved one's; every link to one is from a moved
+// node, from its parent (FirstChild, LastChild) or from its previous
+// sibling (NextSibling).
+func (b *Builder) trimBlock() {
+	k := len(b.block)
+	if k == 0 || k == cap(b.block) {
+		b.block = nil
+		return
+	}
+	tail := make([]Node, k)
+	copy(tail, b.block)
+	b.block = nil
+	first := b.counter - k
+	moved := func(n *Node) *Node {
+		if n != nil && n.Start >= first {
+			return &tail[n.Start-first]
+		}
+		return n
+	}
+	for i := range tail {
+		n := &tail[i]
+		n.Parent, n.FirstChild, n.LastChild = moved(n.Parent), moved(n.FirstChild), moved(n.LastChild)
+		n.NextSibling, n.PrevSibling = moved(n.NextSibling), moved(n.PrevSibling)
+		if p := n.Parent; p.Start < first {
+			p.FirstChild, p.LastChild = moved(p.FirstChild), moved(p.LastChild)
+		}
+		if s := n.PrevSibling; s != nil && s.Start < first {
+			s.NextSibling = moved(s.NextSibling)
+		}
+	}
 }
 
 // MustDone is Done for tests with known-good build sequences; library

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -9,15 +10,26 @@ import (
 )
 
 // Parse reads an XML document from r and builds the labeled tree.
-// Comments, processing instructions and directives are skipped;
-// whitespace-only text between elements is dropped (it carries no query
-// semantics in the paper's data model), other text is kept verbatim.
+// Comments, processing instructions and directives are skipped, and the
+// character data around them is one text node; whitespace-only text
+// between elements is dropped (it carries no query semantics in the
+// paper's data model), other text is kept verbatim.
 func Parse(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	dec.Strict = true
 
 	b := NewBuilder()
 	depth := 0
+	// text gathers the character data since the last tag: a comment, a
+	// processing instruction or a CDATA section does not end a text node,
+	// so no two text nodes are adjacent.
+	var text []byte
+	flushText := func() {
+		if len(bytes.TrimSpace(text)) > 0 {
+			b.Text(string(text))
+		}
+		text = text[:0]
+	}
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -28,6 +40,7 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			flushText()
 			attrs := make([]Attr, 0, len(t.Attr))
 			for _, a := range t.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
@@ -38,6 +51,7 @@ func Parse(r io.Reader) (*Document, error) {
 			b.StartAttrs(t.Name.Local, attrs)
 			depth++
 		case xml.EndElement:
+			flushText()
 			if depth == 0 {
 				return nil, fmt.Errorf("xmltree: parse: unbalanced end tag </%s>", t.Name.Local)
 			}
@@ -47,11 +61,7 @@ func Parse(r io.Reader) (*Document, error) {
 			if depth == 0 {
 				continue // whitespace or stray text outside the document element
 			}
-			s := string(t)
-			if strings.TrimSpace(s) == "" {
-				continue
-			}
-			b.Text(s)
+			text = append(text, t...)
 		}
 	}
 	if depth != 0 {
